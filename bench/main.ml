@@ -104,7 +104,8 @@ let run_bechamel () =
    sweep-cell memo OFF — the gate measures the engine, not the cache —
    and reported as one events-per-host-second figure.  [--out FILE]
    writes the profile as JSON; [--baseline FILE] compares against a
-   previously written profile and fails (exit 1) on a >25% regression. *)
+   previously written profile and fails (exit 1) when the event count
+   differs or the rate drops below 0.8x. *)
 
 let quick_cells =
   [
@@ -140,9 +141,9 @@ let baseline_help file =
      Record one with:  dune exec bench/main.exe -- --quick -j 2 --out %s\n\
      then commit it (the .gitignore negates BENCH_*.json)." file file
 
-(* Pull ["events_per_sec": <num>] out of a baseline file without a JSON
-   parser: find the field name, then read the number after the colon. *)
-let baseline_events_per_sec file =
+(* Pull ["<name>": <num>] out of a baseline file without a JSON parser:
+   find the quoted field name, then read the number after the colon. *)
+let baseline_field file name =
   if not (Sys.file_exists file) then begin
     Printf.eprintf "bench: baseline file %s does not exist.\n%s\n" file
       (baseline_help file);
@@ -158,7 +159,7 @@ let baseline_events_per_sec file =
   let len = in_channel_length ic in
   let s = really_input_string ic len in
   close_in ic;
-  let field = "\"events_per_sec\":" in
+  let field = Printf.sprintf "\"%s\":" name in
   let rec find i =
     if i + String.length field > String.length s then None
     else if String.sub s i (String.length field) = field then
@@ -223,26 +224,41 @@ let run_quick ~out ~baseline ~profile () =
   match baseline with
   | None -> ()
   | Some file ->
-    (match baseline_events_per_sec file with
-     | None ->
-       Printf.eprintf
-         "bench: baseline %s has no \"events_per_sec\" field — an old-schema \
-          or corrupt profile.\n%s\n"
-         file (baseline_help file);
-       exit 2
-     | Some base ->
-       let fresh = !best in
-       let ratio = if base > 0.0 then fresh /. base else 1.0 in
-       Printf.printf "baseline %s: %.0f events/sec; fresh: %.0f (%.2fx)\n" file base
-         fresh ratio;
-       if ratio < 0.8 then begin
-         Printf.eprintf
-           "bench: PERF REGRESSION: %.0f events/sec is less than 80%% of the \
-            baseline %.0f\n"
-           fresh base;
-         exit 1
-       end
-       else Printf.printf "perf gate: ok (threshold 0.8x)\n")
+    let field name =
+      match baseline_field file name with
+      | Some v -> v
+      | None ->
+        Printf.eprintf
+          "bench: baseline %s has no %S field — an old-schema or corrupt \
+           profile.\n%s\n"
+          file name (baseline_help file);
+        exit 2
+    in
+    (* The batch is deterministic, so a host-only change retires exactly
+       the baseline's events; any difference means the modelled output
+       moved and the baseline must be re-recorded deliberately. *)
+    let base_events = int_of_float (field "events") in
+    if d.Hostprof.sim_events <> base_events then begin
+      Printf.eprintf
+        "bench: EVENT COUNT CHANGED: %d simulated events, the baseline %s has \
+         %d — the modelled behaviour moved\n"
+        d.Hostprof.sim_events file base_events;
+      exit 1
+    end;
+    Printf.printf "baseline %s: %d events; fresh: %d (identical)\n" file base_events
+      d.Hostprof.sim_events;
+    let base = field "events_per_sec" and fresh = !best in
+    let ratio = if base > 0.0 then fresh /. base else 1.0 in
+    Printf.printf "baseline %s: %.0f events/sec; fresh: %.0f (%.2fx)\n" file base fresh
+      ratio;
+    if ratio < 0.8 then begin
+      Printf.eprintf
+        "bench: PERF REGRESSION: %.0f events/sec is less than 80%% of the baseline \
+         %.0f\n"
+        fresh base;
+      exit 1
+    end
+    else Printf.printf "perf gate: ok (threshold 0.8x)\n"
 
 type mode = {
   jobs : int;

@@ -72,7 +72,9 @@ type race = {
 (* An SCR apply section claiming an index the trace never saw appended:
    the replay read ahead of the appended tail, so the "entry" it applied
    did not exist yet — the log-replay analogue of a use-before-publish
-   race.  [v_max] is the highest index appended so far (-1 if none). *)
+   race.  [v_max] is the highest index appended before the apply (for an
+   apply ahead of the log's first in-window append, the index just below
+   that append). *)
 type violation = { v_log : string; v_idx : int; v_max : int; v_rec : Trace.record }
 
 let bus_channel = "\x00bus" (* unspellable as a lock or gate name *)
@@ -87,10 +89,18 @@ let run_full ?(bus_sync = true) tracer =
   let exited : (int, Vc.t) Hashtbl.t = Hashtbl.create 16 in
   let forked : (int, Vc.t) Hashtbl.t = Hashtbl.create 16 in
   let cells : (string, cell) Hashtbl.t = Hashtbl.create 32 in
-  (* Per SCR log: highest index seen appended (-1 before any append). *)
+  (* Per SCR log: highest index seen appended (absent before any append). *)
   let appended : (string, int) Hashtbl.t = Hashtbl.create 4 in
+  (* Per SCR log with no append in the window yet: the applies seen so
+     far, newest first.  The window may open mid-replay, so such an apply
+     may consume an entry appended before the trace began; it is judged
+     only once the log's first in-window append shows where the tail was. *)
+  let held : (string, (int * Trace.record) list) Hashtbl.t = Hashtbl.create 4 in
   let races = ref [] in
   let violations = ref [] in
+  let flag log idx v_max r =
+    violations := { v_log = log; v_idx = idx; v_max; v_rec = r } :: !violations
+  in
   let clock tid =
     match Hashtbl.find_opt clocks tid with
     | Some vc -> vc
@@ -137,15 +147,27 @@ let run_full ?(bus_sync = true) tracer =
       | Trace.Lock_grant { lock; _ } -> acquire tid ("L:" ^ lock)
       | Trace.Lock_release { lock; _ } -> release tid ("L:" ^ lock)
       | Trace.Scr_append { log; idx } ->
-        let prev = Option.value ~default:(-1) (Hashtbl.find_opt appended log) in
-        if idx > prev then Hashtbl.replace appended log idx;
+        (match Hashtbl.find_opt appended log with
+        | Some prev -> if idx > prev then Hashtbl.replace appended log idx
+        | None ->
+          (* The first in-window append: entries below [idx] may predate
+             the window, so a held apply read ahead only if it claimed
+             [idx] or beyond. *)
+          Hashtbl.replace appended log idx;
+          List.iter
+            (fun (i, r) -> if i >= idx then flag log i (idx - 1) r)
+            (List.rev (Option.value ~default:[] (Hashtbl.find_opt held log)));
+          Hashtbl.remove held log);
         release tid ("S:" ^ log)
       | Trace.Scr_apply { log; idx } ->
         (* idx = -1 marks an output/timer section, which consumes no log
            entry and cannot read ahead of the tail. *)
-        let max_app = Option.value ~default:(-1) (Hashtbl.find_opt appended log) in
-        if idx >= 0 && idx > max_app then
-          violations := { v_log = log; v_idx = idx; v_max = max_app; v_rec = r } :: !violations;
+        (if idx >= 0 then
+           match Hashtbl.find_opt appended log with
+           | Some max_app -> if idx > max_app then flag log idx max_app r
+           | None ->
+             let prev = Option.value ~default:[] (Hashtbl.find_opt held log) in
+             Hashtbl.replace held log ((idx, r) :: prev));
         acquire tid ("S:" ^ log)
       | Trace.Scr_apply_end { log; _ } -> release tid ("S:" ^ log)
       | Trace.Gate_advance { gate; _ } -> release tid ("G:" ^ gate)

@@ -106,34 +106,9 @@ let pop_exn t =
   end;
   res
 
-(* Drain the entire run of events sharing the minimum timestamp into
-   [buf] (grown as needed), returning the run length.  Successive pops of
-   equal-time entries leave the heap in (time, seq) order, so the run
-   lands in [buf] in seq — i.e. insertion/FIFO — order: byte-identical
-   dispatch order to popping one at a time, but the caller pays the
-   peek/limit/loop bookkeeping once per run instead of once per event. *)
-let pop_run t buf =
-  let n = t.len in
-  if n = 0 then raise Empty;
-  let time = t.times.(0) in
-  let k = ref 0 in
-  while t.len > 0 && t.times.(0) = time do
-    let b = !buf in
-    let cap = Array.length b in
-    if !k = cap then begin
-      let nb = Array.make (max 16 (2 * cap)) t.payloads.(0) in
-      Array.blit b 0 nb 0 !k;
-      buf := nb
-    end;
-    !buf.(!k) <- pop_exn t;
-    incr k
-  done;
-  !k
-
 let peek_time_exn t =
   if t.len = 0 then raise Empty;
   t.times.(0)
 
-let peek_time t = if t.len = 0 then None else Some t.times.(0)
 let size t = t.len
 let is_empty t = t.len = 0

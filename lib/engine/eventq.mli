@@ -25,21 +25,9 @@ val pop_exn : 'a t -> 'a
     {!peek_time_exn} when the timestamp is needed.  @raise Empty when
     the queue is empty. *)
 
-val pop_run : 'a t -> 'a array ref -> int
-(** [pop_run t buf] removes {e every} event sharing the earliest
-    timestamp and writes them into [!buf] starting at index 0 (growing
-    [buf] by doubling when too small), returning the run length.  The
-    run lands in FIFO (sequence) order — the exact order repeated
-    {!pop_exn} calls would yield — so batched dispatch is byte-identical
-    to one-at-a-time dispatch.  @raise Empty when the queue is empty. *)
-
 val peek_time_exn : 'a t -> int
 (** Timestamp of the earliest event without removing it (no option
     allocation).  @raise Empty when the queue is empty. *)
-
-val peek_time : 'a t -> int option
-(** Timestamp of the earliest event without removing it.  Convenience
-    for tests and diagnostics; the hot loop uses {!peek_time_exn}. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

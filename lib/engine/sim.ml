@@ -21,19 +21,7 @@ type t = {
   mutable stopping : bool;
   mutable processed : int;
   tracer : Trace.t;
-  (* Batched dispatch (see [run]).  [batching] freezes the global toggle
-     at creation so one world never mixes dispatch modes. *)
-  batching : bool;
-  mutable ring : (unit -> unit) array; (* circular FIFO of time-[now] events *)
-  mutable ring_head : int;
-  mutable ring_len : int;
-  batch : (unit -> unit) array ref; (* pop_run scratch, drained by [run] *)
-  mutable batch_pos : int;
-  mutable batch_len : int;
   mutable limit : int; (* the active [run]'s [until] (max_int when none) *)
-  mutable drains : int; (* timestamps dispatched, for the batch histogram *)
-  batch_hist : int array; (* bucket i = drains of i events; last = overflow *)
-  mutable cur_run : int; (* events dispatched at the current timestamp *)
   (* Deferred charging (SCR replay): while active, [delay] accumulates
      into [defer_acc] instead of advancing the clock, and [suspend] is an
      error — the section must be host-atomic. *)
@@ -43,22 +31,7 @@ type t = {
 
 type _ Effect.t += Suspend : t * ((int -> unit) -> unit) -> unit Effect.t
 
-(* Batched dispatch is semantics-preserving (enforced by test and CI
-   determinism diffs), so it defaults on; PNP_NO_BATCH=1 or
-   [set_batching false] selects the one-event-at-a-time reference loop
-   for A/B determinism checks and bisection. *)
-let batching_default =
-  ref
-    (match Sys.getenv_opt "PNP_NO_BATCH" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
-
-let set_batching on = batching_default := on
-let batching_enabled () = !batching_default
-
-let nop () = ()
-
-let create ?(seed = 42) ?batching () =
+let create ?(seed = 42) () =
   {
     now = 0;
     events = Eventq.create ();
@@ -70,17 +43,7 @@ let create ?(seed = 42) ?batching () =
     stopping = false;
     processed = 0;
     tracer = Trace.create ();
-    batching = (match batching with Some b -> b | None -> !batching_default);
-    ring = [||];
-    ring_head = 0;
-    ring_len = 0;
-    batch = ref [||];
-    batch_pos = 0;
-    batch_len = 0;
     limit = max_int;
-    drains = 0;
-    batch_hist = Array.make 65 0;
-    cur_run = 0;
     defer_on = false;
     defer_acc = 0;
   }
@@ -93,39 +56,8 @@ let trace_thread t th ev =
   if Trace.enabled t.tracer then
     Trace.emit t.tracer ~ts:t.now ~tid:th.tid ~cpu:th.cpu ev
 
-(* Ring capacities stay powers of two so indexing is a mask. *)
-let ring_push t f =
-  let cap = Array.length t.ring in
-  if t.ring_len = cap then begin
-    let ncap = max 16 (2 * cap) in
-    let nr = Array.make ncap nop in
-    for i = 0 to t.ring_len - 1 do
-      nr.(i) <- t.ring.((t.ring_head + i) land (cap - 1))
-    done;
-    t.ring <- nr;
-    t.ring_head <- 0
-  end;
-  t.ring.((t.ring_head + t.ring_len) land (Array.length t.ring - 1)) <- f;
-  t.ring_len <- t.ring_len + 1
-
-let ring_pop t =
-  let i = t.ring_head in
-  let f = t.ring.(i) in
-  t.ring.(i) <- nop;
-  t.ring_head <- (i + 1) land (Array.length t.ring - 1);
-  t.ring_len <- t.ring_len - 1;
-  f
-
-(* An [at] for the current instant joins the FIFO ring instead of the
-   heap.  Order argument: every heap entry with time = [now] was added
-   before [now] became current (adds at the current time go to the ring,
-   past times are rejected), so heap entries always precede ring entries
-   in insertion order — [run] drains heap-run first, then ring, which is
-   exactly global (time, seq) order. *)
 let at t time f =
-  if time > t.now then Eventq.add t.events ~time f
-  else if time = t.now && t.batching then ring_push t f
-  else if time = t.now then Eventq.add t.events ~time f
+  if time >= t.now then Eventq.add t.events ~time f
   else
     invalid_arg
       (Printf.sprintf "Sim.at: time %d is in the past (now %d)" time t.now)
@@ -266,38 +198,25 @@ let defer_end t =
 
 let defer_active t = t.defer_on
 
-(* Close out the histogram entry for the timestamp being dispatched. *)
-let note_drain_end t =
-  if t.cur_run > 0 then begin
-    t.drains <- t.drains + 1;
-    let b = min t.cur_run (Array.length t.batch_hist - 1) in
-    t.batch_hist.(b) <- t.batch_hist.(b) + 1;
-    t.cur_run <- 0
-  end
-
 (* The suspend/resume machinery exists to let *other* pending events run
-   while a thread waits.  When there provably are none — the batch and
-   ring are drained and every heap event is strictly later than the
-   wake-up — a [delay] can simply advance the clock in place: no effect,
-   no continuation capture, no heap round-trip.  The skipped resume
-   event still counts toward [processed] (and as a 1-event drain), so
-   event totals and rates are comparable across modes.  Gated off when
-   tracing: the real path emits Thread_block/Thread_resume records that
-   replay analysis consumes. *)
+   while a thread waits.  When there provably are none — every queued
+   event is strictly later than the wake-up — a [delay] can simply
+   advance the clock in place: no effect, no continuation capture, no
+   heap round-trip.  The skipped resume event still counts toward
+   [processed], so event totals match the suspend/resume path exactly.
+   Gated off when tracing: the real path emits Thread_block/Thread_resume
+   records that replay analysis consumes (and that gate makes a traced
+   run the reference the inline path is tested against). *)
 let delay_fast t d =
   let wake = t.now + d in
   if
-    t.batching && t.current != None && (not t.stopping)
-    && t.batch_pos >= t.batch_len
-    && t.ring_len = 0
+    t.current != None && (not t.stopping)
     && wake <= t.limit
     && (not (Trace.enabled t.tracer))
     && (Eventq.is_empty t.events || Eventq.peek_time_exn t.events > wake)
   then begin
-    note_drain_end t;
     t.now <- wake;
     t.processed <- t.processed + 1;
-    t.cur_run <- 1;
     true
   end
   else false
@@ -318,78 +237,30 @@ let yield t =
 
 let stop t = t.stopping <- true
 
-(* Reference one-event-at-a-time loop, kept verbatim for PNP_NO_BATCH
-   A/B determinism diffs: peek_time_exn/pop_exn return immediates rather
-   than options/tuples, and emptiness is checked up front. *)
-let run_unbatched ?until t =
+(* One event at a time in global (time, seq) order: peek_time_exn/pop_exn
+   return immediates rather than options/tuples, and emptiness is checked
+   up front. *)
+let run ?until t =
+  t.stopping <- false;
+  t.limit <- (match until with Some l -> l | None -> max_int);
   let continue_ = ref true in
   while !continue_ && not t.stopping do
     if Eventq.is_empty t.events then continue_ := false
     else begin
       let time = Eventq.peek_time_exn t.events in
-      match until with
-      | Some limit when time > limit ->
-        t.now <- max t.now limit;
-        continue_ := false
-      | _ ->
+      if time > t.limit then continue_ := false
+      else begin
         let action = Eventq.pop_exn t.events in
         assert (time >= t.now);
         t.now <- time;
         t.processed <- t.processed + 1;
         action ()
-    end
-  done
-
-(* Batched loop: advance to the earliest timestamp, [Eventq.pop_run] its
-   whole run into the scratch batch in one pass, dispatch the batch, then
-   drain the ring of events added *at* that timestamp (FIFO), and only
-   then look at the heap again.  [stop] mid-batch leaves the tail in
-   [t.batch]; a later [run] resumes from it, preserving order. *)
-let run_batched t limit =
-  let continue_ = ref true in
-  while !continue_ && not t.stopping do
-    if t.batch_pos < t.batch_len then begin
-      let b = !(t.batch) in
-      let action = b.(t.batch_pos) in
-      b.(t.batch_pos) <- nop;
-      t.batch_pos <- t.batch_pos + 1;
-      t.processed <- t.processed + 1;
-      t.cur_run <- t.cur_run + 1;
-      action ()
-    end
-    else if t.ring_len > 0 && t.now <= limit then begin
-      let action = ring_pop t in
-      t.processed <- t.processed + 1;
-      t.cur_run <- t.cur_run + 1;
-      action ()
-    end
-    else if Eventq.is_empty t.events then continue_ := false
-    else begin
-      let time = Eventq.peek_time_exn t.events in
-      if time > limit then begin
-        t.now <- max t.now limit;
-        continue_ := false
-      end
-      else begin
-        note_drain_end t;
-        assert (time >= t.now);
-        t.now <- time;
-        t.batch_len <- Eventq.pop_run t.events t.batch;
-        t.batch_pos <- 0
       end
     end
   done;
-  note_drain_end t
-
-let run ?until t =
-  t.stopping <- false;
-  t.limit <- (match until with Some l -> l | None -> max_int);
-  if t.batching then run_batched t t.limit else run_unbatched ?until t;
   match until with
   | Some limit when not t.stopping -> t.now <- max t.now limit
   | _ -> ()
-
-let dispatch_stats t = (t.drains, Array.copy t.batch_hist)
 
 (* Diagnostics below walk the live prefix of the table; results come back
    in tid (spawn) order. *)

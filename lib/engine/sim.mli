@@ -16,32 +16,9 @@ type t
 type thread
 (** A simulated thread. *)
 
-val create : ?seed:int -> ?batching:bool -> unit -> t
+val create : ?seed:int -> unit -> t
 (** Fresh world at time 0.  [seed] initialises the world's PRNG (used by
-    unfair lock grants and workload jitter).  [batching] overrides the
-    global {!set_batching} default for this world. *)
-
-(** {2 Batched dispatch toggle}
-
-    The event loop normally dispatches same-timestamp runs in one batch
-    (one heap drain per distinct timestamp plus a FIFO ring for events
-    scheduled at the current instant) and lets an uncontended {!delay}
-    advance the clock without suspending.  Both are order-preserving —
-    every figure is byte-identical either way, which CI enforces — so
-    the toggle exists for A/B determinism diffs and bisection, not
-    tuning.  [PNP_NO_BATCH=1] in the environment flips the default to
-    the one-event-at-a-time reference loop. *)
-
-val set_batching : bool -> unit
-(** Set the default dispatch mode for worlds created afterwards. *)
-
-val batching_enabled : unit -> bool
-
-val dispatch_stats : t -> int * int array
-(** [(drains, hist)]: how many distinct timestamps the batched loop
-    dispatched, and a histogram of events per drain (bucket [i] counts
-    drains of [i] events; the last bucket absorbs larger runs).  All
-    zeros when the world runs unbatched. *)
+    unfair lock grants and workload jitter). *)
 
 val now : t -> Pnp_util.Units.ns
 (** Current simulated time. *)
@@ -87,7 +64,10 @@ val in_thread : t -> bool
     not be charged simulated time. *)
 
 val delay : t -> Pnp_util.Units.ns -> unit
-(** Consume simulated time: the calling thread resumes [d] later. *)
+(** Consume simulated time: the calling thread resumes [d] later.  When
+    no other event is queued at or before the wake-up (and tracing is
+    off), the clock advances in place without suspending; the event order
+    and {!events_processed} are the same either way. *)
 
 val suspend : t -> ((Pnp_util.Units.ns -> unit) -> unit) -> unit
 (** [suspend t register] blocks the calling thread.  [register] receives a

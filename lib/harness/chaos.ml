@@ -104,6 +104,7 @@ let tcp_world ~plan ~disc ~tcp_locking ~seed ~bytes ~horizon =
         Socket.close sock)
   in
   Sim.run ~until:horizon plat.Platform.sim;
+  Hostprof.note_sim_events (Sim.events_processed plat.Platform.sim);
   let rexmits =
     List.fold_left (fun acc s -> acc + (Tcp.stats s).Tcp.rexmits) 0 (Tcp.sessions a.Stack.tcp)
   in
@@ -152,6 +153,7 @@ let udp_world ~plan ~disc ~seed ~datagrams ~horizon =
         done)
   in
   Sim.run ~until:horizon plat.Platform.sim;
+  Hostprof.note_sim_events (Sim.events_processed plat.Platform.sim);
   let fs = Link.fault_stats link in
   let dropped_proto =
     Fddi.frames_dropped b.Stack.fddi + Ip.datagrams_dropped b.Stack.ip

@@ -4,7 +4,8 @@
    cells, so the wall-clock cost of the reproduction is dominated by how
    many simulated events the host machine can retire per second — not by
    anything about the modeled hardware.  This module is the measuring
-   stick: a process-wide event counter fed by [Run], OCaml GC allocation
+   stick: a process-wide event counter fed by [Run], [Overload] and
+   [Chaos] after every world they run, OCaml GC allocation
    counters, and the sweep-cell memo's hit/miss counters, snapshotted
    around a workload and reported as a delta.
 
@@ -22,13 +23,6 @@ let cell_misses = Atomic.make 0
    cell needed, which bounds per-cell host memory). *)
 let arena_hwm = Atomic.make 0
 
-(* Batched-dispatch shape, merged over every finished sim: total drains
-   plus the per-run-length histogram [Sim.dispatch_stats] reports (bucket
-   i = drains that retired i events; last bucket = overflow). *)
-let hist_buckets = 65
-let batch_drains = Atomic.make 0
-let batch_hist = Array.init hist_buckets (fun _ -> Atomic.make 0)
-
 let note_sim_events n = if n > 0 then ignore (Atomic.fetch_and_add sim_events n)
 let note_cell_hit () = ignore (Atomic.fetch_and_add cell_hits 1)
 let note_cell_miss () = ignore (Atomic.fetch_and_add cell_misses 1)
@@ -36,13 +30,6 @@ let note_cell_miss () = ignore (Atomic.fetch_and_add cell_misses 1)
 let rec note_arena_hwm n =
   let cur = Atomic.get arena_hwm in
   if n > cur && not (Atomic.compare_and_set arena_hwm cur n) then note_arena_hwm n
-
-let note_dispatch ~drains ~hist =
-  if drains > 0 then ignore (Atomic.fetch_and_add batch_drains drains);
-  Array.iteri
-    (fun i c ->
-      if i < hist_buckets && c > 0 then ignore (Atomic.fetch_and_add batch_hist.(i) c))
-    hist
 
 type snapshot = {
   wall_s : float;
@@ -52,8 +39,6 @@ type snapshot = {
   hits : int;
   misses : int;
   hwm : int;
-  drains : int;
-  hist : int array;
 }
 
 let snapshot () =
@@ -66,8 +51,6 @@ let snapshot () =
     hits = Atomic.get cell_hits;
     misses = Atomic.get cell_misses;
     hwm = Atomic.get arena_hwm;
-    drains = Atomic.get batch_drains;
-    hist = Array.map Atomic.get batch_hist;
   }
 
 type delta = {
@@ -78,8 +61,6 @@ type delta = {
   cell_hits : int;
   cell_misses : int;
   arena_hwm : int;
-  drains : int;
-  batch_hist : int array;
 }
 
 let delta before after =
@@ -93,8 +74,6 @@ let delta before after =
     (* The arena mark is a running process max, not a rate: report the
        window-end value rather than a meaningless difference. *)
     arena_hwm = after.hwm;
-    drains = after.drains - before.drains;
-    batch_hist = Array.mapi (fun i c -> c - before.hist.(i)) after.hist;
   }
 
 let events_per_sec d =
@@ -104,30 +83,6 @@ let cell_hit_pct d =
   let total = d.cell_hits + d.cell_misses in
   if total > 0 then 100.0 *. float_of_int d.cell_hits /. float_of_int total
   else 0.0
-
-let batch_mean d =
-  if d.drains > 0 then float_of_int d.sim_events /. float_of_int d.drains else 0.0
-
-(* Smallest run length k with at least 99% of drains at length <= k; the
-   overflow bucket makes the answer "last bucket or more". *)
-let batch_p99 d =
-  let total = Array.fold_left ( + ) 0 d.batch_hist in
-  if total = 0 then 0
-  else begin
-    let target = ((99 * total) + 99) / 100 in
-    let k = ref 0 and cum = ref 0 in
-    (try
-       Array.iteri
-         (fun i c ->
-           cum := !cum + c;
-           if !cum >= target then begin
-             k := i;
-             raise Exit
-           end)
-         d.batch_hist
-     with Exit -> ());
-    !k
-  end
 
 let measure f =
   let before = snapshot () in

@@ -3,8 +3,9 @@
     Every figure is bottlenecked on the host cost of the discrete-event
     engine (events retired per host second), not on the modeled
     hardware.  This module snapshots process-wide counters — simulated
-    events executed (fed by {!Run}), GC minor/major allocation, and the
-    sweep-cell memo's hit/miss counts — and reports deltas.  The bench
+    events executed (fed by {!Run}, {!Overload} and {!Chaos}), GC
+    minor/major allocation, and the sweep-cell memo's hit/miss counts —
+    and reports deltas.  The bench
     harness and [repro perf] print them; {!Json_out} embeds them in
     [BENCH_*.json].
 
@@ -29,8 +30,6 @@ type delta = {
   arena_hwm : int;           (** largest Mpool buffer-arena footprint any
                                  cell reached, bytes (process max at the
                                  window's end, not a per-window delta) *)
-  drains : int;              (** batched-dispatch drains in the window *)
-  batch_hist : int array;    (** drains by run length (last = overflow) *)
 }
 
 val delta : snapshot -> snapshot -> delta
@@ -45,18 +44,11 @@ val events_per_sec : delta -> float
 val cell_hit_pct : delta -> float
 (** Share of sweep cells served from the memo, % (0 when no cells ran). *)
 
-val batch_mean : delta -> float
-(** Mean events retired per dispatch drain (0 when nothing ran batched). *)
-
-val batch_p99 : delta -> int
-(** 99th-percentile drain run length — smallest length covering 99% of
-    drains; the histogram's overflow bucket caps it at its index. *)
-
 (** {2 Counter feeds (called by the harness, not by users)} *)
 
 val note_sim_events : int -> unit
 (** Add a finished simulation's event count to the process total
-    ({!Run} calls this after every cell). *)
+    ({!Run}, {!Overload} and {!Chaos} call this after every world). *)
 
 val note_cell_hit : unit -> unit
 val note_cell_miss : unit -> unit
@@ -64,6 +56,3 @@ val note_cell_miss : unit -> unit
 val note_arena_hwm : int -> unit
 (** Fold one pool's arena high-water mark ({!Mpool.arena_hwm}) into the
     process-wide max. *)
-
-val note_dispatch : drains:int -> hist:int array -> unit
-(** Fold one finished sim's {!Sim.dispatch_stats} into the totals. *)

@@ -25,15 +25,12 @@ let num v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
    with a regexp that stops at the first closing brace. *)
 let host_json (d : Hostprof.delta) =
   Printf.sprintf
-    "{\"events\":%d,\"events_per_sec\":%s,\"gc_minor_words\":%s,\"gc_major_words\":%s,\"cell_hits\":%d,\"cell_misses\":%d,\"arena_hwm\":%d,\"drains\":%d,\"batch_mean\":%s,\"batch_p99\":%d}"
+    "{\"events\":%d,\"events_per_sec\":%s,\"gc_minor_words\":%s,\"gc_major_words\":%s,\"cell_hits\":%d,\"cell_misses\":%d,\"arena_hwm\":%d}"
     d.Hostprof.sim_events
     (num (Hostprof.events_per_sec d))
     (num d.Hostprof.gc_minor_words)
     (num d.Hostprof.gc_major_words)
     d.Hostprof.cell_hits d.Hostprof.cell_misses d.Hostprof.arena_hwm
-    d.Hostprof.drains
-    (num (Hostprof.batch_mean d))
-    (Hostprof.batch_p99 d)
 
 let figure_json ~id ~jobs ~elapsed_s ?host tables =
   let b = Buffer.create 4096 in

@@ -161,6 +161,7 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
   let wd = Watchdog.install sim ~stall_ns ~stop_on_stall:true ~progress () in
   Sim.run ~until:horizon sim;
   Watchdog.disarm wd;
+  Hostprof.note_sim_events (Sim.events_processed sim);
   let elapsed_ns = Sim.now sim in
   let drops =
     {

@@ -164,6 +164,4 @@ let print_host_profile ?(title = "Host profile") (d : Hostprof.delta) =
     d.Hostprof.cell_hits d.Hostprof.cell_misses (Hostprof.cell_hit_pct d);
   Printf.printf "  %-22s %12.2f MB\n" "arena high-water"
     (float_of_int d.Hostprof.arena_hwm /. 1e6);
-  Printf.printf "  %-22s %12d (mean %.2f ev, p99 %d)\n" "dispatch drains"
-    d.Hostprof.drains (Hostprof.batch_mean d) (Hostprof.batch_p99 d);
   flush stdout

@@ -573,8 +573,6 @@ let run_gen ?(trace = false) ?stall_ns (cfg : Config.t) =
   (match wd with Some w -> Watchdog.disarm w | None -> ());
   if trace then Trace.disable tracer;
   Hostprof.note_sim_events (Sim.events_processed plat.Platform.sim);
-  (let drains, hist = Sim.dispatch_stats plat.Platform.sim in
-   Hostprof.note_dispatch ~drains ~hist);
   Hostprof.note_arena_hwm (Mpool.arena_hwm probe.p_pool);
   (* The run just reached its event horizon — quiescence: release surplus
      recycled buffers so a burst in this cell does not pin host memory

@@ -31,7 +31,7 @@ let test_eventq_fifo_ties () =
 
 let test_eventq_pop_empty () =
   let q = Eventq.create () in
-  Alcotest.(check bool) "peek none" true (Eventq.peek_time q = None);
+  Alcotest.(check bool) "empty" true (Eventq.is_empty q);
   Alcotest.(check int) "size" 0 (Eventq.size q)
 
 let test_eventq_pop_exn () =
@@ -112,53 +112,6 @@ let prop_eventq_interleaved_oracle =
           if Eventq.pop_exn q <> s then ok := false)
         !pending;
       !ok && Eventq.is_empty q)
-
-(* Batched drains against the one-at-a-time oracle: any interleaving of
-   adds and [pop_run] drains — including adds landing between drains at
-   times at or below the pending minimum — must yield exactly the events
-   repeated [pop_exn] calls on a twin queue produce, FIFO at ties.  The
-   payloads are the events' sequence numbers, so an ordering slip inside
-   a run is visible, not just a wrong multiset. *)
-let prop_eventq_pop_run_oracle =
-  QCheck.Test.make ~name:"eventq pop_run drains match the pop_exn oracle" ~count:100
-    QCheck.(list_of_size Gen.(0 -- 400) (pair bool (int_bound 25)))
-    (fun ops ->
-      let batched = Eventq.create () and oracle = Eventq.create () in
-      let buf = ref (Array.make 1 0) in
-      let next_seq = ref 0 in
-      let ok = ref true in
-      let drain_one_run () =
-        if Eventq.is_empty batched then begin
-          if not (Eventq.is_empty oracle) then ok := false
-        end
-        else begin
-          let t = Eventq.peek_time_exn batched in
-          let n = Eventq.pop_run batched buf in
-          if n <= 0 then ok := false;
-          for i = 0 to n - 1 do
-            if Eventq.peek_time_exn oracle <> t then ok := false;
-            if Eventq.pop_exn oracle <> !buf.(i) then ok := false
-          done;
-          (* The run must be maximal: the oracle's next event, if any,
-             sits at a strictly later time. *)
-          match Eventq.peek_time oracle with
-          | Some t' when t' = t -> ok := false
-          | _ -> ()
-        end
-      in
-      List.iter
-        (fun (is_add, time) ->
-          if is_add then begin
-            Eventq.add batched ~time !next_seq;
-            Eventq.add oracle ~time !next_seq;
-            incr next_seq
-          end
-          else drain_one_run ())
-        ops;
-      while not (Eventq.is_empty batched) do
-        drain_one_run ()
-      done;
-      !ok && Eventq.is_empty oracle)
 
 (* ------------------------------------------------------------------ *)
 (* Sim                                                                 *)
@@ -294,16 +247,17 @@ let test_sim_deterministic_given_seed () =
   (* Not a hard guarantee for every pair of seeds, but these differ. *)
   Alcotest.(check bool) "different seeds differ" true (run 1 <> run 5)
 
-(* Batched dispatch must be invisible: the same program in a batched and
-   an unbatched world fires every callback and thread step in the same
-   order at the same times, and retires the same event count.  The
-   program mixes contended locks (suspend/resume), timestamp ties
-   ([at] callbacks and threads landing on the same instant), zero-length
-   delays and PRNG-driven jitter — everything the now-ring, run drains
-   and the inline delay path each handle specially. *)
-let test_sim_batching_equivalence () =
-  let run batching =
-    let sim = Sim.create ~seed:17 ~batching () in
+(* The inline [delay] path must be invisible.  Tracing turns it off, so
+   a traced run takes the suspend/resume path for every delay and is the
+   reference: the same program traced and untraced fires every callback
+   and thread step in the same order at the same times, and retires the
+   same event count.  The program mixes contended locks (suspend/resume),
+   timestamp ties ([at] callbacks and threads landing on the same
+   instant), zero-length delays, yields and PRNG-driven jitter. *)
+let test_sim_traced_equivalence () =
+  let run traced =
+    let sim = Sim.create ~seed:17 () in
+    if traced then Trace.enable (Sim.tracer sim);
     let log = ref [] in
     let note tag = log := (tag, Sim.now sim) :: !log in
     let lock = Lock.create sim arch Lock.Fifo ~name:"l" in
@@ -326,9 +280,9 @@ let test_sim_batching_equivalence () =
     Sim.run sim;
     (List.rev !log, Sim.events_processed sim)
   in
-  let log_b, n_b = run true and log_u, n_u = run false in
-  Alcotest.(check (list (pair string int))) "same dispatch order and times" log_u log_b;
-  Alcotest.(check int) "same events processed" n_u n_b
+  let log_t, n_t = run true and log_u, n_u = run false in
+  Alcotest.(check (list (pair string int))) "same dispatch order and times" log_t log_u;
+  Alcotest.(check int) "same events processed" n_t n_u
 
 (* ------------------------------------------------------------------ *)
 (* Lock                                                                *)
@@ -900,7 +854,6 @@ let suites =
         Alcotest.test_case "pop_exn / peek_time_exn" `Quick test_eventq_pop_exn;
         Qrand.to_alcotest prop_eventq_sorted;
         Qrand.to_alcotest prop_eventq_interleaved_oracle;
-        Qrand.to_alcotest prop_eventq_pop_run_oracle;
       ] );
     ( "engine.sim",
       [
@@ -915,8 +868,8 @@ let suites =
         Alcotest.test_case "spawn on cpu" `Quick test_sim_spawn_on_cpu;
         Alcotest.test_case "yield fairness" `Quick test_sim_yield_fairness;
         Alcotest.test_case "deterministic per seed" `Quick test_sim_deterministic_given_seed;
-        Alcotest.test_case "batched dispatch equals unbatched" `Quick
-          test_sim_batching_equivalence;
+        Alcotest.test_case "traced dispatch equals untraced" `Quick
+          test_sim_traced_equivalence;
       ] );
     ( "engine.lock",
       [

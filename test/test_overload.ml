@@ -288,6 +288,15 @@ let test_scenarios_deterministic () =
   Alcotest.(check string) "same seed, same world" (Overload.to_line a)
     (Overload.to_line b)
 
+(* The host profile must see overload worlds too, not just [Run] cells:
+   [repro perf] reports events per host second for ext-incast from it. *)
+let test_incast_feeds_hostprof () =
+  let o, d = Hostprof.measure (fun () -> Overload.incast ~senders:4 ()) in
+  check_passed "small incast" o;
+  Alcotest.(check bool)
+    (Printf.sprintf "positive sim_events delta (%d)" d.Hostprof.sim_events)
+    true (d.Hostprof.sim_events > 0)
+
 let with_jobs n f =
   let old = Pool.jobs () in
   Pool.set_jobs n;
@@ -348,5 +357,7 @@ let suites =
         Alcotest.test_case "outcomes are deterministic" `Quick
           test_scenarios_deterministic;
         Alcotest.test_case "compare matrix" `Quick test_compare_matrix;
+        Alcotest.test_case "incast feeds the host event counter" `Quick
+          test_incast_feeds_hostprof;
       ] );
   ]

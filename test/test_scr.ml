@@ -137,6 +137,20 @@ let test_hb_scr_read_ahead_flagged () =
      in
      has "ahead of the appended tail")
 
+(* The trace window can open mid-replay: an apply that precedes the log's
+   first in-window append consumed an entry appended before the window
+   when its index lies below that first append, and read ahead only when
+   it claims the appended index or beyond.  With no append at all in the
+   window there is no tail to read ahead of. *)
+let test_hb_scr_window_opens_mid_replay () =
+  let findings evs = List.length (Hb.check (make_trace evs)) in
+  Alcotest.(check int) "apply 5 before the first append 6: clean" 0
+    (findings [ (1, apply 5); (1, apply_end 5); (0, append 6) ]);
+  Alcotest.(check int) "apply 6 before its own append: read-ahead" 1
+    (findings [ (1, apply 6); (1, apply_end 6); (0, append 6) ]);
+  Alcotest.(check int) "no append in the window: clean" 0
+    (findings [ (1, apply 9); (1, apply_end 9) ])
+
 (* ------------------------------------------------------------------ *)
 (* Config validation                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -231,5 +245,7 @@ let suites =
           test_incast_scr_recovers;
         Alcotest.test_case "RCU reads fire on duplicated segments" `Quick
           test_rcu_reads_fire_on_duplicates;
+        Alcotest.test_case "HB: applies before the window's first append" `Quick
+          test_hb_scr_window_opens_mid_replay;
       ] );
   ]
