@@ -608,13 +608,16 @@ let chaos_cmd =
   let open Pnp_harness in
   let plan_term =
     let doc =
-      "Run one built-in fault plan against both lock disciplines (see \
-       $(b,--list-plans)); default: the full plan x discipline matrix."
+      "Run one built-in fault plan over TCP-1 under both lock disciplines, \
+       mutex and mcs (see $(b,--list-plans)); default: the full matrix \
+       (see $(b,--matrix))."
     in
     Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"NAME" ~doc)
   in
   let matrix_term =
-    let doc = "Run every built-in plan x {mutex, mcs} (the default)." in
+    let doc =
+      "Run every built-in plan x {mutex+tcp1, mcs+tcp1, mcs+scr} (the default)."
+    in
     Arg.(value & flag & info [ "matrix" ] ~doc)
   in
   let list_plans_term =

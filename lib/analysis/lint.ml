@@ -279,9 +279,9 @@ type matrix_row = {
 (* A token that brings a lock context into scope: direct acquires
    ([Lock.acquire], [Counting.acquire], the drivers' [*_acquire]
    helpers), scoped holds ([Lock.with_lock], [with_*] helpers such as
-   [with_rexmt_lock]/[with_send_state]).  The [with_] prefix is a
-   naming convention this rule enforces backwards: lock-context helpers
-   must be named so the lexical pass can see them.
+   tcp's [with_opt_lock]).  The [with_] prefix is a naming convention
+   this rule enforces backwards: lock-context helpers must be named so
+   the lexical pass can see them.
 
    Deferred-charge sections count too: [Sim.defer_begin] (and the SCR
    wrappers [scr_section_begin]/[scr_apply_entry] built on it) opens a

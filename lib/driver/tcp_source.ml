@@ -194,14 +194,8 @@ let inject t { r_stream; r_seq = seq } =
   let p = plat t in
   (* The packet lifecycle span covers driver service plus the synchronous
      climb through FDDI/IP, on the thread that carries the packet. *)
-  let tracer = Sim.tracer p.Platform.sim in
-  let tracing = Trace.enabled tracer && Sim.in_thread p.Platform.sim in
-  let span ev =
-    let th = Sim.self p.Platform.sim in
-    Trace.emit tracer ~ts:(Sim.now p.Platform.sim) ~tid:(Sim.tid th)
-      ~cpu:(Sim.cpu th) ev
-  in
-  if tracing then span (Trace.Span_begin { seq; phase = Trace.Enqueue });
+  let tracing = Trace.enabled (Sim.tracer p.Platform.sim) in
+  if tracing then Sim.trace p.Platform.sim (Trace.Span_begin { seq; phase = Trace.Enqueue });
   (* Interrupt/DMA service variance hits each thread independently after
      the in-order handout — the source of the residual misordering
      Table 1 shows even under MCS locks. *)
@@ -243,7 +237,7 @@ let inject t { r_stream; r_seq = seq } =
       seg
     end
   in
-  if tracing then span (Trace.Span_end { seq; phase = Trace.Enqueue });
+  if tracing then Sim.trace p.Platform.sim (Trace.Span_end { seq; phase = Trace.Enqueue });
   Fddi.input t.stack.Stack.fddi frame
 
 let next t ~stream =

@@ -11,18 +11,12 @@ type t = {
 let create sim arch ~name =
   { sim; arch; name; next_ticket = 0; serving = 0; waiting = Hashtbl.create 16; total_wait_ns = 0 }
 
-let trace t ev =
-  let tracer = Sim.tracer t.sim in
-  if Trace.enabled tracer then
-    let th = Sim.self t.sim in
-    Trace.emit tracer ~ts:(Sim.now t.sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th) ev
-
 let take t =
   Sim.delay t.sim t.arch.Arch.atomic_ns;
   let n = t.next_ticket in
   t.next_ticket <- n + 1;
   if Trace.enabled (Sim.tracer t.sim) then
-    trace t (Trace.Gate_take { gate = t.name; ticket = n });
+    Sim.trace t.sim (Trace.Gate_take { gate = t.name; ticket = n });
   n
 
 let await t n =
@@ -43,7 +37,7 @@ let await t n =
     else 0
   in
   if Trace.enabled (Sim.tracer t.sim) then
-    trace t (Trace.Gate_pass { gate = t.name; ticket = n; wait_ns = waited })
+    Sim.trace t.sim (Trace.Gate_pass { gate = t.name; ticket = n; wait_ns = waited })
 
 let advance t =
   Sim.delay t.sim t.arch.Arch.atomic_ns;
@@ -52,7 +46,7 @@ let advance t =
      next ticket holder is resumed so it precedes that thread's
      [Gate_pass] in the trace. *)
   if Trace.enabled (Sim.tracer t.sim) then
-    trace t (Trace.Gate_advance { gate = t.name; serving = t.serving });
+    Sim.trace t.sim (Trace.Gate_advance { gate = t.name; serving = t.serving });
   match Hashtbl.find_opt t.waiting t.serving with
   | None -> ()
   | Some resume ->

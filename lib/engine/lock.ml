@@ -51,12 +51,6 @@ let create sim arch disc ~name =
 let discipline t = t.disc
 let name t = t.name
 
-let trace t ev =
-  let tracer = Sim.tracer t.sim in
-  if Trace.enabled tracer then
-    let th = Sim.self t.sim in
-    Trace.emit tracer ~ts:(Sim.now t.sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th) ev
-
 let migration_ns t th =
   match t.arch.Arch.sync with
   | Arch.Sync_bus -> 0
@@ -85,13 +79,13 @@ let acquire t =
      we learn the outcome; another thread may slip in during it. *)
   Sim.delay t.sim t.acquire_ns;
   if Trace.enabled (Sim.tracer t.sim) then
-    trace t (Trace.Lock_request { lock = t.name; waiters = List.length t.waiters });
+    Sim.trace t.sim (Trace.Lock_request { lock = t.name; waiters = List.length t.waiters });
   match t.owner with
   | None ->
     let mig = migration_ns t th in
     become_owner t th ~grant_time:(Sim.now t.sim + mig);
     if Trace.enabled (Sim.tracer t.sim) then
-      trace t (Trace.Lock_grant { lock = t.name; waiters = 0; wait_ns = 0 });
+      Sim.trace t.sim (Trace.Lock_grant { lock = t.name; waiters = 0; wait_ns = 0 });
     if mig > 0 then Sim.delay t.sim mig
   | Some _ ->
     t.contended <- t.contended + 1;
@@ -103,7 +97,7 @@ let acquire t =
     t.total_wait_ns <- t.total_wait_ns + waited;
     Sim.note_wait th waited;
     if Trace.enabled (Sim.tracer t.sim) then
-      trace t
+      Sim.trace t.sim
         (Trace.Lock_grant
            { lock = t.name; waiters = List.length t.waiters; wait_ns = waited })
   end
@@ -159,7 +153,7 @@ let release t =
   let now = Sim.now t.sim in
   t.total_hold_ns <- t.total_hold_ns + (now - t.hold_start);
   if Trace.enabled (Sim.tracer t.sim) then
-    trace t (Trace.Lock_release { lock = t.name; hold_ns = now - t.hold_start });
+    Sim.trace t.sim (Trace.Lock_release { lock = t.name; hold_ns = now - t.hold_start });
   match pick_waiter t with
   | None ->
     t.owner <- None;
@@ -168,7 +162,7 @@ let release t =
     let mig = migration_ns t w.th in
     let grant_time = now + t.arch.Arch.handoff_ns + mig in
     if Trace.enabled (Sim.tracer t.sim) then
-      trace t
+      Sim.trace t.sim
         (Trace.Lock_handoff
            {
              lock = t.name;

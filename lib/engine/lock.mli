@@ -19,6 +19,9 @@ type discipline =
   | Barging (** test-and-set spinlock where the most recent arrival wins
                 (LIFO) — an ablation point between Unfair and Fifo *)
 
+val discipline_name : discipline -> string
+(** ["unfair"], ["fifo"] or ["barging"]: the trace's lock-table spelling. *)
+
 type t
 
 val create : Sim.t -> Arch.t -> discipline -> name:string -> t

@@ -23,11 +23,8 @@ let consume ?rate_mb_s t ~bytes =
     Fun.protect
       ~finally:(fun () -> t.users <- t.users - 1)
       (fun () -> Sim.delay t.sim d);
-    let tracer = Sim.tracer t.sim in
-    if Trace.enabled tracer && Sim.in_thread t.sim then
-      let th = Sim.self t.sim in
-      Trace.emit tracer ~ts:(Sim.now t.sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th)
-        (Trace.Membus_charge { bytes; dur_ns = d })
+    if Trace.enabled (Sim.tracer t.sim) then
+      Sim.trace t.sim (Trace.Membus_charge { bytes; dur_ns = d })
   end
 
 let concurrent_users t = t.users

@@ -3,16 +3,14 @@ type t = {
   arch : Arch.t;
   bus : Membus.t;
   lock_disc : Lock.discipline;
-  map_disc : Lock.discipline;
   refcnt_mode : Atomic_ctr.mode;
   message_caching : bool;
   map_locking : bool;
   map_shards : int;
 }
 
-let create ?(seed = 42) ?(lock_disc = Lock.Unfair) ?(map_disc = Lock.Unfair)
-    ?(refcnt_mode = Atomic_ctr.Ll_sc) ?(message_caching = true) ?(map_locking = true)
-    ?(map_shards = 1) arch =
+let create ?(seed = 42) ?(lock_disc = Lock.Unfair) ?(refcnt_mode = Atomic_ctr.Ll_sc)
+    ?(message_caching = true) ?(map_locking = true) ?(map_shards = 1) arch =
   if map_shards <= 0 then invalid_arg "Platform.create: map_shards must be positive";
   let sim = Sim.create ~seed () in
   let bus = Membus.create sim arch in
@@ -21,7 +19,6 @@ let create ?(seed = 42) ?(lock_disc = Lock.Unfair) ?(map_disc = Lock.Unfair)
     arch;
     bus;
     lock_disc;
-    map_disc;
     refcnt_mode;
     message_caching;
     map_locking;

@@ -6,10 +6,9 @@ type t = {
   arch : Arch.t;
   bus : Membus.t;
   lock_disc : Lock.discipline;
-      (** discipline used for connection/protocol-state locks (Section 4/5) *)
-  map_disc : Lock.discipline;
-      (** discipline used for map-manager locks; the paper keeps these as
-          raw mutexes even in the MCS experiments (Section 4.1) *)
+      (** discipline used for connection/protocol-state locks (Section
+          4/5); map-manager locks stay raw mutexes even in the MCS
+          experiments (Section 4.1) *)
   refcnt_mode : Atomic_ctr.mode;
       (** reference counts: LL/SC vs lock-inc-unlock (Section 5.2) *)
   message_caching : bool;
@@ -24,7 +23,6 @@ type t = {
 val create :
   ?seed:int ->
   ?lock_disc:Lock.discipline ->
-  ?map_disc:Lock.discipline ->
   ?refcnt_mode:Atomic_ctr.mode ->
   ?message_caching:bool ->
   ?map_locking:bool ->

@@ -56,6 +56,8 @@ let trace_thread t th ev =
   if Trace.enabled t.tracer then
     Trace.emit t.tracer ~ts:t.now ~tid:th.tid ~cpu:th.cpu ev
 
+let trace t ev = match t.current with Some th -> trace_thread t th ev | None -> ()
+
 let at t time f =
   if time >= t.now then Eventq.add t.events ~time f
   else

@@ -32,6 +32,11 @@ val tracer : t -> Trace.t
     protocol layers add theirs.  Enabling it never consumes simulated
     time, so traced and untraced runs of the same seed are identical. *)
 
+val trace : t -> Trace.ev -> unit
+(** [trace t ev] emits [ev] as the running thread, at the current time.
+    A no-op when tracing is off or no thread is running.  Callers whose
+    event costs an allocation to build test {!Trace.enabled} first. *)
+
 val spawn : t -> ?cpu:int -> name:string -> (unit -> unit) -> thread
 (** [spawn t ~cpu ~name body] creates a thread wired to processor [cpu]
     (default: a fresh CPU number) that starts running at the current time.

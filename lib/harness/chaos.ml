@@ -23,18 +23,6 @@ type outcome = {
   findings : Finding.t list;
 }
 
-let disc_label = function
-  | Lock.Unfair -> "mutex"
-  | Lock.Fifo -> "mcs"
-  | Lock.Barging -> "barging"
-
-let locking_label = function
-  | Tcp.One -> "tcp1"
-  | Tcp.Two -> "tcp2"
-  | Tcp.Six -> "tcp6"
-  | Tcp.Scr -> "scr"
-  | Tcp.Rcu -> "rcu"
-
 (* A deterministic printable golden stream, keyed by the seed so different
    cells exchange different bytes. *)
 let golden ~seed ~bytes = String.init bytes (fun i -> Char.chr (32 + ((i + (seed * 131)) mod 95)))
@@ -193,8 +181,8 @@ let run_cell ?(bytes = 200_000) ?(datagrams = 600) ?(seed = 1)
   let obs =
     {
       Recovery.run =
-        Printf.sprintf "chaos/%s/%s/%s" plan.Faults.name (disc_label disc)
-          (locking_label tcp_locking);
+        Printf.sprintf "chaos/%s/%s/%s" plan.Faults.name (Config.disc_label disc)
+          (Config.locking_label tcp_locking);
       streams = [ stream ];
       corruption = Some corruption;
       udp = Some udp;
@@ -221,7 +209,7 @@ let to_line o =
   Printf.sprintf
     "%-8s %-6s %-4s tcp: %dB in %.3fs rexmits=%-3d link(off=%d drop=%d corr=%d dup=%d reord=%d) | \
      udp: %d+%d = %d+%d+%d | cksum %d/%d | %s"
-    o.plan_name (disc_label o.disc) (locking_label o.locking) o.bytes
+    o.plan_name (Config.disc_label o.disc) (Config.locking_label o.locking) o.bytes
     (if o.tcp_done_ns < 0 then -1.0 else float_of_int o.tcp_done_ns /. 1e9)
     o.tcp_rexmits o.tcp_link.Link.offered o.tcp_link.Link.dropped
     o.tcp_link.Link.corrupted o.tcp_link.Link.duplicated o.tcp_link.Link.reordered

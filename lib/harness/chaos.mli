@@ -30,12 +30,6 @@ type outcome = {
   findings : Pnp_analysis.Finding.t list;  (** [] = recovered *)
 }
 
-val disc_label : Pnp_engine.Lock.discipline -> string
-(** ["mutex"], ["mcs"] or ["barging"] — matches {!Config.describe}. *)
-
-val locking_label : Pnp_proto.Tcp.locking -> string
-(** ["tcp1"], ["tcp2"], ["tcp6"], ["scr"] or ["rcu"]. *)
-
 val run_cell :
   ?bytes:int ->
   ?datagrams:int ->

@@ -47,18 +47,6 @@ let variant ?plan ?pool_capacity ?sb_policy
     v_tcp_locking = tcp_locking;
   }
 
-let disc_name = function
-  | Pnp_engine.Lock.Unfair -> "mutex"
-  | Pnp_engine.Lock.Fifo -> "mcs"
-  | Pnp_engine.Lock.Barging -> "barging"
-
-let locking_name = function
-  | Tcp.One -> "tcp1"
-  | Tcp.Two -> "tcp2"
-  | Tcp.Six -> "tcp6"
-  | Tcp.Scr -> "scr"
-  | Tcp.Rcu -> "rcu"
-
 (* The lock axis: every lock discipline (mutex / MCS / barging grant
    policy) against every state-locking granularity including the
    replication disciplines, on the clean link.  SCR never touches the
@@ -70,7 +58,7 @@ let lock_axis =
       List.map
         (fun lk ->
           variant ~lock_disc:disc ~tcp_locking:lk
-            (disc_name disc ^ "+" ^ locking_name lk))
+            (Config.disc_label disc ^ "+" ^ Config.locking_label lk))
         [ Tcp.One; Tcp.Two; Tcp.Six; Tcp.Scr; Tcp.Rcu ])
     [ Pnp_engine.Lock.Unfair; Pnp_engine.Lock.Fifo; Pnp_engine.Lock.Barging ]
 
@@ -137,8 +125,8 @@ let run ?(senders = 32) ?(bytes_per_flow = 4096) ?(seed = 1) () =
     (fun (label, v, _) o ->
       {
         label;
-        lock_disc = disc_name v.v_lock_disc;
-        tcp_locking = locking_name v.v_tcp_locking;
+        lock_disc = Config.disc_label v.v_lock_disc;
+        tcp_locking = Config.locking_label v.v_tcp_locking;
         outcome = o;
         p50_ms = pct 50.0 o;
         p90_ms = pct 90.0 o;

@@ -13,7 +13,6 @@ type t = {
   payload : int;
   checksum : bool;
   lock_disc : Lock.discipline;
-  map_disc : Lock.discipline;
   tcp_locking : Pnp_proto.Tcp.locking;
   scr_log_bound : int;
   assume_in_order : bool;
@@ -47,7 +46,6 @@ let baseline =
     payload = 4096;
     checksum = true;
     lock_disc = Lock.Unfair;
-    map_disc = Lock.Unfair;
     tcp_locking = Pnp_proto.Tcp.One;
     scr_log_bound = 4096;
     assume_in_order = false;
@@ -75,7 +73,7 @@ let baseline =
 let v ?(arch = baseline.arch) ?(procs = baseline.procs) ?(side = baseline.side)
     ?(protocol = baseline.protocol) ?(payload = baseline.payload)
     ?(checksum = baseline.checksum) ?(lock_disc = baseline.lock_disc)
-    ?(map_disc = baseline.map_disc) ?(tcp_locking = baseline.tcp_locking)
+    ?(tcp_locking = baseline.tcp_locking)
     ?(scr_log_bound = baseline.scr_log_bound)
     ?(assume_in_order = baseline.assume_in_order) ?(ticketing = baseline.ticketing)
     ?(refcnt_mode = baseline.refcnt_mode) ?(message_caching = baseline.message_caching)
@@ -96,7 +94,6 @@ let v ?(arch = baseline.arch) ?(procs = baseline.procs) ?(side = baseline.side)
     payload;
     checksum;
     lock_disc;
-    map_disc;
     tcp_locking;
     scr_log_bound;
     assume_in_order;
@@ -124,6 +121,18 @@ let v ?(arch = baseline.arch) ?(procs = baseline.procs) ?(side = baseline.side)
 let side_to_string = function Send -> "send" | Recv -> "recv"
 let protocol_to_string = function Udp -> "UDP" | Tcp -> "TCP"
 
+let disc_label = function
+  | Lock.Unfair -> "mutex"
+  | Lock.Fifo -> "mcs"
+  | Lock.Barging -> "barging"
+
+let locking_label = function
+  | Pnp_proto.Tcp.One -> "tcp1"
+  | Pnp_proto.Tcp.Two -> "tcp2"
+  | Pnp_proto.Tcp.Six -> "tcp6"
+  | Pnp_proto.Tcp.Scr -> "scr"
+  | Pnp_proto.Tcp.Rcu -> "rcu"
+
 (* Canonical cache key: every field that can influence a run, rendered
    exactly.  Floats use %h (hex) so distinct values never collide via
    decimal rounding.  The architecture is spelled out field by field, not
@@ -140,23 +149,12 @@ let canonical t =
        | Pnp_engine.Arch.Coherency -> "coherency"
        | Pnp_engine.Arch.Sync_bus -> "sync-bus")
   in
-  let disc = function
-    | Pnp_engine.Lock.Unfair -> "unfair"
-    | Pnp_engine.Lock.Fifo -> "fifo"
-    | Pnp_engine.Lock.Barging -> "barging"
-  in
   Printf.sprintf
-    "arch=%s|procs=%d|side=%s|proto=%s|payload=%d|cksum=%b|lock=%s|map=%s|tcplk=%s|scrlog=%d|inorder=%b|ticket=%b|refs=%s|mcache=%b|maplock=%b|conns=%d|place=%s|steer=%s|dshards=%d|skew=%h|jitter=%h|offered=%s|loss=%h|cklock=%b|pres=%b|synbl=%d|poolcap=%s|warmup=%d|measure=%d|seed=%d"
+    "arch=%s|procs=%d|side=%s|proto=%s|payload=%d|cksum=%b|lock=%s|tcplk=%s|scrlog=%d|inorder=%b|ticket=%b|refs=%s|mcache=%b|maplock=%b|conns=%d|place=%s|steer=%s|dshards=%d|skew=%h|jitter=%h|offered=%s|loss=%h|cklock=%b|pres=%b|synbl=%d|poolcap=%s|warmup=%d|measure=%d|seed=%d"
     (arch_key t.arch) t.procs (side_to_string t.side)
-    (protocol_to_string t.protocol) t.payload t.checksum (disc t.lock_disc)
-    (disc t.map_disc)
-    (match t.tcp_locking with
-     | Pnp_proto.Tcp.One -> "1"
-     | Pnp_proto.Tcp.Two -> "2"
-     | Pnp_proto.Tcp.Six -> "6"
-     | Pnp_proto.Tcp.Scr -> "scr"
-     | Pnp_proto.Tcp.Rcu -> "rcu")
-    t.scr_log_bound t.assume_in_order t.ticketing
+    (protocol_to_string t.protocol) t.payload t.checksum
+    (Lock.discipline_name t.lock_disc)
+    (locking_label t.tcp_locking) t.scr_log_bound t.assume_in_order t.ticketing
     (match t.refcnt_mode with
      | Pnp_engine.Atomic_ctr.Ll_sc -> "llsc"
      | Pnp_engine.Atomic_ctr.Locked -> "locked")
@@ -176,9 +174,5 @@ let canonical t =
 let describe t =
   Printf.sprintf "%s %s-side %dB cksum=%b procs=%d conns=%d locks=%s%s"
     (protocol_to_string t.protocol) (side_to_string t.side) t.payload t.checksum t.procs
-    t.connections
-    (match t.lock_disc with
-     | Lock.Unfair -> "mutex"
-     | Lock.Fifo -> "mcs"
-     | Lock.Barging -> "barging")
+    t.connections (disc_label t.lock_disc)
     (if t.loss_rate > 0.0 then Printf.sprintf " loss=%g%%" (t.loss_rate *. 100.0) else "")

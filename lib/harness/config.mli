@@ -22,7 +22,6 @@ type t = {
   payload : int;                         (** user bytes per packet *)
   checksum : bool;
   lock_disc : Pnp_engine.Lock.discipline; (** connection-state locks *)
-  map_disc : Pnp_engine.Lock.discipline;
   tcp_locking : Pnp_proto.Tcp.locking;
   scr_log_bound : int;
       (** [Scr] only: depth of the per-session packet-history log before
@@ -93,7 +92,6 @@ val v :
   ?payload:int ->
   ?checksum:bool ->
   ?lock_disc:Pnp_engine.Lock.discipline ->
-  ?map_disc:Pnp_engine.Lock.discipline ->
   ?tcp_locking:Pnp_proto.Tcp.locking ->
   ?scr_log_bound:int ->
   ?assume_in_order:bool ->
@@ -122,6 +120,14 @@ val v :
 
 val side_to_string : side -> string
 val protocol_to_string : protocol -> string
+
+val disc_label : Pnp_engine.Lock.discipline -> string
+(** ["mutex"], ["mcs"] or ["barging"], as every report prints a lock
+    discipline. *)
+
+val locking_label : Pnp_proto.Tcp.locking -> string
+(** ["tcp1"], ["tcp2"], ["tcp6"], ["scr"] or ["rcu"]. *)
+
 val describe : t -> string
 
 val canonical : t -> string

@@ -155,7 +155,7 @@ let tcp_config (cfg : Config.t) =
 
 let make_platform (cfg : Config.t) =
   Platform.create ~seed:cfg.Config.seed ~lock_disc:cfg.Config.lock_disc
-    ~map_disc:cfg.Config.map_disc ~refcnt_mode:cfg.Config.refcnt_mode
+    ~refcnt_mode:cfg.Config.refcnt_mode
     ~message_caching:cfg.Config.message_caching ~map_locking:cfg.Config.map_locking
     ~map_shards:cfg.Config.demux_shards cfg.Config.arch
 

@@ -139,10 +139,10 @@ type scr_log = {
   mutable sl_max_depth : int; (* deepest live log observed *)
 }
 
-(* Read-mostly hybrid: mutating segments serialize on a writer lock that
-   publishes an immutable snapshot of the reader-visible fields at each
-   release; provably no-op segments are answered from the snapshot
-   without taking the lock at all. *)
+(* Read-mostly hybrid: mutating segments serialize on a writer lock (the
+   session's input and output lock) that publishes an immutable snapshot
+   of the reader-visible fields at each release; provably no-op segments
+   are answered from the snapshot without taking the lock at all. *)
 type rcu_snap = {
   r_state : state;
   r_snd_una : int;
@@ -153,25 +153,30 @@ type rcu_snap = {
 }
 
 type rcu = {
-  ru_wr : Lock.t;
   mutable ru_snap : rcu_snap;
   mutable ru_reads : int; (* segments answered without the writer lock *)
   mutable ru_publishes : int;
 }
 
-type locks =
-  | L_one of Lock.t
-  | L_two of { snd : Lock.t; rcv : Lock.t }
-  | L_six of {
-      reass : Lock.t;
-      rexmt : Lock.t;
-      hdr_prep : Lock.t;
-      hdr_rem : Lock.t;
-      snd_wnd : Lock.t;
-      rcv_wnd : Lock.t;
-    }
-  | L_scr of scr_log
-  | L_rcu of rcu
+(* A session's synchronisation discipline, decided once by [make_sync]:
+   protocol code enters and leaves sections through it and never asks
+   which discipline it runs under.
+   - [input]/[output]: the locks the receive and send paths take, in
+     acquisition order (released in reverse);
+   - [reass]/[rexmt]/[hdr_prep]/[hdr_rem]: TCP-6's scoped sections,
+     [None] where the coarser section lock already covers them;
+   - [log]: SCR — no locks at all; sections are deferred-charge spans;
+   - [rcu]: leaving a section publishes the reader snapshot. *)
+type sync = {
+  input : Lock.t list;
+  output : Lock.t list;
+  reass : Lock.t option;
+  rexmt : Lock.t option;
+  hdr_prep : Lock.t option;
+  hdr_rem : Lock.t option;
+  log : scr_log option;
+  rcu : rcu option;
+}
 
 (* BSD timer scale: the slow timeout runs every 500 ms. *)
 let slowtimo_ns = Pnp_util.Units.ms 500.0
@@ -239,6 +244,7 @@ type t = {
   wheel : Timewheel.t;
   ip : Ip.t;
   cfg : config;
+  ck_locked : bool; (* checksums computed and verified inside the connection locks *)
   name : string;
   obj_ref : Atomic_ctr.t;
   iss_source : Atomic_ctr.t;
@@ -257,7 +263,7 @@ and session = {
   key : Conn_key.t;
   tcb : tcb;
   state_ns : string; (* namespace for shared-state access annotations *)
-  locks : locks;
+  sync : sync;
   gate : Gate.t;
   sess_ref : Atomic_ctr.t;
   mutable receiver : Msg.t -> unit;
@@ -267,116 +273,125 @@ and session = {
 
 (* Packet-lifecycle trace spans, keyed by the segment's sequence number
    so a misordered segment's journey is visible end to end in the
-   exported trace.  Guarded on the tracer so the disabled path costs one
-   field read. *)
-let span plat ev =
-  let sim = plat.Platform.sim in
-  let tracer = Sim.tracer sim in
-  if Trace.enabled tracer && Sim.in_thread sim then
-    let th = Sim.self sim in
-    Trace.emit tracer ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th) ev
+   exported trace. *)
+let span_begin plat ~seq phase =
+  Sim.trace plat.Platform.sim (Trace.Span_begin { seq; phase })
 
-let span_begin plat ~seq phase = span plat (Trace.Span_begin { seq; phase })
-let span_end plat ~seq phase = span plat (Trace.Span_end { seq; phase })
+let span_end plat ~seq phase = Sim.trace plat.Platform.sim (Trace.Span_end { seq; phase })
+
+(* SCR/RCU synchronisation events for the analysis layer. *)
+let sync_trace sess ev = Sim.trace sess.proto.plat.Platform.sim ev
 
 (* Shared-state access annotations for the Eraser-style lockset checker
    (Pnp_analysis.Lockset).  Each annotated site names the piece of
    per-connection state it touches ("<conn>#snd", "#rcv", "#reass",
    "#sb"); the checker intersects the locks held across all accesses of
    the same name and reports when the intersection goes empty.  Guarded
-   on the tracer so the disabled path costs one field read. *)
+   on the tracer so the disabled path builds no string. *)
 let access sess ~write field =
   let sim = sess.proto.plat.Platform.sim in
-  let tracer = Sim.tracer sim in
-  if Trace.enabled tracer && Sim.in_thread sim then
-    let th = Sim.self sim in
-    Trace.emit tracer ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th)
-      (Trace.Access { state = sess.state_ns ^ "#" ^ field; write })
+  if Trace.enabled (Sim.tracer sim) then
+    Sim.trace sim (Trace.Access { state = sess.state_ns ^ "#" ^ field; write })
 
 (* ------------------------------------------------------------------ *)
-(* Locking disciplines                                                 *)
+(* Synchronisation disciplines                                         *)
 (* ------------------------------------------------------------------ *)
 
-let make_locks plat disc ~name ~scr_bound = function
-  | One -> L_one (Lock.create plat.Platform.sim plat.Platform.arch disc ~name)
+let no_sync =
+  {
+    input = [];
+    output = [];
+    reass = None;
+    rexmt = None;
+    hdr_prep = None;
+    hdr_rem = None;
+    log = None;
+    rcu = None;
+  }
+
+(* Header prediction manipulates send-side state on the receive path
+   (the Net/2 structure), so Two and Six take both window locks for
+   input — exactly the redundancy Section 5.1 observes makes
+   fine-grained locking lose. *)
+let make_sync plat ~name ~scr_bound locking =
+  let mk suffix = Platform.state_lock plat ~name:(name ^ suffix) in
+  match locking with
+  | One ->
+    let l = [ mk "" ] in
+    { no_sync with input = l; output = l }
   | Two ->
-    L_two
-      {
-        snd = Lock.create plat.Platform.sim plat.Platform.arch disc ~name:(name ^ ".snd");
-        rcv = Lock.create plat.Platform.sim plat.Platform.arch disc ~name:(name ^ ".rcv");
-      }
+    let snd = mk ".snd" in
+    let rcv = mk ".rcv" in
+    { no_sync with input = [ snd; rcv ]; output = [ snd ] }
   | Six ->
-    let mk suffix =
-      Lock.create plat.Platform.sim plat.Platform.arch disc ~name:(name ^ suffix)
-    in
-    L_six
-      {
-        reass = mk ".reass";
-        rexmt = mk ".rexmt";
-        hdr_prep = mk ".hprep";
-        hdr_rem = mk ".hrem";
-        snd_wnd = mk ".swnd";
-        rcv_wnd = mk ".rwnd";
-      }
+    let reass = mk ".reass" in
+    let rexmt = mk ".rexmt" in
+    let hdr_prep = mk ".hprep" in
+    let hdr_rem = mk ".hrem" in
+    let snd_wnd = mk ".swnd" in
+    let rcv_wnd = mk ".rwnd" in
+    {
+      no_sync with
+      input = [ snd_wnd; rcv_wnd ];
+      output = [ snd_wnd ];
+      reass = Some reass;
+      rexmt = Some rexmt;
+      hdr_prep = Some hdr_prep;
+      hdr_rem = Some hdr_rem;
+    }
   | Scr ->
-    L_scr
-      {
-        sl_name = name ^ ".log";
-        sl_bound = scr_bound;
-        sl_ring = Array.make scr_bound None;
-        sl_tail = 0;
-        sl_applied = 0;
-        sl_trunc = 0;
-        sl_marks = Hashtbl.create 8;
-        sl_appends = 0;
-        sl_replayed = 0;
-        sl_resyncs = 0;
-        sl_truncations = 0;
-        sl_max_depth = 0;
-      }
-  | Rcu ->
-    L_rcu
-      {
-        ru_wr =
-          Lock.create plat.Platform.sim plat.Platform.arch disc ~name:(name ^ ".wr");
-        ru_snap =
+    {
+      no_sync with
+      log =
+        Some
           {
-            r_state = Closed;
-            r_snd_una = 0;
-            r_snd_max = 0;
-            r_snd_wnd = 0;
-            r_snd_nxt = 0;
-            r_rcv_nxt = 0;
+            sl_name = name ^ ".log";
+            sl_bound = scr_bound;
+            sl_ring = Array.make scr_bound None;
+            sl_tail = 0;
+            sl_applied = 0;
+            sl_trunc = 0;
+            sl_marks = Hashtbl.create 8;
+            sl_appends = 0;
+            sl_replayed = 0;
+            sl_resyncs = 0;
+            sl_truncations = 0;
+            sl_max_depth = 0;
           };
-        ru_reads = 0;
-        ru_publishes = 0;
-      }
+    }
+  | Rcu ->
+    let l = [ mk ".wr" ] in
+    {
+      no_sync with
+      input = l;
+      output = l;
+      rcu =
+        Some
+          {
+            ru_snap =
+              {
+                r_state = Closed;
+                r_snd_una = 0;
+                r_snd_max = 0;
+                r_snd_wnd = 0;
+                r_snd_nxt = 0;
+                r_rcv_nxt = 0;
+              };
+            ru_reads = 0;
+            ru_publishes = 0;
+          };
+    }
 
-let all_locks sess =
-  match sess.locks with
-  | L_one l -> [ l ]
-  | L_two { snd; rcv } -> [ snd; rcv ]
-  | L_six { reass; rexmt; hdr_prep; hdr_rem; snd_wnd; rcv_wnd } ->
-    [ reass; rexmt; hdr_prep; hdr_rem; snd_wnd; rcv_wnd ]
-  | L_scr _ -> []
-  | L_rcu { ru_wr; _ } -> [ ru_wr ]
-
-(* SCR/RCU synchronisation events for the analysis layer, guarded like
-   [access] so the disabled path costs one field read. *)
-let sync_trace sess ev =
-  let sim = sess.proto.plat.Platform.sim in
-  let tracer = Sim.tracer sim in
-  if Trace.enabled tracer && Sim.in_thread sim then
-    let th = Sim.self sim in
-    Trace.emit tracer ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th) ev
+let all_locks (s : sync) =
+  List.filter_map Fun.id [ s.reass; s.rexmt; s.hdr_prep; s.hdr_rem ] @ s.input
 
 (* An SCR host-atomic section outside the log proper (output path,
    timers, send-buffer mutation): simulated charges accumulate while the
-   section runs without a suspension point, and the accumulated cost is
-   paid on this thread's clock once the section closes.  The index -1
-   marks a section with no log entry; lockset analysis treats the span
-   between [Scr_apply] and [Scr_apply_end] as a hold of the synthetic
-   log lock either way. *)
+   section runs without a suspension point; [scr_section_end] returns
+   the accumulated cost for the caller to pay on its own clock.  The
+   index -1 marks a section with no log entry; lockset analysis treats
+   the span between [Scr_apply] and [Scr_apply_end] as a hold of the
+   synthetic log lock either way. *)
 let scr_section_begin sess log =
   sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx = -1 });
   Sim.defer_begin sess.proto.plat.Platform.sim
@@ -384,7 +399,7 @@ let scr_section_begin sess log =
 let scr_section_end sess log =
   let cost = Sim.defer_end sess.proto.plat.Platform.sim in
   sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx = -1 });
-  Sim.delay sess.proto.plat.Platform.sim cost
+  cost
 
 (* RCU: publish a fresh immutable snapshot of the reader-visible fields.
    Called at every release point, while the writer lock is still held. *)
@@ -403,72 +418,30 @@ let rcu_publish sess r =
   Costs.charge sess.proto.plat Costs.rcu_publish;
   sync_trace sess (Trace.Rcu_publish { state = sess.state_ns })
 
-(* The lock(s) guarding the receive path's serialisation point.  Header
-   prediction manipulates send-side state on the receive path (the Net/2
-   structure), so Two and Six must take both window locks — exactly the
-   redundancy Section 5.1 observes makes fine-grained locking lose. *)
-let input_acquire sess =
-  match sess.locks with
-  | L_one l -> Lock.acquire l
-  | L_two { snd; rcv } ->
-    Lock.acquire snd;
-    Lock.acquire rcv
-  | L_six { snd_wnd; rcv_wnd; _ } ->
-    Lock.acquire snd_wnd;
-    Lock.acquire rcv_wnd
-  | L_scr log -> scr_section_begin sess log
-  | L_rcu r -> Lock.acquire r.ru_wr
+(* Enter the section guarded by [locks] (the session's [input] or
+   [output] list); under SCR, open a deferred-charge section instead. *)
+let enter sess locks =
+  match sess.sync.log with
+  | Some log -> scr_section_begin sess log
+  | None -> List.iter Lock.acquire locks
 
-let input_release sess =
-  match sess.locks with
-  | L_one l -> Lock.release l
-  | L_two { snd; rcv } ->
-    Lock.release rcv;
-    Lock.release snd
-  | L_six { snd_wnd; rcv_wnd; _ } ->
-    Lock.release rcv_wnd;
-    Lock.release snd_wnd
-  | L_scr log -> scr_section_end sess log
-  | L_rcu r ->
-    rcu_publish sess r;
-    Lock.release r.ru_wr
+let rec release_rev = function
+  | [] -> ()
+  | l :: rest ->
+    release_rev rest;
+    Lock.release l
 
-(* The lock(s) guarding the send path. *)
-let output_acquire sess =
-  match sess.locks with
-  | L_one l -> Lock.acquire l
-  | L_two { snd; _ } -> Lock.acquire snd
-  | L_six { snd_wnd; _ } -> Lock.acquire snd_wnd
-  | L_scr log -> scr_section_begin sess log
-  | L_rcu r -> Lock.acquire r.ru_wr
+(* Leave it: SCR pays the section's deferred cost; RCU publishes its
+   snapshot before the writer lock drops. *)
+let leave sess locks =
+  match sess.sync.log with
+  | Some log -> Sim.delay sess.proto.plat.Platform.sim (scr_section_end sess log)
+  | None ->
+    (match sess.sync.rcu with Some r -> rcu_publish sess r | None -> ());
+    release_rev locks
 
-let output_release sess =
-  match sess.locks with
-  | L_one l -> Lock.release l
-  | L_two { snd; _ } -> Lock.release snd
-  | L_six { snd_wnd; _ } -> Lock.release snd_wnd
-  | L_scr log -> scr_section_end sess log
-  | L_rcu r ->
-    rcu_publish sess r;
-    Lock.release r.ru_wr
-
-(* Six-only scoped sections; no-ops for One/Two (already covered by the
-   coarser lock). *)
-let with_reass_lock sess f =
-  match sess.locks with L_six { reass; _ } -> Lock.with_lock reass f | _ -> f ()
-
-let with_rexmt_lock sess f =
-  match sess.locks with L_six { rexmt; _ } -> Lock.with_lock rexmt f | _ -> f ()
-
-(* Ack processing on the receive path touches send state; under every
-   discipline the necessary locks are already held by input_acquire. *)
-let with_send_state _sess f = f ()
-
-let with_hdr_prep sess f =
-  match sess.locks with L_six { hdr_prep; _ } -> Lock.with_lock hdr_prep f | _ -> f ()
-
-let with_hdr_rem sess f =
-  match sess.locks with L_six { hdr_rem; _ } -> Lock.with_lock hdr_rem f | _ -> f ()
+(* One of TCP-6's scoped sections; a no-op where it is [None]. *)
+let with_opt_lock lock f = match lock with Some l -> Lock.with_lock l f | None -> f ()
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -520,9 +493,7 @@ let fresh_session t key =
     key;
     tcb = fresh_tcb t;
     state_ns = base;
-    locks =
-      make_locks t.plat t.plat.Platform.lock_disc ~name:base
-        ~scr_bound:t.cfg.scr_log_bound t.cfg.locking;
+    sync = make_sync t.plat ~name:base ~scr_bound:t.cfg.scr_log_bound t.cfg.locking;
     gate = Gate.create t.plat.Platform.sim t.plat.Platform.arch ~name:"tcp.order";
     sess_ref = Platform.refcnt t.plat ~name:"tcp.sess" ~init:1;
     receiver = (fun msg -> Msg.destroy msg);
@@ -563,46 +534,27 @@ let emit sess ~flags ~seq ~payload acc =
        path below — the checksum charge is placed exactly where that path
        computed it. *)
     let msg = Msg.create t.pool 0 in
-    let under_lock =
-      t.cfg.checksum
-      &&
-      match sess.locks with
-      | L_six _ -> true
-      | L_one _ | L_two _ | L_rcu _ -> t.cfg.cksum_under_lock
-      | L_scr _ -> false
-    in
-    with_hdr_prep sess (fun () ->
+    with_opt_lock sess.sync.hdr_prep (fun () ->
         Tcp_wire.encode_empty msg hdr ~src:(Ip.local_addr t.ip)
           ~dst:sess.key.Conn_key.raddr ~checksum:t.cfg.checksum;
-        if under_lock then Inet_cksum.charge t.plat msg);
+        if t.ck_locked then Inet_cksum.charge t.plat msg);
     sess.st.segs_out <- sess.st.segs_out + 1;
     if not flags.Tcp_wire.syn then sess.st.acks_out <- sess.st.acks_out + 1;
-    let todo =
-      if t.cfg.checksum && not under_lock then Fold_charge else Ck_done
-    in
+    let todo = if t.cfg.checksum && not t.ck_locked then Fold_charge else Ck_done in
     { seg = msg; todo } :: acc
   | _ ->
     let msg = match payload with Some m -> m | None -> Msg.create t.pool 0 in
-    let cksummed = ref false in
-    with_hdr_prep sess (fun () ->
+    with_opt_lock sess.sync.hdr_prep (fun () ->
         Tcp_wire.encode msg hdr;
-        match sess.locks with
-        | L_six _ when t.cfg.checksum ->
-          (* SICS-style: checksum while the header lock is held. *)
+        (* SICS-style under Six's header lock, or the ablation's
+           unrestructured placement inside the caller's state lock. *)
+        if t.ck_locked then
           Tcp_wire.store_checksum t.plat ~src:(Ip.local_addr t.ip)
-            ~dst:sess.key.Conn_key.raddr msg;
-          cksummed := true
-        | (L_one _ | L_two _ | L_rcu _) when t.cfg.checksum && t.cfg.cksum_under_lock ->
-          (* Ablation: the unrestructured placement, checksum inside the
-             connection-state lock the caller holds. *)
-          Tcp_wire.store_checksum t.plat ~src:(Ip.local_addr t.ip)
-            ~dst:sess.key.Conn_key.raddr msg;
-          cksummed := true
-        | _ -> ());
+            ~dst:sess.key.Conn_key.raddr msg);
     sess.st.segs_out <- sess.st.segs_out + 1;
     if Msg.length msg = Tcp_wire.header_bytes && not flags.Tcp_wire.syn then
       sess.st.acks_out <- sess.st.acks_out + 1;
-    { seg = msg; todo = (if !cksummed then Ck_done else Sum_and_fold) } :: acc
+    { seg = msg; todo = (if t.ck_locked then Ck_done else Sum_and_fold) } :: acc
 
 let emit_ack sess acc =
   let tcb = sess.tcb in
@@ -637,13 +589,13 @@ let transmit sess pendings =
     (List.rev pendings)
 
 
-let set_rexmt_timer tcb =
-  (* BSD floors the retransmit timer at 2 ticks: with one tick a restart
-     just before a slow-timeout boundary would fire spuriously while acks
-     are still flowing. *)
-  let ticks = (tcb.rto + slowtimo_ns - 1) / slowtimo_ns in
-  let ticks = max 2 ticks in
-  tcb.t_rexmt <- ticks lsl min tcb.rxtshift 6
+(* The retransmission timeout in slow-timeout ticks, backed off by
+   [shift].  BSD floors it at 2 ticks: with one tick a restart just
+   before a slow-timeout boundary would fire spuriously while acks are
+   still flowing. *)
+let rto_ticks tcb shift = max 2 ((tcb.rto + slowtimo_ns - 1) / slowtimo_ns) lsl min shift 6
+
+let set_rexmt_timer tcb = tcb.t_rexmt <- rto_ticks tcb tcb.rxtshift
 
 (* Build at most ONE new segment (or the FIN).  Caller holds the
    send-state lock(s); Six takes rexmt/header locks inside.  One segment
@@ -671,7 +623,7 @@ let build_one sess =
     Costs.charge t.plat Costs.tcp_output_locked;
     access sess ~write:true "snd";
     let payload =
-      with_rexmt_lock sess (fun () ->
+      with_opt_lock sess.sync.rexmt (fun () ->
           access sess ~write:false "sb";
           Sockbuf.peek tcb.sb ~off ~len)
     in
@@ -693,8 +645,7 @@ let build_one sess =
   then begin
     (* Zero window with nothing in flight: nothing will ever ack; arm the
        persist timer so we probe the window (BSD tcp_setpersist). *)
-    let ticks = max 2 ((tcb.rto + slowtimo_ns - 1) / slowtimo_ns) in
-    tcb.t_persist <- ticks lsl min tcb.persist_shift 6;
+    tcb.t_persist <- rto_ticks tcb tcb.persist_shift;
     []
   end
   else if tcb.fin_queued && (not tcb.fin_sent) && unsent <= 0 then begin
@@ -711,9 +662,9 @@ let build_one sess =
 
 (* Drain permitted data: one segment per lock hold (see build_one). *)
 let rec pump sess =
-  output_acquire sess;
+  enter sess sess.sync.output;
   let segs = build_one sess in
-  output_release sess;
+  leave sess sess.sync.output;
   match segs with
   | [] -> ()
   | _ ->
@@ -767,7 +718,7 @@ let process_ack sess ~ack ~now acc =
       && Tcp_seq.diff tcb.snd_max tcb.snd_una = Sockbuf.cc tcb.sb + 1
     in
     let data_acked = min acked (Sockbuf.cc tcb.sb) in
-    with_rexmt_lock sess (fun () ->
+    with_opt_lock sess.sync.rexmt (fun () ->
         if data_acked > 0 then begin
           access sess ~write:true "sb";
           Sockbuf.drop tcb.sb data_acked
@@ -814,7 +765,7 @@ let retransmit sess acc =
     tcb.snd_nxt <- Tcp_seq.max tcb.snd_nxt (Tcp_seq.add tcb.snd_una len);
     if len > 0 then begin
       let payload =
-        with_rexmt_lock sess (fun () ->
+        with_opt_lock sess.sync.rexmt (fun () ->
             access sess ~write:false "sb";
             Sockbuf.peek tcb.sb ~off:0 ~len)
       in
@@ -831,7 +782,7 @@ let reass_insert sess seq msg =
   let tcb = sess.tcb in
   sess.st.reass_inserts <- sess.st.reass_inserts + 1;
   Costs.charge sess.proto.plat Costs.tcp_reass_insert;
-  with_reass_lock sess (fun () ->
+  with_opt_lock sess.sync.reass (fun () ->
       access sess ~write:true "reass";
       let rec ins = function
         | [] -> [ (seq, msg) ]
@@ -879,11 +830,25 @@ let deliver_in_order sess msg deliveries =
   sess.st.bytes_in <- sess.st.bytes_in + Msg.length msg;
   msg :: deliveries
 
+(* The close handshake advances once the peer's FIN is in order. *)
+let fin_transition tcb =
+  match tcb.state with
+  | Established -> tcb.state <- Close_wait
+  | Fin_wait_1 ->
+    (* our FIN not yet acked: simultaneous close *)
+    tcb.state <- Closing
+  | Fin_wait_2 ->
+    tcb.state <- Time_wait;
+    tcb.t_2msl <- msl_ticks
+  | _ -> ()
+
 (* The full (slow-path) segment processing for an established-ish state.
    Returns (to_send, deliveries) accumulated. *)
 let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
   let t = sess.proto in
   let tcb = sess.tcb in
+  (* lint:allow state-matrix: caller-locked — reached only from
+     established_input, under the caller's input section. *)
   Costs.charge t.plat Costs.tcp_input_slow_locked;
   sess.st.pred_misses <- sess.st.pred_misses + 1;
   let acc = ref acc and deliveries = ref deliveries in
@@ -913,24 +878,22 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
       tcb.persist_shift <- 0
     end;
     (* Ack processing (may include duplicate-ack fast retransmit). *)
-    with_send_state sess (fun () ->
-        if Tcp_seq.gt hdr.ack tcb.snd_una && Tcp_seq.leq hdr.ack tcb.snd_max then
-          acc := process_ack sess ~ack:hdr.ack ~now !acc
-        else if
-          Msg.length msg = 0 && hdr.ack = tcb.snd_una
-          && Tcp_seq.gt tcb.snd_max tcb.snd_una
-        then begin
-          sess.st.dup_acks <- sess.st.dup_acks + 1;
-          tcb.dupacks <- tcb.dupacks + 1;
-          if tcb.dupacks = 3 then begin
-            (* Tahoe fast retransmit *)
-            let flight = min tcb.snd_wnd tcb.snd_cwnd in
-            tcb.snd_ssthresh <- max (2 * t.cfg.mss) (flight / 2);
-            tcb.snd_cwnd <- t.cfg.mss;
-            tcb.snd_nxt <- tcb.snd_una;
-            acc := retransmit sess !acc
-          end
-        end)
+    if Tcp_seq.gt hdr.ack tcb.snd_una && Tcp_seq.leq hdr.ack tcb.snd_max then
+      acc := process_ack sess ~ack:hdr.ack ~now !acc
+    else if
+      Msg.length msg = 0 && hdr.ack = tcb.snd_una && Tcp_seq.gt tcb.snd_max tcb.snd_una
+    then begin
+      sess.st.dup_acks <- sess.st.dup_acks + 1;
+      tcb.dupacks <- tcb.dupacks + 1;
+      if tcb.dupacks = 3 then begin
+        (* Tahoe fast retransmit *)
+        let flight = min tcb.snd_wnd tcb.snd_cwnd in
+        tcb.snd_ssthresh <- max (2 * t.cfg.mss) (flight / 2);
+        tcb.snd_cwnd <- t.cfg.mss;
+        tcb.snd_nxt <- tcb.snd_una;
+        acc := retransmit sess !acc
+      end
+    end
   end;
   (* Data. *)
   let len = Msg.length msg in
@@ -958,15 +921,7 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
       tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt 1;
       ack_now := true;
       if len = 0 then Msg.destroy msg;
-      (match tcb.state with
-       | Established -> tcb.state <- Close_wait
-       | Fin_wait_1 ->
-         (* our FIN not yet acked: simultaneous close *)
-         tcb.state <- Closing
-       | Fin_wait_2 ->
-         tcb.state <- Time_wait;
-         tcb.t_2msl <- msl_ticks
-       | _ -> ())
+      fin_transition tcb
     end
     else begin
       tcb.rcv_fin_seq <- Some fin_seq;
@@ -980,13 +935,7 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
      tcb.rcv_fin_seq <- None;
      tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt 1;
      ack_now := true;
-     (match tcb.state with
-      | Established -> tcb.state <- Close_wait
-      | Fin_wait_1 -> tcb.state <- Closing
-      | Fin_wait_2 ->
-        tcb.state <- Time_wait;
-        tcb.t_2msl <- msl_ticks
-      | _ -> ())
+     fin_transition tcb
    | _ -> ());
   (* New data permitted by the ack is sent by the caller (pump) after the
      input locks drop; here only emit an explicit ack if required. *)
@@ -998,6 +947,8 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
 let established_input sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
   let t = sess.proto in
   let tcb = sess.tcb in
+  (* lint:allow state-matrix: caller-locked — reached only from
+     process_segment, under the caller's input section. *)
   let len = Msg.length msg in
   (* The Figure 10 "assumed in-order" upper bound: pretend every data
      segment landed exactly on rcv_nxt. *)
@@ -1034,8 +985,7 @@ let established_input sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
     Costs.charge t.plat Costs.tcp_input_pred_locked;
     sess.st.pred_hits <- sess.st.pred_hits + 1;
     Msg.destroy msg;
-    let acc = with_send_state sess (fun () -> process_ack sess ~ack:hdr.ack ~now acc) in
-    (acc, deliveries)
+    (process_ack sess ~ack:hdr.ack ~now acc, deliveries)
   end
   else if predictable && len > 0 && hdr.ack = tcb.snd_una && tcb.reass = [] then begin
     (* Fast path 2: pure in-order data. *)
@@ -1124,6 +1074,44 @@ let opening_input sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
     Msg.destroy msg;
     (acc, deliveries)
 
+let process_segment sess hdr msg ~now =
+  match sess.tcb.state with
+  | Established -> established_input sess hdr msg ~now [] []
+  | _ -> opening_input sess hdr msg ~now [] []
+
+(* Whether the application should hear about an in-order FIN (the upcall
+   is idempotent).  The state, not this segment's FIN flag, is what
+   matters: a FIN that arrived out of order sits in [rcv_fin_seq] until a
+   retransmission fills the gap, and the segment that completes it
+   carries no FIN. *)
+let fin_due sess ~fin =
+  match sess.tcb.state with
+  | Close_wait | Closing | Last_ack | Time_wait -> true
+  | Closed -> fin
+  | _ -> false
+
+(* Everything after the input section, on the arriving thread's clock:
+   transmit what the section built, send whatever the ack (or window
+   update) made possible, upcall the in-order payloads outside every
+   section — exactly the point where ordering can be lost without
+   ticketing (Section 4.2) — and finally report an in-order FIN. *)
+let input_tail sess ~seq ~ticket acc deliveries ~fin =
+  let plat = sess.proto.plat in
+  transmit sess acc;
+  pump sess;
+  let upcall () =
+    span_begin plat ~seq Trace.Upcall;
+    List.iter (fun m -> sess.receiver m) (List.rev deliveries);
+    span_end plat ~seq Trace.Upcall
+  in
+  (match ticket with
+   | Some k ->
+     Gate.await sess.gate k;
+     upcall ();
+     Gate.advance sess.gate
+   | None -> upcall ());
+  if fin () then sess.on_fin ()
+
 (* ------------------------------------------------------------------ *)
 (* State-compute replication (SCR) input path                          *)
 (* ------------------------------------------------------------------ *)
@@ -1176,18 +1164,10 @@ let scr_apply_entry sess log idx =
     let sim = sess.proto.plat.Platform.sim in
     let now = Sim.now sim in
     Sim.defer_begin sim;
-    let acc, deliveries =
-      match sess.tcb.state with
-      | Established -> established_input sess e.e_hdr e.e_msg ~now [] []
-      | _ -> opening_input sess e.e_hdr e.e_msg ~now [] []
-    in
+    let acc, deliveries = process_segment sess e.e_hdr e.e_msg ~now in
     e.e_out <- acc;
     e.e_deliveries <- deliveries;
-    e.e_fin <-
-      (match sess.tcb.state with
-       | Close_wait | Closing | Last_ack | Time_wait -> true
-       | Closed -> e.e_hdr.Tcp_wire.flags.Tcp_wire.fin
-       | _ -> false);
+    e.e_fin <- fin_due sess ~fin:e.e_hdr.Tcp_wire.flags.Tcp_wire.fin;
     e.e_cost <- Sim.defer_end sim;
     sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx });
     log.sl_applied <- idx + 1
@@ -1240,16 +1220,10 @@ let scr_segment_arrives sess log (hdr : Tcp_wire.header) msg =
   span_begin t.plat ~seq:hdr.seq Trace.Tcp_input;
   Sim.delay sim e.e_cost;
   span_end t.plat ~seq:hdr.seq Trace.Tcp_input;
-  let out = e.e_out in
+  let out = e.e_out and deliveries = e.e_deliveries in
   e.e_out <- [];
-  transmit sess out;
-  pump sess;
-  let deliveries = e.e_deliveries in
   e.e_deliveries <- [];
-  span_begin t.plat ~seq:hdr.seq Trace.Upcall;
-  List.iter (fun m -> sess.receiver m) (List.rev deliveries);
-  span_end t.plat ~seq:hdr.seq Trace.Upcall;
-  if e.e_fin then sess.on_fin ()
+  input_tail sess ~seq:hdr.seq ~ticket:None out deliveries ~fin:(fun () -> e.e_fin)
 
 (* ------------------------------------------------------------------ *)
 (* RCU read path                                                       *)
@@ -1291,37 +1265,27 @@ let rcu_emit_dup_ack sess snap =
    Access annotations; the snapshot swap is the synchronisation. *)
 let rcu_try_read sess r (hdr : Tcp_wire.header) msg =
   let t = sess.proto in
-  if t.cfg.checksum && t.cfg.cksum_under_lock then false
-  else begin
-    let snap = r.ru_snap in
-    let f = hdr.Tcp_wire.flags in
-    let len = Msg.length msg in
-    if
-      snap.r_state = Established
-      && f.Tcp_wire.ack
-      && (not (f.Tcp_wire.syn || f.Tcp_wire.fin || f.Tcp_wire.rst))
-      && hdr.win = snap.r_snd_wnd
-      && snap.r_snd_max = snap.r_snd_una
-      && Tcp_seq.leq hdr.ack snap.r_snd_una
-    then
-      if len = 0 then begin
-        r.ru_reads <- r.ru_reads + 1;
-        Costs.charge t.plat Costs.rcu_read;
-        sync_trace sess (Trace.Rcu_read { state = sess.state_ns });
-        Msg.destroy msg;
-        true
-      end
-      else if Tcp_seq.leq (Tcp_seq.add hdr.seq len) snap.r_rcv_nxt then begin
-        r.ru_reads <- r.ru_reads + 1;
-        Costs.charge t.plat Costs.rcu_read;
-        sync_trace sess (Trace.Rcu_read { state = sess.state_ns });
-        Msg.destroy msg;
-        rcu_emit_dup_ack sess snap;
-        true
-      end
-      else false
-    else false
-  end
+  let snap = r.ru_snap in
+  let f = hdr.Tcp_wire.flags in
+  let len = Msg.length msg in
+  let no_op =
+    (not t.ck_locked)
+    && snap.r_state = Established
+    && f.Tcp_wire.ack
+    && (not (f.Tcp_wire.syn || f.Tcp_wire.fin || f.Tcp_wire.rst))
+    && hdr.win = snap.r_snd_wnd
+    && snap.r_snd_max = snap.r_snd_una
+    && Tcp_seq.leq hdr.ack snap.r_snd_una
+    && (len = 0 || Tcp_seq.leq (Tcp_seq.add hdr.seq len) snap.r_rcv_nxt)
+  in
+  if no_op then begin
+    r.ru_reads <- r.ru_reads + 1;
+    Costs.charge t.plat Costs.rcu_read;
+    sync_trace sess (Trace.Rcu_read { state = sess.state_ns });
+    Msg.destroy msg;
+    if len > 0 then rcu_emit_dup_ack sess snap
+  end;
+  no_op
 
 let segment_arrives sess (hdr : Tcp_wire.header) msg =
   let t = sess.proto in
@@ -1331,14 +1295,14 @@ let segment_arrives sess (hdr : Tcp_wire.header) msg =
   sess.st.segs_in <- sess.st.segs_in + 1;
   if Msg.length msg = 0 && hdr.flags.Tcp_wire.ack && not hdr.flags.Tcp_wire.syn then
     sess.st.acks_in <- sess.st.acks_in + 1;
-  match sess.locks with
-  | L_scr log -> scr_segment_arrives sess log hdr msg
-  | L_rcu r when rcu_try_read sess r hdr msg -> ()
-  | _ ->
+  match (sess.sync.log, sess.sync.rcu) with
+  | Some log, _ -> scr_segment_arrives sess log hdr msg
+  | None, Some r when rcu_try_read sess r hdr msg -> ()
+  | None, _ ->
   let is_data = Msg.length msg > 0 in
   let plat = t.plat in
   span_begin plat ~seq:hdr.seq Trace.Lock_wait;
-  input_acquire sess;
+  enter sess sess.sync.input;
   span_end plat ~seq:hdr.seq Trace.Lock_wait;
   span_begin plat ~seq:hdr.seq Trace.Tcp_input;
   (* Ablation: verification charged while the state locks are held. *)
@@ -1348,19 +1312,15 @@ let segment_arrives sess (hdr : Tcp_wire.header) msg =
      retransmission queues together with the window state on every packet
      — locking the paper calls "either redundant or unnecessary"
      (Section 5.1).  The cost is what makes TCP-6 lose. *)
-  (match sess.locks with
-   | L_six { reass; rexmt; _ } ->
+  (match (sess.sync.reass, sess.sync.rexmt) with
+   | Some reass, Some rexmt ->
      Lock.acquire reass;
      Lock.acquire rexmt;
      Costs.charge t.plat 200;
      Lock.release rexmt;
      Lock.release reass
-   | L_one _ | L_two _ | L_scr _ | L_rcu _ -> ());
-  let acc, deliveries =
-    match sess.tcb.state with
-    | Established -> established_input sess hdr msg ~now [] []
-    | _ -> opening_input sess hdr msg ~now [] []
-  in
+   | _ -> ());
+  let acc, deliveries = process_segment sess hdr msg ~now in
   (* Section 4.2: before releasing the connection-state lock, a receiving
      thread acquires an up-ticket for the next higher layer; above TCP it
      waits for its ticket to be called.  Every data segment's thread goes
@@ -1371,34 +1331,10 @@ let segment_arrives sess (hdr : Tcp_wire.header) msg =
       Some (Gate.take sess.gate)
     else None
   in
-  input_release sess;
+  leave sess sess.sync.input;
   span_end plat ~seq:hdr.seq Trace.Tcp_input;
-  transmit sess acc;
-  (* Send whatever the ack (or window update) made possible. *)
-  pump sess;
-  (* Upcalls happen outside all connection locks — exactly the point where
-     ordering can be lost without ticketing (Section 4.2). *)
-  let upcall () =
-    span_begin plat ~seq:hdr.seq Trace.Upcall;
-    List.iter (fun m -> sess.receiver m) (List.rev deliveries);
-    span_end plat ~seq:hdr.seq Trace.Upcall
-  in
-  (match ticket with
-   | Some k ->
-     Gate.await sess.gate k;
-     upcall ();
-     Gate.advance sess.gate
-   | None -> upcall ());
-  (* Tell the application about an in-order FIN (idempotent upcall).  The
-     state, not this segment's FIN flag, is what matters: a FIN that
-     arrived out of order sits in [rcv_fin_seq] until a retransmission
-     fills the gap, and the segment that completes it carries no FIN. *)
-  if
-    (match sess.tcb.state with
-     | Close_wait | Closing | Last_ack | Time_wait -> true
-     | Closed -> hdr.flags.Tcp_wire.fin
-     | _ -> false)
-  then sess.on_fin ()
+  input_tail sess ~seq:hdr.seq ~ticket acc deliveries ~fin:(fun () ->
+      fin_due sess ~fin:hdr.flags.Tcp_wire.fin)
 
 (* ------------------------------------------------------------------ *)
 (* Demultiplexing                                                      *)
@@ -1409,6 +1345,26 @@ let lookup_session t ~lport ~raddr ~rport =
   | Some s -> Some s
   | None -> Conn_map.lookup t.conns { Conn_key.lport; raddr = 0; rport = 0 }
 
+let locked_create t f =
+  if Sim.in_thread t.plat.Platform.sim then Lock.with_lock t.create_lock f else f ()
+
+(* The initial send sequence number, derived from the host address too,
+   so two stacks in one world do not pick identical ones. *)
+let next_iss t =
+  Tcp_seq.mask ((Atomic_ctr.incr t.iss_source * 64021) + (Ip.local_addr t.ip * 7919))
+
+(* Open the send sequence space at [iss]; the SYN occupies its slot. *)
+let open_send_space tcb iss =
+  tcb.iss <- iss;
+  tcb.snd_una <- iss;
+  tcb.snd_nxt <- Tcp_seq.add iss 1;
+  tcb.snd_max <- tcb.snd_nxt
+
+let register_session t sess =
+  locked_create t (fun () ->
+      Conn_map.insert t.conns sess.key sess;
+      t.all_sessions <- sess :: t.all_sessions)
+
 let handshake_syn t listener_key accept (hdr : Tcp_wire.header) ~src =
   (* Passive open: make the child session and send SYN-ACK. *)
   let key = { Conn_key.lport = listener_key.Conn_key.lport; raddr = src; rport = hdr.sport } in
@@ -1418,18 +1374,12 @@ let handshake_syn t listener_key accept (hdr : Tcp_wire.header) ~src =
   tcb.syn_counted <- true;
   tcb.irs <- hdr.seq;
   tcb.rcv_nxt <- Tcp_seq.add hdr.seq 1;
-  tcb.iss <- Tcp_seq.mask ((Atomic_ctr.incr t.iss_source * 64021) + (Ip.local_addr t.ip * 7919));
-  tcb.snd_una <- tcb.iss;
-  tcb.snd_nxt <- Tcp_seq.add tcb.iss 1;
-  tcb.snd_max <- tcb.snd_nxt;
+  open_send_space tcb (next_iss t);
   tcb.snd_wnd <- hdr.win;
   (* A lost SYN-ACK must not wedge the child in Syn_received: arm the
      retransmission timer so [retransmit] re-emits it. *)
   set_rexmt_timer tcb;
-  (if Sim.in_thread t.plat.Platform.sim then Lock.with_lock t.create_lock else fun f -> f ())
-    (fun () ->
-      Conn_map.insert t.conns key sess;
-      t.all_sessions <- sess :: t.all_sessions);
+  register_session t sess;
   (* Let the application attach its receiver before any data can race in. *)
   accept sess;
   let acc = emit sess ~flags:Tcp_wire.flag_syn_ack ~seq:tcb.iss ~payload:None [] in
@@ -1449,13 +1399,11 @@ let input t ~src ~dst msg =
         span_end t.plat ~seq:hdr.seq Trace.Ip
       end
     in
+    (* Checksum outside any connection-state lock, unless the placement
+       puts it under the locks (see below). *)
     let cksum_ok =
-      match t.cfg.locking with
-      | (One | Two | Scr | Rcu) when not t.cfg.cksum_under_lock ->
-        (* Checksum outside any connection-state lock. *)
-        (not t.cfg.checksum) || hdr.cksum = 0
-        || Tcp_wire.verify_checksum t.plat ~src ~dst msg
-      | One | Two | Six | Scr | Rcu -> true (* verified under locks below *)
+      t.ck_locked || (not t.cfg.checksum) || hdr.cksum = 0
+      || Tcp_wire.verify_checksum t.plat ~src ~dst msg
     in
     if not cksum_ok then begin
       t.cksum_failures <- t.cksum_failures + 1;
@@ -1469,17 +1417,23 @@ let input t ~src ~dst msg =
         Msg.destroy msg
       | Some sess ->
         ignore (Atomic_ctr.incr sess.sess_ref);
-        let proceed = ref true in
-        with_hdr_rem sess (fun () ->
-            (match t.cfg.locking with
-             | Six
-               when t.cfg.checksum && hdr.cksum <> 0
-                    && not (Tcp_wire.verify_checksum t.plat ~src ~dst msg) ->
-               t.cksum_failures <- t.cksum_failures + 1;
-               proceed := false
-             | One | Two | Six | Scr | Rcu -> ());
-            if !proceed then Tcp_wire.strip msg);
-        (if not !proceed then begin
+        let strip_verified check =
+          let ok = (not t.ck_locked) || hdr.cksum = 0 || check ~src ~dst msg in
+          if ok then Tcp_wire.strip msg else t.cksum_failures <- t.cksum_failures + 1;
+          ok
+        in
+        let proceed =
+          match sess.sync.hdr_rem with
+          | Some l ->
+            (* Six verifies under its header-remove lock. *)
+            Lock.with_lock l (fun () -> strip_verified (Tcp_wire.verify_checksum t.plat))
+          | None ->
+            (* The cksum_under_lock ablation charges verification under
+               the state locks in [segment_arrives]; the bytes are
+               checked here, uncharged. *)
+            strip_verified Tcp_wire.checksum_valid
+        in
+        (if not proceed then begin
            end_ip_span ();
            Msg.destroy msg
          end
@@ -1518,9 +1472,9 @@ let fasttimo t =
   List.iter
     (fun sess ->
       if sess.tcb.delack_pending then begin
-        input_acquire sess;
+        enter sess sess.sync.input;
         let acc = if sess.tcb.delack_pending then emit_ack sess [] else [] in
-        input_release sess;
+        leave sess sess.sync.input;
         transmit sess acc
       end)
     t.all_sessions
@@ -1528,7 +1482,7 @@ let fasttimo t =
 let rexmt_timeout sess =
   let t = sess.proto in
   let tcb = sess.tcb in
-  output_acquire sess;
+  enter sess sess.sync.output;
   let acc =
     if Tcp_seq.gt tcb.snd_max tcb.snd_una && tcb.state <> Closed then begin
       tcb.rxtshift <- min (tcb.rxtshift + 1) max_rxtshift;
@@ -1545,14 +1499,14 @@ let rexmt_timeout sess =
       []
     end
   in
-  output_release sess;
+  leave sess sess.sync.output;
   transmit sess acc
 
 (* Window probe: force one byte past the closed window (BSD TF_FORCE). *)
 let persist_timeout sess =
   let t = sess.proto in
   let tcb = sess.tcb in
-  output_acquire sess;
+  enter sess sess.sync.output;
   let acc =
     let in_flight = Tcp_seq.diff tcb.snd_nxt tcb.snd_una in
     let unsent = Sockbuf.cc tcb.sb - in_flight in
@@ -1561,7 +1515,7 @@ let persist_timeout sess =
       Costs.charge t.plat Costs.tcp_output_locked;
       access sess ~write:true "snd";
       let payload =
-        with_rexmt_lock sess (fun () ->
+        with_opt_lock sess.sync.rexmt (fun () ->
             access sess ~write:false "sb";
             Sockbuf.peek tcb.sb ~off:in_flight ~len:1)
       in
@@ -1569,8 +1523,7 @@ let persist_timeout sess =
       tcb.snd_nxt <- Tcp_seq.add tcb.snd_nxt 1;
       tcb.snd_max <- Tcp_seq.max tcb.snd_max tcb.snd_nxt;
       tcb.persist_shift <- min (tcb.persist_shift + 1) max_rxtshift;
-      let ticks = max 2 ((tcb.rto + slowtimo_ns - 1) / slowtimo_ns) in
-      tcb.t_persist <- ticks lsl min tcb.persist_shift 6;
+      tcb.t_persist <- rto_ticks tcb tcb.persist_shift;
       emit sess ~flags:Tcp_wire.flag_ack ~seq ~payload:(Some payload) []
     end
     else begin
@@ -1578,7 +1531,7 @@ let persist_timeout sess =
       []
     end
   in
-  output_release sess;
+  leave sess sess.sync.output;
   transmit sess acc
 
 let slowtimo t =
@@ -1640,6 +1593,7 @@ let create plat pool ~wheel ~ip cfg ~name =
       wheel;
       ip;
       cfg;
+      ck_locked = cfg.checksum && (cfg.locking = Six || cfg.cksum_under_lock);
       name;
       obj_ref = Platform.refcnt plat ~name:(name ^ ".ref") ~init:1;
       iss_source = Platform.refcnt plat ~name:(name ^ ".iss") ~init:1;
@@ -1665,27 +1619,13 @@ let create plat pool ~wheel ~ip cfg ~name =
 
 let shutdown t = t.shutdown <- true
 
-let locked_create t f =
-  if Sim.in_thread t.plat.Platform.sim then Lock.with_lock t.create_lock f else f ()
-
 let connect ?iss t ~local_port ~remote_addr ~remote_port =
   let key = { Conn_key.lport = local_port; raddr = remote_addr; rport = remote_port } in
   let sess = fresh_session t key in
   let tcb = sess.tcb in
-  (tcb.iss <-
-     match iss with
-     | Some s -> Tcp_seq.mask s
-     | None ->
-       (* derived from the host address too, so two stacks in one world
-          do not pick identical initial sequence numbers *)
-       Tcp_seq.mask ((Atomic_ctr.incr t.iss_source * 64021) + (Ip.local_addr t.ip * 7919)));
-  tcb.snd_una <- tcb.iss;
-  tcb.snd_nxt <- Tcp_seq.add tcb.iss 1;
-  tcb.snd_max <- tcb.snd_nxt;
+  open_send_space tcb (match iss with Some s -> Tcp_seq.mask s | None -> next_iss t);
   tcb.state <- Syn_sent;
-  locked_create t (fun () ->
-      Conn_map.insert t.conns key sess;
-      t.all_sessions <- sess :: t.all_sessions);
+  register_session t sess;
   start_timers t;
   Costs.charge t.plat Costs.tcp_conn_setup;
   let acc = emit sess ~flags:Tcp_wire.flag_syn ~seq:tcb.iss ~payload:None [] in
@@ -1724,42 +1664,10 @@ let set_receiver sess f = sess.receiver <- f
 let set_fin_handler sess f = sess.on_fin <- f
 let ticket_gate sess = sess.gate
 
-(* Queue application data under SCR: each attempt is a host-atomic
-   deferred section whose cost is paid after it closes; a full buffer
-   suspends OUTSIDE the section (deferred sections cannot block).  The
-   failed offer and the waiter registration share one host-atomic span —
-   no suspension point separates them — so a concurrent wake cannot be
-   lost. *)
-let scr_send_enqueue sess log msg =
-  let sim = sess.proto.plat.Platform.sim in
-  let rec go () =
-    sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx = -1 });
-    Sim.defer_begin sim;
-    let r =
-      with_rexmt_lock sess (fun () ->
-          access sess ~write:true "sb";
-          Sockbuf.offer sess.tcb.sb msg)
-    in
-    let cost = Sim.defer_end sim in
-    sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx = -1 });
-    match r with
-    | `Queued ->
-      Sim.delay sim cost;
-      true
-    | `Dropped ->
-      Sim.delay sim cost;
-      false
-    | `Must_wait ->
-      Sim.suspend sim (fun resume ->
-          sess.tcb.sb_waiters <- resume :: sess.tcb.sb_waiters);
-      Sim.delay sim cost;
-      go ()
-  in
-  go ()
-
 let send sess msg =
   let t = sess.proto in
   let tcb = sess.tcb in
+  let sim = t.plat.Platform.sim in
   let len = Msg.length msg in
   if len > Sockbuf.max_size tcb.sb then
     invalid_arg "Tcp.send: message larger than the send buffer";
@@ -1768,65 +1676,58 @@ let send sess msg =
      watermark, so protocol-internal transients keep their headroom.
      Under Drop the sockbuf sheds instead — nothing blocks. *)
   if t.cfg.sb_policy = Sockbuf.Block then Mpool.await_headroom t.pool;
-  let queued =
-    match sess.locks with
-    | L_scr log ->
-      let queued = scr_send_enqueue sess log msg in
-      if queued then sess.st.bytes_out <- sess.st.bytes_out + len;
-      queued
-    | _ ->
-      output_acquire sess;
-      (* Queue, shed, or wait for socket-buffer space (so_snd semantics). *)
-      let rec enqueue () =
-        match
-          with_rexmt_lock sess (fun () ->
-              access sess ~write:true "sb";
-              Sockbuf.offer tcb.sb msg)
-        with
-        | `Queued -> true
-        | `Dropped -> false
-        | `Must_wait ->
-          let registered = ref false in
-          Sim.suspend t.plat.Platform.sim (fun resume ->
-              tcb.sb_waiters <- resume :: tcb.sb_waiters;
-              registered := true;
-              (* The register callback cannot consume simulated time, so
-                 RCU releases without its (charging) snapshot publish —
-                 sound, because a failed offer mutated nothing. *)
-              match sess.locks with
-              | L_rcu r -> Lock.release r.ru_wr
-              | _ -> output_release sess);
-          assert !registered;
-          output_acquire sess;
-          enqueue ()
+  let out = sess.sync.output in
+  enter sess out;
+  (* Queue, shed, or wait for socket-buffer space (so_snd semantics). *)
+  let rec enqueue () =
+    match
+      with_opt_lock sess.sync.rexmt (fun () ->
+          access sess ~write:true "sb";
+          Sockbuf.offer tcb.sb msg)
+    with
+    | `Queued -> true
+    | `Dropped -> false
+    | `Must_wait ->
+      (* Park outside the section.  The failed offer and the waiter
+         registration share one host-atomic span, so a concurrent wake
+         cannot be lost.  The register callback cannot consume simulated
+         time, so it releases the locks without RCU's (charging) snapshot
+         publish — sound, because a failed offer mutated nothing — and an
+         SCR section's deferred cost is paid once parked. *)
+      let owed =
+        match sess.sync.log with Some log -> scr_section_end sess log | None -> 0
       in
-      let queued = enqueue () in
-      if queued then sess.st.bytes_out <- sess.st.bytes_out + len;
-      output_release sess;
-      queued
+      let registered = ref false in
+      Sim.suspend sim (fun resume ->
+          tcb.sb_waiters <- resume :: tcb.sb_waiters;
+          registered := true;
+          release_rev out);
+      assert !registered;
+      Sim.delay sim owed;
+      enter sess out;
+      enqueue ()
   in
+  let queued = enqueue () in
+  if queued then sess.st.bytes_out <- sess.st.bytes_out + len;
+  leave sess out;
   if queued then begin
     (* The data checksum pass runs here, outside every connection-state
-       lock (Section 5.1); the header is folded in at transmit time.  The
-       Six discipline instead checksums under its header lock (SICS
-       style). *)
-    (match t.cfg.locking with
-     | One | Two | Scr | Rcu ->
-       if t.cfg.checksum && not t.cfg.cksum_under_lock then
-         Membus.consume t.plat.Platform.bus ~bytes:len
-     | Six -> ());
+       lock (Section 5.1); the header is folded in at transmit time.
+       Where the placement puts checksums under the locks (Six's header
+       lock, or the ablation), [emit] sums the whole segment instead. *)
+    if t.cfg.checksum && not t.ck_locked then Membus.consume t.plat.Platform.bus ~bytes:len;
     pump sess
   end
 
 let close sess =
   let tcb = sess.tcb in
-  output_acquire sess;
+  enter sess sess.sync.output;
   (match tcb.state with
    | Established -> tcb.state <- Fin_wait_1
    | Close_wait -> tcb.state <- Last_ack
    | _ -> ());
   tcb.fin_queued <- true;
-  output_release sess;
+  leave sess sess.sync.output;
   pump sess
 
 let state_name sess = state_to_string sess.tcb.state
@@ -1843,10 +1744,10 @@ let total_sockbuf_drops t =
 let sessions t = t.all_sessions
 
 let lock_wait_ns sess =
-  List.fold_left (fun acc l -> acc + Lock.total_wait_ns l) 0 (all_locks sess)
+  List.fold_left (fun acc l -> acc + Lock.total_wait_ns l) 0 (all_locks sess.sync)
 
 let lock_hold_ns sess =
-  List.fold_left (fun acc l -> acc + Lock.total_hold_ns l) 0 (all_locks sess)
+  List.fold_left (fun acc l -> acc + Lock.total_hold_ns l) 0 (all_locks sess.sync)
 
 let snd_nxt sess = sess.tcb.snd_nxt
 let rcv_nxt sess = sess.tcb.rcv_nxt
@@ -1862,19 +1763,15 @@ type scr_counters = {
 }
 
 let scr_counters sess =
-  match sess.locks with
-  | L_scr l ->
-    Some
+  Option.map
+    (fun l ->
       {
         scr_appends = l.sl_appends;
         scr_replayed = l.sl_replayed;
         scr_resyncs = l.sl_resyncs;
         scr_truncations = l.sl_truncations;
         scr_max_depth = l.sl_max_depth;
-      }
-  | _ -> None
+      })
+    sess.sync.log
 
-let rcu_counters sess =
-  match sess.locks with
-  | L_rcu r -> Some (r.ru_reads, r.ru_publishes)
-  | _ -> None
+let rcu_counters sess = Option.map (fun r -> (r.ru_reads, r.ru_publishes)) sess.sync.rcu

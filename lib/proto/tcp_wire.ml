@@ -181,9 +181,13 @@ let encode_empty msg h ~src ~dst ~checksum =
     Msg.set_u16 msg 20 0;
     Msg.set_u16 msg 22 0
 
-let verify_checksum plat ~src ~dst msg =
+let checksum_valid ~src ~dst msg =
   let len = Msg.length msg in
-  Inet_cksum.verify plat msg ~extra:(pseudo_sum ~src ~dst ~len)
+  Inet_cksum.(finish (add (sum_slices msg) (pseudo_sum ~src ~dst ~len))) = 0
+
+let verify_checksum plat ~src ~dst msg =
+  Inet_cksum.charge plat msg;
+  checksum_valid ~src ~dst msg
 
 let flags_to_string f =
   let b = Buffer.create 5 in

@@ -79,4 +79,7 @@ val encode_empty :
 
 val verify_checksum : Pnp_engine.Platform.t -> src:int -> dst:int -> Pnp_xkern.Msg.t -> bool
 
+val checksum_valid : src:int -> dst:int -> Pnp_xkern.Msg.t -> bool
+(** {!verify_checksum} without the simulated charge. *)
+
 val flags_to_string : flags -> string

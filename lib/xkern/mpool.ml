@@ -87,22 +87,13 @@ let free_instrs = 60
 
 let trace_alloc t ~hit =
   let sim = t.plat.Platform.sim in
-  let tracer = Sim.tracer sim in
-  if Trace.enabled tracer && Sim.in_thread sim then
-    let th = Sim.self sim in
-    Trace.emit tracer ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th)
-      (Trace.Mpool_alloc { hit })
+  if Trace.enabled (Sim.tracer sim) then Sim.trace sim (Trace.Mpool_alloc { hit })
 
 (* Lifecycle events for the arena sanitizer (Pnp_analysis.Lifetime):
-   alloc / ref / unref / recycle / write, keyed by node id.  Same guard
-   shape as [trace_alloc]: free when tracing is off, and silent outside
-   simulated threads (setup/teardown traffic has no tid to charge). *)
-let trace_node t ev =
-  let sim = t.plat.Platform.sim in
-  let tracer = Sim.tracer sim in
-  if Trace.enabled tracer && Sim.in_thread sim then
-    let th = Sim.self sim in
-    Trace.emit tracer ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th) ev
+   alloc / ref / unref / recycle / write, keyed by node id.  Silent
+   outside simulated threads (setup/teardown traffic has no tid to
+   charge). *)
+let trace_node t ev = Sim.trace t.plat.Platform.sim ev
 
 let create ?(capacity = max_int) ?soft_watermark plat =
   if capacity <= 0 then invalid_arg "Mpool.create: capacity must be positive";

@@ -73,9 +73,11 @@ module Make (K : KEY) = struct
       let sname = if nshards = 1 then name else Printf.sprintf "%s.s%d" name i in
       {
         sname;
+        (* Map-manager locks stay raw mutexes, even in the paper's MCS
+           experiments (Section 4.1). *)
         lock =
-          Lock.Counting.create plat.Platform.sim plat.Platform.arch
-            plat.Platform.map_disc ~name:sname;
+          Lock.Counting.create plat.Platform.sim plat.Platform.arch Lock.Unfair
+            ~name:sname;
         buckets = Array.make buckets [];
         one_behind = None;
         size = 0;
@@ -105,11 +107,8 @@ module Make (K : KEY) = struct
      the tracer so the disabled path costs one field read. *)
   let access t sh ~write =
     let sim = t.plat.Platform.sim in
-    let tracer = Sim.tracer sim in
-    if Trace.enabled tracer && Sim.in_thread sim then
-      let th = Sim.self sim in
-      Trace.emit tracer ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th)
-        (Trace.Access { state = sh.sname ^ "#cache"; write })
+    if Trace.enabled (Sim.tracer sim) then
+      Sim.trace sim (Trace.Access { state = sh.sname ^ "#cache"; write })
 
   let grow_tslots t tid =
     let cap = max 16 (max (tid + 1) (2 * Array.length t.tslots)) in

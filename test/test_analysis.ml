@@ -512,7 +512,7 @@ let test_lint_state_matrix_rows () =
     \  Lock.release l\n\
      \n\
      let writer sess =\n\
-    \  with_reass_lock sess (fun () ->\n\
+    \  with_opt_lock reass (fun () ->\n\
     \    access sess ~write:true \"reass\";\n\
     \    access sess ~write:false \"rcv\")\n"
   in

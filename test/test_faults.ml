@@ -352,13 +352,110 @@ let test_chaos_coalescing_toggle_identical () =
           in
           let all_off = with_toggles ~coalesce:false ~arena:false (fun () -> cell plan disc) in
           Alcotest.(check string)
-            (Printf.sprintf "%s/%s: coalescing off" name (Chaos.disc_label disc))
+            (Printf.sprintf "%s/%s: coalescing off" name (Config.disc_label disc))
             fast no_coalesce;
           Alcotest.(check string)
-            (Printf.sprintf "%s/%s: arena+coalescing off" name (Chaos.disc_label disc))
+            (Printf.sprintf "%s/%s: arena+coalescing off" name (Config.disc_label disc))
             fast all_off)
         [ Lock.Unfair; Lock.Fifo ])
     plans
+
+(* The cksum_under_lock ablation's TCP world, built the way
+   [Chaos.tcp_world] builds its own: a golden stream over the faulted
+   link, judged by the recovery oracle. *)
+let ablation_findings ~plan ~tcp_locking =
+  let plat = Platform.create ~seed:1 ~lock_disc:Lock.Fifo Arch.challenge_100 in
+  let cfg =
+    { Tcp.default_config with Tcp.mss = 1024; locking = tcp_locking; cksum_under_lock = true }
+  in
+  let a = Stack.create plat ~tcp_config:cfg ~local_addr:0x0a000001 () in
+  let b = Stack.create plat ~tcp_config:cfg ~local_addr:0x0a000002 () in
+  let link = Link.connect plat ~bandwidth_mbps:40.0 ~latency:(us 200.0) ~plan ~a ~b () in
+  let payload = String.init 120_000 (fun i -> Char.chr (32 + (i mod 95))) in
+  let received = Buffer.create (String.length payload) in
+  let established = ref false and eof = ref false in
+  let _ =
+    Sim.spawn plat.Platform.sim ~cpu:0 ~name:"server" (fun () ->
+        let lst = Socket.Listener.listen plat b.Stack.pool b.Stack.tcp ~port:80 in
+        let sock = Socket.Listener.accept lst in
+        let rec drain () =
+          match Socket.recv_string sock with
+          | Some s ->
+            Buffer.add_string received s;
+            drain ()
+          | None -> eof := true
+        in
+        drain ())
+  in
+  let _ =
+    Sim.spawn plat.Platform.sim ~cpu:1 ~name:"client" (fun () ->
+        Sim.delay plat.Platform.sim (ms 1.0);
+        let sock =
+          Socket.connect plat a.Stack.pool a.Stack.tcp ~local_port:5000
+            ~remote_addr:0x0a000002 ~remote_port:80
+        in
+        established := true;
+        let rec send_from off =
+          if off < String.length payload then begin
+            let len = min 1000 (String.length payload - off) in
+            Socket.send_string sock (String.sub payload off len);
+            send_from (off + len)
+          end
+        in
+        send_from 0;
+        Socket.close sock)
+  in
+  Sim.run ~until:(Units.sec 300.0) plat.Platform.sim;
+  let got = Buffer.contents received in
+  let caught =
+    Ip.header_failures a.Stack.ip + Ip.header_failures b.Stack.ip
+    + Tcp.checksum_failures a.Stack.tcp + Tcp.checksum_failures b.Stack.tcp
+  in
+  let injected = (Link.fault_stats link).Link.corrupted in
+  Alcotest.(check bool) "the plan corrupted something" true (injected > 0);
+  Recovery.check
+    {
+      Recovery.run = "ablation/" ^ Config.locking_label tcp_locking;
+      streams =
+        [
+          {
+            Recovery.label = "tcp";
+            sent_bytes = String.length payload;
+            received_bytes = String.length got;
+            sent_digest = Recovery.digest payload;
+            received_digest = Recovery.digest got;
+            established = !established;
+            drained = !eof && Link.in_flight link = 0;
+            rexmits = 0;
+          };
+        ];
+      corruption = Some { Recovery.injected; caught };
+      udp = None;
+    }
+
+(* Every discipline rejects every corrupted segment: the [corrupt] plan
+   through the chaos cell under each discipline (the matrix covers only
+   TCP-1 and SCR), and under each lock-holding discipline with checksums
+   placed inside the connection locks. *)
+let test_every_discipline_rejects_corruption () =
+  let plan = Option.get (Faults.find "corrupt") in
+  let expect_clean what findings =
+    if findings <> [] then
+      Alcotest.failf "%s:\n%s" what (String.concat "\n" (List.map Finding.to_string findings))
+  in
+  List.iter
+    (fun tcp_locking ->
+      let o =
+        Chaos.run_cell ~bytes:120_000 ~datagrams:100 ~plan ~disc:Lock.Fifo ~tcp_locking ()
+      in
+      expect_clean (Chaos.to_line o) o.Chaos.findings)
+    [ Tcp.One; Tcp.Two; Tcp.Six; Tcp.Scr; Tcp.Rcu ];
+  List.iter
+    (fun tcp_locking ->
+      expect_clean
+        ("cksum_under_lock " ^ Config.locking_label tcp_locking)
+        (ablation_findings ~plan ~tcp_locking))
+    [ Tcp.One; Tcp.Two; Tcp.Six; Tcp.Rcu ]
 
 (* Random small plans: whatever the faults do, TCP must deliver the exact
    byte stream and every UDP datagram must be accounted for. *)
@@ -552,6 +649,8 @@ let suites =
         Alcotest.test_case "coalescing/arena toggles change nothing" `Quick
           test_chaos_coalescing_toggle_identical;
         Qrand.to_alcotest prop_random_plans_recover;
+        Alcotest.test_case "every discipline rejects corruption" `Quick
+          test_every_discipline_rejects_corruption;
       ] );
     ( "faults.mpool",
       [
