@@ -462,9 +462,11 @@ let check_cmd =
     List.iter
       (fun (tag, label, role, cfg) ->
         let _result, tracer = Run.run_traced cfg in
-        let findings = Pnp_analysis.Check.all tracer in
-        let stats = Pnp_analysis.Order_check.stats tracer in
-        let reordered, grants = Pnp_analysis.Order_check.reordered_total stats in
+        let checked = Pnp_analysis.Check.run tracer in
+        let findings = checked.Pnp_analysis.Check.findings in
+        let reordered, grants =
+          Pnp_analysis.Order_check.reordered_total checked.Pnp_analysis.Check.order
+        in
         Printf.printf "%-8s %-42s %6d events  %4d/%d reordered grants  %d finding(s)\n"
           tag label
           (Pnp_engine.Trace.count tracer)
@@ -474,19 +476,17 @@ let check_cmd =
            signal — lockset-only entries are false-positive candidates
            (ordering the lockset abstraction cannot see), HB-only
            entries are real races the lockset analysis missed. *)
-        let states, ls_findings = Pnp_analysis.Lockset.run tracer in
         let ls_flagged =
           List.map (fun (f : Pnp_analysis.Finding.t) -> f.Pnp_analysis.Finding.subject)
-            ls_findings
+            checked.Pnp_analysis.Check.lockset
         in
-        let hb_flagged = Pnp_analysis.Hb.races tracer in
         let comparison =
           List.map
             (fun (s : Pnp_analysis.Lockset.state) ->
               let ls = List.mem s.Pnp_analysis.Lockset.id ls_flagged in
-              let hb = List.mem s.Pnp_analysis.Lockset.id hb_flagged in
+              let hb = List.mem s.Pnp_analysis.Lockset.id checked.Pnp_analysis.Check.races in
               (s.Pnp_analysis.Lockset.id, ls, hb))
-            states
+            checked.Pnp_analysis.Check.states
         in
         let disagreement = List.exists (fun (_, ls, hb) -> ls || hb) comparison in
         if role <> None || disagreement then begin

@@ -1,6 +1,21 @@
-(** Run every trace-driven checker over one trace. *)
+(** Run every trace-driven checker over one trace.
+
+    The checkers share one {!Replay} traversal: each contributes its
+    per-record step, after the lockset pre-pass (see {!Lockset.create}),
+    so a trace is walked twice however many checkers run. *)
+
+type t = {
+  findings : Finding.t list;
+      (** lockset, happens-before, arena lifetime, lock-order and FIFO
+          grant-order findings, merged, sorted with {!Finding.sort} and
+          collapsed with {!Finding.dedupe} *)
+  states : Lockset.state list;       (** as {!Lockset.run} *)
+  lockset : Finding.t list;          (** as {!Lockset.run} *)
+  races : string list;               (** as {!Hb.races} *)
+  order : Order_check.lock_stat list; (** as {!Order_check.stats} *)
+}
+
+val run : Pnp_engine.Trace.t -> t
 
 val all : Pnp_engine.Trace.t -> Finding.t list
-(** Lockset, happens-before, arena lifetime, lock-order and FIFO
-    grant-order findings, merged, sorted with {!Finding.sort} and
-    collapsed with {!Finding.dedupe}. *)
+(** [(run tracer).findings]. *)

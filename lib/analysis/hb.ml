@@ -36,22 +36,38 @@ open Pnp_engine
    surfaces rather than hides.  In practice every access in the window
    re-synchronises through in-window grants/releases. *)
 
-(* Vector clocks as tid-keyed hash tables: tids are dense but the
-   thread population per trace is small (tens), and most clocks are
-   sparse, so per-entry hashing beats sizing arrays to max-tid. *)
+(* Vector clocks as int arrays indexed by tid.  Tids are dense and the
+   thread population per trace is small (tens), so a join is a short
+   loop over unboxed ints; a clock grows when it first sees a larger
+   tid. *)
 module Vc = struct
-  type t = (int, int) Hashtbl.t
+  type t = { mutable c : int array }
 
-  let create () : t = Hashtbl.create 8
-  let get (t : t) tid = Option.value ~default:0 (Hashtbl.find_opt t tid)
-  let set (t : t) tid v = Hashtbl.replace t tid v
-  let tick t tid = set t tid (get t tid + 1)
+  let create () = { c = [||] }
+  let get t tid = if tid < Array.length t.c then Array.unsafe_get t.c tid else 0
 
-  (* a := a join b *)
-  let join (a : t) (b : t) =
-    Hashtbl.iter (fun tid v -> if v > get a tid then set a tid v) b
+  let resize t n =
+    let c = Array.make n 0 in
+    Array.blit t.c 0 c 0 (Array.length t.c);
+    t.c <- c
 
-  let copy (t : t) : t = Hashtbl.copy t
+  let tick t tid =
+    let len = Array.length t.c in
+    if tid >= len then resize t (max (tid + 1) (2 * len));
+    t.c.(tid) <- t.c.(tid) + 1
+
+  (* a := a join b.  [a] grows to exactly [b]'s length, never doubles:
+     joins in both directions must not ratchet each other's size up. *)
+  let join a b =
+    let n = Array.length b.c in
+    if n > Array.length a.c then resize a n;
+    let ac = a.c and bc = b.c in
+    for i = 0 to n - 1 do
+      let v = Array.unsafe_get bc i in
+      if v > Array.unsafe_get ac i then Array.unsafe_set ac i v
+    done
+
+  let copy t = { c = Array.copy t.c }
 end
 
 type access = { a_tid : int; a_clk : int; a_rec : Trace.record }
@@ -77,144 +93,171 @@ type race = {
    that append). *)
 type violation = { v_log : string; v_idx : int; v_max : int; v_rec : Trace.record }
 
-let bus_channel = "\x00bus" (* unspellable as a lock or gate name *)
-
 (* [happened_before a vc] — did access [a] happen before the point whose
    clock is [vc]? *)
 let hb (a : access) (vc : Vc.t) = a.a_clk <= Vc.get vc a.a_tid
 
-let run_full ?(bus_sync = true) tracer =
-  let clocks : (int, Vc.t) Hashtbl.t = Hashtbl.create 16 in
-  let channels : (string, Vc.t) Hashtbl.t = Hashtbl.create 16 in
-  let exited : (int, Vc.t) Hashtbl.t = Hashtbl.create 16 in
-  let forked : (int, Vc.t) Hashtbl.t = Hashtbl.create 16 in
-  let cells : (string, cell) Hashtbl.t = Hashtbl.create 32 in
+type t = {
+  bus_sync : bool;
+  mutable clocks : Vc.t option array; (* by tid *)
+  exited : (int, Vc.t) Hashtbl.t;
+  forked : (int, Vc.t) Hashtbl.t;
+  (* One channel table per kind, keyed by the object's own name. *)
+  locks : (string, Vc.t) Hashtbl.t;
+  gates : (string, Vc.t) Hashtbl.t;
+  logs : (string, Vc.t) Hashtbl.t;
+  bus : Vc.t;
+  cells : (string, cell) Hashtbl.t;
   (* Per SCR log: highest index seen appended (absent before any append). *)
-  let appended : (string, int) Hashtbl.t = Hashtbl.create 4 in
+  appended : (string, int) Hashtbl.t;
   (* Per SCR log with no append in the window yet: the applies seen so
      far, newest first.  The window may open mid-replay, so such an apply
      may consume an entry appended before the trace began; it is judged
      only once the log's first in-window append shows where the tail was. *)
-  let held : (string, (int * Trace.record) list) Hashtbl.t = Hashtbl.create 4 in
-  let races = ref [] in
-  let violations = ref [] in
-  let flag log idx v_max r =
-    violations := { v_log = log; v_idx = idx; v_max; v_rec = r } :: !violations
-  in
-  let clock tid =
-    match Hashtbl.find_opt clocks tid with
-    | Some vc -> vc
+  held : (string, (int * Trace.record) list) Hashtbl.t;
+  mutable races : race list;
+  mutable violations : violation list;
+}
+
+let create ?(bus_sync = true) () =
+  {
+    bus_sync;
+    clocks = [||];
+    exited = Hashtbl.create 16;
+    forked = Hashtbl.create 16;
+    locks = Hashtbl.create 16;
+    gates = Hashtbl.create 16;
+    logs = Hashtbl.create 4;
+    bus = Vc.create ();
+    cells = Hashtbl.create 32;
+    appended = Hashtbl.create 4;
+    held = Hashtbl.create 4;
+    races = [];
+    violations = [];
+  }
+
+let flag t log idx v_max r =
+  t.violations <- { v_log = log; v_idx = idx; v_max; v_rec = r } :: t.violations
+
+let clock t tid =
+  let len = Array.length t.clocks in
+  if tid >= len then begin
+    let a = Array.make (max (tid + 1) (2 * len)) None in
+    Array.blit t.clocks 0 a 0 len;
+    t.clocks <- a
+  end;
+  match t.clocks.(tid) with
+  | Some vc -> vc
+  | None ->
+    let vc =
+      (* A thread's first event adopts the fork-time snapshot of its
+         parent, if the fork was traced. *)
+      match Hashtbl.find_opt t.forked tid with
+      | Some parent_vc -> Vc.copy parent_vc
+      | None -> Vc.create ()
+    in
+    Vc.tick vc tid;
+    t.clocks.(tid) <- Some vc;
+    vc
+
+let channel tbl name =
+  match Hashtbl.find_opt tbl name with
+  | Some vc -> vc
+  | None ->
+    let vc = Vc.create () in
+    Hashtbl.replace tbl name vc;
+    vc
+
+(* Release: publish the thread's clock into the channel, then tick so
+   the thread's later events are not ordered behind this release. *)
+let release t tid ch =
+  let vc = clock t tid in
+  Vc.join ch vc;
+  Vc.tick vc tid
+
+let acquire t tid ch = Vc.join (clock t tid) ch
+
+let access t (r : Trace.record) state write =
+  let tid = r.Trace.tid in
+  let vc = clock t tid in
+  let c =
+    match Hashtbl.find_opt t.cells state with
+    | Some c -> c
     | None ->
-      let vc =
-        (* A thread's first event adopts the fork-time snapshot of its
-           parent, if the fork was traced. *)
-        match Hashtbl.find_opt forked tid with
-        | Some parent_vc -> Vc.copy parent_vc
-        | None -> Vc.create ()
-      in
-      Vc.tick vc tid;
-      Hashtbl.replace clocks tid vc;
-      vc
+      let c = { last_write = None; reads = []; reported = false } in
+      Hashtbl.replace t.cells state c;
+      c
   in
-  let channel name =
-    match Hashtbl.find_opt channels name with
-    | Some vc -> vc
-    | None ->
-      let vc = Vc.create () in
-      Hashtbl.replace channels name vc;
-      vc
+  let report prev ~write_write =
+    if not c.reported then begin
+      c.reported <- true;
+      t.races <- { state; first = prev.a_rec; second = r; write_write } :: t.races
+    end
   in
-  (* Release: publish the thread's clock into the channel, then tick so
-     the thread's later events are not ordered behind this release. *)
-  let release tid name =
-    let vc = clock tid in
-    Vc.join (channel name) vc;
+  (match c.last_write with
+  | Some w when w.a_tid <> tid && not (hb w vc) -> report w ~write_write:write
+  | _ -> ());
+  if write then begin
+    List.iter
+      (fun rd -> if rd.a_tid <> tid && not (hb rd vc) then report rd ~write_write:false)
+      c.reads;
+    c.last_write <- Some { a_tid = tid; a_clk = Vc.get vc tid; a_rec = r };
+    c.reads <- []
+  end
+  else begin
+    let entry = { a_tid = tid; a_clk = Vc.get vc tid; a_rec = r } in
+    c.reads <- entry :: List.filter (fun rd -> rd.a_tid <> tid) c.reads
+  end
+
+let step t _ctx (r : Trace.record) =
+  let tid = r.Trace.tid in
+  match r.Trace.ev with
+  | Trace.Thread_fork { child } ->
+    let vc = clock t tid in
+    Hashtbl.replace t.forked child (Vc.copy vc);
     Vc.tick vc tid
-  in
-  let acquire tid name = Vc.join (clock tid) (channel name) in
-  Trace.iter tracer (fun r ->
-      let tid = r.Trace.tid in
-      match r.Trace.ev with
-      | Trace.Thread_fork { child } ->
-        let vc = clock tid in
-        Hashtbl.replace forked child (Vc.copy vc);
-        Vc.tick vc tid
-      | Trace.Thread_exit -> Hashtbl.replace exited tid (Vc.copy (clock tid))
-      | Trace.Thread_join { child } -> (
-        match Hashtbl.find_opt exited child with
-        | Some final -> Vc.join (clock tid) final
-        | None -> ())
-      | Trace.Lock_grant { lock; _ } -> acquire tid ("L:" ^ lock)
-      | Trace.Lock_release { lock; _ } -> release tid ("L:" ^ lock)
-      | Trace.Scr_append { log; idx } ->
-        (match Hashtbl.find_opt appended log with
-        | Some prev -> if idx > prev then Hashtbl.replace appended log idx
-        | None ->
-          (* The first in-window append: entries below [idx] may predate
-             the window, so a held apply read ahead only if it claimed
-             [idx] or beyond. *)
-          Hashtbl.replace appended log idx;
-          List.iter
-            (fun (i, r) -> if i >= idx then flag log i (idx - 1) r)
-            (List.rev (Option.value ~default:[] (Hashtbl.find_opt held log)));
-          Hashtbl.remove held log);
-        release tid ("S:" ^ log)
-      | Trace.Scr_apply { log; idx } ->
-        (* idx = -1 marks an output/timer section, which consumes no log
-           entry and cannot read ahead of the tail. *)
-        (if idx >= 0 then
-           match Hashtbl.find_opt appended log with
-           | Some max_app -> if idx > max_app then flag log idx max_app r
-           | None ->
-             let prev = Option.value ~default:[] (Hashtbl.find_opt held log) in
-             Hashtbl.replace held log ((idx, r) :: prev));
-        acquire tid ("S:" ^ log)
-      | Trace.Scr_apply_end { log; _ } -> release tid ("S:" ^ log)
-      | Trace.Gate_advance { gate; _ } -> release tid ("G:" ^ gate)
-      | Trace.Gate_pass { gate; _ } -> acquire tid ("G:" ^ gate)
-      | Trace.Membus_charge _ when bus_sync ->
-        acquire tid bus_channel;
-        release tid bus_channel
-      | Trace.Access { state; write } ->
-        let vc = clock tid in
-        let c =
-          match Hashtbl.find_opt cells state with
-          | Some c -> c
-          | None ->
-            let c = { last_write = None; reads = []; reported = false } in
-            Hashtbl.replace cells state c;
-            c
-        in
-        let report prev ~write_write =
-          if not c.reported then begin
-            c.reported <- true;
-            races :=
-              { state; first = prev.a_rec; second = r; write_write } :: !races
-          end
-        in
-        (match c.last_write with
-        | Some w when w.a_tid <> tid && not (hb w vc) ->
-          report w ~write_write:write
-        | _ -> ());
-        if write then begin
-          List.iter
-            (fun rd -> if rd.a_tid <> tid && not (hb rd vc) then report rd ~write_write:false)
-            c.reads;
-          c.last_write <- Some { a_tid = tid; a_clk = Vc.get vc tid; a_rec = r };
-          c.reads <- []
-        end
-        else begin
-          let entry = { a_tid = tid; a_clk = Vc.get vc tid; a_rec = r } in
-          c.reads <- entry :: List.filter (fun rd -> rd.a_tid <> tid) c.reads
-        end
-      | _ -> ());
-  (List.rev !races, List.rev !violations)
+  | Trace.Thread_exit -> Hashtbl.replace t.exited tid (Vc.copy (clock t tid))
+  | Trace.Thread_join { child } -> (
+    match Hashtbl.find_opt t.exited child with
+    | Some final -> Vc.join (clock t tid) final
+    | None -> ())
+  | Trace.Lock_grant { lock; _ } -> acquire t tid (channel t.locks lock)
+  | Trace.Lock_release { lock; _ } -> release t tid (channel t.locks lock)
+  | Trace.Scr_append { log; idx } ->
+    (match Hashtbl.find_opt t.appended log with
+    | Some prev -> if idx > prev then Hashtbl.replace t.appended log idx
+    | None ->
+      (* The first in-window append: entries below [idx] may predate the
+         window, so a held apply read ahead only if it claimed [idx] or
+         beyond. *)
+      Hashtbl.replace t.appended log idx;
+      List.iter
+        (fun (i, r) -> if i >= idx then flag t log i (idx - 1) r)
+        (List.rev (Option.value ~default:[] (Hashtbl.find_opt t.held log)));
+      Hashtbl.remove t.held log);
+    release t tid (channel t.logs log)
+  | Trace.Scr_apply { log; idx } ->
+    (* idx = -1 marks an output/timer section, which consumes no log entry
+       and cannot read ahead of the tail. *)
+    (if idx >= 0 then
+       match Hashtbl.find_opt t.appended log with
+       | Some max_app -> if idx > max_app then flag t log idx max_app r
+       | None ->
+         let prev = Option.value ~default:[] (Hashtbl.find_opt t.held log) in
+         Hashtbl.replace t.held log ((idx, r) :: prev));
+    acquire t tid (channel t.logs log)
+  | Trace.Scr_apply_end { log; _ } -> release t tid (channel t.logs log)
+  | Trace.Gate_advance { gate; _ } -> release t tid (channel t.gates gate)
+  | Trace.Gate_pass { gate; _ } -> acquire t tid (channel t.gates gate)
+  | Trace.Membus_charge _ when t.bus_sync ->
+    acquire t tid t.bus;
+    release t tid t.bus
+  | Trace.Access { state; write } -> access t r state write
+  | _ -> ()
 
-let run ?bus_sync tracer = fst (run_full ?bus_sync tracer)
-let races ?bus_sync tracer = List.map (fun r -> r.state) (run ?bus_sync tracer)
+let races_of t = List.rev t.races
 
-let check ?bus_sync tracer =
-  let races, violations = run_full ?bus_sync tracer in
+let findings t =
   List.map
     (fun r ->
       Finding.v ~checker:"hb-race" ~subject:r.state
@@ -225,7 +268,7 @@ let check ?bus_sync tracer =
             two accesses"
            (if r.write_write then "writes" else "read/write pair")
            r.first.Trace.tid r.second.Trace.tid))
-    races
+    (races_of t)
   @ List.map
       (fun v ->
         Finding.v ~checker:"hb-race" ~subject:v.v_log ~witnesses:[ v.v_rec ]
@@ -235,5 +278,10 @@ let check ?bus_sync tracer =
               append that publishes an entry must happen before the apply \
               that consumes it"
              v.v_rec.Trace.tid v.v_idx v.v_max))
-      violations
+      (List.rev t.violations)
   |> Finding.sort
+
+let run_full ?bus_sync tracer = Replay.run tracer (create ?bus_sync ()) step
+let run ?bus_sync tracer = races_of (run_full ?bus_sync tracer)
+let races ?bus_sync tracer = List.map (fun r -> r.state) (run ?bus_sync tracer)
+let check ?bus_sync tracer = findings (run_full ?bus_sync tracer)

@@ -39,3 +39,16 @@ val check : ?bus_sync:bool -> Pnp_engine.Trace.t -> Finding.t list
     [Scr_apply] whose index exceeds every index the trace saw appended
     consumed an entry that did not exist yet (replay read ahead of the
     appended tail). *)
+
+(** {2 As one step of a shared replay} *)
+
+type t
+
+val create : ?bus_sync:bool -> unit -> t
+val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
+
+val races_of : t -> race list
+(** {!run} over the records stepped so far. *)
+
+val findings : t -> Finding.t list
+(** {!check} over the records stepped so far. *)

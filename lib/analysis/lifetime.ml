@@ -38,102 +38,118 @@ let status_label = function
   | Freed -> "freed"
   | Recycled -> "recycled"
 
-let run ?(leaks = false) tracer =
-  let nodes : (int, node_state) Hashtbl.t = Hashtbl.create 64 in
-  let findings = ref [] in
-  let get id =
-    match Hashtbl.find_opt nodes id with
-    | Some s -> Some s
-    | None -> None
-  in
-  let adopt id status r =
-    Hashtbl.replace nodes id { status; last = Some r; reported = false }
-  in
-  let report s id r what =
-    if not s.reported then begin
-      s.reported <- true;
-      let witnesses = match s.last with Some prev -> [ prev; r ] | None -> [ r ] in
-      findings :=
-        Finding.v ~checker:"lifetime"
-          ~subject:(Printf.sprintf "mnode %d" id)
-          ~witnesses
-          (Printf.sprintf "%s: node was %s" what (status_label s.status))
-        :: !findings
-    end
-  in
-  Trace.iter tracer (fun r ->
-      match r.Trace.ev with
-      | Trace.Mnode_alloc { node = id } -> (
-        match get id with
-        | None -> adopt id (Live 1) r
-        | Some s ->
-          (match s.status with
-          | Freed | Recycled -> () (* cache re-arm / recycled buffer reissued *)
-          | Live _ -> report s id r "allocated while still live");
-          s.status <- Live 1;
-          s.last <- Some r)
-      | Trace.Mnode_ref { node = id; refs } -> (
-        match get id with
-        | None -> adopt id (Live refs) r
-        | Some s ->
-          (match s.status with
-          | Freed | Recycled -> report s id r "reference taken on a dead node (use-after-free)"
-          | Live _ -> ());
-          s.status <- Live refs;
-          s.last <- Some r)
-      | Trace.Mnode_unref { node = id; refs } -> (
-        let next = if refs = 0 then Freed else Live refs in
-        match get id with
-        | None -> adopt id next r
-        | Some s ->
-          (match s.status with
-          | Freed | Recycled -> report s id r "reference dropped on a dead node (double-free)"
-          | Live _ -> ());
-          s.status <- next;
-          s.last <- Some r)
-      | Trace.Mnode_recycle { node = id } -> (
-        match get id with
-        | None -> adopt id Recycled r
-        | Some s ->
-          (match s.status with
-          | Freed -> ()
-          | Recycled -> report s id r "buffer recycled twice (double-free)"
-          | Live _ -> report s id r "buffer recycled under a live node");
-          s.status <- Recycled;
-          s.last <- Some r)
-      | Trace.Mnode_write { node = id } -> (
-        match get id with
-        | None -> () (* pre-window allocation; liveness unknowable *)
-        | Some s -> (
-          match s.status with
-          | Live _ -> s.last <- Some r
-          | Freed -> report s id r "bytes written after free (use-after-free)"
-          | Recycled -> report s id r "bytes written after arena recycle (write-after-recycle)"))
-      | _ -> ());
-  if leaks then begin
-    let leaked =
-      Hashtbl.fold
-        (fun id s acc ->
-          match s.status with Live _ -> (id, s) :: acc | Freed | Recycled -> acc)
-        nodes []
-      |> List.sort compare
-    in
-    match leaked with
-    | [] -> ()
-    | (id0, s0) :: _ ->
-      let ids = List.map fst leaked in
-      let shown = List.filteri (fun i _ -> i < 8) ids in
-      findings :=
-        Finding.v ~checker:"lifetime" ~subject:"leak"
-          ~witnesses:(match s0.last with Some r -> [ r ] | None -> [])
-          (Printf.sprintf
-             "%d node(s) still live at end of trace: %s%s (first leaked id %d)"
-             (List.length ids)
-             (String.concat ", " (List.map string_of_int shown))
-             (if List.length ids > List.length shown then ", ..." else "")
-             id0)
-        :: !findings
+(* Node states by id: the pool numbers nodes densely from 0. *)
+type t = {
+  mutable nodes : node_state option array;
+  mutable findings : Finding.t list;
+}
+
+let create () = { nodes = [||]; findings = [] }
+let get t id = if id < Array.length t.nodes then t.nodes.(id) else None
+
+let adopt t id status r =
+  let len = Array.length t.nodes in
+  if id >= len then begin
+    let a = Array.make (max (id + 1) (2 * len)) None in
+    Array.blit t.nodes 0 a 0 len;
+    t.nodes <- a
   end;
-  Finding.sort (List.rev !findings)
+  t.nodes.(id) <- Some { status; last = Some r; reported = false }
+
+let report t s id r what =
+  if not s.reported then begin
+    s.reported <- true;
+    let witnesses = match s.last with Some prev -> [ prev; r ] | None -> [ r ] in
+    t.findings <-
+      Finding.v ~checker:"lifetime"
+        ~subject:(Printf.sprintf "mnode %d" id)
+        ~witnesses
+        (Printf.sprintf "%s: node was %s" what (status_label s.status))
+      :: t.findings
+  end
+
+let step t _ctx (r : Trace.record) =
+  match r.Trace.ev with
+  | Trace.Mnode_alloc { node = id } -> (
+    match get t id with
+    | None -> adopt t id (Live 1) r
+    | Some s ->
+      (match s.status with
+      | Freed | Recycled -> () (* cache re-arm / recycled buffer reissued *)
+      | Live _ -> report t s id r "allocated while still live");
+      s.status <- Live 1;
+      s.last <- Some r)
+  | Trace.Mnode_ref { node = id; refs } -> (
+    match get t id with
+    | None -> adopt t id (Live refs) r
+    | Some s ->
+      (match s.status with
+      | Freed | Recycled ->
+        report t s id r "reference taken on a dead node (use-after-free)"
+      | Live _ -> ());
+      s.status <- Live refs;
+      s.last <- Some r)
+  | Trace.Mnode_unref { node = id; refs } -> (
+    let next = if refs = 0 then Freed else Live refs in
+    match get t id with
+    | None -> adopt t id next r
+    | Some s ->
+      (match s.status with
+      | Freed | Recycled ->
+        report t s id r "reference dropped on a dead node (double-free)"
+      | Live _ -> ());
+      s.status <- next;
+      s.last <- Some r)
+  | Trace.Mnode_recycle { node = id } -> (
+    match get t id with
+    | None -> adopt t id Recycled r
+    | Some s ->
+      (match s.status with
+      | Freed -> ()
+      | Recycled -> report t s id r "buffer recycled twice (double-free)"
+      | Live _ -> report t s id r "buffer recycled under a live node");
+      s.status <- Recycled;
+      s.last <- Some r)
+  | Trace.Mnode_write { node = id } -> (
+    match get t id with
+    | None -> () (* pre-window allocation; liveness unknowable *)
+    | Some s -> (
+      match s.status with
+      | Live _ -> s.last <- Some r
+      | Freed -> report t s id r "bytes written after free (use-after-free)"
+      | Recycled ->
+        report t s id r "bytes written after arena recycle (write-after-recycle)"))
+  | _ -> ()
+
+let findings ?(leaks = false) t =
+  let leak =
+    if not leaks then []
+    else
+      let leaked = ref [] in
+      for id = Array.length t.nodes - 1 downto 0 do
+        match t.nodes.(id) with
+        | Some ({ status = Live _; _ } as s) -> leaked := (id, s) :: !leaked
+        | Some _ | None -> ()
+      done;
+      let leaked = !leaked in
+      match leaked with
+      | [] -> []
+      | (id0, s0) :: _ ->
+        let ids = List.map fst leaked in
+        let shown = List.filteri (fun i _ -> i < 8) ids in
+        [
+          Finding.v ~checker:"lifetime" ~subject:"leak"
+            ~witnesses:(match s0.last with Some r -> [ r ] | None -> [])
+            (Printf.sprintf
+               "%d node(s) still live at end of trace: %s%s (first leaked id %d)"
+               (List.length ids)
+               (String.concat ", " (List.map string_of_int shown))
+               (if List.length ids > List.length shown then ", ..." else "")
+               id0);
+        ]
+  in
+  Finding.sort (List.rev (leak @ t.findings))
+
+let run ?leaks tracer = findings ?leaks (Replay.run tracer (create ()) step)
 
 let check ?leaks tracer = run ?leaks tracer

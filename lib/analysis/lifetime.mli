@@ -23,3 +23,13 @@ val check : ?leaks:bool -> Pnp_engine.Trace.t -> Finding.t list
 
 val run : ?leaks:bool -> Pnp_engine.Trace.t -> Finding.t list
 (** Alias of {!check}. *)
+
+(** {2 As one step of a shared replay} *)
+
+type t
+
+val create : unit -> t
+val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
+
+val findings : ?leaks:bool -> t -> Finding.t list
+(** What {!check} returns for the records stepped so far. *)

@@ -7,27 +7,32 @@ type edge = {
   acquire : Trace.record;
 }
 
-let edges tracer =
-  let seen : (string * string, edge) Hashtbl.t = Hashtbl.create 64 in
-  Replay.replay tracer (fun ctx r ->
-      match r.Trace.ev with
-      | Trace.Lock_grant { lock = second; _ } ->
-        let tid = r.Trace.tid in
-        List.iter
-          (fun first ->
-            if first <> second && not (Hashtbl.mem seen (first, second)) then
-              let holder =
-                match Replay.grant_record ctx ~tid ~lock:first with
-                | Some g -> g
-                | None -> r (* unreachable: held implies a recorded grant *)
-              in
-              Hashtbl.replace seen (first, second)
-                { first; second; holder; acquire = r })
-          (Replay.held ctx ~tid)
-      | _ -> ());
+type t = (string * string, edge) Hashtbl.t
+
+let create () : t = Hashtbl.create 64
+
+let step (seen : t) ctx (r : Trace.record) =
+  match r.Trace.ev with
+  | Trace.Lock_grant { lock = second; _ } ->
+    let tid = r.Trace.tid in
+    List.iter
+      (fun first ->
+        if first <> second && not (Hashtbl.mem seen (first, second)) then
+          let holder =
+            match Replay.grant_record ctx ~tid ~lock:first with
+            | Some g -> g
+            | None -> r (* unreachable: held implies a recorded grant *)
+          in
+          Hashtbl.replace seen (first, second) { first; second; holder; acquire = r })
+      (Replay.held ctx ~tid)
+  | _ -> ()
+
+let edges_of (seen : t) =
   Hashtbl.fold (fun _ e acc -> e :: acc) seen []
   |> List.sort (fun a b ->
          match compare a.first b.first with 0 -> compare a.second b.second | c -> c)
+
+let edges tracer = edges_of (Replay.run tracer (create ()) step)
 
 let cycles es =
   let adj : (string, edge list) Hashtbl.t = Hashtbl.create 16 in
@@ -77,8 +82,8 @@ let cycles es =
     nodes;
   List.rev !found
 
-let check tracer =
-  cycles (edges tracer)
+let findings t =
+  cycles (edges_of t)
   |> List.map (fun cycle ->
          let path =
            match cycle with
@@ -99,3 +104,5 @@ let check tracer =
                conflicting orders, a potential deadlock"
               (List.length cycle)))
   |> Finding.sort
+
+let check tracer = findings (Replay.run tracer (create ()) step)

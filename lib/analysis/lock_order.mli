@@ -26,3 +26,16 @@ val cycles : edge list -> edge list list
 val check : Pnp_engine.Trace.t -> Finding.t list
 (** One finding per cycle, witnessed by the grant pairs of every edge in
     the cycle. *)
+
+(** {2 As one step of a shared replay} *)
+
+type t
+
+val create : unit -> t
+val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
+
+val edges_of : t -> edge list
+(** {!edges} over the records stepped so far. *)
+
+val findings : t -> Finding.t list
+(** {!check} over the records stepped so far. *)

@@ -40,77 +40,84 @@ let context_cutoffs tracer =
       | _ -> ());
   cutoff
 
-let run tracer =
-  let cells : (string, cell) Hashtbl.t = Hashtbl.create 32 in
-  let findings = ref [] in
-  let cutoff = context_cutoffs tracer in
-  let incomplete_context r =
-    match Hashtbl.find_opt cutoff r.Trace.tid with
-    | Some t -> r.Trace.ts <= t
-    | None -> false
-  in
-  Replay.replay tracer (fun ctx r ->
-      match r.Trace.ev with
-      | Trace.Access { state = id; write } when not (incomplete_context r) ->
-        let c =
-          match Hashtbl.find_opt cells id with
-          | Some c -> c
-          | None ->
-            let c = { cls = Virgin; init_ls = []; n = 0; last = None; reported = false } in
-            Hashtbl.replace cells id c;
-            c
-        in
-        c.n <- c.n + 1;
-        let tid = r.Trace.tid in
-        let held = Replay.held ctx ~tid in
-        let report ls =
-          if not c.reported then begin
-            c.reported <- true;
-            let witnesses =
-              match c.last with Some prev -> [ prev; r ] | None -> [ r ]
-            in
-            findings :=
-              Finding.v ~checker:"lockset" ~subject:id ~witnesses
-                (Printf.sprintf
-                   "candidate lockset went empty: %s by tid %d holding %s (candidates \
-                    were %s) — shared state is reachable without a consistent lock"
-                   (if write then "write" else "read")
-                   tid (locks_str held) (locks_str ls))
-              :: !findings
-          end
-        in
-        (match c.cls with
-         | Virgin ->
-           c.cls <- Exclusive tid;
-           c.init_ls <- held
-         | Exclusive owner when owner = tid -> c.init_ls <- inter c.init_ls held
-         | Exclusive _ ->
-           (* Second thread: the candidate set is the locks the
-              initialising thread consistently held, intersected with
-              this access's held set. *)
-           let ls' = inter c.init_ls held in
-           if write then begin
-             c.cls <- Shared_modified ls';
-             if ls' = [] then report c.init_ls
-           end
-           else c.cls <- Shared ls'
-         | Shared ls ->
-           let ls' = inter ls held in
-           if write then begin
-             c.cls <- Shared_modified ls';
-             if ls' = [] then report ls
-           end
-           else c.cls <- Shared ls'
-         | Shared_modified ls ->
-           let ls' = inter ls held in
-           c.cls <- Shared_modified ls';
-           if ls' = [] then report ls);
-        c.last <- Some r
-      | _ -> ());
+type t = {
+  cells : (string, cell) Hashtbl.t;
+  cutoff : (int, int) Hashtbl.t;
+  mutable findings : Finding.t list;
+}
+
+let create tracer =
+  { cells = Hashtbl.create 32; cutoff = context_cutoffs tracer; findings = [] }
+
+let incomplete_context t (r : Trace.record) =
+  match Hashtbl.find_opt t.cutoff r.Trace.tid with
+  | Some ts -> r.Trace.ts <= ts
+  | None -> false
+
+let step t ctx (r : Trace.record) =
+  match r.Trace.ev with
+  | Trace.Access { state = id; write } when not (incomplete_context t r) ->
+    let c =
+      match Hashtbl.find_opt t.cells id with
+      | Some c -> c
+      | None ->
+        let c = { cls = Virgin; init_ls = []; n = 0; last = None; reported = false } in
+        Hashtbl.replace t.cells id c;
+        c
+    in
+    c.n <- c.n + 1;
+    let tid = r.Trace.tid in
+    let held = Replay.held ctx ~tid in
+    let report ls =
+      if not c.reported then begin
+        c.reported <- true;
+        let witnesses = match c.last with Some prev -> [ prev; r ] | None -> [ r ] in
+        t.findings <-
+          Finding.v ~checker:"lockset" ~subject:id ~witnesses
+            (Printf.sprintf
+               "candidate lockset went empty: %s by tid %d holding %s (candidates \
+                were %s) — shared state is reachable without a consistent lock"
+               (if write then "write" else "read")
+               tid (locks_str held) (locks_str ls))
+          :: t.findings
+      end
+    in
+    (match c.cls with
+     | Virgin ->
+       c.cls <- Exclusive tid;
+       c.init_ls <- held
+     | Exclusive owner when owner = tid -> c.init_ls <- inter c.init_ls held
+     | Exclusive _ ->
+       (* Second thread: the candidate set is the locks the initialising
+          thread consistently held, intersected with this access's held
+          set. *)
+       let ls' = inter c.init_ls held in
+       if write then begin
+         c.cls <- Shared_modified ls';
+         if ls' = [] then report c.init_ls
+       end
+       else c.cls <- Shared ls'
+     | Shared ls ->
+       let ls' = inter ls held in
+       if write then begin
+         c.cls <- Shared_modified ls';
+         if ls' = [] then report ls
+       end
+       else c.cls <- Shared ls'
+     | Shared_modified ls ->
+       let ls' = inter ls held in
+       c.cls <- Shared_modified ls';
+       if ls' = [] then report ls);
+    c.last <- Some r
+  | _ -> ()
+
+let result t =
   let states =
-    Hashtbl.fold (fun id c acc -> { id; class_ = c.cls; accesses = c.n } :: acc) cells []
+    Hashtbl.fold (fun id c acc -> { id; class_ = c.cls; accesses = c.n } :: acc) t.cells []
     |> List.sort (fun a b -> compare a.id b.id)
   in
-  (states, Finding.sort !findings)
+  (states, Finding.sort t.findings)
+
+let run tracer = result (Replay.run tracer (create tracer) step)
 
 let check tracer = snd (run tracer)

@@ -42,4 +42,19 @@ type state = {
 val run : Pnp_engine.Trace.t -> state list * Finding.t list
 (** Final per-identifier states (sorted by id) and the findings. *)
 
+(** {2 As one step of a shared replay}
+
+    {!run} is [create], then {!step} over {!Replay.replay}, then
+    {!result}; {!Check} drives the same step beside the other
+    checkers'. *)
+
+type t
+
+val create : Pnp_engine.Trace.t -> t
+(** Fresh state for one trace.  Walks the trace once to find each
+    thread's pre-window holds (see above). *)
+
+val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
+val result : t -> state list * Finding.t list
+
 val check : Pnp_engine.Trace.t -> Finding.t list

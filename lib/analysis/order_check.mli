@@ -35,3 +35,18 @@ val reordered_total : lock_stat list -> int * int
 val check : Pnp_engine.Trace.t -> Finding.t list
 (** Grant-order violations on FIFO locks, witnessed by the overtaken
     request and the overtaking grant. *)
+
+(** {2 As one step of a shared replay}
+
+    One step serves both {!stats} and {!check}. *)
+
+type t
+
+val create : Pnp_engine.Trace.t -> t
+val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
+
+val stats_of : t -> lock_stat list
+(** {!stats} over the records stepped so far. *)
+
+val findings : t -> Finding.t list
+(** {!check} over the records stepped so far. *)

@@ -25,3 +25,7 @@ val current_seq : ctx -> tid:int -> int option
 
 val replay : Pnp_engine.Trace.t -> (ctx -> Pnp_engine.Trace.record -> unit) -> unit
 (** Replay every record in emission order through the callback. *)
+
+val run : Pnp_engine.Trace.t -> 'a -> ('a -> ctx -> Pnp_engine.Trace.record -> unit) -> 'a
+(** [run tracer t step] replays the trace through [step t] and returns
+    [t]: how each checker runs its own per-record step alone. *)

@@ -70,9 +70,9 @@ val in_thread : t -> bool
 
 val delay : t -> Pnp_util.Units.ns -> unit
 (** Consume simulated time: the calling thread resumes [d] later.  When
-    no other event is queued at or before the wake-up (and tracing is
-    off), the clock advances in place without suspending; the event order
-    and {!events_processed} are the same either way. *)
+    no other event is queued at or before the wake-up, the clock advances
+    in place without suspending; the event order, {!events_processed} and
+    the trace records are the same either way. *)
 
 val suspend : t -> ((Pnp_util.Units.ns -> unit) -> unit) -> unit
 (** [suspend t register] blocks the calling thread.  [register] receives a

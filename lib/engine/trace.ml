@@ -38,30 +38,35 @@ type ev =
 type record = { ts : int; tid : int; cpu : int; ev : ev }
 
 (* Arena-backed record store.  Records land in fixed-size chunks whose
-   ts/tid/cpu columns are unboxed int arrays (only the event payload
+   ts and thread columns are unboxed int arrays (only the event payload
    stays a heap value), replacing the one-cons-plus-one-record-per-event
-   list the tracer used to build.  [clear] recycles full chunks into a
-   free list, so repeated trace/clear cycles reuse the same memory.
+   list the tracer used to build.  The thread column packs tid and cpu
+   into one int (both are small: thread and CPU numbers, or -1), so a
+   record costs three words of chunk.  [clear] recycles full chunks into
+   a free list, so repeated trace/clear cycles reuse the same memory.
    Chunks are allocated lazily on the first emit: a disabled tracer (the
    default — one exists per sim) costs a few words, not a chunk. *)
 type chunk = {
   c_ts : int array;
-  c_tid : int array;
-  c_cpu : int array;
+  c_who : int array; (* [pack ~tid ~cpu] *)
   c_ev : ev array;
 }
 
 let chunk_size = 4096
 
-let empty_chunk = { c_ts = [||]; c_tid = [||]; c_cpu = [||]; c_ev = [||] }
+let empty_chunk = { c_ts = [||]; c_who = [||]; c_ev = [||] }
 
 let fresh_chunk () =
   {
     c_ts = Array.make chunk_size 0;
-    c_tid = Array.make chunk_size 0;
-    c_cpu = Array.make chunk_size 0;
+    c_who = Array.make chunk_size 0;
     c_ev = Array.make chunk_size Thread_block;
   }
+
+(* tid in the high bits, cpu sign-extended from the low 31. *)
+let pack ~tid ~cpu = (tid lsl 31) lor (cpu land 0x7fff_ffff)
+let tid_of w = w asr 31
+let cpu_of w = (w lsl 32) asr 32
 
 type t = {
   mutable on : bool;
@@ -126,8 +131,7 @@ let emit t ~ts ~tid ~cpu ev =
     end;
     let c = t.cur and i = t.cur_len in
     c.c_ts.(i) <- ts;
-    c.c_tid.(i) <- tid;
-    c.c_cpu.(i) <- cpu;
+    c.c_who.(i) <- pack ~tid ~cpu;
     c.c_ev.(i) <- ev;
     t.cur_len <- i + 1;
     t.n <- t.n + 1
@@ -138,7 +142,8 @@ let count t = t.n
 let iter t f =
   let visit c len =
     for i = 0 to len - 1 do
-      f { ts = c.c_ts.(i); tid = c.c_tid.(i); cpu = c.c_cpu.(i); ev = c.c_ev.(i) }
+      let w = c.c_who.(i) in
+      f { ts = c.c_ts.(i); tid = tid_of w; cpu = cpu_of w; ev = c.c_ev.(i) }
     done
   in
   List.iter (fun c -> visit c (Array.length c.c_ts)) (List.rev t.filled);

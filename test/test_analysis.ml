@@ -330,6 +330,89 @@ let test_clean_tcp_send_run_has_no_findings () =
   Alcotest.(check int) "clean tree is clean" 0 (List.length (Check.all tracer))
 
 (* ------------------------------------------------------------------ *)
+(* One shared pass vs each checker alone                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [Check.run] drives every checker's step in one traversal; it must
+   report exactly what the standalone entry points report. *)
+let shared_pass_matches name t =
+  let texts fs = List.map Finding.to_string fs in
+  let alone =
+    Finding.dedupe
+      (Finding.sort
+         (Lockset.check t @ Hb.check t @ Lifetime.check t @ Lock_order.check t
+        @ Order_check.check t))
+  in
+  let c = Check.run t in
+  Alcotest.(check (list string)) (name ^ ": findings") (texts alone) (texts c.Check.findings);
+  Alcotest.(check (list string)) (name ^ ": Check.all") (texts alone) (texts (Check.all t));
+  let states, lockset = Lockset.run t in
+  Alcotest.(check bool) (name ^ ": lockset states") true (states = c.Check.states);
+  Alcotest.(check (list string)) (name ^ ": lockset findings") (texts lockset)
+    (texts c.Check.lockset);
+  Alcotest.(check (list string)) (name ^ ": hb races") (Hb.races t) c.Check.races;
+  Alcotest.(check bool) (name ^ ": order stats") true (Order_check.stats t = c.Check.order);
+  c.Check.findings
+
+(* One seeded defect per checker family, alone and all in one trace. *)
+let seeded_defects =
+  [
+    ( "lockset",
+      [ (1, acc "tcb#ctr"); (1, acc "tcb#ctr"); (2, acc "tcb#ctr"); (2, acc "tcb#ctr") ] );
+    ( "hb-race",
+      (* An unlocked write against reads Eraser's read-shared state never
+         reports, then an SCR apply ahead of the appended tail. *)
+      [
+        (1, acc "cfg#mtu"); (2, acc ~write:false "cfg#mtu"); (3, acc ~write:false "cfg#mtu");
+        (0, Trace.Scr_append { log = "scr:conn0"; idx = 0 });
+        (4, Trace.Scr_apply { log = "scr:conn0"; idx = 2 });
+        (4, Trace.Scr_apply_end { log = "scr:conn0"; idx = 2 });
+      ] );
+    ( "lifetime",
+      [
+        (1, Trace.Mnode_alloc { node = 7 }); (1, Trace.Mnode_unref { node = 7; refs = 0 });
+        (2, Trace.Mnode_ref { node = 7; refs = 1 });
+        (1, Trace.Mnode_alloc { node = 3 }); (1, Trace.Mnode_unref { node = 3; refs = 0 });
+        (1, Trace.Mnode_recycle { node = 3 }); (2, Trace.Mnode_write { node = 3 });
+      ] );
+    ( "lock-order",
+      [
+        (1, grant "a"); (1, grant "b"); (1, rel "b"); (1, rel "a");
+        (2, grant "b"); (2, grant "c"); (2, rel "c"); (2, rel "b");
+        (3, grant "c"); (3, grant "a"); (3, rel "a"); (3, rel "c");
+      ] );
+    ("fifo-order", [ (1, req "m"); (2, req "m"); (2, grant "m"); (1, grant "m") ]);
+  ]
+
+let test_shared_pass_seeded_defects () =
+  let locks = [ ("m", "fifo") ] in
+  List.iter
+    (fun (checker, evs) ->
+      let found = shared_pass_matches checker (make_trace ~locks evs) in
+      Alcotest.(check bool) (checker ^ " fires") true
+        (List.exists (fun f -> f.Finding.checker = checker) found))
+    seeded_defects;
+  let found =
+    shared_pass_matches "all defects"
+      (make_trace ~locks (List.concat_map snd seeded_defects))
+  in
+  List.iter
+    (fun (checker, _) ->
+      Alcotest.(check bool) (checker ^ " fires in the merged trace") true
+        (List.exists (fun f -> f.Finding.checker = checker) found))
+    seeded_defects;
+  ignore (shared_pass_matches "inverted TCP-6 order" (inversion_trace ~invert:true))
+
+(* One real traced cell per discipline: the steps see every record kind
+   the stack emits. *)
+let test_shared_pass_real_cells () =
+  List.iter
+    (fun disc ->
+      let _result, tracer = checked_scenario ~tcp_locking:disc () in
+      ignore (shared_pass_matches (Pnp_harness.Config.locking_label disc) tracer))
+    Pnp_proto.Tcp.[ One; Two; Six; Scr; Rcu ]
+
+(* ------------------------------------------------------------------ *)
 (* Lint                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -628,6 +711,13 @@ let suites =
           test_clean_tcp6_run_has_no_findings;
         Alcotest.test_case "TCP-2 send run is clean" `Quick
           test_clean_tcp_send_run_has_no_findings;
+      ] );
+    ( "analysis.shared",
+      [
+        Alcotest.test_case "seeded defects match the checkers alone" `Quick
+          test_shared_pass_seeded_defects;
+        Alcotest.test_case "one cell per discipline matches" `Quick
+          test_shared_pass_real_cells;
       ] );
     ( "analysis.lint",
       [

@@ -247,42 +247,69 @@ let test_sim_deterministic_given_seed () =
   (* Not a hard guarantee for every pair of seeds, but these differ. *)
   Alcotest.(check bool) "different seeds differ" true (run 1 <> run 5)
 
-(* The inline [delay] path must be invisible.  Tracing turns it off, so
-   a traced run takes the suspend/resume path for every delay and is the
-   reference: the same program traced and untraced fires every callback
-   and thread step in the same order at the same times, and retires the
-   same event count.  The program mixes contended locks (suspend/resume),
-   timestamp ties ([at] callbacks and threads landing on the same
-   instant), zero-length delays, yields and PRNG-driven jitter. *)
+(* The inline [delay] path must be invisible: the same program traced
+   and untraced fires every callback and thread step in the same order at
+   the same times, and retires the same event count.  The program mixes
+   contended locks (suspend/resume), timestamp ties ([at] callbacks and
+   threads landing on the same instant), zero-length delays, yields and
+   PRNG-driven jitter.  Shared with the trace test below. *)
+let traced_program sim =
+  let log = ref [] in
+  let note tag = log := (tag, Sim.now sim) :: !log in
+  let lock = Lock.create sim arch Lock.Fifo ~name:"l" in
+  for k = 1 to 3 do
+    Sim.at sim (k * 500) (fun () -> note (Printf.sprintf "cb%d" k));
+    Sim.at sim (k * 500) (fun () -> note (Printf.sprintf "cb%d'" k))
+  done;
+  for i = 1 to 4 do
+    ignore
+      (Sim.spawn sim ~name:(Printf.sprintf "t%d" i) (fun () ->
+           for r = 1 to 10 do
+             Sim.delay sim (100 * Prng.int (Sim.prng sim) 5);
+             Lock.acquire lock;
+             note (Printf.sprintf "t%d.%d" i r);
+             Sim.delay sim 100;
+             Lock.release lock;
+             if r mod 3 = 0 then Sim.yield sim
+           done))
+  done;
+  Sim.run sim;
+  List.rev !log
+
 let test_sim_traced_equivalence () =
   let run traced =
     let sim = Sim.create ~seed:17 () in
     if traced then Trace.enable (Sim.tracer sim);
-    let log = ref [] in
-    let note tag = log := (tag, Sim.now sim) :: !log in
-    let lock = Lock.create sim arch Lock.Fifo ~name:"l" in
-    for k = 1 to 3 do
-      Sim.at sim (k * 500) (fun () -> note (Printf.sprintf "cb%d" k));
-      Sim.at sim (k * 500) (fun () -> note (Printf.sprintf "cb%d'" k))
-    done;
-    for i = 1 to 4 do
-      ignore
-        (Sim.spawn sim ~name:(Printf.sprintf "t%d" i) (fun () ->
-             for r = 1 to 10 do
-               Sim.delay sim (100 * Prng.int (Sim.prng sim) 5);
-               Lock.acquire lock;
-               note (Printf.sprintf "t%d.%d" i r);
-               Sim.delay sim 100;
-               Lock.release lock;
-               if r mod 3 = 0 then Sim.yield sim
-             done))
-    done;
-    Sim.run sim;
-    (List.rev !log, Sim.events_processed sim)
+    let log = traced_program sim in
+    (log, Sim.events_processed sim)
   in
   let log_t, n_t = run true and log_u, n_u = run false in
   Alcotest.(check (list (pair string int))) "same dispatch order and times" log_t log_u;
   Alcotest.(check int) "same events processed" n_t n_u
+
+(* Tracing keeps the inline [delay], so its reference is the suspend path
+   forced by a dense grid of no-op callbacks, one per nanosecond of the
+   run: with a callback always pending before the wake-up, no positive
+   delay can complete in place.  Both runs must write the same trace
+   records, and the forced run retires exactly one more event per grid
+   callback. *)
+let test_sim_inline_delay_trace () =
+  let run ~grid =
+    let sim = Sim.create ~seed:17 () in
+    Trace.enable (Sim.tracer sim);
+    for ns = 1 to grid do
+      Sim.at sim ns ignore
+    done;
+    let log = traced_program sim in
+    (log, Trace.events (Sim.tracer sim), Sim.events_processed sim, Sim.now sim)
+  in
+  let log_i, trace_i, n_i, horizon = run ~grid:0 in
+  let log_s, trace_s, n_s, _ = run ~grid:horizon in
+  Alcotest.(check bool) "the program blocks and resumes" true
+    (List.exists (fun (r : Trace.record) -> r.Trace.ev = Trace.Thread_resume) trace_i);
+  Alcotest.(check (list (pair string int))) "same dispatch order and times" log_i log_s;
+  Alcotest.(check bool) "identical trace records" true (trace_i = trace_s);
+  Alcotest.(check int) "events differ by the grid" horizon (n_s - n_i)
 
 (* ------------------------------------------------------------------ *)
 (* Lock                                                                *)
@@ -870,6 +897,8 @@ let suites =
         Alcotest.test_case "deterministic per seed" `Quick test_sim_deterministic_given_seed;
         Alcotest.test_case "traced dispatch equals untraced" `Quick
           test_sim_traced_equivalence;
+        Alcotest.test_case "inline delay writes the suspend path's trace" `Quick
+          test_sim_inline_delay_trace;
       ] );
     ( "engine.lock",
       [

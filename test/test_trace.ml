@@ -169,6 +169,20 @@ let test_disabled_records_nothing () =
   Sim.run sim;
   Alcotest.(check int) "no events while disabled" 0 (Trace.count (Sim.tracer sim))
 
+(* The thread column packs tid and cpu into one int: every value a
+   record can carry, -1 (outside any thread) included, must come back. *)
+let test_records_keep_tid_and_cpu () =
+  let t = Trace.create () in
+  Trace.enable t;
+  let who = [ (-1, -1); (0, 0); (5, 3); (3, -1); (1_000_000, 63); (7, 1 lsl 29) ] in
+  (* The tracer was just enabled unconditionally above. *)
+  List.iteri
+    (fun i (tid, cpu) -> Trace.emit t ~ts:i ~tid ~cpu Trace.Thread_block (* lint:allow *))
+    who;
+  Alcotest.(check (list (pair int int)))
+    "tid and cpu round-trip" who
+    (List.map (fun (r : Trace.record) -> (r.Trace.tid, r.Trace.cpu)) (Trace.events t))
+
 let fig10_cfg ~seed =
   Config.v ~protocol:Config.Tcp ~side:Config.Recv ~payload:4096 ~checksum:true
     ~lock_disc:Lock.Unfair ~procs:8 ~warmup:(Pnp_util.Units.ms 30.0)
@@ -303,6 +317,7 @@ let suites =
         Alcotest.test_case "gate passes in ticket order" `Quick
           test_gate_pass_after_take_in_ticket_order;
         Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
+        Alcotest.test_case "records keep tid and cpu" `Quick test_records_keep_tid_and_cpu;
         Alcotest.test_case "chrome export sanity" `Quick test_chrome_export_sanity;
       ] );
     ( "harness.trace",
