@@ -33,13 +33,13 @@ type obs = {
 let fnv_offset = 0x4bf29ce484222325
 let fnv_prime = 0x100000001b3
 
+let digest_byte acc b = (acc lxor b) * fnv_prime
+
 let digest_add acc s =
   let h = ref acc in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := digest_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 let digest s = digest_add fnv_offset s

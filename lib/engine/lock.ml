@@ -12,7 +12,9 @@ type t = {
   acquire_ns : int;
   mutable owner : Sim.thread option;
   mutable last_cpu : int;
-  mutable waiters : waiter list; (* in arrival order *)
+  mutable waiters : waiter array;
+      (* slots [0, nwaiters) in arrival order; [||] while nobody waits *)
+  mutable nwaiters : int;
   mutable hold_start : int;
   mutable acquisitions : int;
   mutable contended : int;
@@ -40,7 +42,8 @@ let create sim arch disc ~name =
     acquire_ns;
     owner = None;
     last_cpu = -1;
-    waiters = [];
+    waiters = [||];
+    nwaiters = 0;
     hold_start = 0;
     acquisitions = 0;
     contended = 0;
@@ -64,6 +67,18 @@ let become_owner t th ~grant_time =
   t.acquisitions <- t.acquisitions + 1;
   t.hold_start <- grant_time
 
+(* The queue array is allocated on first contention and doubles when
+   full; [take_waiter] drops it again once the queue drains. *)
+let enqueue t w =
+  let n = t.nwaiters in
+  if n = Array.length t.waiters then begin
+    let grown = Array.make (max 4 (2 * n)) w in
+    Array.blit t.waiters 0 grown 0 n;
+    t.waiters <- grown
+  end;
+  t.waiters.(n) <- w;
+  t.nwaiters <- n + 1
+
 let acquire t =
   if Sim.defer_active t.sim then
     (* Deferred-charge section (SCR replay): the section re-executes code
@@ -79,7 +94,7 @@ let acquire t =
      we learn the outcome; another thread may slip in during it. *)
   Sim.delay t.sim t.acquire_ns;
   if Trace.enabled (Sim.tracer t.sim) then
-    Sim.trace t.sim (Trace.Lock_request { lock = t.name; waiters = List.length t.waiters });
+    Sim.trace t.sim (Trace.Lock_request { lock = t.name; waiters = t.nwaiters });
   match t.owner with
   | None ->
     let mig = migration_ns t th in
@@ -90,8 +105,7 @@ let acquire t =
   | Some _ ->
     t.contended <- t.contended + 1;
     let enq_time = Sim.now t.sim in
-    Sim.suspend t.sim (fun resume ->
-        t.waiters <- t.waiters @ [ { th; resume } ]);
+    Sim.suspend t.sim (fun resume -> enqueue t { th; resume });
     (* Resumed by [release]; ownership and stats were set there. *)
     let waited = Sim.now t.sim - enq_time in
     t.total_wait_ns <- t.total_wait_ns + waited;
@@ -99,37 +113,30 @@ let acquire t =
     if Trace.enabled (Sim.tracer t.sim) then
       Sim.trace t.sim
         (Trace.Lock_grant
-           { lock = t.name; waiters = List.length t.waiters; wait_ns = waited })
+           { lock = t.name; waiters = t.nwaiters; wait_ns = waited })
   end
 
-(* Remove and return the waiter chosen by the discipline.  Unfair locks
-   model the IRIX mutex: the grant goes to an arbitrary waiter. *)
-let pick_waiter t =
-  match t.waiters with
-  | [] -> None
-  | [ w ] ->
-    t.waiters <- [];
-    Some w
-  | ws -> (
-    match t.disc with
-    | Fifo ->
-      (match ws with
-       | w :: rest ->
-         t.waiters <- rest;
-         Some w
-       | [] -> None)
-    | Barging ->
-      (* newest arrival wins the test-and-set race *)
-      (match List.rev ws with
-       | w :: rest_rev ->
-         t.waiters <- List.rev rest_rev;
-         Some w
-       | [] -> None)
-    | Unfair ->
-      let i = Prng.int (Sim.prng t.sim) (List.length ws) in
-      let w = List.nth ws i in
-      t.waiters <- List.filteri (fun j _ -> j <> i) ws;
-      Some w)
+(* Remove and return the waiter chosen by the discipline; the queue must
+   be non-empty.  Unfair locks model the IRIX mutex: the grant goes to an
+   arbitrary waiter, drawn only when there is a choice to make. *)
+let take_waiter t =
+  let n = t.nwaiters in
+  let q = t.waiters in
+  let i =
+    if n = 1 then 0
+    else
+      match t.disc with
+      | Fifo -> 0
+      | Barging -> n - 1 (* newest arrival wins the test-and-set race *)
+      | Unfair -> Prng.int (Sim.prng t.sim) n
+  in
+  let w = q.(i) in
+  Array.blit q (i + 1) q i (n - 1 - i);
+  t.nwaiters <- n - 1;
+  (* A drained queue lets its array go; otherwise the vacated tail slot
+     aliases a live waiter so it retains nothing. *)
+  if n = 1 then t.waiters <- [||] else q.(n - 1) <- q.(0);
+  w
 
 (* A non-owner release is always a caller bug; name everyone involved so
    the report is actionable without a debugger. *)
@@ -154,11 +161,12 @@ let release t =
   t.total_hold_ns <- t.total_hold_ns + (now - t.hold_start);
   if Trace.enabled (Sim.tracer t.sim) then
     Sim.trace t.sim (Trace.Lock_release { lock = t.name; hold_ns = now - t.hold_start });
-  match pick_waiter t with
-  | None ->
+  if t.nwaiters = 0 then begin
     t.owner <- None;
     t.last_cpu <- Sim.cpu th
-  | Some w ->
+  end
+  else
+    let w = take_waiter t in
     let mig = migration_ns t w.th in
     let grant_time = now + t.arch.Arch.handoff_ns + mig in
     if Trace.enabled (Sim.tracer t.sim) then

@@ -41,8 +41,8 @@ let p99_ms (o : Overload.outcome) =
   | cs -> Report.percentile 99.0 (List.map (fun (_, ns) -> float_of_int ns /. 1e6) cs)
 
 (* The sweep axis is the sender count, not processors; encode it directly
-   in the integer [procs] field (the presenter and the JSON export read
-   it back as senders). *)
+   in the integer [procs] field.  The printed tables name the axis
+   ([senders] or [flows]); the JSON export keeps the field name. *)
 let point senders v = { Report.procs = senders; mean = v; ci90 = 0.0 }
 
 let series plans axis results pick =
@@ -86,33 +86,33 @@ let incast_data opts =
   let bseries = series plans baxis bresults in
   [
     Report.table ~title:"Extension: incast goodput (x-axis: senders)"
-      ~unit_label:"Mbit/s"
+      ~unit_label:"Mbit/s" ~axis:"senders"
       (iseries (fun o -> o.Overload.goodput_mbps));
     Report.table ~title:"Extension: incast fairness (x-axis: senders)"
-      ~unit_label:"Jain index"
+      ~unit_label:"Jain index" ~axis:"senders"
       (iseries (fun o -> o.Overload.fairness));
     Report.table
       ~title:"Extension: incast p99 connect-to-done latency (x-axis: senders)"
-      ~unit_label:"ms" (iseries p99_ms);
+      ~unit_label:"ms" ~axis:"senders" (iseries p99_ms);
     Report.table
       ~title:"Extension: incast accounted drops, all named causes (x-axis: senders)"
-      ~unit_label:"frames"
+      ~unit_label:"frames" ~axis:"senders"
       (iseries (fun o ->
            float_of_int (Pnp_analysis.Recovery.total_drops o.Overload.drops)));
     Report.table
       ~title:
         "Extension: incast oracle + watchdog findings — 0 everywhere means \
          graceful degradation (x-axis: senders)"
-      ~unit_label:"findings"
+      ~unit_label:"findings" ~axis:"senders"
       (iseries (fun o -> float_of_int (List.length o.Overload.findings)));
     Report.table
       ~title:"Extension: shared-bottleneck fairness (x-axis: flows)"
-      ~unit_label:"Jain index"
+      ~unit_label:"Jain index" ~axis:"flows"
       (bseries (fun o -> o.Overload.fairness));
     Report.table
       ~title:
         "Extension: shared-bottleneck p99 connect-to-done latency (x-axis: flows)"
-      ~unit_label:"ms" (bseries p99_ms);
+      ~unit_label:"ms" ~axis:"flows" (bseries p99_ms);
   ]
 
 let incast_present _opts tables =

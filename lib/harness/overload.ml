@@ -39,11 +39,26 @@ type outcome = {
   findings : Finding.t list;
 }
 
-(* Per-flow golden stream: printable, deterministic, distinct per flow,
-   so cross-flow misdelivery shows up as a digest mismatch rather than
-   passing by coincidence. *)
+(* Byte [i] of a flow's golden stream: printable, deterministic,
+   distinct per flow, so cross-flow misdelivery shows up as a digest
+   mismatch rather than passing by coincidence. *)
+let golden_byte ~seed ~flow i = 32 + ((i + (seed * 131) + (flow * 17)) mod 95)
+
 let golden ~seed ~flow ~bytes =
-  String.init bytes (fun i -> Char.chr (32 + ((i + (seed * 131) + (flow * 17)) mod 95)))
+  let b = Bytes.create bytes in
+  for i = 0 to bytes - 1 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (golden_byte ~seed ~flow i))
+  done;
+  Bytes.unsafe_to_string b
+
+(* The digest of the golden stream's first [bytes] bytes, taken from the
+   generator: the oracle never rebuilds a stream. *)
+let golden_digest ~seed ~flow ~bytes =
+  let h = ref (Recovery.digest "") in
+  for i = 0 to bytes - 1 do
+    h := Recovery.digest_byte !h (golden_byte ~seed ~flow i)
+  done;
+  !h
 
 let caught_checksums (a : Stack.t) (b : Stack.t) =
   Ip.header_failures a.Stack.ip + Ip.header_failures b.Stack.ip
@@ -193,11 +208,7 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
              expected_digest =
                (* over-delivery is reported by the oracle's length rule;
                   clamp so the digest here stays well-defined *)
-               Recovery.digest
-                 (String.sub
-                    (golden ~seed ~flow:f.id ~bytes:bytes_per_flow)
-                    0
-                    (min f.received bytes_per_flow));
+               golden_digest ~seed ~flow:f.id ~bytes:(min f.received bytes_per_flow);
            })
          flows)
   in

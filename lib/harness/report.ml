@@ -2,9 +2,9 @@ open Pnp_util
 
 type point = { procs : int; mean : float; ci90 : float }
 type series = { label : string; points : point list }
-type table = { title : string; unit_label : string; series : series list }
+type table = { title : string; unit_label : string; axis : string; series : series list }
 
-let table ~title ~unit_label series = { title; unit_label; series }
+let table ~title ~unit_label ?(axis = "procs") series = { title; unit_label; axis; series }
 
 (* One sweep cell = one (processor count, seed) pair.  The cells are
    independent seeded simulations, so they fan out across the worker
@@ -61,12 +61,17 @@ let speedup s =
             s.points;
       }
 
-let print_table ~title ~unit_label series =
+let print_table ~title ~unit_label ?(axis = "procs") series =
   Printf.printf "\n== %s ==\n" title;
   let width = List.fold_left (fun w s -> max w (String.length s.label)) 14 series in
   let width = width + 2 in
-  Printf.printf "%-6s" "procs";
-  List.iter (fun s -> Printf.printf "%*s" width s.label) series;
+  (* A long axis name borrows from the first label's padding, so the
+     value columns stay where the rows print them. *)
+  let overflow = max 0 (String.length axis - 6) in
+  Printf.printf "%-6s" axis;
+  List.iteri
+    (fun i s -> Printf.printf "%*s" (if i = 0 then width - overflow else width) s.label)
+    series;
   Printf.printf "   (%s)\n" unit_label;
   let all_procs =
     List.sort_uniq compare
@@ -85,7 +90,7 @@ let print_table ~title ~unit_label series =
     all_procs;
   flush stdout
 
-let print t = print_table ~title:t.title ~unit_label:t.unit_label t.series
+let print t = print_table ~title:t.title ~unit_label:t.unit_label ~axis:t.axis t.series
 
 let value_at s procs =
   match List.find_opt (fun p -> p.procs = procs) s.points with

@@ -14,10 +14,13 @@
 type point = { procs : int; mean : float; ci90 : float }
 type series = { label : string; points : point list }
 
-type table = { title : string; unit_label : string; series : series list }
-(** One printed/exported table: a titled set of series with a unit. *)
+type table = { title : string; unit_label : string; axis : string; series : series list }
+(** One printed/exported table: a titled set of series with a unit.
+    [axis] names the x-axis in the printed header; the JSON export keeps
+    the [procs] field name whatever it is. *)
 
-val table : title:string -> unit_label:string -> series list -> table
+val table : title:string -> unit_label:string -> ?axis:string -> series list -> table
+(** [axis] defaults to ["procs"]. *)
 
 val throughput_series :
   label:string -> procs:int list -> seeds:int -> (int -> Config.t) -> series
@@ -42,8 +45,10 @@ val speedup : series -> series
 val print : table -> unit
 (** Print one table (see {!print_table}). *)
 
-val print_table : title:string -> unit_label:string -> series list -> unit
-(** Aligned table: one row per processor count, one column per series.
+val print_table :
+  title:string -> unit_label:string -> ?axis:string -> series list -> unit
+(** Aligned table: one row per x-axis value (processor count unless
+    [axis] names another, default ["procs"]), one column per series.
     Pure printing — JSON export happens from the table values in
     {!Json_out}, not here. *)
 

@@ -238,6 +238,59 @@ end
 
 module Conn_map = Xmap.Make (Conn_key)
 
+(* A set of registration ordinals, one bit each: the timer scans visit
+   only the sessions whose bit is set instead of every session. *)
+module Ordset = struct
+  type t = { mutable words : int array }
+
+  let bits = Sys.int_size
+  let create () = { words = [||] }
+
+  (* Room for ordinals below [n]. *)
+  let reserve s n =
+    let need = (n + bits - 1) / bits in
+    let have = Array.length s.words in
+    if need > have then begin
+      let words = Array.make need 0 in
+      Array.blit s.words 0 words 0 have;
+      s.words <- words
+    end
+
+  let add s i =
+    let w = i / bits in
+    s.words.(w) <- s.words.(w) lor (1 lsl (i - (w * bits)))
+
+  let remove s i =
+    let w = i / bits in
+    s.words.(w) <- s.words.(w) land lnot (1 lsl (i - (w * bits)))
+
+  (* The highest set bit of a nonzero word, by halving: a scan visits
+     one member per call, so a bit-at-a-time search would dominate it. *)
+  let msb x =
+    if x < 0 then bits - 1
+    else begin
+      let x = ref x and n = ref 0 in
+      if !x lsr 32 <> 0 then (x := !x lsr 32; n := 32);
+      if !x lsr 16 <> 0 then (x := !x lsr 16; n := !n + 16);
+      if !x lsr 8 <> 0 then (x := !x lsr 8; n := !n + 8);
+      if !x lsr 4 <> 0 then (x := !x lsr 4; n := !n + 4);
+      if !x lsr 2 <> 0 then (x := !x lsr 2; n := !n + 2);
+      if !x lsr 1 <> 0 then n := !n + 1;
+      !n
+    end
+
+  (* The largest member below [i], or -1. *)
+  let rec prev s i =
+    if i <= 0 then -1
+    else begin
+      let w = (i - 1) / bits in
+      let top = i - 1 - (w * bits) in
+      let below = if top = bits - 1 then -1 else (1 lsl (top + 1)) - 1 in
+      let word = s.words.(w) land below in
+      if word <> 0 then (w * bits) + msb word else prev s (w * bits)
+    end
+end
+
 type t = {
   plat : Platform.t;
   pool : Mpool.t;
@@ -250,7 +303,10 @@ type t = {
   iss_source : Atomic_ctr.t;
   conns : session Conn_map.t;
   create_lock : Lock.t;
-  mutable all_sessions : session list;
+  mutable registry : session array; (* by registration ordinal *)
+  mutable registered : int;
+  pending_delacks : Ordset.t; (* ordinals whose delayed ACK may be pending *)
+  armed_timers : Ordset.t; (* ordinals with a 500 ms timer that may be armed *)
   accepting : (session -> unit) Conn_map.t; (* listen ports, wildcard-keyed *)
   mutable timers_running : bool;
   mutable shutdown : bool;
@@ -266,6 +322,7 @@ and session = {
   sync : sync;
   gate : Gate.t;
   sess_ref : Atomic_ctr.t;
+  mutable ord : int; (* registration ordinal; -1 until registered *)
   mutable receiver : Msg.t -> unit;
   mutable on_fin : unit -> unit; (* upcall once the peer's FIN is in order *)
   st : stats;
@@ -496,6 +553,7 @@ let fresh_session t key =
     sync = make_sync t.plat ~name:base ~scr_bound:t.cfg.scr_log_bound t.cfg.locking;
     gate = Gate.create t.plat.Platform.sim t.plat.Platform.arch ~name:"tcp.order";
     sess_ref = Platform.refcnt t.plat ~name:"tcp.sess" ~init:1;
+    ord = -1;
     receiver = (fun msg -> Msg.destroy msg);
     on_fin = (fun () -> ());
     st = fresh_stats ();
@@ -595,7 +653,32 @@ let transmit sess pendings =
    still flowing. *)
 let rto_ticks tcb shift = max 2 ((tcb.rto + slowtimo_ns - 1) / slowtimo_ns) lsl min shift 6
 
-let set_rexmt_timer tcb = tcb.t_rexmt <- rto_ticks tcb tcb.rxtshift
+(* Every site that arms a timer or leaves a delayed ACK pending marks the
+   session for the timer scans.  An unregistered session is skipped:
+   [register_session] marks whatever it already has armed. *)
+let mark_timer sess = if sess.ord >= 0 then Ordset.add sess.proto.armed_timers sess.ord
+let mark_delack sess = if sess.ord >= 0 then Ordset.add sess.proto.pending_delacks sess.ord
+
+let timer_armed tcb = tcb.t_rexmt > 0 || tcb.t_persist > 0 || tcb.t_2msl > 0
+
+let set_rexmt_timer sess =
+  let tcb = sess.tcb in
+  tcb.t_rexmt <- rto_ticks tcb tcb.rxtshift;
+  mark_timer sess
+
+let set_persist_timer sess =
+  let tcb = sess.tcb in
+  tcb.t_persist <- rto_ticks tcb tcb.persist_shift;
+  mark_timer sess
+
+let enter_time_wait sess =
+  sess.tcb.state <- Time_wait;
+  sess.tcb.t_2msl <- msl_ticks;
+  mark_timer sess
+
+let set_delack sess =
+  sess.tcb.delack_pending <- true;
+  mark_delack sess
 
 (* Build at most ONE new segment (or the FIN).  Caller holds the
    send-state lock(s); Six takes rexmt/header locks inside.  One segment
@@ -635,7 +718,7 @@ let build_one sess =
       tcb.t_rtttime <- Sim.now t.plat.Platform.sim;
       tcb.t_rtseq <- seq
     end;
-    if tcb.t_rexmt = 0 then set_rexmt_timer tcb;
+    if tcb.t_rexmt = 0 then set_rexmt_timer sess;
     tcb.delack_pending <- false;
     emit sess ~flags:Tcp_wire.flag_ack ~seq ~payload:(Some payload) []
   end
@@ -645,7 +728,7 @@ let build_one sess =
   then begin
     (* Zero window with nothing in flight: nothing will ever ack; arm the
        persist timer so we probe the window (BSD tcp_setpersist). *)
-    tcb.t_persist <- rto_ticks tcb tcb.persist_shift;
+    set_persist_timer sess;
     []
   end
   else if tcb.fin_queued && (not tcb.fin_sent) && unsent <= 0 then begin
@@ -655,7 +738,7 @@ let build_one sess =
     tcb.snd_nxt <- Tcp_seq.add tcb.snd_nxt 1;
     tcb.snd_max <- Tcp_seq.max tcb.snd_max tcb.snd_nxt;
     tcb.fin_sent <- true;
-    if tcb.t_rexmt = 0 then set_rexmt_timer tcb;
+    if tcb.t_rexmt = 0 then set_rexmt_timer sess;
     emit sess ~flags:Tcp_wire.flag_fin_ack ~seq ~payload:None []
   end
   else []
@@ -727,14 +810,12 @@ let process_ack sess ~ack ~now acc =
     if Tcp_seq.lt tcb.snd_nxt tcb.snd_una then tcb.snd_nxt <- tcb.snd_una;
     tcb.dupacks <- 0;
     (* Restart or stop the retransmission timer. *)
-    if Tcp_seq.geq tcb.snd_una tcb.snd_max then tcb.t_rexmt <- 0 else set_rexmt_timer tcb;
+    if Tcp_seq.geq tcb.snd_una tcb.snd_max then tcb.t_rexmt <- 0 else set_rexmt_timer sess;
     wake_sb_waiters sess;
     (* FIN-related state advances. *)
     (match tcb.state with
      | Fin_wait_1 when fin_acked -> tcb.state <- Fin_wait_2
-     | Closing when fin_acked ->
-       tcb.state <- Time_wait;
-       tcb.t_2msl <- msl_ticks
+     | Closing when fin_acked -> enter_time_wait sess
      | Last_ack when fin_acked -> tcb.state <- Closed
      | _ -> ());
     acc
@@ -831,15 +912,14 @@ let deliver_in_order sess msg deliveries =
   msg :: deliveries
 
 (* The close handshake advances once the peer's FIN is in order. *)
-let fin_transition tcb =
+let fin_transition sess =
+  let tcb = sess.tcb in
   match tcb.state with
   | Established -> tcb.state <- Close_wait
   | Fin_wait_1 ->
     (* our FIN not yet acked: simultaneous close *)
     tcb.state <- Closing
-  | Fin_wait_2 ->
-    tcb.state <- Time_wait;
-    tcb.t_2msl <- msl_ticks
+  | Fin_wait_2 -> enter_time_wait sess
   | _ -> ()
 
 (* The full (slow-path) segment processing for an established-ish state.
@@ -903,7 +983,7 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
       tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt len;
       deliveries := deliver_in_order sess msg !deliveries;
       deliveries := reass_drain sess !deliveries;
-      if tcb.delack_pending then ack_now := true else tcb.delack_pending <- true
+      if tcb.delack_pending then ack_now := true else set_delack sess
     end
     else begin
       (* Out of order: queue it and ack immediately (duplicate ack). *)
@@ -921,7 +1001,7 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
       tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt 1;
       ack_now := true;
       if len = 0 then Msg.destroy msg;
-      fin_transition tcb
+      fin_transition sess
     end
     else begin
       tcb.rcv_fin_seq <- Some fin_seq;
@@ -935,7 +1015,7 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
      tcb.rcv_fin_seq <- None;
      tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt 1;
      ack_now := true;
-     fin_transition tcb
+     fin_transition sess
    | _ -> ());
   (* New data permitted by the ack is sent by the caller (pump) after the
      input locks drop; here only emit an explicit ack if required. *)
@@ -999,7 +1079,7 @@ let established_input sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
     let acc =
       if tcb.delack_pending then emit_ack sess acc
       else begin
-        tcb.delack_pending <- true;
+        set_delack sess;
         acc
       end
     in
@@ -1363,7 +1443,19 @@ let open_send_space tcb iss =
 let register_session t sess =
   locked_create t (fun () ->
       Conn_map.insert t.conns sess.key sess;
-      t.all_sessions <- sess :: t.all_sessions)
+      let ord = t.registered in
+      if ord = Array.length t.registry then begin
+        let grown = Array.make (max 16 (2 * ord)) sess in
+        Array.blit t.registry 0 grown 0 ord;
+        t.registry <- grown;
+        Ordset.reserve t.pending_delacks (Array.length grown);
+        Ordset.reserve t.armed_timers (Array.length grown)
+      end;
+      t.registry.(ord) <- sess;
+      t.registered <- ord + 1;
+      sess.ord <- ord;
+      if sess.tcb.delack_pending then mark_delack sess;
+      if timer_armed sess.tcb then mark_timer sess)
 
 let handshake_syn t listener_key accept (hdr : Tcp_wire.header) ~src =
   (* Passive open: make the child session and send SYN-ACK. *)
@@ -1378,7 +1470,7 @@ let handshake_syn t listener_key accept (hdr : Tcp_wire.header) ~src =
   tcb.snd_wnd <- hdr.win;
   (* A lost SYN-ACK must not wedge the child in Syn_received: arm the
      retransmission timer so [retransmit] re-emits it. *)
-  set_rexmt_timer tcb;
+  set_rexmt_timer sess;
   register_session t sess;
   (* Let the application attach its receiver before any data can race in. *)
   accept sess;
@@ -1468,16 +1560,27 @@ let input t ~src ~dst msg =
 (* Timers                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The timer scans visit marked sessions from the newest ordinal down,
+   below the count taken at scan start: the order, and the set of
+   sessions, a walk of the newest-first session list would see.  A visit
+   re-checks the session itself and drops its mark once nothing is armed;
+   a session re-armed while the scan is blocked keeps (or regains) it. *)
 let fasttimo t =
-  List.iter
-    (fun sess ->
+  let rec visit below =
+    let i = Ordset.prev t.pending_delacks below in
+    if i >= 0 then begin
+      let sess = t.registry.(i) in
       if sess.tcb.delack_pending then begin
         enter sess sess.sync.input;
         let acc = if sess.tcb.delack_pending then emit_ack sess [] else [] in
         leave sess sess.sync.input;
         transmit sess acc
-      end)
-    t.all_sessions
+      end;
+      if not sess.tcb.delack_pending then Ordset.remove t.pending_delacks i;
+      visit i
+    end
+  in
+  visit t.registered
 
 let rexmt_timeout sess =
   let t = sess.proto in
@@ -1491,7 +1594,7 @@ let rexmt_timeout sess =
       tcb.snd_cwnd <- t.cfg.mss;
       tcb.t_rtttime <- 0;
       tcb.snd_nxt <- tcb.snd_una;
-      set_rexmt_timer tcb;
+      set_rexmt_timer sess;
       retransmit sess []
     end
     else begin
@@ -1523,7 +1626,7 @@ let persist_timeout sess =
       tcb.snd_nxt <- Tcp_seq.add tcb.snd_nxt 1;
       tcb.snd_max <- Tcp_seq.max tcb.snd_max tcb.snd_nxt;
       tcb.persist_shift <- min (tcb.persist_shift + 1) max_rxtshift;
-      tcb.t_persist <- rto_ticks tcb tcb.persist_shift;
+      set_persist_timer sess;
       emit sess ~flags:Tcp_wire.flag_ack ~seq ~payload:(Some payload) []
     end
     else begin
@@ -1535,8 +1638,10 @@ let persist_timeout sess =
   transmit sess acc
 
 let slowtimo t =
-  List.iter
-    (fun sess ->
+  let rec visit below =
+    let i = Ordset.prev t.armed_timers below in
+    if i >= 0 then begin
+      let sess = t.registry.(i) in
       let tcb = sess.tcb in
       if tcb.t_rexmt > 0 then begin
         tcb.t_rexmt <- tcb.t_rexmt - 1;
@@ -1549,8 +1654,12 @@ let slowtimo t =
       if tcb.t_2msl > 0 then begin
         tcb.t_2msl <- tcb.t_2msl - 1;
         if tcb.t_2msl = 0 && tcb.state = Time_wait then tcb.state <- Closed
-      end)
-    t.all_sessions
+      end;
+      if not (timer_armed tcb) then Ordset.remove t.armed_timers i;
+      visit i
+    end
+  in
+  visit t.registered
 
 let rec arm_fasttimo t =
   if not t.shutdown then
@@ -1603,7 +1712,10 @@ let create plat pool ~wheel ~ip cfg ~name =
       create_lock =
         Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair
           ~name:(name ^ ".create");
-      all_sessions = [];
+      registry = [||];
+      registered = 0;
+      pending_delacks = Ordset.create ();
+      armed_timers = Ordset.create ();
       accepting = Conn_map.create plat ~name:(name ^ ".accepting") ();
       timers_running = false;
       shutdown = false;
@@ -1629,7 +1741,7 @@ let connect ?iss t ~local_port ~remote_addr ~remote_port =
   start_timers t;
   Costs.charge t.plat Costs.tcp_conn_setup;
   let acc = emit sess ~flags:Tcp_wire.flag_syn ~seq:tcb.iss ~payload:None [] in
-  set_rexmt_timer tcb;
+  set_rexmt_timer sess;
   transmit sess acc;
   (* The in-memory peer may have answered synchronously on this stack. *)
   if tcb.state <> Established then
@@ -1739,9 +1851,17 @@ let sockbuf_drops sess = Sockbuf.drops sess.tcb.sb
 let sockbuf_dropped_bytes sess = Sockbuf.dropped_bytes sess.tcb.sb
 
 let total_sockbuf_drops t =
-  List.fold_left (fun acc s -> acc + Sockbuf.drops s.tcb.sb) 0 t.all_sessions
+  let n = ref 0 in
+  for i = 0 to t.registered - 1 do
+    n := !n + Sockbuf.drops t.registry.(i).tcb.sb
+  done;
+  !n
 
-let sessions t = t.all_sessions
+let sessions t =
+  let rec newest_first i acc =
+    if i = t.registered then acc else newest_first (i + 1) (t.registry.(i) :: acc)
+  in
+  newest_first 0 []
 
 let lock_wait_ns sess =
   List.fold_left (fun acc l -> acc + Lock.total_wait_ns l) 0 (all_locks sess.sync)

@@ -119,6 +119,20 @@ val create :
 val shutdown : t -> unit
 (** Stop rescheduling the protocol timers (lets a simulation drain). *)
 
+val fasttimo : t -> unit
+(** One 200 ms tick: send every pending delayed ACK, newest session
+    first.  The timing wheel runs it.  {!shutdown} before the first open
+    keeps the wheel from ever scheduling a tick, and a test can then
+    drive ticks by hand from a simulated thread. *)
+
+val slowtimo : t -> unit
+(** One 500 ms tick: count down the retransmit, persist and 2MSL timers
+    of every session with one armed, newest session first, firing those
+    that expire.  Driven like {!fasttimo}. *)
+
+val msl_ticks : int
+(** Slow-timeout ticks a [TIME_WAIT] session waits before [CLOSED]. *)
+
 val connect :
   ?iss:int -> t -> local_port:int -> remote_addr:int -> remote_port:int -> session
 (** Active open.  Blocks the calling thread until the connection is
@@ -168,6 +182,8 @@ val state_name : session -> string
 val stats : session -> stats
 val config : t -> config
 val sessions : t -> session list
+(** Every session ever registered (active opens and accepted children),
+    newest first. *)
 
 val checksum_failures : t -> int
 (** Segments discarded because checksum verification failed (any locking

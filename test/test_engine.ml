@@ -449,6 +449,98 @@ let test_lock_unfair_grants_pinned () =
         (grant_sequence Lock.Unfair ~seed))
     [ (1, [ 5; 6; 4; 3; 1; 2 ]); (2, [ 6; 2; 5; 1; 3; 4 ]); (3, [ 6; 1; 2; 5; 4; 3 ]) ]
 
+(* Reference model for the wait queue: the list-based queue [Lock] used
+   before the array queue, replayed against a trace of the real lock.
+   Arrivals append; a grant takes the head (Fifo), the newest arrival
+   (Barging) or [List.nth] of one [Prng.int] draw, made only when two or
+   more wait (Unfair). *)
+let reference_pick disc prng = function
+  | [] -> (None, [])
+  | [ w ] -> (Some w, [])
+  | ws -> (
+    match disc with
+    | Lock.Fifo -> (Some (List.hd ws), List.tl ws)
+    | Lock.Barging ->
+      let rev = List.rev ws in
+      (Some (List.hd rev), List.rev (List.tl rev))
+    | Lock.Unfair ->
+      let i = Prng.int prng (List.length ws) in
+      (Some (List.nth ws i), List.filteri (fun j _ -> j <> i) ws))
+
+(* The real lock's lock records, and what the reference queue says they
+   must be: each request and grant carries the queue length at that
+   moment, each release hands off to the model's pick. *)
+let lock_vs_reference disc ~seed =
+  let sim = Sim.create ~seed () in
+  Trace.enable (Sim.tracer sim);
+  let lock = Lock.create sim arch disc ~name:"l" in
+  (* The schedule comes from its own generator: the lock is the only
+     consumer of [Sim.prng], so the model can replay its draws.  Every
+     thread arrives within 40 us, queueing ~70 deep; the later rounds
+     spread over 0.6 ms, so the queue drains to one and refills. *)
+  let sched = Prng.create (seed + 1000) in
+  for i = 0 to 71 do
+    let start = Prng.int sched 40_000 in
+    let holds = Array.init 3 (fun _ -> 500 + Prng.int sched 3_000) in
+    let gaps = Array.init 3 (fun _ -> Prng.int sched 600_000) in
+    ignore
+      (Sim.spawn sim ~cpu:(i mod 4) ~name:(Printf.sprintf "w%d" i) (fun () ->
+           Sim.delay sim start;
+           for r = 0 to 2 do
+             Lock.acquire lock;
+             Sim.delay sim holds.(r);
+             Lock.release lock;
+             Sim.delay sim gaps.(r)
+           done))
+  done;
+  Sim.run sim;
+  let prng = Prng.create seed in
+  let owner = ref None and queue = ref [] in
+  let real = ref [] and model = ref [] in
+  Trace.iter (Sim.tracer sim) (fun r ->
+      match r.Trace.ev with
+      | Trace.Lock_request { waiters; _ } ->
+        real := `Request (r.Trace.tid, waiters) :: !real;
+        model := `Request (r.Trace.tid, List.length !queue) :: !model;
+        if !owner = None then owner := Some r.Trace.tid
+        else queue := !queue @ [ r.Trace.tid ]
+      | Trace.Lock_grant { waiters; _ } ->
+        real := `Grant (r.Trace.tid, waiters) :: !real;
+        model := `Grant (r.Trace.tid, List.length !queue) :: !model
+      | Trace.Lock_release _ ->
+        let next, rest = reference_pick disc prng !queue in
+        owner := next;
+        queue := rest;
+        Option.iter (fun tid -> model := `Handoff tid :: !model) next
+      | Trace.Lock_handoff { to_tid; _ } -> real := `Handoff to_tid :: !real
+      | _ -> ());
+  (List.rev !real, List.rev !model, Lock.contended_acquisitions lock)
+
+let test_lock_queue_matches_reference () =
+  List.iter
+    (fun disc ->
+      List.iter
+        (fun seed ->
+          let real, model, contended = lock_vs_reference disc ~seed in
+          let name = Printf.sprintf "%s seed %d" (Lock.discipline_name disc) seed in
+          let depths =
+            List.filter_map (function `Request (_, n) -> Some n | _ -> None) real
+          in
+          Alcotest.(check bool) (name ^ ": queue grew past 32") true
+            (List.exists (fun n -> n >= 32) depths);
+          Alcotest.(check bool) (name ^ ": arrivals behind a lone waiter") true
+            (List.mem 1 depths);
+          Alcotest.(check bool) (name ^ ": most grants contended") true (contended > 120);
+          Alcotest.(check int) (name ^ ": record count") (List.length model)
+            (List.length real);
+          List.iteri
+            (fun k (r, m) ->
+              if r <> m then
+                Alcotest.failf "%s: lock record %d differs from the reference" name k)
+            (List.combine real model))
+        [ 1; 2; 3 ])
+    [ Lock.Unfair; Lock.Fifo; Lock.Barging ]
+
 let test_lock_release_by_non_owner_fails () =
   let sim = Sim.create () in
   let lock = Lock.create sim arch Lock.Unfair ~name:"demux" in
@@ -909,6 +1001,8 @@ let suites =
           test_lock_unfair_eventually_misorders;
         Alcotest.test_case "unfair grant order pinned" `Quick
           test_lock_unfair_grants_pinned;
+        Alcotest.test_case "wait queue matches the list reference" `Quick
+          test_lock_queue_matches_reference;
         Alcotest.test_case "release by non-owner fails" `Quick
           test_lock_release_by_non_owner_fails;
         Alcotest.test_case "with_lock releases on exception" `Quick

@@ -271,6 +271,28 @@ let test_incast_burst_loss () =
   Alcotest.(check bool) "the wire actually dropped" true
     (o.Overload.drops.Recovery.link > 0)
 
+(* The benchmark's incast cell, pinned to the outcome recorded when the
+   timer scans and the lock wait queue last changed: 10^3 senders under
+   burst loss enter pool pressure, shed SYNs and retransmit, so drift in
+   any modelled layer at this scale moves one of these values. *)
+let test_incast_1000_pinned () =
+  let plan = Option.get (Pnp_faults.Faults.find "burst") in
+  let o =
+    Overload.incast ~plan ~senders:1000 ~bytes_per_flow:2000 ~pool_capacity:4000 ~seed:1 ()
+  in
+  Alcotest.(check string) "outcome line"
+    "incast     burst      n=1000  2000B/flow  acc=1000 done=1000  good=   0.03 Mb/s  \
+     jain=1.000  drops[link=627 pool=0 syn=5424 sb=0 ck=0]  rexmit=5987  stalls=0  PASS"
+    (Overload.to_line o);
+  let completions =
+    String.concat ";"
+      (List.map (fun (id, ns) -> Printf.sprintf "%d:%d" id ns) o.Overload.completion_ns)
+  in
+  Alcotest.(check string) "completion_ns digest" "dd4288de3e8ea79ad455afefc7b08c9b"
+    (Digest.to_hex (Digest.string completions));
+  Alcotest.(check int) "pool pressure entries" 36 o.Overload.pool_pressure_entries;
+  Alcotest.(check int) "elapsed_ns" 590_580_733_030 o.Overload.elapsed_ns
+
 let test_incast_bounded_pool () =
   let o = Overload.incast ~senders:32 ~pool_capacity:200 ~sb_policy:Sockbuf.Drop () in
   check_passed "incast with bounded pool" o;
@@ -352,6 +374,8 @@ let suites =
         Alcotest.test_case "incast completes clean" `Quick test_incast_clean;
         Alcotest.test_case "syn flood sheds and recovers" `Quick test_incast_syn_flood;
         Alcotest.test_case "incast under burst loss" `Quick test_incast_burst_loss;
+        Alcotest.test_case "1000-sender incast outcome pinned" `Quick
+          test_incast_1000_pinned;
         Alcotest.test_case "incast with bounded pool" `Quick test_incast_bounded_pool;
         Alcotest.test_case "bottleneck fairness" `Quick test_bottleneck_fairness;
         Alcotest.test_case "outcomes are deterministic" `Quick

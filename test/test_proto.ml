@@ -590,6 +590,104 @@ let test_tcp_close_handshake () =
       Alcotest.(check bool) "peer saw FIN" true (Tcp_peer.stream_closed peer ~port:5000);
       Alcotest.(check string) "reached TIME_WAIT" "TIME_WAIT" (Tcp.state_name sess))
 
+(* ------------------------------------------------------------------ *)
+(* TCP timer scans, ticked by hand                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The remote port of every frame the stack sent, oldest first. *)
+let sent_to_ports sniffer =
+  List.filter_map
+    (fun e ->
+      if e.Sniffer.dir = `Out then
+        Scanf.sscanf e.Sniffer.summary "TCP %_s > %_[^:]:%d" Option.some
+      else None)
+    (Sniffer.entries sniffer)
+
+let test_tcp_fasttimo_newest_first () =
+  let p = plat () in
+  let stack = Stack.create p ~tcp_config:(tcp_cfg ()) ~local_addr:0x0a000002 () in
+  let tcp = stack.Stack.tcp in
+  Tcp.shutdown tcp;
+  let src =
+    Tcp_source.attach stack ~peer_addr:0x0a000001 ~payload:1024 ~checksum:true
+      ~ports:(List.init 5 (fun j -> (2000 + j, 4000)))
+      ()
+  in
+  let sniffer = Sniffer.attach stack () in
+  in_sim p (fun () ->
+      Tcp.listen tcp ~local_port:4000 ~accept:(fun sess -> Tcp.set_receiver sess Msg.destroy);
+      Tcp_source.start src;
+      Alcotest.(check (list int)) "children registered in stream order"
+        [ 2004; 2003; 2002; 2001; 2000 ]
+        (List.map (fun s -> snd (Tcp.remote_endpoint s)) (Tcp.sessions tcp));
+      (* One segment leaves a delayed ACK pending; stream 2's second
+         segment forces its ACK out, so its mark outlives the ACK. *)
+      List.iter (fun j -> ignore (Tcp_source.next src ~stream:j)) [ 1; 3; 2; 4; 2 ];
+      Sniffer.clear sniffer;
+      Tcp.fasttimo tcp;
+      Alcotest.(check (list int)) "pending ACKs, newest session first"
+        [ 2004; 2003; 2001 ] (sent_to_ports sniffer);
+      Sniffer.clear sniffer;
+      Tcp.fasttimo tcp;
+      Alcotest.(check (list int)) "nothing left pending" [] (sent_to_ports sniffer))
+
+let test_tcp_slowtimo_ticks_early_armed_child () =
+  (* A passive open arms the SYN-ACK retransmit timer before the child
+     is registered; the scan must still count it down. *)
+  let p = plat () in
+  let stack = Stack.create p ~tcp_config:(tcp_cfg ()) ~local_addr:0x0a000002 () in
+  let tcp = stack.Stack.tcp in
+  Tcp.shutdown tcp;
+  (* Nobody answers: every SYN-ACK is lost. *)
+  Fddi.set_transmit stack.Stack.fddi Msg.destroy;
+  let sniffer = Sniffer.attach stack () in
+  in_sim p (fun () ->
+      Tcp.listen tcp ~local_port:4000 ~accept:(fun _ -> ());
+      Fddi.input stack.Stack.fddi
+        (Frame.build_tcp stack.Stack.pool ~src:0x0a000001 ~dst:0x0a000002 ~sport:2000
+           ~dport:4000 ~seq:77 ~ack:0 ~flags:Tcp_wire.flag_syn ~win:(1 lsl 20)
+           ~payload:None ~checksum:true);
+      let child = List.hd (Tcp.sessions tcp) in
+      Alcotest.(check string) "child half open" "SYN_RCVD" (Tcp.state_name child);
+      Alcotest.(check (list int)) "one SYN-ACK" [ 2000 ] (sent_to_ports sniffer);
+      (* The initial 1 s RTO is two slow ticks. *)
+      Tcp.slowtimo tcp;
+      Alcotest.(check int) "first tick counts down" 0 (Tcp.stats child).Tcp.rexmits;
+      Tcp.slowtimo tcp;
+      Alcotest.(check int) "second tick retransmits" 1 (Tcp.stats child).Tcp.rexmits;
+      Alcotest.(check (list int)) "SYN-ACK re-sent" [ 2000; 2000 ] (sent_to_ports sniffer))
+
+let test_tcp_time_wait_lasts_msl_ticks () =
+  (* Two real stacks, so the passive side closes only when told to. *)
+  let p = plat () in
+  let sim = p.Platform.sim in
+  let mk addr = Stack.create p ~tcp_config:(tcp_cfg ()) ~local_addr:addr () in
+  let a = mk 0x0a000001 and b = mk 0x0a000002 in
+  Tcp.shutdown a.Stack.tcp;
+  Tcp.shutdown b.Stack.tcp;
+  ignore (Link.connect p ~a ~b ());
+  in_sim p (fun () ->
+      let server = ref None in
+      Tcp.listen b.Stack.tcp ~local_port:80 ~accept:(fun s -> server := Some s);
+      let sess =
+        Tcp.connect a.Stack.tcp ~local_port:5000 ~remote_addr:0x0a000002 ~remote_port:80
+      in
+      Tcp.close sess;
+      Sim.delay sim (Pnp_util.Units.ms 10.0);
+      Alcotest.(check string) "our FIN acked" "FIN_WAIT_2" (Tcp.state_name sess);
+      (* Nothing is armed, so this tick drops the session's mark: entering
+         TIME_WAIT must set it again. *)
+      Tcp.slowtimo a.Stack.tcp;
+      Tcp.close (Option.get !server);
+      Sim.delay sim (Pnp_util.Units.ms 10.0);
+      Alcotest.(check string) "peer's FIN in" "TIME_WAIT" (Tcp.state_name sess);
+      for _ = 1 to Tcp.msl_ticks - 1 do
+        Tcp.slowtimo a.Stack.tcp
+      done;
+      Alcotest.(check string) "one tick short" "TIME_WAIT" (Tcp.state_name sess);
+      Tcp.slowtimo a.Stack.tcp;
+      Alcotest.(check string) "closed after msl_ticks" "CLOSED" (Tcp.state_name sess))
+
 (* Receive-side: the simulated sender driver against a real TCP receiver. *)
 let recv_side_env ?(locking = Tcp.One) ?(checksum = true) ?(ticketing = false)
     ?(assume_in_order = false) ?(payload = 1024) ?(sequential = true) () =
@@ -934,6 +1032,15 @@ let suites =
         Alcotest.test_case "zero-window persist probe" `Quick test_tcp_zero_window_persist;
         Alcotest.test_case "sub-MSS window segments" `Quick test_tcp_small_window_segments;
         Alcotest.test_case "close handshake" `Quick test_tcp_close_handshake;
+      ] );
+    ( "proto.tcp.timers",
+      [
+        Alcotest.test_case "fasttimo acks newest session first" `Quick
+          test_tcp_fasttimo_newest_first;
+        Alcotest.test_case "slowtimo ticks a child armed before registration" `Quick
+          test_tcp_slowtimo_ticks_early_armed_child;
+        Alcotest.test_case "TIME_WAIT lasts msl_ticks" `Quick
+          test_tcp_time_wait_lasts_msl_ticks;
       ] );
     ( "proto.tcp.recv",
       [
