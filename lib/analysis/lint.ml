@@ -466,10 +466,12 @@ let matrix_json rows =
    The checksum-sum memo is keyed by the node's write generation
    ([Mpool.bump_gen]); a byte mutation that forgets the bump serves a
    stale checksum silently.  Scope: non-test files that handle raw node
-   bytes (they mention [Mpool.data] or [Msg.head_view]); in those, any
-   top-level binding that mutates a [Bytes.t] must also call [bump_gen]
-   (or carry [lint:allow] explaining why the buffer is not node
-   memory). *)
+   bytes (they mention [Mpool.data], [Msg.head_view] or
+   [Msg.push_header]); in those, any top-level binding that mutates a
+   [Bytes.t] must also call [bump_gen] or [Msg.push_header], which bumps
+   the node it returns (or carry [lint:allow] explaining why the buffer
+   is not node memory).  A write through the read view [Msg.head_view]
+   is not a bump. *)
 
 let is_bytes_mutation tok =
   starts_with tok "Bytes.set"
@@ -485,7 +487,9 @@ let bump_gen_findings ~file src =
   let lines = Array.of_list (String.split_on_char '\n' scrubbed) in
   let handles_node_bytes =
     Array.exists
-      (fun l -> has_token l "Mpool.data" || has_token l "Msg.head_view")
+      (fun l ->
+        has_token l "Mpool.data" || has_token l "Msg.head_view"
+        || has_token l "Msg.push_header")
       lines
   in
   if in_tests file || not handles_node_bytes then []
@@ -503,8 +507,9 @@ let bump_gen_findings ~file src =
             message =
               Printf.sprintf
                 "%S mutates buffer bytes without calling bump_gen; a missed \
-                 write-generation bump serves a stale cached checksum (add \
-                 Mpool.bump_gen, or %s if the buffer is not node memory)"
+                 write-generation bump serves a stale cached checksum (write \
+                 through Msg.push_header, add Mpool.bump_gen, or %s if \
+                 the buffer is not node memory)"
                 !binding allow_marker;
           }
           :: !findings
@@ -519,8 +524,11 @@ let bump_gen_findings ~file src =
           allowed := false
         end;
         if has_allow_marker raw_lines.(i) then allowed := true;
-        if List.exists (fun tok -> ends_with tok "bump_gen") (line_tokens line) then
-          bumped := true;
+        if
+          List.exists
+            (fun tok -> ends_with tok "bump_gen" || tok = "Msg.push_header")
+            (line_tokens line)
+        then bumped := true;
         if !first_mut = 0 && List.exists is_bytes_mutation (line_tokens line) then
           first_mut := i + 1)
       lines;

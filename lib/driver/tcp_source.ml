@@ -228,8 +228,7 @@ let inject t { r_stream; r_seq = seq } =
         };
       if t.checksum then
         Tcp_wire.store_checksum_incremental ~src:s.src_addr
-          ~dst:t.stack.Stack.local_addr ~payload_sum:t.payload_sum seg
-      else Msg.set_u16 seg 18 0;
+          ~dst:t.stack.Stack.local_addr ~payload_sum:t.payload_sum seg;
       Ip.encap seg ~src:s.src_addr ~dst:t.stack.Stack.local_addr
         ~proto:Tcp_wire.protocol_number ~id:0;
       Fddi.encap seg ~src_mac:s.src_addr ~dst_mac:t.stack.Stack.local_addr

@@ -44,26 +44,22 @@ let register t ~ethertype handler = Type_map.insert t.upper ethertype handler
 
 (* Frame layout: FC(1) dst(6) src(6) DSAP(1) SSAP(1) ctrl(1) OUI(3)
    ethertype(2).  MACs are 48-bit, carried here in an int. *)
-let set_mac msg off mac =
-  Msg.set_u16 msg off (mac lsr 32);
-  Msg.set_u32 msg (off + 2) (mac land 0xffffffff)
-
-let get_mac msg off = (Msg.get_u16 msg off lsl 32) lor Msg.get_u32 msg (off + 2)
-
 let fc_llc = 0x50
 let dsap_snap = 0xaa
 
 let encap msg ~src_mac ~dst_mac ~ethertype =
-  Msg.push msg header_bytes;
-  Msg.set_u8 msg 0 fc_llc;
-  set_mac msg 1 dst_mac;
-  set_mac msg 7 src_mac;
-  Msg.set_u8 msg 13 dsap_snap;
-  Msg.set_u8 msg 14 dsap_snap;
-  Msg.set_u8 msg 15 0x03;
-  Msg.set_u8 msg 16 0;
-  Msg.set_u16 msg 17 0;
-  Msg.set_u16 msg 19 ethertype
+  let b = Msg.push_header msg header_bytes in
+  Bytes.set_uint8 b 0 fc_llc;
+  Bytes.set_uint16_be b 1 (dst_mac lsr 32);
+  Bytes.set_int32_be b 3 (Int32.of_int dst_mac);
+  Bytes.set_uint16_be b 7 (src_mac lsr 32);
+  Bytes.set_int32_be b 9 (Int32.of_int src_mac);
+  Bytes.set_uint8 b 13 dsap_snap;
+  Bytes.set_uint8 b 14 dsap_snap;
+  Bytes.set_uint8 b 15 0x03;
+  Bytes.set_uint8 b 16 0;
+  Bytes.set_uint16_be b 17 0;
+  Bytes.set_uint16_be b 19 ethertype
 
 let output t ~ethertype ~dst_mac msg =
   if Msg.length msg > mtu then
@@ -83,8 +79,9 @@ let input t msg =
     Msg.destroy msg
   end
   else begin
-    let ethertype = Msg.get_u16 msg 19 in
-    ignore (get_mac msg 1);
+    let b = Msg.head_view msg ~off:0 ~len:header_bytes in
+    let j = Msg.head_pos msg ~off:0 ~len:header_bytes in
+    let ethertype = Bytes.get_uint16_be b (j + 19) in
     Msg.pop msg header_bytes;
     t.frames_in <- t.frames_in + 1;
     match Type_map.lookup t.upper ethertype with

@@ -78,32 +78,34 @@ let mac_of_addr addr = addr
 
 let max_payload = Fddi.mtu - header_bytes
 
-let write_header ~src ~proto ~dst ~id ~frag_off ~more_frags msg =
-  let total = Msg.length msg in
-  Msg.set_u8 msg 0 0x45;
-  Msg.set_u8 msg 1 0;
-  Msg.set_u16 msg 2 total;
-  Msg.set_u16 msg 4 id;
-  Msg.set_u16 msg 6 (((if more_frags then 1 else 0) lsl 13) lor (frag_off lsr 3));
-  Msg.set_u8 msg 8 64;
-  Msg.set_u8 msg 9 proto;
-  Msg.set_u16 msg 10 0;
-  Msg.set_u32 msg 12 src;
-  Msg.set_u32 msg 16 dst;
+(* Push and fill one IP header, its checksum folded from the words just
+   written: the whole header is one buffer view and one generation
+   bump. *)
+let push_header ~src ~proto ~dst ~id ~frag_off ~more_frags msg =
+  let total = Msg.length msg + header_bytes in
+  let b = Msg.push_header msg header_bytes in
+  Bytes.set_uint8 b 0 0x45;
+  Bytes.set_uint8 b 1 0;
+  Bytes.set_uint16_be b 2 total;
+  Bytes.set_uint16_be b 4 id;
+  Bytes.set_uint16_be b 6 (((if more_frags then 1 else 0) lsl 13) lor (frag_off lsr 3));
+  Bytes.set_uint8 b 8 64;
+  Bytes.set_uint8 b 9 proto;
+  Bytes.set_uint16_be b 10 0;
+  Bytes.set_int32_be b 12 (Int32.of_int src);
+  Bytes.set_int32_be b 16 (Int32.of_int dst);
   (* Header checksum over the 20 header bytes; cheap, always computed. *)
   let sum = ref 0 in
   for i = 0 to 9 do
-    sum := Inet_cksum.add !sum (Msg.get_u16 msg (2 * i))
+    sum := Inet_cksum.add !sum (Bytes.get_uint16_be b (2 * i))
   done;
-  Msg.set_u16 msg 10 (Inet_cksum.finish !sum)
+  Bytes.set_uint16_be b 10 (Inet_cksum.finish !sum)
 
 let encap msg ~src ~dst ~proto ~id =
-  Msg.push msg header_bytes;
-  write_header ~src ~proto ~dst ~id ~frag_off:0 ~more_frags:false msg
+  push_header ~src ~proto ~dst ~id ~frag_off:0 ~more_frags:false msg
 
 let send_one t ~proto ~dst ~id ~frag_off ~more_frags msg =
-  Msg.push msg header_bytes;
-  write_header ~src:t.local_addr ~proto ~dst ~id ~frag_off ~more_frags msg;
+  push_header ~src:t.local_addr ~proto ~dst ~id ~frag_off ~more_frags msg;
   Fddi.output t.fddi ~ethertype ~dst_mac:(mac_of_addr dst) msg
 
 let output t ~proto ~dst msg =
@@ -131,13 +133,13 @@ let output t ~proto ~dst msg =
     Msg.destroy msg
   end
 
-let verify_header msg =
-  Msg.length msg >= header_bytes
-  && Msg.get_u8 msg 0 = 0x45
+(* Version and header checksum, over a header view at [b.(j)]. *)
+let header_ok b j =
+  Bytes.get_uint8 b j = 0x45
   &&
   let sum = ref 0 in
   for i = 0 to 9 do
-    sum := Inet_cksum.add !sum (Msg.get_u16 msg (2 * i))
+    sum := Inet_cksum.add !sum (Bytes.get_uint16_be b (j + (2 * i)))
   done;
   !sum = 0xffff
 
@@ -173,86 +175,90 @@ let try_reassemble chain =
     Some (total, List.map (fun (_, _, m) -> m) sorted)
   else None
 
+let header_failure t msg =
+  t.dropped <- t.dropped + 1;
+  t.header_failures <- t.header_failures + 1;
+  Msg.destroy msg
+
 let input t msg =
   Costs.charge t.plat Costs.ip_input;
-  if not (verify_header msg) then begin
-    t.dropped <- t.dropped + 1;
-    t.header_failures <- t.header_failures + 1;
-    Msg.destroy msg
-  end
-  else begin
-    let proto = Msg.get_u8 msg 9 in
-    let id = Msg.get_u16 msg 4 in
-    let flags_off = Msg.get_u16 msg 6 in
-    let more_frags = flags_off land 0x2000 <> 0 in
-    let frag_off = (flags_off land 0x1fff) lsl 3 in
-    let src = Msg.get_u32 msg 12 in
-    let dst = Msg.get_u32 msg 16 in
-    let total = Msg.get_u16 msg 2 in
-    if dst <> t.local_addr then begin
-      (* Not ours, and this host does not forward. *)
-      t.dropped <- t.dropped + 1;
-      Msg.destroy msg
-    end
+  if Msg.length msg < header_bytes then header_failure t msg
+  else
+    let b = Msg.head_view msg ~off:0 ~len:header_bytes in
+    let j = Msg.head_pos msg ~off:0 ~len:header_bytes in
+    if not (header_ok b j) then header_failure t msg
     else begin
-    (* Trim any padding below the declared total length, then strip. *)
-    if Msg.length msg > total then Msg.truncate msg total;
-    Msg.pop msg header_bytes;
-    t.datagrams_in <- t.datagrams_in + 1;
-    if (not more_frags) && frag_off = 0 then deliver t ~proto ~src ~dst msg
-    else begin
-      (* A fragment: file it under the fragment-table lock. *)
-      Costs.charge t.plat Costs.ip_reass_per_fragment;
-      let key = { Frag_key.src; dst; proto; id } in
-      let completed = ref None in
-      locked t (fun () ->
-          let chain =
-            match Frag_map.lookup t.frags key with
-            | Some c -> c
-            | None ->
-              let c = { pieces = []; timeout = None } in
-              c.timeout <-
-                Some
-                  (Timewheel.schedule t.wheel ~after:reass_timeout (fun () ->
-                       locked t (fun () ->
-                           t.dropped <- t.dropped + 1;
-                           drop_chain t key c)));
-              Frag_map.insert t.frags key c;
-              c
-          in
-          chain.pieces <- (frag_off, more_frags, msg) :: chain.pieces;
-          match try_reassemble chain with
-          | None -> ()
-          | Some (total, parts) ->
-            (match chain.timeout with
-             | Some h -> ignore (Timewheel.cancel t.wheel h)
-             | None -> ());
-            chain.pieces <- [];
-            ignore (Frag_map.remove t.frags key);
-            completed := Some (total, parts));
-      match !completed with
-      | None -> ()
-      | Some (total, parts) ->
-        (* Copy the fragments into one contiguous datagram. *)
-        let whole = Msg.create t.pool total in
-        let pos = ref 0 in
-        List.iter
-          (fun m ->
-            let len = Msg.length m in
-            for i = 0 to len - 1 do
-              Msg.set_u8 whole (!pos + i) (Msg.get_u8 m i)
-            done;
-            pos := !pos + len;
-            Msg.destroy m)
-          parts;
-        if Sim.in_thread t.plat.Platform.sim then
-          Membus.consume ~rate_mb_s:t.plat.Platform.arch.Arch.copy_mb_per_s
-            t.plat.Platform.bus ~bytes:total;
-        t.reassemblies <- t.reassemblies + 1;
-        deliver t ~proto ~src ~dst whole
+      let proto = Bytes.get_uint8 b (j + 9) in
+      let id = Bytes.get_uint16_be b (j + 4) in
+      let flags_off = Bytes.get_uint16_be b (j + 6) in
+      let more_frags = flags_off land 0x2000 <> 0 in
+      let frag_off = (flags_off land 0x1fff) lsl 3 in
+      let src = Int32.to_int (Bytes.get_int32_be b (j + 12)) land 0xffff_ffff in
+      let dst = Int32.to_int (Bytes.get_int32_be b (j + 16)) land 0xffff_ffff in
+      let total = Bytes.get_uint16_be b (j + 2) in
+      if dst <> t.local_addr then begin
+        (* Not ours, and this host does not forward. *)
+        t.dropped <- t.dropped + 1;
+        Msg.destroy msg
+      end
+      else begin
+      (* Trim any padding below the declared total length, then strip. *)
+      if Msg.length msg > total then Msg.truncate msg total;
+      Msg.pop msg header_bytes;
+      t.datagrams_in <- t.datagrams_in + 1;
+      if (not more_frags) && frag_off = 0 then deliver t ~proto ~src ~dst msg
+      else begin
+        (* A fragment: file it under the fragment-table lock. *)
+        Costs.charge t.plat Costs.ip_reass_per_fragment;
+        let key = { Frag_key.src; dst; proto; id } in
+        let completed = ref None in
+        locked t (fun () ->
+            let chain =
+              match Frag_map.lookup t.frags key with
+              | Some c -> c
+              | None ->
+                let c = { pieces = []; timeout = None } in
+                c.timeout <-
+                  Some
+                    (Timewheel.schedule t.wheel ~after:reass_timeout (fun () ->
+                         locked t (fun () ->
+                             t.dropped <- t.dropped + 1;
+                             drop_chain t key c)));
+                Frag_map.insert t.frags key c;
+                c
+            in
+            chain.pieces <- (frag_off, more_frags, msg) :: chain.pieces;
+            match try_reassemble chain with
+            | None -> ()
+            | Some (total, parts) ->
+              (match chain.timeout with
+               | Some h -> ignore (Timewheel.cancel t.wheel h)
+               | None -> ());
+              chain.pieces <- [];
+              ignore (Frag_map.remove t.frags key);
+              completed := Some (total, parts));
+        match !completed with
+        | None -> ()
+        | Some (total, parts) ->
+          (* Copy the fragments into one contiguous datagram, one blit
+             each. *)
+          let whole = Msg.create t.pool 0 in
+          let buf = Msg.push_header whole total in
+          let pos = ref 0 in
+          List.iter
+            (fun m ->
+              Msg.blit_to_bytes m buf ~pos:!pos;
+              pos := !pos + Msg.length m;
+              Msg.destroy m)
+            parts;
+          if Sim.in_thread t.plat.Platform.sim then
+            Membus.consume ~rate_mb_s:t.plat.Platform.arch.Arch.copy_mb_per_s
+              t.plat.Platform.bus ~bytes:total;
+          t.reassemblies <- t.reassemblies + 1;
+          deliver t ~proto ~src ~dst whole
+      end
+      end
     end
-    end
-  end
 
 let create plat pool ~wheel ~fddi ~local_addr ~name =
   let t = make plat pool ~wheel ~fddi ~local_addr ~name in

@@ -7,24 +7,15 @@ let conversion_ns_per_byte = 95.0
 
 let convert plat pool msg =
   let len = Msg.length msg in
-  let out = Msg.create pool len in
-  (* Real work: copy with each aligned 32-bit word byte-swapped. *)
-  let buf = Bytes.create len in
-  Msg.blit_to_bytes msg buf;
+  let out = Msg.create pool 0 in
+  (* Real work: copy with each aligned 32-bit word byte-swapped, straight
+     into the output node. *)
+  let buf = Msg.push_header out len in
+  Msg.blit_to_bytes msg buf ~pos:0;
   let words = len / 4 in
   for w = 0 to words - 1 do
     let base = 4 * w in
-    let b0 = Bytes.get buf base
-    and b1 = Bytes.get buf (base + 1)
-    and b2 = Bytes.get buf (base + 2)
-    and b3 = Bytes.get buf (base + 3) in
-    Bytes.set buf base b3;
-    Bytes.set buf (base + 1) b2;
-    Bytes.set buf (base + 2) b1;
-    Bytes.set buf (base + 3) b0
-  done;
-  for i = 0 to len - 1 do
-    Msg.set_u8 out i (Char.code (Bytes.get buf i))
+    Bytes.set_int32_le buf base (Bytes.get_int32_be buf base)
   done;
   Msg.destroy msg;
   Platform.charge plat (int_of_float (float_of_int len *. conversion_ns_per_byte));

@@ -635,8 +635,9 @@ let transmit sess pendings =
            ~dst:sess.key.Conn_key.raddr p.seg;
          Costs.charge t.plat 40 (* fold the header into the data sum *)
        | Sum_and_fold ->
-         (* Zero checksum field: receivers skip verification too. *)
-         Msg.set_u16 p.seg 18 0
+         (* [emit] encoded a zero checksum field: receivers skip
+            verification too. *)
+         ()
        | Fold_charge ->
          (* Checksum already stored arithmetically; the simulated fold
             cost the reference path charges here is still due. *)

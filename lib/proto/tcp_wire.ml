@@ -29,57 +29,54 @@ let flags_to_int f =
   lor (if f.psh then 8 else 0)
   lor if f.ack then 16 else 0
 
-let flags_of_int i =
-  {
-    fin = i land 1 <> 0;
-    syn = i land 2 <> 0;
-    rst = i land 4 <> 0;
-    psh = i land 8 <> 0;
-    ack = i land 16 <> 0;
-  }
+(* Every decode shares one immutable record per flag combination. *)
+let flags_table =
+  Array.init 32 (fun i ->
+      {
+        fin = i land 1 <> 0;
+        syn = i land 2 <> 0;
+        rst = i land 4 <> 0;
+        psh = i land 8 <> 0;
+        ack = i land 16 <> 0;
+      })
 
-let encode msg h =
-  Msg.push msg header_bytes;
-  Msg.set_u16 msg 0 h.sport;
-  Msg.set_u16 msg 2 h.dport;
-  Msg.set_u32 msg 4 (Tcp_seq.mask h.seq);
-  Msg.set_u32 msg 8 (Tcp_seq.mask h.ack);
+let flags_of_int i = flags_table.(i land 31)
+
+(* Push and fill one header; [cksum] is passed apart from [h] so the
+   coalesced path can store a computed checksum without copying the
+   record.  [Int32.of_int] keeps the low 32 bits, i.e. [Tcp_seq.mask]. *)
+let push_header msg h ~cksum =
+  let b = Msg.push_header msg header_bytes in
+  Bytes.set_uint16_be b 0 h.sport;
+  Bytes.set_uint16_be b 2 h.dport;
+  Bytes.set_int32_be b 4 (Int32.of_int h.seq);
+  Bytes.set_int32_be b 8 (Int32.of_int h.ack);
   (* data offset in 32-bit words (6) in the high nibble, flags low. *)
-  Msg.set_u16 msg 12 ((6 lsl 12) lor flags_to_int h.flags);
-  Msg.set_u32 msg 14 h.win;
-  Msg.set_u16 msg 18 h.cksum;
-  Msg.set_u16 msg 20 0;
-  Msg.set_u16 msg 22 0
+  Bytes.set_uint16_be b 12 ((6 lsl 12) lor flags_to_int h.flags);
+  Bytes.set_int32_be b 14 (Int32.of_int h.win);
+  Bytes.set_uint16_be b 18 cksum;
+  Bytes.set_uint16_be b 20 0;
+  Bytes.set_uint16_be b 22 0
+
+let encode msg h = push_header msg h ~cksum:h.cksum
+
+let get_u32 b j = Int32.to_int (Bytes.get_int32_be b j) land 0xffff_ffff
 
 let decode msg =
   if Msg.length msg < header_bytes then None
   else
-    match Msg.head_view msg ~len:header_bytes with
-    | Some (_, b, j) ->
-      (* Single-pass read: the header always lives in one node (its own
-         pushed node on send, the remaining front node after the IP pop on
-         receive), so skip the per-field accessor walks. *)
-      Some
-        {
-          sport = Bytes.get_uint16_be b j;
-          dport = Bytes.get_uint16_be b (j + 2);
-          seq = (Bytes.get_uint16_be b (j + 4) lsl 16) lor Bytes.get_uint16_be b (j + 6);
-          ack = (Bytes.get_uint16_be b (j + 8) lsl 16) lor Bytes.get_uint16_be b (j + 10);
-          flags = flags_of_int (Bytes.get_uint16_be b (j + 12) land 0x3f);
-          win = (Bytes.get_uint16_be b (j + 14) lsl 16) lor Bytes.get_uint16_be b (j + 16);
-          cksum = Bytes.get_uint16_be b (j + 18);
-        }
-    | None ->
-      Some
-        {
-          sport = Msg.get_u16 msg 0;
-          dport = Msg.get_u16 msg 2;
-          seq = Msg.get_u32 msg 4;
-          ack = Msg.get_u32 msg 8;
-          flags = flags_of_int (Msg.get_u16 msg 12 land 0x3f);
-          win = Msg.get_u32 msg 14;
-          cksum = Msg.get_u16 msg 18;
-        }
+    let b = Msg.head_view msg ~off:0 ~len:header_bytes in
+    let j = Msg.head_pos msg ~off:0 ~len:header_bytes in
+    Some
+      {
+        sport = Bytes.get_uint16_be b j;
+        dport = Bytes.get_uint16_be b (j + 2);
+        seq = get_u32 b (j + 4);
+        ack = get_u32 b (j + 8);
+        flags = flags_of_int (Bytes.get_uint16_be b (j + 12));
+        win = get_u32 b (j + 14);
+        cksum = Bytes.get_uint16_be b (j + 18);
+      }
 
 let strip msg = Msg.pop msg header_bytes
 
@@ -106,10 +103,12 @@ let store_checksum_free ~src ~dst msg =
 
 let store_checksum_incremental ~src ~dst ~payload_sum msg =
   let len = Msg.length msg in
-  Msg.set_u16 msg 18 0;
+  let b = Msg.head_view msg ~off:0 ~len:header_bytes in
+  let j = Msg.head_pos msg ~off:0 ~len:header_bytes in
+  (* The header's words with the checksum field (word 9) read as zero. *)
   let hdr_sum = ref 0 in
   for i = 0 to (header_bytes / 2) - 1 do
-    hdr_sum := Inet_cksum.add !hdr_sum (Msg.get_u16 msg (2 * i))
+    if i <> 9 then hdr_sum := Inet_cksum.add !hdr_sum (Bytes.get_uint16_be b (j + (2 * i)))
   done;
   let total = Inet_cksum.add (Inet_cksum.add !hdr_sum payload_sum) (pseudo_sum ~src ~dst ~len) in
   let ck = Inet_cksum.finish total in
@@ -119,7 +118,7 @@ let store_checksum_incremental ~src ~dst ~payload_sum msg =
    from the fields without touching bytes.  Every 16-bit word of the
    header is a field (the trailing pad is zero), so for a header-only
    segment the whole checksum is arithmetic. *)
-let header_sum h =
+let header_sum h ~cksum =
   let open Inet_cksum in
   let seq = Tcp_seq.mask h.seq and ackn = Tcp_seq.mask h.ack in
   let s = add h.sport h.dport in
@@ -130,7 +129,7 @@ let header_sum h =
   let s = add s ((6 lsl 12) lor flags_to_int h.flags) in
   let s = add s ((h.win lsr 16) land 0xffff) in
   let s = add s (h.win land 0xffff) in
-  add s h.cksum
+  add s cksum
 
 (* Coalesced construction of a header-only segment (pure ACK, SYN, FIN):
    one direct pass writes the header with the checksum already computed
@@ -142,44 +141,15 @@ let header_sum h =
    callers place the simulated checksum charge ({!Inet_cksum.charge})
    exactly where their reference path incurred it. *)
 let encode_empty msg h ~src ~dst ~checksum =
-  Msg.push msg header_bytes;
-  let base = header_sum { h with cksum = 0 } in
+  let base = header_sum h ~cksum:0 in
   let ck =
     if not checksum then 0
     else
       let c = Inet_cksum.finish (Inet_cksum.add base (pseudo_sum ~src ~dst ~len:header_bytes)) in
       if c = 0 then 0xffff else c
   in
-  match Msg.head_view msg ~len:header_bytes with
-  | Some (node, b, j) ->
-    Mpool.bump_gen (Msg.pool msg) node;
-    Bytes.set_uint16_be b j h.sport;
-    Bytes.set_uint16_be b (j + 2) h.dport;
-    let seq = Tcp_seq.mask h.seq and ackn = Tcp_seq.mask h.ack in
-    Bytes.set_uint16_be b (j + 4) (seq lsr 16);
-    Bytes.set_uint16_be b (j + 6) (seq land 0xffff);
-    Bytes.set_uint16_be b (j + 8) (ackn lsr 16);
-    Bytes.set_uint16_be b (j + 10) (ackn land 0xffff);
-    Bytes.set_uint16_be b (j + 12) ((6 lsl 12) lor flags_to_int h.flags);
-    Bytes.set_uint16_be b (j + 14) ((h.win lsr 16) land 0xffff);
-    Bytes.set_uint16_be b (j + 16) (h.win land 0xffff);
-    Bytes.set_uint16_be b (j + 18) ck;
-    Bytes.set_uint16_be b (j + 20) 0;
-    Bytes.set_uint16_be b (j + 22) 0;
-    Mpool.cache_sum node ~off:j ~len:header_bytes (Inet_cksum.add base ck)
-  | None ->
-    (* A fresh push is always a single covering part; kept for safety
-       (the header space is already pushed, so write through the
-       accessors as [encode] would). *)
-    Msg.set_u16 msg 0 h.sport;
-    Msg.set_u16 msg 2 h.dport;
-    Msg.set_u32 msg 4 (Tcp_seq.mask h.seq);
-    Msg.set_u32 msg 8 (Tcp_seq.mask h.ack);
-    Msg.set_u16 msg 12 ((6 lsl 12) lor flags_to_int h.flags);
-    Msg.set_u32 msg 14 h.win;
-    Msg.set_u16 msg 18 ck;
-    Msg.set_u16 msg 20 0;
-    Msg.set_u16 msg 22 0
+  push_header msg h ~cksum:ck;
+  Msg.cache_head_sum msg ~len:header_bytes (Inet_cksum.add base ck)
 
 let checksum_valid ~src ~dst msg =
   let len = Msg.length msg in

@@ -24,6 +24,9 @@ val flag_syn_ack : flags
 val flag_fin_ack : flags
 val flag_rst : flags
 
+val flags_of_int : int -> flags
+(** The flags in the low bits of header word 12 (data offset ignored). *)
+
 type header = {
   sport : int;
   dport : int;

@@ -48,8 +48,10 @@ let rec input t ~src ~dst msg =
     Msg.destroy msg
   end
   else begin
-    let dport = Msg.get_u16 msg 2 in
-    let wire_cksum = Msg.get_u16 msg 6 in
+    let b = Msg.head_view msg ~off:0 ~len:header_bytes in
+    let j = Msg.head_pos msg ~off:0 ~len:header_bytes in
+    let dport = Bytes.get_uint16_be b (j + 2) in
+    let wire_cksum = Bytes.get_uint16_be b (j + 6) in
     let len = Msg.length msg in
     let cksum_ok =
       if t.checksum && wire_cksum <> 0 then
@@ -123,16 +125,22 @@ let open_session t ~local_port ~remote_addr ~remote_port ~recv =
 let close_session t sess =
   locked t (fun () -> ignore (Port_map.remove t.sessions sess.local_port))
 
+(* Push and fill a header with a zero checksum field.  The checksum,
+   when stored, is summed over these bytes first, so it goes through
+   [Msg.set_u16] and bumps the generation again. *)
+let push_header msg ~sport ~dport =
+  let len = Msg.length msg + header_bytes in
+  let b = Msg.push_header msg header_bytes in
+  Bytes.set_uint16_be b 0 sport;
+  Bytes.set_uint16_be b 2 dport;
+  Bytes.set_uint16_be b 4 len;
+  Bytes.set_uint16_be b 6 0;
+  len
+
 let send sess msg =
   let t = sess.udp in
   Costs.charge t.plat Costs.udp_output;
-  let payload_len = Msg.length msg in
-  let len = payload_len + header_bytes in
-  Msg.push msg header_bytes;
-  Msg.set_u16 msg 0 sess.local_port;
-  Msg.set_u16 msg 2 sess.remote_port;
-  Msg.set_u16 msg 4 len;
-  Msg.set_u16 msg 6 0;
+  let len = push_header msg ~sport:sess.local_port ~dport:sess.remote_port in
   if t.checksum then begin
     let extra =
       pseudo_sum ~src:(Ip.local_addr t.ip) ~dst:sess.remote_addr ~len
@@ -145,12 +153,7 @@ let send sess msg =
   Ip.output t.ip ~proto:protocol_number ~dst:sess.remote_addr msg
 
 let encap_free msg ~src ~dst ~sport ~dport ~checksum =
-  let len = Msg.length msg + header_bytes in
-  Msg.push msg header_bytes;
-  Msg.set_u16 msg 0 sport;
-  Msg.set_u16 msg 2 dport;
-  Msg.set_u16 msg 4 len;
-  Msg.set_u16 msg 6 0;
+  let len = push_header msg ~sport ~dport in
   if checksum then begin
     let sum = Inet_cksum.add (Inet_cksum.sum_slices msg) (pseudo_sum ~src ~dst ~len) in
     let ck = Inet_cksum.finish sum in

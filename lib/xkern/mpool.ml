@@ -40,6 +40,7 @@ type tid_cache = {
 
 type t = {
   plat : Platform.t;
+  tracer : Trace.t; (* the sim's, fixed for its life *)
   capacity : int; (* max live mnodes; max_int = unbounded *)
   malloc_lock : Lock.t;
   mutable caches : tid_cache array; (* tid-indexed; no hashing on the hot path *)
@@ -85,9 +86,12 @@ let cache_hit_instrs = 18
 let malloc_instrs = 120
 let free_instrs = 60
 
+(* Every trace site tests [tracing] first, so an untraced run never
+   builds the record. *)
+let tracing t = Trace.enabled t.tracer
+
 let trace_alloc t ~hit =
-  let sim = t.plat.Platform.sim in
-  if Trace.enabled (Sim.tracer sim) then Sim.trace sim (Trace.Mpool_alloc { hit })
+  if tracing t then Sim.trace t.plat.Platform.sim (Trace.Mpool_alloc { hit })
 
 (* Lifecycle events for the arena sanitizer (Pnp_analysis.Lifetime):
    alloc / ref / unref / recycle / write, keyed by node id.  Silent
@@ -107,6 +111,7 @@ let create ?(capacity = max_int) ?soft_watermark plat =
   in
   {
     plat;
+    tracer = Sim.tracer plat.Platform.sim;
     capacity;
     soft;
     in_pressure = false;
@@ -177,7 +182,7 @@ let arena_take t cls cap =
    refcount zero for nodes not parked in a simulated per-thread cache. *)
 let arena_recycle t node =
   if node.from_arena then begin
-    trace_node t (Trace.Mnode_recycle { node = node.id });
+    if tracing t then trace_node t (Trace.Mnode_recycle { node = node.id });
     t.arena_out <- t.arena_out - Bytes.length node.data;
     let cls = node.size_class in
     if t.arena_free_n.(cls) < arena_retain then begin
@@ -204,7 +209,7 @@ let fresh_node t n cls =
     }
   in
   t.next_id <- t.next_id + 1;
-  trace_node t (Trace.Mnode_alloc { node = node.id });
+  if tracing t then trace_node t (Trace.Mnode_alloc { node = node.id });
   node
 
 let global_alloc t n cls =
@@ -263,7 +268,7 @@ let alloc t n =
       ignore (Atomic_ctr.incr node.refs);
       (* A cached node comes back to life: 0 -> 1 is a re-arm, not a
          reference taken on a live node, so it traces as an alloc. *)
-      trace_node t (Trace.Mnode_alloc { node = node.id });
+      if tracing t then trace_node t (Trace.Mnode_alloc { node = node.id });
       node
     | [] ->
       trace_alloc t ~hit:false;
@@ -272,7 +277,7 @@ let alloc t n =
 
 let incref t node =
   let r = Atomic_ctr.incr node.refs in
-  trace_node t (Trace.Mnode_ref { node = node.id; refs = r })
+  if tracing t then trace_node t (Trace.Mnode_ref { node = node.id; refs = r })
 
 let global_free t =
   if Sim.in_thread t.plat.Platform.sim then begin
@@ -284,7 +289,7 @@ let global_free t =
 let decref t node =
   let r = Atomic_ctr.decr node.refs in
   if r < 0 then failwith "Mpool.decref: reference count went negative";
-  trace_node t (Trace.Mnode_unref { node = node.id; refs = r });
+  if tracing t then trace_node t (Trace.Mnode_unref { node = node.id; refs = r });
   if r = 0 then begin
     t.live <- t.live - 1;
     if t.in_pressure && t.live < t.soft then leave_pressure t;
@@ -357,7 +362,7 @@ let sum_cache_enabled () = !sum_cache_default
 
 let bump_gen t node =
   node.gen <- node.gen + 1;
-  trace_node t (Trace.Mnode_write { node = node.id })
+  if tracing t then trace_node t (Trace.Mnode_write { node = node.id })
 
 let cached_sum node ~off ~len =
   if

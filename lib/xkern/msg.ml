@@ -10,7 +10,6 @@ let create pool n =
     { pool; parts = [ { node; off = 0; len = n } ]; total = n }
 
 let length t = t.total
-let pool t = t.pool
 
 let of_string pool s =
   let t = create pool (String.length s) in
@@ -29,29 +28,43 @@ let push t n =
     t.total <- t.total + n
   end
 
+(* The one header write: a fresh node starts at offset 0, so the caller
+   fills [0, n) of the returned buffer, and the whole header costs one
+   generation bump (one [Mnode_write] when traced) instead of one per
+   field. *)
+let push_header t n =
+  push t n;
+  match t.parts with
+  | p :: _ when n > 0 ->
+    Mpool.bump_gen t.pool p.node;
+    Mpool.data p.node
+  | _ -> Bytes.empty
+
 (* Single-part messages dominate the hot paths (a header node pushed on a
    payload node is consumed part by part), so [pop]/[truncate] and the
    byte accessors below special-case one-part messages: adjust the part
    in place, no list walk, no tuple from [locate]. *)
 
+(* Top level rather than local to [pop_slow], so a pop allocates no
+   closure: every received frame pops its link header this way. *)
+let rec strip pool n parts =
+  if n = 0 then parts
+  else
+    match parts with
+    | [] -> assert false
+    | p :: rest ->
+      if p.len <= n then begin
+        Mpool.decref pool p.node;
+        strip pool (n - p.len) rest
+      end
+      else begin
+        p.off <- p.off + n;
+        p.len <- p.len - n;
+        parts
+      end
+
 let pop_slow t n =
-  let rec strip n parts =
-    if n = 0 then parts
-    else
-      match parts with
-      | [] -> assert false
-      | p :: rest ->
-        if p.len <= n then begin
-          Mpool.decref t.pool p.node;
-          strip (n - p.len) rest
-        end
-        else begin
-          p.off <- p.off + n;
-          p.len <- p.len - n;
-          parts
-        end
-  in
-  t.parts <- strip n t.parts;
+  t.parts <- strip t.pool n t.parts;
   t.total <- t.total - n
 
 let pop t n =
@@ -231,28 +244,25 @@ let set_u32 t off v =
       set_u16 t (off + 2) v
     end
 
-let head_view t ~len =
-  match t.parts with
-  | p :: _ when p.len >= len -> Some (p.node, Mpool.data p.node, p.off)
-  | _ -> None
-
 let iter_slices t f =
   List.iter (fun p -> if p.len > 0 then f (Mpool.data p.node) p.off p.len) t.parts
 
 let iter_parts t f =
   List.iter (fun p -> if p.len > 0 then f p.node p.off p.len) t.parts
 
-let blit_to_bytes t buf =
-  (* lint:allow msg-bump-gen: writes into the caller's buffer, never node bytes *)
-  if Bytes.length buf < t.total then invalid_arg "Msg.blit_to_bytes: buffer too small";
-  let pos = ref 0 in
+let blit_to_bytes t buf ~pos =
+  (* lint:allow msg-bump-gen: writes into the caller's buffer; a caller
+     that hands in node memory bumps it (Msg.push_header) *)
+  if pos < 0 || Bytes.length buf - pos < t.total then
+    invalid_arg "Msg.blit_to_bytes: buffer too small";
+  let pos = ref pos in
   iter_slices t (fun b off len ->
       Bytes.blit b off buf !pos len;
       pos := !pos + len)
 
 let to_string t =
   let buf = Bytes.create t.total in
-  blit_to_bytes t buf;
+  blit_to_bytes t buf ~pos:0;
   Bytes.to_string buf
 
 let pattern_byte stream_off i = (stream_off + i) mod 251
@@ -277,6 +287,54 @@ let iter_range t ~off ~len f =
           remaining := !remaining - count
         end
       end)
+
+(* Header reads.  A header normally sits inside one part (its own pushed
+   node on send, the front of the frame's node on receive), so the view
+   is that part's buffer: [view_buf] and [view_pos] walk to the part
+   holding [off] (the front one, for every decoder) and return the buffer
+   and the index without allocating.  A range that straddles parts reads
+   from a copy at index 0, so callers carry no fallback of their own.
+   Top-level recursions, not local closures, to keep the hit path free
+   of allocation. *)
+let check_view t ~off ~len =
+  if off < 0 || len < 0 || off + len > t.total then
+    invalid_arg "Msg.head_view: out of bounds"
+
+let copy_range t ~off ~len =
+  (* lint:allow msg-bump-gen: fills a private host buffer, never node bytes *)
+  let buf = Bytes.create len in
+  iter_range t ~off ~len (fun _node b start count visited ->
+      Bytes.blit b start buf visited count);
+  buf
+
+let rec view_buf t parts i ~off ~len =
+  match parts with
+  | [] -> Bytes.empty
+  | p :: rest ->
+    if i >= p.len then view_buf t rest (i - p.len) ~off ~len
+    else if i + len <= p.len then Mpool.data p.node
+    else copy_range t ~off ~len
+
+let rec view_pos parts i ~len =
+  match parts with
+  | [] -> 0
+  | p :: rest ->
+    if i >= p.len then view_pos rest (i - p.len) ~len
+    else if i + len <= p.len then p.off + i
+    else 0
+
+let head_view t ~off ~len =
+  check_view t ~off ~len;
+  view_buf t t.parts off ~off ~len
+
+let head_pos t ~off ~len =
+  check_view t ~off ~len;
+  view_pos t.parts off ~len
+
+let cache_head_sum t ~len s =
+  match t.parts with
+  | p :: _ when len <= p.len -> Mpool.cache_sum p.node ~off:p.off ~len s
+  | _ -> ()
 
 (* The pattern is periodic (251), so a precomputed block turns fill into
    [Bytes.blit] and check into 8-bytes-at-a-time word compares instead

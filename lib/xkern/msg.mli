@@ -19,13 +19,46 @@ val of_string : Mpool.t -> string -> t
 
 val length : t -> int
 
-val pool : t -> Mpool.t
-(** The pool the message allocates from — for callers that write through
-    {!head_view} and must call {!Mpool.bump_gen} on the exposed node. *)
-
 val push : t -> int -> unit
 (** [push t n] prepends [n] bytes of header space; bytes 0..n-1 of the
     message now address it. *)
+
+(** {2 Header views}
+
+    A protocol codec touches its header through one buffer view instead
+    of one accessor call per field.  The writer pushes the header with
+    {!push_header} (one write-generation bump for the whole header) and
+    stores every field with [Bytes.set_*] at [0..n-1]; the reader takes
+    {!head_view} and {!head_pos} once and loads every field with
+    [Bytes.get_*]. *)
+
+val push_header : t -> int -> Bytes.t
+(** [push_header t n] is {!push}[ t n] followed by one
+    {!Mpool.bump_gen} on the fresh node, and returns the node's buffer:
+    the header occupies bytes [0, n) of it and is the caller's to fill.
+    Every byte must be written before anything sums the message — a
+    store made after a checksum sum has to go through the byte
+    accessors below, which bump again.  [n = 0] pushes nothing and
+    returns an empty buffer. *)
+
+val head_view : t -> off:int -> len:int -> Bytes.t
+(** [head_view t ~off ~len] is a buffer holding message bytes
+    [off, off+len) contiguously, from index {!head_pos}[ t ~off ~len]:
+    the node buffer itself when one part covers the range (no copy, no
+    allocation), otherwise a fresh copy.  Read-only: writing through it
+    bypasses the write generation.
+    @raise Invalid_argument if the range is outside the message. *)
+
+val head_pos : t -> off:int -> len:int -> int
+(** Index of message byte [off] in {!head_view}[ t ~off ~len]; call it
+    with the same arguments, before the message changes. *)
+
+val cache_head_sum : t -> len:int -> int -> unit
+(** [cache_head_sum t ~len s] records [s] as the checksum sum
+    ({!Mpool.cache_sum}) of the first [len] message bytes when one part
+    covers them: a codec that wrote the header through {!push_header}
+    and computed its sum from the fields primes the memo without a
+    re-scan.  [s] must be the sum of the final byte values. *)
 
 val pop : t -> int -> unit
 (** [pop t n] strips the first [n] bytes.  @raise Invalid_argument if the
@@ -68,8 +101,9 @@ val set_u16 : t -> int -> int -> unit
 val get_u32 : t -> int -> int
 val set_u32 : t -> int -> int -> unit
 
-val blit_to_bytes : t -> Bytes.t -> unit
-(** Copy the whole message into a buffer of at least [length t] bytes. *)
+val blit_to_bytes : t -> Bytes.t -> pos:int -> unit
+(** [blit_to_bytes t buf ~pos] copies the whole message into [buf]
+    from index [pos]. *)
 
 val to_string : t -> string
 
@@ -79,15 +113,6 @@ val fill_pattern : t -> off:int -> len:int -> stream_off:int -> unit
 
 val check_pattern : t -> off:int -> len:int -> stream_off:int -> bool
 (** Verify the pattern written by {!fill_pattern}. *)
-
-val head_view : t -> len:int -> (Mpool.mnode * Bytes.t * int) option
-(** [head_view t ~len] exposes the first part's node, buffer, and the
-    absolute byte offset of message offset 0 within it, when that part
-    covers at least [len] bytes — the single-pass header fast path for
-    protocol encode/decode.  Readers may use the view freely; a writer
-    must call {!Mpool.bump_gen} on the node before storing and may
-    refresh the sum memo ({!Mpool.cache_sum}) only with a sum of the
-    final byte values. *)
 
 val iter_slices : t -> (Bytes.t -> int -> int -> unit) -> unit
 (** Apply the function to each underlying (buffer, offset, length) slice in

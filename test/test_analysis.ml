@@ -538,6 +538,34 @@ let test_lint_msg_bump_gen () =
           "let poke pool node =\n\
           \  Mpool.bump_gen pool node;\n\
           \  Bytes.set (Mpool.data node) 0 'x'\n"));
+  (* Seeded violation: a store through the read view [Msg.head_view] is
+     a node write with no bump. *)
+  (match
+     lint ~file:"lib/proto/fake.ml"
+       "let poke msg =\n\
+       \  let b = Msg.head_view msg ~off:0 ~len:2 in\n\
+       \  Bytes.set_uint16_be b (Msg.head_pos msg ~off:0 ~len:2) 7\n"
+   with
+   | [ f ] ->
+     Alcotest.(check string) "head_view write: rule" "msg-bump-gen" f.Lint.rule;
+     Alcotest.(check int) "head_view write: line" 3 f.Lint.line
+   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)));
+  (* [Msg.push_header] bumps the node whose buffer it returns. *)
+  Alcotest.(check (list string)) "push_header is the bump" []
+    (rules
+       (lint ~file:"lib/proto/fake.ml"
+          "let encap msg =\n\
+          \  let b = Msg.push_header msg 2 in\n\
+          \  Bytes.set_uint16_be b 0 7\n"));
+  (* ... but only inside its own binding: a helper filling the pushed
+     buffer elsewhere is flagged. *)
+  Alcotest.(check (list string)) "push_header bumps its own binding only" [ "msg-bump-gen" ]
+    (rules
+       (lint ~file:"lib/proto/fake.ml"
+          "let fill b =\n\
+          \  Bytes.set_uint16_be b 0 7\n\
+           let encap msg =\n\
+          \  fill (Msg.push_header msg 2)\n"));
   (* Mutating a plain buffer (no node bytes in scope) is out of scope. *)
   Alcotest.(check (list string)) "non-node mutation exempt" []
     (rules (lint ~file:"lib/xkern/fake.ml" "let poke buf =\n  Bytes.set buf 0 'x'\n"));

@@ -400,6 +400,39 @@ let test_msg_accessors_straddle_parts () =
       Alcotest.(check int) "u16 inside the header part" 0xfeed (Msg.get_u16 m 0);
       Msg.destroy m)
 
+let test_msg_header_views () =
+  let p, pool = msg_env () in
+  in_sim p (fun () ->
+      let m = Msg.of_string pool "0123456789" in
+      Msg.pop m 2;
+      (* One part, view inside it: the node buffer itself, offset by the
+         pop. *)
+      let b = Msg.head_view m ~off:1 ~len:4 in
+      let j = Msg.head_pos m ~off:1 ~len:4 in
+      Alcotest.(check int) "index within the node" 3 j;
+      Alcotest.(check string) "viewed bytes" "3456" (Bytes.sub_string b j 4);
+      Alcotest.(check bool) "no copy" true (b == Msg.head_view m ~off:0 ~len:8);
+      (* A pushed header: bytes [0, n) of a fresh buffer, one bump. *)
+      let hb = Msg.push_header m 3 in
+      Bytes.blit_string "abc" 0 hb 0 3;
+      Alcotest.(check string) "header in front" "abc23456789" (Msg.to_string m);
+      Alcotest.(check int) "header part" 2 (Msg.parts m);
+      Alcotest.(check bool) "header view is the pushed buffer" true
+        (hb == Msg.head_view m ~off:0 ~len:3);
+      Alcotest.(check int) "header at 0" 0 (Msg.head_pos m ~off:0 ~len:3);
+      (* Later part: found by walking, still no copy. *)
+      Alcotest.(check int) "second part index" 4 (Msg.head_pos m ~off:5 ~len:2);
+      (* Straddling the boundary: a copy, read from 0. *)
+      let c = Msg.head_view m ~off:1 ~len:4 in
+      Alcotest.(check int) "copy index" 0 (Msg.head_pos m ~off:1 ~len:4);
+      Alcotest.(check string) "copied bytes" "bc23" (Bytes.sub_string c 0 4);
+      Alcotest.(check bool) "copy is private" false (c == hb);
+      Alcotest.check_raises "range past the end" (Invalid_argument "Msg.head_view: out of bounds")
+        (fun () -> ignore (Msg.head_view m ~off:8 ~len:4));
+      Alcotest.(check int) "empty push" 0 (Bytes.length (Msg.push_header m 0));
+      Alcotest.(check int) "empty push adds no part" 2 (Msg.parts m);
+      Msg.destroy m)
+
 let test_msg_pattern_fill_check () =
   let p, pool = msg_env () in
   in_sim p (fun () ->
@@ -828,6 +861,7 @@ let suites =
         Alcotest.test_case "accessors span parts" `Quick test_msg_accessors_span_parts;
         Alcotest.test_case "accessors straddle parts" `Quick
           test_msg_accessors_straddle_parts;
+        Alcotest.test_case "header views" `Quick test_msg_header_views;
         Alcotest.test_case "pattern fill/check" `Quick test_msg_pattern_fill_check;
         Alcotest.test_case "append moves contents" `Quick test_msg_append_moves_contents;
         Alcotest.test_case "iter_slices covers all" `Quick test_msg_iter_slices_covers_all;
