@@ -102,6 +102,22 @@ let all_cmd =
   Cmd.v (Cmd.info "all" ~doc:"Regenerate every figure and table.")
     Term.(const run $ opts_term $ json_dir_term $ jobs_term $ no_memo_term)
 
+let profile_term =
+  let doc =
+    "Also sample the host call stacks while the command runs and write them \
+     to $(docv) in collapsed-stacks format (one `frame;frame;... count' line \
+     per distinct stack, flamegraph-ready)."
+  in
+  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
+
+(* Run [f], under the sampling profiler when [--profile FILE] was given. *)
+let profiled profile f =
+  match profile with
+  | None -> f ()
+  | Some file ->
+    let (), n = Pnp_harness.Profiler.profile ~file f in
+    Printf.printf "\nprofile: %d samples -> %s (collapsed stacks)\n" n file
+
 (* Profile the harness itself: run figure data phases (no table output)
    and report how fast the host retires simulated events.  All numbers
    here describe the host machine, never the modeled system, so this
@@ -112,14 +128,6 @@ let perf_cmd =
   let ids_term =
     let doc = "Figure ids to profile (default: every figure; see $(b,list))." in
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
-  in
-  let profile_term =
-    let doc =
-      "Also sample the host call stacks while the figures run and write them \
-       to $(docv) in collapsed-stacks format (one `frame;frame;... count' \
-       line per distinct stack, flamegraph-ready)."
-    in
-    Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
   in
   let exec opts jobs no_memo profile ids =
     Pool.set_jobs jobs;
@@ -155,11 +163,7 @@ let perf_cmd =
             (d.Hostprof.gc_minor_words /. 1e6))
         entries
     in
-    (match profile with
-    | None -> figures ()
-    | Some file ->
-      let (), n = Profiler.profile ~file figures in
-      Printf.printf "\nprofile: %d samples -> %s (collapsed stacks)\n" n file);
+    profiled profile figures;
     Report.print_host_profile ~title:"Host profile (total)"
       (Hostprof.delta t0 (Hostprof.snapshot ()))
   in
@@ -169,6 +173,164 @@ let perf_cmd =
          "Profile the harness: simulated events per host second, GC traffic and \
           sweep-cell memo hit rate, per figure and in total.")
     Term.(const exec $ opts_term $ jobs_term $ no_memo_term $ profile_term $ ids_term)
+
+(* The CI perf gate: a fixed deterministic batch of sweep cells run with
+   the cell memo off (the gate measures the engine, not the cache) and
+   reported as one events-per-host-second figure.  [--out FILE] writes
+   that profile as JSON; [--baseline FILE] compares against one written
+   earlier: exit 1 when the event count differs or the best round falls
+   below 0.8x the baseline rate, exit 2 when the baseline is unusable. *)
+let gate_cmd =
+  let open Pnp_harness in
+  let cells =
+    let c =
+      Config.v ~procs:4 ~warmup:(Pnp_util.Units.ms 100.0)
+        ~measure:(Pnp_util.Units.ms 150.0) ()
+    in
+    let recv = { c with Config.side = Config.Recv } in
+    let fifo = Pnp_engine.Lock.Fifo in
+    [
+      { c with Config.protocol = Config.Udp };
+      { recv with Config.protocol = Config.Udp };
+      c;
+      recv;
+      { recv with Config.lock_disc = fifo };
+      { recv with Config.ticketing = true };
+      { recv with Config.lock_disc = fifo; connections = 4 };
+      { c with Config.tcp_locking = Pnp_proto.Tcp.Six };
+      { c with Config.refcnt_mode = Pnp_engine.Atomic_ctr.Locked };
+      { c with Config.message_caching = false };
+      { recv with Config.arch = Pnp_engine.Arch.power_series_33 };
+    ]
+  in
+  let rounds = 4 and seeds = 3 in
+  let fail code fmt = Printf.kfprintf (fun _ -> exit code) stderr fmt in
+  (* How to (re)record a baseline, printed whenever one is unusable, so
+     the fix is in the error message, not in a doc hunt. *)
+  let help file =
+    Printf.sprintf
+      "expected a committed gate profile at %s (schema: {\"bench\":\"quick\",...,\
+       \"host\":{\"events\":N,\"events_per_sec\":N,...}}).\n\
+       Record one with:  dune exec bin/repro.exe -- gate -j 2 --out %s\n\
+       then commit it (.gitignore drops BENCH_*.json unless negated by name)."
+      file file
+  in
+  (* Pull ["<name>": <num>] out of a profile without a JSON parser: find
+     the quoted field name, then read the number after the colon. *)
+  let field s name =
+    let key = Printf.sprintf "\"%s\":" name in
+    let n = String.length s and k = String.length key in
+    let rec find i =
+      if i + k > n then None
+      else if String.sub s i k = key then begin
+        let j = ref (i + k) in
+        while !j < n && String.contains "0123456789.-+eE" s.[!j] do incr j done;
+        float_of_string_opt (String.sub s (i + k) (!j - i - k))
+      end
+      else find (i + 1)
+    in
+    find 0
+  in
+  let read_baseline file =
+    let s =
+      try In_channel.with_open_bin file In_channel.input_all
+      with Sys_error msg ->
+        fail 2 "repro gate: cannot read baseline %s (%s).\n%s\n" file msg (help file)
+    in
+    let num name =
+      match field s name with
+      | Some v -> v
+      | None ->
+        fail 2
+          "repro gate: baseline %s has no %S field — an old-schema or corrupt \
+           profile.\n%s\n"
+          file name (help file)
+    in
+    (int_of_float (num "events"), num "events_per_sec")
+  in
+  let out_term =
+    let doc = "Write the batch's host profile to $(docv) as JSON." in
+    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
+  in
+  let baseline_term =
+    let doc =
+      "Compare against the profile in $(docv), written earlier by $(b,--out): \
+       fail when the simulated event count differs or the best round's rate \
+       is below 0.8x the baseline's."
+    in
+    Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
+  in
+  let exec jobs profile out baseline =
+    Pool.set_jobs jobs;
+    (* Validate the baseline before the batch, so a bad one fails fast. *)
+    let base = Option.map (fun file -> (file, read_baseline file)) baseline in
+    Run.set_cell_memo false;
+    let best = ref 0.0 in
+    let batch () =
+      for round = 1 to rounds do
+        let (), rd =
+          Hostprof.measure (fun () ->
+              List.iter
+                (fun cfg ->
+                  (* Distinct seeds per round so no two cells repeat even
+                     if the memo were on by mistake. *)
+                  ignore (Run.run_seeds { cfg with Config.seed = round * 100 } ~seeds))
+                cells)
+        in
+        let rate = Hostprof.events_per_sec rd in
+        Printf.printf "  round %d/%d: %.0f events/sec\n%!" round rounds rate;
+        best := Float.max !best rate
+      done
+    in
+    let (), d = Hostprof.measure (fun () -> profiled profile batch) in
+    Report.print_host_profile ~title:"repro gate host profile" d;
+    (* The gate metric is the BEST round, not the mean: a transient stall
+       on a shared CI host slows some rounds, but nothing makes the engine
+       run faster than it can, so max-of-rounds tracks the code while
+       shrugging off noise. *)
+    Printf.printf "  best round: %.0f events/sec\n" !best;
+    (* The schema of the former [bench --quick]; BENCH_12.json is one. *)
+    Option.iter
+      (fun file ->
+        Out_channel.with_open_bin file (fun oc ->
+            Printf.fprintf oc
+              "{\"bench\":\"quick\",\"jobs\":%d,\"rounds\":%d,\"cells\":%d,\"host\":{\"events\":%d,\"events_per_sec\":%.6g,\"mean_events_per_sec\":%.6g,\"elapsed_s\":%.6g,\"gc_minor_words\":%.6g,\"gc_major_words\":%.6g}}\n"
+              (Pool.jobs ()) rounds (List.length cells) d.Hostprof.sim_events !best
+              (Hostprof.events_per_sec d) d.Hostprof.elapsed_s d.Hostprof.gc_minor_words
+              d.Hostprof.gc_major_words);
+        Printf.printf "wrote %s\n" file)
+      out;
+    Option.iter
+      (fun (file, (base_events, base_rate)) ->
+        (* The batch is deterministic, so a host-only change retires
+           exactly the baseline's events; any difference means the
+           modelled output moved and the baseline must be re-recorded
+           deliberately. *)
+        if d.Hostprof.sim_events <> base_events then
+          fail 1
+            "repro gate: EVENT COUNT CHANGED: %d simulated events, the baseline \
+             %s has %d — the modelled behaviour moved\n"
+            d.Hostprof.sim_events file base_events;
+        Printf.printf "baseline %s: %d events; fresh: %d (identical)\n" file
+          base_events d.Hostprof.sim_events;
+        let ratio = if base_rate > 0.0 then !best /. base_rate else 1.0 in
+        Printf.printf "baseline %s: %.0f events/sec; fresh: %.0f (%.2fx)\n" file
+          base_rate !best ratio;
+        if ratio < 0.8 then
+          fail 1
+            "repro gate: PERF REGRESSION: %.0f events/sec is less than 80%% of \
+             the baseline %.0f\n"
+            !best base_rate;
+        Printf.printf "perf gate: ok (threshold 0.8x)\n")
+      base
+  in
+  Cmd.v
+    (Cmd.info "gate"
+       ~doc:
+         "The host-performance gate: run a fixed batch of 11 sweep cells (3 \
+          seeds, 4 rounds, cell memo off) and report the best round's \
+          simulated events per host second, optionally against a baseline.")
+    Term.(const exec $ jobs_term $ profile_term $ out_term $ baseline_term)
 
 (* A single custom experiment with every knob exposed. *)
 let run_cmd =
@@ -766,7 +928,7 @@ let main =
   in
   Cmd.group (Cmd.info "repro" ~doc)
     [
-      list_cmd; fig_cmd; all_cmd; perf_cmd; run_cmd; check_cmd; chaos_cmd;
+      list_cmd; fig_cmd; all_cmd; perf_cmd; gate_cmd; run_cmd; check_cmd; chaos_cmd;
       compare_cmd; trace_cmd;
     ]
 

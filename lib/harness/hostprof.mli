@@ -5,8 +5,7 @@
     hardware.  This module snapshots process-wide counters — simulated
     events executed (fed by {!Run}, {!Overload} and {!Chaos}), GC
     minor/major allocation, and the sweep-cell memo's hit/miss counts —
-    and reports deltas.  The bench
-    harness and [repro perf] print them; {!Json_out} embeds them in
+    and reports deltas.  [repro perf] and [repro gate] print them; {!Json_out} embeds them in
     [BENCH_*.json].
 
     Counters are atomics (sweep cells run on {!Pool} worker domains).

@@ -1,6 +1,6 @@
 (* Flamegraph-friendly sampling profiler for the host engine.
 
-   `bench --profile FILE` and `repro perf --profile FILE` need to say
+   `repro gate --profile FILE` and `repro perf --profile FILE` need to say
    *where* host time goes when the events-per-second figure moves, not
    just that it moved.  OCaml has no built-in sampling profiler, but it
    has the two halves of one: [Unix.setitimer ITIMER_PROF] delivers

@@ -1,6 +1,6 @@
 (** SIGPROF sampling profiler emitting collapsed-stacks output.
 
-    Backs [bench --profile FILE] and [repro perf --profile FILE]: while
+    Backs [repro gate --profile FILE] and [repro perf --profile FILE]: while
     a workload runs, [Unix.setitimer ITIMER_PROF] fires SIGPROF per
     quantum of consumed CPU time and the handler records the current
     OCaml call stack ([Printexc.get_callstack]).  Stacks are collapsed

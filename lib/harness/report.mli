@@ -68,7 +68,7 @@ val percentile : float -> float list -> float
 val print_host_profile : ?title:string -> Hostprof.delta -> unit
 (** Human-readable host-side profile (wall clock, simulated events per
     host second, GC words, sweep-cell memo hit rate) for [repro perf]
-    and the bench harness.  Presentation only — these numbers describe
+    and [repro gate].  Presentation only — these numbers describe
     the host machine, never the modeled system, so callers must keep
     them out of figure output that determinism checks diff. *)
 

@@ -44,9 +44,8 @@ val run : Config.t -> result
     mutex-protected and safe from {!Pool} worker domains. *)
 
 val set_cell_memo : bool -> unit
-(** Enable / disable the sweep-cell memo (default: enabled).  The bench
-    harness disables it so micro-benchmarks measure the engine, not the
-    cache. *)
+(** Enable / disable the sweep-cell memo (default: enabled).  [repro
+    gate] disables it so its batch measures the engine, not the cache. *)
 
 val clear_cell_memo : unit -> unit
 (** Drop every cached cell (tests use this to isolate scenarios). *)
