@@ -2,22 +2,46 @@
 
 open Cmdliner
 
+(* [conv] restricted to the values [ok] accepts: anything else is a usage
+   error (exit 124), like an unknown enum value, rather than a crash
+   inside the simulator. *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
+
+let positive_ms =
+  checked Arg.float ~expected:"a positive duration" (fun x -> Float.is_finite x && x > 0.0)
+
+let non_negative_ms =
+  checked Arg.float ~expected:"a non-negative duration" (fun x ->
+      Float.is_finite x && x >= 0.0)
+
+let probability =
+  checked Arg.float ~expected:"a probability in [0, 1)" (fun p -> p >= 0.0 && p < 1.0)
+
 let opts_term =
   let max_procs =
     let doc = "Sweep processor counts 1..$(docv)." in
-    Arg.(value & opt int 8 & info [ "p"; "max-procs" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 8 & info [ "p"; "max-procs" ] ~docv:"N" ~doc)
   in
   let seeds =
     let doc = "Independent seeded runs averaged per data point." in
-    Arg.(value & opt int 3 & info [ "s"; "seeds" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 3 & info [ "s"; "seeds" ] ~docv:"N" ~doc)
   in
   let measure_ms =
     let doc = "Steady-state measurement window in simulated milliseconds." in
-    Arg.(value & opt float 500.0 & info [ "m"; "measure-ms" ] ~docv:"MS" ~doc)
+    Arg.(value & opt positive_ms 500.0 & info [ "m"; "measure-ms" ] ~docv:"MS" ~doc)
   in
   let warmup_ms =
     let doc = "Warmup before measurement, simulated milliseconds." in
-    Arg.(value & opt float 200.0 & info [ "w"; "warmup-ms" ] ~docv:"MS" ~doc)
+    Arg.(value & opt non_negative_ms 200.0 & info [ "w"; "warmup-ms" ] ~docv:"MS" ~doc)
   in
   let quick =
     let doc = "Short smoke-test sweep (2 seeds, 250 ms)." in
@@ -42,7 +66,7 @@ let jobs_term =
   in
   Arg.(
     value
-    & opt int (Pnp_harness.Pool.default_jobs ())
+    & opt positive_int (Pnp_harness.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let no_memo_term =
@@ -346,8 +370,10 @@ let run_cmd =
     enum_arg "side" [ ("send", Config.Send); ("recv", Config.Recv) ] Config.Recv
       "Which path to exercise: $(b,send) or $(b,recv)."
   in
-  let procs = Arg.(value & opt int 8 & info [ "procs" ] ~doc:"Processors.") in
-  let payload = Arg.(value & opt int 4096 & info [ "payload" ] ~doc:"Bytes per packet.") in
+  let procs = Arg.(value & opt positive_int 8 & info [ "procs" ] ~doc:"Processors.") in
+  let payload =
+    Arg.(value & opt positive_int 4096 & info [ "payload" ] ~doc:"Bytes per packet.")
+  in
   let no_cksum = Arg.(value & flag & info [ "no-cksum" ] ~doc:"Disable checksumming.") in
   let locks =
     enum_arg "locks"
@@ -373,7 +399,7 @@ let run_cmd =
        $(b,rcu) (writer lock + lock-free snapshot readers)."
   in
   let connections =
-    Arg.(value & opt int 1 & info [ "connections" ] ~doc:"Simultaneous connections.")
+    Arg.(value & opt positive_int 1 & info [ "connections" ] ~doc:"Simultaneous connections.")
   in
   let steering =
     enum_arg "steering"
@@ -390,7 +416,7 @@ let run_cmd =
   in
   let demux_shards =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "demux-shards" ]
           ~doc:"Shards per demux map (rounded up to a power of two).")
   in
@@ -438,7 +464,7 @@ let run_cmd =
   in
   let loss =
     Arg.(
-      value & opt float 0.0
+      value & opt probability 0.0
       & info [ "loss" ]
           ~doc:
             "Bernoulli segment-loss probability on the receiving peer (TCP send \

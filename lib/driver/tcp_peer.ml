@@ -33,7 +33,6 @@ type t = {
   mutable acks_sent : int;
   mutable wire_misorders : int;
   mutable drops : int;
-  mutable fins : int;
 }
 
 let plat t = t.stack.Stack.plat
@@ -162,7 +161,6 @@ let handle t frame =
        end
        else begin
          (if v.Frame.flags.Tcp_wire.fin then begin
-            t.fins <- t.fins + 1;
             stream.fin_seen <- true;
             if Tcp_seq.add v.Frame.seq len = stream.rcv_nxt || v.Frame.seq = stream.rcv_nxt
             then begin
@@ -206,7 +204,6 @@ let attach stack ~peer_addr ~ack_window ~checksum ?(loss_rate = 0.0) () =
       acks_sent = 0;
       wire_misorders = 0;
       drops = 0;
-      fins = 0;
     }
   in
   Fddi.set_transmit stack.Stack.fddi (fun frame -> handle t frame);
@@ -216,7 +213,6 @@ let bytes_received t = t.bytes
 let data_segments t = t.data_segments
 let acks_sent t = t.acks_sent
 let wire_misorders t = t.wire_misorders
-let fins_received t = t.fins
 let segments_dropped t = t.drops
 
 let unique_bytes t ~port =
@@ -243,8 +239,3 @@ let set_window t w =
   if announce then
     Hashtbl.iter (fun _ stream -> if stream.started then send_ack t stream) t.streams
 
-let reset_counters t =
-  t.bytes <- 0;
-  t.data_segments <- 0;
-  t.acks_sent <- 0;
-  t.wire_misorders <- 0

@@ -27,7 +27,6 @@ val wire_misorders : t -> int
 (** Data segments whose sequence number was lower than one already seen —
     packets that passed each other below TCP. *)
 
-val fins_received : t -> int
 val segments_dropped : t -> int
 
 val unique_bytes : t -> port:int -> int
@@ -44,6 +43,3 @@ val set_window : t -> int -> unit
 (** Change the advertised receive window.  Reopening a closed (zero)
     window sends a window-update ack on every established stream; call
     from a simulated thread in that case. *)
-
-val reset_counters : t -> unit
-(** Zero the byte/segment counters (used at the end of warmup). *)

@@ -27,7 +27,6 @@ type t = {
   streams : stream array;
   by_key : (int * int, stream) Hashtbl.t; (* (src addr, driver port) -> stream *)
   jitter : Prng.t;
-  mutable injected : int;
   mutable stalls : int;
   mutable pressure_sheds : int;
 }
@@ -123,7 +122,6 @@ let attach stack ~peer_addr ~payload ~checksum ?(jitter_mean_ns = 8000.0)
       streams;
       by_key;
       jitter = Prng.split (Sim.prng stack.Stack.plat.Platform.sim);
-      injected = 0;
       stalls = 0;
       pressure_sheds = 0;
     }
@@ -182,7 +180,6 @@ let reserve t ~stream =
     else begin
       let seq = s.snd_nxt in
       s.snd_nxt <- Tcp_seq.add s.snd_nxt t.payload;
-      t.injected <- t.injected + 1;
       Lock.release s.ring_lock;
       Some { r_stream = stream; r_seq = seq }
     end
@@ -247,7 +244,6 @@ let next t ~stream =
     true
 
 let established t ~stream = t.streams.(stream).established
-let segments_injected t = t.injected
 let window_stalls t = t.stalls
 let pressure_sheds t = t.pressure_sheds
 
@@ -261,4 +257,3 @@ let finish t ~stream =
   s.snd_nxt <- Tcp_seq.add s.snd_nxt 1;
   Fddi.input t.stack.Stack.fddi fin
 
-let last_ack t ~stream = t.streams.(stream).snd_una

@@ -66,7 +66,6 @@ val inject : t -> reserved -> unit
     the stack from the calling thread. *)
 
 val established : t -> stream:int -> bool
-val segments_injected : t -> int
 val window_stalls : t -> int
 
 (** Reservations refused because the stack's pool was too close to
@@ -76,5 +75,3 @@ val pressure_sheds : t -> int
 val finish : t -> stream:int -> unit
 (** Send FIN on the stream (for close-path tests). *)
 
-val last_ack : t -> stream:int -> int
-(** Highest acknowledgement number seen from the receiver. *)

@@ -17,6 +17,3 @@ let attach stack =
 let bytes_received t = t.bytes
 let frames_received t = t.frames
 
-let reset_counters t =
-  t.bytes <- 0;
-  t.frames <- 0

@@ -9,4 +9,3 @@ val bytes_received : t -> int
 (** UDP payload bytes (frame minus FDDI/IP/UDP headers). *)
 
 val frames_received : t -> int
-val reset_counters : t -> unit

@@ -5,11 +5,10 @@ type t = {
   mutable next_ticket : int;
   mutable serving : int;
   waiting : (int, int -> unit) Hashtbl.t; (* ticket -> resume *)
-  mutable total_wait_ns : int;
 }
 
 let create sim arch ~name =
-  { sim; arch; name; next_ticket = 0; serving = 0; waiting = Hashtbl.create 16; total_wait_ns = 0 }
+  { sim; arch; name; next_ticket = 0; serving = 0; waiting = Hashtbl.create 16 }
 
 let take t =
   Sim.delay t.sim t.arch.Arch.atomic_ns;
@@ -30,7 +29,6 @@ let await t n =
             failwith (Printf.sprintf "Gate.await %S: duplicate ticket %d" t.name n);
           Hashtbl.replace t.waiting n resume);
       let waited = Sim.now t.sim - enq in
-      t.total_wait_ns <- t.total_wait_ns + waited;
       Sim.note_wait (Sim.self t.sim) waited;
       waited
     end
@@ -55,4 +53,3 @@ let advance t =
 
 let serving t = t.serving
 let tickets_issued t = t.next_ticket
-let total_wait_ns t = t.total_wait_ns

@@ -23,4 +23,3 @@ val advance : t -> unit
 
 val serving : t -> int
 val tickets_issued : t -> int
-val total_wait_ns : t -> Pnp_util.Units.ns

@@ -185,19 +185,10 @@ let with_lock t f =
   acquire t;
   Fun.protect ~finally:(fun () -> release t) f
 
-let holding t =
-  match t.owner with Some o -> o == Sim.self t.sim | None -> false
-
 let acquisitions t = t.acquisitions
 let contended_acquisitions t = t.contended
 let total_wait_ns t = t.total_wait_ns
 let total_hold_ns t = t.total_hold_ns
-
-let reset_stats t =
-  t.acquisitions <- 0;
-  t.contended <- 0;
-  t.total_wait_ns <- 0;
-  t.total_hold_ns <- 0
 
 module Counting = struct
   type nonrec t = { lock : t; mutable owner : Sim.thread option; mutable depth : int }

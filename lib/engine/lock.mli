@@ -44,16 +44,12 @@ val release : t -> unit
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock t f] = acquire; run [f]; release — releasing on exceptions. *)
 
-val holding : t -> bool
-(** Whether the calling thread currently owns the lock. *)
-
 (** {2 Statistics} *)
 
 val acquisitions : t -> int
 val contended_acquisitions : t -> int
 val total_wait_ns : t -> Pnp_util.Units.ns
 val total_hold_ns : t -> Pnp_util.Units.ns
-val reset_stats : t -> unit
 
 (** {2 Recursive (counting) locks}
 

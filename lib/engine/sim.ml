@@ -285,8 +285,6 @@ let filter_threads t pred =
 let blocked_threads t =
   filter_threads t (fun th -> (not th.finished) && not th.runnable)
 
-let live_threads t = filter_threads t (fun th -> not th.finished)
-
 let pp_blocked fmt t =
   match blocked_threads t with
   | [] -> Format.fprintf fmt "no blocked threads"

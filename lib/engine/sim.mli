@@ -134,7 +134,4 @@ val blocked_threads : t -> thread list
 (** Threads that are suspended with no scheduled resumption, in spawn
     (tid) order. *)
 
-val live_threads : t -> thread list
-(** Threads that have not finished, in spawn (tid) order. *)
-
 val pp_blocked : Format.formatter -> t -> unit

@@ -104,10 +104,6 @@ let register_thread t ~tid ~cpu name = Hashtbl.replace t.names tid (name, cpu)
 let register_lock t ~name ~discipline = Hashtbl.replace t.locks name discipline
 let lock_discipline t name = Hashtbl.find_opt t.locks name
 
-let registered_locks t =
-  Hashtbl.fold (fun name disc acc -> (name, disc) :: acc) t.locks []
-  |> List.sort compare
-
 let clear t =
   (* Keep the chunks: the next trace run refills them in place. *)
   if Array.length t.cur.c_ts > 0 then t.free <- t.cur :: t.free;

@@ -142,9 +142,6 @@ val register_lock : t -> name:string -> discipline:string -> unit
 val lock_discipline : t -> string -> string option
 (** The discipline registered for a lock name, if any. *)
 
-val registered_locks : t -> (string * string) list
-(** All [(name, discipline)] registrations, sorted by name. *)
-
 val events : t -> record list
 (** All recorded events in emission (= time) order. *)
 

@@ -2,7 +2,6 @@ type ctx = { dir : string option }
 
 let make ?dir () = { dir }
 let disabled = { dir = None }
-let enabled t = t.dir <> None
 
 (* Minimal JSON emission: only strings and finite floats need care. *)
 let escape s =

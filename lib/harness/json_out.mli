@@ -31,8 +31,6 @@ val make : ?dir:string -> unit -> ctx
 val disabled : ctx
 (** A context that never writes — what plain CLI runs use. *)
 
-val enabled : ctx -> bool
-
 val figure_json :
   id:string ->
   jobs:int ->

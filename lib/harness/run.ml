@@ -14,124 +14,95 @@ type result = {
   rexmit_pct : float;
   lock_wait_pct : float;
   cache_hit_pct : float;
-  gate_wait_ns : int;
   scr_appends : int;
   scr_replayed : int;
   scr_resyncs : int;
-  rcu_reads : int;
 }
 
 let sender_addr = 0x0a000001
 let receiver_addr = 0x0a000002
 
-type probe = {
-  bytes : unit -> int;              (* payload bytes forwarded so far *)
-  unique : unit -> int;             (* in-order bytes net of retransmitted dups *)
-  packets : unit -> int;
-  ooo : unit -> int * int;          (* (ooo segments, data segments) *)
-  wire : unit -> int * int;         (* (misordered, data segments) on the wire *)
-  pred : unit -> int * int;         (* (misses, hits+misses) *)
-  lock_wait : unit -> int;
-  cache : unit -> int * int;        (* (cache hits, allocations) *)
-  gate_wait : unit -> int;
-  rexmit : unit -> int * int;       (* (retransmitted segments, segments out) *)
-  scr : unit -> int * int * int;    (* (log appends, entries replayed, resyncs) *)
-  rcu : unit -> int * int;          (* (lock-free reads, snapshot publishes) *)
-  p_pool : Mpool.t;                 (* the cell's allocator, for host-side
-                                       arena accounting and quiescence *)
+(* Every counter of a world, read at one instant.  A run's result is the
+   difference of two samples: at the end of warmup and at the end of the
+   run.  A world fills only the fields it has, on top of [zero]. *)
+type counters = {
+  bytes : int;           (* payload bytes forwarded so far *)
+  unique : int;          (* in-order bytes net of retransmitted dups *)
+  packets : int;
+  ooo_segs : int;        (* out-of-order data segments, of [data_segs] *)
+  data_segs : int;
+  wire_misorders : int;  (* send side: misordered below TCP, of [wire_segs] *)
+  wire_segs : int;
+  pred_misses : int;     (* header-prediction misses, of [pred_total] *)
+  pred_total : int;
+  rexmits : int;         (* retransmitted segments, of [segs_out] *)
+  segs_out : int;
+  lock_wait : int;       (* ns threads spent blocked on connection locks *)
+  cache_hits : int;      (* MNode allocations served by per-thread caches *)
+  allocations : int;
+  scr_appends : int;
+  scr_replayed : int;
+  scr_resyncs : int;
 }
+
+let zero =
+  {
+    bytes = 0;
+    unique = 0;
+    packets = 0;
+    ooo_segs = 0;
+    data_segs = 0;
+    wire_misorders = 0;
+    wire_segs = 0;
+    pred_misses = 0;
+    pred_total = 0;
+    rexmits = 0;
+    segs_out = 0;
+    lock_wait = 0;
+    cache_hits = 0;
+    allocations = 0;
+    scr_appends = 0;
+    scr_replayed = 0;
+    scr_resyncs = 0;
+  }
 
 let pct num den = if den <= 0 then 0.0 else 100.0 *. float_of_int num /. float_of_int den
 
-let percent_between f0 f1 =
-  let n0, d0 = f0 and n1, d1 = f1 in
-  pct (n1 - n0) (d1 - d0)
+(* A TCP world's sample: the application-level counters [app] plus every
+   per-session statistic, summed in one pass over the sessions. *)
+let tcp_counters tcp (app : counters) =
+  List.fold_left
+    (fun c s ->
+      let st = Tcp.stats s in
+      let c =
+        {
+          c with
+          ooo_segs = c.ooo_segs + st.Tcp.ooo_segs;
+          data_segs = c.data_segs + st.Tcp.segs_in - st.Tcp.acks_in;
+          pred_misses = c.pred_misses + st.Tcp.pred_misses;
+          pred_total = c.pred_total + st.Tcp.pred_hits + st.Tcp.pred_misses;
+          rexmits = c.rexmits + st.Tcp.rexmits;
+          segs_out = c.segs_out + st.Tcp.segs_out;
+          lock_wait = c.lock_wait + Tcp.lock_wait_ns s;
+        }
+      in
+      match Tcp.scr_counters s with
+      | None -> c
+      | Some x ->
+        {
+          c with
+          scr_appends = c.scr_appends + x.Tcp.scr_appends;
+          scr_replayed = c.scr_replayed + x.Tcp.scr_replayed;
+          scr_resyncs = c.scr_resyncs + x.Tcp.scr_resyncs;
+        })
+    app (Tcp.sessions tcp)
 
-(* Sum a per-session statistic over all TCP sessions. *)
-let sum_sessions tcp f = List.fold_left (fun acc s -> acc + f s) 0 (Tcp.sessions tcp)
-
-let tcp_data_segs st = st.Tcp.segs_in - st.Tcp.acks_in
-
-let make_tcp_probe stack ?app_unique ~app_bytes ~app_packets ~peer ~gates () =
-  let tcp = stack.Stack.tcp in
-  {
-    bytes = app_bytes;
-    unique = Option.value app_unique ~default:app_bytes;
-    packets = app_packets;
-    ooo =
-      (fun () ->
-        ( sum_sessions tcp (fun s -> (Tcp.stats s).Tcp.ooo_segs),
-          sum_sessions tcp (fun s -> tcp_data_segs (Tcp.stats s)) ));
-    wire =
-      (fun () ->
-        match peer with
-        | Some p -> (Tcp_peer.wire_misorders p, Tcp_peer.data_segments p)
-        | None -> (0, 0));
-    pred =
-      (fun () ->
-        ( sum_sessions tcp (fun s -> (Tcp.stats s).Tcp.pred_misses),
-          sum_sessions tcp (fun s ->
-              let st = Tcp.stats s in
-              st.Tcp.pred_hits + st.Tcp.pred_misses) ));
-    lock_wait = (fun () -> sum_sessions tcp Tcp.lock_wait_ns);
-    cache = (fun () -> (Mpool.cache_hits stack.Stack.pool, Mpool.allocations stack.Stack.pool));
-    gate_wait = (fun () -> List.fold_left (fun acc g -> acc + Gate.total_wait_ns g) 0 gates);
-    rexmit =
-      (fun () ->
-        ( sum_sessions tcp (fun s -> (Tcp.stats s).Tcp.rexmits),
-          sum_sessions tcp (fun s -> (Tcp.stats s).Tcp.segs_out) ));
-    scr =
-      (fun () ->
-        List.fold_left
-          (fun (a, r, y) s ->
-            match Tcp.scr_counters s with
-            | None -> (a, r, y)
-            | Some c ->
-              ( a + c.Tcp.scr_appends,
-                r + c.Tcp.scr_replayed,
-                y + c.Tcp.scr_resyncs ))
-          (0, 0, 0) (Tcp.sessions tcp));
-    rcu =
-      (fun () ->
-        List.fold_left
-          (fun (rd, pb) s ->
-            match Tcp.rcu_counters s with
-            | None -> (rd, pb)
-            | Some (r, p) -> (rd + r, pb + p))
-          (0, 0) (Tcp.sessions tcp));
-    p_pool = stack.Stack.pool;
-  }
-
-type snapshot = {
-  s_bytes : int;
-  s_unique : int;
-  s_packets : int;
-  s_ooo : int * int;
-  s_wire : int * int;
-  s_pred : int * int;
-  s_lock_wait : int;
-  s_cache : int * int;
-  s_gate : int;
-  s_rexmit : int * int;
-  s_scr : int * int * int;
-  s_rcu : int * int;
-}
-
-let take probe =
-  {
-    s_bytes = probe.bytes ();
-    s_unique = probe.unique ();
-    s_packets = probe.packets ();
-    s_ooo = probe.ooo ();
-    s_wire = probe.wire ();
-    s_pred = probe.pred ();
-    s_lock_wait = probe.lock_wait ();
-    s_cache = probe.cache ();
-    s_gate = probe.gate_wait ();
-    s_rexmit = probe.rexmit ();
-    s_scr = probe.scr ();
-    s_rcu = probe.rcu ();
-  }
+let sum n f =
+  let acc = ref 0 in
+  for j = 0 to n - 1 do
+    acc := !acc + f j
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Workload assembly                                                   *)
@@ -286,272 +257,208 @@ let make_feeder (cfg : Config.t) plat pacing ~worker =
             Now (go 0 0.0))
       end)
 
-(* Build stack + drivers + worker threads; return the probe. *)
+(* The receive worlds' application counters, one [app] per connection. *)
+let app_counters apps =
+  let n = Array.length apps in
+  let bytes = sum n (fun j -> apps.(j).app_bytes) in
+  { zero with bytes; unique = bytes; packets = sum n (fun j -> apps.(j).app_packets) }
+
+(* One application sender per processor, on connection [i mod conns]:
+   the send-side throughput test. *)
+let spawn_senders (cfg : Config.t) plat pool ~name ~session ~send =
+  let sim = plat.Platform.sim in
+  for i = 0 to cfg.Config.procs - 1 do
+    let rng = Prng.split (Sim.prng sim) in
+    ignore
+      (Sim.spawn sim ~cpu:i ~name:(Printf.sprintf "%s.%d" name i) (fun () ->
+           let sess = session (i mod cfg.Config.connections) in
+           while true do
+             Costs.charge plat Costs.app_send;
+             (* small application service jitter; keeps the system off
+                artificial deterministic phase-locks *)
+             Platform.charge plat (int_of_float (Prng.exponential rng ~mean:1000.0));
+             let m = Msg.create pool cfg.Config.payload in
+             Costs.fill_payload plat m ~off:0 ~len:cfg.Config.payload ~stream_off:0;
+             send sess (if cfg.Config.presentation then Pres.encode plat pool m else m)
+           done))
+  done
+
+(* One receive worker per processor that owns a connection, carrying up
+   whichever stream's next packet its feeder picks. *)
+let spawn_receivers (cfg : Config.t) plat ~name ~next =
+  let sim = plat.Platform.sim in
+  let pacing = make_pacing cfg in
+  for i = 0 to cfg.Config.procs - 1 do
+    match make_feeder cfg plat pacing ~worker:i with
+    | None -> () (* more workers than owned connections *)
+    | Some feed ->
+      ignore
+        (Sim.spawn sim ~cpu:i ~name:(Printf.sprintf "%s.%d" name i) (fun () ->
+             while true do
+               match feed () with
+               | Now stream -> next stream
+               | Wait d -> Sim.delay sim d
+             done))
+  done
+
+(* Build stack + drivers + worker threads; return the world's sampler and
+   its pool. *)
 let setup (cfg : Config.t) plat =
   let procs = cfg.Config.procs in
   let conns = cfg.Config.connections in
+  let sim = plat.Platform.sim in
   assert (procs >= 1 && conns >= 1);
   (match cfg.Config.steering with
    | Some _ when cfg.Config.protocol <> Config.Tcp || cfg.Config.side <> Config.Recv ->
      invalid_arg "Run.setup: steering applies to the TCP receive side only"
+   | Some _ when cfg.Config.offered_mbps <> None ->
+     invalid_arg "Run.setup: steering models a saturating NIC; unset offered_mbps"
    | _ -> ());
-  match (cfg.Config.protocol, cfg.Config.side) with
-  | Config.Udp, Config.Send ->
-    let stack =
-      Stack.create plat ~udp_checksum:cfg.Config.checksum
-        ?pool_capacity:cfg.Config.pool_capacity ~local_addr:sender_addr ()
-    in
-    let sink = Udp_sink.attach stack in
-    let sessions =
-      Array.init conns (fun j ->
-          Udp.open_session stack.Stack.udp ~local_port:(5000 + j)
-            ~remote_addr:receiver_addr ~remote_port:(80 + j)
-            ~recv:(fun m -> Msg.destroy m))
-    in
-    for i = 0 to procs - 1 do
-      let sess = sessions.(i mod conns) in
-      let rng = Prng.split (Sim.prng plat.Platform.sim) in
-      ignore
-        (Sim.spawn plat.Platform.sim ~cpu:i ~name:(Printf.sprintf "udp-send.%d" i)
-           (fun () ->
-             while true do
-               Costs.charge plat Costs.app_send;
-               (* small application service jitter; keeps the system off
-                  artificial deterministic phase-locks *)
-               Platform.charge plat (int_of_float (Prng.exponential rng ~mean:1000.0));
-               let m = Msg.create stack.Stack.pool cfg.Config.payload in
-               Costs.fill_payload plat m ~off:0 ~len:cfg.Config.payload ~stream_off:0;
-               let m =
-                 if cfg.Config.presentation then Pres.encode plat stack.Stack.pool m
-                 else m
-               in
-               Udp.send sess m
-             done))
-    done;
-    {
-      bytes = (fun () -> Udp_sink.bytes_received sink);
-      unique = (fun () -> Udp_sink.bytes_received sink);
-      packets = (fun () -> Udp_sink.frames_received sink);
-      ooo = (fun () -> (0, 0));
-      wire = (fun () -> (0, 0));
-      pred = (fun () -> (0, 0));
-      lock_wait = (fun () -> 0);
-      cache = (fun () -> (Mpool.cache_hits stack.Stack.pool, Mpool.allocations stack.Stack.pool));
-      gate_wait = (fun () -> 0);
-      rexmit = (fun () -> (0, 0));
-      scr = (fun () -> (0, 0, 0));
-      rcu = (fun () -> (0, 0));
-      p_pool = stack.Stack.pool;
-    }
-  | Config.Udp, Config.Recv ->
-    let stack =
-      Stack.create plat ~udp_checksum:cfg.Config.checksum
-        ?pool_capacity:cfg.Config.pool_capacity ~local_addr:receiver_addr ()
-    in
-    let ports = List.init conns (fun j -> (2000 + j, 4000 + j)) in
-    let src =
-      let jitter =
-        cfg.Config.driver_jitter_ns *. (1.0 +. (0.12 *. float_of_int (procs - 1)))
+  let udp = cfg.Config.protocol = Config.Udp in
+  let stack =
+    Stack.create plat
+      ?udp_checksum:(if udp then Some cfg.Config.checksum else None)
+      ?tcp_config:(if udp then None else Some (tcp_config cfg))
+      ?pool_capacity:cfg.Config.pool_capacity
+      ~local_addr:(if cfg.Config.side = Config.Send then sender_addr else receiver_addr)
+      ()
+  in
+  let pool = stack.Stack.pool in
+  let payload = cfg.Config.payload and checksum = cfg.Config.checksum in
+  (* Interrupt/DMA service variance grows with the number of CPUs
+     hammering the bus; Table 1's MCS column is its footprint. *)
+  let jitter_mean_ns =
+    cfg.Config.driver_jitter_ns *. (1.0 +. (0.12 *. float_of_int (procs - 1)))
+  in
+  let deliver apps j m = app_receive cfg plat pool apps.(j) m in
+  let world =
+    match (cfg.Config.protocol, cfg.Config.side, cfg.Config.steering) with
+    | Config.Udp, Config.Send, _ ->
+      let sink = Udp_sink.attach stack in
+      let sessions =
+        Array.init conns (fun j ->
+            Udp.open_session stack.Stack.udp ~local_port:(5000 + j)
+              ~remote_addr:receiver_addr ~remote_port:(80 + j)
+              ~recv:(fun m -> Msg.destroy m))
       in
-      Udp_source.attach stack ~peer_addr:sender_addr ~payload:cfg.Config.payload
-        ~checksum:cfg.Config.checksum ~jitter_mean_ns:jitter ~ports ()
-    in
-    let apps = Array.init conns (fun j -> make_app plat j) in
-    List.iteri
-      (fun j (_, rcv_port) ->
+      spawn_senders cfg plat pool ~name:"udp-send" ~session:(Array.get sessions)
+        ~send:Udp.send;
+      fun () ->
+        let bytes = Udp_sink.bytes_received sink in
+        { zero with bytes; unique = bytes; packets = Udp_sink.frames_received sink }
+    | Config.Udp, Config.Recv, _ ->
+      let ports = List.init conns (fun j -> (2000 + j, 4000 + j)) in
+      let src =
+        Udp_source.attach stack ~peer_addr:sender_addr ~payload ~checksum ~jitter_mean_ns
+          ~ports ()
+      in
+      let apps = Array.init conns (make_app plat) in
+      List.iteri
+        (fun j (_, rcv_port) ->
+          ignore
+            (Udp.open_session stack.Stack.udp ~local_port:rcv_port ~remote_addr:sender_addr
+               ~remote_port:(2000 + j) ~recv:(deliver apps j)))
+        ports;
+      spawn_receivers cfg plat ~name:"udp-recv" ~next:(fun stream ->
+          Udp_source.next src ~stream);
+      fun () -> app_counters apps
+    | Config.Tcp, Config.Send, _ ->
+      let peer =
+        Tcp_peer.attach stack ~peer_addr:receiver_addr ~ack_window:(1 lsl 20) ~checksum
+          ~loss_rate:cfg.Config.loss_rate ()
+      in
+      let sessions = Array.make conns None in
+      ignore
+        (Sim.spawn sim ~cpu:0 ~name:"tcp-connector" (fun () ->
+             for j = 0 to conns - 1 do
+               sessions.(j) <-
+                 Some
+                   (Tcp.connect stack.Stack.tcp ~local_port:(5000 + j)
+                      ~remote_addr:receiver_addr ~remote_port:(80 + j))
+             done));
+      spawn_senders cfg plat pool ~name:"tcp-send"
+        ~session:(fun j ->
+          (* wait for the connector to finish our session *)
+          while sessions.(j) = None do
+            Sim.delay sim (Units.us 20.0)
+          done;
+          Option.get sessions.(j))
+        ~send:Tcp.send;
+      fun () ->
+        tcp_counters stack.Stack.tcp
+          {
+            zero with
+            bytes = Tcp_peer.bytes_received peer;
+            unique = sum conns (fun j -> Tcp_peer.unique_bytes peer ~port:(5000 + j));
+            packets = Tcp_peer.data_segments peer;
+            wire_misorders = Tcp_peer.wire_misorders peer;
+            wire_segs = Tcp_peer.data_segments peer;
+          }
+    | Config.Tcp, Config.Recv, Some policy ->
+      (* Steered receive: a virtual multi-queue NIC (Steer) picks the
+         worker per frame instead of the placement feeders.  One shared
+         listen port with per-stream source addresses carries the
+         connection count past the 16-bit port space. *)
+      let listen_port = 4000 in
+      let addr_span = 1 lsl 14 (* streams per source address *) in
+      let addr_of j = sender_addr + ((j / addr_span) lsl 16) in
+      let ports = List.init conns (fun j -> (2000 + (j mod addr_span), listen_port)) in
+      let src =
+        Tcp_source.attach stack ~peer_addr:sender_addr ~payload ~checksum ~jitter_mean_ns
+          ~addr_of ~ports ()
+      in
+      let apps = Array.init conns (make_app plat) in
+      Tcp.listen stack.Stack.tcp ~local_port:listen_port ~accept:(fun sess ->
+          let raddr, rport = Tcp.remote_endpoint sess in
+          let j = (((raddr - sender_addr) lsr 16) * addr_span) + (rport - 2000) in
+          Tcp.set_receiver sess (deliver apps j));
+      (* Handshake in parallel slices: serially opening 10^5 connections
+         from one thread would eat whole simulated seconds. *)
+      let slice = (conns + procs - 1) / procs in
+      for i = 0 to procs - 1 do
+        let first = i * slice and last = min conns ((i + 1) * slice) in
+        if first < last then
+          ignore
+            (Sim.spawn sim ~cpu:i ~name:(Printf.sprintf "tcp-handshaker.%d" i) (fun () ->
+                 Tcp_source.start_range src ~first ~last))
+      done;
+      let steer = Steer.create plat ~policy ~workers:procs ~conns () in
+      let reserve ~conn = Tcp_source.reserve src ~stream:conn in
+      for i = 0 to procs - 1 do
         ignore
-          (Udp.open_session stack.Stack.udp ~local_port:rcv_port ~remote_addr:sender_addr
-             ~remote_port:(2000 + j)
-             ~recv:(fun m -> app_receive cfg plat stack.Stack.pool apps.(j) m)))
-      ports;
-    let pacing = make_pacing cfg in
-    for i = 0 to procs - 1 do
-      match make_feeder cfg plat pacing ~worker:i with
-      | None -> () (* more workers than owned connections *)
-      | Some feed ->
-        ignore
-          (Sim.spawn plat.Platform.sim ~cpu:i ~name:(Printf.sprintf "udp-recv.%d" i)
-             (fun () ->
+          (Sim.spawn sim ~cpu:i ~name:(Printf.sprintf "tcp-recv.%d" i) (fun () ->
                while true do
-                 match feed () with
-                 | Now stream -> Udp_source.next src ~stream
-                 | Wait d -> Sim.delay plat.Platform.sim d
+                 match Steer.next steer ~worker:i ~reserve with
+                 | Some r -> Tcp_source.inject src r
+                 | None -> Sim.delay sim (Units.us 20.0)
                done))
-    done;
-    {
-      bytes = (fun () -> Array.fold_left (fun acc a -> acc + a.app_bytes) 0 apps);
-      unique = (fun () -> Array.fold_left (fun acc a -> acc + a.app_bytes) 0 apps);
-      packets = (fun () -> Array.fold_left (fun acc a -> acc + a.app_packets) 0 apps);
-      ooo = (fun () -> (0, 0));
-      wire = (fun () -> (0, 0));
-      pred = (fun () -> (0, 0));
-      lock_wait = (fun () -> 0);
-      cache = (fun () -> (Mpool.cache_hits stack.Stack.pool, Mpool.allocations stack.Stack.pool));
-      gate_wait = (fun () -> 0);
-      rexmit = (fun () -> (0, 0));
-      scr = (fun () -> (0, 0, 0));
-      rcu = (fun () -> (0, 0));
-      p_pool = stack.Stack.pool;
-    }
-  | Config.Tcp, Config.Send ->
-    let stack =
-      Stack.create plat ~tcp_config:(tcp_config cfg)
-        ?pool_capacity:cfg.Config.pool_capacity ~local_addr:sender_addr ()
-    in
-    let peer =
-      Tcp_peer.attach stack ~peer_addr:receiver_addr ~ack_window:(1 lsl 20)
-        ~checksum:cfg.Config.checksum ~loss_rate:cfg.Config.loss_rate ()
-    in
-    let sessions = Array.make conns None in
-    ignore
-      (Sim.spawn plat.Platform.sim ~cpu:0 ~name:"tcp-connector" (fun () ->
-           for j = 0 to conns - 1 do
-             sessions.(j) <-
-               Some
-                 (Tcp.connect stack.Stack.tcp ~local_port:(5000 + j)
-                    ~remote_addr:receiver_addr ~remote_port:(80 + j))
-           done));
-    for i = 0 to procs - 1 do
-      let j = i mod conns in
-      let rng = Prng.split (Sim.prng plat.Platform.sim) in
-      ignore
-        (Sim.spawn plat.Platform.sim ~cpu:i ~name:(Printf.sprintf "tcp-send.%d" i)
-           (fun () ->
-             (* wait for the connector to finish our session *)
-             while sessions.(j) = None do
-               Sim.delay plat.Platform.sim (Units.us 20.0)
-             done;
-             let sess = Option.get sessions.(j) in
-             while true do
-               Costs.charge plat Costs.app_send;
-               (* small application service jitter; keeps the system off
-                  artificial deterministic phase-locks *)
-               Platform.charge plat (int_of_float (Prng.exponential rng ~mean:1000.0));
-               let m = Msg.create stack.Stack.pool cfg.Config.payload in
-               Costs.fill_payload plat m ~off:0 ~len:cfg.Config.payload ~stream_off:0;
-               let m =
-                 if cfg.Config.presentation then Pres.encode plat stack.Stack.pool m
-                 else m
-               in
-               Tcp.send sess m
-             done))
-    done;
-    make_tcp_probe stack
-      ~app_unique:(fun () ->
-        let u = ref 0 in
-        for j = 0 to conns - 1 do
-          u := !u + Tcp_peer.unique_bytes peer ~port:(5000 + j)
-        done;
-        !u)
-      ~app_bytes:(fun () -> Tcp_peer.bytes_received peer)
-      ~app_packets:(fun () -> Tcp_peer.data_segments peer)
-      ~peer:(Some peer) ~gates:[] ()
-  | Config.Tcp, Config.Recv when cfg.Config.steering <> None ->
-    (* Steered receive: a virtual multi-queue NIC (Steer) picks the
-       worker per frame instead of the placement feeders.  One shared
-       listen port with per-stream source addresses carries the
-       connection count past the 16-bit port space. *)
-    let policy = Option.get cfg.Config.steering in
-    if cfg.Config.offered_mbps <> None then
-      invalid_arg "Run.setup: steering models a saturating NIC; unset offered_mbps";
-    let stack =
-      Stack.create plat ~tcp_config:(tcp_config cfg)
-        ?pool_capacity:cfg.Config.pool_capacity ~local_addr:receiver_addr ()
-    in
-    let listen_port = 4000 in
-    let addr_span = 1 lsl 14 (* streams per source address *) in
-    let addr_of j = sender_addr + ((j / addr_span) lsl 16) in
-    let ports = List.init conns (fun j -> (2000 + (j mod addr_span), listen_port)) in
-    let src =
-      let jitter =
-        cfg.Config.driver_jitter_ns *. (1.0 +. (0.12 *. float_of_int (procs - 1)))
+      done;
+      fun () -> tcp_counters stack.Stack.tcp (app_counters apps)
+    | Config.Tcp, Config.Recv, None ->
+      let ports = List.init conns (fun j -> (2000 + j, 4000 + j)) in
+      let src =
+        Tcp_source.attach stack ~peer_addr:sender_addr ~payload ~checksum ~jitter_mean_ns
+          ~ports ()
       in
-      Tcp_source.attach stack ~peer_addr:sender_addr ~payload:cfg.Config.payload
-        ~checksum:cfg.Config.checksum ~jitter_mean_ns:jitter ~addr_of ~ports ()
-    in
-    let apps = Array.init conns (fun j -> make_app plat j) in
-    Tcp.listen stack.Stack.tcp ~local_port:listen_port ~accept:(fun sess ->
-        let raddr, rport = Tcp.remote_endpoint sess in
-        let j = (((raddr - sender_addr) lsr 16) * addr_span) + (rport - 2000) in
-        Tcp.set_receiver sess (fun m -> app_receive cfg plat stack.Stack.pool apps.(j) m));
-    (* Handshake in parallel slices: serially opening 10^5 connections
-       from one thread would eat whole simulated seconds. *)
-    let slice = (conns + procs - 1) / procs in
-    for i = 0 to procs - 1 do
-      let first = i * slice and last = min conns ((i + 1) * slice) in
-      if first < last then
-        ignore
-          (Sim.spawn plat.Platform.sim ~cpu:i
-             ~name:(Printf.sprintf "tcp-handshaker.%d" i)
-             (fun () -> Tcp_source.start_range src ~first ~last))
-    done;
-    let steer = Steer.create plat ~policy ~workers:procs ~conns () in
-    let reserve ~conn = Tcp_source.reserve src ~stream:conn in
-    for i = 0 to procs - 1 do
-      ignore
-        (Sim.spawn plat.Platform.sim ~cpu:i ~name:(Printf.sprintf "tcp-recv.%d" i)
-           (fun () ->
-             while true do
-               match Steer.next steer ~worker:i ~reserve with
-               | Some r -> Tcp_source.inject src r
-               | None -> Sim.delay plat.Platform.sim (Units.us 20.0)
-             done))
-    done;
-    make_tcp_probe stack
-      ~app_bytes:(fun () -> Array.fold_left (fun acc a -> acc + a.app_bytes) 0 apps)
-      ~app_packets:(fun () -> Array.fold_left (fun acc a -> acc + a.app_packets) 0 apps)
-      ~peer:None ~gates:[] ()
-  | Config.Tcp, Config.Recv ->
-    let stack =
-      Stack.create plat ~tcp_config:(tcp_config cfg)
-        ?pool_capacity:cfg.Config.pool_capacity ~local_addr:receiver_addr ()
-    in
-    let ports = List.init conns (fun j -> (2000 + j, 4000 + j)) in
-    let src =
-      (* Interrupt/DMA service variance grows with the number of CPUs
-         hammering the bus; Table 1's MCS column is its footprint. *)
-      let jitter =
-        cfg.Config.driver_jitter_ns *. (1.0 +. (0.12 *. float_of_int (procs - 1)))
-      in
-      Tcp_source.attach stack ~peer_addr:sender_addr ~payload:cfg.Config.payload
-        ~checksum:cfg.Config.checksum ~jitter_mean_ns:jitter ~ports ()
-    in
-    let apps = Array.init conns (fun j -> make_app plat j) in
-    let gates = ref [] in
-    List.iteri
-      (fun j (_, rcv_port) ->
-        Tcp.listen stack.Stack.tcp ~local_port:rcv_port ~accept:(fun sess ->
-            gates := Tcp.ticket_gate sess :: !gates;
-            Tcp.set_receiver sess (fun m -> app_receive cfg plat stack.Stack.pool apps.(j) m)))
-      ports;
-    ignore
-      (Sim.spawn plat.Platform.sim ~cpu:0 ~name:"tcp-handshaker" (fun () ->
-           Tcp_source.start src));
-    let pacing = make_pacing cfg in
-    for i = 0 to procs - 1 do
-      match make_feeder cfg plat pacing ~worker:i with
-      | None -> ()
-      | Some feed ->
-        ignore
-          (Sim.spawn plat.Platform.sim ~cpu:i ~name:(Printf.sprintf "tcp-recv.%d" i)
-             (fun () ->
-               while true do
-                 match feed () with
-                 | Now stream ->
-                   if not (Tcp_source.next src ~stream) then
-                     Sim.delay plat.Platform.sim (Units.us 20.0)
-                 | Wait d -> Sim.delay plat.Platform.sim d
-               done))
-    done;
-    make_tcp_probe stack
-      ~app_bytes:(fun () -> Array.fold_left (fun acc a -> acc + a.app_bytes) 0 apps)
-      ~app_packets:(fun () -> Array.fold_left (fun acc a -> acc + a.app_packets) 0 apps)
-      ~peer:None
-      ~gates:!gates ()
+      let apps = Array.init conns (make_app plat) in
+      List.iteri
+        (fun j (_, rcv_port) ->
+          Tcp.listen stack.Stack.tcp ~local_port:rcv_port ~accept:(fun sess ->
+              Tcp.set_receiver sess (deliver apps j)))
+        ports;
+      ignore (Sim.spawn sim ~cpu:0 ~name:"tcp-handshaker" (fun () -> Tcp_source.start src));
+      spawn_receivers cfg plat ~name:"tcp-recv" ~next:(fun stream ->
+          if not (Tcp_source.next src ~stream) then Sim.delay sim (Units.us 20.0));
+      fun () -> tcp_counters stack.Stack.tcp (app_counters apps)
+  in
+  let sample () =
+    { (world ()) with cache_hits = Mpool.cache_hits pool; allocations = Mpool.allocations pool }
+  in
+  (sample, pool)
 
 let run_gen ?(trace = false) ?stall_ns (cfg : Config.t) =
   let plat = make_platform cfg in
-  let probe = setup cfg plat in
+  let sample, pool = setup cfg plat in
   let tracer = Sim.tracer plat.Platform.sim in
   let wd =
     match stall_ns with
@@ -559,53 +466,46 @@ let run_gen ?(trace = false) ?stall_ns (cfg : Config.t) =
     | Some s ->
       Some
         (Watchdog.install plat.Platform.sim ~stall_ns:s
-           ~progress:(fun () -> probe.bytes ())
+           ~progress:(fun () -> (sample ()).bytes)
            ())
   in
   let s0 = ref None in
   Sim.at plat.Platform.sim cfg.Config.warmup (fun () ->
-      s0 := Some (take probe);
-      (* Start tracing at the same instant the warmup snapshot is taken, so
-         trace-event totals line up with the aggregate counter deltas over
-         the measurement window. *)
+      s0 := Some (sample ());
+      (* Start tracing at the same instant the warmup sample is taken, so
+         trace-event totals line up with the counter deltas over the
+         measurement window. *)
       if trace then Trace.enable tracer);
   Sim.run ~until:(cfg.Config.warmup + cfg.Config.measure) plat.Platform.sim;
   (match wd with Some w -> Watchdog.disarm w | None -> ());
   if trace then Trace.disable tracer;
   Hostprof.note_sim_events (Sim.events_processed plat.Platform.sim);
-  Hostprof.note_arena_hwm (Mpool.arena_hwm probe.p_pool);
+  Hostprof.note_arena_hwm (Mpool.arena_hwm pool);
   (* The run just reached its event horizon — quiescence: release surplus
      recycled buffers so a burst in this cell does not pin host memory
      while the next cells run. *)
-  Mpool.quiesce probe.p_pool;
+  Mpool.quiesce pool;
   let s0 = match !s0 with Some s -> s | None -> failwith "Run.run: warmup never fired" in
-  let s1 = take probe in
+  let s1 = sample () in
   let duration = cfg.Config.measure in
-  ( {
-      throughput_mbps =
-        Units.mbits_per_sec ~bytes_transferred:(s1.s_bytes - s0.s_bytes) ~duration;
-      goodput_mbps =
-        Units.mbits_per_sec ~bytes_transferred:(s1.s_unique - s0.s_unique) ~duration;
-      packets = s1.s_packets - s0.s_packets;
-      ooo_pct = percent_between s0.s_ooo s1.s_ooo;
-      wire_misorder_pct = percent_between s0.s_wire s1.s_wire;
-      pred_miss_pct = percent_between s0.s_pred s1.s_pred;
-      rexmit_pct = percent_between s0.s_rexmit s1.s_rexmit;
-      lock_wait_pct =
-        pct (s1.s_lock_wait - s0.s_lock_wait) (cfg.Config.procs * duration);
-      cache_hit_pct = percent_between s0.s_cache s1.s_cache;
-      gate_wait_ns = s1.s_gate - s0.s_gate;
-      scr_appends =
-        (let a1, _, _ = s1.s_scr and a0, _, _ = s0.s_scr in
-         a1 - a0);
-      scr_replayed =
-        (let _, r1, _ = s1.s_scr and _, r0, _ = s0.s_scr in
-         r1 - r0);
-      scr_resyncs =
-        (let _, _, y1 = s1.s_scr and _, _, y0 = s0.s_scr in
-         y1 - y0);
-      rcu_reads = fst s1.s_rcu - fst s0.s_rcu;
-    },
+  let mbps b = Units.mbits_per_sec ~bytes_transferred:b ~duration in
+  ( ({
+       throughput_mbps = mbps (s1.bytes - s0.bytes);
+       goodput_mbps = mbps (s1.unique - s0.unique);
+       packets = s1.packets - s0.packets;
+       ooo_pct = pct (s1.ooo_segs - s0.ooo_segs) (s1.data_segs - s0.data_segs);
+       wire_misorder_pct =
+         pct (s1.wire_misorders - s0.wire_misorders) (s1.wire_segs - s0.wire_segs);
+       pred_miss_pct = pct (s1.pred_misses - s0.pred_misses) (s1.pred_total - s0.pred_total);
+       rexmit_pct = pct (s1.rexmits - s0.rexmits) (s1.segs_out - s0.segs_out);
+       lock_wait_pct = pct (s1.lock_wait - s0.lock_wait) (cfg.Config.procs * duration);
+       cache_hit_pct =
+         pct (s1.cache_hits - s0.cache_hits) (s1.allocations - s0.allocations);
+       scr_appends = s1.scr_appends - s0.scr_appends;
+       scr_replayed = s1.scr_replayed - s0.scr_replayed;
+       scr_resyncs = s1.scr_resyncs - s0.scr_resyncs;
+     }
+      : result),
     tracer,
     match wd with None -> [] | Some w -> Watchdog.stalls w )
 

@@ -19,7 +19,6 @@ type result = {
   rexmit_pct : float;        (** retransmitted segments among segments sent, % *)
   lock_wait_pct : float;     (** share of thread time blocked on connection locks, % *)
   cache_hit_pct : float;     (** MNode allocations served by per-thread caches, % *)
-  gate_wait_ns : int;        (** total ticketing wait in the window *)
   scr_appends : int;
       (** [Scr] only: packet-history log entries appended in the window
           (0 under any other discipline) *)
@@ -27,9 +26,6 @@ type result = {
       (** [Scr] only: redundant foreign entries replicas replayed — the
           compute SCR trades for lock waiting *)
   scr_resyncs : int;         (** [Scr] only: replica bootstraps + post-truncation resyncs *)
-  rcu_reads : int;
-      (** [Rcu] only: segments answered lock-free against the published
-          snapshot (0 under any other discipline) *)
 }
 
 val run : Config.t -> result

@@ -104,7 +104,6 @@ let recv_exactly t n =
     Some keep
 
 let close t = Tcp.close t.sess
-let eof t = t.fin && Queue.is_empty t.inbox
 let pending_bytes t = t.pending_bytes
 let session t = t.sess
 

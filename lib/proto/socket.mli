@@ -46,9 +46,6 @@ val recv_exactly : t -> int -> string option
 val close : t -> unit
 (** Send FIN.  Buffered inbound data can still be received. *)
 
-val eof : t -> bool
-(** The peer's FIN arrived and the buffer has been drained. *)
-
 val pending_bytes : t -> int
 val session : t -> Tcp.session
 

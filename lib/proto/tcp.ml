@@ -155,7 +155,6 @@ type rcu_snap = {
 type rcu = {
   mutable ru_snap : rcu_snap;
   mutable ru_reads : int; (* segments answered without the writer lock *)
-  mutable ru_publishes : int;
 }
 
 (* A session's synchronisation discipline, decided once by [make_sync]:
@@ -200,7 +199,6 @@ type tcb = {
   mutable fin_queued : bool; (* close requested; FIN follows the buffered data *)
   mutable fin_sent : bool;
   (* receive sequence space *)
-  mutable irs : int;
   mutable rcv_nxt : int;
   rcv_adv_wnd : int; (* what we advertise *)
   mutable reass : (int * Msg.t) list; (* (seq, payload), ascending *)
@@ -435,7 +433,6 @@ let make_sync plat ~name ~scr_bound locking =
                 r_rcv_nxt = 0;
               };
             ru_reads = 0;
-            ru_publishes = 0;
           };
     }
 
@@ -471,7 +468,6 @@ let rcu_publish sess r =
       r_snd_nxt = tcb.snd_nxt;
       r_rcv_nxt = tcb.rcv_nxt;
     };
-  r.ru_publishes <- r.ru_publishes + 1;
   Costs.charge sess.proto.plat Costs.rcu_publish;
   sync_trace sess (Trace.Rcu_publish { state = sess.state_ns })
 
@@ -517,7 +513,6 @@ let fresh_tcb t =
     sb = Sockbuf.create ~policy:t.cfg.sb_policy t.pool ~max:t.cfg.snd_buf;
     fin_queued = false;
     fin_sent = false;
-    irs = 0;
     rcv_nxt = 0;
     rcv_adv_wnd = t.cfg.rcv_wnd;
     reass = [];
@@ -1110,7 +1105,6 @@ let opening_input sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
   let f = hdr.flags in
   match tcb.state with
   | Syn_sent when f.Tcp_wire.syn && f.Tcp_wire.ack && hdr.ack = Tcp_seq.add tcb.iss 1 ->
-    tcb.irs <- hdr.seq;
     tcb.rcv_nxt <- Tcp_seq.add hdr.seq 1;
     tcb.snd_una <- hdr.ack;
     tcb.snd_wnd <- hdr.win;
@@ -1465,7 +1459,6 @@ let handshake_syn t listener_key accept (hdr : Tcp_wire.header) ~src =
   let tcb = sess.tcb in
   tcb.state <- Syn_received;
   tcb.syn_counted <- true;
-  tcb.irs <- hdr.seq;
   tcb.rcv_nxt <- Tcp_seq.add hdr.seq 1;
   open_send_space tcb (next_iss t);
   tcb.snd_wnd <- hdr.win;
@@ -1848,8 +1841,6 @@ let stats sess = sess.st
 let config t = t.cfg
 let checksum_failures t = t.cksum_failures
 let syn_backlog_drops t = t.syn_backlog_drops
-let sockbuf_drops sess = Sockbuf.drops sess.tcb.sb
-let sockbuf_dropped_bytes sess = Sockbuf.dropped_bytes sess.tcb.sb
 
 let total_sockbuf_drops t =
   let n = ref 0 in
@@ -1867,13 +1858,8 @@ let sessions t =
 let lock_wait_ns sess =
   List.fold_left (fun acc l -> acc + Lock.total_wait_ns l) 0 (all_locks sess.sync)
 
-let lock_hold_ns sess =
-  List.fold_left (fun acc l -> acc + Lock.total_hold_ns l) 0 (all_locks sess.sync)
-
 let snd_nxt sess = sess.tcb.snd_nxt
 let rcv_nxt sess = sess.tcb.rcv_nxt
-let cwnd sess = sess.tcb.snd_cwnd
-let initial_seqs sess = (sess.tcb.iss, sess.tcb.irs)
 
 type scr_counters = {
   scr_appends : int;
@@ -1895,4 +1881,4 @@ let scr_counters sess =
       })
     sess.sync.log
 
-let rcu_counters sess = Option.map (fun r -> (r.ru_reads, r.ru_publishes)) sess.sync.rcu
+let rcu_reads sess = Option.map (fun r -> r.ru_reads) sess.sync.rcu

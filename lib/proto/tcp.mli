@@ -173,7 +173,7 @@ val send : session -> Pnp_xkern.Msg.t -> unit
     the message.  Under the [Block] policy it blocks while the send
     buffer is full and, as admission control, while the mnode pool is
     above its soft watermark; under [Drop] it never blocks — an
-    overflowing message is destroyed and counted ({!sockbuf_drops}). *)
+    overflowing message is destroyed and counted ({!total_sockbuf_drops}). *)
 
 val close : session -> unit
 (** Send FIN.  Does not block for the full close handshake. *)
@@ -194,26 +194,16 @@ val syn_backlog_drops : t -> int
 (** SYNs shed because a listener's half-open backlog was full
     ([syn_backlog] cause in the overload taxonomy). *)
 
-val sockbuf_drops : session -> int
-(** Messages shed by this session's [Drop]-policy send buffer
-    ([sockbuf_full] cause). *)
-
-val sockbuf_dropped_bytes : session -> int
-
 val total_sockbuf_drops : t -> int
-(** Sum of {!sockbuf_drops} over every session of this protocol. *)
+(** Messages shed by the [Drop]-policy send buffers of every session of
+    this protocol ([sockbuf_full] cause). *)
 
 val lock_wait_ns : session -> Pnp_util.Units.ns
 (** Total time threads spent waiting on this session's state lock(s) — the
     paper's Pixie observation (85-90% of time at 8 CPUs). *)
 
-val lock_hold_ns : session -> Pnp_util.Units.ns
 val snd_nxt : session -> int
 val rcv_nxt : session -> int
-val cwnd : session -> int
-
-val initial_seqs : session -> int * int
-(** (iss, irs) — initial send and receive sequence numbers. *)
 
 type scr_counters = {
   scr_appends : int;       (** log entries appended (= segments logged) *)
@@ -226,6 +216,6 @@ type scr_counters = {
 val scr_counters : session -> scr_counters option
 (** The session's SCR log counters; [None] unless [locking = Scr]. *)
 
-val rcu_counters : session -> (int * int) option
-(** [(reads, publishes)]: segments answered without the writer lock, and
-    snapshot publications; [None] unless [locking = Rcu]. *)
+val rcu_reads : session -> int option
+(** Segments answered without the writer lock; [None] unless
+    [locking = Rcu]. *)

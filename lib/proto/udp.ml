@@ -122,9 +122,6 @@ let open_session t ~local_port ~remote_addr ~remote_port ~recv =
         Port_map.insert t.sessions local_port sess;
         sess)
 
-let close_session t sess =
-  locked t (fun () -> ignore (Port_map.remove t.sessions sess.local_port))
-
 (* Push and fill a header with a zero checksum field.  The checksum,
    when stored, is summed over these bytes first, so it goes through
    [Msg.set_u16] and bumps the generation again. *)

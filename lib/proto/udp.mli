@@ -23,8 +23,6 @@ val open_session :
 (** Bind a port and install the receive upcall.  The upcall owns the
     message (and must eventually destroy it). *)
 
-val close_session : t -> session -> unit
-
 val send : session -> Pnp_xkern.Msg.t -> unit
 (** Prepend the UDP header and send to the session's remote endpoint. *)
 

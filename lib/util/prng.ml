@@ -41,8 +41,6 @@ let float t bound =
   (* 53 significant bits, scaled to [0,1). *)
   f *. (1.0 /. 9007199254740992.0) *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = float t 1.0 in
   (* Guard against log 0. *)

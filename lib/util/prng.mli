@@ -27,8 +27,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed draw with the given mean; used for service
     jitter in the simulated stack. *)

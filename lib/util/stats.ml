@@ -51,8 +51,6 @@ let summary xs =
       max = List.fold_left max neg_infinity xs;
     }
 
-let pp_summary fmt s = Format.fprintf fmt "%.1f ± %.1f" s.mean s.ci90
-
 let percentile xs p =
   match xs with
   | [] -> invalid_arg "Stats.percentile: empty"

@@ -26,9 +26,6 @@ val t_crit : int -> float
     normal value 1.645 is returned (the t distribution is within ~1% of
     N(0,1) there).  Returns 0 for df <= 0. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-(** Prints ["mean ± ci90"]. *)
-
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [0,100]; linear interpolation between
     order statistics.  Raises [Invalid_argument] on an empty list. *)

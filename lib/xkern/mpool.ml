@@ -64,9 +64,8 @@ type t = {
   mutable arena_out : int; (* bytes inside arena-drawn nodes now live *)
   mutable arena_hwm : int; (* peak of [arena_out] *)
   (* Graceful degradation: a soft high-watermark below the hard capacity.
-     Crossing it upward flips [in_pressure] and fires the admission-control
-     hook; falling back below wakes any threads parked in
-     [await_headroom].  The gap between the watermark and the hard
+     Crossing it upward flips [in_pressure]; falling back below wakes any
+     threads parked in [await_headroom].  The gap between the watermark and the hard
      capacity is the protocol's headroom budget: admission-controlled
      producers stop at the watermark so that protocol-internal transients
      (header pushes, ACK emission, retransmission) never hit the hard
@@ -77,7 +76,6 @@ type t = {
   mutable pressure_entries : int;
   mutable refusals : int; (* try_alloc calls denied at hard capacity *)
   mutable headroom_waiters : (Pnp_util.Units.ns -> unit) list; (* LIFO; woken in reverse *)
-  mutable pressure_hook : (bool -> unit) option;
 }
 
 (* Instruction budgets: a cache hit is a couple of pointer operations; the
@@ -118,7 +116,6 @@ let create ?(capacity = max_int) ?soft_watermark plat =
     pressure_entries = 0;
     refusals = 0;
     headroom_waiters = [];
-    pressure_hook = None;
     malloc_lock =
       Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair ~name:"malloc";
     caches = [||];
@@ -227,12 +224,10 @@ let global_alloc t n cls =
    compare-and-branch against [soft] / [in_pressure]. *)
 let enter_pressure t =
   t.in_pressure <- true;
-  t.pressure_entries <- t.pressure_entries + 1;
-  match t.pressure_hook with Some f -> f true | None -> ()
+  t.pressure_entries <- t.pressure_entries + 1
 
 let leave_pressure t =
   t.in_pressure <- false;
-  (match t.pressure_hook with Some f -> f false | None -> ());
   match t.headroom_waiters with
   | [] -> ()
   | ws ->
@@ -340,8 +335,6 @@ let rec await_headroom t =
         t.headroom_waiters <- resume :: t.headroom_waiters);
     await_headroom t
   end
-
-let set_pressure_hook t f = t.pressure_hook <- Some f
 
 let data node = node.data
 let capacity node = Bytes.length node.data

@@ -71,11 +71,6 @@ val await_headroom : t -> unit
     back below the watermark; a waiter on a pool that never drains is a
     liveness stall, which the watchdog reports as a finding. *)
 
-val set_pressure_hook : t -> (bool -> unit) -> unit
-(** Admission-control hook: called with [true] when the pool crosses its
-    soft watermark upward and [false] when it falls back below.  Runs
-    synchronously inside the alloc/decref that crossed the edge, so it
-    must not block; drivers use it to start/stop shedding load. *)
 
 val soft_watermark : t -> int
 (** The pressure threshold ([max_int] when the pool never presses). *)

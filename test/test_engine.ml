@@ -787,7 +787,7 @@ let test_gate_orders_delivery () =
 let test_gate_no_wait_when_in_order () =
   let sim = Sim.create () in
   let gate = Gate.create sim arch ~name:"app" in
-  let _ =
+  let th =
     Sim.spawn sim ~name:"t" (fun () ->
         let k = Gate.take gate in
         Gate.await gate k;
@@ -797,7 +797,7 @@ let test_gate_no_wait_when_in_order () =
         Gate.advance gate)
   in
   Sim.run sim;
-  Alcotest.(check int) "no wait time" 0 (Gate.total_wait_ns gate);
+  Alcotest.(check int) "no wait time" 0 (Sim.wait_ns th);
   Alcotest.(check int) "served two" 2 (Gate.serving gate)
 
 (* ------------------------------------------------------------------ *)

@@ -214,6 +214,72 @@ let test_deterministic_runs () =
   Alcotest.(check bool) "different seed perturbs" true
     (abs_float (r3.Run.throughput_mbps -. r1.Run.throughput_mbps) > 1e-9)
 
+(* Every [Run.result] field of every world, exactly: floats in hex, so a
+   refactor of the world assembly that moves any counter by one ulp fails
+   here even where no figure prints the field. *)
+let world_pins =
+  let short ?(measure = Pnp_util.Units.ms 50.0) =
+    Config.v ~procs:4 ~warmup:(Pnp_util.Units.ms 20.0) ~measure
+  in
+  [
+    ( "udp send",
+      short ~protocol:Config.Udp ~side:Config.Send (),
+      "tput=0x1.d9d3458cd20bp+8 goodput=0x1.d9d3458cd20bp+8 packets=723 \
+       ooo=0x0p+0 wire=0x0p+0 pred=0x0p+0 rexmit=0x0p+0 \
+       lock=0x0p+0 cache=0x1.9p+6 scr=0/0/0" );
+    ( "udp recv",
+      short ~protocol:Config.Udp ~side:Config.Recv ~connections:2 (),
+      "tput=0x1.da7b0b3919264p+8 goodput=0x1.da7b0b3919264p+8 packets=724 \
+       ooo=0x0p+0 wire=0x0p+0 pred=0x0p+0 rexmit=0x0p+0 \
+       lock=0x0p+0 cache=0x0p+0 scr=0/0/0" );
+    ( "tcp send 2% loss",
+      short ~side:Config.Send ~loss_rate:0.02 ~measure:(Pnp_util.Units.ms 1200.0) (),
+      "tput=0x1.39bccc5cf3af5p+4 goodput=0x1.37fd67e6e0bbep+4 packets=733 \
+       ooo=0x0p+0 wire=0x1.17665484b701cp+1 pred=0x1.9p+6 rexmit=0x1.00577f7cc0c4ep+1 \
+       lock=0x1.51cf9e22062bep+2 cache=0x1.755236f73a975p+6 scr=0/0/0" );
+    ( "tcp recv mcs ticketing",
+      short ~side:Config.Recv ~lock_disc:Lock.Fifo ~ticketing:true (),
+      "tput=0x1.cd5f99c38b04bp+7 goodput=0x1.cd5f99c38b04bp+7 packets=352 \
+       ooo=0x1.22e8ba2e8ba2fp+2 wire=0x0p+0 pred=0x1.19d1745d1745dp+3 rexmit=0x0p+0 \
+       lock=0x1.61f3e3e29307bp+4 cache=0x1.9p+6 scr=0/0/0" );
+    ( "steered last-sender recv",
+      short ~side:Config.Recv ~connections:8 ~steering:Pnp_driver.Steer.Last_sender (),
+      "tput=0x1.192641b328b6ep+8 goodput=0x1.192641b328b6ep+8 packets=429 \
+       ooo=0x1.f21cfb2b78c13p+4 wire=0x0p+0 pred=0x1.8f0f0f0f0f0f1p+5 rexmit=0x0p+0 \
+       lock=0x1.724da09cc319cp+1 cache=0x1.9p+6 scr=0/0/0" );
+    ( "scr recv",
+      short ~side:Config.Recv ~tcp_locking:Pnp_proto.Tcp.Scr (),
+      "tput=0x1.2ec6bce8533b1p+8 goodput=0x1.2ec6bce8533b1p+8 packets=462 \
+       ooo=0x1.ba552626b4402p+0 wire=0x0p+0 pred=0x1.ba552626b4402p+1 rexmit=0x0p+0 \
+       lock=0x0p+0 cache=0x1.9p+6 scr=463/1388/0" );
+    ( "rcu recv",
+      short ~side:Config.Recv ~tcp_locking:Pnp_proto.Tcp.Rcu (),
+      "tput=0x1.f4b1ee2435697p+7 goodput=0x1.f4b1ee2435697p+7 packets=382 \
+       ooo=0x1.4f141ace688b6p+3 wire=0x0p+0 pred=0x1.2961d7ca632efp+4 rexmit=0x0p+0 \
+       lock=0x1.147dd76683c29p+4 cache=0x1.9p+6 scr=0/0/0" );
+    ( "connection-level offered load",
+      short ~side:Config.Recv ~connections:4 ~placement:Config.Connection_level
+        ~skew:1.0 ~offered_mbps:200.0 (),
+      "tput=0x1.719f7f8ca8199p+7 goodput=0x1.719f7f8ca8199p+7 packets=282 \
+       ooo=0x0p+0 wire=0x0p+0 pred=0x0p+0 rexmit=0x0p+0 \
+       lock=0x0p+0 cache=0x1.9p+6 scr=0/0/0" );
+  ]
+
+let show_result (r : Run.result) =
+  Printf.sprintf
+    "tput=%h goodput=%h packets=%d \
+       ooo=%h wire=%h pred=%h rexmit=%h \
+       lock=%h cache=%h scr=%d/%d/%d"
+    r.Run.throughput_mbps r.Run.goodput_mbps r.Run.packets r.Run.ooo_pct
+    r.Run.wire_misorder_pct r.Run.pred_miss_pct r.Run.rexmit_pct r.Run.lock_wait_pct
+    r.Run.cache_hit_pct r.Run.scr_appends r.Run.scr_replayed r.Run.scr_resyncs
+
+let test_world_pins () =
+  List.iter
+    (fun (name, c, expected) ->
+      Alcotest.(check string) name expected (show_result (Run.run c)))
+    world_pins
+
 let suites =
   [
     ( "harness.baseline",
@@ -257,5 +323,6 @@ let suites =
         Alcotest.test_case "checksum microbench 32MB/s" `Quick test_checksum_microbench;
         Alcotest.test_case "metrics consistent" `Quick test_run_metrics_consistent;
         Alcotest.test_case "deterministic given seed" `Quick test_deterministic_runs;
+        Alcotest.test_case "every result field of every world" `Quick test_world_pins;
       ] );
   ]

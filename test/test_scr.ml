@@ -219,7 +219,7 @@ let test_rcu_reads_fire_on_duplicates () =
   let reads stack =
     List.fold_left
       (fun acc s ->
-        match Tcp.rcu_counters s with Some (r, _) -> acc + r | None -> acc)
+        match Tcp.rcu_reads s with Some r -> acc + r | None -> acc)
       0
       (Tcp.sessions stack.Stack.tcp)
   in
