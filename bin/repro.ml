@@ -15,13 +15,17 @@ let checked conv ~expected ok =
   Arg.conv (parse, Arg.conv_printer conv)
 
 let positive_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
+let non_negative_int = checked Arg.int ~expected:"a non-negative integer" (fun n -> n >= 0)
 
 let positive_ms =
   checked Arg.float ~expected:"a positive duration" (fun x -> Float.is_finite x && x > 0.0)
 
-let non_negative_ms =
+let non_negative_time =
   checked Arg.float ~expected:"a non-negative duration" (fun x ->
       Float.is_finite x && x >= 0.0)
+
+let positive_rate =
+  checked Arg.float ~expected:"a positive rate" (fun x -> Float.is_finite x && x > 0.0)
 
 let probability =
   checked Arg.float ~expected:"a probability in [0, 1)" (fun p -> p >= 0.0 && p < 1.0)
@@ -41,7 +45,7 @@ let opts_term =
   in
   let warmup_ms =
     let doc = "Warmup before measurement, simulated milliseconds." in
-    Arg.(value & opt non_negative_ms 200.0 & info [ "w"; "warmup-ms" ] ~docv:"MS" ~doc)
+    Arg.(value & opt non_negative_time 200.0 & info [ "w"; "warmup-ms" ] ~docv:"MS" ~doc)
   in
   let quick =
     let doc = "Short smoke-test sweep (2 seeds, 250 ms)." in
@@ -431,7 +435,7 @@ let run_cmd =
   let offered =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive_rate) None
       & info [ "offered-mbps" ] ~doc:"Arrival-limited offered load (default: saturating).")
   in
   let ticketing = Arg.(value & flag & info [ "ticketing" ] ~doc:"Preserve order above TCP.") in
@@ -459,7 +463,7 @@ let run_cmd =
   in
   let jitter_us =
     Arg.(
-      value & opt float 8.0
+      value & opt non_negative_time 8.0
       & info [ "jitter-us" ] ~doc:"Mean driver service jitter in microseconds.")
   in
   let loss =
@@ -814,11 +818,11 @@ let chaos_cmd =
   in
   let bytes_term =
     Arg.(
-      value & opt int 200_000
+      value & opt non_negative_int 200_000
       & info [ "bytes" ] ~doc:"TCP golden-stream length per cell (bytes).")
   in
   let datagrams_term =
-    Arg.(value & opt int 600 & info [ "datagrams" ] ~doc:"Paced UDP datagrams per cell.")
+    Arg.(value & opt non_negative_int 600 & info [ "datagrams" ] ~doc:"Paced UDP datagrams per cell.")
   in
   let seed_term = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base random seed.") in
   let exec jobs plan matrix list_plans bytes datagrams seed =
@@ -875,7 +879,7 @@ let compare_cmd =
   in
   let bytes_term =
     Arg.(
-      value & opt int 4096
+      value & opt non_negative_int 4096
       & info [ "bytes" ] ~doc:"Bytes per incast flow (bottleneck flows stay 40 kB).")
   in
   let seed_term = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base random seed.") in

@@ -351,18 +351,49 @@ let pattern_block =
 let pattern_chunk =
   (pattern_block_len - pattern_period) / pattern_period * pattern_period
 
+(* Fill-time checksum sums.  [pattern_prefix.(k)] is the plain integer
+   sum of [pattern_block]'s first [k] bytes read as big-endian 16-bit
+   words (even indices high, odd indices low), so a run [p, p+n) of the
+   block sums to the difference of two entries, folded.  That sum is in
+   the block's word alignment: the run's own when [p] is even, and the
+   byte swap of the run's own when [p] is odd (RFC 1071: the one's-
+   complement sum of swapped words is the swap of the sum).  Built once
+   and never written, so every domain reads it without a lock. *)
+let pattern_prefix =
+  let a = Array.make (pattern_block_len + 1) 0 in
+  for k = 0 to pattern_block_len - 1 do
+    let b = Char.code (Bytes.get pattern_block k) in
+    a.(k + 1) <- (a.(k) + if k land 1 = 0 then b lsl 8 else b)
+  done;
+  a
+
+let rec fold16 s = if s > 0xffff then fold16 ((s land 0xffff) + (s lsr 16)) else s
+let swap16 s = ((s land 0xff) lsl 8) lor (s lsr 8)
+
+(* The sum [Inet_cksum.sum_bytes] gives for block bytes [phase, phase+n). *)
+let pattern_sum phase n =
+  let s = fold16 (pattern_prefix.(phase + n) - pattern_prefix.(phase)) in
+  if phase land 1 = 0 then s else swap16 s
+
+(* Each filled range also primes its node's sum memo, so the payload's
+   first checksum is O(1) instead of a scan of the bytes just written.
+   A chunk starting at an odd index of the range is swapped into the
+   range's alignment before it is added. *)
 let fill_pattern t ~off ~len ~stream_off =
   iter_range t ~off ~len (fun node b start count visited ->
       Mpool.bump_gen t.pool node;
       let phase = ref ((stream_off + visited) mod pattern_period) in
-      let pos = ref start and left = ref count in
+      let pos = ref start and left = ref count and sum = ref 0 in
       while !left > 0 do
         let n = min !left pattern_chunk in
         Bytes.blit pattern_block !phase b !pos n;
+        let s = pattern_sum !phase n in
+        sum := !sum + (if (!pos - start) land 1 = 0 then s else swap16 s);
         phase := (!phase + n) mod pattern_period;
         pos := !pos + n;
         left := !left - n
-      done)
+      done;
+      Mpool.cache_sum node ~off:start ~len:count (fold16 !sum))
 
 let check_pattern t ~off ~len ~stream_off =
   let ok = ref true in

@@ -109,7 +109,10 @@ val to_string : t -> string
 
 val fill_pattern : t -> off:int -> len:int -> stream_off:int -> unit
 (** Write the deterministic payload pattern used by the workloads: byte
-    [i] of the stream is [(stream_off + i) mod 251]. *)
+    [i] of the stream is [(stream_off + i) mod 251].  Each part's filled
+    range also gets its checksum sum in the node's memo
+    ({!Mpool.cache_sum}), read from a prefix-sum table instead of the
+    bytes. *)
 
 val check_pattern : t -> off:int -> len:int -> stream_off:int -> bool
 (** Verify the pattern written by {!fill_pattern}. *)

@@ -392,6 +392,97 @@ let test_reencode_invalidates_sum () =
         Msg.destroy c
       done)
 
+(* ------------------------------------------------------------------ *)
+(* Fill-time pattern sums                                              *)
+(* ------------------------------------------------------------------ *)
+
+let with_sum_cache on f =
+  let was = Mpool.sum_cache_enabled () in
+  Mpool.set_sum_cache on;
+  Fun.protect ~finally:(fun () -> Mpool.set_sum_cache was) f
+
+(* Fill [len] pattern bytes at stream offset [phase] into a node, at node
+   index [skip], and return the memoised sum next to a scan of the bytes
+   the fill wrote. *)
+let filled_sums pool ~skip ~len ~phase =
+  let m = Msg.create pool (skip + len) in
+  Msg.fill_pattern m ~off:skip ~len ~stream_off:phase;
+  let node = front_node m in
+  let memo = Mpool.cached_sum node ~off:skip ~len in
+  let scan = Inet_cksum.sum_bytes (Mpool.data node) skip len in
+  Msg.destroy m;
+  (memo, scan)
+
+(* Every phase of the 251-byte period, even and odd, at every short
+   length and the MTU-sized ones (4608 is the largest cached node class). *)
+let test_fill_sums_every_phase () =
+  let p = plat () in
+  let pool = Mpool.create p in
+  let lens = List.init 65 Fun.id @ [ 4095; 4096; 4352; 4608 ] in
+  with_sum_cache true (fun () ->
+      in_sim p (fun () ->
+          for phase = 0 to 250 do
+            List.iter
+              (fun len ->
+                if len > 0 then
+                  List.iter
+                    (fun skip ->
+                      let memo, scan = filled_sums pool ~skip ~len ~phase in
+                      if memo <> scan then
+                        Alcotest.failf "phase %d len %d skip %d: memo %#x, bytes %#x" phase
+                          len skip memo scan)
+                    [ 0; 1 ]
+                else begin
+                  let m = Msg.create pool 0 in
+                  Msg.fill_pattern m ~off:0 ~len:0 ~stream_off:phase;
+                  Alcotest.(check int) "empty fill sums to 0" 0 (Inet_cksum.sum_slices m)
+                end)
+              lens
+          done;
+          (* Beyond one blit chunk (7781 bytes, an odd count), the second
+             chunk starts at an odd index of the range. *)
+          List.iter
+            (fun phase ->
+              let memo, scan = filled_sums pool ~skip:0 ~len:16_001 ~phase in
+              Alcotest.(check int) "multi-chunk fill" scan memo)
+            [ 0; 1; 250 ]))
+
+let prop_fill_sums_random =
+  QCheck.Test.make ~name:"fill-time sum equals the filled bytes' sum" ~count:300
+    QCheck.(triple (int_bound 4608) (int_bound 100_000) (int_bound 3))
+    (fun (len, stream_off, skip) ->
+      let p = plat () in
+      let pool = Mpool.create p in
+      with_sum_cache true (fun () ->
+          in_sim p (fun () ->
+              len = 0
+              ||
+              let memo, scan = filled_sums pool ~skip ~len ~phase:stream_off in
+              memo = scan)))
+
+(* A multi-part payload whose first part has odd length: the second
+   part's memoised sum enters [sum_slices] swapped, and the total must be
+   the one a scan of every byte gives. *)
+let test_fill_sums_multi_part () =
+  let p = plat () in
+  let pool = Mpool.create p in
+  with_sum_cache true (fun () ->
+      in_sim p (fun () ->
+          List.iter
+            (fun stream_off ->
+              let m = Msg.create pool 4096 in
+              Msg.push m 13;
+              Msg.fill_pattern m ~off:0 ~len:(Msg.length m) ~stream_off;
+              Alcotest.(check int) "two parts" 2 (Msg.parts m);
+              let memo_on = Inet_cksum.sum_slices m in
+              let flat = Bytes.of_string (Msg.to_string m) in
+              let scan = Inet_cksum.sum_bytes flat 0 (Bytes.length flat) in
+              let memo_off = with_sum_cache false (fun () -> Inet_cksum.sum_slices m) in
+              Alcotest.(check int) "memo on = memo off" memo_off memo_on;
+              Alcotest.(check int) "memo on = flat scan" scan memo_on;
+              Msg.destroy m)
+            [ 0; 1; 2; 125; 250 ]))
+
 let suites =
   [
     ( "proto.codec",
@@ -406,5 +497,9 @@ let suites =
           test_stack_input_across_parts;
         Alcotest.test_case "re-encoding a header node retires its cached sum" `Quick
           test_reencode_invalidates_sum;
+        Alcotest.test_case "fill-time sums at every phase" `Quick test_fill_sums_every_phase;
+        Qrand.to_alcotest prop_fill_sums_random;
+        Alcotest.test_case "fill-time sums across an odd first part" `Quick
+          test_fill_sums_multi_part;
       ] );
   ]
