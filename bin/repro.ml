@@ -873,8 +873,13 @@ let chaos_cmd =
 let compare_cmd =
   let open Pnp_harness in
   let senders_term =
+    let senders =
+      checked Arg.int
+        ~expected:(Printf.sprintf "an integer in 1..%d" Overload.max_senders)
+        (fun n -> n >= 1 && n <= Overload.max_senders)
+    in
     Arg.(
-      value & opt int 32
+      value & opt senders 32
       & info [ "senders" ] ~doc:"Incast fan-in width (flows into one port).")
   in
   let bytes_term =

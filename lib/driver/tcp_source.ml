@@ -23,7 +23,6 @@ type t = {
   jitter_mean_ns : float;
   sequential_payload : bool;
   payload_tmpl : Msg.t; (* preconstructed payload shared by all segments *)
-  payload_sum : int;
   streams : stream array;
   by_key : (int * int, stream) Hashtbl.t; (* (src addr, driver port) -> stream *)
   jitter : Prng.t;
@@ -118,7 +117,6 @@ let attach stack ~peer_addr ~payload ~checksum ?(jitter_mean_ns = 8000.0)
       jitter_mean_ns;
       sequential_payload;
       payload_tmpl;
-      payload_sum = Pnp_proto.Inet_cksum.sum_slices payload_tmpl;
       streams;
       by_key;
       jitter = Prng.split (Sim.prng stack.Stack.plat.Platform.sim);
@@ -199,39 +197,21 @@ let inject t { r_stream; r_seq = seq } =
   Platform.charge p (int_of_float (Prng.exponential t.jitter ~mean:t.jitter_mean_ns));
   (* Build from the template outside the ring lock: the thread carries
      its own packet up the stack, as in the paper. *)
-  let frame =
+  let payload =
     if t.sequential_payload then begin
-      let payload = Msg.create t.stack.Stack.pool t.payload in
-      Msg.fill_pattern payload ~off:0 ~len:t.payload
+      let m = Msg.create t.stack.Stack.pool t.payload in
+      Msg.fill_pattern m ~off:0 ~len:t.payload
         ~stream_off:(Tcp_seq.diff seq (Tcp_seq.add s.iss 1));
-      Frame.build_tcp t.stack.Stack.pool ~src:s.src_addr
-        ~dst:t.stack.Stack.local_addr ~sport:s.drv_port ~dport:s.rcv_port ~seq
-        ~ack:s.peer_ack ~flags:Tcp_wire.flag_ack ~win:(1 lsl 20)
-        ~payload:(Some payload) ~checksum:t.checksum
+      m
     end
-    else begin
-      (* Template path: share the payload node; checksum updated
-         incrementally from the precomputed payload sum. *)
-      let seg = Msg.dup t.payload_tmpl in
-      Tcp_wire.encode seg
-        {
-          Tcp_wire.sport = s.drv_port;
-          dport = s.rcv_port;
-          seq;
-          ack = s.peer_ack;
-          flags = Tcp_wire.flag_ack;
-          win = 1 lsl 20;
-          cksum = 0;
-        };
-      if t.checksum then
-        Tcp_wire.store_checksum_incremental ~src:s.src_addr
-          ~dst:t.stack.Stack.local_addr ~payload_sum:t.payload_sum seg;
-      Ip.encap seg ~src:s.src_addr ~dst:t.stack.Stack.local_addr
-        ~proto:Tcp_wire.protocol_number ~id:0;
-      Fddi.encap seg ~src_mac:s.src_addr ~dst_mac:t.stack.Stack.local_addr
-        ~ethertype:Ip.ethertype;
-      seg
-    end
+    else Msg.dup t.payload_tmpl
+  in
+  (* Both payloads carry their fill-time sum in the node memo, so the
+     checksum rescans only the new header. *)
+  let frame =
+    Frame.build_tcp t.stack.Stack.pool ~src:s.src_addr ~dst:t.stack.Stack.local_addr
+      ~sport:s.drv_port ~dport:s.rcv_port ~seq ~ack:s.peer_ack ~flags:Tcp_wire.flag_ack
+      ~win:(1 lsl 20) ~payload:(Some payload) ~checksum:t.checksum
   in
   if tracing then Sim.trace p.Platform.sim (Trace.Span_end { seq; phase = Trace.Enqueue });
   Fddi.input t.stack.Stack.fddi frame

@@ -65,6 +65,8 @@ let caught_checksums (a : Stack.t) (b : Stack.t) =
   + Tcp.checksum_failures a.Stack.tcp
   + Tcp.checksum_failures b.Stack.tcp
 
+let max_senders = 8000
+
 (* The common world: one client stack and one server stack joined by one
    link — the link {e is} the shared bottleneck, exactly the incast
    topology (N sources funnelling into one receiver port).  [stagger_ns]
@@ -74,7 +76,7 @@ let caught_checksums (a : Stack.t) (b : Stack.t) =
 let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlog
     ~sb_policy ~pool_capacity ~demux_shards ~lock_disc ~tcp_locking ~bandwidth_mbps
     ~latency ~stall_ns ~horizon () =
-  if senders < 1 || senders > 8000 then
+  if senders < 1 || senders > max_senders then
     invalid_arg "Overload: senders out of range (port space)";
   let plat =
     Platform.create ~seed ~lock_disc ~map_shards:demux_shards Arch.challenge_100

@@ -54,6 +54,10 @@ type outcome = {
       (** oracle + watchdog findings; [] = degraded gracefully *)
 }
 
+val max_senders : int
+(** Largest fan-in a world accepts: every sender needs its own client
+    port. *)
+
 val incast :
   ?plan:Pnp_faults.Faults.plan ->
   ?senders:int ->

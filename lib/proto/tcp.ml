@@ -95,15 +95,12 @@ let state_to_string = function
 
 (* A segment built under connection locks, transmitted after they drop.
    [todo] is the checksum work left for [transmit]:
-   - [Sum_and_fold]: the reference path — sum the segment and store the
-     checksum (or zero the field when checksums are off), then charge the
+   - [Sum_and_fold]: sum the segment and store the checksum (nothing
+     when checksums are off: the field stays zero), then charge the
      header fold;
-   - [Fold_charge]: the coalesced pure-ACK path already stored the
-     arithmetically computed checksum, but the simulated header-fold
-     charge the reference path pays in [transmit] is still owed;
    - [Ck_done]: nothing left (Six computed it under the header-prepend
-     lock, or checksums are off and the field is already zero). *)
-type cksum_todo = Sum_and_fold | Fold_charge | Ck_done
+     lock, or the ablation inside the state lock). *)
+type cksum_todo = Sum_and_fold | Ck_done
 
 type pending = { seg : Msg.t; todo : cksum_todo }
 
@@ -577,37 +574,18 @@ let emit sess ~flags ~seq ~payload acc =
       cksum = 0;
     }
   in
-  match payload with
-  | None when Mpool.sum_cache_enabled () ->
-    (* Coalesced header-only emission (gated with the rest of the
-       coalescing fast paths by PNP_NO_COALESCE): redundant pure ACKs all
-       rebuild the same 24-byte shape, so build it in one pass with an
-       arithmetic checksum instead of encode-then-rescan.  Wire bytes,
-       stats, and every simulated charge are identical to the reference
-       path below — the checksum charge is placed exactly where that path
-       computed it. *)
-    let msg = Msg.create t.pool 0 in
-    with_opt_lock sess.sync.hdr_prep (fun () ->
-        Tcp_wire.encode_empty msg hdr ~src:(Ip.local_addr t.ip)
-          ~dst:sess.key.Conn_key.raddr ~checksum:t.cfg.checksum;
-        if t.ck_locked then Inet_cksum.charge t.plat msg);
-    sess.st.segs_out <- sess.st.segs_out + 1;
-    if not flags.Tcp_wire.syn then sess.st.acks_out <- sess.st.acks_out + 1;
-    let todo = if t.cfg.checksum && not t.ck_locked then Fold_charge else Ck_done in
-    { seg = msg; todo } :: acc
-  | _ ->
-    let msg = match payload with Some m -> m | None -> Msg.create t.pool 0 in
-    with_opt_lock sess.sync.hdr_prep (fun () ->
-        Tcp_wire.encode msg hdr;
-        (* SICS-style under Six's header lock, or the ablation's
-           unrestructured placement inside the caller's state lock. *)
-        if t.ck_locked then
-          Tcp_wire.store_checksum t.plat ~src:(Ip.local_addr t.ip)
-            ~dst:sess.key.Conn_key.raddr msg);
-    sess.st.segs_out <- sess.st.segs_out + 1;
-    if Msg.length msg = Tcp_wire.header_bytes && not flags.Tcp_wire.syn then
-      sess.st.acks_out <- sess.st.acks_out + 1;
-    { seg = msg; todo = (if t.ck_locked then Ck_done else Sum_and_fold) } :: acc
+  let msg = match payload with Some m -> m | None -> Msg.create t.pool 0 in
+  with_opt_lock sess.sync.hdr_prep (fun () ->
+      Tcp_wire.encode msg hdr;
+      (* SICS-style under Six's header lock, or the ablation's
+         unrestructured placement inside the caller's state lock. *)
+      if t.ck_locked then
+        Tcp_wire.store_checksum t.plat ~src:(Ip.local_addr t.ip)
+          ~dst:sess.key.Conn_key.raddr msg);
+  sess.st.segs_out <- sess.st.segs_out + 1;
+  if Msg.length msg = Tcp_wire.header_bytes && not flags.Tcp_wire.syn then
+    sess.st.acks_out <- sess.st.acks_out + 1;
+  { seg = msg; todo = (if t.ck_locked then Ck_done else Sum_and_fold) } :: acc
 
 let emit_ack sess acc =
   let tcb = sess.tcb in
@@ -633,10 +611,6 @@ let transmit sess pendings =
          (* [emit] encoded a zero checksum field: receivers skip
             verification too. *)
          ()
-       | Fold_charge ->
-         (* Checksum already stored arithmetically; the simulated fold
-            cost the reference path charges here is still due. *)
-         Costs.charge t.plat 40
        | Ck_done -> ());
       Costs.charge t.plat Costs.tcp_output_unlocked;
       Ip.output t.ip ~proto:Tcp_wire.protocol_number ~dst:sess.key.Conn_key.raddr p.seg)

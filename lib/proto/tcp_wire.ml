@@ -42,10 +42,9 @@ let flags_table =
 
 let flags_of_int i = flags_table.(i land 31)
 
-(* Push and fill one header; [cksum] is passed apart from [h] so the
-   coalesced path can store a computed checksum without copying the
-   record.  [Int32.of_int] keeps the low 32 bits, i.e. [Tcp_seq.mask]. *)
-let push_header msg h ~cksum =
+(* Push and fill one header.  [Int32.of_int] keeps the low 32 bits,
+   i.e. [Tcp_seq.mask]. *)
+let encode msg h =
   let b = Msg.push_header msg header_bytes in
   Bytes.set_uint16_be b 0 h.sport;
   Bytes.set_uint16_be b 2 h.dport;
@@ -54,11 +53,9 @@ let push_header msg h ~cksum =
   (* data offset in 32-bit words (6) in the high nibble, flags low. *)
   Bytes.set_uint16_be b 12 ((6 lsl 12) lor flags_to_int h.flags);
   Bytes.set_int32_be b 14 (Int32.of_int h.win);
-  Bytes.set_uint16_be b 18 cksum;
+  Bytes.set_uint16_be b 18 h.cksum;
   Bytes.set_uint16_be b 20 0;
   Bytes.set_uint16_be b 22 0
-
-let encode msg h = push_header msg h ~cksum:h.cksum
 
 let get_u32 b j = Int32.to_int (Bytes.get_int32_be b j) land 0xffff_ffff
 
@@ -100,56 +97,6 @@ let store_checksum_free ~src ~dst msg =
   let sum = Inet_cksum.add (Inet_cksum.sum_slices msg) (pseudo_sum ~src ~dst ~len) in
   let ck = Inet_cksum.finish sum in
   Msg.set_u16 msg 18 (if ck = 0 then 0xffff else ck)
-
-let store_checksum_incremental ~src ~dst ~payload_sum msg =
-  let len = Msg.length msg in
-  let b = Msg.head_view msg ~off:0 ~len:header_bytes in
-  let j = Msg.head_pos msg ~off:0 ~len:header_bytes in
-  (* The header's words with the checksum field (word 9) read as zero. *)
-  let hdr_sum = ref 0 in
-  for i = 0 to (header_bytes / 2) - 1 do
-    if i <> 9 then hdr_sum := Inet_cksum.add !hdr_sum (Bytes.get_uint16_be b (j + (2 * i)))
-  done;
-  let total = Inet_cksum.add (Inet_cksum.add !hdr_sum payload_sum) (pseudo_sum ~src ~dst ~len) in
-  let ck = Inet_cksum.finish total in
-  Msg.set_u16 msg 18 (if ck = 0 then 0xffff else ck)
-
-(* 16-bit one's-complement sum of an encoded header's words, computed
-   from the fields without touching bytes.  Every 16-bit word of the
-   header is a field (the trailing pad is zero), so for a header-only
-   segment the whole checksum is arithmetic. *)
-let header_sum h ~cksum =
-  let open Inet_cksum in
-  let seq = Tcp_seq.mask h.seq and ackn = Tcp_seq.mask h.ack in
-  let s = add h.sport h.dport in
-  let s = add s (seq lsr 16) in
-  let s = add s (seq land 0xffff) in
-  let s = add s (ackn lsr 16) in
-  let s = add s (ackn land 0xffff) in
-  let s = add s ((6 lsl 12) lor flags_to_int h.flags) in
-  let s = add s ((h.win lsr 16) land 0xffff) in
-  let s = add s (h.win land 0xffff) in
-  add s cksum
-
-(* Coalesced construction of a header-only segment (pure ACK, SYN, FIN):
-   one direct pass writes the header with the checksum already computed
-   arithmetically from the fields — no re-scan of freshly written bytes —
-   and primes the node's sum memo so the receiver's verify pass is O(1).
-   The stored bytes are identical to [encode] followed by
-   [store_checksum]/[store_checksum_free]; with [checksum:false] the
-   field is written as the zero those paths leave.  Charges nothing:
-   callers place the simulated checksum charge ({!Inet_cksum.charge})
-   exactly where their reference path incurred it. *)
-let encode_empty msg h ~src ~dst ~checksum =
-  let base = header_sum h ~cksum:0 in
-  let ck =
-    if not checksum then 0
-    else
-      let c = Inet_cksum.finish (Inet_cksum.add base (pseudo_sum ~src ~dst ~len:header_bytes)) in
-      if c = 0 then 0xffff else c
-  in
-  push_header msg h ~cksum:ck;
-  Msg.cache_head_sum msg ~len:header_bytes (Inet_cksum.add base ck)
 
 let checksum_valid ~src ~dst msg =
   let len = Msg.length msg in

@@ -62,24 +62,6 @@ val store_checksum_free : src:int -> dst:int -> Pnp_xkern.Msg.t -> unit
 (** Same arithmetic with no simulated cost — for driver-built templates,
     which the paper's drivers produce without charge. *)
 
-val store_checksum_incremental :
-  src:int -> dst:int -> payload_sum:int -> Pnp_xkern.Msg.t -> unit
-(** Set the checksum of an encoded segment whose payload partial sum is
-    already known (driver templates): only the 24 header bytes are
-    re-summed, at no simulated cost. *)
-
-val encode_empty :
-  Pnp_xkern.Msg.t -> header -> src:int -> dst:int -> checksum:bool -> unit
-(** Coalesced construction of a header-only segment (pure ACK, SYN,
-    FIN): pushes and writes the header in one direct pass with the
-    checksum computed arithmetically from the fields — every 16-bit word
-    of an empty-payload segment is a field, so no byte scan — and primes
-    the node's checksum-sum memo so the receiver verifies it in O(1).
-    Byte-identical to {!encode} + {!store_checksum}/{!store_checksum_free}
-    (with [checksum:false], to the zero field those paths leave).
-    Charges nothing; the caller places {!Inet_cksum.charge} wherever its
-    reference path computed the checksum. *)
-
 val verify_checksum : Pnp_engine.Platform.t -> src:int -> dst:int -> Pnp_xkern.Msg.t -> bool
 
 val checksum_valid : src:int -> dst:int -> Pnp_xkern.Msg.t -> bool

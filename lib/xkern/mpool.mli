@@ -97,11 +97,12 @@ val refs : mnode -> int
     byte range of the node, validated by a write-generation counter that
     {!Msg} bumps on every mutation of the node's bytes.  Payloads shared
     via [Msg.dup] (driver templates, the TCP retransmission queue) are
-    summed once and then checksummed in O(1) — the host-side analogue of
-    checksum offload.  Purely a host-cost cache: a hit returns exactly
+    summed once, pattern fills at fill time, and then checksummed in
+    O(1) — the host-side analogue of checksum offload.  Purely a host-cost cache: a hit returns exactly
     the sum a fresh scan would, which the fault-plan digest tests pin.
-    [PNP_NO_COALESCE=1] (or {!set_sum_cache}[ false]) disables lookups
-    for A/B determinism diffs. *)
+    [PNP_NO_COALESCE=1] (or {!set_sum_cache}[ false]) turns lookups
+    into misses and {!cache_sum} into a no-op, and changes nothing
+    else, for A/B determinism diffs. *)
 
 val bump_gen : t -> mnode -> unit
 (** Record that the node's bytes changed (invalidates the cached sum).

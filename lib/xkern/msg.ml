@@ -331,11 +331,6 @@ let head_pos t ~off ~len =
   check_view t ~off ~len;
   view_pos t.parts off ~len
 
-let cache_head_sum t ~len s =
-  match t.parts with
-  | p :: _ when len <= p.len -> Mpool.cache_sum p.node ~off:p.off ~len s
-  | _ -> ()
-
 (* The pattern is periodic (251), so a precomputed block turns fill into
    [Bytes.blit] and check into 8-bytes-at-a-time word compares instead
    of a mod per byte — the drivers pattern every payload they inject and

@@ -53,13 +53,6 @@ val head_pos : t -> off:int -> len:int -> int
 (** Index of message byte [off] in {!head_view}[ t ~off ~len]; call it
     with the same arguments, before the message changes. *)
 
-val cache_head_sum : t -> len:int -> int -> unit
-(** [cache_head_sum t ~len s] records [s] as the checksum sum
-    ({!Mpool.cache_sum}) of the first [len] message bytes when one part
-    covers them: a codec that wrote the header through {!push_header}
-    and computed its sum from the fields primes the memo without a
-    re-scan.  [s] must be the sum of the final byte values. *)
-
 val pop : t -> int -> unit
 (** [pop t n] strips the first [n] bytes.  @raise Invalid_argument if the
     message is shorter. *)

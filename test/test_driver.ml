@@ -142,6 +142,55 @@ let test_lossy_link_drops () =
     true
     (Link.dropped link > 25 && Link.dropped link < 75)
 
+(* Every TCP frame the receive-side driver injects — handshake, the
+   shared template payload or a per-segment pattern fill — carries a
+   checksum that a flat byte scan of the segment verifies, with the
+   checksum-sum memo on and off. *)
+let test_tcp_source_checksums () =
+  let src_addr = 0x0a000001 and dst_addr = 0x0a000002 in
+  let run ~sequential_payload ~memo =
+    let was = Mpool.sum_cache_enabled () in
+    Mpool.set_sum_cache memo;
+    Fun.protect ~finally:(fun () -> Mpool.set_sum_cache was) @@ fun () ->
+    let p = plat () in
+    let stack = Stack.create p ~local_addr:dst_addr () in
+    let src =
+      Tcp_source.attach stack ~peer_addr:src_addr ~payload:1001 ~checksum:true
+        ~sequential_payload ~ports:[ (2000, 4000) ] ()
+    in
+    let frames = ref 0 and data = ref 0 in
+    Fddi.set_tap stack.Stack.fddi (fun ~dir frame ->
+        if dir = `In then begin
+          let b = Bytes.of_string (Msg.to_string frame) in
+          let off = Fddi.header_bytes + Ip.header_bytes in
+          let len = Bytes.length b - off in
+          let sum =
+            Inet_cksum.add (Inet_cksum.sum_bytes b off len)
+              (Tcp_wire.pseudo_sum ~src:src_addr ~dst:dst_addr ~len)
+          in
+          Alcotest.(check int) "segment verifies" 0 (Inet_cksum.finish sum);
+          incr frames;
+          if len > Tcp_wire.header_bytes then incr data
+        end);
+    let _ =
+      Sim.spawn p.Platform.sim ~cpu:0 ~name:"rx" (fun () ->
+          Tcp.listen stack.Stack.tcp ~local_port:4000 ~accept:(fun sess ->
+              Tcp.set_receiver sess (fun m -> Msg.destroy m));
+          Tcp_source.start src;
+          for _ = 1 to 8 do
+            ignore (Tcp_source.next src ~stream:0)
+          done;
+          Tcp_source.finish src ~stream:0)
+    in
+    Sim.run ~until:(Units.sec 1.0) p.Platform.sim;
+    Alcotest.(check int) "eight data segments" 8 !data;
+    Alcotest.(check int) "plus SYN, handshake ACK and FIN" 11 !frames
+  in
+  List.iter
+    (fun sequential_payload ->
+      List.iter (fun memo -> run ~sequential_payload ~memo) [ true; false ])
+    [ false; true ]
+
 let suites =
   [
     ( "driver.sniffer",
@@ -156,4 +205,6 @@ let suites =
         Alcotest.test_case "accounting" `Quick test_link_accounting;
         Alcotest.test_case "lossy link drops" `Quick test_lossy_link_drops;
       ] );
+    ( "driver.tcp_source",
+      [ Alcotest.test_case "injected checksums verify" `Quick test_tcp_source_checksums ] );
   ]
