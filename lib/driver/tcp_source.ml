@@ -16,6 +16,11 @@ type stream = {
   ring_lock : Lock.t;
 }
 
+(* Keyed by [(addr lsl 16) lor port]: no tuple allocated per ACK. *)
+module Key_tbl = Hashtbl.Make (Int)
+
+let key addr port = (addr lsl 16) lor port
+
 type t = {
   stack : Stack.t;
   payload : int;
@@ -24,7 +29,7 @@ type t = {
   sequential_payload : bool;
   payload_tmpl : Msg.t; (* preconstructed payload shared by all segments *)
   streams : stream array;
-  by_key : (int * int, stream) Hashtbl.t; (* (src addr, driver port) -> stream *)
+  by_key : stream Key_tbl.t; (* (src addr, driver port) -> stream *)
   jitter : Prng.t;
   mutable stalls : int;
   mutable pressure_sheds : int;
@@ -41,7 +46,7 @@ let plat t = t.stack.Stack.plat
 (* Acks come back addressed to the stream's source address and driver
    port; both are needed once the port space is reused across addresses
    (beyond 2^14 streams). *)
-let find_stream t addr port = Hashtbl.find_opt t.by_key (addr, port)
+let find_stream t addr port = Key_tbl.find_opt t.by_key (key addr port)
 
 (* Acks (and the SYN-ACK) from the real receiver arrive here. *)
 let handle t frame =
@@ -96,16 +101,18 @@ let attach stack ~peer_addr ~payload ~checksum ?(jitter_mean_ns = 8000.0)
              ring_lock =
                Lock.create stack.Stack.plat.Platform.sim stack.Stack.plat.Platform.arch
                  Lock.Unfair
-                 ~name:(Printf.sprintf "driver.ring.%d" j);
+                 ~name:("driver.ring." ^ string_of_int j);
            })
          ports)
   in
-  let by_key = Hashtbl.create (max 16 (2 * Array.length streams)) in
+  let by_key = Key_tbl.create (max 16 (2 * Array.length streams)) in
   Array.iter
     (fun s ->
-      if Hashtbl.mem by_key (s.src_addr, s.drv_port) then
+      if s.drv_port land 0xffff <> s.drv_port then
+        invalid_arg "Tcp_source.attach: driver port outside 0..65535";
+      if Key_tbl.mem by_key (key s.src_addr s.drv_port) then
         invalid_arg "Tcp_source.attach: duplicate (source address, driver port)";
-      Hashtbl.replace by_key (s.src_addr, s.drv_port) s)
+      Key_tbl.replace by_key (key s.src_addr s.drv_port) s)
     streams;
   let payload_tmpl = Msg.create stack.Stack.pool payload in
   Msg.fill_pattern payload_tmpl ~off:0 ~len:payload ~stream_off:0;

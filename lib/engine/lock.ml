@@ -10,7 +10,8 @@ type t = {
   disc : discipline;
   name : string;
   acquire_ns : int;
-  mutable owner : Sim.thread option;
+  mutable announced : bool; (* discipline registered with the tracer *)
+  mutable owner : Sim.thread; (* [Sim.no_thread] while free *)
   mutable last_cpu : int;
   mutable waiters : waiter array;
       (* slots [0, nwaiters) in arrival order; [||] while nobody waits *)
@@ -33,14 +34,14 @@ let create sim arch disc ~name =
     | Unfair | Barging -> arch.Arch.mutex_ns
     | Fifo -> arch.Arch.mcs_ns
   in
-  Trace.register_lock (Sim.tracer sim) ~name ~discipline:(discipline_name disc);
   {
     sim;
     arch;
     disc;
     name;
     acquire_ns;
-    owner = None;
+    announced = false;
+    owner = Sim.no_thread;
     last_cpu = -1;
     waiters = [||];
     nwaiters = 0;
@@ -52,7 +53,6 @@ let create sim arch disc ~name =
   }
 
 let discipline t = t.disc
-let name t = t.name
 
 let migration_ns t th =
   match t.arch.Arch.sync with
@@ -61,8 +61,17 @@ let migration_ns t th =
     if t.last_cpu >= 0 && t.last_cpu <> Sim.cpu th then t.arch.Arch.coherency_ns
     else 0
 
+(* A lock registers its discipline with its first traced record: most are
+   never traced, and only the order checker reads it, for traced locks. *)
+let trace t ev =
+  if not t.announced then begin
+    t.announced <- true;
+    Trace.register_lock (Sim.tracer t.sim) ~name:t.name ~discipline:(discipline_name t.disc)
+  end;
+  Sim.trace t.sim ev
+
 let become_owner t th ~grant_time =
-  t.owner <- Some th;
+  t.owner <- th;
   t.last_cpu <- Sim.cpu th;
   t.acquisitions <- t.acquisitions + 1;
   t.hold_start <- grant_time
@@ -94,15 +103,15 @@ let acquire t =
      we learn the outcome; another thread may slip in during it. *)
   Sim.delay t.sim t.acquire_ns;
   if Trace.enabled (Sim.tracer t.sim) then
-    Sim.trace t.sim (Trace.Lock_request { lock = t.name; waiters = t.nwaiters });
-  match t.owner with
-  | None ->
+    trace t (Trace.Lock_request { lock = t.name; waiters = t.nwaiters });
+  if t.owner == Sim.no_thread then begin
     let mig = migration_ns t th in
     become_owner t th ~grant_time:(Sim.now t.sim + mig);
     if Trace.enabled (Sim.tracer t.sim) then
-      Sim.trace t.sim (Trace.Lock_grant { lock = t.name; waiters = 0; wait_ns = 0 });
+      trace t (Trace.Lock_grant { lock = t.name; waiters = 0; wait_ns = 0 });
     if mig > 0 then Sim.delay t.sim mig
-  | Some _ ->
+  end
+  else begin
     t.contended <- t.contended + 1;
     let enq_time = Sim.now t.sim in
     Sim.suspend t.sim (fun resume -> enqueue t { th; resume });
@@ -111,9 +120,8 @@ let acquire t =
     t.total_wait_ns <- t.total_wait_ns + waited;
     Sim.note_wait th waited;
     if Trace.enabled (Sim.tracer t.sim) then
-      Sim.trace t.sim
-        (Trace.Lock_grant
-           { lock = t.name; waiters = t.nwaiters; wait_ns = waited })
+      trace t (Trace.Lock_grant { lock = t.name; waiters = t.nwaiters; wait_ns = waited })
+  end
   end
 
 (* Remove and return the waiter chosen by the discipline; the queue must
@@ -142,9 +150,8 @@ let take_waiter t =
    the report is actionable without a debugger. *)
 let non_owner_release ~what ~lock ~owner th =
   let owner_desc =
-    match owner with
-    | Some o -> Printf.sprintf "owned by tid %d (%s)" (Sim.tid o) (Sim.thread_name o)
-    | None -> "not held"
+    if owner == Sim.no_thread then "not held"
+    else Printf.sprintf "owned by tid %d (%s)" (Sim.tid owner) (Sim.thread_name owner)
   in
   invalid_arg
     (Printf.sprintf "%s %S: caller tid %d (%s) is not the owner; lock is %s" what lock
@@ -154,15 +161,13 @@ let release t =
   if Sim.defer_active t.sim then ()
   else begin
   let th = Sim.self t.sim in
-  (match t.owner with
-   | Some o when o == th -> ()
-   | owner -> non_owner_release ~what:"Lock.release" ~lock:t.name ~owner th);
+  if t.owner != th then non_owner_release ~what:"Lock.release" ~lock:t.name ~owner:t.owner th;
   let now = Sim.now t.sim in
   t.total_hold_ns <- t.total_hold_ns + (now - t.hold_start);
   if Trace.enabled (Sim.tracer t.sim) then
-    Sim.trace t.sim (Trace.Lock_release { lock = t.name; hold_ns = now - t.hold_start });
+    trace t (Trace.Lock_release { lock = t.name; hold_ns = now - t.hold_start });
   if t.nwaiters = 0 then begin
-    t.owner <- None;
+    t.owner <- Sim.no_thread;
     t.last_cpu <- Sim.cpu th
   end
   else
@@ -170,7 +175,7 @@ let release t =
     let mig = migration_ns t w.th in
     let grant_time = now + t.arch.Arch.handoff_ns + mig in
     if Trace.enabled (Sim.tracer t.sim) then
-      Sim.trace t.sim
+      trace t
         (Trace.Lock_handoff
            {
              lock = t.name;
@@ -181,9 +186,21 @@ let release t =
     w.resume grant_time
   end
 
+(* [Fun.protect] without its finaliser closure: [release x] also when [f]
+   raises, then [f]'s own exception is re-raised with its backtrace. *)
+let[@inline] protect release x f =
+  match f () with
+  | v ->
+    release x;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release x;
+    Printexc.raise_with_backtrace e bt
+
 let with_lock t f =
   acquire t;
-  Fun.protect ~finally:(fun () -> release t) f
+  protect release t f
 
 let acquisitions t = t.acquisitions
 let contended_acquisitions t = t.contended
@@ -191,35 +208,33 @@ let total_wait_ns t = t.total_wait_ns
 let total_hold_ns t = t.total_hold_ns
 
 module Counting = struct
-  type nonrec t = { lock : t; mutable owner : Sim.thread option; mutable depth : int }
+  type nonrec t = { lock : t; mutable owner : Sim.thread; mutable depth : int }
 
-  let create sim arch disc ~name = { lock = create sim arch disc ~name; owner = None; depth = 0 }
+  let create sim arch disc ~name =
+    { lock = create sim arch disc ~name; owner = Sim.no_thread; depth = 0 }
 
   let acquire t =
     let th = Sim.self t.lock.sim in
-    match t.owner with
-    | Some o when o == th -> t.depth <- t.depth + 1
-    | _ ->
+    if t.owner == th then t.depth <- t.depth + 1
+    else begin
       acquire t.lock;
-      t.owner <- Some th;
+      t.owner <- th;
       t.depth <- 1
+    end
 
   let release t =
     let th = Sim.self t.lock.sim in
-    (match t.owner with
-     | Some o when o == th -> ()
-     | owner ->
-       non_owner_release ~what:"Lock.Counting.release" ~lock:t.lock.name ~owner th);
+    if t.owner != th then
+      non_owner_release ~what:"Lock.Counting.release" ~lock:t.lock.name ~owner:t.owner th;
     t.depth <- t.depth - 1;
     if t.depth = 0 then begin
-      t.owner <- None;
+      t.owner <- Sim.no_thread;
       release t.lock
     end
 
   let with_lock t f =
     acquire t;
-    Fun.protect ~finally:(fun () -> release t) f
+    protect release t f
 
   let depth t = t.depth
-  let underlying t = t.lock
 end

@@ -27,7 +27,6 @@ type t
 val create : Sim.t -> Arch.t -> discipline -> name:string -> t
 
 val discipline : t -> discipline
-val name : t -> string
 
 val acquire : t -> unit
 (** Block until the lock is held by the calling thread, charging the
@@ -58,7 +57,6 @@ val total_hold_ns : t -> Pnp_util.Units.ns
     increments a count (Section 2.1). *)
 
 module Counting : sig
-  type lock := t
   type t
 
   val create : Sim.t -> Arch.t -> discipline -> name:string -> t
@@ -66,5 +64,4 @@ module Counting : sig
   val release : t -> unit
   val with_lock : t -> (unit -> 'a) -> 'a
   val depth : t -> int
-  val underlying : t -> lock
 end

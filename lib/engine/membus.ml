@@ -20,9 +20,13 @@ let consume ?rate_mb_s t ~bytes =
     t.users <- t.users + 1;
     let d = duration_ns ?rate_mb_s t ~bytes ~users:t.users in
     t.bytes <- t.bytes + bytes;
-    Fun.protect
-      ~finally:(fun () -> t.users <- t.users - 1)
-      (fun () -> Sim.delay t.sim d);
+    (* Hand-rolled [Fun.protect]: no finaliser closure per charge. *)
+    (match Sim.delay t.sim d with
+     | () -> t.users <- t.users - 1
+     | exception e ->
+       let bt = Printexc.get_raw_backtrace () in
+       t.users <- t.users - 1;
+       Printexc.raise_with_backtrace e bt);
     if Trace.enabled (Sim.tracer t.sim) then
       Sim.trace t.sim (Trace.Membus_charge { bytes; dur_ns = d })
   end

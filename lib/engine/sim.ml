@@ -8,6 +8,7 @@ type thread = {
   mutable runnable : bool; (* has a scheduled resumption (or is running) *)
   mutable waited_ns : int;
   mutable suspend_gen : int; (* suspension generation; catches stale resumes *)
+  as_current : thread option; (* [Some] of this thread, allocated once *)
 }
 
 type t = {
@@ -28,6 +29,15 @@ type t = {
   mutable defer_on : bool;
   mutable defer_acc : int;
 }
+
+let new_thread ~tid ~cpu ~name =
+  let rec th =
+    { tid; cpu; name; finished = false; runnable = true; waited_ns = 0; suspend_gen = 0;
+      as_current = Some th }
+  in
+  th
+
+let no_thread = new_thread ~tid:(-1) ~cpu:(-1) ~name:"(none)"
 
 type _ Effect.t += Suspend : t * ((int -> unit) -> unit) -> unit Effect.t
 
@@ -74,14 +84,16 @@ let self t =
 (* One burst of a thread's execution: [t.current] is set while [k] runs
    and cleared when the thread suspends, finishes, or escapes with an
    exception.  Hand-rolled rather than [Fun.protect] so the per-burst
-   cost is two field writes, not a finaliser closure. *)
-let run_burst t th k =
-  t.current <- Some th;
-  match k () with
+   cost is two field writes, not a finaliser closure or a fresh [Some]. *)
+let run_burst t th k x =
+  t.current <- th.as_current;
+  match k x with
   | () -> t.current <- None
   | exception e ->
     t.current <- None;
     raise e
+
+let continue_unit k = Effect.Deep.continue k ()
 
 (* Run [f] as the body of [th]: effects performed inside are handled here.
    Each resumption of the thread's continuation happens from an event-loop
@@ -120,13 +132,13 @@ let start_thread t th body =
                     th.runnable <- true;
                     at t time (fun () ->
                         trace_thread t th Trace.Thread_resume;
-                        run_burst t th (fun () -> continue k ()))
+                        run_burst t th continue_unit k)
                   in
                   register resume)
           | _ -> None);
     }
   in
-  run_burst t th (fun () -> match_with body () handler)
+  run_burst t th (fun () -> match_with body () handler) ()
 
 (* Append [th] to the tid-indexed table, doubling the backing array as
    needed (the table replaces the old newest-first list, so diagnostics
@@ -150,17 +162,7 @@ let spawn t ?cpu ~name body =
       t.next_cpu <- t.next_cpu + 1;
       c
   in
-  let th =
-    {
-      tid = t.next_tid;
-      cpu;
-      name;
-      finished = false;
-      runnable = true;
-      waited_ns = 0;
-      suspend_gen = 0;
-    }
-  in
+  let th = new_thread ~tid:t.next_tid ~cpu ~name in
   register_thread t th;
   Trace.register_thread t.tracer ~tid:th.tid ~cpu:th.cpu name;
   (* The fork edge: when the spawner is itself a simulated thread, its

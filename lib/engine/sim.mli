@@ -16,6 +16,9 @@ type t
 type thread
 (** A simulated thread. *)
 
+val no_thread : thread
+(** A sentinel that is never a spawned thread (tid -1), for owner slots. *)
+
 val create : ?seed:int -> unit -> t
 (** Fresh world at time 0.  [seed] initialises the world's PRNG (used by
     unfair lock grants and workload jitter). *)

@@ -76,7 +76,7 @@ type t = {
   mutable free : chunk list; (* recycled by [clear] *)
   mutable n : int;
   names : (int, string * int) Hashtbl.t; (* tid -> (name, cpu); always kept *)
-  locks : (string, string) Hashtbl.t; (* lock name -> discipline; always kept *)
+  locks : (string, string) Hashtbl.t; (* lock name -> discipline; kept by [clear] *)
 }
 
 let create () =
@@ -99,8 +99,8 @@ let disable t = t.on <- false
    tracing starts still get names in the exported view. *)
 let register_thread t ~tid ~cpu name = Hashtbl.replace t.names tid (name, cpu)
 
-(* Registered at creation regardless of [on]: locks mostly exist before
-   tracing starts, and the order checkers need their disciplines. *)
+(* Registered by each lock on its first traced record, so a lock created
+   before tracing starts still has its discipline for the order checker. *)
 let register_lock t ~name ~discipline = Hashtbl.replace t.locks name discipline
 let lock_discipline t name = Hashtbl.find_opt t.locks name
 

@@ -134,13 +134,14 @@ val register_thread : t -> tid:int -> cpu:int -> string -> unit
 
 val register_lock : t -> name:string -> discipline:string -> unit
 (** Remember a lock's grant discipline (["fifo"], ["unfair"], ["barging"])
-    for trace consumers.  Like {!register_thread} this works even while
-    disabled: locks are usually created during setup, before tracing is
-    enabled, and the order checkers need to know which locks promise
-    FIFO grants. *)
+    for trace consumers.  A {!Lock} registers on its first traced record,
+    not at creation: locks are usually created during setup, before
+    tracing is enabled, and the order checkers need to know which traced
+    locks promise FIFO grants.  Registrations survive {!clear}. *)
 
 val lock_discipline : t -> string -> string option
-(** The discipline registered for a lock name, if any. *)
+(** The discipline registered for a lock name, if any: [None] for a lock
+    that has never appeared in a trace. *)
 
 val events : t -> record list
 (** All recorded events in emission (= time) order. *)

@@ -23,7 +23,6 @@
 type t = {
   counts : (string, int ref) Hashtbl.t;
   mutable samples : int;
-  mutable truncated : int; (* stacks deeper than the capture limit *)
 }
 
 let max_depth = 64
@@ -39,26 +38,22 @@ let frame_name slot =
     | Some loc -> Printf.sprintf "%s:%d" loc.Printexc.filename loc.Printexc.line_number
     | None -> "?")
 
+(* One collapsed line from frame names, outermost first.  An unnamed
+   ["?"] frame is folded into its nearest named caller (dropped, so its
+   samples count as that caller's); the handler's own frames, which sit
+   below the program's, are dropped too. *)
+let collapse frames =
+  let keep f =
+    f <> "?" && f <> "Pnp_harness__Profiler.handler" && f <> "Pnp_harness__Profiler.record"
+  in
+  match List.filter keep frames with [] -> "(unknown)" | named -> String.concat ";" named
+
 let record t raw =
   t.samples <- t.samples + 1;
   let n = Printexc.raw_backtrace_length raw in
-  if n >= max_depth then t.truncated <- t.truncated + 1;
-  let buf = Buffer.create 256 in
-  (* Deepest frame last in the collapsed line: walk the raw backtrace
-     from outermost (index n-1) to the leaf (index 0). *)
-  for i = n - 1 downto 0 do
-    let entry = Printexc.get_raw_backtrace_slot raw i in
-    let slot = Printexc.convert_raw_backtrace_slot entry in
-    let name = frame_name slot in
-    (* The handler's own frames sit below the program's; drop them. *)
-    if not (String.length name >= 9 && String.sub name 0 9 = "Pnp_harne" &&
-            (name = "Pnp_harness__Profiler.handler" || name = "Pnp_harness__Profiler.record"))
-    then begin
-      if Buffer.length buf > 0 then Buffer.add_char buf ';';
-      Buffer.add_string buf name
-    end
-  done;
-  let key = if Buffer.length buf = 0 then "(unknown)" else Buffer.contents buf in
+  (* The raw backtrace is leaf first: index n-1 is the outermost frame. *)
+  let slot i = Printexc.convert_raw_backtrace_slot (Printexc.get_raw_backtrace_slot raw i) in
+  let key = collapse (List.init n (fun i -> frame_name (slot (n - 1 - i)))) in
   match Hashtbl.find_opt t.counts key with
   | Some r -> incr r
   | None -> Hashtbl.replace t.counts key (ref 1)
@@ -73,7 +68,7 @@ let handler _ =
 let start ?(hz = 997) () =
   if !active <> None then invalid_arg "Profiler.start: already profiling";
   let interval_us = max 1 (1_000_000 / hz) in
-  let t = { counts = Hashtbl.create 1024; samples = 0; truncated = 0 } in
+  let t = { counts = Hashtbl.create 1024; samples = 0 } in
   active := Some t;
   ignore (Sys.signal Sys.sigprof (Sys.Signal_handle handler));
   let v = float_of_int interval_us /. 1e6 in
@@ -88,8 +83,6 @@ let stop t =
   ignore (Sys.signal Sys.sigprof Sys.Signal_default);
   active := None;
   t.samples
-
-let samples t = t.samples
 
 (* Collapsed-stacks output, heaviest stack first so a plain `sort | head`
    or an eyeball both work without tooling. *)

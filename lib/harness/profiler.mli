@@ -8,26 +8,18 @@
     and speedscope read directly — written heaviest-first.
 
     Sampling is process-wide (SIGPROF has one handler), so only one
-    profiler may run at a time; [start] raises [Invalid_argument] if one
-    is active.  Samples land on OCaml safe points, which biases tight
-    allocation-free loops toward their callers — good enough to rank
-    subsystems, not to time individual instructions. *)
+    profile may run at a time; a nested [profile] raises
+    [Invalid_argument].  Samples land on OCaml safe points, which biases
+    tight allocation-free loops toward their callers — good enough to
+    rank subsystems, not to time individual instructions. *)
 
-type t
-
-val start : ?hz:int -> unit -> t
-(** Begin sampling at [hz] samples per CPU-second (default 997). *)
-
-val stop : t -> int
-(** Disarm the timer and restore the default SIGPROF disposition.
-    Returns the number of samples collected. *)
-
-val samples : t -> int
-
-val write : t -> string -> unit
-(** Write collapsed-stacks lines to a file, heaviest stack first. *)
+val collapse : string list -> string
+(** One sample's collapsed line from its frame names, outermost first:
+    unnamed ["?"] frames fold into their nearest named caller and the
+    profiler's own frames are dropped (["(unknown)"] if none is left). *)
 
 val profile : ?hz:int -> file:string -> (unit -> 'a) -> 'a * int
-(** [profile ~file f] runs [f] under the profiler and writes the
-    collapsed-stacks profile to [file] (also on exception).  Returns
+(** [profile ~file f] runs [f] under the profiler, sampling at [hz]
+    samples per CPU-second (default 997), and writes the collapsed-stacks
+    profile to [file], heaviest stack first (also on exception).  Returns
     [f ()]'s result and the sample count. *)

@@ -143,7 +143,7 @@ let make_app plat j =
   {
     app_lock =
       Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair
-        ~name:(Printf.sprintf "app.%d" j);
+        ~name:("app." ^ string_of_int j);
     app_bytes = 0;
     app_packets = 0;
   }

@@ -234,6 +234,54 @@ let test_fifo_order_in_order_clean () =
   Alcotest.(check int) "in-order grants" 0
     (List.length (Order_check.check (make_trace ~locks:[ ("m", "fifo") ] evs)))
 
+(* A lock registers its discipline with its first traced record, not at
+   creation: untraced use leaves it unregistered. *)
+let test_lock_registers_when_first_traced () =
+  let sim = Sim.create () in
+  let tracer = Sim.tracer sim in
+  let lock = Lock.create sim arch Lock.Barging ~name:"late" in
+  let _ =
+    Sim.spawn sim ~name:"t" (fun () ->
+        Lock.with_lock lock ignore;
+        Alcotest.(check (option string)) "untraced use" None (Trace.lock_discipline tracer "late");
+        Trace.enable tracer;
+        Lock.with_lock lock ignore)
+  in
+  Sim.run sim;
+  Alcotest.(check (option string)) "after first traced record" (Some "barging")
+    (Trace.lock_discipline tracer "late")
+
+(* The [check] warm-up window: a FIFO lock created and used before
+   tracing starts, first contended after it.  A seeded request that the
+   lock never saw sits at the head of the queue, so the real grant is an
+   overtake, and it is only flagged if the lock's discipline reached the
+   trace. *)
+let test_fifo_created_before_trace_flagged () =
+  let sim = Sim.create () in
+  let tracer = Sim.tracer sim in
+  let lock = Lock.create sim arch Lock.Fifo ~name:"conn" in
+  let _ =
+    Sim.spawn sim ~name:"warmup" (fun () ->
+        Lock.with_lock lock ignore;
+        Trace.enable tracer)
+  in
+  let _ =
+    Sim.spawn sim ~name:"ghost" (fun () ->
+        Sim.delay sim 10_000;
+        if Trace.enabled tracer then Sim.trace sim (Trace.Lock_request { lock = "conn"; waiters = 0 }))
+  in
+  let _ =
+    Sim.spawn sim ~name:"real" (fun () ->
+        Sim.delay sim 20_000;
+        Lock.with_lock lock ignore)
+  in
+  Sim.run sim;
+  match Order_check.check tracer with
+  | [ f ] ->
+    Alcotest.(check string) "checker" "fifo-order" f.Finding.checker;
+    Alcotest.(check string) "subject" "conn" f.Finding.subject
+  | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs))
+
 let test_reorder_window_stats () =
   (* Thread 2 carries a later packet (seq 8192) and wins the lock before
      thread 1 (seq 0) and thread 3 (seq 4096). *)
@@ -727,6 +775,10 @@ let suites =
           test_fifo_order_violation_detected;
         Alcotest.test_case "in-order grants clean" `Quick test_fifo_order_in_order_clean;
         Alcotest.test_case "reorder windows quantified" `Quick test_reorder_window_stats;
+        Alcotest.test_case "lock registers when first traced" `Quick
+          test_lock_registers_when_first_traced;
+        Alcotest.test_case "fifo lock created before trace still checked" `Quick
+          test_fifo_created_before_trace_flagged;
       ] );
     ( "analysis.replay",
       [

@@ -191,6 +191,21 @@ let test_tcp_source_checksums () =
       List.iter (fun memo -> run ~sequential_payload ~memo) [ true; false ])
     [ false; true ]
 
+(* Streams are keyed by [(addr lsl 16) lor port], so a driver port
+   outside 16 bits would alias another stream's key. *)
+let test_tcp_source_rejects_wide_port () =
+  let stack = Stack.create (plat ()) ~local_addr:0x0a000002 () in
+  List.iter
+    (fun port ->
+      match
+        Tcp_source.attach stack ~peer_addr:0x0a000001 ~payload:512 ~checksum:true
+          ~ports:[ (port, 4000) ] ()
+      with
+      | _ -> Alcotest.fail (Printf.sprintf "driver port %d accepted" port)
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) "names the range" true (contains msg "0..65535"))
+    [ 65536; -1; 1 lsl 20 ]
+
 let suites =
   [
     ( "driver.sniffer",
@@ -206,5 +221,9 @@ let suites =
         Alcotest.test_case "lossy link drops" `Quick test_lossy_link_drops;
       ] );
     ( "driver.tcp_source",
-      [ Alcotest.test_case "injected checksums verify" `Quick test_tcp_source_checksums ] );
+      [
+        Alcotest.test_case "injected checksums verify" `Quick test_tcp_source_checksums;
+        Alcotest.test_case "driver port outside 16 bits rejected" `Quick
+          test_tcp_source_rejects_wide_port;
+      ] );
   ]

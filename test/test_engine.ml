@@ -601,6 +601,37 @@ let test_lock_with_lock_releases_on_exception () =
   Sim.run sim;
   Alcotest.(check bool) "lock released after exception" true !second_ran
 
+(* The body's own exception comes back, not [Fun.Finally_raised], and a
+   counting lock unwinds to depth 0 and is free for the next thread. *)
+let test_with_lock_reraises_body_exception () =
+  let sim = Sim.create () in
+  let lock = Lock.create sim arch Lock.Fifo ~name:"l" in
+  let cl = Lock.Counting.create sim arch Lock.Unfair ~name:"map" in
+  let caught = ref [] in
+  let note = function
+    | Failure m -> caught := m :: !caught
+    | e -> caught := Printexc.to_string e :: !caught
+  in
+  let _ =
+    Sim.spawn sim ~name:"thrower" (fun () ->
+        (try Lock.with_lock lock (fun () -> failwith "plain") with e -> note e);
+        (try
+           Lock.Counting.with_lock cl (fun () ->
+               Lock.Counting.with_lock cl (fun () -> failwith "nested"))
+         with e -> note e);
+        Alcotest.(check int) "depth back to 0" 0 (Lock.Counting.depth cl))
+  in
+  let after = ref false in
+  let _ =
+    Sim.spawn sim ~name:"after" (fun () ->
+        Sim.delay sim 100_000;
+        Lock.with_lock lock (fun () -> Lock.Counting.with_lock cl (fun () -> after := true)))
+  in
+  Sim.run sim;
+  Alcotest.(check (list string)) "body exceptions" [ "plain"; "nested" ] (List.rev !caught);
+  Alcotest.(check bool) "both locks free again" true !after;
+  Alcotest.(check int) "lock taken twice" 2 (Lock.acquisitions lock)
+
 let test_lock_wait_accounting () =
   let sim = Sim.create () in
   let lock = Lock.create sim arch Lock.Unfair ~name:"l" in
@@ -799,6 +830,63 @@ let test_gate_no_wait_when_in_order () =
   Sim.run sim;
   Alcotest.(check int) "no wait time" 0 (Sim.wait_ns th);
   Alcotest.(check int) "served two" 2 (Gate.serving gate)
+
+(* Twelve tickets wait at once in each of two waves, arriving out of
+   order.  The first wave grows the waiter ring while it is occupied
+   (ticket 11 arrives second, past the first ring of 8); the second
+   wave's tickets 16..23 wrap onto the slots of tickets 0..7. *)
+let test_gate_ring_grows_and_wraps () =
+  let sim = Sim.create () in
+  let gate = Gate.create sim arch ~name:"app" in
+  let delivered = ref [] and max_waiting = ref 0 and waiting = ref 0 in
+  let _ =
+    Sim.spawn sim ~name:"issuer" (fun () ->
+        for i = 0 to 23 do
+          Alcotest.(check int) "ticket" i (Gate.take gate)
+        done)
+  in
+  (* Arrival rank of each wave's tickets 1..11; the wave's first ticket
+     arrives last, so the other eleven all wait for it. *)
+  let order = [ 5; 11; 2; 9; 1; 7; 3; 10; 4; 8; 6 ] in
+  let arrival k =
+    let rec pos i = function [] -> 20 | o :: rest -> if o = k mod 12 then i else pos (i + 1) rest in
+    Units.us (float_of_int ((1000 * ((k / 12) + 1)) + (10 * pos 0 order)))
+  in
+  for k = 0 to 23 do
+    ignore
+      (Sim.spawn sim ~name:(Printf.sprintf "t%d" k) (fun () ->
+           Sim.delay sim (arrival k);
+           incr waiting;
+           max_waiting := max !max_waiting !waiting;
+           Gate.await gate k;
+           decr waiting;
+           delivered := k :: !delivered;
+           Gate.advance gate))
+  done;
+  Sim.run sim;
+  Alcotest.(check (list int)) "ticket order" (List.init 24 Fun.id) (List.rev !delivered);
+  Alcotest.(check int) "twelve at the gate at once" 12 !max_waiting;
+  Alcotest.(check int) "all served" 24 (Gate.serving gate)
+
+let test_gate_misuse_messages () =
+  let failure_of f =
+    let sim = Sim.create () in
+    let gate = Gate.create sim arch ~name:"app" in
+    let _ = Sim.spawn sim ~name:"t" (fun () -> f sim gate) in
+    match Sim.run sim with
+    | () -> Alcotest.fail "expected a Failure"
+    | exception Failure msg -> msg
+  in
+  Alcotest.(check string) "already served" "Gate.await \"app\": ticket 0 already served"
+    (failure_of (fun _ gate ->
+         Gate.await gate (Gate.take gate);
+         Gate.advance gate;
+         Gate.await gate 0));
+  Alcotest.(check string) "duplicate ticket" "Gate.await \"app\": duplicate ticket 3"
+    (failure_of (fun sim gate ->
+         ignore (Sim.spawn sim ~name:"first" (fun () -> Gate.await gate 3));
+         Sim.delay sim 1_000;
+         Gate.await gate 3))
 
 (* ------------------------------------------------------------------ *)
 (* Atomic_ctr                                                          *)
@@ -1007,6 +1095,8 @@ let suites =
           test_lock_release_by_non_owner_fails;
         Alcotest.test_case "with_lock releases on exception" `Quick
           test_lock_with_lock_releases_on_exception;
+        Alcotest.test_case "with_lock re-raises the body's exception" `Quick
+          test_with_lock_reraises_body_exception;
         Alcotest.test_case "wait accounting" `Quick test_lock_wait_accounting;
         Alcotest.test_case "coherency penalty across CPUs" `Quick
           test_lock_coherency_penalty_cross_cpu;
@@ -1024,6 +1114,8 @@ let suites =
       [
         Alcotest.test_case "orders delivery" `Quick test_gate_orders_delivery;
         Alcotest.test_case "no wait when in order" `Quick test_gate_no_wait_when_in_order;
+        Alcotest.test_case "waiter ring grows and wraps" `Quick test_gate_ring_grows_and_wraps;
+        Alcotest.test_case "misuse messages" `Quick test_gate_misuse_messages;
       ] );
     ( "engine.atomic",
       [

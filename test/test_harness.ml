@@ -280,6 +280,19 @@ let test_world_pins () =
       Alcotest.(check string) name expected (show_result (Run.run c)))
     world_pins
 
+let test_profiler_collapse () =
+  let check name expected frames =
+    Alcotest.(check string) name expected (Profiler.collapse frames)
+  in
+  check "named stack" "main;Run.run;Sim.run" [ "main"; "Run.run"; "Sim.run" ];
+  check "unnamed leaf folds into its caller" "main;Sim.run" [ "main"; "Sim.run"; "?"; "?" ];
+  check "unnamed middle frames fold too" "main;Lock.acquire;Sim.delay"
+    [ "main"; "?"; "Lock.acquire"; "?"; "?"; "Sim.delay" ];
+  check "profiler frames dropped" "main;Eventq.add"
+    [ "main"; "Eventq.add"; "Pnp_harness__Profiler.handler"; "Pnp_harness__Profiler.record" ];
+  check "nothing named" "(unknown)" [ "?"; "?" ];
+  check "empty" "(unknown)" []
+
 let suites =
   [
     ( "harness.baseline",
@@ -325,4 +338,6 @@ let suites =
         Alcotest.test_case "deterministic given seed" `Quick test_deterministic_runs;
         Alcotest.test_case "every result field of every world" `Quick test_world_pins;
       ] );
+    ( "harness.profiler",
+      [ Alcotest.test_case "collapse folds unnamed frames" `Quick test_profiler_collapse ] );
   ]
