@@ -738,7 +738,7 @@ let check_cmd =
      | None -> ()
      | Some dir ->
        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-       let esc = Pnp_harness.Json_out.escape in
+       let esc = Pnp_engine.Trace.json_escape in
        let b = Buffer.create 4096 in
        Buffer.add_string b "{\"check\":[";
        List.iteri
@@ -753,11 +753,8 @@ let check_cmd =
                if j > 0 then Buffer.add_char b ',';
                Buffer.add_string b
                  (Printf.sprintf
-                    "{\"checker\":\"%s\",\"severity\":\"%s\",\"subject\":\"%s\",\"message\":\"%s\"}"
+                    "{\"checker\":\"%s\",\"severity\":\"error\",\"subject\":\"%s\",\"message\":\"%s\"}"
                     (esc f.Pnp_analysis.Finding.checker)
-                    (match f.Pnp_analysis.Finding.severity with
-                     | Pnp_analysis.Finding.Error -> "error"
-                     | Pnp_analysis.Finding.Warning -> "warning")
                     (esc f.Pnp_analysis.Finding.subject)
                     (esc f.Pnp_analysis.Finding.message)))
              findings;
@@ -926,7 +923,7 @@ let trace_cmd =
     let open Pnp_driver in
     let plat = Platform.create ~seed:4 Arch.challenge_100 in
     let stack = Stack.create plat ~local_addr:0x0a000001 () in
-    let sniffer = Sniffer.attach stack () in
+    let sniffer = Sniffer.attach stack in
     let _peer =
       Tcp_peer.attach stack ~peer_addr:0x0a000002 ~ack_window:(1 lsl 20) ~checksum:true ()
     in

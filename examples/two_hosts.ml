@@ -17,10 +17,10 @@ let () =
   let plat = Platform.create ~seed:9 Arch.challenge_100 in
   let a = Stack.create plat ~local_addr:addr_a () in
   let b = Stack.create plat ~local_addr:addr_b () in
-  let sniffer = Sniffer.attach a () in
+  let sniffer = Sniffer.attach a in
   let link =
-    Link.connect plat ~latency:(Units.us 200.0) ~bandwidth_mbps:100.0 ~loss_rate:0.02
-      ~a ~b ()
+    Link.connect plat ~latency:(Units.us 200.0) ~bandwidth_mbps:100.0
+      ~plan:(Pnp_faults.Faults.bernoulli 0.02) ~a ~b ()
   in
 
   (* Host B: an echo server. *)

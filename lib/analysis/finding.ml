@@ -1,17 +1,14 @@
 open Pnp_engine
 
-type severity = Error | Warning
-
 type t = {
   checker : string;
-  severity : severity;
   subject : string;
   message : string;
   witnesses : Trace.record list;
 }
 
-let v ?(severity = Error) ?(witnesses = []) ~checker ~subject message =
-  { checker; severity; subject; message; witnesses }
+let v ?(witnesses = []) ~checker ~subject message =
+  { checker; subject; message; witnesses }
 
 let ev_label (ev : Trace.ev) =
   match ev with
@@ -50,11 +47,10 @@ let ev_label (ev : Trace.ev) =
   | Rcu_read { state } -> "rcu read " ^ state
   | Rcu_publish { state } -> "rcu publish " ^ state
 
-let severity_label = function Error -> "error" | Warning -> "warning"
-
+(* Every finding is an error; the [error] prefix is part of the report
+   format. *)
 let pp fmt t =
-  Format.fprintf fmt "[%s] %s: %s: %s" (severity_label t.severity) t.checker t.subject
-    t.message;
+  Format.fprintf fmt "[error] %s: %s: %s" t.checker t.subject t.message;
   List.iter
     (fun (r : Trace.record) ->
       Format.fprintf fmt "@\n    witness: t=%d ns tid=%d cpu=%d  %s" r.Trace.ts
@@ -64,14 +60,10 @@ let pp fmt t =
 let to_string t = Format.asprintf "%a" pp t
 
 let sort ts =
-  let sev_rank = function Error -> 0 | Warning -> 1 in
   List.stable_sort
     (fun a b ->
-      match compare (sev_rank a.severity) (sev_rank b.severity) with
-      | 0 -> (
-        match compare a.checker b.checker with
-        | 0 -> compare a.subject b.subject
-        | c -> c)
+      match compare a.checker b.checker with
+      | 0 -> compare a.subject b.subject
       | c -> c)
     ts
 

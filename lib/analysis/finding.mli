@@ -6,11 +6,8 @@
     them and exit non-zero when any exist, and the seeded-defect tests
     assert on their contents. *)
 
-type severity = Error | Warning
-
 type t = {
   checker : string;  (** which analysis produced it: "lockset", "lock-order", ... *)
-  severity : severity;
   subject : string;  (** the state id, lock name or [file:line] concerned *)
   message : string;
   witnesses : Pnp_engine.Trace.record list;
@@ -18,23 +15,20 @@ type t = {
 }
 
 val v :
-  ?severity:severity ->
   ?witnesses:Pnp_engine.Trace.record list ->
   checker:string ->
   subject:string ->
   string ->
   t
 
-val ev_label : Pnp_engine.Trace.ev -> string
-(** One-line description of an event, used when printing witnesses. *)
-
 val pp : Format.formatter -> t -> unit
-(** Multi-line rendering: headline plus one indented line per witness. *)
+(** Multi-line rendering: an [\[error\] checker: subject: message]
+    headline plus one indented line per witness. *)
 
 val to_string : t -> string
 
 val sort : t list -> t list
-(** Errors before warnings, then by checker and subject. *)
+(** By checker, then subject. *)
 
 val dedupe : t list -> t list
 (** Collapse findings with identical (checker, subject, message) to the
@@ -52,7 +46,6 @@ val dedupe : t list -> t list
 type family = Race | Lifetime | Order
 
 val family : t -> family
-val family_bit : family -> int
 
 val exit_code : t list -> int
 (** OR of the family bits present in the list; 0 when empty. *)

@@ -446,15 +446,16 @@ let matrix_to_string rows =
 
 let matrix_json rows =
   let b = Buffer.create 1024 in
-  let strs l = "[" ^ String.concat "," (List.map (Printf.sprintf "%S") l) ^ "]" in
+  let str v = "\"" ^ Pnp_engine.Trace.json_escape v ^ "\"" in
+  let strs l = "[" ^ String.concat "," (List.map str l) ^ "]" in
   Buffer.add_string b "{\"state_access_matrix\":[";
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf
-           "{\"file\":%S,\"line\":%d,\"binding\":%S,\"reads\":%s,\"writes\":%s,\"locks\":%s,\"allowed\":%b}"
-           r.m_file r.m_line r.m_binding (strs r.m_reads) (strs r.m_writes)
+           "{\"file\":%s,\"line\":%d,\"binding\":%s,\"reads\":%s,\"writes\":%s,\"locks\":%s,\"allowed\":%b}"
+           (str r.m_file) r.m_line (str r.m_binding) (strs r.m_reads) (strs r.m_writes)
            (strs r.m_locks) r.m_allowed))
     rows;
   Buffer.add_string b "]}\n";

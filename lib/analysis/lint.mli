@@ -82,9 +82,6 @@ val matrix_to_string : matrix_row list -> string
 val matrix_json : matrix_row list -> string
 (** The matrix as a one-object JSON document. *)
 
-val check_file : string -> finding list
-(** [check_file path] reads and lints [path]. *)
-
 val check_tree : roots:string list -> finding list
 (** Recursively lint every [.ml] file under the given root
     directories, skipping [_build] and dot-directories.  Findings are

@@ -34,8 +34,5 @@ type t
 val create : unit -> t
 val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
 
-val edges_of : t -> edge list
-(** {!edges} over the records stepped so far. *)
-
 val findings : t -> Finding.t list
 (** {!check} over the records stepped so far. *)

@@ -123,15 +123,7 @@ let transmit t dir frame =
     deliveries
 
 let connect plat ?(latency = Units.us 50.0) ?(bandwidth_mbps = 100.0)
-    ?(loss_rate = 0.0) ?(plan = Faults.none) ~(a : Stack.t) ~(b : Stack.t) () =
-  (* [?loss_rate] is sugar for a Bernoulli stage prepended to the plan. *)
-  let eff_plan =
-    if loss_rate <= 0.0 then plan
-    else if plan.Faults.stages = [] then Faults.bernoulli loss_rate
-    else
-      Faults.plan ~name:plan.Faults.name
-        (Faults.Bernoulli_loss { p = loss_rate } :: plan.Faults.stages)
-  in
+    ?(plan = Faults.none) ~(a : Stack.t) ~(b : Stack.t) () =
   let rng = Prng.split (Sim.prng plat.Platform.sim) in
   let mk dest =
     {
@@ -141,7 +133,7 @@ let connect plat ?(latency = Units.us 50.0) ?(bandwidth_mbps = 100.0)
       busy_until = 0;
       frames = 0;
       pressure_drops = 0;
-      faults = Faults.instantiate eff_plan ~prng:rng ~skip_bytes:Fddi.header_bytes;
+      faults = Faults.instantiate plan ~prng:rng ~skip_bytes:Fddi.header_bytes;
     }
   in
   let t = { plat; latency; bandwidth_mbps; ab = mk b; ba = mk a; in_flight = 0 } in

@@ -23,7 +23,6 @@ val connect :
   Pnp_engine.Platform.t ->
   ?latency:Pnp_util.Units.ns ->
   ?bandwidth_mbps:float ->
-  ?loss_rate:float ->
   ?plan:Pnp_faults.Faults.plan ->
   a:Stack.t ->
   b:Stack.t ->
@@ -31,11 +30,11 @@ val connect :
   t
 (** Wire the two stacks together (replaces both FDDI transmit hooks).
     Defaults: 50 us propagation latency, 100 Mbit/s serialisation, no
-    faults.  [?loss_rate] is sugar for a [Bernoulli_loss] stage prepended
-    to [?plan] (by default the empty plan).  Each direction instantiates
-    its own pipeline with independent PRNG streams split off the
-    simulation's seed, so a faulted run replays byte-identically for a
-    fixed seed.  Both stacks must share [plat]'s simulation. *)
+    faults ([?plan] is the empty plan; {!Pnp_faults.Faults.bernoulli}
+    gives uniform loss).  Each direction instantiates its own pipeline
+    with independent PRNG streams split off the simulation's seed, so a
+    faulted run replays byte-identically for a fixed seed.  Both stacks
+    must share [plat]'s simulation. *)
 
 val frames_ab : t -> int
 (** Frames {e offered} to the a->b direction, i.e. counted before the

@@ -4,8 +4,10 @@ open Pnp_proto
 
 type entry = { time_ns : int; dir : [ `Out | `In ]; summary : string }
 
+(* Entries kept; older ones are dropped. *)
+let capacity = 1024
+
 type t = {
-  capacity : int;
   mutable buf : entry list; (* newest first *)
   mutable count : int;
   mutable seen : int;
@@ -44,8 +46,8 @@ let summarise msg =
         (Msg.get_u16 msg (udp_off + 4))
     else Printf.sprintf "IP proto=%d %s > %s len=%d" proto (addr src) (addr dst) len
 
-let attach stack ?(capacity = 1024) () =
-  let t = { capacity; buf = []; count = 0; seen = 0 } in
+let attach stack =
+  let t = { buf = []; count = 0; seen = 0 } in
   Fddi.set_tap stack.Stack.fddi (fun ~dir msg ->
       t.seen <- t.seen + 1;
       let e =
@@ -53,10 +55,10 @@ let attach stack ?(capacity = 1024) () =
       in
       t.buf <- e :: t.buf;
       t.count <- t.count + 1;
-      if t.count > t.capacity then begin
+      if t.count > capacity then begin
         (* Drop the oldest; the buffer is short, so the rebuild is cheap. *)
-        t.buf <- List.filteri (fun i _ -> i < t.capacity) t.buf;
-        t.count <- t.capacity
+        t.buf <- List.filteri (fun i _ -> i < capacity) t.buf;
+        t.count <- capacity
       end);
   t
 

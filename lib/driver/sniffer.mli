@@ -13,9 +13,9 @@ type entry = {
   summary : string;
 }
 
-val attach : Stack.t -> ?capacity:int -> unit -> t
-(** Start recording (keeps at most [capacity] entries, default 1024;
-    older entries are dropped). *)
+val attach : Stack.t -> t
+(** Start recording (keeps the newest 1024 entries; older entries are
+    dropped). *)
 
 val entries : t -> entry list
 (** Recorded entries, oldest first. *)

@@ -47,21 +47,19 @@ type 'a t = {
   queues : 'a Queue.t array; (* per-worker reserved, undelivered frames *)
   lock : Lock.t; (* the NIC's single demux/DMA engine *)
   hot_size : int; (* connections in the hot window *)
-  burst : int; (* consecutive frames per connection *)
-  flap_every : int; (* Last_sender: every Nth burst migrates mid-burst *)
-  queue_cap : int; (* per-worker ring depth; overflow drops the frame *)
   mutable counter : int; (* global arrival counter *)
-  mutable flaps : int;
-  mutable dropped : int; (* arrivals the reservation refused *)
 }
 
-let create plat ?(hot_size = 64) ?(burst = 4) ?(flap_every = 2) ?(queue_cap = 16)
-    ~policy ~workers ~conns () =
+(* The stream's shape: consecutive frames per connection, the
+   Last_sender flap period in bursts, and the per-worker ring depth
+   (overflow drops the frame). *)
+let burst = 4
+let flap_every = 2
+let queue_cap = 16
+
+let create plat ~policy ~workers ~conns () =
   if workers <= 0 then invalid_arg "Steer.create: workers must be positive";
   if conns <= 0 then invalid_arg "Steer.create: conns must be positive";
-  if hot_size <= 0 || burst <= 0 || flap_every <= 0 || queue_cap <= 0 then
-    invalid_arg
-      "Steer.create: hot_size, burst, flap_every and queue_cap must be positive";
   {
     policy;
     workers;
@@ -70,13 +68,8 @@ let create plat ?(hot_size = 64) ?(burst = 4) ?(flap_every = 2) ?(queue_cap = 16
     queues = Array.init workers (fun _ -> Queue.create ());
     lock =
       Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair ~name:"nic.steer";
-    hot_size = min hot_size conns;
-    burst;
-    flap_every;
-    queue_cap;
+    hot_size = min 64 conns;
     counter = 0;
-    flaps = 0;
-    dropped = 0;
   }
 
 (* Advance the global arrival stream one frame: pick the connection, let
@@ -84,7 +77,7 @@ let create plat ?(hot_size = 64) ?(burst = 4) ?(flap_every = 2) ?(queue_cap = 16
    hold [t.lock]. *)
 let arrival t =
   let n = t.counter in
-  let burst_no = n / t.burst in
+  let burst_no = n / burst in
   let slot = burst_no mod t.hot_size in
   let window = burst_no / t.hot_size in
   let base = window * t.hot_size mod t.conns in
@@ -99,12 +92,9 @@ let arrival t =
      map into a one-worker degenerate state. *)
   if
     t.policy = Last_sender && t.workers > 1
-    && n mod t.burst = 1
-    && (window + slot) mod t.flap_every = 0
-  then begin
-    t.affinity.(conn) <- (t.affinity.(conn) + 1) mod t.workers;
-    t.flaps <- t.flaps + 1
-  end;
+    && n mod burst = 1
+    && (window + slot) mod flap_every = 0
+  then t.affinity.(conn) <- (t.affinity.(conn) + 1) mod t.workers;
   t.counter <- n + 1;
   (conn, t.affinity.(conn))
 
@@ -114,27 +104,20 @@ let next t ~worker ~reserve =
     Lock.with_lock t.lock (fun () ->
         (* Another worker's pull may have fed this queue while we waited
            for the demux engine; the loop condition re-checks. *)
-        let budget = ref (t.burst * (t.hot_size + t.workers)) in
+        let budget = ref (burst * (t.hot_size + t.workers)) in
         while Queue.is_empty t.queues.(worker) && !budget > 0 do
           decr budget;
           let conn, w = arrival t in
-          if Queue.length t.queues.(w) >= t.queue_cap then
-            (* Ring overflow: the frame is dropped before any sequence
-               number is consumed, so the stream stays hole-free.  A
-               finite ring is also what keeps the reorder window bounded
-               — without it a slow worker's backlog grows without limit
-               and reserved segments are never delivered at all. *)
-            t.dropped <- t.dropped + 1
-          else
+          (* Ring overflow drops the frame before any sequence number is
+             consumed, so the stream stays hole-free.  A finite ring is
+             also what keeps the reorder window bounded — without it a
+             slow worker's backlog grows without limit and reserved
+             segments are never delivered at all.  A [None] reservation
+             (closed window, unestablished stream) drops the arrival
+             too: the NIC does not retry an arrival slot. *)
+          if Queue.length t.queues.(w) < queue_cap then
             match reserve ~conn with
             | Some token -> Queue.push token t.queues.(w)
-            | None ->
-              (* Closed window or unestablished stream: the NIC does not
-                 retry an arrival slot. *)
-              t.dropped <- t.dropped + 1
+            | None -> ()
         done);
   Queue.take_opt t.queues.(worker)
-
-let flaps t = t.flaps
-let arrivals t = t.counter
-let dropped t = t.dropped

@@ -28,24 +28,15 @@ val policy_to_string : policy -> string
 type 'a t
 
 val create :
-  Pnp_engine.Platform.t ->
-  ?hot_size:int ->
-  ?burst:int ->
-  ?flap_every:int ->
-  ?queue_cap:int ->
-  policy:policy ->
-  workers:int ->
-  conns:int ->
-  unit ->
-  'a t
-(** [hot_size] (default 64) connections are hot at a time; each gets
-    [burst] (default 4) consecutive frames; under [Last_sender] every
-    [flap_every]-th (default 2) burst migrates its connection's affinity
-    mid-burst.  Each worker's ring holds at most [queue_cap] (default 16)
-    reserved frames: arrivals steered to a full ring are dropped {e
-    before} reserving, so no sequence number is pinned for them and the
-    stream stays hole-free — the finite ring is what bounds both the
-    backlog and the reorder window. *)
+  Pnp_engine.Platform.t -> policy:policy -> workers:int -> conns:int -> unit -> 'a t
+(** 64 connections (or [conns], if fewer) are hot at a time; each gets 4
+    consecutive frames; under [Last_sender] every second burst migrates
+    its connection's affinity mid-burst.  Each worker's ring holds at
+    most 16 reserved frames: arrivals steered to a full ring are dropped
+    {e before} reserving, so no sequence number is pinned for them and
+    the stream stays hole-free — the finite ring is what bounds both the
+    backlog and the reorder window.  Raises [Invalid_argument] unless
+    [workers] and [conns] are positive. *)
 
 val next : 'a t -> worker:int -> reserve:(conn:int -> 'a option) -> 'a option
 (** The next reserved frame steered to [worker].  An empty queue pulls
@@ -55,13 +46,3 @@ val next : 'a t -> worker:int -> reserve:(conn:int -> 'a option) -> 'a option
     returning [None] (closed window, unestablished stream) drops that
     arrival.  [None] overall when the bounded pull produced nothing for
     this worker — it should idle briefly and retry. *)
-
-val flaps : 'a t -> int
-(** Affinity migrations so far (always 0 under [Hash]). *)
-
-val arrivals : 'a t -> int
-(** Frames generated by the global arrival stream so far. *)
-
-val dropped : 'a t -> int
-(** Arrivals not queued: refused by the reservation function or steered
-    to a full ring. *)

@@ -32,7 +32,6 @@ type t = {
   by_key : stream Key_tbl.t; (* (src addr, driver port) -> stream *)
   jitter : Prng.t;
   mutable stalls : int;
-  mutable pressure_sheds : int;
 }
 
 (* Injecting one segment costs a payload node plus the header pushes of
@@ -128,7 +127,6 @@ let attach stack ~peer_addr ~payload ~checksum ?(jitter_mean_ns = 8000.0)
       by_key;
       jitter = Prng.split (Sim.prng stack.Stack.plat.Platform.sim);
       stalls = 0;
-      pressure_sheds = 0;
     }
   in
   Fddi.set_transmit stack.Stack.fddi (fun frame -> handle t frame);
@@ -164,10 +162,7 @@ type reserved = { r_stream : int; r_seq : int }
 let reserve t ~stream =
   let s = t.streams.(stream) in
   let p = plat t in
-  if Mpool.headroom t.stack.Stack.pool < inject_headroom_margin then begin
-    t.pressure_sheds <- t.pressure_sheds + 1;
-    None
-  end
+  if Mpool.headroom t.stack.Stack.pool < inject_headroom_margin then None
   else begin
   Lock.acquire s.ring_lock;
   Costs.charge p Costs.driver_recv;
@@ -232,7 +227,6 @@ let next t ~stream =
 
 let established t ~stream = t.streams.(stream).established
 let window_stalls t = t.stalls
-let pressure_sheds t = t.pressure_sheds
 
 let finish t ~stream =
   let s = t.streams.(stream) in

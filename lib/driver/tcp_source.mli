@@ -53,13 +53,14 @@ val reserve : t -> stream:int -> reserved option
 (** Pin the stream's next sequence number (under its ring lock) without
     building or injecting the segment.  [None] when the advertised
     window is full, the stream is not established, or the stack's mnode
-    pool lacks the headroom to build a segment (counted in
-    {!pressure_sheds}; the sequence number is not advanced, so a shed
-    reservation is retried later, not lost).  The steered NIC
-    ({!Steer}) reserves at arrival time and injects when the assigned
-    worker drains its queue, so reservations of one stream parked on two
-    workers' queues can be injected out of order — the Flow-Director
-    reordering mechanism.  [next] is [reserve] + {!inject} back-to-back. *)
+    pool lacks the headroom to build a segment ([pool_pressure]
+    admission control at the driver boundary; the sequence number is not
+    advanced, so a shed reservation is retried later, not lost).  The
+    steered NIC ({!Steer}) reserves at arrival time and injects when the
+    assigned worker drains its queue, so reservations of one stream
+    parked on two workers' queues can be injected out of order — the
+    Flow-Director reordering mechanism.  [next] is [reserve] +
+    {!inject} back-to-back. *)
 
 val inject : t -> reserved -> unit
 (** Build the reserved segment (jitter + template fill) and push it up
@@ -67,11 +68,6 @@ val inject : t -> reserved -> unit
 
 val established : t -> stream:int -> bool
 val window_stalls : t -> int
-
-(** Reservations refused because the stack's pool was too close to
-    capacity to build a segment ([pool_pressure] admission control at the
-    driver boundary). *)
-val pressure_sheds : t -> int
 val finish : t -> stream:int -> unit
 (** Send FIN on the stream (for close-path tests). *)
 

@@ -234,7 +234,7 @@ let lock_table t =
 (* Chrome trace_event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
+let json_escape s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter
     (fun c ->
@@ -269,15 +269,15 @@ let to_chrome_string t =
   |> List.iter (fun (tid, name, cpu) ->
          add
            "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s (cpu %d)\"}}"
-           tid (escape name) cpu);
+           tid (json_escape name) cpu);
   let complete ~name ~cat r ~start_ns ~dur_ns ~args =
     add "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":\"%s\",\"cat\":\"%s\"%s}"
-      r.tid (us start_ns) (us dur_ns) (escape name) cat
+      r.tid (us start_ns) (us dur_ns) (json_escape name) cat
       (if args = "" then "" else Printf.sprintf ",\"args\":{%s}" args)
   in
   let instant ~name ~cat r ~args =
     add "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"name\":\"%s\",\"cat\":\"%s\"%s}"
-      r.tid (us r.ts) (escape name) cat
+      r.tid (us r.ts) (json_escape name) cat
       (if args = "" then "" else Printf.sprintf ",\"args\":{%s}" args)
   in
   let async ph r ~seq ~phase =

@@ -190,5 +190,10 @@ val pp_phase : pkt_phase -> string
 
 val to_chrome_string : t -> string
 
+val json_escape : string -> string
+(** JSON string-content escaping (quotes, backslashes, control
+    characters; other bytes pass through) — shared by every hand-rolled
+    JSON emitter in the tree. *)
+
 val write_chrome : t -> string -> unit
 (** [write_chrome t file] writes {!to_chrome_string} to [file]. *)

@@ -65,8 +65,7 @@ val none : plan
 (** The empty plan: every frame passes untouched. *)
 
 val bernoulli : float -> plan
-(** [bernoulli p] is the single-stage uniform-loss plan — what
-    [Link.connect ~loss_rate] desugars to. *)
+(** [bernoulli p] is the single-stage uniform-loss plan. *)
 
 val builtin : (string * plan) list
 (** The named plans behind [repro chaos --plan NAME] and the chaos

@@ -25,9 +25,6 @@
     CLP-vs-PLP figure additionally has a custom presenter that decodes
     the skew axis (stored as skew x 10 in the [procs] field). *)
 
-val clp_vs_plp_points : Opts.t -> (float * float * float) list
-(** (skew, packet-level Mbit/s, connection-level Mbit/s) at [max_procs]. *)
-
 val clp_vs_plp_data : Opts.t -> Pnp_harness.Report.table list
 val clp_vs_plp_present : Opts.t -> Pnp_harness.Report.table list -> unit
 

@@ -10,13 +10,10 @@
     All functions are data phase only (pure sweeps; safe on worker
     domains); the registry's default presenter prints the tables. *)
 
-val fig10_series : Opts.t -> Pnp_harness.Report.series list
 val fig10_data : Opts.t -> Pnp_harness.Report.table list
 
-val table1_series : Opts.t -> Pnp_harness.Report.series list
 val table1_data : Opts.t -> Pnp_harness.Report.table list
 
 val fig11_data : Opts.t -> Pnp_harness.Report.table list
 
-val send_side_misordering_series : Opts.t -> Pnp_harness.Report.series
 val send_side_misordering_data : Opts.t -> Pnp_harness.Report.table list

@@ -17,16 +17,6 @@ type entry = {
       (** Print the tables on stdout; main domain only. *)
 }
 
-val print_tables : Opts.t -> Pnp_harness.Report.table list -> unit
-(** The default presenter: print each table in order. *)
-
-val entry :
-  ?present:(Opts.t -> Pnp_harness.Report.table list -> unit) ->
-  string ->
-  string ->
-  (Opts.t -> Pnp_harness.Report.table list) ->
-  entry
-
 val all : entry list
 
 val find : string -> entry option

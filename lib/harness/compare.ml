@@ -161,7 +161,7 @@ let print rows =
     (List.length (List.filter (fun r -> not (Overload.passed r.outcome)) rows))
 
 let to_json rows =
-  let esc = Json_out.escape in
+  let esc = Pnp_engine.Trace.json_escape in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"compare\":[";
   List.iteri

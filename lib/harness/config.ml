@@ -30,8 +30,6 @@ type t = {
   loss_rate : float;
   cksum_under_lock : bool;
   presentation : bool;
-  syn_backlog : int;
-  pool_capacity : int option;
   warmup : Units.ns;
   measure : Units.ns;
   seed : int;
@@ -63,8 +61,6 @@ let baseline =
     loss_rate = 0.0;
     cksum_under_lock = false;
     presentation = false;
-    syn_backlog = 128;
-    pool_capacity = None;
     warmup = Units.ms 200.0;
     measure = Units.sec 1.0;
     seed = 1;
@@ -84,7 +80,6 @@ let v ?(arch = baseline.arch) ?(procs = baseline.procs) ?(side = baseline.side)
     ?(loss_rate = baseline.loss_rate)
     ?(cksum_under_lock = baseline.cksum_under_lock)
     ?(presentation = baseline.presentation)
-    ?(syn_backlog = baseline.syn_backlog) ?pool_capacity
     ?(warmup = baseline.warmup) ?(measure = baseline.measure) ?(seed = baseline.seed) () =
   {
     arch;
@@ -111,8 +106,6 @@ let v ?(arch = baseline.arch) ?(procs = baseline.procs) ?(side = baseline.side)
     loss_rate;
     cksum_under_lock;
     presentation;
-    syn_backlog;
-    pool_capacity;
     warmup;
     measure;
     seed;
@@ -150,7 +143,7 @@ let canonical t =
        | Pnp_engine.Arch.Sync_bus -> "sync-bus")
   in
   Printf.sprintf
-    "arch=%s|procs=%d|side=%s|proto=%s|payload=%d|cksum=%b|lock=%s|tcplk=%s|scrlog=%d|inorder=%b|ticket=%b|refs=%s|mcache=%b|maplock=%b|conns=%d|place=%s|steer=%s|dshards=%d|skew=%h|jitter=%h|offered=%s|loss=%h|cklock=%b|pres=%b|synbl=%d|poolcap=%s|warmup=%d|measure=%d|seed=%d"
+    "arch=%s|procs=%d|side=%s|proto=%s|payload=%d|cksum=%b|lock=%s|tcplk=%s|scrlog=%d|inorder=%b|ticket=%b|refs=%s|mcache=%b|maplock=%b|conns=%d|place=%s|steer=%s|dshards=%d|skew=%h|jitter=%h|offered=%s|loss=%h|cklock=%b|pres=%b|warmup=%d|measure=%d|seed=%d"
     (arch_key t.arch) t.procs (side_to_string t.side)
     (protocol_to_string t.protocol) t.payload t.checksum
     (Lock.discipline_name t.lock_disc)
@@ -167,8 +160,7 @@ let canonical t =
      | Some p -> Pnp_driver.Steer.policy_to_string p)
     t.demux_shards t.skew t.driver_jitter_ns
     (match t.offered_mbps with None -> "sat" | Some r -> Printf.sprintf "%h" r)
-    t.loss_rate t.cksum_under_lock t.presentation t.syn_backlog
-    (match t.pool_capacity with None -> "inf" | Some c -> string_of_int c)
+    t.loss_rate t.cksum_under_lock t.presentation
     t.warmup t.measure t.seed
 
 let describe t =

@@ -66,15 +66,6 @@ type t = {
       (** add an XDR-style presentation-conversion pass per packet in the
           application (the Goldberg et al. workload Section 3.2 contrasts
           with plain checksumming) *)
-  syn_backlog : int;
-      (** bound on half-open (SYN_RCVD) children per TCP listener; SYNs
-          beyond it are shed as accounted drops and recovered by SYN
-          retransmission.  0 disables the bound; default 128 *)
-  pool_capacity : int option;
-      (** bound on simultaneously live mnodes per stack pool ([None] =
-          unbounded, the default).  Bounded pools get a soft watermark at
-          half capacity: {!Pnp_xkern.Mpool} admission control makes
-          senders shed or park instead of raising [Out_of_mnodes] *)
   warmup : Pnp_util.Units.ns;
   measure : Pnp_util.Units.ns;
   seed : int;
@@ -109,8 +100,6 @@ val v :
   ?loss_rate:float ->
   ?cksum_under_lock:bool ->
   ?presentation:bool ->
-  ?syn_backlog:int ->
-  ?pool_capacity:int ->
   ?warmup:Pnp_util.Units.ns ->
   ?measure:Pnp_util.Units.ns ->
   ?seed:int ->

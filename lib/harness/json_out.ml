@@ -4,19 +4,7 @@ let make ?dir () = { dir }
 let disabled = { dir = None }
 
 (* Minimal JSON emission: only strings and finite floats need care. *)
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape = Pnp_engine.Trace.json_escape
 
 let num v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null"
 

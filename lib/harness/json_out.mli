@@ -19,11 +19,6 @@
 
 type ctx
 
-val escape : string -> string
-(** JSON string-content escaping (quotes, backslashes, control chars) —
-    shared by every hand-rolled JSON emitter in the tree ([repro
-    check --json] reuses it for the findings export). *)
-
 val make : ?dir:string -> unit -> ctx
 (** [make ~dir ()] exports into [dir] (which must already exist);
     [make ()] is a disabled context whose writes are no-ops. *)

@@ -67,6 +67,12 @@ let caught_checksums (a : Stack.t) (b : Stack.t) =
 
 let max_senders = 8000
 
+(* The stall horizon must exceed TCP's longest legitimate silence: the
+   retransmit timer backs off to 64x the RTO ({!set_rexmt_timer}'s BSD
+   shift cap), so a lone connection sitting out a ~64 s backoff is live,
+   not stalled.  70 s clears that ceiling. *)
+let stall_ns = Units.sec 70.0
+
 (* The common world: one client stack and one server stack joined by one
    link — the link {e is} the shared bottleneck, exactly the incast
    topology (N sources funnelling into one receiver port).  [stagger_ns]
@@ -75,7 +81,7 @@ let max_senders = 8000
    for the steady shared-bottleneck fairness workload. *)
 let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlog
     ~sb_policy ~pool_capacity ~demux_shards ~lock_disc ~tcp_locking ~bandwidth_mbps
-    ~latency ~stall_ns ~horizon () =
+    ~latency ~horizon () =
   if senders < 1 || senders > max_senders then
     invalid_arg "Overload: senders out of range (port space)";
   let plat =
@@ -261,28 +267,22 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
     findings = Finding.sort (oracle @ stall_findings);
   }
 
-(* The stall horizon must exceed TCP's longest legitimate silence: the
-   retransmit timer backs off to 64x the RTO ({!set_rexmt_timer}'s BSD
-   shift cap), so a lone connection sitting out a ~64 s backoff is live,
-   not stalled.  70 s clears that ceiling. *)
-let default_stall_ns = Units.sec 70.0
+let default_horizon = Units.sec 600.0
 
 let incast ?(plan = Faults.none) ?(senders = 32) ?(bytes_per_flow = 2048) ?(seed = 1)
     ?(syn_backlog = 16) ?(sb_policy = Sockbuf.Block) ?pool_capacity
-    ?(demux_shards = 8) ?(lock_disc = Lock.Unfair) ?(tcp_locking = Tcp.One)
-    ?(stall_ns = default_stall_ns) ?(horizon = Units.sec 600.0) () =
+    ?(lock_disc = Lock.Unfair) ?(tcp_locking = Tcp.One) ?(horizon = default_horizon) () =
   world ~scenario:"incast" ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns:0
-    ~syn_backlog ~sb_policy ~pool_capacity ~demux_shards ~lock_disc ~tcp_locking
-    ~bandwidth_mbps:100.0 ~latency:(Units.us 200.0) ~stall_ns ~horizon ()
+    ~syn_backlog ~sb_policy ~pool_capacity ~demux_shards:8 ~lock_disc ~tcp_locking
+    ~bandwidth_mbps:100.0 ~latency:(Units.us 200.0) ~horizon ()
 
 let shared_bottleneck ?(plan = Faults.none) ?(senders = 8) ?(bytes_per_flow = 40_000)
     ?(seed = 1) ?(syn_backlog = 128) ?(sb_policy = Sockbuf.Block) ?pool_capacity
-    ?(demux_shards = 1) ?(lock_disc = Lock.Unfair) ?(tcp_locking = Tcp.One)
-    ?(stall_ns = default_stall_ns) ?(horizon = Units.sec 600.0) () =
+    ?(lock_disc = Lock.Unfair) ?(tcp_locking = Tcp.One) () =
   world ~scenario:"bottleneck" ~plan ~seed ~senders ~bytes_per_flow
-    ~stagger_ns:(Units.ms 2.0) ~syn_backlog ~sb_policy ~pool_capacity ~demux_shards
-    ~lock_disc ~tcp_locking ~bandwidth_mbps:40.0 ~latency:(Units.us 200.0) ~stall_ns
-    ~horizon ()
+    ~stagger_ns:(Units.ms 2.0) ~syn_backlog ~sb_policy ~pool_capacity ~demux_shards:1
+    ~lock_disc ~tcp_locking ~bandwidth_mbps:40.0 ~latency:(Units.us 200.0)
+    ~horizon:default_horizon ()
 
 let passed o = o.findings = []
 

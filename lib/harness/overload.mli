@@ -66,10 +66,8 @@ val incast :
   ?syn_backlog:int ->
   ?sb_policy:Pnp_proto.Sockbuf.policy ->
   ?pool_capacity:int ->
-  ?demux_shards:int ->
   ?lock_disc:Pnp_engine.Lock.discipline ->
   ?tcp_locking:Pnp_proto.Tcp.locking ->
-  ?stall_ns:Pnp_util.Units.ns ->
   ?horizon:Pnp_util.Units.ns ->
   unit ->
   outcome
@@ -77,9 +75,9 @@ val incast :
     connect at the same instant — with the default [syn_backlog] of 16
     the burst overruns the listener and is recovered by SYN
     retransmission — then each pushes [bytes_per_flow] (default 2048)
-    over the shared 100 Mbit/s link.  [demux_shards] (default 8) sizes
-    the server's sharded demux map; [pool_capacity] (default unbounded)
-    turns on mnode admission control.  [lock_disc] (default unfair
+    over the shared 100 Mbit/s link.  The server's demux map has 8
+    shards; [pool_capacity] (default unbounded) turns on mnode admission
+    control; [horizon] (default 600 s) caps the simulated run.  [lock_disc] (default unfair
     mutex) and [tcp_locking] (default TCP-1) pick the lock discipline
     and the per-connection parallelization for both stacks, so the
     overload matrix can sweep the lock ladder and the SCR/RCU
@@ -93,11 +91,8 @@ val shared_bottleneck :
   ?syn_backlog:int ->
   ?sb_policy:Pnp_proto.Sockbuf.policy ->
   ?pool_capacity:int ->
-  ?demux_shards:int ->
   ?lock_disc:Pnp_engine.Lock.discipline ->
   ?tcp_locking:Pnp_proto.Tcp.locking ->
-  ?stall_ns:Pnp_util.Units.ns ->
-  ?horizon:Pnp_util.Units.ns ->
   unit ->
   outcome
 (** Steady fairness workload: [senders] (default 8) long flows (default

@@ -63,11 +63,11 @@ let handler _ =
   | None -> ()
   | Some t -> record t (Printexc.get_callstack max_depth)
 
-(* Start sampling at [hz] (default 997 Hz — prime, so the sampler does
-   not phase-lock with millisecond-periodic work). *)
-let start ?(hz = 997) () =
+(* Start sampling at 997 Hz — prime, so the sampler does not phase-lock
+   with millisecond-periodic work. *)
+let start () =
   if !active <> None then invalid_arg "Profiler.start: already profiling";
-  let interval_us = max 1 (1_000_000 / hz) in
+  let interval_us = 1_000_000 / 997 in
   let t = { counts = Hashtbl.create 1024; samples = 0 } in
   active := Some t;
   ignore (Sys.signal Sys.sigprof (Sys.Signal_handle handler));
@@ -97,8 +97,8 @@ let write t file =
 
 (* Run [f] under the profiler and write the profile; returns [f ()]'s
    result and the sample count. *)
-let profile ?hz ~file f =
-  let t = start ?hz () in
+let profile ~file f =
+  let t = start () in
   let finish () = ignore (stop t); write t file in
   match f () with
   | v ->

@@ -18,8 +18,8 @@ val collapse : string list -> string
     unnamed ["?"] frames fold into their nearest named caller and the
     profiler's own frames are dropped (["(unknown)"] if none is left). *)
 
-val profile : ?hz:int -> file:string -> (unit -> 'a) -> 'a * int
-(** [profile ~file f] runs [f] under the profiler, sampling at [hz]
-    samples per CPU-second (default 997), and writes the collapsed-stacks
+val profile : file:string -> (unit -> 'a) -> 'a * int
+(** [profile ~file f] runs [f] under the profiler, sampling 997 times
+    per CPU-second, and writes the collapsed-stacks
     profile to [file], heaviest stack first (also on exception).  Returns
     [f ()]'s result and the sample count. *)

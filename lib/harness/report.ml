@@ -121,8 +121,8 @@ let percentile p xs =
     a.(max 0 (min (n - 1) (rank - 1)))
 
 (* Table-1-style contention attribution: where the blocked time went,
-   lock by lock, over the traced window. *)
-let print_lock_table ?(max_rows = 20) tracer =
+   lock by lock, over the traced window; the 20 worst locks get a row. *)
+let print_lock_table tracer =
   let open Pnp_engine in
   let stats = Trace.lock_table tracer in
   let total_wait =
@@ -137,7 +137,7 @@ let print_lock_table ?(max_rows = 20) tracer =
     let shown = ref 0 in
     List.iter
       (fun s ->
-        if !shown < max_rows then begin
+        if !shown < 20 then begin
           incr shown;
           Printf.printf "%-28s %9d %9d %10.3f %10.3f %10.3f %6d %6.1f%%\n"
             s.Trace.lock s.Trace.acquisitions s.Trace.contended (ms s.Trace.wait_ns)

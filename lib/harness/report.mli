@@ -72,9 +72,10 @@ val print_host_profile : ?title:string -> Hostprof.delta -> unit
     the host machine, never the modeled system, so callers must keep
     them out of figure output that determinism checks diff. *)
 
-val print_lock_table : ?max_rows:int -> Pnp_engine.Trace.t -> unit
+val print_lock_table : Pnp_engine.Trace.t -> unit
 (** Contention attribution from a trace (see {!Run.run_traced}): one row
-    per lock, sorted by total wait time, with acquisition counts, wait /
-    hold / handoff breakdown in milliseconds, the deepest waiter queue
-    observed, and each lock's share of all blocked time.  The paper's
+    per lock, sorted by total wait time and cut after 20 rows, with
+    acquisition counts, wait / hold / handoff breakdown in milliseconds,
+    the deepest waiter queue observed, and each lock's share of all
+    blocked time.  The paper's
     Table 1 asks "where does the time go?"; this answers it per lock. *)

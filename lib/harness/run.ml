@@ -119,7 +119,7 @@ let tcp_config (cfg : Config.t) =
     mss = cfg.Config.payload;
     rcv_wnd = 1 lsl 20;
     snd_buf = 1 lsl 20;
-    syn_backlog = cfg.Config.syn_backlog;
+    syn_backlog = Tcp.default_config.Tcp.syn_backlog;
     sb_policy = Pnp_proto.Sockbuf.Block;
     scr_log_bound = cfg.Config.scr_log_bound;
   }
@@ -319,7 +319,6 @@ let setup (cfg : Config.t) plat =
     Stack.create plat
       ?udp_checksum:(if udp then Some cfg.Config.checksum else None)
       ?tcp_config:(if udp then None else Some (tcp_config cfg))
-      ?pool_capacity:cfg.Config.pool_capacity
       ~local_addr:(if cfg.Config.side = Config.Send then sender_addr else receiver_addr)
       ()
   in

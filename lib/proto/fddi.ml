@@ -19,7 +19,6 @@ type t = {
   mutable tap : (dir:[ `Out | `In ] -> Msg.t -> unit) option;
   upper : (Msg.t -> unit) Type_map.t;
   mutable frames_out : int;
-  mutable frames_in : int;
   mutable dropped : int;
 }
 
@@ -32,7 +31,6 @@ let create plat ~local_mac ~name =
     tap = None;
     upper = Type_map.create plat ~name:(name ^ ".demux") ();
     frames_out = 0;
-    frames_in = 0;
     dropped = 0;
   }
 
@@ -83,7 +81,6 @@ let input t msg =
     let j = Msg.head_pos msg ~off:0 ~len:header_bytes in
     let ethertype = Bytes.get_uint16_be b (j + 19) in
     Msg.pop msg header_bytes;
-    t.frames_in <- t.frames_in + 1;
     match Type_map.lookup t.upper ethertype with
     | Some handler ->
       (* The x-kernel pins objects across the upcall with reference
@@ -97,5 +94,4 @@ let input t msg =
   end
 
 let frames_out t = t.frames_out
-let frames_in t = t.frames_in
 let frames_dropped t = t.dropped

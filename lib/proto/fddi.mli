@@ -41,6 +41,5 @@ val set_tap : t -> (dir:[ `Out | `In ] -> Pnp_xkern.Msg.t -> unit) -> unit
     or retain the message.  Costs nothing in simulated time. *)
 
 val frames_out : t -> int
-val frames_in : t -> int
 val frames_dropped : t -> int
 (** Frames discarded for bad ethertype or malformed header. *)

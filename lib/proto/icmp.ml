@@ -24,8 +24,6 @@ type t = {
   ip : Ip.t;
   pending : pending Pending_map.t;
   mutable requests_sent : int;
-  mutable replies_sent : int;
-  mutable replies_received : int;
   mutable bad : int;
 }
 
@@ -58,7 +56,6 @@ let input t ~src ~dst:_ msg =
       (* Echo: flip the type, recompute, send it straight back. *)
       Msg.set_u8 msg 0 type_echo_reply;
       set_checksum msg;
-      t.replies_sent <- t.replies_sent + 1;
       Ip.output t.ip ~proto:protocol_number ~dst:src msg
     end
     else if ty = type_echo_reply then begin
@@ -74,10 +71,7 @@ let input t ~src ~dst:_ msg =
           && Msg.check_pattern msg ~off:header_bytes ~len:p.payload_len ~stream_off:seq
         in
         Msg.destroy msg;
-        if payload_ok then begin
-          t.replies_received <- t.replies_received + 1;
-          p.on_reply ~rtt_ns:(Sim.now t.plat.Platform.sim - p.sent_at)
-        end
+        if payload_ok then p.on_reply ~rtt_ns:(Sim.now t.plat.Platform.sim - p.sent_at)
         else t.bad <- t.bad + 1
     end
     else begin
@@ -94,8 +88,6 @@ let create plat pool ~ip ~name =
       ip;
       pending = Pending_map.create plat ~name:(name ^ ".pending") ();
       requests_sent = 0;
-      replies_sent = 0;
-      replies_received = 0;
       bad = 0;
     }
   in
@@ -114,6 +106,4 @@ let ping t ~dst ~ident ~seq ?(payload = 56) ~on_reply () =
   Ip.output t.ip ~proto:protocol_number ~dst m
 
 let requests_sent t = t.requests_sent
-let replies_sent t = t.replies_sent
-let replies_received t = t.replies_received
 let bad_replies t = t.bad

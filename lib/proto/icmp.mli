@@ -28,7 +28,5 @@ val ping :
     pattern data are carried and verified on return. *)
 
 val requests_sent : t -> int
-val replies_sent : t -> int
-val replies_received : t -> int
 val bad_replies : t -> int
 (** Replies whose checksum or payload failed verification. *)

@@ -6,7 +6,6 @@ type t = {
   pool : Mpool.t;
   sess : Tcp.session;
   inbox : Msg.t Queue.t;
-  mutable pending_bytes : int;
   mutable fin : bool;
   mutable waiter : (int -> unit) option; (* a thread blocked in recv *)
 }
@@ -18,6 +17,8 @@ let wake t =
     resume (Sim.now t.plat.Platform.sim)
   | None -> ()
 
+(* Wrap an established session: installs its receiver and FIN handler,
+   so nothing may call [Tcp.set_receiver] on it afterwards. *)
 let of_session plat pool sess =
   let t =
     {
@@ -25,14 +26,12 @@ let of_session plat pool sess =
       pool;
       sess;
       inbox = Queue.create ();
-      pending_bytes = 0;
       fin = false;
       waiter = None;
     }
   in
   Tcp.set_receiver sess (fun msg ->
       Queue.push msg t.inbox;
-      t.pending_bytes <- t.pending_bytes + Msg.length msg;
       wake t);
   Tcp.set_fin_handler sess (fun () ->
       t.fin <- true;
@@ -54,11 +53,7 @@ let send_string t s =
   send t (Msg.of_string t.pool s)
 
 let rec recv t =
-  if not (Queue.is_empty t.inbox) then begin
-    let m = Queue.pop t.inbox in
-    t.pending_bytes <- t.pending_bytes - Msg.length m;
-    Some m
-  end
+  if not (Queue.is_empty t.inbox) then Some (Queue.pop t.inbox)
   else if t.fin then None
   else begin
     Sim.suspend t.plat.Platform.sim (fun resume ->
@@ -100,11 +95,9 @@ let recv_exactly t n =
     Queue.clear t.inbox;
     Queue.push m t.inbox;
     Queue.transfer tail t.inbox;
-    t.pending_bytes <- t.pending_bytes + String.length rest;
     Some keep
 
 let close t = Tcp.close t.sess
-let pending_bytes t = t.pending_bytes
 let session t = t.sess
 
 module Listener = struct

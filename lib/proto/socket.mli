@@ -8,10 +8,6 @@
 
 type t
 
-val of_session : Pnp_engine.Platform.t -> Pnp_xkern.Mpool.t -> Tcp.session -> t
-(** Wrap an established session (installs its receiver and FIN handler;
-    do not call {!Tcp.set_receiver} afterwards). *)
-
 val connect :
   Pnp_engine.Platform.t ->
   Pnp_xkern.Mpool.t ->
@@ -46,7 +42,6 @@ val recv_exactly : t -> int -> string option
 val close : t -> unit
 (** Send FIN.  Buffered inbound data can still be received. *)
 
-val pending_bytes : t -> int
 val session : t -> Tcp.session
 
 module Listener : sig

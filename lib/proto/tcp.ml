@@ -45,7 +45,6 @@ type stats = {
   mutable pred_hits : int;
   mutable pred_misses : int;
   mutable rexmits : int;
-  mutable dup_acks : int;
   mutable reass_inserts : int;
   mutable persist_probes : int;
 }
@@ -62,7 +61,6 @@ let fresh_stats () =
     pred_hits = 0;
     pred_misses = 0;
     rexmits = 0;
-    dup_acks = 0;
     reass_inserts = 0;
     persist_probes = 0;
   }
@@ -933,7 +931,6 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
     else if
       Msg.length msg = 0 && hdr.ack = tcb.snd_una && Tcp_seq.gt tcb.snd_max tcb.snd_una
     then begin
-      sess.st.dup_acks <- sess.st.dup_acks + 1;
       tcb.dupacks <- tcb.dupacks + 1;
       if tcb.dupacks = 3 then begin
         (* Tahoe fast retransmit *)

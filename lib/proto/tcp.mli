@@ -102,7 +102,6 @@ type stats = {
   mutable pred_hits : int;
   mutable pred_misses : int;
   mutable rexmits : int;
-  mutable dup_acks : int;
   mutable reass_inserts : int;
   mutable persist_probes : int; (** zero-window probes sent by the persist timer *)
 }

@@ -400,6 +400,3 @@ let cache_hits t = t.cache_hits
 let global_allocations t = t.global_allocations
 let live_nodes t = t.live
 let cache_table_growths t = t.cache_table_growths
-
-(* id is kept for debugging/printing even though nothing reads it yet. *)
-let _ = fun (n : mnode) -> n.id

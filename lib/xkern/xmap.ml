@@ -287,7 +287,6 @@ module Make (K : KEY) = struct
     + Array.fold_left (fun acc s -> acc + s.t_hits) 0 t.tslots
     + t.hslot.t_hits
 
-  let shard_count t = Array.length t.shards
   let bucket_count t = sum t (fun sh -> Array.length sh.buckets)
   let resizes t = sum t (fun sh -> sh.resizes)
 end

@@ -58,7 +58,6 @@ module Make (K : KEY) : sig
   val lookups : 'v t -> int
   val cache_hits : 'v t -> int
 
-  val shard_count : 'v t -> int
   val bucket_count : 'v t -> int
   (** Total buckets across all shards (grows as shards resize). *)
 

@@ -719,6 +719,27 @@ let test_lint_state_matrix_rows () =
              go 0)
            rows)
 
+(* Strings go out JSON-escaped: a control byte becomes [\u00XX] and a
+   non-ASCII byte passes through, where OCaml's [%S] would write
+   decimal escapes that no JSON parser accepts. *)
+let test_lint_matrix_json_escapes () =
+  let row =
+    {
+      Lint.m_file = "lib/caf\195\169.ml\001";
+      m_binding = "say \"hi\"";
+      m_line = 3;
+      m_reads = [ "a\\b" ];
+      m_writes = [];
+      m_locks = [ "tab\t" ];
+      m_allowed = false;
+    }
+  in
+  Alcotest.(check string) "escaped row"
+    "{\"state_access_matrix\":[{\"file\":\"lib/caf\195\169.ml\\u0001\",\"line\":3,\
+     \"binding\":\"say \\\"hi\\\"\",\"reads\":[\"a\\\\b\"],\"writes\":[],\
+     \"locks\":[\"tab\\t\"],\"allowed\":false}]}\n"
+    (Lint.matrix_json [ row ])
+
 let test_lint_clean_tree () =
   (* The repo must lint clean — this is `dune build @lint` as a unit
      test, pinned to wherever the runner starts. *)
@@ -812,6 +833,8 @@ let suites =
         Alcotest.test_case "msg mutators must bump_gen" `Quick test_lint_msg_bump_gen;
         Alcotest.test_case "state-access matrix violations" `Quick test_lint_state_matrix;
         Alcotest.test_case "state-access matrix rows" `Quick test_lint_state_matrix_rows;
+        Alcotest.test_case "state-access matrix JSON escapes strings" `Quick
+          test_lint_matrix_json_escapes;
         Alcotest.test_case "tree lints clean" `Quick test_lint_clean_tree;
       ] );
   ]

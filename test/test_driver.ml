@@ -1,5 +1,5 @@
-(* Driver-layer units: frame summaries (sniffer), taps, and link
-   accounting. *)
+(* Driver-layer units: frame summaries (sniffer), taps, link
+   accounting, and the steered NIC's rings. *)
 
 open Pnp_engine
 open Pnp_util
@@ -53,7 +53,7 @@ let test_sniffer_handles_junk () =
 let test_sniffer_with_driver () =
   let p = plat () in
   let stack = Stack.create p ~local_addr:0x0a000001 () in
-  let sniffer = Sniffer.attach stack () in
+  let sniffer = Sniffer.attach stack in
   let _peer =
     Tcp_peer.attach stack ~peer_addr:0x0a000002 ~ack_window:(1 lsl 20) ~checksum:true ()
   in
@@ -114,7 +114,7 @@ let test_lossy_link_drops () =
   let p = plat () in
   let a = Stack.create p ~local_addr:0x0a000001 () in
   let b = Stack.create p ~local_addr:0x0a000002 () in
-  let link = Link.connect p ~loss_rate:0.5 ~a ~b () in
+  let link = Link.connect p ~plan:(Pnp_faults.Faults.bernoulli 0.5) ~a ~b () in
   let got = ref 0 in
   let _ =
     Sim.spawn p.Platform.sim ~cpu:0 ~name:"rx" (fun () ->
@@ -206,6 +206,100 @@ let test_tcp_source_rejects_wide_port () =
         Alcotest.(check bool) "names the range" true (contains msg "0..65535"))
     [ 65536; -1; 1 lsl 20 ]
 
+(* ---- Steer: the NIC's per-worker rings ----------------------------- *)
+
+(* Run [f] on one simulated thread to completion ([Steer.next] takes the
+   NIC's demux lock, so it must run inside the simulation). *)
+let in_sim p f =
+  ignore (Sim.spawn p.Platform.sim ~cpu:0 ~name:"poller" f);
+  Sim.run p.Platform.sim
+
+(* Poll [workers] round-robin [rounds] times; every token is the
+   connection it was reserved for.  Returns, per connection, the set of
+   workers its tokens reached. *)
+let steer_reach ~policy ~workers ~conns ~rounds =
+  let p = plat () in
+  let st = Steer.create p ~policy ~workers ~conns () in
+  let reached = Array.make conns [] in
+  in_sim p (fun () ->
+      for i = 0 to (rounds * workers) - 1 do
+        let worker = i mod workers in
+        match Steer.next st ~worker ~reserve:(fun ~conn -> Some conn) with
+        | Some c ->
+          if not (List.mem worker reached.(c)) then reached.(c) <- worker :: reached.(c)
+        | None -> ()
+      done);
+  reached
+
+let test_steer_hash_is_static () =
+  let workers = 3 and conns = 10 in
+  let reached = steer_reach ~policy:Steer.Hash ~workers ~conns ~rounds:200 in
+  Array.iteri
+    (fun c ws ->
+      Alcotest.(check (list int)) (Printf.sprintf "conn %d" c) [ c mod workers ] ws)
+    reached
+
+let test_steer_last_sender_splits_flows () =
+  let reached = steer_reach ~policy:Steer.Last_sender ~workers:2 ~conns:10 ~rounds:200 in
+  Alcotest.(check bool) "some connection reaches both workers" true
+    (Array.exists (fun ws -> List.length ws = 2) reached)
+
+(* Worker 1 never drains.  Once its ring holds 16 tokens, arrivals
+   steered to it are dropped before [reserve] runs, so no sequence
+   number is pinned for a frame that will never be delivered; the 16
+   it holds still come out in order. *)
+let test_steer_full_ring_skips_reserve () =
+  let p = plat () in
+  let st = Steer.create p ~policy:Steer.Hash ~workers:2 ~conns:10 () in
+  let pinned = Array.make 10 0 in
+  let reserve ~conn =
+    let seq = pinned.(conn) in
+    pinned.(conn) <- seq + 1;
+    Some (conn, seq)
+  in
+  let delivered0 = ref 0 and drained = ref [] in
+  in_sim p (fun () ->
+      for _ = 1 to 500 do
+        match Steer.next st ~worker:0 ~reserve with
+        | Some _ -> incr delivered0
+        | None -> ()
+      done;
+      for _ = 1 to 16 do
+        match Steer.next st ~worker:1 ~reserve:(fun ~conn:_ -> None) with
+        | Some tok -> drained := tok :: !drained
+        | None -> ()
+      done);
+  let odd_pins = pinned.(1) + pinned.(3) + pinned.(5) + pinned.(7) + pinned.(9) in
+  Alcotest.(check int) "worker 0 drained every poll" 500 !delivered0;
+  Alcotest.(check int) "reservations for the stuck worker" 16 odd_pins;
+  let held = List.rev !drained in
+  Alcotest.(check int) "the stuck worker's ring" 16 (List.length held);
+  List.iter
+    (fun c ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "conn %d: hole-free sequence" c)
+        (List.init pinned.(c) Fun.id)
+        (List.filter_map (fun (c', seq) -> if c' = c then Some seq else None) held))
+    [ 1; 3; 5; 7; 9 ]
+
+let test_steer_rejects_bad_arguments () =
+  let p = plat () in
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let st = Steer.create p ~policy:Steer.Hash ~workers:2 ~conns:4 () in
+  let next worker () = ignore (Steer.next st ~worker ~reserve:(fun ~conn -> Some conn)) in
+  raises "worker -1" (next (-1));
+  raises "worker = workers" (next 2);
+  let create ~workers ~conns () =
+    ignore (Steer.create p ~policy:Steer.Last_sender ~workers ~conns () : int Steer.t)
+  in
+  raises "workers 0" (create ~workers:0 ~conns:4);
+  raises "workers -1" (create ~workers:(-1) ~conns:4);
+  raises "conns 0" (create ~workers:2 ~conns:0)
+
 let suites =
   [
     ( "driver.sniffer",
@@ -219,6 +313,15 @@ let suites =
       [
         Alcotest.test_case "accounting" `Quick test_link_accounting;
         Alcotest.test_case "lossy link drops" `Quick test_lossy_link_drops;
+      ] );
+    ( "driver.steer",
+      [
+        Alcotest.test_case "hash keeps a connection on one worker" `Quick
+          test_steer_hash_is_static;
+        Alcotest.test_case "last-sender splits a connection" `Quick
+          test_steer_last_sender_splits_flows;
+        Alcotest.test_case "full ring skips reserve" `Quick test_steer_full_ring_skips_reserve;
+        Alcotest.test_case "bad arguments rejected" `Quick test_steer_rejects_bad_arguments;
       ] );
     ( "driver.tcp_source",
       [

@@ -269,7 +269,7 @@ let test_oracle_catches_digest_mismatch () =
   let s = { (clean_stream ()) with Recovery.received_digest = Recovery.digest "hello worle" } in
   let findings = Recovery.check (obs ~streams:[ s ] ()) in
   Alcotest.(check bool) "digest finding" true
-    (List.exists (fun f -> f.Finding.severity = Finding.Error) findings)
+    (List.exists (fun f -> f.Finding.checker = "recovery") findings)
 
 let test_oracle_catches_silent_corruption () =
   let findings =

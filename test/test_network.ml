@@ -11,13 +11,13 @@ open Pnp_driver
 let addr_a = 0x0a000001
 let addr_b = 0x0a000002
 
-let two_hosts ?(latency = Units.us 50.0) ?(bandwidth_mbps = 100.0) ?(loss_rate = 0.0)
-    ?(mss = 1024) () =
+let two_hosts ?(latency = Units.us 50.0) ?(bandwidth_mbps = 100.0)
+    ?(plan = Pnp_faults.Faults.none) ?(mss = 1024) () =
   let plat = Platform.create ~seed:21 Arch.challenge_100 in
   let cfg = { Tcp.default_config with Tcp.mss } in
   let a = Stack.create plat ~tcp_config:cfg ~local_addr:addr_a () in
   let b = Stack.create plat ~tcp_config:cfg ~local_addr:addr_b () in
-  let link = Link.connect plat ~latency ~bandwidth_mbps ~loss_rate ~a ~b () in
+  let link = Link.connect plat ~latency ~bandwidth_mbps ~plan ~a ~b () in
   (plat, a, b, link)
 
 let run_to ?(horizon = Units.sec 120.0) plat = Sim.run ~until:horizon plat.Platform.sim
@@ -119,7 +119,7 @@ let test_tcp_echo_roundtrip () =
     !echoed
 
 let test_tcp_recovers_from_link_loss () =
-  let plat, a, b, link = two_hosts ~loss_rate:0.08 () in
+  let plat, a, b, link = two_hosts ~plan:(Pnp_faults.Faults.bernoulli 0.08) () in
   let received = Buffer.create 4096 in
   let got_eof = ref false in
   let _ =

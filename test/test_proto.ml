@@ -592,7 +592,7 @@ let test_tcp_fasttimo_newest_first () =
       ~ports:(List.init 5 (fun j -> (2000 + j, 4000)))
       ()
   in
-  let sniffer = Sniffer.attach stack () in
+  let sniffer = Sniffer.attach stack in
   in_sim p (fun () ->
       Tcp.listen tcp ~local_port:4000 ~accept:(fun sess -> Tcp.set_receiver sess Msg.destroy);
       Tcp_source.start src;
@@ -619,7 +619,7 @@ let test_tcp_slowtimo_ticks_early_armed_child () =
   Tcp.shutdown tcp;
   (* Nobody answers: every SYN-ACK is lost. *)
   Fddi.set_transmit stack.Stack.fddi Msg.destroy;
-  let sniffer = Sniffer.attach stack () in
+  let sniffer = Sniffer.attach stack in
   in_sim p (fun () ->
       Tcp.listen tcp ~local_port:4000 ~accept:(fun _ -> ());
       Fddi.input stack.Stack.fddi
