@@ -94,6 +94,10 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List every reproducible figure/table id.")
     Term.(const run $ const ())
 
+(* Figure ids name registry entries: an unknown id is a usage error. *)
+let figure_id =
+  Arg.enum (List.map (fun e -> (e.Pnp_figures.Registry.id, e)) Pnp_figures.Registry.all)
+
 let json_dir_term =
   let doc =
     "Also write each figure's tables to $(docv)/BENCH_<id>.json (machine-readable)."
@@ -103,20 +107,13 @@ let json_dir_term =
 let fig_cmd =
   let ids =
     let doc = "Figure/table ids (see $(b,list)); e.g. fig8-9, table1." in
-    Arg.(non_empty & pos_all string [] & info [] ~docv:"ID" ~doc)
+    Arg.(non_empty & pos_all figure_id [] & info [] ~docv:"ID" ~doc)
   in
-  let run opts json_dir jobs no_memo ids =
+  let run opts json_dir jobs no_memo entries =
     Pnp_harness.Pool.set_jobs jobs;
     Pnp_harness.Run.set_cell_memo (not no_memo);
     let json = json_ctx json_dir in
-    List.iter
-      (fun id ->
-        match Pnp_figures.Registry.find id with
-        | Some e -> Pnp_figures.Registry.run_entry ~json e opts
-        | None ->
-          Printf.eprintf "unknown figure id %S; try `repro list`\n" id;
-          exit 1)
-      ids
+    List.iter (fun e -> Pnp_figures.Registry.run_entry ~json e opts) entries
   in
   Cmd.v (Cmd.info "fig" ~doc:"Regenerate specific figures/tables.")
     Term.(const run $ opts_term $ json_dir_term $ jobs_term $ no_memo_term $ ids)
@@ -155,24 +152,12 @@ let perf_cmd =
   let open Pnp_harness in
   let ids_term =
     let doc = "Figure ids to profile (default: every figure; see $(b,list))." in
-    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
+    Arg.(value & pos_all figure_id [] & info [] ~docv:"ID" ~doc)
   in
-  let exec opts jobs no_memo profile ids =
+  let exec opts jobs no_memo profile entries =
     Pool.set_jobs jobs;
     Run.set_cell_memo (not no_memo);
-    let entries =
-      match ids with
-      | [] -> Pnp_figures.Registry.all
-      | ids ->
-        List.map
-          (fun id ->
-            match Pnp_figures.Registry.find id with
-            | Some e -> e
-            | None ->
-              Printf.eprintf "unknown figure id %S; try `repro list`\n" id;
-              exit 1)
-          ids
-    in
+    let entries = match entries with [] -> Pnp_figures.Registry.all | es -> es in
     Printf.printf "host profile: %d figure(s), -j%d, cell memo %s\n\n"
       (List.length entries) (Pool.jobs ())
       (if no_memo then "off" else "on");
@@ -447,10 +432,9 @@ let run_cmd =
     Arg.(value & flag & info [ "no-caching" ] ~doc:"Disable per-thread MNode caches.")
   in
   let arch =
-    Arg.(
-      value
-      & opt string "challenge-100"
-      & info [ "arch" ] ~doc:"Machine: challenge-100, challenge-150 or power-33.")
+    let archs = List.map (fun a -> (a.Pnp_engine.Arch.name, a)) Pnp_engine.Arch.all in
+    enum_arg "arch" archs Pnp_engine.Arch.challenge_100
+      ("Machine: " ^ Arg.doc_alts_enum archs ^ ".")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base random seed.") in
   let presentation =
@@ -489,13 +473,6 @@ let run_cmd =
       steering demux_shards placement skew offered ticketing assume locked_refs no_caching
       arch seed presentation cksum_under_lock jitter_us loss trace_file =
     Pool.set_jobs jobs;
-    let arch =
-      match Pnp_engine.Arch.by_name arch with
-      | Some a -> a
-      | None ->
-        Printf.eprintf "unknown architecture %S\n" arch;
-        exit 1
-    in
     let cfg =
       Config.v ~arch ~procs ~side ~protocol ~payload ~checksum:(not no_cksum)
         ~lock_disc:locks ~tcp_locking ~connections ?steering ~demux_shards ~placement
@@ -621,7 +598,9 @@ let check_cmd =
       "Only check scenarios tagged with figure $(docv) (repeatable); e.g. \
        fig10, fig13."
     in
-    Arg.(value & opt_all string [] & info [ "fig" ] ~docv:"ID" ~doc)
+    let tags = List.sort_uniq compare (List.map (fun (t, _, _, _) -> t) scenarios) in
+    let tag = Arg.enum (List.map (fun t -> (t, t)) tags) in
+    Arg.(value & opt_all tag [] & info [ "fig" ] ~docv:"ID" ~doc)
   in
   let all_term =
     let doc = "Check every scenario (the default when no $(b,--fig) is given)." in
@@ -635,15 +614,6 @@ let check_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"DIR" ~doc)
   in
   let exec figs all_flag json_dir =
-    let tags = List.sort_uniq compare (List.map (fun (t, _, _, _) -> t) scenarios) in
-    List.iter
-      (fun f ->
-        if not (List.mem f tags) then begin
-          Printf.eprintf "unknown check tag %S; available: %s\n" f
-            (String.concat " " tags);
-          exit 1
-        end)
-      figs;
     let selected =
       if figs = [] || all_flag then scenarios
       else List.filter (fun (t, _, _, _) -> List.mem t figs) scenarios
@@ -801,7 +771,10 @@ let chaos_cmd =
        mutex and mcs (see $(b,--list-plans)); default: the full matrix \
        (see $(b,--matrix))."
     in
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"NAME" ~doc)
+    Arg.(
+      value
+      & opt (some (enum Pnp_faults.Faults.builtin)) None
+      & info [ "plan" ] ~docv:"NAME" ~doc)
   in
   let matrix_term =
     let doc =
@@ -829,15 +802,10 @@ let chaos_cmd =
       Pool.set_jobs jobs;
       let outcomes =
         match plan with
-        | Some name when not matrix -> (
-          match Pnp_faults.Faults.find name with
-          | None ->
-            Printf.eprintf "unknown fault plan %S; try `repro chaos --list-plans`\n" name;
-            exit 1
-          | Some p ->
-            List.map
-              (fun disc -> Chaos.run_cell ~bytes ~datagrams ~seed ~plan:p ~disc ())
-              [ Pnp_engine.Lock.Unfair; Pnp_engine.Lock.Fifo ])
+        | Some p when not matrix ->
+          List.map
+            (fun disc -> Chaos.run_cell ~bytes ~datagrams ~seed ~plan:p ~disc ())
+            [ Pnp_engine.Lock.Unfair; Pnp_engine.Lock.Fifo ]
         | _ -> Chaos.matrix ~bytes ~datagrams ~seed ()
       in
       let failed = ref 0 in
@@ -916,7 +884,7 @@ let compare_cmd =
    driver: handshake, data, acks. *)
 let trace_cmd =
   let count =
-    Arg.(value & opt int 40 & info [ "n" ] ~doc:"Number of frames to print.")
+    Arg.(value & opt non_negative_int 40 & info [ "n" ] ~doc:"Number of frames to print.")
   in
   let exec count =
     let open Pnp_engine in

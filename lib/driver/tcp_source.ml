@@ -34,12 +34,6 @@ type t = {
   mutable stalls : int;
 }
 
-(* Injecting one segment costs a payload node plus the header pushes of
-   the TCP/IP/FDDI climb.  Refusing to reserve while the pool can't cover
-   that keeps the driver from tripping [Out_of_mnodes]; nothing is lost —
-   the sequence number is not advanced, so the feeder retries later. *)
-let inject_headroom_margin = 8
-
 let plat t = t.stack.Stack.plat
 
 (* Acks come back addressed to the stream's source address and driver
@@ -162,8 +156,6 @@ type reserved = { r_stream : int; r_seq : int }
 let reserve t ~stream =
   let s = t.streams.(stream) in
   let p = plat t in
-  if Mpool.headroom t.stack.Stack.pool < inject_headroom_margin then None
-  else begin
   Lock.acquire s.ring_lock;
   Costs.charge p Costs.driver_recv;
   if not s.established then begin
@@ -183,7 +175,6 @@ let reserve t ~stream =
       Lock.release s.ring_lock;
       Some { r_stream = stream; r_seq = seq }
     end
-  end
   end
 
 let inject t { r_stream; r_seq = seq } =

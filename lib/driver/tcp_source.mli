@@ -52,10 +52,8 @@ type reserved
 val reserve : t -> stream:int -> reserved option
 (** Pin the stream's next sequence number (under its ring lock) without
     building or injecting the segment.  [None] when the advertised
-    window is full, the stream is not established, or the stack's mnode
-    pool lacks the headroom to build a segment ([pool_pressure]
-    admission control at the driver boundary; the sequence number is not
-    advanced, so a shed reservation is retried later, not lost).  The
+    window is full or the stream is not established (the sequence number
+    is not advanced, so the feeder retries later).  The
     steered NIC ({!Steer}) reserves at arrival time and injects when the
     assigned worker drains its queue, so reservations of one stream
     parked on two workers' queues can be injected out of order — the

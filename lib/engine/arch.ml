@@ -87,8 +87,6 @@ let power_series_33 =
 
 let all = [ challenge_100; challenge_150; power_series_33 ]
 
-let by_name name = List.find_opt (fun a -> a.name = name) all
-
 let instr_ns arch n =
   int_of_float ((float_of_int n *. arch.cpi *. 1000.0 /. arch.clock_mhz) +. 0.5)
 

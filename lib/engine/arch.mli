@@ -42,8 +42,6 @@ val power_series_33 : t
 
 val all : t list
 
-val by_name : string -> t option
-
 val instr_ns : t -> int -> int
 (** [instr_ns arch n] is the time to execute [n] instructions. *)
 

@@ -17,6 +17,10 @@ let plan ?(name = "custom") stages = { name; stages }
 let none = { name = "baseline"; stages = [] }
 let bernoulli p = { name = "loss"; stages = [ Bernoulli_loss { p } ] }
 
+let burst =
+  plan ~name:"burst"
+    [ Gilbert_elliott { p_gb = 0.02; p_bg = 0.25; loss_good = 0.0; loss_bad = 0.5 } ]
+
 let ms f = int_of_float (f *. 1e6)
 let us f = int_of_float (f *. 1e3)
 
@@ -28,9 +32,7 @@ let builtin =
   [
     ("baseline", none);
     ("loss", bernoulli 0.02);
-    ( "burst",
-      plan ~name:"burst"
-        [ Gilbert_elliott { p_gb = 0.02; p_bg = 0.25; loss_good = 0.0; loss_bad = 0.5 } ] );
+    ("burst", burst);
     ("dup", plan ~name:"dup" [ Duplicate { p = 0.03 } ]);
     ("reorder", plan ~name:"reorder" [ Reorder { p = 0.1; hold_ns = us 400.0 } ]);
     ("corrupt", plan ~name:"corrupt" [ Corrupt { p = 0.02 } ]);

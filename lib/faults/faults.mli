@@ -67,6 +67,10 @@ val none : plan
 val bernoulli : float -> plan
 (** [bernoulli p] is the single-stage uniform-loss plan. *)
 
+val burst : plan
+(** The built-in ["burst"] plan: Gilbert-Elliott two-state loss (good->bad
+    2%, bad->good 25%, half the frames lost in the bad state). *)
+
 val builtin : (string * plan) list
 (** The named plans behind [repro chaos --plan NAME] and the chaos
     matrix, in a fixed presentation order. *)

@@ -12,15 +12,10 @@ open Pnp_harness
    degraded gracefully — every byte delivered exactly or accounted to a
    named drop cause. *)
 
-let burst_plan =
-  match Pnp_faults.Faults.find "burst" with
-  | Some p -> p
-  | None -> invalid_arg "fig_incast: missing builtin plan \"burst\""
-
 (* Series: the clean link vs the Gilbert-Elliott burst-loss WAN profile
    (the hardest of the built-in plans for a synchronized burst: a bad
    state swallows whole runs of the SYN wave). *)
-let plans = [ ("baseline", Pnp_faults.Faults.none); ("burst", burst_plan) ]
+let plans = [ ("baseline", Pnp_faults.Faults.none); ("burst", Pnp_faults.Faults.burst) ]
 
 (* Reduced smoke sweeps (the CI determinism job runs with a 100 ms
    window) scale the fan-in down; the full figure reaches 10^3
@@ -34,11 +29,6 @@ let bottleneck_axis opts =
 (* Keep the aggregate transfer roughly constant across the axis so the
    x-axis varies contention, not workload size. *)
 let bytes_per_flow senders = min 8192 (2_000_000 / senders)
-
-let p99_ms (o : Overload.outcome) =
-  match o.Overload.completion_ns with
-  | [] -> 0.0
-  | cs -> Report.percentile 99.0 (List.map (fun (_, ns) -> float_of_int ns /. 1e6) cs)
 
 (* The sweep axis is the sender count, not processors; encode it directly
    in the integer [procs] field.  The printed tables name the axis
@@ -93,7 +83,7 @@ let incast_data opts =
       (iseries (fun o -> o.Overload.fairness));
     Report.table
       ~title:"Extension: incast p99 connect-to-done latency (x-axis: senders)"
-      ~unit_label:"ms" ~axis:"senders" (iseries p99_ms);
+      ~unit_label:"ms" ~axis:"senders" (iseries (Overload.completion_ms 99.0));
     Report.table
       ~title:"Extension: incast accounted drops, all named causes (x-axis: senders)"
       ~unit_label:"frames" ~axis:"senders"
@@ -112,7 +102,7 @@ let incast_data opts =
     Report.table
       ~title:
         "Extension: shared-bottleneck p99 connect-to-done latency (x-axis: flows)"
-      ~unit_label:"ms" ~axis:"flows" (bseries p99_ms);
+      ~unit_label:"ms" ~axis:"flows" (bseries (Overload.completion_ms 99.0));
   ]
 
 let incast_present _opts tables =

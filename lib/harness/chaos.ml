@@ -23,17 +23,6 @@ type outcome = {
   findings : Finding.t list;
 }
 
-(* A deterministic printable golden stream, keyed by the seed so different
-   cells exchange different bytes. *)
-let golden ~seed ~bytes = String.init bytes (fun i -> Char.chr (32 + ((i + (seed * 131)) mod 95)))
-
-let caught_checksums (a : Stack.t) (b : Stack.t) =
-  Ip.header_failures a.Stack.ip + Ip.header_failures b.Stack.ip
-  + Tcp.checksum_failures a.Stack.tcp
-  + Tcp.checksum_failures b.Stack.tcp
-  + Udp.checksum_failures a.Stack.udp
-  + Udp.checksum_failures b.Stack.udp
-
 (* ------------------------------------------------------------------ *)
 (* TCP world: a full blocking-socket transfer over the faulted link     *)
 (* ------------------------------------------------------------------ *)
@@ -48,7 +37,7 @@ let tcp_world ~plan ~disc ~tcp_locking ~seed ~bytes ~horizon =
   let link =
     Link.connect plat ~bandwidth_mbps:40.0 ~latency:(Units.us 200.0) ~plan ~a ~b ()
   in
-  let payload = golden ~seed ~bytes in
+  let payload = Overload.golden ~seed ~flow:0 ~bytes in
   let received_bytes = ref 0 in
   let received_digest = ref (Recovery.digest "") in
   let got_eof = ref false in
@@ -108,7 +97,7 @@ let tcp_world ~plan ~disc ~tcp_locking ~seed ~bytes ~horizon =
       rexmits;
     }
   in
-  (stream, Link.fault_stats link, caught_checksums a b, !eof_at)
+  (stream, Link.fault_stats link, Overload.caught_checksums a b, !eof_at)
 
 (* ------------------------------------------------------------------ *)
 (* UDP world: paced datagrams whose fate must balance exactly           *)
@@ -134,7 +123,7 @@ let udp_world ~plan ~disc ~seed ~datagrams ~horizon =
           Udp.open_session a.Stack.udp ~local_port:9 ~remote_addr:addr_b ~remote_port:9
             ~recv:(fun m -> Msg.destroy m)
         in
-        let body = golden ~seed ~bytes:512 in
+        let body = Overload.golden ~seed ~flow:0 ~bytes:512 in
         for _ = 1 to datagrams do
           Udp.send sess (Msg.of_string a.Stack.pool body);
           Sim.delay plat.Platform.sim (Units.us 200.0)
@@ -157,7 +146,7 @@ let udp_world ~plan ~disc ~seed ~datagrams ~horizon =
       dropped_pressure = fs.Link.dropped_pool_pressure;
     }
   in
-  (account, fs, caught_checksums a b)
+  (account, fs, Overload.caught_checksums a b)
 
 (* ------------------------------------------------------------------ *)
 (* Cells and the matrix                                                 *)

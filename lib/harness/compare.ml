@@ -11,16 +11,6 @@ type row = {
   p99_ms : float;
 }
 
-let pct p (o : Overload.outcome) =
-  match o.Overload.completion_ns with
-  | [] -> 0.0
-  | cs -> Report.percentile p (List.map (fun (_, ns) -> float_of_int ns /. 1e6) cs)
-
-let burst_plan =
-  match Faults.find "burst" with
-  | Some p -> p
-  | None -> invalid_arg "Compare: missing builtin plan \"burst\""
-
 (* Data-driven registration.  A cell is scenario x variant: scenarios
    supply the workload builder, variants supply the knob settings along
    two axes — the fault axis (clean / burst loss / bounded pool) and the
@@ -67,11 +57,11 @@ let lock_axis =
 let fault_axis_incast =
   [
     variant "baseline";
-    variant ~plan:burst_plan "burst";
+    variant ~plan:Faults.burst "burst";
     variant ~pool_capacity:200 ~sb_policy:Sockbuf.Drop "bounded-pool";
   ]
 
-let fault_axis_bottleneck = [ variant "baseline"; variant ~plan:burst_plan "burst" ]
+let fault_axis_bottleneck = [ variant "baseline"; variant ~plan:Faults.burst "burst" ]
 
 type scenario = {
   s_name : string;
@@ -128,9 +118,9 @@ let run ?(senders = 32) ?(bytes_per_flow = 4096) ?(seed = 1) () =
         lock_disc = Config.disc_label v.v_lock_disc;
         tcp_locking = Config.locking_label v.v_tcp_locking;
         outcome = o;
-        p50_ms = pct 50.0 o;
-        p90_ms = pct 90.0 o;
-        p99_ms = pct 99.0 o;
+        p50_ms = Overload.completion_ms 50.0 o;
+        p90_ms = Overload.completion_ms 90.0 o;
+        p99_ms = Overload.completion_ms 99.0 o;
       })
     cs outcomes
 

@@ -126,43 +126,6 @@ let locking_label = function
   | Pnp_proto.Tcp.Scr -> "scr"
   | Pnp_proto.Tcp.Rcu -> "rcu"
 
-(* Canonical cache key: every field that can influence a run, rendered
-   exactly.  Floats use %h (hex) so distinct values never collide via
-   decimal rounding.  The architecture is spelled out field by field, not
-   just by name, so a custom Arch.t record gets its own key.  When a
-   field is added to [t], it MUST be added here too — the sweep-cell memo
-   ({!Run}) would otherwise conflate configs that differ in it. *)
-let canonical t =
-  let arch_key (a : Pnp_engine.Arch.t) =
-    Printf.sprintf "%s;%d;%h;%h;%h;%h;%h;%h;%d;%d;%d;%d;%d;%s"
-      a.Pnp_engine.Arch.name a.cpus a.clock_mhz a.cpi a.mem_ns_per_byte
-      a.cksum_mb_per_s a.copy_mb_per_s a.bus_mb_per_s a.mutex_ns a.mcs_ns
-      a.handoff_ns a.coherency_ns a.atomic_ns
-      (match a.sync with
-       | Pnp_engine.Arch.Coherency -> "coherency"
-       | Pnp_engine.Arch.Sync_bus -> "sync-bus")
-  in
-  Printf.sprintf
-    "arch=%s|procs=%d|side=%s|proto=%s|payload=%d|cksum=%b|lock=%s|tcplk=%s|scrlog=%d|inorder=%b|ticket=%b|refs=%s|mcache=%b|maplock=%b|conns=%d|place=%s|steer=%s|dshards=%d|skew=%h|jitter=%h|offered=%s|loss=%h|cklock=%b|pres=%b|warmup=%d|measure=%d|seed=%d"
-    (arch_key t.arch) t.procs (side_to_string t.side)
-    (protocol_to_string t.protocol) t.payload t.checksum
-    (Lock.discipline_name t.lock_disc)
-    (locking_label t.tcp_locking) t.scr_log_bound t.assume_in_order t.ticketing
-    (match t.refcnt_mode with
-     | Pnp_engine.Atomic_ctr.Ll_sc -> "llsc"
-     | Pnp_engine.Atomic_ctr.Locked -> "locked")
-    t.message_caching t.map_locking t.connections
-    (match t.placement with
-     | Connection_level -> "conn"
-     | Packet_level -> "pkt")
-    (match t.steering with
-     | None -> "none"
-     | Some p -> Pnp_driver.Steer.policy_to_string p)
-    t.demux_shards t.skew t.driver_jitter_ns
-    (match t.offered_mbps with None -> "sat" | Some r -> Printf.sprintf "%h" r)
-    t.loss_rate t.cksum_under_lock t.presentation
-    t.warmup t.measure t.seed
-
 let describe t =
   Printf.sprintf "%s %s-side %dB cksum=%b procs=%d conns=%d locks=%s%s"
     (protocol_to_string t.protocol) (side_to_string t.side) t.payload t.checksum t.procs

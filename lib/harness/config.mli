@@ -118,10 +118,3 @@ val locking_label : Pnp_proto.Tcp.locking -> string
 (** ["tcp1"], ["tcp2"], ["tcp6"], ["scr"] or ["rcu"]. *)
 
 val describe : t -> string
-
-val canonical : t -> string
-(** Canonical cache key covering {e every} field of [t] (the architecture
-    is rendered field by field; floats in exact hex).  Two configurations
-    have the same key iff a run of one is a run of the other, which is
-    what the sweep-cell memo in {!Run} keys on.  Any field added to [t]
-    must be added to the key. *)

@@ -39,10 +39,13 @@ type outcome = {
   findings : Finding.t list;
 }
 
-(* Byte [i] of a flow's golden stream: printable, deterministic,
-   distinct per flow, so cross-flow misdelivery shows up as a digest
-   mismatch rather than passing by coincidence. *)
-let golden_byte ~seed ~flow i = 32 + ((i + (seed * 131) + (flow * 17)) mod 95)
+(* Byte [i] of a flow's golden stream: printable (32..126 for any seed,
+   negative ones included), deterministic, distinct per flow, so
+   cross-flow misdelivery shows up as a digest mismatch rather than
+   passing by coincidence. *)
+let golden_byte ~seed ~flow i =
+  let r = (i + (seed * 131) + (flow * 17)) mod 95 in
+  32 + if r < 0 then r + 95 else r
 
 let golden ~seed ~flow ~bytes =
   let b = Bytes.create bytes in
@@ -64,6 +67,8 @@ let caught_checksums (a : Stack.t) (b : Stack.t) =
   Ip.header_failures a.Stack.ip + Ip.header_failures b.Stack.ip
   + Tcp.checksum_failures a.Stack.tcp
   + Tcp.checksum_failures b.Stack.tcp
+  + Udp.checksum_failures a.Stack.udp
+  + Udp.checksum_failures b.Stack.udp
 
 let max_senders = 8000
 
@@ -189,10 +194,7 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
   let drops =
     {
       Recovery.link = Link.dropped link;
-      pool_pressure =
-        Link.pressure_drops link
-        + Mpool.refusals client.Stack.pool
-        + Mpool.refusals server.Stack.pool;
+      pool_pressure = Link.pressure_drops link;
       syn_backlog =
         Tcp.syn_backlog_drops server.Stack.tcp
         + Tcp.syn_backlog_drops client.Stack.tcp;
@@ -283,6 +285,11 @@ let shared_bottleneck ?(plan = Faults.none) ?(senders = 8) ?(bytes_per_flow = 40
     ~stagger_ns:(Units.ms 2.0) ~syn_backlog ~sb_policy ~pool_capacity ~demux_shards:1
     ~lock_disc ~tcp_locking ~bandwidth_mbps:40.0 ~latency:(Units.us 200.0)
     ~horizon:default_horizon ()
+
+let completion_ms p o =
+  match o.completion_ns with
+  | [] -> 0.0
+  | cs -> Report.percentile p (List.map (fun (_, ns) -> float_of_int ns /. 1e6) cs)
 
 let passed o = o.findings = []
 

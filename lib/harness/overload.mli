@@ -54,6 +54,16 @@ type outcome = {
       (** oracle + watchdog findings; [] = degraded gracefully *)
 }
 
+val golden : seed:int -> flow:int -> bytes:int -> string
+(** The first [bytes] bytes of flow [flow]'s golden stream: printable
+    (32..126), a pure function of its arguments, and different for
+    different flows and seeds. *)
+
+val caught_checksums : Pnp_driver.Stack.t -> Pnp_driver.Stack.t -> int
+(** Frames the two stacks rejected on a bad IP header, TCP or UDP
+    checksum: the corruption a faulted link injected and the stacks
+    caught. *)
+
 val max_senders : int
 (** Largest fan-in a world accepts: every sender needs its own client
     port. *)
@@ -99,6 +109,11 @@ val shared_bottleneck :
     40 kB each) join 2 ms apart and share a 40 Mbit/s link, so the
     interesting number is [fairness] — how evenly TCP divides the
     bottleneck — and the completion-latency spread, not raw goodput. *)
+
+val completion_ms : float -> outcome -> float
+(** [completion_ms p o] is the nearest-rank [p]-th percentile
+    ({!Report.percentile}) of the completed flows' connect-to-done
+    latency, in ms; 0 when no flow completed. *)
 
 val passed : outcome -> bool
 (** [findings = []]. *)

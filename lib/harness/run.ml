@@ -512,32 +512,44 @@ let run_gen ?(trace = false) ?stall_ns (cfg : Config.t) =
    stochastic choice is seeded from [cfg.seed]), and the figures reuse
    many identical cells — Figure 10's mutex column is Figure 8/9's 4 KB
    checksum-on sweep, Table 1 re-runs Figure 10's configurations for a
-   different metric, and so on.  Memoizing on the canonical key makes
-   those repeats free without changing a single byte of output: a hit
-   returns exactly the value a fresh run would compute.
+   different metric, and so on.  Memoizing on the configuration itself
+   makes those repeats free without changing a single byte of output: a
+   hit returns exactly the value a fresh run would compute.
+
+   Keys compare structurally, so every field of [Config.t] (the
+   architecture record included) separates cells with no list to keep in
+   step.  The default [Hashtbl.hash] stops after 10 meaningful words and
+   would put configs that differ only in a late field (seed, connections,
+   loss rate) in one bucket; 64 words reach every field.
 
    The table is shared across Pool worker domains, hence the mutex.  If
    two domains race on the same miss, both compute the (identical)
    result and the first one wins the insert — wasted work, never a wrong
    answer. *)
+module Cells = Hashtbl.Make (struct
+  type t = Config.t
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 128
+end)
+
 let memo_enabled = ref true
 let memo_lock = Mutex.create ()
-let memo : (string, result) Hashtbl.t = Hashtbl.create 256
+let memo : result Cells.t = Cells.create 256
 
 let set_cell_memo on = memo_enabled := on
 
 let clear_cell_memo () =
-  Mutex.protect memo_lock (fun () -> Hashtbl.reset memo)
+  Mutex.protect memo_lock (fun () -> Cells.reset memo)
 
-let cell_memo_size () = Mutex.protect memo_lock (fun () -> Hashtbl.length memo)
+let cell_memo_size () = Mutex.protect memo_lock (fun () -> Cells.length memo)
 
 let result_of (r, _, _) = r
 
 let run cfg =
   if not !memo_enabled then result_of (run_gen cfg)
   else
-    let key = Config.canonical cfg in
-    match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key) with
+    match Mutex.protect memo_lock (fun () -> Cells.find_opt memo cfg) with
     | Some r ->
         Hostprof.note_cell_hit ();
         r
@@ -545,7 +557,7 @@ let run cfg =
         Hostprof.note_cell_miss ();
         let r = result_of (run_gen cfg) in
         Mutex.protect memo_lock (fun () ->
-            if not (Hashtbl.mem memo key) then Hashtbl.add memo key r);
+            if not (Cells.mem memo cfg) then Cells.add memo cfg r);
         r
 
 (* Traced runs are never memoized: the caller wants the tracer. *)

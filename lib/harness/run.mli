@@ -32,7 +32,7 @@ val run : Config.t -> result
 (** Build the platform, stack, drivers and workers for the configuration,
     simulate warmup + measurement, and report the steady-state window.
 
-    Results are memoized on {!Config.canonical} (the sweep-cell memo):
+    Results are memoized on the configuration (the sweep-cell memo):
     a cell is a pure function of its configuration, so when figures share
     cells — and several do — repeats are served from a process-wide cache.
     Hits return exactly the value a fresh run would compute, so output is

@@ -50,19 +50,3 @@ let summary xs =
       min = List.fold_left min infinity xs;
       max = List.fold_left max neg_infinity xs;
     }
-
-let percentile xs p =
-  match xs with
-  | [] -> invalid_arg "Stats.percentile: empty"
-  | _ ->
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    let n = Array.length a in
-    if n = 1 then a.(0)
-    else begin
-      let rank = p /. 100.0 *. float_of_int (n - 1) in
-      let lo = int_of_float (floor rank) in
-      let hi = min (n - 1) (lo + 1) in
-      let frac = rank -. float_of_int lo in
-      (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
-    end

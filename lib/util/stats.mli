@@ -25,7 +25,3 @@ val t_crit : int -> float
     freedom.  Tabulated through df = 30; beyond that the asymptotic
     normal value 1.645 is returned (the t distribution is within ~1% of
     N(0,1) there).  Returns 0 for df <= 0. *)
-
-val percentile : float list -> float -> float
-(** [percentile xs p] with [p] in [0,100]; linear interpolation between
-    order statistics.  Raises [Invalid_argument] on an empty list. *)

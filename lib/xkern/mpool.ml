@@ -74,7 +74,6 @@ type t = {
   soft : int;
   mutable in_pressure : bool;
   mutable pressure_entries : int;
-  mutable refusals : int; (* try_alloc calls denied at hard capacity *)
   mutable headroom_waiters : (Pnp_util.Units.ns -> unit) list; (* LIFO; woken in reverse *)
 }
 
@@ -97,24 +96,15 @@ let trace_alloc t ~hit =
    charge). *)
 let trace_node t ev = Sim.trace t.plat.Platform.sim ev
 
-let create ?(capacity = max_int) ?soft_watermark plat =
+let create ?(capacity = max_int) plat =
   if capacity <= 0 then invalid_arg "Mpool.create: capacity must be positive";
-  let soft =
-    match soft_watermark with
-    | Some s ->
-      if s <= 0 || s > capacity then
-        invalid_arg "Mpool.create: soft watermark out of range";
-      s
-    | None -> if capacity = max_int then max_int else max 1 (capacity / 2)
-  in
   {
     plat;
     tracer = Sim.tracer plat.Platform.sim;
     capacity;
-    soft;
+    soft = (if capacity = max_int then max_int else max 1 (capacity / 2));
     in_pressure = false;
     pressure_entries = 0;
-    refusals = 0;
     headroom_waiters = [];
     malloc_lock =
       Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair ~name:"malloc";
@@ -312,15 +302,6 @@ let decref t node =
     end
   end
 
-(* Wire-boundary allocation: a denial is an accounted drop (the NIC's
-   "no mbufs, drop the frame" path), never an exception. *)
-let try_alloc t n =
-  if t.live >= t.capacity then begin
-    t.refusals <- t.refusals + 1;
-    None
-  end
-  else Some (alloc t n)
-
 let under_pressure t = t.in_pressure
 let headroom t = if t.capacity = max_int then max_int else t.capacity - t.live
 
@@ -392,9 +373,7 @@ let arena_hwm t = t.arena_hwm
 let arena_out t = t.arena_out
 
 let pool_capacity t = t.capacity
-let soft_watermark t = t.soft
 let pressure_entries t = t.pressure_entries
-let refusals t = t.refusals
 let allocations t = t.allocations
 let cache_hits t = t.cache_hits
 let global_allocations t = t.global_allocations

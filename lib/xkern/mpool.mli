@@ -30,29 +30,23 @@ exception Out_of_mnodes of { requested : int; live : int; capacity : int }
     propagates out of [Sim.run] so tests can assert on exhaustion
     instead of silently growing the heap without bound. *)
 
-val create : ?capacity:int -> ?soft_watermark:int -> Pnp_engine.Platform.t -> t
+val create : ?capacity:int -> Pnp_engine.Platform.t -> t
 (** [capacity] bounds the number of simultaneously live MNodes
     (default: unbounded).  Must be positive.
 
-    [soft_watermark] sets the graceful-degradation threshold (see
-    {!under_pressure}); it must be in [1, capacity].  Defaults to
-    [capacity / 2] for bounded pools and to "never" for unbounded ones.
-    The gap between the watermark and the hard capacity is the protocol
-    headroom budget: admission-controlled producers ({!await_headroom})
-    stop at the watermark, leaving room for protocol-internal transients
-    (header pushes, ACK emission, retransmission) that must not block. *)
+    A bounded pool's graceful-degradation threshold (see
+    {!under_pressure}) is its soft watermark, [capacity / 2]; an
+    unbounded pool never presses.  The gap between the watermark and the
+    hard capacity is the protocol headroom budget: admission-controlled
+    producers ({!await_headroom}) stop at the watermark, leaving room for
+    protocol-internal transients (header pushes, ACK emission,
+    retransmission) that must not block. *)
 
 val alloc : t -> int -> mnode
 (** [alloc t n] returns an MNode with capacity at least [n] and reference
     count 1.
 
     @raise Out_of_mnodes when [capacity] live nodes are already out. *)
-
-val try_alloc : t -> int -> mnode option
-(** Wire-boundary variant of {!alloc}: [None] instead of raising when the
-    pool is at hard capacity, so drivers can turn allocation failure into
-    an accounted per-cause drop (a NIC dropping on mbuf exhaustion)
-    rather than an escaped exception.  Denials count in {!refusals}. *)
 
 (** {2 Graceful degradation} *)
 
@@ -71,16 +65,8 @@ val await_headroom : t -> unit
     back below the watermark; a waiter on a pool that never drains is a
     liveness stall, which the watchdog reports as a finding. *)
 
-
-val soft_watermark : t -> int
-(** The pressure threshold ([max_int] when the pool never presses). *)
-
 val pressure_entries : t -> int
 (** Times the pool crossed the soft watermark upward. *)
-
-val refusals : t -> int
-(** {!try_alloc} denials at hard capacity (accounted wire-boundary
-    drops). *)
 
 val incref : t -> mnode -> unit
 val decref : t -> mnode -> unit

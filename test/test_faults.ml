@@ -312,6 +312,15 @@ let test_chaos_builtins_recover () =
           (String.concat "\n" (List.map Finding.to_string o.Chaos.findings)))
     Faults.builtin
 
+(* The golden stream is printable for a negative seed too (a negative
+   remainder once made Char.chr raise). *)
+let test_chaos_negative_seed () =
+  let o =
+    Chaos.run_cell ~bytes:30_000 ~datagrams:100 ~seed:(-1) ~plan:Faults.none
+      ~disc:Lock.Unfair ()
+  in
+  if not (Chaos.passed o) then Alcotest.failf "seed -1: %s" (Chaos.to_line o)
+
 let test_chaos_cell_deterministic () =
   let plan = Option.get (Faults.find "chaos") in
   let line () =
@@ -646,6 +655,7 @@ let suites =
       [
         Alcotest.test_case "builtin plans recover" `Quick test_chaos_builtins_recover;
         Alcotest.test_case "cells are deterministic" `Quick test_chaos_cell_deterministic;
+        Alcotest.test_case "negative seed recovers" `Quick test_chaos_negative_seed;
         Alcotest.test_case "coalescing/arena toggles change nothing" `Quick
           test_chaos_coalescing_toggle_identical;
         Qrand.to_alcotest prop_random_plans_recover;

@@ -1,7 +1,7 @@
-(* The sweep-cell memo (Run) and its key (Config.canonical): caching
+(* The sweep-cell memo (Run), keyed on the whole Config.t: caching
    repeated (config, seed) cells must never change a byte of figure
-   output, at any -j level, and the key must distinguish every
-   configuration field that changes what a run computes. *)
+   output, at any -j level, and configs that differ in any field must be
+   separate cells. *)
 
 open Pnp_harness
 
@@ -55,37 +55,45 @@ let test_memo_parallel_identical () =
         parallel)
 
 (* The memo would silently corrupt figures if two different configs
-   collided on one key; pin that every field that changes a run changes
-   the key.  (The full every-field guarantee lives in Config.canonical's
-   implementation: the key is built from an exhaustive field list.) *)
-let test_canonical_distinguishes () =
-  let base = Config.baseline in
-  let distinct name a b =
-    Alcotest.(check bool)
-      (name ^ " changes the canonical key")
-      false
-      (String.equal (Config.canonical a) (Config.canonical b))
+   shared a cell.  Run short cells that each differ from the one before
+   in one field (several of them fields the default [Hashtbl.hash] never
+   reaches) and check each one adds a cell, while a fresh copy of a
+   config already run is a hit. *)
+let test_distinct_configs_distinct_cells () =
+  let base =
+    Config.v ~warmup:(Pnp_util.Units.ms 2.0) ~measure:(Pnp_util.Units.ms 4.0) ()
   in
-  Alcotest.(check string)
-    "equal configs, equal keys"
-    (Config.canonical base)
-    (Config.canonical { base with Config.seed = base.Config.seed });
-  distinct "refcnt_mode" base
-    { base with Config.refcnt_mode = Pnp_engine.Atomic_ctr.Locked };
-  distinct "message_caching" base { base with Config.message_caching = false };
-  distinct "loss_rate" base { base with Config.loss_rate = 0.01 };
-  distinct "seed" base { base with Config.seed = base.Config.seed + 1 };
-  distinct "procs" base { base with Config.procs = base.Config.procs + 1 };
-  distinct "ticketing" base { base with Config.ticketing = true };
-  distinct "cksum_under_lock" base { base with Config.cksum_under_lock = true };
-  distinct "skew" base { base with Config.skew = 0.5 };
-  distinct "offered_mbps" base { base with Config.offered_mbps = Some 100.0 };
-  distinct "measure" base { base with Config.measure = base.Config.measure + 1 };
-  distinct "steering" base { base with Config.steering = Some Pnp_driver.Steer.Hash };
-  distinct "steering policy"
-    { base with Config.steering = Some Pnp_driver.Steer.Hash }
-    { base with Config.steering = Some Pnp_driver.Steer.Last_sender };
-  distinct "demux_shards" base { base with Config.demux_shards = 8 }
+  let recv = { base with Config.side = Config.Recv } in
+  let hash = { recv with Config.steering = Some Pnp_driver.Steer.Hash } in
+  let variants =
+    [
+      ("refcnt_mode", { base with Config.refcnt_mode = Pnp_engine.Atomic_ctr.Locked });
+      ("message_caching", { base with Config.message_caching = false });
+      ("loss_rate", { base with Config.loss_rate = 0.01 });
+      ("seed", { base with Config.seed = base.Config.seed + 1 });
+      ("procs", { base with Config.procs = base.Config.procs + 1 });
+      ("ticketing", { base with Config.ticketing = true });
+      ("cksum_under_lock", { base with Config.cksum_under_lock = true });
+      ("skew", { base with Config.skew = 0.5 });
+      ("offered_mbps", { base with Config.offered_mbps = Some 100.0 });
+      ("measure", { base with Config.measure = base.Config.measure + 1 });
+      ("demux_shards", { base with Config.demux_shards = 8 });
+      ("side", recv);
+      ("steering", hash);
+      ("steering policy", { hash with Config.steering = Some Pnp_driver.Steer.Last_sender });
+    ]
+  in
+  with_memo true (fun () ->
+      let first = Run.run base in
+      Alcotest.(check int) "baseline cached" 1 (Run.cell_memo_size ());
+      Alcotest.(check bool) "equal config is a hit" true
+        (Run.run { base with Config.seed = base.Config.seed } == first);
+      Alcotest.(check int) "hit adds no cell" 1 (Run.cell_memo_size ());
+      List.iteri
+        (fun i (name, cfg) ->
+          ignore (Run.run cfg);
+          Alcotest.(check int) (name ^ " is a new cell") (i + 2) (Run.cell_memo_size ()))
+        variants)
 
 (* A memo hit returns the very value a fresh run computes. *)
 let test_memo_hit_equals_fresh_run () =
@@ -107,8 +115,8 @@ let suites =
   [
     ( "harness.memo",
       [
-        Alcotest.test_case "canonical key distinguishes fields" `Quick
-          test_canonical_distinguishes;
+        Alcotest.test_case "distinct configs are distinct cells" `Quick
+          test_distinct_configs_distinct_cells;
         Alcotest.test_case "hit equals fresh run" `Quick test_memo_hit_equals_fresh_run;
         Alcotest.test_case "memo on/off byte-identical" `Slow test_memo_on_off_identical;
         Alcotest.test_case "memo -j1 = -j4 on a real sweep" `Slow

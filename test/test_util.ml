@@ -125,13 +125,6 @@ let test_stats_empty_raises () =
   Alcotest.check_raises "empty summary" (Invalid_argument "Stats.summary: empty")
     (fun () -> ignore (Stats.summary []))
 
-let test_percentile () =
-  let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-  check_float "p0" 1.0 (Stats.percentile xs 0.0);
-  check_float "p50" 3.0 (Stats.percentile xs 50.0);
-  check_float "p100" 5.0 (Stats.percentile xs 100.0);
-  check_float "p25" 2.0 (Stats.percentile xs 25.0)
-
 let test_stats_t_crit () =
   check_float "df=1" 6.314 (Stats.t_crit 1);
   check_float "df=2" 2.920 (Stats.t_crit 2);
@@ -202,7 +195,6 @@ let suites =
         Alcotest.test_case "single point" `Quick test_stats_single_point;
         Alcotest.test_case "ci shrinks with n" `Quick test_stats_ci_shrinks;
         Alcotest.test_case "empty raises" `Quick test_stats_empty_raises;
-        Alcotest.test_case "percentile" `Quick test_percentile;
         Alcotest.test_case "t critical values" `Quick test_stats_t_crit;
         Qrand.to_alcotest prop_summary_bounds;
       ] );
