@@ -6,11 +6,9 @@ type t = {
   order : Order_check.lock_stat list;
 }
 
-(* Every checker's step in one traversal.  Lockset's constructor walks
-   the trace once first, for the pre-window holds, so a trace is walked
-   twice in all. *)
+(* Every checker's step in one traversal. *)
 let run tracer =
-  let ls = Lockset.create tracer in
+  let ls = Lockset.create () in
   let hb = Hb.create () in
   let lt = Lifetime.create () in
   let lo = Lock_order.create () in

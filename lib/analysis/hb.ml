@@ -99,22 +99,22 @@ let hb (a : access) (vc : Vc.t) = a.a_clk <= Vc.get vc a.a_tid
 
 type t = {
   bus_sync : bool;
-  mutable clocks : Vc.t option array; (* by tid *)
+  clocks : Vc.t Replay.Slots.t; (* by tid *)
   exited : (int, Vc.t) Hashtbl.t;
   forked : (int, Vc.t) Hashtbl.t;
-  (* One channel table per kind, keyed by the object's own name. *)
-  locks : (string, Vc.t) Hashtbl.t;
-  gates : (string, Vc.t) Hashtbl.t;
-  logs : (string, Vc.t) Hashtbl.t;
+  (* One channel table per kind, keyed by the object's interned id. *)
+  locks : Vc.t Replay.Slots.t;
+  gates : Vc.t Replay.Slots.t;
+  logs : Vc.t Replay.Slots.t;
   bus : Vc.t;
-  cells : (string, cell) Hashtbl.t;
-  (* Per SCR log: highest index seen appended (absent before any append). *)
-  appended : (string, int) Hashtbl.t;
-  (* Per SCR log with no append in the window yet: the applies seen so
+  cells : cell Replay.Slots.t; (* by state id *)
+  (* Per SCR log id: highest index seen appended (absent before any append). *)
+  appended : int Replay.Slots.t;
+  (* Per SCR log id with no append in the window yet: the applies seen so
      far, newest first.  The window may open mid-replay, so such an apply
      may consume an entry appended before the trace began; it is judged
      only once the log's first in-window append shows where the tail was. *)
-  held : (string, (int * Trace.record) list) Hashtbl.t;
+  held : (int * Trace.record) list Replay.Slots.t;
   mutable races : race list;
   mutable violations : violation list;
 }
@@ -122,16 +122,16 @@ type t = {
 let create ?(bus_sync = true) () =
   {
     bus_sync;
-    clocks = [||];
+    clocks = Replay.Slots.create ();
     exited = Hashtbl.create 16;
     forked = Hashtbl.create 16;
-    locks = Hashtbl.create 16;
-    gates = Hashtbl.create 16;
-    logs = Hashtbl.create 4;
+    locks = Replay.Slots.create ();
+    gates = Replay.Slots.create ();
+    logs = Replay.Slots.create ();
     bus = Vc.create ();
-    cells = Hashtbl.create 32;
-    appended = Hashtbl.create 4;
-    held = Hashtbl.create 4;
+    cells = Replay.Slots.create ();
+    appended = Replay.Slots.create ();
+    held = Replay.Slots.create ();
     races = [];
     violations = [];
   }
@@ -140,13 +140,7 @@ let flag t log idx v_max r =
   t.violations <- { v_log = log; v_idx = idx; v_max; v_rec = r } :: t.violations
 
 let clock t tid =
-  let len = Array.length t.clocks in
-  if tid >= len then begin
-    let a = Array.make (max (tid + 1) (2 * len)) None in
-    Array.blit t.clocks 0 a 0 len;
-    t.clocks <- a
-  end;
-  match t.clocks.(tid) with
+  match Replay.Slots.get t.clocks tid with
   | Some vc -> vc
   | None ->
     let vc =
@@ -157,15 +151,15 @@ let clock t tid =
       | None -> Vc.create ()
     in
     Vc.tick vc tid;
-    t.clocks.(tid) <- Some vc;
+    Replay.Slots.set t.clocks tid vc;
     vc
 
-let channel tbl name =
-  match Hashtbl.find_opt tbl name with
+let channel tbl id =
+  match Replay.Slots.get tbl id with
   | Some vc -> vc
   | None ->
     let vc = Vc.create () in
-    Hashtbl.replace tbl name vc;
+    Replay.Slots.set tbl id vc;
     vc
 
 (* Release: publish the thread's clock into the channel, then tick so
@@ -177,15 +171,15 @@ let release t tid ch =
 
 let acquire t tid ch = Vc.join (clock t tid) ch
 
-let access t (r : Trace.record) state write =
+let access t (r : Trace.record) sid state write =
   let tid = r.Trace.tid in
   let vc = clock t tid in
   let c =
-    match Hashtbl.find_opt t.cells state with
+    match Replay.Slots.get t.cells sid with
     | Some c -> c
     | None ->
       let c = { last_write = None; reads = []; reported = false } in
-      Hashtbl.replace t.cells state c;
+      Replay.Slots.set t.cells sid c;
       c
   in
   let report prev ~write_write =
@@ -209,8 +203,8 @@ let access t (r : Trace.record) state write =
     c.reads <- entry :: List.filter (fun rd -> rd.a_tid <> tid) c.reads
   end
 
-let step t _ctx (r : Trace.record) =
-  let tid = r.Trace.tid in
+let step t ctx (r : Trace.record) =
+  let tid = r.Trace.tid and id = Replay.id ctx in
   match r.Trace.ev with
   | Trace.Thread_fork { child } ->
     let vc = clock t tid in
@@ -221,38 +215,37 @@ let step t _ctx (r : Trace.record) =
     match Hashtbl.find_opt t.exited child with
     | Some final -> Vc.join (clock t tid) final
     | None -> ())
-  | Trace.Lock_grant { lock; _ } -> acquire t tid (channel t.locks lock)
-  | Trace.Lock_release { lock; _ } -> release t tid (channel t.locks lock)
+  | Trace.Lock_grant _ -> acquire t tid (channel t.locks id)
+  | Trace.Lock_release _ -> release t tid (channel t.locks id)
   | Trace.Scr_append { log; idx } ->
-    (match Hashtbl.find_opt t.appended log with
-    | Some prev -> if idx > prev then Hashtbl.replace t.appended log idx
+    (match Replay.Slots.get t.appended id with
+    | Some prev -> if idx > prev then Replay.Slots.set t.appended id idx
     | None ->
       (* The first in-window append: entries below [idx] may predate the
          window, so a held apply read ahead only if it claimed [idx] or
-         beyond. *)
-      Hashtbl.replace t.appended log idx;
+         beyond.  Once a log has an append, [held] is never read again. *)
+      Replay.Slots.set t.appended id idx;
       List.iter
         (fun (i, r) -> if i >= idx then flag t log i (idx - 1) r)
-        (List.rev (Option.value ~default:[] (Hashtbl.find_opt t.held log)));
-      Hashtbl.remove t.held log);
-    release t tid (channel t.logs log)
+        (List.rev (Option.value ~default:[] (Replay.Slots.get t.held id))));
+    release t tid (channel t.logs id)
   | Trace.Scr_apply { log; idx } ->
     (* idx = -1 marks an output/timer section, which consumes no log entry
        and cannot read ahead of the tail. *)
     (if idx >= 0 then
-       match Hashtbl.find_opt t.appended log with
+       match Replay.Slots.get t.appended id with
        | Some max_app -> if idx > max_app then flag t log idx max_app r
        | None ->
-         let prev = Option.value ~default:[] (Hashtbl.find_opt t.held log) in
-         Hashtbl.replace t.held log ((idx, r) :: prev));
-    acquire t tid (channel t.logs log)
-  | Trace.Scr_apply_end { log; _ } -> release t tid (channel t.logs log)
-  | Trace.Gate_advance { gate; _ } -> release t tid (channel t.gates gate)
-  | Trace.Gate_pass { gate; _ } -> acquire t tid (channel t.gates gate)
+         let prev = Option.value ~default:[] (Replay.Slots.get t.held id) in
+         Replay.Slots.set t.held id ((idx, r) :: prev));
+    acquire t tid (channel t.logs id)
+  | Trace.Scr_apply_end _ -> release t tid (channel t.logs id)
+  | Trace.Gate_advance _ -> release t tid (channel t.gates id)
+  | Trace.Gate_pass _ -> acquire t tid (channel t.gates id)
   | Trace.Membus_charge _ when t.bus_sync ->
     acquire t tid t.bus;
     release t tid t.bus
-  | Trace.Access { state; write } -> access t r state write
+  | Trace.Access { state; write } -> access t r id state write
   | _ -> ()
 
 let races_of t = List.rev t.races

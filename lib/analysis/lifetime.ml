@@ -40,21 +40,15 @@ let status_label = function
 
 (* Node states by id: the pool numbers nodes densely from 0. *)
 type t = {
-  mutable nodes : node_state option array;
+  nodes : node_state Replay.Slots.t;
   mutable findings : Finding.t list;
 }
 
-let create () = { nodes = [||]; findings = [] }
-let get t id = if id < Array.length t.nodes then t.nodes.(id) else None
+let create () = { nodes = Replay.Slots.create (); findings = [] }
+let get t id = Replay.Slots.get t.nodes id
 
 let adopt t id status r =
-  let len = Array.length t.nodes in
-  if id >= len then begin
-    let a = Array.make (max (id + 1) (2 * len)) None in
-    Array.blit t.nodes 0 a 0 len;
-    t.nodes <- a
-  end;
-  t.nodes.(id) <- Some { status; last = Some r; reported = false }
+  Replay.Slots.set t.nodes id { status; last = Some r; reported = false }
 
 let report t s id r what =
   if not s.reported then begin
@@ -125,13 +119,12 @@ let findings ?(leaks = false) t =
   let leak =
     if not leaks then []
     else
-      let leaked = ref [] in
-      for id = Array.length t.nodes - 1 downto 0 do
-        match t.nodes.(id) with
-        | Some ({ status = Live _; _ } as s) -> leaked := (id, s) :: !leaked
-        | Some _ | None -> ()
-      done;
-      let leaked = !leaked in
+      let leaked =
+        List.rev
+          (Replay.Slots.fold t.nodes
+             (fun id s acc -> match s.status with Live _ -> (id, s) :: acc | _ -> acc)
+             [])
+      in
       match leaked with
       | [] -> []
       | (id0, s0) :: _ ->

@@ -7,28 +7,35 @@ type edge = {
   acquire : Trace.record;
 }
 
-type t = (string * string, edge) Hashtbl.t
+(* Seen pairs keyed by [pair first second] of their lock ids. *)
+module Pairs = Hashtbl.Make (struct
+  type t = int
 
-let create () : t = Hashtbl.create 64
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+type t = edge Pairs.t
+
+let create () : t = Pairs.create 64
+let pair first second = (first lsl 30) lor second
 
 let step (seen : t) ctx (r : Trace.record) =
   match r.Trace.ev with
   | Trace.Lock_grant { lock = second; _ } ->
-    let tid = r.Trace.tid in
+    let id = Replay.id ctx in
+    (* The oldest grant of a lock held twice comes first and wins. *)
     List.iter
-      (fun first ->
-        if first <> second && not (Hashtbl.mem seen (first, second)) then
-          let holder =
-            match Replay.grant_record ctx ~tid ~lock:first with
-            | Some g -> g
-            | None -> r (* unreachable: held implies a recorded grant *)
-          in
-          Hashtbl.replace seen (first, second) { first; second; holder; acquire = r })
-      (Replay.held ctx ~tid)
+      (fun (first_id, holder) ->
+        let key = pair first_id id in
+        if first_id <> id && not (Pairs.mem seen key) then
+          Pairs.replace seen key
+            { first = Replay.lock_name ctx first_id; second; holder; acquire = r })
+      (Replay.held_grants ctx ~tid:r.Trace.tid)
   | _ -> ()
 
 let edges_of (seen : t) =
-  Hashtbl.fold (fun _ e acc -> e :: acc) seen []
+  Pairs.fold (fun _ e acc -> e :: acc) seen []
   |> List.sort (fun a b ->
          match compare a.first b.first with 0 -> compare a.second b.second | c -> c)
 

@@ -50,11 +50,15 @@ val run : Pnp_engine.Trace.t -> state list * Finding.t list
 
 type t
 
-val create : Pnp_engine.Trace.t -> t
-(** Fresh state for one trace.  Walks the trace once to find each
-    thread's pre-window holds (see above). *)
+val create : unit -> t
 
 val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
+(** Records each access with the locks held at it, and each release of a
+    lock the replay never saw granted (a pre-window hold). *)
+
 val result : t -> state list * Finding.t list
+(** Classifies the recorded accesses, now that every pre-window hold is
+    known, and returns the states and findings.  Call it once, after the
+    last {!step}. *)
 
 val check : Pnp_engine.Trace.t -> Finding.t list

@@ -8,12 +8,17 @@ type lock_stat = {
   max_window : int;
 }
 
-type acc = {
+(* Per lock id: the reorder accounting and the FIFO assertion's
+   request queue. *)
+type cell = {
+  name : string;
   mutable grants : int;
   mutable reordered : int;
   mutable max_window : int;
   mutable max_seq : int; (* highest packet seq granted so far *)
   mutable any_seq : bool;
+  mutable pending : (int * Trace.record) list; (* (tid, request), oldest first *)
+  mutable flagged : bool;
 }
 
 (* One step serves both analyses: the per-lock reorder accounting and
@@ -21,33 +26,36 @@ type acc = {
    queue and requires grants to pop the head. *)
 type t = {
   tracer : Trace.t; (* for the registered lock disciplines *)
-  tbl : (string, acc) Hashtbl.t;
-  pending : (string, (int * Trace.record) list) Hashtbl.t;
-  flagged : (string, unit) Hashtbl.t;
+  cells : cell Replay.Slots.t;
   mutable findings : Finding.t list;
 }
 
-let create tracer =
-  {
-    tracer;
-    tbl = Hashtbl.create 32;
-    pending = Hashtbl.create 32;
-    flagged = Hashtbl.create 8;
-    findings = [];
-  }
+let create tracer = { tracer; cells = Replay.Slots.create (); findings = [] }
 
-let account t ctx (r : Trace.record) lock =
+let cell t ctx lock =
+  let id = Replay.id ctx in
+  match Replay.Slots.get t.cells id with
+  | Some c -> c
+  | None ->
+    let c =
+      {
+        name = lock;
+        grants = 0;
+        reordered = 0;
+        max_window = 0;
+        max_seq = 0;
+        any_seq = false;
+        pending = [];
+        flagged = false;
+      }
+    in
+    Replay.Slots.set t.cells id c;
+    c
+
+let account ctx (r : Trace.record) a =
   match Replay.current_seq ctx ~tid:r.Trace.tid with
   | None -> ()
   | Some seq ->
-    let a =
-      match Hashtbl.find_opt t.tbl lock with
-      | Some a -> a
-      | None ->
-        let a = { grants = 0; reordered = 0; max_window = 0; max_seq = 0; any_seq = false } in
-        Hashtbl.replace t.tbl lock a;
-        a
-    in
     a.grants <- a.grants + 1;
     if a.any_seq && seq < a.max_seq then begin
       a.reordered <- a.reordered + 1;
@@ -58,51 +66,53 @@ let account t ctx (r : Trace.record) lock =
       a.any_seq <- true
     end
 
-let pop_grant t (r : Trace.record) lock =
-  let q = Option.value ~default:[] (Hashtbl.find_opt t.pending lock) in
+let pop_grant t (r : Trace.record) c =
+  let q = c.pending in
   (* A grant whose request predates trace start is not in the queue;
      ignore it rather than mistake it for an overtake. *)
   if List.exists (fun (tid, _) -> tid = r.Trace.tid) q then
     match q with
     | (head_tid, head_req) :: _ when head_tid <> r.Trace.tid ->
       (* Overtake.  Only a violation for FIFO locks. *)
-      if Trace.lock_discipline t.tracer lock = Some "fifo" && not (Hashtbl.mem t.flagged lock)
-      then begin
-        Hashtbl.add t.flagged lock ();
+      if (not c.flagged) && Trace.lock_discipline t.tracer c.name = Some "fifo" then begin
+        c.flagged <- true;
         t.findings <-
-          Finding.v ~checker:"fifo-order" ~subject:lock ~witnesses:[ head_req; r ]
+          Finding.v ~checker:"fifo-order" ~subject:c.name ~witnesses:[ head_req; r ]
             (Printf.sprintf
                "FIFO lock granted out of arrival order: tid %d overtook the pending \
                 request of tid %d"
                r.Trace.tid head_tid)
           :: t.findings
       end;
-      Hashtbl.replace t.pending lock (List.filter (fun (tid, _) -> tid <> r.Trace.tid) q)
-    | _ :: rest -> Hashtbl.replace t.pending lock rest
+      c.pending <- List.filter (fun (tid, _) -> tid <> r.Trace.tid) q
+    | _ :: rest -> c.pending <- rest
     | [] -> ()
 
 let step t ctx (r : Trace.record) =
   match r.Trace.ev with
   | Trace.Lock_request { lock; _ } ->
-    let q = Option.value ~default:[] (Hashtbl.find_opt t.pending lock) in
-    Hashtbl.replace t.pending lock (q @ [ (r.Trace.tid, r) ])
+    let c = cell t ctx lock in
+    c.pending <- c.pending @ [ (r.Trace.tid, r) ]
   | Trace.Lock_grant { lock; _ } ->
-    account t ctx r lock;
-    pop_grant t r lock
+    let c = cell t ctx lock in
+    account ctx r c;
+    pop_grant t r c
   | _ -> ()
 
 let stats_of t =
-  Hashtbl.fold
-    (fun lock a rows ->
-      {
-        lock;
-        discipline = Trace.lock_discipline t.tracer lock;
-        grants = a.grants;
-        reordered = a.reordered;
-        max_window = a.max_window;
-      }
-      :: rows)
-    t.tbl []
+  Replay.Slots.fold t.cells
+    (fun _ c rows ->
+      if c.grants = 0 then rows
+      else
+        {
+          lock = c.name;
+          discipline = Trace.lock_discipline t.tracer c.name;
+          grants = c.grants;
+          reordered = c.reordered;
+          max_window = c.max_window;
+        }
+        :: rows)
+    []
   |> List.sort (fun (x : lock_stat) y ->
          match compare y.reordered x.reordered with 0 -> compare x.lock y.lock | c -> c)
 

@@ -37,42 +37,106 @@ type ev =
 
 type record = { ts : int; tid : int; cpu : int; ev : ev }
 
-(* Arena-backed record store.  Records land in fixed-size chunks whose
-   ts and thread columns are unboxed int arrays (only the event payload
-   stays a heap value), replacing the one-cons-plus-one-record-per-event
-   list the tracer used to build.  The thread column packs tid and cpu
-   into one int (both are small: thread and CPU numbers, or -1), so a
-   record costs three words of chunk.  [clear] recycles full chunks into
-   a free list, so repeated trace/clear cycles reuse the same memory.
+(* Arena-backed packed record store.  Records land in fixed-size chunks
+   as unboxed rows of ints: the timestamp, a header word, then the
+   constructor's int fields (none to two; booleans and phases as small
+   ints).  The header packs the tid (high 26 bits), the cpu
+   (31 bits, both sign-extended) and a 6-bit event kind, the
+   constructor's index.  A named constructor (lock, gate, log, state,
+   spawn name, fault cause) also appends its string to the chunk's name
+   column, in record order.  So a record is two to four words of row
+   plus at most one word of name, and no block of its own: emitted [ev]s
+   die young instead of being promoted with the chunk, and the 65% of a
+   checked trace that is thread block/resume costs two words each.
+   [iter] rebuilds each [ev] from its row, and [iter_kinds] skips a row
+   by its kind before building anything.  [clear] recycles chunks into a
+   free list, so repeated trace/clear cycles reuse the same memory.
    Chunks are allocated lazily on the first emit: a disabled tracer (the
    default — one exists per sim) costs a few words, not a chunk. *)
 type chunk = {
-  c_ts : int array;
-  c_who : int array; (* [pack ~tid ~cpu] *)
-  c_ev : ev array;
+  c_words : int array; (* rows: ts, [pack ~tid ~cpu kind], the kind's ints *)
+  c_names : string array;
+  mutable c_len : int; (* words used *)
+  mutable c_nnames : int;
 }
 
-let chunk_size = 4096
+(* A chunk holds [names_per_chunk] named records whatever their rows
+   (the widest is four words), so it fills at 4096 state accesses. *)
+let words_per_chunk = 16384
+let names_per_chunk = 4096
+let max_row = 4
 
-let empty_chunk = { c_ts = [||]; c_who = [||]; c_ev = [||] }
+let empty_chunk () = { c_words = [||]; c_names = [||]; c_len = 0; c_nnames = 0 }
 
 let fresh_chunk () =
   {
-    c_ts = Array.make chunk_size 0;
-    c_who = Array.make chunk_size 0;
-    c_ev = Array.make chunk_size Thread_block;
+    c_words = Array.make words_per_chunk 0;
+    c_names = Array.make names_per_chunk "";
+    c_len = 0;
+    c_nnames = 0;
   }
 
-(* tid in the high bits, cpu sign-extended from the low 31. *)
-let pack ~tid ~cpu = (tid lsl 31) lor (cpu land 0x7fff_ffff)
-let tid_of w = w asr 31
-let cpu_of w = (w lsl 32) asr 32
+(* tid sign-extended from the high 26 bits, cpu from the next 31, kind
+   in the low 6. *)
+let pack ~tid ~cpu kind = (tid lsl 37) lor ((cpu land 0x7fff_ffff) lsl 6) lor kind
+let tid_of w = w asr 37
+let cpu_of w = (w lsl 26) asr 32
+let kind_of w = w land 63
+
+let phase_index = function Enqueue -> 0 | Ip -> 1 | Lock_wait -> 2 | Tcp_input -> 3 | Upcall -> 4
+
+let phase_of_index = function
+  | 0 -> Enqueue
+  | 1 -> Ip
+  | 2 -> Lock_wait
+  | 3 -> Tcp_input
+  | _ -> Upcall
+
+(* The inverse of [emit]'s encoding: kind [k]'s constructor from its
+   name and payload columns. *)
+let decode k name a b =
+  match k with
+  | 0 -> Thread_spawn { name }
+  | 1 -> Thread_fork { child = a }
+  | 2 -> Thread_exit
+  | 3 -> Thread_join { child = a }
+  | 4 -> Thread_block
+  | 5 -> Thread_resume
+  | 6 -> Lock_request { lock = name; waiters = a }
+  | 7 -> Lock_grant { lock = name; waiters = a; wait_ns = b }
+  | 8 -> Lock_handoff { lock = name; to_tid = a; handoff_ns = b }
+  | 9 -> Lock_release { lock = name; hold_ns = a }
+  | 10 -> Gate_take { gate = name; ticket = a }
+  | 11 -> Gate_pass { gate = name; ticket = a; wait_ns = b }
+  | 12 -> Gate_advance { gate = name; serving = a }
+  | 13 -> Membus_charge { bytes = a; dur_ns = b }
+  | 14 -> Mpool_alloc { hit = a <> 0 }
+  | 15 -> Mnode_alloc { node = a }
+  | 16 -> Mnode_ref { node = a; refs = b }
+  | 17 -> Mnode_unref { node = a; refs = b }
+  | 18 -> Mnode_recycle { node = a }
+  | 19 -> Mnode_write { node = a }
+  | 20 -> Span_begin { seq = a; phase = phase_of_index b }
+  | 21 -> Span_end { seq = a; phase = phase_of_index b }
+  | 22 -> Access { state = name; write = a <> 0 }
+  | 23 -> Fault_drop { cause = name }
+  | 24 -> Fault_dup { copies = a }
+  | 25 -> Fault_corrupt { off = a; bit = b }
+  | 26 -> Fault_reorder { delay_ns = a }
+  | 27 -> Scr_append { log = name; idx = a }
+  | 28 -> Scr_apply { log = name; idx = a }
+  | 29 -> Scr_apply_end { log = name; idx = a }
+  | 30 -> Scr_replay { log = name; upto = a }
+  | 31 -> Rcu_read { state = name }
+  | 32 -> Rcu_publish { state = name }
+  | k -> invalid_arg (Printf.sprintf "Trace.decode: kind %d" k)
+
+let n_kinds = 33
 
 type t = {
   mutable on : bool;
   mutable filled : chunk list; (* full chunks, newest first *)
   mutable cur : chunk;
-  mutable cur_len : int;
   mutable free : chunk list; (* recycled by [clear] *)
   mutable n : int;
   names : (int, string * int) Hashtbl.t; (* tid -> (name, cpu); always kept *)
@@ -83,8 +147,7 @@ let create () =
   {
     on = false;
     filled = [];
-    cur = empty_chunk;
-    cur_len = 0;
+    cur = empty_chunk ();
     free = [];
     n = 0;
     names = Hashtbl.create 16;
@@ -106,44 +169,190 @@ let lock_discipline t name = Hashtbl.find_opt t.locks name
 
 let clear t =
   (* Keep the chunks: the next trace run refills them in place. *)
-  if Array.length t.cur.c_ts > 0 then t.free <- t.cur :: t.free;
+  if Array.length t.cur.c_words > 0 then t.free <- t.cur :: t.free;
   t.free <- List.rev_append t.filled t.free;
   t.filled <- [];
-  t.cur <- empty_chunk;
-  t.cur_len <- 0;
+  t.cur <- empty_chunk ();
   t.n <- 0
+
+let[@inline] has_room c = c.c_len + max_row <= Array.length c.c_words && c.c_nnames < Array.length c.c_names
+
+(* [t.cur] is full: file it and start the next chunk. *)
+let next_chunk t =
+  let c = t.cur in
+  if Array.length c.c_words > 0 then t.filled <- c :: t.filled;
+  let c =
+    match t.free with
+    | c :: rest ->
+      t.free <- rest;
+      c
+    | [] -> fresh_chunk ()
+  in
+  c.c_len <- 0;
+  c.c_nnames <- 0;
+  t.cur <- c;
+  c
+
+(* The row after its ts and header word: [encode] writes the
+   constructor's int fields and name and returns its kind; [decode] is
+   its inverse.  The writes are unchecked: [encode] only runs on a chunk
+   with [has_room]. *)
+let[@inline] row0 c k =
+  c.c_len <- c.c_len + 2;
+  k
+
+let[@inline] row1 c k a =
+  let i = c.c_len in
+  Array.unsafe_set c.c_words (i + 2) a;
+  c.c_len <- i + 3;
+  k
+
+let[@inline] row2 c k a b =
+  let i = c.c_len in
+  Array.unsafe_set c.c_words (i + 2) a;
+  Array.unsafe_set c.c_words (i + 3) b;
+  c.c_len <- i + 4;
+  k
+
+let[@inline] name c s =
+  let j = c.c_nnames in
+  Array.unsafe_set c.c_names j s;
+  c.c_nnames <- j + 1
+
+let[@inline] encode c ev =
+  match ev with
+  | Thread_spawn { name = s } ->
+    name c s;
+    row0 c 0
+  | Thread_fork { child } -> row1 c 1 child
+  | Thread_exit -> row0 c 2
+  | Thread_join { child } -> row1 c 3 child
+  | Thread_block -> row0 c 4
+  | Thread_resume -> row0 c 5
+  | Lock_request { lock; waiters } ->
+    name c lock;
+    row1 c 6 waiters
+  | Lock_grant { lock; waiters; wait_ns } ->
+    name c lock;
+    row2 c 7 waiters wait_ns
+  | Lock_handoff { lock; to_tid; handoff_ns } ->
+    name c lock;
+    row2 c 8 to_tid handoff_ns
+  | Lock_release { lock; hold_ns } ->
+    name c lock;
+    row1 c 9 hold_ns
+  | Gate_take { gate; ticket } ->
+    name c gate;
+    row1 c 10 ticket
+  | Gate_pass { gate; ticket; wait_ns } ->
+    name c gate;
+    row2 c 11 ticket wait_ns
+  | Gate_advance { gate; serving } ->
+    name c gate;
+    row1 c 12 serving
+  | Membus_charge { bytes; dur_ns } -> row2 c 13 bytes dur_ns
+  | Mpool_alloc { hit } -> row1 c 14 (Bool.to_int hit)
+  | Mnode_alloc { node } -> row1 c 15 node
+  | Mnode_ref { node; refs } -> row2 c 16 node refs
+  | Mnode_unref { node; refs } -> row2 c 17 node refs
+  | Mnode_recycle { node } -> row1 c 18 node
+  | Mnode_write { node } -> row1 c 19 node
+  | Span_begin { seq; phase } -> row2 c 20 seq (phase_index phase)
+  | Span_end { seq; phase } -> row2 c 21 seq (phase_index phase)
+  | Access { state; write } ->
+    name c state;
+    row1 c 22 (Bool.to_int write)
+  | Fault_drop { cause } ->
+    name c cause;
+    row0 c 23
+  | Fault_dup { copies } -> row1 c 24 copies
+  | Fault_corrupt { off; bit } -> row2 c 25 off bit
+  | Fault_reorder { delay_ns } -> row1 c 26 delay_ns
+  | Scr_append { log; idx } ->
+    name c log;
+    row1 c 27 idx
+  | Scr_apply { log; idx } ->
+    name c log;
+    row1 c 28 idx
+  | Scr_apply_end { log; idx } ->
+    name c log;
+    row1 c 29 idx
+  | Scr_replay { log; upto } ->
+    name c log;
+    row1 c 30 upto
+  | Rcu_read { state } ->
+    name c state;
+    row0 c 31
+  | Rcu_publish { state } ->
+    name c state;
+    row0 c 32
+
+(* Per kind, what [encode] writes: its row's length in words, and
+   whether it takes a name.  Read off one sample of each kind; a sample
+   that does not encode to its own kind would be a bug in [encode] or
+   [decode]. *)
+let row_words, named_kinds =
+  let rows = Array.make n_kinds 0 and named = ref 0 in
+  for k = 0 to n_kinds - 1 do
+    let c = { c_words = Array.make max_row 0; c_names = [| "" |]; c_len = 0; c_nnames = 0 } in
+    if encode c (decode k "" 0 0) <> k then invalid_arg "Trace: encode and decode disagree";
+    rows.(k) <- c.c_len;
+    if c.c_nnames > 0 then named := !named lor (1 lsl k)
+  done;
+  (rows, !named)
+
+let is_named k = named_kinds land (1 lsl k) <> 0
 
 let emit t ~ts ~tid ~cpu ev =
   if t.on then begin
-    if t.cur_len = Array.length t.cur.c_ts then begin
-      if t.cur_len > 0 then t.filled <- t.cur :: t.filled;
-      (t.cur <-
-         (match t.free with
-         | c :: rest ->
-           t.free <- rest;
-           c
-         | [] -> fresh_chunk ()));
-      t.cur_len <- 0
-    end;
-    let c = t.cur and i = t.cur_len in
-    c.c_ts.(i) <- ts;
-    c.c_who.(i) <- pack ~tid ~cpu;
-    c.c_ev.(i) <- ev;
-    t.cur_len <- i + 1;
+    let c = if has_room t.cur then t.cur else next_chunk t in
+    let i = c.c_len in
+    let k = encode c ev in
+    Array.unsafe_set c.c_words i ts;
+    Array.unsafe_set c.c_words (i + 1) (pack ~tid ~cpu k);
     t.n <- t.n + 1
   end
 
 let count t = t.n
 
-let iter t f =
-  let visit c len =
-    for i = 0 to len - 1 do
-      let w = c.c_who.(i) in
-      f { ts = c.c_ts.(i); tid = tid_of w; cpu = cpu_of w; ev = c.c_ev.(i) }
+(* A set of kinds as a bit mask; [n_kinds] fits one int. *)
+type kinds = int
+
+let all_kinds = (1 lsl n_kinds) - 1
+
+let kinds p =
+  let m = ref 0 in
+  for k = 0 to n_kinds - 1 do
+    if p (decode k "" 0 0) then m := !m lor (1 lsl k)
+  done;
+  !m
+
+let iter_kinds t mask f =
+  let visit c =
+    (* Every row starts at least [max_row] words before the chunk's end
+       ([has_room]), so its two int fields can be read whatever its
+       length. *)
+    let w = c.c_words and i = ref 0 and j = ref 0 in
+    while !i < c.c_len do
+      let h = w.(!i + 1) in
+      let k = kind_of h in
+      let named = is_named k in
+      if mask land (1 lsl k) <> 0 then
+        f
+          {
+            ts = w.(!i);
+            tid = tid_of h;
+            cpu = cpu_of h;
+            ev = decode k (if named then c.c_names.(!j) else "") w.(!i + 2) w.(!i + 3);
+          };
+      if named then incr j;
+      i := !i + Array.unsafe_get row_words k
     done
   in
-  List.iter (fun c -> visit c (Array.length c.c_ts)) (List.rev t.filled);
-  visit t.cur t.cur_len
+  List.iter visit (List.rev t.filled);
+  visit t.cur
+
+let iter t f = iter_kinds t all_kinds f
 
 let events t =
   let acc = ref [] in
@@ -185,6 +394,11 @@ type acc = {
   mutable a_maxq : int;
 }
 
+let lock_kinds =
+  kinds (function
+    | Lock_request _ | Lock_grant _ | Lock_handoff _ | Lock_release _ -> true
+    | _ -> false)
+
 let lock_table t =
   let tbl : (string, acc) Hashtbl.t = Hashtbl.create 16 in
   let get name =
@@ -195,8 +409,7 @@ let lock_table t =
       Hashtbl.replace tbl name a;
       a
   in
-  List.iter
-    (fun r ->
+  iter_kinds t lock_kinds (fun r ->
       match r.ev with
       | Lock_request { lock; waiters } ->
         let a = get lock in
@@ -212,8 +425,7 @@ let lock_table t =
       | Lock_release { lock; hold_ns } ->
         let a = get lock in
         a.a_hold <- a.a_hold + hold_ns
-      | _ -> ())
-    (events t);
+      | _ -> ());
   Hashtbl.fold
     (fun lock a rows ->
       {
@@ -262,7 +474,6 @@ let to_chrome_string t =
       fmt
   in
   Buffer.add_string buf "{\"traceEvents\":[\n";
-  let evs = events t in
   (* Thread-name metadata rows (one per simulated thread). *)
   Hashtbl.fold (fun tid (name, cpu) acc -> (tid, name, cpu) :: acc) t.names []
   |> List.sort compare
@@ -285,8 +496,7 @@ let to_chrome_string t =
       "{\"ph\":\"%s\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"id\":\"0x%x\",\"cat\":\"pkt\",\"name\":\"%s\"}"
       ph r.tid (us r.ts) seq (pp_phase phase)
   in
-  List.iter
-    (fun r ->
+  iter t (fun r ->
       match r.ev with
       | Thread_spawn { name } -> instant ~name:("spawn " ^ name) ~cat:"thread" r ~args:""
       | Thread_fork { child } ->
@@ -372,8 +582,7 @@ let to_chrome_string t =
           ~args:(Printf.sprintf "\"upto\":%d" upto)
       | Rcu_read { state } -> instant ~name:("rcu read " ^ state) ~cat:"rcu" r ~args:""
       | Rcu_publish { state } ->
-        instant ~name:("rcu publish " ^ state) ~cat:"rcu" r ~args:"")
-    evs;
+        instant ~name:("rcu publish " ^ state) ~cat:"rcu" r ~args:"");
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 

@@ -125,7 +125,9 @@ val disable : t -> unit
 val clear : t -> unit
 
 val emit : t -> ts:int -> tid:int -> cpu:int -> ev -> unit
-(** Record an event; a no-op when disabled. *)
+(** Record an event; a no-op when disabled.  A record keeps [tid] in 26
+    bits and [cpu] in 31, both signed: any simulated thread or CPU
+    number, or [-1]. *)
 
 val register_thread : t -> tid:int -> cpu:int -> string -> unit
 (** Remember a thread's name for the exported view.  Unlike {!emit} this
@@ -160,6 +162,18 @@ val iter : t -> (record -> unit) -> unit
 
 val fold : t -> init:'a -> f:('a -> record -> 'a) -> 'a
 (** [fold t ~init ~f] folds over the records in emission order. *)
+
+type kinds
+(** A set of {!ev} constructors. *)
+
+val kinds : (ev -> bool) -> kinds
+(** The constructors [p] accepts, judged on one sample value of each:
+    [p] must look at the constructor only, never at its fields. *)
+
+val iter_kinds : t -> kinds -> (record -> unit) -> unit
+(** [iter_kinds t ks f] is [iter t f] restricted to the records whose
+    constructor is in [ks].  A record outside [ks] is skipped on its
+    stored kind, before its [ev] is rebuilt. *)
 
 (** {2 Contention attribution}
 

@@ -530,11 +530,34 @@ let fresh_tcb t =
     syn_counted = false;
   }
 
-let fresh_session t key =
-  let base =
-    Printf.sprintf "%s.conn:%d-%x:%d" t.name key.Conn_key.lport key.Conn_key.raddr
-      key.Conn_key.rport
+(* [Printf.sprintf "%x" n]: the int's 63 bits as an unsigned number in
+   lower-case hex. *)
+let hex n =
+  let b = Bytes.create 16 in
+  let rec go i n =
+    Bytes.unsafe_set b i "0123456789abcdef".[n land 15];
+    if n lsr 4 = 0 then i else go (i - 1) (n lsr 4)
   in
+  let i = go 15 n in
+  Bytes.sub_string b i (16 - i)
+
+(* The session's lock and state namespace, [Printf.sprintf
+   "%s.conn:%d-%x:%d" t.name lport raddr rport] without the format
+   interpreter: it is built once per connection. *)
+let session_name t key =
+  String.concat ""
+    [
+      t.name;
+      ".conn:";
+      string_of_int key.Conn_key.lport;
+      "-";
+      hex key.Conn_key.raddr;
+      ":";
+      string_of_int key.Conn_key.rport;
+    ]
+
+let fresh_session t key =
+  let base = session_name t key in
   {
     proto = t;
     key;

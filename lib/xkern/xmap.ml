@@ -131,7 +131,9 @@ module Make (K : KEY) = struct
      lock) whenever a binding is replaced or removed so no thread can
      keep serving a stale value.  The slots are host-side bookkeeping —
      scrubbing them carries no simulated cost, like the shared
-     invalidation in [remove]. *)
+     invalidation in [remove].  Only the unlocked lookup reads the
+     slots, so with map locking on neither [insert] nor [remove] touches
+     them. *)
   let scrub_tslots t k =
     let scrub s =
       match s.t_behind with
@@ -181,8 +183,10 @@ module Make (K : KEY) = struct
         if not replaced then sh.size <- sh.size + 1;
         access t sh ~write:true;
         sh.one_behind <- Some (k, v);
-        scrub_tslots t k;
-        (tslot t).t_behind <- Some (k, v);
+        if not t.plat.Platform.map_locking then begin
+          scrub_tslots t k;
+          (tslot t).t_behind <- Some (k, v)
+        end;
         if sh.size > grow_load * Array.length sh.buckets then grow_shard t sh)
 
   let chain_find t sh i k =
@@ -255,7 +259,7 @@ module Make (K : KEY) = struct
           (match sh.one_behind with
           | Some (k', _) when K.equal k k' -> sh.one_behind <- None
           | _ -> ());
-          scrub_tslots t k
+          if not t.plat.Platform.map_locking then scrub_tslots t k
         end;
         removed)
 

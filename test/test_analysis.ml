@@ -432,6 +432,73 @@ let seeded_defects =
     ("fifo-order", [ (1, req "m"); (2, req "m"); (2, grant "m"); (1, grant "m") ]);
   ]
 
+(* Records no checker reads, some named like the fixture's own locks,
+   gates and states so that reading one would show. *)
+let unread =
+  Trace.
+    [
+      Thread_spawn { name = "m" };
+      Thread_block;
+      Thread_resume;
+      Lock_handoff { lock = "m"; to_tid = 2; handoff_ns = 5 };
+      Gate_take { gate = "gate"; ticket = 1 };
+      Mpool_alloc { hit = false };
+      Span_end { seq = 0; phase = Enqueue };
+      Fault_drop { cause = "loss" };
+      Fault_dup { copies = 1 };
+      Fault_corrupt { off = 3; bit = 1 };
+      Fault_reorder { delay_ns = 40 };
+      Scr_replay { log = "scr:conn0"; upto = 9 };
+      Rcu_read { state = "tcb#ctr" };
+      Rcu_publish { state = "cfg#mtu" };
+    ]
+
+(* Every checker family fires, and every context the replay keeps is
+   exercised: carried seqs, gates, fork/join, the bus, a pre-window
+   hold. *)
+let replay_fixture =
+  List.concat_map snd seeded_defects
+  @ [
+      (5, Trace.Lock_release { lock = "pre"; hold_ns = 1 }); (5, acc "sb#cc");
+      (6, Trace.Thread_fork { child = 7 }); (7, acc "sb#cc"); (7, Trace.Thread_exit);
+      (6, Trace.Thread_join { child = 7 }); (6, acc "sb#cc");
+      (1, Trace.Gate_advance { gate = "gate"; serving = 1 });
+      (2, Trace.Gate_pass { gate = "gate"; ticket = 1; wait_ns = 0 });
+      (1, Trace.Membus_charge { bytes = 64; dur_ns = 10 });
+      (1, enq 8192); (1, req "c"); (2, enq 0); (2, req "c"); (2, grant "c"); (2, rel "c");
+      (1, grant "c"); (1, rel "c");
+    ]
+
+let test_replay_skips_unread_records () =
+  List.iter
+    (fun ev ->
+      Alcotest.(check bool) "constructor is unread" false (Replay.read_by_checkers ev))
+    unread;
+  let timed ~interleave =
+    let t = Trace.create () in
+    Trace.register_lock t ~name:"m" ~discipline:"fifo";
+    Trace.enable t;
+    List.iteri
+      (fun i (tid, ev) ->
+        (* The tracer was just enabled unconditionally above. *)
+        Trace.emit t ~ts:(i * 10) ~tid ~cpu:0 ev (* lint:allow *);
+        if interleave then
+          let u = List.nth unread (i mod List.length unread) in
+          Trace.emit t ~ts:((i * 10) + 5) ~tid:(i mod 4) ~cpu:1 u (* lint:allow *))
+      replay_fixture;
+    t
+  in
+  let plain = Check.run (timed ~interleave:false)
+  and mixed = Check.run (timed ~interleave:true) in
+  Alcotest.(check bool) "the fixture has findings" true (plain.Check.findings <> []);
+  Alcotest.(check bool) "and races" true (plain.Check.races <> []);
+  Alcotest.(check bool) "and order stats" true (plain.Check.order <> []);
+  Alcotest.(check bool) "findings" true (plain.Check.findings = mixed.Check.findings);
+  Alcotest.(check bool) "states" true (plain.Check.states = mixed.Check.states);
+  Alcotest.(check bool) "lockset" true (plain.Check.lockset = mixed.Check.lockset);
+  Alcotest.(check (list string)) "races" plain.Check.races mixed.Check.races;
+  Alcotest.(check bool) "order stats" true (plain.Check.order = mixed.Check.order)
+
 let test_shared_pass_seeded_defects () =
   let locks = [ ("m", "fifo") ] in
   List.iter
@@ -805,6 +872,8 @@ let suites =
       [
         Alcotest.test_case "round-trip count and order" `Quick test_replay_round_trip;
         Alcotest.test_case "held locks and carried seq" `Quick test_replay_held_and_seq;
+        Alcotest.test_case "unread records change no result" `Quick
+          test_replay_skips_unread_records;
       ] );
     ( "analysis.e2e",
       [

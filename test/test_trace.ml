@@ -183,6 +183,95 @@ let test_records_keep_tid_and_cpu () =
     "tid and cpu round-trip" who
     (List.map (fun (r : Trace.record) -> (r.Trace.tid, r.Trace.cpu)) (Trace.events t))
 
+(* One value of every constructor, every field distinct from its
+   neighbours (so a swapped or dropped field shows), both booleans and
+   every packet phase, extreme ints included. *)
+let every_ev =
+  let phases = Trace.[ Enqueue; Ip; Lock_wait; Tcp_input; Upcall ] in
+  Trace.
+    [
+      Thread_spawn { name = "worker 3" };
+      Thread_fork { child = 12 };
+      Thread_exit;
+      Thread_join { child = 13 };
+      Thread_block;
+      Thread_resume;
+      Lock_request { lock = "tcp.conn:1"; waiters = 4 };
+      Lock_grant { lock = "tcp.conn:2"; waiters = 5; wait_ns = 1 lsl 40 };
+      Lock_handoff { lock = "ip.demux"; to_tid = -1; handoff_ns = 77 };
+      Lock_release { lock = "app.0"; hold_ns = max_int };
+      Gate_take { gate = "g1"; ticket = 9 };
+      Gate_pass { gate = "g2"; ticket = 10; wait_ns = 11 };
+      Gate_advance { gate = "g3"; serving = 12 };
+      Membus_charge { bytes = 4096; dur_ns = 123 };
+      Mpool_alloc { hit = true };
+      Mpool_alloc { hit = false };
+      Mnode_alloc { node = 1 };
+      Mnode_ref { node = 2; refs = 3 };
+      Mnode_unref { node = 4; refs = 0 };
+      Mnode_recycle { node = 5 };
+      Mnode_write { node = 6 };
+    ]
+  @ List.concat_map
+      (fun phase ->
+        Trace.[ Span_begin { seq = 8192; phase }; Span_end { seq = -8192; phase } ])
+      phases
+  @ Trace.
+      [
+        Access { state = "tcb#snd"; write = false };
+        Access { state = "tcb#rcv"; write = true };
+        Fault_drop { cause = "burst" };
+        Fault_dup { copies = 2 };
+        Fault_corrupt { off = 17; bit = 7 };
+        Fault_reorder { delay_ns = min_int };
+        Scr_append { log = "log.a"; idx = 0 };
+        Scr_apply { log = "log.b"; idx = -1 };
+        Scr_apply_end { log = "log.c"; idx = 3 };
+        Scr_replay { log = "log.d"; upto = 4 };
+        Rcu_read { state = "rcu#x" };
+        Rcu_publish { state = "rcu#y" };
+      ]
+
+(* Every constructor survives [emit] -> [events] unchanged, with the
+   extreme tids, cpus and timestamps, over enough copies that rows of
+   every width straddle chunk boundaries. *)
+let test_every_event_round_trips () =
+  let who = [| (-1, -1); (0, 0); (7, 3); (1_000_000, 1 lsl 29); (3, -1) |] in
+  let copies = 400 in
+  let expected =
+    List.concat
+      (List.init copies (fun c ->
+           List.mapi
+             (fun i ev ->
+               let n = (c * List.length every_ev) + i in
+               let tid, cpu = who.(n mod Array.length who) in
+               let ts = if n mod 3 = 0 then max_int - n else n * 1_000_003 in
+               { Trace.ts; tid; cpu; ev })
+             every_ev))
+  in
+  let t = Trace.create () in
+  Trace.enable t;
+  List.iter
+    (fun (r : Trace.record) ->
+      (* Enabled just above. *)
+      Trace.emit t ~ts:r.Trace.ts ~tid:r.Trace.tid ~cpu:r.Trace.cpu r.Trace.ev (* lint:allow *))
+    expected;
+  Alcotest.(check int) "count" (List.length expected) (Trace.count t);
+  let got = Trace.events t in
+  List.iter2
+    (fun (e : Trace.record) g ->
+      if e <> g then
+        Alcotest.failf "record at ts %d (tid %d, cpu %d) did not round-trip" e.Trace.ts
+          e.Trace.tid e.Trace.cpu)
+    expected got;
+  (* A kind filter keeps exactly the matching records, in order. *)
+  let is_access = function Trace.Access _ -> true | _ -> false in
+  let accesses = ref [] in
+  Trace.iter_kinds t (Trace.kinds is_access) (fun r -> accesses := r :: !accesses);
+  Alcotest.(check bool)
+    "iter_kinds keeps the accesses" true
+    (List.rev !accesses = List.filter (fun (r : Trace.record) -> is_access r.Trace.ev) expected)
+
 let fig10_cfg ~seed =
   Config.v ~protocol:Config.Tcp ~side:Config.Recv ~payload:4096 ~checksum:true
     ~lock_disc:Lock.Unfair ~procs:8 ~warmup:(Pnp_util.Units.ms 30.0)
@@ -318,6 +407,7 @@ let suites =
           test_gate_pass_after_take_in_ticket_order;
         Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
         Alcotest.test_case "records keep tid and cpu" `Quick test_records_keep_tid_and_cpu;
+        Alcotest.test_case "every event round-trips" `Quick test_every_event_round_trips;
         Alcotest.test_case "chrome export sanity" `Quick test_chrome_export_sanity;
       ] );
     ( "harness.trace",
