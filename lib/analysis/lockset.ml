@@ -49,7 +49,13 @@ type t = {
 }
 
 let create () =
-  { cells = Replay.Slots.create (); cutoff = Hashtbl.create 16; accesses = []; ctx = None; findings = [] }
+  {
+    cells = Replay.Slots.create ();
+    cutoff = Hashtbl.create 16;
+    accesses = [];
+    ctx = None;
+    findings = [];
+  }
 
 let rec mem (l : int) = function [] -> false | x :: rest -> x = l || mem l rest
 let inter a b = List.filter (fun l -> mem l b) a
@@ -66,7 +72,7 @@ let locks_str = function
    classified; so [step] only records accesses, and [result] classifies
    them once every release has been seen. *)
 let step t ctx (r : Trace.record) =
-  if t.ctx = None then t.ctx <- Some ctx;
+  if Option.is_none t.ctx then t.ctx <- Some ctx;
   let tid = r.Trace.tid in
   match r.Trace.ev with
   | Trace.Access { state; write } ->

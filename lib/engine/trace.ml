@@ -92,8 +92,8 @@ let phase_of_index = function
   | 3 -> Tcp_input
   | _ -> Upcall
 
-(* The inverse of [emit]'s encoding: kind [k]'s constructor from its
-   name and payload columns. *)
+(* The inverse of [encode] below: kind [k]'s constructor from its name
+   and int fields. *)
 let decode k name a b =
   match k with
   | 0 -> Thread_spawn { name }
@@ -175,7 +175,8 @@ let clear t =
   t.cur <- empty_chunk ();
   t.n <- 0
 
-let[@inline] has_room c = c.c_len + max_row <= Array.length c.c_words && c.c_nnames < Array.length c.c_names
+let[@inline] has_room c =
+  c.c_len + max_row <= Array.length c.c_words && c.c_nnames < Array.length c.c_names
 
 (* [t.cur] is full: file it and start the next chunk. *)
 let next_chunk t =

@@ -1,5 +1,5 @@
 (* Happens-before race detection, the arena lifetime sanitizer, finding
-   dedup/exit-code plumbing, and the columnar store's chunk boundaries. *)
+   dedup/exit-code plumbing, and the trace store's chunk boundaries. *)
 
 open Pnp_engine
 open Pnp_analysis
@@ -244,10 +244,10 @@ let test_finding_exit_code () =
     (Finding.exit_code [ f "hb-race"; f "lifetime" ])
 
 (* ------------------------------------------------------------------ *)
-(* Columnar store chunk boundaries                                     *)
+(* Trace store chunk boundaries                                       *)
 (* ------------------------------------------------------------------ *)
 
-let chunk = 4096 (* Trace's columnar chunk size *)
+let chunk = 4096 (* state accesses per Trace chunk (its name column) *)
 
 let boundary_trace n =
   let t = Trace.create () in
