@@ -1,8 +1,8 @@
 (** Run every trace-driven checker over one trace.
 
     The checkers share one {!Replay} traversal: each contributes its
-    per-record step, after the lockset pre-pass (see {!Lockset.create}),
-    so a trace is walked twice however many checkers run. *)
+    per-record step, so a trace is walked once however many checkers
+    run. *)
 
 type t = {
   findings : Finding.t list;
