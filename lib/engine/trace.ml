@@ -333,8 +333,8 @@ let iter_kinds t mask f =
     (* Every row starts at least [max_row] words before the chunk's end
        ([has_room]), so its two int fields can be read whatever its
        length. *)
-    let w = c.c_words and i = ref 0 and j = ref 0 in
-    while !i < c.c_len do
+    let w = c.c_words and len = c.c_len and i = ref 0 and j = ref 0 in
+    while !i < len do
       let h = w.(!i + 1) in
       let k = kind_of h in
       let named = is_named k in
