@@ -143,6 +143,4 @@ let findings ?(leaks = false) t =
   in
   Finding.sort (List.rev (leak @ t.findings))
 
-let run ?leaks tracer = findings ?leaks (Replay.run tracer (create ()) step)
-
-let check ?leaks tracer = run ?leaks tracer
+let check ?leaks tracer = findings ?leaks (Replay.run tracer (create ()) step)

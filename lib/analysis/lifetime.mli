@@ -21,9 +21,6 @@ val check : ?leaks:bool -> Pnp_engine.Trace.t -> Finding.t list
     meaningful for drain-to-completion fixtures, since a measurement
     window legitimately ends with traffic in flight. *)
 
-val run : ?leaks:bool -> Pnp_engine.Trace.t -> Finding.t list
-(** Alias of {!check}. *)
-
 (** {2 As one step of a shared replay} *)
 
 type t

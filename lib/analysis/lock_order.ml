@@ -41,6 +41,8 @@ let edges_of (seen : t) =
 
 let edges tracer = edges_of (Replay.run tracer (create ()) step)
 
+(* Elementary cycles, each as the list of edges walked; every distinct
+   (unordered) lock pair involved in an inversion is reported once. *)
 let cycles es =
   let adj : (string, edge list) Hashtbl.t = Hashtbl.create 16 in
   List.iter

@@ -19,10 +19,6 @@ val edges : Pnp_engine.Trace.t -> edge list
 (** One edge per distinct (first, second) pair, first witness kept,
     sorted by (first, second). *)
 
-val cycles : edge list -> edge list list
-(** Elementary cycles, each as the list of edges walked; every distinct
-    (unordered) lock pair involved in an inversion is reported once. *)
-
 val check : Pnp_engine.Trace.t -> Finding.t list
 (** One finding per cycle, witnessed by the grant pairs of every edge in
     the cycle. *)

@@ -15,10 +15,9 @@ let read_by_checkers : Trace.ev -> bool = function
   | Trace.Span_begin _ -> true (* the carried seq *)
   | Trace.Access _ -> true (* Lockset, Hb *)
   | Trace.Scr_append _ | Trace.Scr_apply _ | Trace.Scr_apply_end _ -> true
-  | Trace.Thread_spawn _ | Trace.Thread_block | Trace.Thread_resume | Trace.Lock_handoff _
-  | Trace.Gate_take _ | Trace.Mpool_alloc _ | Trace.Span_end _ | Trace.Fault_drop _
-  | Trace.Fault_dup _ | Trace.Fault_corrupt _ | Trace.Fault_reorder _ | Trace.Scr_replay _
-  | Trace.Rcu_read _ | Trace.Rcu_publish _ ->
+  | Trace.Thread_spawn _ | Trace.Lock_handoff _ | Trace.Gate_take _ | Trace.Mpool_alloc _
+  | Trace.Span_end _ | Trace.Fault_drop _ | Trace.Fault_dup _ | Trace.Fault_corrupt _
+  | Trace.Fault_reorder _ | Trace.Scr_replay _ | Trace.Rcu_read _ | Trace.Rcu_publish _ ->
     false
 
 let kept = Trace.kinds read_by_checkers

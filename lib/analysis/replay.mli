@@ -5,9 +5,9 @@
     recorded trace in emission order, maintains that state from the
     [Lock_grant]/[Lock_release] stream, and hands every record a checker
     reads ({!read_by_checkers}) to the callback together with the
-    context.  Records no checker reads (thread block/resume, spawns,
-    hand-offs, gate tickets, pool hits, span ends, faults, SCR replays,
-    RCU) are skipped before they are rebuilt.
+    context.  Records no checker reads (spawns, hand-offs, gate
+    tickets, pool hits, span ends, faults, SCR replays, RCU) are skipped
+    before they are rebuilt.
 
     The context passed to the callback reflects the state {e before} the
     current record is applied: on a [Lock_grant] the granted lock is not

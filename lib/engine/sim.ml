@@ -124,15 +124,12 @@ let start_thread t th body =
                   th.suspend_gen <- th.suspend_gen + 1;
                   let gen = th.suspend_gen in
                   th.runnable <- false;
-                  trace_thread t th Trace.Thread_block;
                   let resume time =
                     if th.runnable || gen <> th.suspend_gen then
                       failwith
                         (Printf.sprintf "Sim: thread %S resumed twice" th.name);
                     th.runnable <- true;
-                    at t time (fun () ->
-                        trace_thread t th Trace.Thread_resume;
-                        run_burst t th continue_unit k)
+                    at t time (fun () -> run_burst t th continue_unit k)
                   in
                   register resume)
           | _ -> None);
@@ -202,24 +199,14 @@ let defer_end t =
 
 let defer_active t = t.defer_on
 
-(* [delay_fast]'s traced case, kept out of line: the [Thread_block]
-   record at [now] and the [Thread_resume] record at the wake time, as
-   the suspend path writes them. *)
-let advance_traced t wake =
-  let th = Option.get t.current in
-  trace_thread t th Trace.Thread_block;
-  t.now <- wake;
-  trace_thread t th Trace.Thread_resume
-
 (* The suspend/resume machinery exists to let *other* pending events run
    while a thread waits.  When there provably are none — every queued
    event is strictly later than the wake-up — a [delay] can simply
    advance the clock in place: no effect, no continuation capture, no
    heap round-trip.  The skipped resume event still counts toward
-   [processed] and a traced run gets the same records, so event totals
-   and traces match the suspend path exactly.  Inlined into [delay] and
-   [yield]: as a call, the tracing branch made every untraced inline
-   delay about a quarter slower. *)
+   [processed], so event totals match the suspend path exactly; neither
+   path writes a trace record, so traces match too.  Inlined into
+   [delay] and [yield], the per-event hot path. *)
 let[@inline] delay_fast t d =
   let wake = t.now + d in
   if
@@ -227,7 +214,7 @@ let[@inline] delay_fast t d =
     && wake <= t.limit
     && (Eventq.is_empty t.events || Eventq.peek_time_exn t.events > wake)
   then begin
-    if Trace.enabled t.tracer then advance_traced t wake else t.now <- wake;
+    t.now <- wake;
     t.processed <- t.processed + 1;
     true
   end

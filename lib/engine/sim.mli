@@ -31,9 +31,10 @@ val prng : t -> Pnp_util.Prng.t
 
 val tracer : t -> Trace.t
 (** The world's event tracer (disabled by default).  The simulator emits
-    thread spawn/block/resume events; synchronisation objects and the
-    protocol layers add theirs.  Enabling it never consumes simulated
-    time, so traced and untraced runs of the same seed are identical. *)
+    thread spawn, fork, exit and join events; synchronisation objects
+    and the protocol layers add theirs.  Enabling it never consumes
+    simulated time, so traced and untraced runs of the same seed are
+    identical. *)
 
 val trace : t -> Trace.ev -> unit
 (** [trace t ev] emits [ev] as the running thread, at the current time.

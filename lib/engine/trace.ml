@@ -5,8 +5,6 @@ type ev =
   | Thread_fork of { child : int }
   | Thread_exit
   | Thread_join of { child : int }
-  | Thread_block
-  | Thread_resume
   | Lock_request of { lock : string; waiters : int }
   | Lock_grant of { lock : string; waiters : int; wait_ns : int }
   | Lock_handoff of { lock : string; to_tid : int; handoff_ns : int }
@@ -46,11 +44,10 @@ type record = { ts : int; tid : int; cpu : int; ev : ev }
    spawn name, fault cause) also appends its string to the chunk's name
    column, in record order.  So a record is two to four words of row
    plus at most one word of name, and no block of its own: emitted [ev]s
-   die young instead of being promoted with the chunk, and the 65% of a
-   checked trace that is thread block/resume costs two words each.
-   [iter] rebuilds each [ev] from its row, and [iter_kinds] skips a row
-   by its kind before building anything.  [clear] recycles chunks into a
-   free list, so repeated trace/clear cycles reuse the same memory.
+   die young instead of being promoted with the chunk.  [iter] rebuilds
+   each [ev] from its row, and [iter_kinds] skips a row by its kind
+   before building anything.  [clear] recycles chunks into a free list,
+   so repeated trace/clear cycles reuse the same memory.
    Chunks are allocated lazily on the first emit: a disabled tracer (the
    default — one exists per sim) costs a few words, not a chunk. *)
 type chunk = {
@@ -100,38 +97,36 @@ let decode k name a b =
   | 1 -> Thread_fork { child = a }
   | 2 -> Thread_exit
   | 3 -> Thread_join { child = a }
-  | 4 -> Thread_block
-  | 5 -> Thread_resume
-  | 6 -> Lock_request { lock = name; waiters = a }
-  | 7 -> Lock_grant { lock = name; waiters = a; wait_ns = b }
-  | 8 -> Lock_handoff { lock = name; to_tid = a; handoff_ns = b }
-  | 9 -> Lock_release { lock = name; hold_ns = a }
-  | 10 -> Gate_take { gate = name; ticket = a }
-  | 11 -> Gate_pass { gate = name; ticket = a; wait_ns = b }
-  | 12 -> Gate_advance { gate = name; serving = a }
-  | 13 -> Membus_charge { bytes = a; dur_ns = b }
-  | 14 -> Mpool_alloc { hit = a <> 0 }
-  | 15 -> Mnode_alloc { node = a }
-  | 16 -> Mnode_ref { node = a; refs = b }
-  | 17 -> Mnode_unref { node = a; refs = b }
-  | 18 -> Mnode_recycle { node = a }
-  | 19 -> Mnode_write { node = a }
-  | 20 -> Span_begin { seq = a; phase = phase_of_index b }
-  | 21 -> Span_end { seq = a; phase = phase_of_index b }
-  | 22 -> Access { state = name; write = a <> 0 }
-  | 23 -> Fault_drop { cause = name }
-  | 24 -> Fault_dup { copies = a }
-  | 25 -> Fault_corrupt { off = a; bit = b }
-  | 26 -> Fault_reorder { delay_ns = a }
-  | 27 -> Scr_append { log = name; idx = a }
-  | 28 -> Scr_apply { log = name; idx = a }
-  | 29 -> Scr_apply_end { log = name; idx = a }
-  | 30 -> Scr_replay { log = name; upto = a }
-  | 31 -> Rcu_read { state = name }
-  | 32 -> Rcu_publish { state = name }
+  | 4 -> Lock_request { lock = name; waiters = a }
+  | 5 -> Lock_grant { lock = name; waiters = a; wait_ns = b }
+  | 6 -> Lock_handoff { lock = name; to_tid = a; handoff_ns = b }
+  | 7 -> Lock_release { lock = name; hold_ns = a }
+  | 8 -> Gate_take { gate = name; ticket = a }
+  | 9 -> Gate_pass { gate = name; ticket = a; wait_ns = b }
+  | 10 -> Gate_advance { gate = name; serving = a }
+  | 11 -> Membus_charge { bytes = a; dur_ns = b }
+  | 12 -> Mpool_alloc { hit = a <> 0 }
+  | 13 -> Mnode_alloc { node = a }
+  | 14 -> Mnode_ref { node = a; refs = b }
+  | 15 -> Mnode_unref { node = a; refs = b }
+  | 16 -> Mnode_recycle { node = a }
+  | 17 -> Mnode_write { node = a }
+  | 18 -> Span_begin { seq = a; phase = phase_of_index b }
+  | 19 -> Span_end { seq = a; phase = phase_of_index b }
+  | 20 -> Access { state = name; write = a <> 0 }
+  | 21 -> Fault_drop { cause = name }
+  | 22 -> Fault_dup { copies = a }
+  | 23 -> Fault_corrupt { off = a; bit = b }
+  | 24 -> Fault_reorder { delay_ns = a }
+  | 25 -> Scr_append { log = name; idx = a }
+  | 26 -> Scr_apply { log = name; idx = a }
+  | 27 -> Scr_apply_end { log = name; idx = a }
+  | 28 -> Scr_replay { log = name; upto = a }
+  | 29 -> Rcu_read { state = name }
+  | 30 -> Rcu_publish { state = name }
   | k -> invalid_arg (Printf.sprintf "Trace.decode: kind %d" k)
 
-let n_kinds = 33
+let n_kinds = 31
 
 type t = {
   mutable on : bool;
@@ -228,65 +223,63 @@ let[@inline] encode c ev =
   | Thread_fork { child } -> row1 c 1 child
   | Thread_exit -> row0 c 2
   | Thread_join { child } -> row1 c 3 child
-  | Thread_block -> row0 c 4
-  | Thread_resume -> row0 c 5
   | Lock_request { lock; waiters } ->
     name c lock;
-    row1 c 6 waiters
+    row1 c 4 waiters
   | Lock_grant { lock; waiters; wait_ns } ->
     name c lock;
-    row2 c 7 waiters wait_ns
+    row2 c 5 waiters wait_ns
   | Lock_handoff { lock; to_tid; handoff_ns } ->
     name c lock;
-    row2 c 8 to_tid handoff_ns
+    row2 c 6 to_tid handoff_ns
   | Lock_release { lock; hold_ns } ->
     name c lock;
-    row1 c 9 hold_ns
+    row1 c 7 hold_ns
   | Gate_take { gate; ticket } ->
     name c gate;
-    row1 c 10 ticket
+    row1 c 8 ticket
   | Gate_pass { gate; ticket; wait_ns } ->
     name c gate;
-    row2 c 11 ticket wait_ns
+    row2 c 9 ticket wait_ns
   | Gate_advance { gate; serving } ->
     name c gate;
-    row1 c 12 serving
-  | Membus_charge { bytes; dur_ns } -> row2 c 13 bytes dur_ns
-  | Mpool_alloc { hit } -> row1 c 14 (Bool.to_int hit)
-  | Mnode_alloc { node } -> row1 c 15 node
-  | Mnode_ref { node; refs } -> row2 c 16 node refs
-  | Mnode_unref { node; refs } -> row2 c 17 node refs
-  | Mnode_recycle { node } -> row1 c 18 node
-  | Mnode_write { node } -> row1 c 19 node
-  | Span_begin { seq; phase } -> row2 c 20 seq (phase_index phase)
-  | Span_end { seq; phase } -> row2 c 21 seq (phase_index phase)
+    row1 c 10 serving
+  | Membus_charge { bytes; dur_ns } -> row2 c 11 bytes dur_ns
+  | Mpool_alloc { hit } -> row1 c 12 (Bool.to_int hit)
+  | Mnode_alloc { node } -> row1 c 13 node
+  | Mnode_ref { node; refs } -> row2 c 14 node refs
+  | Mnode_unref { node; refs } -> row2 c 15 node refs
+  | Mnode_recycle { node } -> row1 c 16 node
+  | Mnode_write { node } -> row1 c 17 node
+  | Span_begin { seq; phase } -> row2 c 18 seq (phase_index phase)
+  | Span_end { seq; phase } -> row2 c 19 seq (phase_index phase)
   | Access { state; write } ->
     name c state;
-    row1 c 22 (Bool.to_int write)
+    row1 c 20 (Bool.to_int write)
   | Fault_drop { cause } ->
     name c cause;
-    row0 c 23
-  | Fault_dup { copies } -> row1 c 24 copies
-  | Fault_corrupt { off; bit } -> row2 c 25 off bit
-  | Fault_reorder { delay_ns } -> row1 c 26 delay_ns
+    row0 c 21
+  | Fault_dup { copies } -> row1 c 22 copies
+  | Fault_corrupt { off; bit } -> row2 c 23 off bit
+  | Fault_reorder { delay_ns } -> row1 c 24 delay_ns
   | Scr_append { log; idx } ->
     name c log;
-    row1 c 27 idx
+    row1 c 25 idx
   | Scr_apply { log; idx } ->
     name c log;
-    row1 c 28 idx
+    row1 c 26 idx
   | Scr_apply_end { log; idx } ->
     name c log;
-    row1 c 29 idx
+    row1 c 27 idx
   | Scr_replay { log; upto } ->
     name c log;
-    row1 c 30 upto
+    row1 c 28 upto
   | Rcu_read { state } ->
     name c state;
-    row0 c 31
+    row0 c 29
   | Rcu_publish { state } ->
     name c state;
-    row0 c 32
+    row0 c 30
 
 (* Per kind, what [encode] writes: its row's length in words, and
    whether it takes a name.  Read off one sample of each kind; a sample
@@ -359,11 +352,6 @@ let events t =
   let acc = ref [] in
   iter t (fun r -> acc := r :: !acc);
   List.rev !acc
-
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun r -> acc := f !acc r);
-  !acc
 
 let pp_phase = function
   | Enqueue -> "enqueue"
@@ -505,10 +493,6 @@ let to_chrome_string t =
       | Thread_exit -> instant ~name:"exit" ~cat:"thread" r ~args:""
       | Thread_join { child } ->
         instant ~name:"join" ~cat:"thread" r ~args:(Printf.sprintf "\"child\":%d" child)
-      | Thread_block | Thread_resume ->
-        (* Block/resume intervals are already visible through the wait
-           duration events; keep the raw stream out of the rendered view. *)
-        ()
       | Lock_request { lock; waiters } ->
         instant ~name:("request " ^ lock) ~cat:"lock" r
           ~args:(Printf.sprintf "\"waiters\":%d" waiters)

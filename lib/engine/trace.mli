@@ -40,8 +40,6 @@ type ev =
       (** the recording thread observed [child]'s completion (after its
           {!Thread_exit}); everything the child did happens-before the
           joiner's subsequent events *)
-  | Thread_block
-  | Thread_resume
   | Lock_request of { lock : string; waiters : int }
       (** [waiters] = queue depth seen at request time *)
   | Lock_grant of { lock : string; waiters : int; wait_ns : int }
@@ -155,13 +153,10 @@ val count : t -> int
     The replay interface for trace-driven analyses
     ({!Pnp_analysis}): a recorded trace is re-delivered as the same
     typed records, in emission order, without building an intermediate
-    list when folding. *)
+    list. *)
 
 val iter : t -> (record -> unit) -> unit
 (** [iter t f] applies [f] to every record in emission order. *)
-
-val fold : t -> init:'a -> f:('a -> record -> 'a) -> 'a
-(** [fold t ~init ~f] folds over the records in emission order. *)
 
 type kinds
 (** A set of {!ev} constructors. *)

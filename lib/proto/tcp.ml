@@ -305,6 +305,9 @@ type t = {
   mutable shutdown : bool;
   mutable cksum_failures : int; (* segments discarded by checksum verification *)
   mutable syn_backlog_drops : int; (* SYNs shed by a full listener backlog *)
+  state_names : (string, (string * string) list) Hashtbl.t;
+      (* session [state_ns] -> (field, its traced state name), filled by
+         traced accesses only: untraced sessions carry nothing for it *)
 }
 
 and session = {
@@ -337,11 +340,22 @@ let sync_trace sess ev = Sim.trace sess.proto.plat.Platform.sim ev
    per-connection state it touches ("<conn>#snd", "#rcv", "#reass",
    "#sb"); the checker intersects the locks held across all accesses of
    the same name and reports when the intersection goes empty.  Guarded
-   on the tracer so the disabled path builds no string. *)
+   on the tracer so the disabled path builds no string; a traced session
+   builds each name once, so its records share it. *)
+let state_name sess field =
+  let names = sess.proto.state_names in
+  let fields = Option.value ~default:[] (Hashtbl.find_opt names sess.state_ns) in
+  match List.assoc_opt field fields with
+  | Some name -> name
+  | None ->
+    let name = sess.state_ns ^ "#" ^ field in
+    Hashtbl.replace names sess.state_ns ((field, name) :: fields);
+    name
+
 let access sess ~write field =
   let sim = sess.proto.plat.Platform.sim in
   if Trace.enabled (Sim.tracer sim) then
-    Sim.trace sim (Trace.Access { state = sess.state_ns ^ "#" ^ field; write })
+    Sim.trace sim (Trace.Access { state = state_name sess field; write })
 
 (* ------------------------------------------------------------------ *)
 (* Synchronisation disciplines                                         *)
@@ -1709,6 +1723,7 @@ let create plat pool ~wheel ~ip cfg ~name =
       shutdown = false;
       cksum_failures = 0;
       syn_backlog_drops = 0;
+      state_names = Hashtbl.create 16;
     }
   in
   Ip.register ip ~proto:Tcp_wire.protocol_number (fun ~src ~dst msg ->

@@ -24,6 +24,7 @@ let grow_load = 2
 module Make (K : KEY) = struct
   type 'v shard = {
     sname : string; (* lock name; also namespaces Trace.Access state *)
+    mutable cache_state : string; (* [sname ^ "#cache"] once traced, else "" *)
     lock : Lock.Counting.t;
     mutable buckets : (K.t * 'v) list array;
     mutable one_behind : (K.t * 'v) option;
@@ -73,6 +74,7 @@ module Make (K : KEY) = struct
       let sname = if nshards = 1 then name else Printf.sprintf "%s.s%d" name i in
       {
         sname;
+        cache_state = "";
         (* Map-manager locks stay raw mutexes, even in the paper's MCS
            experiments (Section 4.1). *)
         lock =
@@ -104,11 +106,15 @@ module Make (K : KEY) = struct
     else f ()
 
   (* Shared-state access annotation for the lockset checker; guarded on
-     the tracer so the disabled path costs one field read. *)
+     the tracer so the disabled path costs one field read.  The state
+     name is built on the shard's first traced access and shared by the
+     rest. *)
   let access t sh ~write =
     let sim = t.plat.Platform.sim in
-    if Trace.enabled (Sim.tracer sim) then
-      Sim.trace sim (Trace.Access { state = sh.sname ^ "#cache"; write })
+    if Trace.enabled (Sim.tracer sim) then begin
+      if sh.cache_state = "" then sh.cache_state <- sh.sname ^ "#cache";
+      Sim.trace sim (Trace.Access { state = sh.cache_state; write })
+    end
 
   let grow_tslots t tid =
     let cap = max 16 (max (tid + 1) (2 * Array.length t.tslots)) in

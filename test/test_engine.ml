@@ -305,8 +305,11 @@ let test_sim_inline_delay_trace () =
   in
   let log_i, trace_i, n_i, horizon = run ~grid:0 in
   let log_s, trace_s, n_s, _ = run ~grid:horizon in
-  Alcotest.(check bool) "the program blocks and resumes" true
-    (List.exists (fun (r : Trace.record) -> r.Trace.ev = Trace.Thread_resume) trace_i);
+  Alcotest.(check bool) "the program waits for a lock" true
+    (List.exists
+       (fun (r : Trace.record) ->
+         match r.Trace.ev with Trace.Lock_grant { wait_ns; _ } -> wait_ns > 0 | _ -> false)
+       trace_i);
   Alcotest.(check (list (pair string int))) "same dispatch order and times" log_i log_s;
   Alcotest.(check bool) "identical trace records" true (trace_i = trace_s);
   Alcotest.(check int) "events differ by the grid" horizon (n_s - n_i)

@@ -177,7 +177,7 @@ let test_records_keep_tid_and_cpu () =
   let who = [ (-1, -1); (0, 0); (5, 3); (3, -1); (1_000_000, 63); (7, 1 lsl 29) ] in
   (* The tracer was just enabled unconditionally above. *)
   List.iteri
-    (fun i (tid, cpu) -> Trace.emit t ~ts:i ~tid ~cpu Trace.Thread_block (* lint:allow *))
+    (fun i (tid, cpu) -> Trace.emit t ~ts:i ~tid ~cpu Trace.Thread_exit (* lint:allow *))
     who;
   Alcotest.(check (list (pair int int)))
     "tid and cpu round-trip" who
@@ -194,8 +194,6 @@ let every_ev =
       Thread_fork { child = 12 };
       Thread_exit;
       Thread_join { child = 13 };
-      Thread_block;
-      Thread_resume;
       Lock_request { lock = "tcp.conn:1"; waiters = 4 };
       Lock_grant { lock = "tcp.conn:2"; waiters = 5; wait_ns = 1 lsl 40 };
       Lock_handoff { lock = "ip.demux"; to_tid = -1; handoff_ns = 77 };
@@ -271,6 +269,23 @@ let test_every_event_round_trips () =
   Alcotest.(check bool)
     "iter_kinds keeps the accesses" true
     (List.rev !accesses = List.filter (fun (r : Trace.record) -> is_access r.Trace.ev) expected)
+
+(* A record no reader reads is waste: every constructor is either read
+   by the checkers' replay or shows in the Chrome export. *)
+let test_every_event_has_a_reader () =
+  let chrome evs =
+    let t = Trace.create () in
+    Trace.enable t;
+    (* Enabled just above. *)
+    List.iter (fun ev -> Trace.emit t ~ts:1_000 ~tid:0 ~cpu:0 ev (* lint:allow *)) evs;
+    Trace.to_chrome_string t
+  in
+  let empty = chrome [] in
+  List.iteri
+    (fun i ev ->
+      if not (Pnp_analysis.Replay.read_by_checkers ev || chrome [ ev ] <> empty) then
+        Alcotest.failf "every_ev.(%d) has no reader" i)
+    every_ev
 
 let fig10_cfg ~seed =
   Config.v ~protocol:Config.Tcp ~side:Config.Recv ~payload:4096 ~checksum:true
@@ -392,6 +407,22 @@ let test_packet_spans_balanced () =
     true
     (Hashtbl.length open_spans <= 16)
 
+(* Each traced state keeps one name string: the TCP sessions and the
+   demux maps build a state's name once, not once per access. *)
+let test_state_names_shared () =
+  let _, tracer = Run.run_traced (fig10_cfg ~seed:5) in
+  let first = Hashtbl.create 16 and accesses = ref 0 in
+  Trace.iter tracer (fun r ->
+      match r.Trace.ev with
+      | Trace.Access { state; _ } -> (
+        incr accesses;
+        match Hashtbl.find_opt first state with
+        | None -> Hashtbl.replace first state state
+        | Some s ->
+          if s != state then Alcotest.failf "state %s has more than one name string" state)
+      | _ -> ());
+  Alcotest.(check bool) "states accessed" true (!accesses > Hashtbl.length first)
+
 let suites =
   [
     ( "engine.trace",
@@ -408,6 +439,7 @@ let suites =
         Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
         Alcotest.test_case "records keep tid and cpu" `Quick test_records_keep_tid_and_cpu;
         Alcotest.test_case "every event round-trips" `Quick test_every_event_round_trips;
+        Alcotest.test_case "every event has a reader" `Quick test_every_event_has_a_reader;
         Alcotest.test_case "chrome export sanity" `Quick test_chrome_export_sanity;
       ] );
     ( "harness.trace",
@@ -417,5 +449,6 @@ let suites =
         Alcotest.test_case "trace wait agrees with aggregate" `Slow
           test_trace_wait_agrees_with_lock_wait_pct;
         Alcotest.test_case "packet spans balanced" `Slow test_packet_spans_balanced;
+        Alcotest.test_case "state names are shared" `Slow test_state_names_shared;
       ] );
   ]
