@@ -531,74 +531,15 @@ let run_cmd =
    FIFO grant order, reorder windows). *)
 let check_cmd =
   let open Pnp_harness in
-  let scenario ?(side = Config.Recv) ?(tcp_locking = Pnp_proto.Tcp.One)
-      ?(lock_disc = Pnp_engine.Lock.Unfair) ?(ticketing = false) ?(loss_rate = 0.0)
-      ?(map_locking = true) ?steering ?(demux_shards = 1) ?(connections = 1) () =
-    Config.v ~arch:Pnp_engine.Arch.challenge_100 ~procs:4 ~side
-      ~protocol:Config.Tcp ~payload:4096 ~checksum:true ~lock_disc ~tcp_locking
-      ~ticketing ~loss_rate ~map_locking ?steering ~demux_shards ~connections
-      ~warmup:(Pnp_util.Units.ms 20.0)
-      ~measure:(Pnp_util.Units.ms 80.0)
-      ~seed:1 ()
-  in
-  (* (fig tag, label, order-comparison role, config) *)
-  let scenarios =
-    [
-      ("fig8-9", "tcp-recv locking=1 mutex", None, scenario ());
-      ("fig8-9", "tcp-send locking=1 mutex", None, scenario ~side:Config.Send ());
-      ("fig13", "tcp-recv locking=2 mutex", None,
-       scenario ~tcp_locking:Pnp_proto.Tcp.Two ());
-      ("fig13", "tcp-recv locking=6 mutex", None,
-       scenario ~tcp_locking:Pnp_proto.Tcp.Six ());
-      ("fig14", "tcp-send locking=2 mutex", None,
-       scenario ~side:Config.Send ~tcp_locking:Pnp_proto.Tcp.Two ());
-      ("fig14", "tcp-send locking=6 mutex", None,
-       scenario ~side:Config.Send ~tcp_locking:Pnp_proto.Tcp.Six ());
-      ("fig10", "tcp-recv locking=1 mutex (order baseline)", Some `Unfair,
-       scenario ());
-      ("fig10", "tcp-recv locking=1 mcs", Some `Fifo,
-       scenario ~lock_disc:Pnp_engine.Lock.Fifo ());
-      ("table1", "tcp-recv locking=1 mcs ticketing", None,
-       scenario ~lock_disc:Pnp_engine.Lock.Fifo ~ticketing:true ());
-      (* The retransmission machinery holds locks on paths idle traffic
-         never exercises; check them under forced loss too. *)
-      ("faults", "tcp-send locking=1 mcs loss=2%", None,
-       scenario ~side:Config.Send ~lock_disc:Pnp_engine.Lock.Fifo ~loss_rate:0.02 ());
-      ("faults", "tcp-send locking=6 mutex loss=2%", None,
-       scenario ~side:Config.Send ~tcp_locking:Pnp_proto.Tcp.Six ~loss_rate:0.02 ());
-      (* The sharded demux under both steering policies, with map locking
-         off: the per-thread one-behind caches must keep the unlocked
-         lookup path free of unprotected shared accesses (the lockset
-         checker watches every <map>#cache state). *)
-      ("steering", "tcp-recv steer=hash shards=8 maplock=off", None,
-       scenario ~steering:Pnp_driver.Steer.Hash ~map_locking:false ~demux_shards:8
-         ~connections:256 ());
-      ("steering", "tcp-recv steer=last-sender shards=8 maplock=off", None,
-       scenario ~steering:Pnp_driver.Steer.Last_sender ~map_locking:false
-         ~demux_shards:8 ~connections:256 ());
-      (* State-compute replication holds no connection lock at all: every
-         apply-section access must be covered by the synthetic per-log
-         lock (lockset) and the append->apply->apply channel (HB), so a
-         clean run here is the checkers signing off on the discipline.
-         The send side under loss drives retransmission through the
-         deferred-charge output sections too. *)
-      ("ext-scr", "tcp-recv locking=scr mutex", None,
-       scenario ~tcp_locking:Pnp_proto.Tcp.Scr ());
-      ("ext-scr", "tcp-recv locking=scr mcs conns=2", None,
-       scenario ~tcp_locking:Pnp_proto.Tcp.Scr ~lock_disc:Pnp_engine.Lock.Fifo
-         ~connections:2 ());
-      ("ext-scr", "tcp-send locking=scr mutex loss=2%", None,
-       scenario ~side:Config.Send ~tcp_locking:Pnp_proto.Tcp.Scr ~loss_rate:0.02 ());
-      ("ext-scr", "tcp-recv locking=rcu mutex", None,
-       scenario ~tcp_locking:Pnp_proto.Tcp.Rcu ());
-    ]
-  in
+  let scenarios = Check_scenarios.all in
   let figs_term =
     let doc =
       "Only check scenarios tagged with figure $(docv) (repeatable); e.g. \
        fig10, fig13."
     in
-    let tags = List.sort_uniq compare (List.map (fun (t, _, _, _) -> t) scenarios) in
+    let tags =
+      List.sort_uniq compare (List.map (fun s -> s.Check_scenarios.tag) scenarios)
+    in
     let tag = Arg.enum (List.map (fun t -> (t, t)) tags) in
     Arg.(value & opt_all tag [] & info [ "fig" ] ~docv:"ID" ~doc)
   in
@@ -616,13 +557,13 @@ let check_cmd =
   let exec figs all_flag json_dir =
     let selected =
       if figs = [] || all_flag then scenarios
-      else List.filter (fun (t, _, _, _) -> List.mem t figs) scenarios
+      else List.filter (fun s -> List.mem s.Check_scenarios.tag figs) scenarios
     in
     let all_findings = ref [] in
     let order_totals = ref [] in
     let json_rows = ref [] in
     List.iter
-      (fun (tag, label, role, cfg) ->
+      (fun { Check_scenarios.tag; label; role; cfg } ->
         let _result, tracer = Run.run_traced cfg in
         let checked = Pnp_analysis.Check.run tracer in
         let findings = checked.Pnp_analysis.Check.findings in

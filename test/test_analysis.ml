@@ -495,6 +495,97 @@ let test_replay_skips_unread_records () =
   Alcotest.(check (list string)) "races" plain.Check.races mixed.Check.races;
   Alcotest.(check bool) "order stats" true (plain.Check.order = mixed.Check.order)
 
+(* Everything [Check.run] reports over the fixture, witnesses included,
+   as text.  Unread records sit between the fixture's, and a run of them
+   in the middle pushes its second half into the next trace chunk, so
+   witnesses are found across unread rows and across a chunk boundary:
+   the FIFO overtake's request and grant sit on either side of it. *)
+let render_fixture_check () =
+  let t = Trace.create () in
+  Trace.register_lock t ~name:"m" ~discipline:"fifo";
+  Trace.enable t;
+  List.iteri
+    (fun i (tid, ev) ->
+      (* The tracer was just enabled unconditionally above. *)
+      Trace.emit t ~ts:(i * 10) ~tid ~cpu:(i mod 3) ev (* lint:allow *);
+      let u = List.nth unread (i mod List.length unread) in
+      Trace.emit t ~ts:((i * 10) + 5) ~tid:(i mod 4) ~cpu:1 u (* lint:allow *);
+      if (tid, ev) = (1, req "m") then
+        for j = 1 to 5000 do
+          Trace.emit t ~ts:((i * 10) + 5) ~tid:j ~cpu:2 (Trace.Rcu_read { state = "tcb#ctr" })
+          (* lint:allow *)
+        done)
+    replay_fixture;
+  let c = Check.run t in
+  let b = Buffer.create 4096 in
+  List.iter (fun f -> Buffer.add_string b (Finding.to_string f ^ "\n")) c.Check.findings;
+  List.iter
+    (fun (s : Lockset.state) ->
+      Printf.bprintf b "state %s %s %d\n" s.Lockset.id
+        (match s.Lockset.class_ with
+         | Lockset.Virgin -> "virgin"
+         | Lockset.Exclusive tid -> Printf.sprintf "exclusive %d" tid
+         | Lockset.Shared ls -> "shared {" ^ String.concat "," ls ^ "}"
+         | Lockset.Shared_modified ls -> "modified {" ^ String.concat "," ls ^ "}")
+        s.Lockset.accesses)
+    c.Check.states;
+  List.iter (fun (f : Finding.t) -> Printf.bprintf b "lockset %s\n" f.Finding.subject) c.Check.lockset;
+  List.iter (Printf.bprintf b "race %s\n") c.Check.races;
+  List.iter
+    (fun (o : Order_check.lock_stat) ->
+      Printf.bprintf b "order %s %d %d %d\n" o.Order_check.lock o.Order_check.grants
+        o.Order_check.reordered o.Order_check.max_window)
+    c.Check.order;
+  Buffer.contents b
+
+let fixture_check_expected = {|[error] fifo-order: m: FIFO lock granted out of arrival order: tid 2 overtook the pending request of tid 1
+    witness: t=290 ns tid=1 cpu=2  request m (waiters 0)
+    witness: t=310 ns tid=2 cpu=1  grant m (waited 0 ns)
+[error] hb-race: cfg#mtu: unordered read/write pair by tid 1 and tid 2: no happens-before path (fork/join, gate, lock release→acquire or bus reply) connects the two accesses
+    witness: t=40 ns tid=1 cpu=1  write cfg#mtu
+    witness: t=50 ns tid=2 cpu=2  read cfg#mtu
+[error] hb-race: sb#cc: unordered writes by tid 5 and tid 7: no happens-before path (fork/join, gate, lock release→acquire or bus reply) connects the two accesses
+    witness: t=340 ns tid=5 cpu=1  write sb#cc
+    witness: t=360 ns tid=7 cpu=0  write sb#cc
+[error] hb-race: scr:conn0: SCR replay read ahead of the appended tail: tid 4 applied log entry 2 but only entries up to 0 had been appended — the append that publishes an entry must happen before the apply that consumes it
+    witness: t=80 ns tid=4 cpu=2  scr apply scr:conn0[2]
+[error] hb-race: tcb#ctr: unordered writes by tid 1 and tid 2: no happens-before path (fork/join, gate, lock release→acquire or bus reply) connects the two accesses
+    witness: t=10 ns tid=1 cpu=1  write tcb#ctr
+    witness: t=20 ns tid=2 cpu=2  write tcb#ctr
+[error] lifetime: mnode 3: bytes written after arena recycle (write-after-recycle): node was recycled
+    witness: t=150 ns tid=1 cpu=0  recycle mnode 3
+    witness: t=160 ns tid=2 cpu=1  write mnode 3
+[error] lifetime: mnode 7: reference taken on a dead node (use-after-free): node was freed
+    witness: t=110 ns tid=1 cpu=2  unref mnode 7 -> 0
+    witness: t=120 ns tid=2 cpu=0  ref mnode 7 -> 1
+[error] lock-order: a -> b -> c -> a: lock-order cycle over 3 lock(s): threads acquire these locks in conflicting orders, a potential deadlock
+    witness: t=170 ns tid=1 cpu=2  grant a (waited 0 ns)
+    witness: t=180 ns tid=1 cpu=0  grant b (waited 0 ns)
+    witness: t=210 ns tid=2 cpu=0  grant b (waited 0 ns)
+    witness: t=220 ns tid=2 cpu=1  grant c (waited 0 ns)
+    witness: t=250 ns tid=3 cpu=1  grant c (waited 0 ns)
+    witness: t=260 ns tid=3 cpu=2  grant a (waited 0 ns)
+[error] lockset: sb#cc: candidate lockset went empty: write by tid 7 holding {} (candidates were {}) — shared state is reachable without a consistent lock
+    witness: t=340 ns tid=5 cpu=1  write sb#cc
+    witness: t=360 ns tid=7 cpu=0  write sb#cc
+[error] lockset: tcb#ctr: candidate lockset went empty: write by tid 2 holding {} (candidates were {}) — shared state is reachable without a consistent lock
+    witness: t=10 ns tid=1 cpu=1  write tcb#ctr
+    witness: t=20 ns tid=2 cpu=2  write tcb#ctr
+state cfg#mtu shared {} 3
+state sb#cc modified {} 3
+state tcb#ctr modified {} 4
+lockset sb#cc
+lockset tcb#ctr
+race tcb#ctr
+race cfg#mtu
+race sb#cc
+order c 2 0 0
+|}
+
+let test_fixture_check_pinned () =
+  Alcotest.(check string) "Check.run over the fixture" fixture_check_expected
+    (render_fixture_check ())
+
 let test_shared_pass_seeded_defects () =
   let locks = [ ("m", "fifo") ] in
   List.iter
@@ -880,6 +971,8 @@ let suites =
       ] );
     ( "analysis.shared",
       [
+        Alcotest.test_case "fixture findings and witnesses pinned" `Quick
+          test_fixture_check_pinned;
         Alcotest.test_case "seeded defects match the checkers alone" `Quick
           test_shared_pass_seeded_defects;
         Alcotest.test_case "one cell per discipline matches" `Quick
