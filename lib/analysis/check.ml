@@ -8,17 +8,18 @@ type t = {
 
 (* Every checker's step in one traversal. *)
 let run tracer =
-  let ls = Lockset.create () in
-  let hb = Hb.create () in
-  let lt = Lifetime.create () in
-  let lo = Lock_order.create () in
-  let oc = Order_check.create tracer in
-  Replay.replay tracer (fun ctx r ->
-      Lockset.step ls ctx r;
-      Hb.step hb ctx r;
-      Lifetime.step lt ctx r;
-      Lock_order.step lo ctx r;
-      Order_check.step oc ctx r);
+  let ctx = Replay.create tracer in
+  let ls = Lockset.create ctx in
+  let hb = Hb.create ctx in
+  let lt = Lifetime.create ctx in
+  let lo = Lock_order.create ctx in
+  let oc = Order_check.create ctx in
+  Replay.replay ctx (fun row ->
+      Lockset.step ls row;
+      Hb.step hb row;
+      Lifetime.step lt row;
+      Lock_order.step lo row;
+      Order_check.step oc row);
   let states, lockset = Lockset.result ls in
   {
     findings =

@@ -70,11 +70,18 @@ module Vc = struct
   let copy t = { c = Array.copy t.c }
 end
 
-type access = { a_tid : int; a_clk : int; a_rec : Trace.record }
-
+(* One state's accesses that later ones are checked against: its last
+   write, and the reads since it, one per tid, newest last.  An access
+   is its tid, that thread's clock entry at the access, and its row. *)
 type cell = {
-  mutable last_write : access option;
-  mutable reads : access list; (* reads since the last write, one per tid *)
+  mutable written : bool;
+  mutable w_tid : int;
+  mutable w_clk : int;
+  mutable w_pos : Trace.pos;
+  mutable n : int; (* reads: the first [n] entries of the [r_] arrays *)
+  mutable r_tid : int array;
+  mutable r_clk : int array;
+  mutable r_pos : int array;
   mutable reported : bool;
 }
 
@@ -93,11 +100,12 @@ type race = {
    that append). *)
 type violation = { v_log : string; v_idx : int; v_max : int; v_rec : Trace.record }
 
-(* [happened_before a vc] — did access [a] happen before the point whose
-   clock is [vc]? *)
-let hb (a : access) (vc : Vc.t) = a.a_clk <= Vc.get vc a.a_tid
+(* Did the access by [tid] at its clock entry [clk] happen before the
+   point whose clock is [vc]? *)
+let hb ~tid ~clk (vc : Vc.t) = clk <= Vc.get vc tid
 
 type t = {
+  ctx : Replay.ctx;
   bus_sync : bool;
   clocks : Vc.t Replay.Slots.t; (* by tid *)
   exited : (int, Vc.t) Hashtbl.t;
@@ -111,16 +119,18 @@ type t = {
   (* Per SCR log id: highest index seen appended (absent before any append). *)
   appended : int Replay.Slots.t;
   (* Per SCR log id with no append in the window yet: the applies seen so
-     far, newest first.  The window may open mid-replay, so such an apply
-     may consume an entry appended before the trace began; it is judged
-     only once the log's first in-window append shows where the tail was. *)
-  held : (int * Trace.record) list Replay.Slots.t;
+     far (index and row), newest first.  The window may open mid-replay,
+     so such an apply may consume an entry appended before the trace
+     began; it is judged only once the log's first in-window append shows
+     where the tail was. *)
+  held : (int * Trace.pos) list Replay.Slots.t;
   mutable races : race list;
   mutable violations : violation list;
 }
 
-let create ?(bus_sync = true) () =
+let create ?(bus_sync = true) ctx =
   {
+    ctx;
     bus_sync;
     clocks = Replay.Slots.create ();
     exited = Hashtbl.create 16;
@@ -136,8 +146,9 @@ let create ?(bus_sync = true) () =
     violations = [];
   }
 
-let flag t log idx v_max r =
-  t.violations <- { v_log = log; v_idx = idx; v_max; v_rec = r } :: t.violations
+let flag t log idx v_max pos =
+  t.violations <-
+    { v_log = log; v_idx = idx; v_max; v_rec = Replay.record t.ctx pos } :: t.violations
 
 let clock t tid =
   match Replay.Slots.get t.clocks tid with
@@ -171,81 +182,135 @@ let release t tid ch =
 
 let acquire t tid ch = Vc.join (clock t tid) ch
 
-let access t (r : Trace.record) sid state write =
-  let tid = r.Trace.tid in
-  let vc = clock t tid in
-  let c =
-    match Replay.Slots.get t.cells sid with
-    | Some c -> c
-    | None ->
-      let c = { last_write = None; reads = []; reported = false } in
-      Replay.Slots.set t.cells sid c;
-      c
-  in
-  let report prev ~write_write =
-    if not c.reported then begin
-      c.reported <- true;
-      t.races <- { state; first = prev.a_rec; second = r; write_write } :: t.races
-    end
-  in
-  (match c.last_write with
-  | Some w when w.a_tid <> tid && not (hb w vc) -> report w ~write_write:write
-  | _ -> ());
-  if write then begin
-    List.iter
-      (fun rd -> if rd.a_tid <> tid && not (hb rd vc) then report rd ~write_write:false)
-      c.reads;
-    c.last_write <- Some { a_tid = tid; a_clk = Vc.get vc tid; a_rec = r };
-    c.reads <- []
-  end
-  else begin
-    let entry = { a_tid = tid; a_clk = Vc.get vc tid; a_rec = r } in
-    c.reads <- entry :: List.filter (fun rd -> rd.a_tid <> tid) c.reads
+let cell t sid =
+  match Replay.Slots.get t.cells sid with
+  | Some c -> c
+  | None ->
+    let c =
+      {
+        written = false;
+        w_tid = 0;
+        w_clk = 0;
+        w_pos = 0;
+        n = 0;
+        r_tid = [||];
+        r_clk = [||];
+        r_pos = [||];
+        reported = false;
+      }
+    in
+    Replay.Slots.set t.cells sid c;
+    c
+
+let report t c row prev ~write_write =
+  if not c.reported then begin
+    c.reported <- true;
+    t.races <-
+      {
+        state = Trace.Row.name row;
+        first = Replay.record t.ctx prev;
+        second = Trace.Row.record row;
+        write_write;
+      }
+      :: t.races
   end
 
-let step t ctx (r : Trace.record) =
-  let tid = r.Trace.tid and id = Replay.id ctx in
-  match r.Trace.ev with
-  | Trace.Thread_fork { child } ->
+(* The thread's read replaces its earlier one, if any, as the newest. *)
+let add_read c tid clk pos =
+  let k = ref 0 in
+  for i = 0 to c.n - 1 do
+    if c.r_tid.(i) <> tid then begin
+      c.r_tid.(!k) <- c.r_tid.(i);
+      c.r_clk.(!k) <- c.r_clk.(i);
+      c.r_pos.(!k) <- c.r_pos.(i);
+      incr k
+    end
+  done;
+  if !k = Array.length c.r_tid then begin
+    let grow a = Array.append a (Array.make (max 4 !k) 0) in
+    c.r_tid <- grow c.r_tid;
+    c.r_clk <- grow c.r_clk;
+    c.r_pos <- grow c.r_pos
+  end;
+  c.r_tid.(!k) <- tid;
+  c.r_clk.(!k) <- clk;
+  c.r_pos.(!k) <- pos;
+  c.n <- !k + 1
+
+let access t row =
+  let tid = Trace.Row.tid row and write = Trace.Row.int0 row <> 0 in
+  let vc = clock t tid in
+  let c = cell t (Replay.id t.ctx) in
+  if c.written && c.w_tid <> tid && not (hb ~tid:c.w_tid ~clk:c.w_clk vc) then
+    report t c row c.w_pos ~write_write:write;
+  let clk = Vc.get vc tid and pos = Trace.Row.pos row in
+  if write then begin
+    for i = c.n - 1 downto 0 do
+      if c.r_tid.(i) <> tid && not (hb ~tid:c.r_tid.(i) ~clk:c.r_clk.(i) vc) then
+        report t c row c.r_pos.(i) ~write_write:false
+    done;
+    c.written <- true;
+    c.w_tid <- tid;
+    c.w_clk <- clk;
+    c.w_pos <- pos;
+    c.n <- 0
+  end
+  else add_read c tid clk pos
+
+let sync t row =
+  let tid = Trace.Row.tid row and id = Replay.id t.ctx in
+  match Trace.Row.kind row with
+  | Trace.Kind.Thread_fork ->
     let vc = clock t tid in
-    Hashtbl.replace t.forked child (Vc.copy vc);
+    Hashtbl.replace t.forked (Trace.Row.int0 row) (Vc.copy vc);
     Vc.tick vc tid
-  | Trace.Thread_exit -> Hashtbl.replace t.exited tid (Vc.copy (clock t tid))
-  | Trace.Thread_join { child } -> (
-    match Hashtbl.find_opt t.exited child with
+  | Trace.Kind.Thread_exit -> Hashtbl.replace t.exited tid (Vc.copy (clock t tid))
+  | Trace.Kind.Thread_join -> (
+    match Hashtbl.find_opt t.exited (Trace.Row.int0 row) with
     | Some final -> Vc.join (clock t tid) final
     | None -> ())
-  | Trace.Lock_grant _ -> acquire t tid (channel t.locks id)
-  | Trace.Lock_release _ -> release t tid (channel t.locks id)
-  | Trace.Scr_append { log; idx } ->
+  | Trace.Kind.Lock_grant -> acquire t tid (channel t.locks id)
+  | Trace.Kind.Lock_release -> release t tid (channel t.locks id)
+  | Trace.Kind.Scr_append ->
+    let idx = Trace.Row.int0 row in
     (match Replay.Slots.get t.appended id with
-    | Some prev -> if idx > prev then Replay.Slots.set t.appended id idx
-    | None ->
-      (* The first in-window append: entries below [idx] may predate the
-         window, so a held apply read ahead only if it claimed [idx] or
-         beyond.  Once a log has an append, [held] is never read again. *)
-      Replay.Slots.set t.appended id idx;
-      List.iter
-        (fun (i, r) -> if i >= idx then flag t log i (idx - 1) r)
-        (List.rev (Option.value ~default:[] (Replay.Slots.get t.held id))));
+     | Some prev -> if idx > prev then Replay.Slots.set t.appended id idx
+     | None ->
+       (* The first in-window append: entries below [idx] may predate the
+          window, so a held apply read ahead only if it claimed [idx] or
+          beyond.  Once a log has an append, [held] is never read again. *)
+       Replay.Slots.set t.appended id idx;
+       List.iter
+         (fun (i, pos) -> if i >= idx then flag t (Trace.Row.name row) i (idx - 1) pos)
+         (List.rev (Option.value ~default:[] (Replay.Slots.get t.held id))));
     release t tid (channel t.logs id)
-  | Trace.Scr_apply { log; idx } ->
+  | Trace.Kind.Scr_apply ->
+    let idx = Trace.Row.int0 row in
     (* idx = -1 marks an output/timer section, which consumes no log entry
        and cannot read ahead of the tail. *)
     (if idx >= 0 then
        match Replay.Slots.get t.appended id with
-       | Some max_app -> if idx > max_app then flag t log idx max_app r
+       | Some max_app -> if idx > max_app then flag t (Trace.Row.name row) idx max_app (Trace.Row.pos row)
        | None ->
          let prev = Option.value ~default:[] (Replay.Slots.get t.held id) in
-         Replay.Slots.set t.held id ((idx, r) :: prev));
+         Replay.Slots.set t.held id ((idx, Trace.Row.pos row) :: prev));
     acquire t tid (channel t.logs id)
-  | Trace.Scr_apply_end _ -> release t tid (channel t.logs id)
-  | Trace.Gate_advance _ -> release t tid (channel t.gates id)
-  | Trace.Gate_pass _ -> acquire t tid (channel t.gates id)
-  | Trace.Membus_charge _ when t.bus_sync ->
+  | Trace.Kind.Scr_apply_end -> release t tid (channel t.logs id)
+  | Trace.Kind.Gate_advance -> release t tid (channel t.gates id)
+  | Trace.Kind.Gate_pass -> acquire t tid (channel t.gates id)
+  | Trace.Kind.Membus_charge when t.bus_sync ->
     acquire t tid t.bus;
     release t tid t.bus
-  | Trace.Access { state; write } -> access t r id state write
+  | _ -> ()
+
+let[@inline] step t row =
+  match Trace.Row.kind row with
+  | Trace.Kind.Access -> access t row
+  | Trace.Kind.Thread_fork | Trace.Kind.Thread_exit | Trace.Kind.Thread_join
+  | Trace.Kind.Lock_grant | Trace.Kind.Lock_release | Trace.Kind.Scr_append
+  | Trace.Kind.Scr_apply | Trace.Kind.Scr_apply_end | Trace.Kind.Gate_advance
+  | Trace.Kind.Gate_pass | Trace.Kind.Membus_charge ->
+    sync t row
   | _ -> ()
 
 let races_of t = List.rev t.races
@@ -274,7 +339,7 @@ let findings t =
       (List.rev t.violations)
   |> Finding.sort
 
-let run_full ?bus_sync tracer = Replay.run tracer (create ?bus_sync ()) step
+let run_full ?bus_sync tracer = Replay.run tracer (create ?bus_sync) step
 let run ?bus_sync tracer = races_of (run_full ?bus_sync tracer)
 let races ?bus_sync tracer = List.map (fun r -> r.state) (run ?bus_sync tracer)
 let check ?bus_sync tracer = findings (run_full ?bus_sync tracer)

@@ -44,8 +44,8 @@ val check : ?bus_sync:bool -> Pnp_engine.Trace.t -> Finding.t list
 
 type t
 
-val create : ?bus_sync:bool -> unit -> t
-val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
+val create : ?bus_sync:bool -> Replay.ctx -> t
+val step : t -> Pnp_engine.Trace.Row.t -> unit
 
 val races_of : t -> race list
 (** {!run} over the records stepped so far. *)

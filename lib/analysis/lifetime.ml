@@ -25,94 +25,97 @@ open Pnp_engine
    legitimately ends with traffic in flight; only drain-to-completion
    fixtures can demand emptiness. *)
 
-type status = Live of int | Freed | Recycled
+type status = Live | Freed | Recycled
 
 type node_state = {
   mutable status : status;
-  mutable last : Trace.record option; (* most recent lifecycle event *)
+  mutable refs : int; (* while [Live] *)
+  mutable last : Trace.pos; (* most recent lifecycle row *)
   mutable reported : bool;
 }
 
-let status_label = function
-  | Live n -> Printf.sprintf "live (refs %d)" n
+let status_label s =
+  match s.status with
+  | Live -> Printf.sprintf "live (refs %d)" s.refs
   | Freed -> "freed"
   | Recycled -> "recycled"
 
 (* Node states by id: the pool numbers nodes densely from 0. *)
 type t = {
+  ctx : Replay.ctx;
   nodes : node_state Replay.Slots.t;
   mutable findings : Finding.t list;
 }
 
-let create () = { nodes = Replay.Slots.create (); findings = [] }
-let get t id = Replay.Slots.get t.nodes id
+let create ctx = { ctx; nodes = Replay.Slots.create (); findings = [] }
 
-let adopt t id status r =
-  Replay.Slots.set t.nodes id { status; last = Some r; reported = false }
-
-let report t s id r what =
+let report t s id pos what =
   if not s.reported then begin
     s.reported <- true;
-    let witnesses = match s.last with Some prev -> [ prev; r ] | None -> [ r ] in
     t.findings <-
       Finding.v ~checker:"lifetime"
         ~subject:(Printf.sprintf "mnode %d" id)
-        ~witnesses
-        (Printf.sprintf "%s: node was %s" what (status_label s.status))
+        ~witnesses:[ Replay.record t.ctx s.last; Replay.record t.ctx pos ]
+        (Printf.sprintf "%s: node was %s" what (status_label s))
       :: t.findings
   end
 
-let step t _ctx (r : Trace.record) =
-  match r.Trace.ev with
-  | Trace.Mnode_alloc { node = id } -> (
-    match get t id with
-    | None -> adopt t id (Live 1) r
-    | Some s ->
-      (match s.status with
-      | Freed | Recycled -> () (* cache re-arm / recycled buffer reissued *)
-      | Live _ -> report t s id r "allocated while still live");
-      s.status <- Live 1;
-      s.last <- Some r)
-  | Trace.Mnode_ref { node = id; refs } -> (
-    match get t id with
-    | None -> adopt t id (Live refs) r
-    | Some s ->
-      (match s.status with
-      | Freed | Recycled ->
-        report t s id r "reference taken on a dead node (use-after-free)"
-      | Live _ -> ());
-      s.status <- Live refs;
-      s.last <- Some r)
-  | Trace.Mnode_unref { node = id; refs } -> (
-    let next = if refs = 0 then Freed else Live refs in
-    match get t id with
-    | None -> adopt t id next r
-    | Some s ->
-      (match s.status with
-      | Freed | Recycled ->
-        report t s id r "reference dropped on a dead node (double-free)"
-      | Live _ -> ());
-      s.status <- next;
-      s.last <- Some r)
-  | Trace.Mnode_recycle { node = id } -> (
-    match get t id with
-    | None -> adopt t id Recycled r
-    | Some s ->
-      (match s.status with
-      | Freed -> ()
-      | Recycled -> report t s id r "buffer recycled twice (double-free)"
-      | Live _ -> report t s id r "buffer recycled under a live node");
-      s.status <- Recycled;
-      s.last <- Some r)
-  | Trace.Mnode_write { node = id } -> (
-    match get t id with
+(* The node's next state after a lifecycle row at [pos]: a node seen
+   for the first time is adopted in it. *)
+let set t id s status refs pos =
+  match s with
+  | Some s ->
+    s.status <- status;
+    s.refs <- refs;
+    s.last <- pos
+  | None -> Replay.Slots.set t.nodes id { status; refs; last = pos; reported = false }
+
+let lifecycle t row =
+  let pos = Trace.Row.pos row and id = Trace.Row.int0 row in
+  match Trace.Row.kind row with
+  | Trace.Kind.Mnode_alloc ->
+    let s = Replay.Slots.get t.nodes id in
+    (match s with
+     | Some ({ status = Live; _ } as s) -> report t s id pos "allocated while still live"
+     | Some _ | None -> () (* cache re-arm / recycled buffer reissued *));
+    set t id s Live 1 pos
+  | Trace.Kind.Mnode_ref ->
+    let s = Replay.Slots.get t.nodes id in
+    (match s with
+     | Some ({ status = Freed | Recycled; _ } as s) ->
+       report t s id pos "reference taken on a dead node (use-after-free)"
+     | Some _ | None -> ());
+    set t id s Live (Trace.Row.int1 row) pos
+  | Trace.Kind.Mnode_unref ->
+    let s = Replay.Slots.get t.nodes id and refs = Trace.Row.int1 row in
+    (match s with
+     | Some ({ status = Freed | Recycled; _ } as s) ->
+       report t s id pos "reference dropped on a dead node (double-free)"
+     | Some _ | None -> ());
+    set t id s (if refs = 0 then Freed else Live) refs pos
+  | Trace.Kind.Mnode_recycle ->
+    let s = Replay.Slots.get t.nodes id in
+    (match s with
+     | Some ({ status = Recycled; _ } as s) ->
+       report t s id pos "buffer recycled twice (double-free)"
+     | Some ({ status = Live; _ } as s) -> report t s id pos "buffer recycled under a live node"
+     | Some { status = Freed; _ } | None -> ());
+    set t id s Recycled 0 pos
+  | Trace.Kind.Mnode_write -> (
+    match Replay.Slots.get t.nodes id with
     | None -> () (* pre-window allocation; liveness unknowable *)
     | Some s -> (
       match s.status with
-      | Live _ -> s.last <- Some r
-      | Freed -> report t s id r "bytes written after free (use-after-free)"
-      | Recycled ->
-        report t s id r "bytes written after arena recycle (write-after-recycle)"))
+      | Live -> s.last <- pos
+      | Freed -> report t s id pos "bytes written after free (use-after-free)"
+      | Recycled -> report t s id pos "bytes written after arena recycle (write-after-recycle)"))
+  | _ -> ()
+
+let[@inline] step t row =
+  match Trace.Row.kind row with
+  | Trace.Kind.Mnode_alloc | Trace.Kind.Mnode_ref | Trace.Kind.Mnode_unref
+  | Trace.Kind.Mnode_recycle | Trace.Kind.Mnode_write ->
+    lifecycle t row
   | _ -> ()
 
 let findings ?(leaks = false) t =
@@ -122,7 +125,7 @@ let findings ?(leaks = false) t =
       let leaked =
         List.rev
           (Replay.Slots.fold t.nodes
-             (fun id s acc -> match s.status with Live _ -> (id, s) :: acc | _ -> acc)
+             (fun id s acc -> match s.status with Live -> (id, s) :: acc | _ -> acc)
              [])
       in
       match leaked with
@@ -132,7 +135,7 @@ let findings ?(leaks = false) t =
         let shown = List.filteri (fun i _ -> i < 8) ids in
         [
           Finding.v ~checker:"lifetime" ~subject:"leak"
-            ~witnesses:(match s0.last with Some r -> [ r ] | None -> [])
+            ~witnesses:[ Replay.record t.ctx s0.last ]
             (Printf.sprintf
                "%d node(s) still live at end of trace: %s%s (first leaked id %d)"
                (List.length ids)
@@ -143,4 +146,4 @@ let findings ?(leaks = false) t =
   in
   Finding.sort (List.rev (leak @ t.findings))
 
-let check ?leaks tracer = findings ?leaks (Replay.run tracer (create ()) step)
+let check ?leaks tracer = findings ?leaks (Replay.run tracer create step)

@@ -25,8 +25,8 @@ val check : ?leaks:bool -> Pnp_engine.Trace.t -> Finding.t list
 
 type t
 
-val create : unit -> t
-val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
+val create : Replay.ctx -> t
+val step : t -> Pnp_engine.Trace.Row.t -> unit
 
 val findings : ?leaks:bool -> t -> Finding.t list
 (** What {!check} returns for the records stepped so far. *)

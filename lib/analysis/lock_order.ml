@@ -7,49 +7,74 @@ type edge = {
   acquire : Trace.record;
 }
 
-(* Seen pairs keyed by [pair first second] of their lock ids. *)
+(* Seen pairs keyed by [pair first second] of their lock ids, with the
+   positions of their two grants. *)
 module Pairs = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
-  let hash = Hashtbl.hash
+  let hash k = k lxor (k lsr 30)
 end)
 
-type t = edge Pairs.t
+type seen = { s_first : int; s_second : int; s_holder : Trace.pos; s_acquire : Trace.pos }
+(* [last.(first)] is the lock last seen granted while [first] was held
+   (or -1): the pair a thread repeats most, answered without hashing. *)
+type t = { ctx : Replay.ctx; seen : seen Pairs.t; mutable last : int array }
 
-let create () : t = Pairs.create 64
+let create ctx = { ctx; seen = Pairs.create 64; last = [||] }
 let pair first second = (first lsl 30) lor second
 
-let step (seen : t) ctx (r : Trace.record) =
-  match r.Trace.ev with
-  | Trace.Lock_grant { lock = second; _ } ->
-    let id = Replay.id ctx in
-    (* The oldest grant of a lock held twice comes first and wins. *)
-    List.iter
-      (fun (first_id, holder) ->
-        let key = pair first_id id in
-        if first_id <> id && not (Pairs.mem seen key) then
-          Pairs.replace seen key
-            { first = Replay.lock_name ctx first_id; second; holder; acquire = r })
-      (Replay.held_grants ctx ~tid:r.Trace.tid)
-  | _ -> ()
+let grant t row =
+  let ctx = t.ctx and tid = Trace.Row.tid row in
+  let id = Replay.id ctx in
+  (* The oldest grant of a lock held twice comes first and wins. *)
+  for i = 0 to Replay.held_count ctx ~tid - 1 do
+    let first = Replay.held_id ctx ~tid i in
+    if first >= Array.length t.last then
+      t.last <- Array.append t.last (Array.make (max 8 (first + 1)) (-1));
+    if first <> id && t.last.(first) <> id then begin
+      t.last.(first) <- id;
+      let key = pair first id in
+      if not (Pairs.mem t.seen key) then
+        Pairs.replace t.seen key
+          {
+            s_first = first;
+            s_second = id;
+            s_holder = Replay.held_grant ctx ~tid i;
+            s_acquire = Trace.Row.pos row;
+          }
+    end
+  done
 
-let edges_of (seen : t) =
-  Pairs.fold (fun _ e acc -> e :: acc) seen []
+let[@inline] step t row = match Trace.Row.kind row with Trace.Kind.Lock_grant -> grant t row | _ -> ()
+
+let edges_of t =
+  let ctx = t.ctx in
+  Pairs.fold
+    (fun _ s acc ->
+      {
+        first = Replay.lock_name ctx s.s_first;
+        second = Replay.lock_name ctx s.s_second;
+        holder = Replay.record ctx s.s_holder;
+        acquire = Replay.record ctx s.s_acquire;
+      }
+      :: acc)
+    t.seen []
   |> List.sort (fun a b ->
          match compare a.first b.first with 0 -> compare a.second b.second | c -> c)
 
-let edges tracer = edges_of (Replay.run tracer (create ()) step)
+let edges tracer = edges_of (Replay.run tracer create step)
 
 (* Elementary cycles, each as the list of edges walked; every distinct
    (unordered) lock pair involved in an inversion is reported once. *)
 let cycles es =
   let adj : (string, edge list) Hashtbl.t = Hashtbl.create 16 in
+  (* Each lock's out-edges in the order of [es]. *)
   List.iter
     (fun e ->
       let cur = Option.value ~default:[] (Hashtbl.find_opt adj e.first) in
-      Hashtbl.replace adj e.first (cur @ [ e ]))
-    es;
+      Hashtbl.replace adj e.first (e :: cur))
+    (List.rev es);
   let found = ref [] in
   let keys = ref [] in
   let report cycle =
@@ -114,4 +139,4 @@ let findings t =
               (List.length cycle)))
   |> Finding.sort
 
-let check tracer = findings (Replay.run tracer (create ()) step)
+let check tracer = findings (Replay.run tracer create step)

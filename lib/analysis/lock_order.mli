@@ -27,8 +27,8 @@ val check : Pnp_engine.Trace.t -> Finding.t list
 
 type t
 
-val create : unit -> t
-val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
+val create : Replay.ctx -> t
+val step : t -> Pnp_engine.Trace.Row.t -> unit
 
 val findings : t -> Finding.t list
 (** {!check} over the records stepped so far. *)

@@ -15,6 +15,7 @@ type cls =
   | C_shared of int list
   | C_shared_modified of int list
 
+(* Per state id, from its first classified access. *)
 type cell = {
   name : string;
   mutable cls : cls;
@@ -22,47 +23,121 @@ type cell = {
       (* locks consistently held by the initialising thread; seeds the
          candidate set when the state becomes shared *)
   mutable n : int;
-  mutable last : Trace.record option; (* previous access, for the witness pair *)
+  mutable last : Trace.pos; (* previous access, for the witness pair *)
   mutable reported : bool;
 }
 
-(* One access as the state machine needs it.  Accesses are classified
-   only once the whole trace has been replayed, because whether one
-   counts depends on later records (see [step]).  The record itself is
-   rebuilt for witnesses. *)
-type access = {
-  a_sid : int;
-  a_state : string;
-  a_write : bool;
-  a_ts : int;
-  a_tid : int;
-  a_cpu : int;
-  a_held : int list; (* lock ids, oldest first *)
+(* Held sets: each distinct stack of held locks (oldest first) an access
+   ran under, numbered from 0, the empty stack, by extending a stack's
+   set with one lock at a time. *)
+module Ints = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k lxor (k lsr 30)
+end)
+
+type sets = {
+  child : int Ints.t; (* [set lsl 30 lor lock] -> set *)
+  mutable locks : int list array; (* set -> its locks, oldest first *)
+  mutable count : int;
 }
 
+(* Accesses are classified only once the whole trace has been replayed,
+   because whether one counts depends on later records (see [step]).
+   Until then an access is three ints in [acc]: its row's position, its
+   state's id and the held set it ran under; its tid, timestamp and
+   kind are read back from the row.  [acc] is a list of blocks of [block_ints]
+   ints, small enough to be allocated young, so it grows without copying
+   and without slack. *)
 type t = {
+  ctx : Replay.ctx;
   cells : cell Replay.Slots.t; (* by state id *)
-  cutoff : (int, int) Hashtbl.t; (* tid -> ts of its last unmatched release *)
-  mutable accesses : access list; (* newest first, not yet classified *)
-  mutable ctx : Replay.ctx option; (* the replay's, for lock names *)
+  cutoff : int Replay.Slots.t; (* tid -> ts of its last unmatched release *)
+  sets : sets;
+  mutable last_set : int array; (* tid -> the held set of its last access *)
+  mutable acc : int array list; (* the full blocks, newest first *)
+  mutable block : int array;
+  mutable fill : int; (* ints used in [block] *)
   mutable findings : Finding.t list;
 }
 
-let create () =
+let block_ints = 255
+
+let create ctx =
   {
+    ctx;
     cells = Replay.Slots.create ();
-    cutoff = Hashtbl.create 16;
-    accesses = [];
-    ctx = None;
+    cutoff = Replay.Slots.create ();
+    sets = { child = Ints.create 16; locks = [| [] |]; count = 1 };
+    last_set = [||];
+    acc = [];
+    block = Array.make block_ints 0;
+    fill = 0;
     findings = [];
   }
 
 let rec mem (l : int) = function [] -> false | x :: rest -> x = l || mem l rest
-let inter a b = List.filter (fun l -> mem l b) a
+
+(* [a] restricted to the locks in [b]; [a] itself when that keeps them
+   all. *)
+let rec inter a b =
+  match a with
+  | [] -> a
+  | x :: rest ->
+    let rest' = inter rest b in
+    if not (mem x b) then rest' else if rest' == rest then a else x :: rest'
 
 let locks_str = function
   | [] -> "{}"
   | ls -> "{" ^ String.concat ", " ls ^ "}"
+
+let extend sets set lock =
+  let key = (set lsl 30) lor lock in
+  match Ints.find_opt sets.child key with
+  | Some s -> s
+  | None ->
+    let s = sets.count in
+    if s = Array.length sets.locks then
+      sets.locks <- Array.append sets.locks (Array.make s []);
+    sets.locks.(s) <- sets.locks.(set) @ [ lock ];
+    sets.count <- s + 1;
+    Ints.replace sets.child key s;
+    s
+
+(* Whether the thread's held locks from the [i]th on are [ls]. *)
+let rec same_stack ctx tid n i = function
+  | [] -> i = n
+  | l :: rest -> i < n && Replay.held_id ctx ~tid i = l && same_stack ctx tid n (i + 1) rest
+
+(* The held set of the thread's current stack: the set of its last
+   access while the stack is unchanged, which is the usual case. *)
+let held_set t tid =
+  let ctx = t.ctx in
+  let n = Replay.held_count ctx ~tid in
+  if tid >= Array.length t.last_set then
+    t.last_set <- Array.append t.last_set (Array.make (max 8 (tid + 1)) 0);
+  let last = t.last_set.(tid) in
+  if same_stack ctx tid n 0 t.sets.locks.(last) then last
+  else begin
+    let s = ref 0 in
+    for i = 0 to n - 1 do
+      s := extend t.sets !s (Replay.held_id ctx ~tid i)
+    done;
+    t.last_set.(tid) <- !s;
+    !s
+  end
+
+let record_access t pos sid set =
+  if t.fill = Array.length t.block then begin
+    t.acc <- t.block :: t.acc;
+    t.block <- Array.make block_ints 0;
+    t.fill <- 0
+  end;
+  t.block.(t.fill) <- pos;
+  t.block.(t.fill + 1) <- sid;
+  t.block.(t.fill + 2) <- set;
+  t.fill <- t.fill + 3
 
 (* The tracer is usually enabled mid-run (the measurement window), so a
    thread can be holding locks whose grants predate the trace.  Such a
@@ -71,96 +146,107 @@ let locks_str = function
    unmatched release ran with an unknowable held-set and must not be
    classified; so [step] only records accesses, and [result] classifies
    them once every release has been seen. *)
-let step t ctx (r : Trace.record) =
-  if Option.is_none t.ctx then t.ctx <- Some ctx;
-  let tid = r.Trace.tid in
-  match r.Trace.ev with
-  | Trace.Access { state; write } ->
-    t.accesses <-
-      {
-        a_sid = Replay.id ctx;
-        a_state = state;
-        a_write = write;
-        a_ts = r.Trace.ts;
-        a_tid = tid;
-        a_cpu = r.Trace.cpu;
-        a_held = Replay.held_ids ctx ~tid;
-      }
-      :: t.accesses
-  | Trace.Lock_release _ ->
-    if not (mem (Replay.id ctx) (Replay.held_ids ctx ~tid)) then
-      Hashtbl.replace t.cutoff tid r.Trace.ts
+let release t row =
+  let tid = Trace.Row.tid row in
+  if not (Replay.holds t.ctx ~tid (Replay.id t.ctx)) then
+    Replay.Slots.set t.cutoff tid (Trace.Row.ts row)
+
+let[@inline] step t row =
+  match Trace.Row.kind row with
+  | Trace.Kind.Access ->
+    record_access t (Trace.Row.pos row) (Replay.id t.ctx) (held_set t (Trace.Row.tid row))
+  | Trace.Kind.Lock_release -> release t row
   | _ -> ()
 
-let incomplete_context t a =
-  match Hashtbl.find_opt t.cutoff a.a_tid with Some ts -> a.a_ts <= ts | None -> false
+let lock_names t ls = List.map (Replay.lock_name t.ctx) ls
 
-let lock_names t ls =
-  match t.ctx with Some ctx -> List.map (Replay.lock_name ctx) ls | None -> []
+let report t c row held ls =
+  if not c.reported then begin
+    c.reported <- true;
+    let r = Trace.Row.record row in
+    let witnesses = if c.last >= 0 then [ Replay.record t.ctx c.last; r ] else [ r ] in
+    t.findings <-
+      Finding.v ~checker:"lockset" ~subject:c.name ~witnesses
+        (Printf.sprintf
+           "candidate lockset went empty: %s by tid %d holding %s (candidates \
+            were %s) — shared state is reachable without a consistent lock"
+           (if Trace.Row.int0 row <> 0 then "write" else "read")
+           (Trace.Row.tid row)
+           (locks_str (lock_names t held))
+           (locks_str (lock_names t ls)))
+      :: t.findings
+  end
 
-let classify t a =
-  let c =
-    match Replay.Slots.get t.cells a.a_sid with
-    | Some c -> c
-    | None ->
-      let c =
-        { name = a.a_state; cls = C_virgin; init_ls = []; n = 0; last = None; reported = false }
-      in
-      Replay.Slots.set t.cells a.a_sid c;
-      c
+let classify t row pos sid set =
+  Trace.Row.seek (Replay.tracer t.ctx) row pos;
+  let tid = Trace.Row.tid row in
+  let incomplete_context =
+    match Replay.Slots.get t.cutoff tid with Some ts -> Trace.Row.ts row <= ts | None -> false
   in
-  c.n <- c.n + 1;
-  let tid = a.a_tid and held = a.a_held and write = a.a_write in
-  let r =
-    { Trace.ts = a.a_ts; tid; cpu = a.a_cpu; ev = Trace.Access { state = a.a_state; write } }
-  in
-  let report ls =
-    if not c.reported then begin
-      c.reported <- true;
-      let witnesses = match c.last with Some prev -> [ prev; r ] | None -> [ r ] in
-      t.findings <-
-        Finding.v ~checker:"lockset" ~subject:a.a_state ~witnesses
-          (Printf.sprintf
-             "candidate lockset went empty: %s by tid %d holding %s (candidates \
-              were %s) — shared state is reachable without a consistent lock"
-             (if write then "write" else "read")
-             tid
-             (locks_str (lock_names t held))
-             (locks_str (lock_names t ls)))
-        :: t.findings
-    end
-  in
-  (match c.cls with
-   | C_virgin ->
-     c.cls <- C_exclusive tid;
-     c.init_ls <- held
-   | C_exclusive owner when owner = tid -> c.init_ls <- inter c.init_ls held
-   | C_exclusive _ ->
-     (* Second thread: the candidate set is the locks the initialising
-        thread consistently held, intersected with this access's held
-        set. *)
-     let ls' = inter c.init_ls held in
-     if write then begin
-       c.cls <- C_shared_modified ls';
-       if ls' = [] then report c.init_ls
-     end
-     else c.cls <- C_shared ls'
-   | C_shared ls ->
-     let ls' = inter ls held in
-     if write then begin
-       c.cls <- C_shared_modified ls';
-       if ls' = [] then report ls
-     end
-     else c.cls <- C_shared ls'
-   | C_shared_modified ls ->
-     let ls' = inter ls held in
-     c.cls <- C_shared_modified ls';
-     if ls' = [] then report ls);
-  c.last <- Some r
+  if not incomplete_context then begin
+    let c =
+      match Replay.Slots.get t.cells sid with
+      | Some c -> c
+      | None ->
+        let c =
+          {
+            name = Trace.Row.name row;
+            cls = C_virgin;
+            init_ls = [];
+            n = 0;
+            last = -1;
+            reported = false;
+          }
+        in
+        Replay.Slots.set t.cells sid c;
+        c
+    in
+    c.n <- c.n + 1;
+    let held = t.sets.locks.(set) and write = Trace.Row.int0 row <> 0 in
+    (match c.cls with
+     | C_virgin ->
+       c.cls <- C_exclusive tid;
+       c.init_ls <- held
+     | C_exclusive owner when owner = tid -> c.init_ls <- inter c.init_ls held
+     | C_exclusive _ ->
+       (* Second thread: the candidate set is the locks the initialising
+          thread consistently held, intersected with this access's held
+          set. *)
+       let ls' = inter c.init_ls held in
+       if write then begin
+         c.cls <- C_shared_modified ls';
+         if ls' = [] then report t c row held c.init_ls
+       end
+       else c.cls <- C_shared ls'
+     | C_shared ls ->
+       let ls' = inter ls held in
+       if write then begin
+         c.cls <- C_shared_modified ls';
+         if ls' = [] then report t c row held ls
+       end
+       else if ls' != ls then c.cls <- C_shared ls'
+     | C_shared_modified ls ->
+       let ls' = inter ls held in
+       if ls' != ls then c.cls <- C_shared_modified ls';
+       if ls' = [] then report t c row held ls);
+    c.last <- pos
+  end
 
 let result t =
-  List.iter (fun a -> if not (incomplete_context t a) then classify t a) (List.rev t.accesses);
-  t.accesses <- [];
+  let row = Trace.Row.cursor () in
+  let classify_block b len =
+    let rec go i =
+      if i < len then begin
+        classify t row b.(i) b.(i + 1) b.(i + 2);
+        go (i + 3)
+      end
+    in
+    go 0
+  in
+  List.iter (fun b -> classify_block b (Array.length b)) (List.rev t.acc);
+  classify_block t.block t.fill;
+  t.acc <- [];
+  t.fill <- 0;
   let class_ = function
     | C_virgin -> Virgin
     | C_exclusive tid -> Exclusive tid
@@ -175,6 +261,6 @@ let result t =
   in
   (states, Finding.sort t.findings)
 
-let run tracer = result (Replay.run tracer (create ()) step)
+let run tracer = result (Replay.run tracer create step)
 
 let check tracer = snd (run tracer)

@@ -50,9 +50,9 @@ val run : Pnp_engine.Trace.t -> state list * Finding.t list
 
 type t
 
-val create : unit -> t
+val create : Replay.ctx -> t
 
-val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
+val step : t -> Pnp_engine.Trace.Row.t -> unit
 (** Records each access with the locks held at it, and each release of a
     lock the replay never saw granted (a pre-window hold). *)
 

@@ -12,12 +12,18 @@ type lock_stat = {
    request queue. *)
 type cell = {
   name : string;
+  fifo : bool; (* registered with the FIFO discipline *)
   mutable grants : int;
   mutable reordered : int;
   mutable max_window : int;
   mutable max_seq : int; (* highest packet seq granted so far *)
   mutable any_seq : bool;
-  mutable pending : (int * Trace.record) list; (* (tid, request), oldest first *)
+  (* Pending requests, oldest first: the [n] first entries of
+     [req_tids] and [req_pos], the requesting tid and the request
+     row. *)
+  mutable n : int;
+  mutable req_tids : int array;
+  mutable req_pos : int array;
   mutable flagged : bool;
 }
 
@@ -25,37 +31,40 @@ type cell = {
    the FIFO grant-order assertion, which replays each lock's request
    queue and requires grants to pop the head. *)
 type t = {
-  tracer : Trace.t; (* for the registered lock disciplines *)
+  ctx : Replay.ctx; (* its tracer has the registered lock disciplines *)
   cells : cell Replay.Slots.t;
   mutable findings : Finding.t list;
 }
 
-let create tracer = { tracer; cells = Replay.Slots.create (); findings = [] }
+let create ctx = { ctx; cells = Replay.Slots.create (); findings = [] }
 
-let cell t ctx lock =
-  let id = Replay.id ctx in
+let cell t =
+  let id = Replay.id t.ctx in
   match Replay.Slots.get t.cells id with
   | Some c -> c
   | None ->
+    let name = Replay.lock_name t.ctx id in
     let c =
       {
-        name = lock;
+        name;
+        fifo = Trace.lock_discipline (Replay.tracer t.ctx) name = Some "fifo";
         grants = 0;
         reordered = 0;
         max_window = 0;
         max_seq = 0;
         any_seq = false;
-        pending = [];
+        n = 0;
+        req_tids = [||];
+        req_pos = [||];
         flagged = false;
       }
     in
     Replay.Slots.set t.cells id c;
     c
 
-let account ctx (r : Trace.record) a =
-  match Replay.current_seq ctx ~tid:r.Trace.tid with
-  | None -> ()
-  | Some seq ->
+let account t tid a =
+  if Replay.carrying t.ctx ~tid then begin
+    let seq = Replay.seq t.ctx ~tid in
     a.grants <- a.grants + 1;
     if a.any_seq && seq < a.max_seq then begin
       a.reordered <- a.reordered + 1;
@@ -65,38 +74,71 @@ let account ctx (r : Trace.record) a =
       a.max_seq <- seq;
       a.any_seq <- true
     end
+  end
 
-let pop_grant t (r : Trace.record) c =
-  let q = c.pending in
+let request c tid pos =
+  if c.n = Array.length c.req_tids then begin
+    let grow a = Array.append a (Array.make (max 4 c.n) 0) in
+    c.req_tids <- grow c.req_tids;
+    c.req_pos <- grow c.req_pos
+  end;
+  c.req_tids.(c.n) <- tid;
+  c.req_pos.(c.n) <- pos;
+  c.n <- c.n + 1
+
+(* Drop every pending request [tid] made, keeping the others in order. *)
+let remove c tid =
+  let k = ref 0 in
+  for i = 0 to c.n - 1 do
+    if c.req_tids.(i) <> tid then begin
+      c.req_tids.(!k) <- c.req_tids.(i);
+      c.req_pos.(!k) <- c.req_pos.(i);
+      incr k
+    end
+  done;
+  c.n <- !k
+
+let rec pending c tid i = i < c.n && (c.req_tids.(i) = tid || pending c tid (i + 1))
+
+let pop_grant t row c =
+  let tid = Trace.Row.tid row in
   (* A grant whose request predates trace start is not in the queue;
      ignore it rather than mistake it for an overtake. *)
-  if List.exists (fun (tid, _) -> tid = r.Trace.tid) q then
-    match q with
-    | (head_tid, head_req) :: _ when head_tid <> r.Trace.tid ->
+  if pending c tid 0 then begin
+    let head_tid = c.req_tids.(0) in
+    if head_tid <> tid then begin
       (* Overtake.  Only a violation for FIFO locks. *)
-      if (not c.flagged) && Trace.lock_discipline t.tracer c.name = Some "fifo" then begin
+      if c.fifo && not c.flagged then begin
         c.flagged <- true;
         t.findings <-
-          Finding.v ~checker:"fifo-order" ~subject:c.name ~witnesses:[ head_req; r ]
+          Finding.v ~checker:"fifo-order" ~subject:c.name
+            ~witnesses:[ Replay.record t.ctx c.req_pos.(0); Trace.Row.record row ]
             (Printf.sprintf
                "FIFO lock granted out of arrival order: tid %d overtook the pending \
                 request of tid %d"
-               r.Trace.tid head_tid)
+               tid head_tid)
           :: t.findings
       end;
-      c.pending <- List.filter (fun (tid, _) -> tid <> r.Trace.tid) q
-    | _ :: rest -> c.pending <- rest
-    | [] -> ()
+      remove c tid
+    end
+    else begin
+      for i = 0 to c.n - 2 do
+        c.req_tids.(i) <- c.req_tids.(i + 1);
+        c.req_pos.(i) <- c.req_pos.(i + 1)
+      done;
+      c.n <- c.n - 1
+    end
+  end
 
-let step t ctx (r : Trace.record) =
-  match r.Trace.ev with
-  | Trace.Lock_request { lock; _ } ->
-    let c = cell t ctx lock in
-    c.pending <- c.pending @ [ (r.Trace.tid, r) ]
-  | Trace.Lock_grant { lock; _ } ->
-    let c = cell t ctx lock in
-    account ctx r c;
-    pop_grant t r c
+let grant t row =
+  let c = cell t in
+  account t (Trace.Row.tid row) c;
+  pop_grant t row c
+
+let[@inline] step t row =
+  match Trace.Row.kind row with
+  | Trace.Kind.Lock_request -> request (cell t) (Trace.Row.tid row) (Trace.Row.pos row)
+  | Trace.Kind.Lock_grant -> grant t row
   | _ -> ()
 
 let stats_of t =
@@ -106,7 +148,7 @@ let stats_of t =
       else
         {
           lock = c.name;
-          discipline = Trace.lock_discipline t.tracer c.name;
+          discipline = Trace.lock_discipline (Replay.tracer t.ctx) c.name;
           grants = c.grants;
           reordered = c.reordered;
           max_window = c.max_window;
@@ -117,11 +159,11 @@ let stats_of t =
          match compare y.reordered x.reordered with 0 -> compare x.lock y.lock | c -> c)
 
 let findings t = Finding.sort t.findings
-let stats tracer = stats_of (Replay.run tracer (create tracer) step)
+let stats tracer = stats_of (Replay.run tracer create step)
 
 let reordered_total rows =
   List.fold_left
     (fun (r, g) (s : lock_stat) -> (r + s.reordered, g + s.grants))
     (0, 0) rows
 
-let check tracer = findings (Replay.run tracer (create tracer) step)
+let check tracer = findings (Replay.run tracer create step)

@@ -42,8 +42,8 @@ val check : Pnp_engine.Trace.t -> Finding.t list
 
 type t
 
-val create : Pnp_engine.Trace.t -> t
-val step : t -> Replay.ctx -> Pnp_engine.Trace.record -> unit
+val create : Replay.ctx -> t
+val step : t -> Pnp_engine.Trace.Row.t -> unit
 
 val stats_of : t -> lock_stat list
 (** {!stats} over the records stepped so far. *)

@@ -46,20 +46,41 @@ end
 module Names = Hashtbl.Make (String)
 
 (* One kind's names, numbered densely from 0 in first-seen order.
-   Emitters pass a lock's or gate's own name string every time, so
-   about half the lookups on a checked trace are the very string
-   looked up last: [last] answers those without hashing. *)
+   Emitters pass a lock's or state's own name string every time, so a
+   small cache answers most lookups by identity: a slot, picked from the
+   string's length and two of its bytes, holds the last string seen
+   there.  Only a miss hashes the whole string.  The slots start out
+   holding a string of the table's own, which no trace row can hold. *)
 type names = {
   ids : int Names.t;
   mutable strs : string array;
-  mutable last : string;
-  mutable last_id : int;
+  seen : string array;
+  seen_id : int array;
 }
 
-let names () = { ids = Names.create 16; strs = [||]; last = ""; last_id = -1 }
+let cache_slots = 128
+
+let names () =
+  {
+    ids = Names.create 16;
+    strs = [||];
+    seen = Array.make cache_slots (String.make 1 ' ');
+    seen_id = Array.make cache_slots 0;
+  }
+
+(* Names that differ share a prefix more often than an end, so the
+   slot reads the last byte, the one four before it and the middle
+   one. *)
+let[@inline] slot s =
+  let n = String.length s in
+  if n < 4 then n
+  else
+    let byte i = Char.code (String.unsafe_get s i) in
+    (n + (7 * byte (n - 1)) + (3 * byte (n - 4)) + (5 * byte (n / 2))) land (cache_slots - 1)
 
 let intern tbl s =
-  if s == tbl.last && tbl.last_id >= 0 then tbl.last_id
+  let k = slot s in
+  if Array.unsafe_get tbl.seen k == s then Array.unsafe_get tbl.seen_id k
   else begin
     let id =
       match Names.find_opt tbl.ids s with
@@ -75,35 +96,39 @@ let intern tbl s =
         tbl.strs.(id) <- s;
         id
     in
-    tbl.last <- s;
-    tbl.last_id <- id;
+    tbl.seen.(k) <- s;
+    tbl.seen_id.(k) <- id;
     id
   end
 
-(* Per thread: held locks as (lock id, grant record), oldest first,
-   their ids alone (what most queries want, kept so [held_ids]
-   allocates nothing), and the seq of the packet it is currently
-   carrying up the stack. *)
+(* Per thread: the locks it holds, oldest first, as their ids and the
+   positions of the rows that granted them, and the seq of the packet
+   it is currently carrying up the stack. *)
 type thread_state = {
-  mutable locks : (int * Trace.record) list;
-  mutable ids : int list;
-  mutable seq : int option;
+  mutable n : int;
+  mutable ids : int array;
+  mutable grants : int array;
+  mutable carrying : bool;
+  mutable seq : int;
 }
 
 (* Thread states by tid.  Every record the replay tracks comes from a
    simulated thread, whose tid is a small non-negative int. *)
 type ctx = {
+  tracer : Trace.t;
   mutable threads : thread_state array;
   locks : names;
   gates : names;
   logs : names;
   states : names;
   scr_locks : int Slots.t; (* log id -> lock id of its SCR apply lock *)
-  mutable id : int; (* the current record's name id *)
+  mutable id : int; (* the current row's name id *)
 }
 
+let new_state () = { n = 0; ids = [||]; grants = [||]; carrying = false; seq = 0 }
+
 (* The state of a thread with no slot yet; never mutated. *)
-let idle = { locks = []; ids = []; seq = None }
+let idle = new_state ()
 
 let find ctx tid = if tid < Array.length ctx.threads then ctx.threads.(tid) else idle
 
@@ -117,37 +142,55 @@ let state ctx tid =
       Array.blit ctx.threads 0 a 0 len;
       ctx.threads <- a
     end;
-    let s = { locks = []; ids = []; seq = None } in
+    let s = new_state () in
     ctx.threads.(tid) <- s;
     s
   end
 
+let tracer ctx = ctx.tracer
 let id ctx = ctx.id
+let record ctx pos = Trace.record_at ctx.tracer pos
 let lock_name ctx id = ctx.locks.strs.(id)
-let held_ids ctx ~tid = (find ctx tid).ids
-let held_grants ctx ~tid = (find ctx tid).locks
-let held ctx ~tid = List.map (lock_name ctx) (held_ids ctx ~tid)
-let current_seq ctx ~tid = (find ctx tid).seq
+let held_count ctx ~tid = (find ctx tid).n
+let held_id ctx ~tid i = (find ctx tid).ids.(i)
+let held_grant ctx ~tid i = (find ctx tid).grants.(i)
 
-(* Remove the most recent occurrence: a Counting lock's underlying lock
-   appears once, but be robust to repeated ids. *)
-let remove_last id locks =
-  let rec go = function
-    | [] -> []
-    | (n, _) :: rest when n = id && not (List.exists (fun (m, _) -> m = id) rest) -> rest
-    | entry :: rest -> entry :: go rest
-  in
-  go locks
+(* The index of the thread's most recent hold of the lock below [i],
+   or -1. *)
+let rec last_hold s id i = if i < 0 || s.ids.(i) = id then i else last_hold s id (i - 1)
 
-let acquire ctx tid id r =
+let holds ctx ~tid id =
+  let s = find ctx tid in
+  last_hold s id (s.n - 1) >= 0
+
+let held ctx ~tid = List.init (held_count ctx ~tid) (fun i -> lock_name ctx (held_id ctx ~tid i))
+let carrying ctx ~tid = (find ctx tid).carrying
+let seq ctx ~tid = (find ctx tid).seq
+
+let grow a n = Array.append a (Array.make (max 4 n) 0)
+
+let acquire ctx tid id pos =
   let s = state ctx tid in
-  s.locks <- s.locks @ [ (id, r) ];
-  s.ids <- s.ids @ [ id ]
+  if s.n = Array.length s.ids then begin
+    s.ids <- grow s.ids s.n;
+    s.grants <- grow s.grants s.n
+  end;
+  s.ids.(s.n) <- id;
+  s.grants.(s.n) <- pos;
+  s.n <- s.n + 1
 
+(* Remove the most recent hold of the lock: a Counting lock's
+   underlying lock appears once, but be robust to repeated ids. *)
 let drop ctx tid id =
   let s = state ctx tid in
-  s.locks <- remove_last id s.locks;
-  s.ids <- List.map fst s.locks
+  let i = last_hold s id (s.n - 1) in
+  if i >= 0 then begin
+    for k = i to s.n - 2 do
+      s.ids.(k) <- s.ids.(k + 1);
+      s.grants.(k) <- s.grants.(k + 1)
+    done;
+    s.n <- s.n - 1
+  end
 
 (* SCR apply sections are host-atomic and ordered by the log, so for
    lockset purposes they behave as critical sections of one synthetic
@@ -162,43 +205,49 @@ let scr_lock ctx log =
     Slots.set ctx.scr_locks log id;
     id
 
-let name_id ctx (ev : Trace.ev) =
-  match ev with
-  | Trace.Lock_request { lock; _ } | Trace.Lock_grant { lock; _ } | Trace.Lock_release { lock; _ }
-    ->
-    intern ctx.locks lock
-  | Trace.Gate_pass { gate; _ } | Trace.Gate_advance { gate; _ } -> intern ctx.gates gate
-  | Trace.Scr_append { log; _ } | Trace.Scr_apply { log; _ } | Trace.Scr_apply_end { log; _ } ->
-    intern ctx.logs log
-  | Trace.Access { state; _ } -> intern ctx.states state
+let[@inline] name_id ctx row =
+  match Trace.Row.kind row with
+  | Trace.Kind.Lock_request | Trace.Kind.Lock_grant | Trace.Kind.Lock_release ->
+    intern ctx.locks (Trace.Row.name row)
+  | Trace.Kind.Gate_pass | Trace.Kind.Gate_advance -> intern ctx.gates (Trace.Row.name row)
+  | Trace.Kind.Scr_append | Trace.Kind.Scr_apply | Trace.Kind.Scr_apply_end ->
+    intern ctx.logs (Trace.Row.name row)
+  | Trace.Kind.Access -> intern ctx.states (Trace.Row.name row)
   | _ -> -1
 
-let apply ctx (r : Trace.record) =
-  match r.Trace.ev with
-  | Trace.Lock_grant _ -> acquire ctx r.Trace.tid ctx.id r
-  | Trace.Lock_release _ -> drop ctx r.Trace.tid ctx.id
-  | Trace.Scr_apply _ -> acquire ctx r.Trace.tid (scr_lock ctx ctx.id) r
-  | Trace.Scr_apply_end _ -> drop ctx r.Trace.tid (scr_lock ctx ctx.id)
-  | Trace.Span_begin { seq; phase = Trace.Enqueue } -> (state ctx r.Trace.tid).seq <- Some seq
+let[@inline] apply ctx row =
+  let tid = Trace.Row.tid row in
+  match Trace.Row.kind row with
+  | Trace.Kind.Lock_grant -> acquire ctx tid ctx.id (Trace.Row.pos row)
+  | Trace.Kind.Lock_release -> drop ctx tid ctx.id
+  | Trace.Kind.Scr_apply -> acquire ctx tid (scr_lock ctx ctx.id) (Trace.Row.pos row)
+  | Trace.Kind.Scr_apply_end -> drop ctx tid (scr_lock ctx ctx.id)
+  | Trace.Kind.Span_begin when Trace.Row.int1 row = 0 (* Enqueue *) ->
+    let s = state ctx tid in
+    s.carrying <- true;
+    s.seq <- Trace.Row.int0 row
   | _ -> ()
 
-let replay tracer f =
-  let ctx =
-    {
-      threads = [||];
-      locks = names ();
-      gates = names ();
-      logs = names ();
-      states = names ();
-      scr_locks = Slots.create ();
-      id = -1;
-    }
-  in
-  Trace.iter_kinds tracer kept (fun r ->
-      ctx.id <- name_id ctx r.Trace.ev;
-      f ctx r;
-      apply ctx r)
+let create tracer =
+  {
+    tracer;
+    threads = [||];
+    locks = names ();
+    gates = names ();
+    logs = names ();
+    states = names ();
+    scr_locks = Slots.create ();
+    id = -1;
+  }
 
-let run tracer t step =
-  replay tracer (step t);
+let[@inline] replay ctx f =
+  Trace.iter_rows ctx.tracer kept (fun row ->
+      ctx.id <- name_id ctx row;
+      f row;
+      apply ctx row)
+
+let run tracer make step =
+  let ctx = create tracer in
+  let t = make ctx in
+  replay ctx (step t);
   t

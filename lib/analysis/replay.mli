@@ -2,17 +2,23 @@
 
     The trace-driven checkers all need the same derived fact: which
     locks each simulated thread held at a given event.  [replay] walks a
-    recorded trace in emission order, maintains that state from the
-    [Lock_grant]/[Lock_release] stream, and hands every record a checker
-    reads ({!read_by_checkers}) to the callback together with the
-    context.  Records no checker reads (spawns, hand-offs, gate
+    recorded trace's rows in place, in emission order, maintains that
+    state from the [Lock_grant]/[Lock_release] rows, and hands every row
+    a checker reads ({!read_by_checkers}) to the callback together with
+    the context.  Records no checker reads (spawns, hand-offs, gate
     tickets, pool hits, span ends, faults, SCR replays, RCU) are skipped
-    before they are rebuilt.
+    on their stored kind.
+
+    No record is built per row: a step reads the row's fields through
+    {!Pnp_engine.Trace.Row}, keeps what it needs as ints (a row's
+    position stands for the record), and rebuilds a record with
+    {!record} only for a finding's witnesses.
 
     The context passed to the callback reflects the state {e before} the
-    current record is applied: on a [Lock_grant] the granted lock is not
-    yet in the thread's held list (which is exactly the held-before set
-    the lock-order checker wants), and on a [Lock_release] it still is.
+    current row is applied: on a [Lock_grant] the granted lock is not
+    yet among the thread's held locks (which is exactly the held-before
+    set the lock-order checker wants), and on a [Lock_release] it still
+    is.
 
     Names are interned once per replay, one numbering per kind (locks,
     gates, SCR logs, states), densely from 0 in first-seen order, so the
@@ -20,40 +26,63 @@
 
 type ctx
 
+val create : Pnp_engine.Trace.t -> ctx
+(** The context of a replay of the trace that has not begun. *)
+
+val tracer : ctx -> Pnp_engine.Trace.t
+
 val read_by_checkers : Pnp_engine.Trace.ev -> bool
 (** Whether some checker reads records of this constructor; decided on
     the constructor alone. *)
 
 val id : ctx -> int
-(** The current record's name, interned: the id of its lock, gate, SCR
-    log or state in that kind's numbering, or [-1] for a record without
-    a name. *)
+(** The current row's name, interned: the id of its lock, gate, SCR log
+    or state in that kind's numbering, or [-1] for a row without a
+    name. *)
+
+val record : ctx -> Pnp_engine.Trace.pos -> Pnp_engine.Trace.record
+(** The record at a position of the replayed trace: how a checker
+    builds a finding's witness. *)
 
 val lock_name : ctx -> int -> string
 (** The lock with this id.  Lock ids include one synthetic lock per SCR
     log, ["scr:" ^ log], held across each apply section. *)
 
-val held_ids : ctx -> tid:int -> int list
-(** Locks currently held by the thread, oldest acquisition first. *)
+(** {2 Held locks}
 
-val held_grants : ctx -> tid:int -> (int * Pnp_engine.Trace.record) list
-(** {!held_ids} paired with the [Lock_grant] record (the [Scr_apply]
-    record for an SCR log's lock) under which each is held. *)
+    A thread's held locks, oldest acquisition first: the [i]th has id
+    [held_id ctx ~tid i] and was granted by the row at
+    [held_grant ctx ~tid i] (the [Scr_apply] row for an SCR log's
+    lock). *)
+
+val held_count : ctx -> tid:int -> int
+val held_id : ctx -> tid:int -> int -> int
+val held_grant : ctx -> tid:int -> int -> Pnp_engine.Trace.pos
+
+val holds : ctx -> tid:int -> int -> bool
+(** Whether the thread holds the lock with this id. *)
 
 val held : ctx -> tid:int -> string list
-(** {!held_ids} by name. *)
+(** The held locks by name. *)
 
-val current_seq : ctx -> tid:int -> int option
-(** The packet sequence number the thread is currently carrying: the seq
-    of its most recent [Span_begin Enqueue]. *)
+val carrying : ctx -> tid:int -> bool
+(** Whether the thread has carried a packet: whether a
+    [Span_begin Enqueue] of it was replayed. *)
 
-val replay : Pnp_engine.Trace.t -> (ctx -> Pnp_engine.Trace.record -> unit) -> unit
-(** Replay every record a checker reads, in emission order, through the
-    callback. *)
+val seq : ctx -> tid:int -> int
+(** The sequence number of the packet the thread is carrying: the seq of
+    its most recent [Span_begin Enqueue].  Meaningful when
+    {!carrying}. *)
 
-val run : Pnp_engine.Trace.t -> 'a -> ('a -> ctx -> Pnp_engine.Trace.record -> unit) -> 'a
-(** [run tracer t step] replays the trace through [step t] and returns
-    [t]: how each checker runs its own per-record step alone. *)
+val replay : ctx -> (Pnp_engine.Trace.Row.t -> unit) -> unit
+(** Replay every row a checker reads, in emission order, through the
+    callback, updating the context after each.  Replay a context once.
+    The row cursor is valid during the call only. *)
+
+val run : Pnp_engine.Trace.t -> (ctx -> 'a) -> ('a -> Pnp_engine.Trace.Row.t -> unit) -> 'a
+(** [run tracer make step] makes a checker's state with [make] over
+    a fresh context, replays the trace through [step] and returns the
+    state: how each checker runs its own per-row step alone. *)
 
 (** {2 Tables keyed by id} *)
 

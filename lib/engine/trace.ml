@@ -44,10 +44,11 @@ type record = { ts : int; tid : int; cpu : int; ev : ev }
    spawn name, fault cause) also appends its string to the chunk's name
    column, in record order.  So a record is two to four words of row
    plus at most one word of name, and no block of its own: emitted [ev]s
-   die young instead of being promoted with the chunk.  [iter] rebuilds
-   each [ev] from its row, and [iter_kinds] skips a row by its kind
-   before building anything.  [clear] recycles chunks into a free list,
-   so repeated trace/clear cycles reuse the same memory.
+   die young instead of being promoted with the chunk.  [iter_rows]
+   reads rows in place through a cursor and skips a row by its kind;
+   [iter] rebuilds each [ev] from its row.  [clear] keeps the chunks for
+   the next trace to refill, so repeated trace/clear cycles reuse the
+   same memory.
    Chunks are allocated lazily on the first emit: a disabled tracer (the
    default — one exists per sim) costs a few words, not a chunk. *)
 type chunk = {
@@ -89,50 +90,99 @@ let phase_of_index = function
   | 3 -> Tcp_input
   | _ -> Upcall
 
+module Kind = struct
+  type t =
+    | Thread_spawn
+    | Thread_fork
+    | Thread_exit
+    | Thread_join
+    | Lock_request
+    | Lock_grant
+    | Lock_handoff
+    | Lock_release
+    | Gate_take
+    | Gate_pass
+    | Gate_advance
+    | Membus_charge
+    | Mpool_alloc
+    | Mnode_alloc
+    | Mnode_ref
+    | Mnode_unref
+    | Mnode_recycle
+    | Mnode_write
+    | Span_begin
+    | Span_end
+    | Access
+    | Fault_drop
+    | Fault_dup
+    | Fault_corrupt
+    | Fault_reorder
+    | Scr_append
+    | Scr_apply
+    | Scr_apply_end
+    | Scr_replay
+    | Rcu_read
+    | Rcu_publish
+end
+
+(* The stored kind numbers, in [encode]'s order: kind [k] is
+   [kind_of_index.(k)]. *)
+let kind_of_index =
+  Kind.
+    [|
+      Thread_spawn; Thread_fork; Thread_exit; Thread_join; Lock_request; Lock_grant;
+      Lock_handoff; Lock_release; Gate_take; Gate_pass; Gate_advance; Membus_charge;
+      Mpool_alloc; Mnode_alloc; Mnode_ref; Mnode_unref; Mnode_recycle; Mnode_write;
+      Span_begin; Span_end; Access; Fault_drop; Fault_dup; Fault_corrupt; Fault_reorder;
+      Scr_append; Scr_apply; Scr_apply_end; Scr_replay; Rcu_read; Rcu_publish;
+    |]
+
+let n_kinds = Array.length kind_of_index
+
 (* The inverse of [encode] below: kind [k]'s constructor from its name
    and int fields. *)
 let decode k name a b =
-  match k with
-  | 0 -> Thread_spawn { name }
-  | 1 -> Thread_fork { child = a }
-  | 2 -> Thread_exit
-  | 3 -> Thread_join { child = a }
-  | 4 -> Lock_request { lock = name; waiters = a }
-  | 5 -> Lock_grant { lock = name; waiters = a; wait_ns = b }
-  | 6 -> Lock_handoff { lock = name; to_tid = a; handoff_ns = b }
-  | 7 -> Lock_release { lock = name; hold_ns = a }
-  | 8 -> Gate_take { gate = name; ticket = a }
-  | 9 -> Gate_pass { gate = name; ticket = a; wait_ns = b }
-  | 10 -> Gate_advance { gate = name; serving = a }
-  | 11 -> Membus_charge { bytes = a; dur_ns = b }
-  | 12 -> Mpool_alloc { hit = a <> 0 }
-  | 13 -> Mnode_alloc { node = a }
-  | 14 -> Mnode_ref { node = a; refs = b }
-  | 15 -> Mnode_unref { node = a; refs = b }
-  | 16 -> Mnode_recycle { node = a }
-  | 17 -> Mnode_write { node = a }
-  | 18 -> Span_begin { seq = a; phase = phase_of_index b }
-  | 19 -> Span_end { seq = a; phase = phase_of_index b }
-  | 20 -> Access { state = name; write = a <> 0 }
-  | 21 -> Fault_drop { cause = name }
-  | 22 -> Fault_dup { copies = a }
-  | 23 -> Fault_corrupt { off = a; bit = b }
-  | 24 -> Fault_reorder { delay_ns = a }
-  | 25 -> Scr_append { log = name; idx = a }
-  | 26 -> Scr_apply { log = name; idx = a }
-  | 27 -> Scr_apply_end { log = name; idx = a }
-  | 28 -> Scr_replay { log = name; upto = a }
-  | 29 -> Rcu_read { state = name }
-  | 30 -> Rcu_publish { state = name }
-  | k -> invalid_arg (Printf.sprintf "Trace.decode: kind %d" k)
-
-let n_kinds = 31
+  match kind_of_index.(k) with
+  | Kind.Thread_spawn -> Thread_spawn { name }
+  | Kind.Thread_fork -> Thread_fork { child = a }
+  | Kind.Thread_exit -> Thread_exit
+  | Kind.Thread_join -> Thread_join { child = a }
+  | Kind.Lock_request -> Lock_request { lock = name; waiters = a }
+  | Kind.Lock_grant -> Lock_grant { lock = name; waiters = a; wait_ns = b }
+  | Kind.Lock_handoff -> Lock_handoff { lock = name; to_tid = a; handoff_ns = b }
+  | Kind.Lock_release -> Lock_release { lock = name; hold_ns = a }
+  | Kind.Gate_take -> Gate_take { gate = name; ticket = a }
+  | Kind.Gate_pass -> Gate_pass { gate = name; ticket = a; wait_ns = b }
+  | Kind.Gate_advance -> Gate_advance { gate = name; serving = a }
+  | Kind.Membus_charge -> Membus_charge { bytes = a; dur_ns = b }
+  | Kind.Mpool_alloc -> Mpool_alloc { hit = a <> 0 }
+  | Kind.Mnode_alloc -> Mnode_alloc { node = a }
+  | Kind.Mnode_ref -> Mnode_ref { node = a; refs = b }
+  | Kind.Mnode_unref -> Mnode_unref { node = a; refs = b }
+  | Kind.Mnode_recycle -> Mnode_recycle { node = a }
+  | Kind.Mnode_write -> Mnode_write { node = a }
+  | Kind.Span_begin -> Span_begin { seq = a; phase = phase_of_index b }
+  | Kind.Span_end -> Span_end { seq = a; phase = phase_of_index b }
+  | Kind.Access -> Access { state = name; write = a <> 0 }
+  | Kind.Fault_drop -> Fault_drop { cause = name }
+  | Kind.Fault_dup -> Fault_dup { copies = a }
+  | Kind.Fault_corrupt -> Fault_corrupt { off = a; bit = b }
+  | Kind.Fault_reorder -> Fault_reorder { delay_ns = a }
+  | Kind.Scr_append -> Scr_append { log = name; idx = a }
+  | Kind.Scr_apply -> Scr_apply { log = name; idx = a }
+  | Kind.Scr_apply_end -> Scr_apply_end { log = name; idx = a }
+  | Kind.Scr_replay -> Scr_replay { log = name; upto = a }
+  | Kind.Rcu_read -> Rcu_read { state = name }
+  | Kind.Rcu_publish -> Rcu_publish { state = name }
 
 type t = {
   mutable on : bool;
-  mutable filled : chunk list; (* full chunks, newest first *)
-  mutable cur : chunk;
-  mutable free : chunk list; (* recycled by [clear] *)
+  mutable chunks : chunk array;
+      (* every chunk allocated so far, the trace's [used] first, oldest
+         first; the rest (and the slots past the last chunk, which hold
+         empty chunks) are free for the trace to grow into *)
+  mutable used : int;
+  mutable cur : chunk; (* [chunks.(used - 1)], or an empty chunk before the first row *)
   mutable n : int;
   names : (int, string * int) Hashtbl.t; (* tid -> (name, cpu); always kept *)
   locks : (string, string) Hashtbl.t; (* lock name -> discipline; kept by [clear] *)
@@ -141,9 +191,9 @@ type t = {
 let create () =
   {
     on = false;
-    filled = [];
+    chunks = [||];
+    used = 0;
     cur = empty_chunk ();
-    free = [];
     n = 0;
     names = Hashtbl.create 16;
     locks = Hashtbl.create 16;
@@ -164,26 +214,24 @@ let lock_discipline t name = Hashtbl.find_opt t.locks name
 
 let clear t =
   (* Keep the chunks: the next trace run refills them in place. *)
-  if Array.length t.cur.c_words > 0 then t.free <- t.cur :: t.free;
-  t.free <- List.rev_append t.filled t.free;
-  t.filled <- [];
+  t.used <- 0;
   t.cur <- empty_chunk ();
   t.n <- 0
 
 let[@inline] has_room c =
   c.c_len + max_row <= Array.length c.c_words && c.c_nnames < Array.length c.c_names
 
-(* [t.cur] is full: file it and start the next chunk. *)
+(* [t.cur] is full: start the next chunk, reusing one [clear] left. *)
 let next_chunk t =
-  let c = t.cur in
-  if Array.length c.c_words > 0 then t.filled <- c :: t.filled;
-  let c =
-    match t.free with
-    | c :: rest ->
-      t.free <- rest;
-      c
-    | [] -> fresh_chunk ()
-  in
+  let n = t.used in
+  if n = Array.length t.chunks then begin
+    let a = Array.make (max 4 (2 * n)) (empty_chunk ()) in
+    Array.blit t.chunks 0 a 0 n;
+    t.chunks <- a
+  end;
+  if Array.length t.chunks.(n).c_words = 0 then t.chunks.(n) <- fresh_chunk ();
+  let c = t.chunks.(n) in
+  t.used <- n + 1;
   c.c_len <- 0;
   c.c_nnames <- 0;
   t.cur <- c;
@@ -297,6 +345,10 @@ let row_words, named_kinds =
 
 let is_named k = named_kinds land (1 lsl k) <> 0
 
+(* Per kind, how far its row moves a reader: twice its length in words,
+   plus one if it takes a name. *)
+let row_steps = Array.init n_kinds (fun k -> (2 * row_words.(k)) + Bool.to_int (is_named k))
+
 let emit t ~ts ~tid ~cpu ev =
   if t.on then begin
     let c = if has_room t.cur then t.cur else next_chunk t in
@@ -321,31 +373,93 @@ let kinds p =
   done;
   !m
 
-let iter_kinds t mask f =
-  let visit c =
-    (* Every row starts at least [max_row] words before the chunk's end
-       ([has_room]), so its two int fields can be read whatever its
-       length. *)
-    let w = c.c_words and len = c.c_len and i = ref 0 and j = ref 0 in
-    while !i < len do
-      let h = w.(!i + 1) in
-      let k = kind_of h in
-      let named = is_named k in
-      if mask land (1 lsl k) <> 0 then
-        f
-          {
-            ts = w.(!i);
-            tid = tid_of h;
-            cpu = cpu_of h;
-            ev = decode k (if named then c.c_names.(!j) else "") w.(!i + 2) w.(!i + 3);
-          };
-      if named then incr j;
-      i := !i + Array.unsafe_get row_words k
-    done
-  in
-  List.iter visit (List.rev t.filled);
-  visit t.cur
+(* A position packs a row's chunk, its first word and its name's index
+   in the chunk's name column. *)
+let row_bits = 14
+let name_bits = 12
+let () = assert (words_per_chunk <= 1 lsl row_bits && names_per_chunk <= 1 lsl name_bits)
 
+type pos = int
+
+type tracer = t
+
+module Row = struct
+  (* The chunk being visited and the current row in it, with the row's
+     header and kind read once for every accessor.  Every row starts at
+     least [max_row] words before the chunk's end ([has_room]), so its
+     two int fields can be read whatever its length. *)
+  type t = {
+    mutable w : int array; (* the chunk's [c_words] *)
+    mutable names : string array; (* its [c_names] *)
+    mutable ci : int; (* its index in [t.chunks] *)
+    mutable i : int; (* the row's first word *)
+    mutable j : int; (* the index of its name, if it has one *)
+    mutable h : int; (* its header word *)
+    mutable k : int; (* its kind's number *)
+  }
+
+  let[@inline] kind r = Array.unsafe_get kind_of_index r.k
+  let[@inline] ts r = Array.unsafe_get r.w r.i
+  let[@inline] tid r = tid_of r.h
+  let[@inline] cpu r = cpu_of r.h
+  let[@inline] int0 r = Array.unsafe_get r.w (r.i + 2)
+  let[@inline] int1 r = Array.unsafe_get r.w (r.i + 3)
+  let name r = r.names.(r.j)
+  let[@inline] pos r = (r.ci lsl (row_bits + name_bits)) lor (r.i lsl name_bits) lor r.j
+
+  let[@inline] visit r c ci =
+    r.w <- c.c_words;
+    r.names <- c.c_names;
+    r.ci <- ci
+
+  let[@inline] move r i j =
+    let h = Array.unsafe_get r.w (i + 1) in
+    r.i <- i;
+    r.j <- j;
+    r.h <- h;
+    r.k <- kind_of h
+
+  let cursor () = { w = [||]; names = [||]; ci = 0; i = 0; j = 0; h = 0; k = 0 }
+
+  let seek (t : tracer) r p =
+    let ci = p lsr (row_bits + name_bits) in
+    if ci <> r.ci || Array.length r.w = 0 then visit r t.chunks.(ci) ci;
+    move r ((p lsr name_bits) land ((1 lsl row_bits) - 1)) (p land ((1 lsl name_bits) - 1))
+
+  let record r =
+    {
+      ts = ts r;
+      tid = tid r;
+      cpu = cpu r;
+      ev = decode r.k (if is_named r.k then name r else "") (int0 r) (int1 r);
+    }
+end
+
+let record_at t p =
+  let r = Row.cursor () in
+  Row.seek t r p;
+  Row.record r
+
+let iter_rows t mask f =
+  let r = Row.cursor () in
+  for ci = 0 to t.used - 1 do
+    (* The rows as they stand when the chunk's visit begins. *)
+    let c = t.chunks.(ci) in
+    let w = c.c_words and len = c.c_len and i = ref 0 and j = ref 0 in
+    Row.visit r c ci;
+    while !i < len do
+      let k = kind_of (Array.unsafe_get w (!i + 1)) in
+      if mask land (1 lsl k) <> 0 then begin
+        Row.move r !i !j;
+        f r
+      end;
+      let step = Array.unsafe_get row_steps k in
+      j := !j + (step land 1);
+      i := !i + (step lsr 1)
+    done
+  done
+
+let iter_kinds t mask f = iter_rows t mask (fun r -> f (Row.record r))
 let iter t f = iter_kinds t all_kinds f
 
 let events t =

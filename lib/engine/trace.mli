@@ -170,6 +170,105 @@ val iter_kinds : t -> kinds -> (record -> unit) -> unit
     constructor is in [ks].  A record outside [ks] is skipped on its
     stored kind, before its [ev] is rebuilt. *)
 
+(** {2 Rows in place}
+
+    The same records without a [record] or an [ev] built per record:
+    {!iter_rows} moves one cursor over the stored rows, and its
+    accessors read the current row's fields where they are stored.  A
+    consumer that keeps a record for later keeps its {!pos} and
+    rebuilds it with {!record_at} only if it needs it. *)
+
+(** An {!ev} constructor without its fields. *)
+module Kind : sig
+  type t =
+    | Thread_spawn
+    | Thread_fork
+    | Thread_exit
+    | Thread_join
+    | Lock_request
+    | Lock_grant
+    | Lock_handoff
+    | Lock_release
+    | Gate_take
+    | Gate_pass
+    | Gate_advance
+    | Membus_charge
+    | Mpool_alloc
+    | Mnode_alloc
+    | Mnode_ref
+    | Mnode_unref
+    | Mnode_recycle
+    | Mnode_write
+    | Span_begin
+    | Span_end
+    | Access
+    | Fault_drop
+    | Fault_dup
+    | Fault_corrupt
+    | Fault_reorder
+    | Scr_append
+    | Scr_apply
+    | Scr_apply_end
+    | Scr_replay
+    | Rcu_read
+    | Rcu_publish
+end
+
+type tracer = t
+
+type pos = int
+(** Where a record is stored: its chunk, its row and, for a named
+    constructor, its entry in the chunk's name column.  Positions grow
+    in emission order.  A plain int, so consumers can keep positions in
+    int arrays; it is valid until the next {!clear}. *)
+
+module Row : sig
+  type t
+  (** The cursor {!iter_rows} passes: it names the current row only
+      during that call. *)
+
+  val kind : t -> Kind.t
+  val ts : t -> int
+  val tid : t -> int
+  val cpu : t -> int
+
+  val int0 : t -> int
+  (** The constructor's first int field, in declaration order: [child],
+      [waiters], [to_tid], [hold_ns], [ticket], [serving], [bytes],
+      [hit] (0 or 1), [node], [seq], [write] (0 or 1), [copies], [off],
+      [delay_ns], [idx] or [upto].  Unspecified for a constructor
+      without one. *)
+
+  val int1 : t -> int
+  (** Its second: [wait_ns], [handoff_ns], [wait_ns], [dur_ns], [refs],
+      the phase's index in declaration order, or [bit].  Unspecified for
+      a constructor without one. *)
+
+  val name : t -> string
+  (** The lock, gate, log, state, thread or fault-cause name of a named
+      constructor; unspecified for the others. *)
+
+  val pos : t -> pos
+
+  val cursor : unit -> t
+  (** A cursor of one's own, on no row until {!seek} moves it. *)
+
+  val seek : tracer -> t -> pos -> unit
+  (** [seek t r p] moves [r] to the row at [p], a position {!pos}
+      returned for [t]. *)
+
+  val record : t -> record
+  (** The row as a record, as {!iter} delivers it. *)
+end
+
+val iter_rows : t -> kinds -> (Row.t -> unit) -> unit
+(** [iter_rows t ks f] calls [f] on the rows of the records
+    {!iter_kinds}[ t ks] delivers, in the same order, and allocates
+    nothing per row. *)
+
+val record_at : t -> pos -> record
+(** The record stored at a position {!Row.pos} returned. *)
+
 (** {2 Contention attribution}
 
     Aggregated per-lock accounting derived from the event stream — the

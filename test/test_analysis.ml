@@ -318,7 +318,7 @@ let test_replay_round_trip () =
   in
   (* Replay re-delivers exactly the emitted records, in emission order. *)
   let replayed = ref [] in
-  Replay.replay t (fun _ctx r -> replayed := r :: !replayed);
+  Replay.replay (Replay.create t) (fun row -> replayed := Trace.Row.record row :: !replayed);
   Alcotest.(check int) "count matches" (Trace.count t) (List.length !replayed);
   Alcotest.(check bool) "order matches" true (List.rev !replayed = Trace.events t);
   (* iter agrees with events. *)
@@ -333,11 +333,12 @@ let test_replay_held_and_seq () =
   in
   (* Inspect the context right before each record is applied. *)
   let at_b_grant = ref [] and after_rel_b = ref [] and seq = ref None in
-  Replay.replay t (fun ctx r ->
-      match r.Trace.ev with
+  let ctx = Replay.create t in
+  Replay.replay ctx (fun row ->
+      match (Trace.Row.record row).Trace.ev with
       | Trace.Lock_grant { lock = "b"; _ } ->
         at_b_grant := Replay.held ctx ~tid:1;
-        seq := Replay.current_seq ctx ~tid:1
+        if Replay.carrying ctx ~tid:1 then seq := Some (Replay.seq ctx ~tid:1)
       | Trace.Lock_release { lock = "a"; _ } -> after_rel_b := Replay.held ctx ~tid:1
       | _ -> ());
   Alcotest.(check (list string)) "held before b's grant" [ "a" ] !at_b_grant;
@@ -511,9 +512,9 @@ let render_fixture_check () =
       let u = List.nth unread (i mod List.length unread) in
       Trace.emit t ~ts:((i * 10) + 5) ~tid:(i mod 4) ~cpu:1 u (* lint:allow *);
       if (tid, ev) = (1, req "m") then
+        let pad = Trace.Rcu_read { state = "tcb#ctr" } in
         for j = 1 to 5000 do
-          Trace.emit t ~ts:((i * 10) + 5) ~tid:j ~cpu:2 (Trace.Rcu_read { state = "tcb#ctr" })
-          (* lint:allow *)
+          Trace.emit t ~ts:((i * 10) + 5) ~tid:j ~cpu:2 pad (* lint:allow *)
         done)
     replay_fixture;
   let c = Check.run t in
@@ -604,6 +605,22 @@ let test_shared_pass_seeded_defects () =
         (List.exists (fun f -> f.Finding.checker = checker) found))
     seeded_defects;
   ignore (shared_pass_matches "inverted TCP-6 order" (inversion_trace ~invert:true))
+
+(* The replay reads rows in place and the checkers keep ints, so a
+   whole check allocates little per record: a record per row, as the
+   replay once built, was 17.7 words per record. *)
+let test_check_allocation () =
+  let s = List.hd Pnp_harness.Check_scenarios.all in
+  let _, tracer = Pnp_harness.Run.run_traced s.Pnp_harness.Check_scenarios.cfg in
+  let before = Gc.minor_words () in
+  let c = Check.run tracer in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "the cell checks clean" 0 (List.length c.Check.findings);
+  let per_record = words /. float_of_int (Trace.count tracer) in
+  Printf.printf "%s: %.2f minor words per record\n" s.Pnp_harness.Check_scenarios.label
+    per_record;
+  if per_record > 4.5 then
+    Alcotest.failf "Check.run allocated %.2f minor words per record (at most 4.5)" per_record
 
 (* One real traced cell per discipline: the steps see every record kind
    the stack emits. *)
@@ -973,6 +990,8 @@ let suites =
       [
         Alcotest.test_case "fixture findings and witnesses pinned" `Quick
           test_fixture_check_pinned;
+        Alcotest.test_case "a check allocates little per record" `Quick
+          test_check_allocation;
         Alcotest.test_case "seeded defects match the checkers alone" `Quick
           test_shared_pass_seeded_defects;
         Alcotest.test_case "one cell per discipline matches" `Quick
