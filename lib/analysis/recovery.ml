@@ -33,12 +33,10 @@ type obs = {
 let fnv_offset = 0x4bf29ce484222325
 let fnv_prime = 0x100000001b3
 
-let digest_byte acc b = (acc lxor b) * fnv_prime
-
 let digest_add acc s =
   let h = ref acc in
   for i = 0 to String.length s - 1 do
-    h := digest_byte !h (Char.code (String.unsafe_get s i))
+    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
   done;
   !h
 

@@ -73,10 +73,6 @@ val digest_add : int -> string -> int
 (** Extend a running {!digest}: [digest s = digest_add (digest "") s];
     feeding chunks in delivery order gives the whole-stream digest. *)
 
-val digest_byte : int -> int -> int
-(** [digest_byte h b] extends a running {!digest} by the byte [b]
-    ([0..255]): a digest of a generated stream needs no string. *)
-
 val check : obs -> Finding.t list
 (** All recovery violations in the observation, sorted; [] = recovered. *)
 

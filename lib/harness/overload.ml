@@ -39,29 +39,20 @@ type outcome = {
   findings : Finding.t list;
 }
 
-(* Byte [i] of a flow's golden stream: printable (32..126 for any seed,
-   negative ones included), deterministic, distinct per flow, so
-   cross-flow misdelivery shows up as a digest mismatch rather than
-   passing by coincidence. *)
-let golden_byte ~seed ~flow i =
-  let r = (i + (seed * 131) + (flow * 17)) mod 95 in
-  32 + if r < 0 then r + 95 else r
+(* A flow's golden stream: printable (32..126 for any seed, negative
+   ones included), deterministic, distinct per flow, so cross-flow
+   misdelivery shows up as a digest mismatch rather than passing by
+   coincidence.  Byte [i] is [32 + (i + offset) mod 95], so every stream
+   is a cut of one cycle of the 95 printable bytes, starting at the
+   flow's own offset. *)
+let golden_offset ~seed ~flow =
+  let r = ((seed * 131) + (flow * 17)) mod 95 in
+  if r < 0 then r + 95 else r
 
-let golden ~seed ~flow ~bytes =
-  let b = Bytes.create bytes in
-  for i = 0 to bytes - 1 do
-    Bytes.unsafe_set b i (Char.unsafe_chr (golden_byte ~seed ~flow i))
-  done;
-  Bytes.unsafe_to_string b
-
-(* The digest of the golden stream's first [bytes] bytes, taken from the
-   generator: the oracle never rebuilds a stream. *)
-let golden_digest ~seed ~flow ~bytes =
-  let h = ref (Recovery.digest "") in
-  for i = 0 to bytes - 1 do
-    h := Recovery.digest_byte !h (golden_byte ~seed ~flow i)
-  done;
-  !h
+(* The cycle, long enough to cut [bytes] bytes at any offset. *)
+let golden_cycle bytes = String.init (bytes + 94) (fun i -> Char.unsafe_chr (32 + (i mod 95)))
+let cut_golden cycle ~seed ~flow ~bytes = String.sub cycle (golden_offset ~seed ~flow) bytes
+let golden ~seed ~flow ~bytes = cut_golden (golden_cycle bytes) ~seed ~flow ~bytes
 
 let caught_checksums (a : Stack.t) (b : Stack.t) =
   Ip.header_failures a.Stack.ip + Ip.header_failures b.Stack.ip
@@ -111,6 +102,11 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
   let link =
     Link.connect plat ~bandwidth_mbps ~latency ~plan ~a:client ~b:server ()
   in
+  (* The golden stream each flow sends. *)
+  let bodies =
+    let cycle = golden_cycle bytes_per_flow in
+    Array.init senders (fun flow -> cut_golden cycle ~seed ~flow ~bytes:bytes_per_flow)
+  in
   let flows =
     Array.init senders (fun id ->
         {
@@ -147,8 +143,7 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
             if !completed_total = senders then Sim.stop sim
           end));
   for j = 0 to senders - 1 do
-    let f = flows.(j) in
-    let body = golden ~seed ~flow:j ~bytes:bytes_per_flow in
+    let f = flows.(j) and body = bodies.(j) in
     ignore
       (Sim.spawn sim ~cpu:(j mod 8) ~name:(Printf.sprintf "%s.%d" scenario j)
          (fun () ->
@@ -218,7 +213,9 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
              expected_digest =
                (* over-delivery is reported by the oracle's length rule;
                   clamp so the digest here stays well-defined *)
-               golden_digest ~seed ~flow:f.id ~bytes:(min f.received bytes_per_flow);
+               (let body = bodies.(f.id) in
+                if f.received >= bytes_per_flow then Recovery.digest body
+                else Recovery.digest (String.sub body 0 f.received));
            })
          flows)
   in
