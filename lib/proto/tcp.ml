@@ -316,7 +316,7 @@ and session = {
   tcb : tcb;
   state_ns : string; (* namespace for shared-state access annotations *)
   sync : sync;
-  gate : Gate.t;
+  gate : Gate.t option; (* the up-ticket gate, under [ticketing] only *)
   sess_ref : Atomic_ctr.t;
   mutable ord : int; (* registration ordinal; -1 until registered *)
   mutable receiver : Msg.t -> unit;
@@ -381,7 +381,7 @@ let make_sync plat ~name ~scr_bound locking =
   let mk suffix = Platform.state_lock plat ~name:(name ^ suffix) in
   match locking with
   | One ->
-    let l = [ mk "" ] in
+    let l = [ Platform.state_lock plat ~name ] in
     { no_sync with input = l; output = l }
   | Two ->
     let snd = mk ".snd" in
@@ -578,7 +578,10 @@ let fresh_session t key =
     tcb = fresh_tcb t;
     state_ns = base;
     sync = make_sync t.plat ~name:base ~scr_bound:t.cfg.scr_log_bound t.cfg.locking;
-    gate = Gate.create t.plat.Platform.sim t.plat.Platform.arch ~name:"tcp.order";
+    gate =
+      (if t.cfg.ticketing then
+         Some (Gate.create t.plat.Platform.sim t.plat.Platform.arch ~name:"tcp.order")
+       else None);
     sess_ref = Platform.refcnt t.plat ~name:"tcp.sess" ~init:1;
     ord = -1;
     receiver = (fun msg -> Msg.destroy msg);
@@ -1187,12 +1190,12 @@ let input_tail sess ~seq ~ticket acc deliveries ~fin =
     List.iter (fun m -> sess.receiver m) (List.rev deliveries);
     span_end plat ~seq Trace.Upcall
   in
-  (match ticket with
-   | Some k ->
-     Gate.await sess.gate k;
+  (match (ticket, sess.gate) with
+   | Some k, Some gate ->
+     Gate.await gate k;
      upcall ();
-     Gate.advance sess.gate
-   | None -> upcall ());
+     Gate.advance gate
+   | _ -> upcall ());
   if fin () then sess.on_fin ()
 
 (* ------------------------------------------------------------------ *)
@@ -1410,9 +1413,9 @@ let segment_arrives sess (hdr : Tcp_wire.header) msg =
      through the gate — even one whose segment only joined the reassembly
      queue — which is what restricts order and limits performance. *)
   let ticket =
-    if t.cfg.ticketing && is_data && sess.tcb.state <> Listen then
-      Some (Gate.take sess.gate)
-    else None
+    match sess.gate with
+    | Some gate when is_data && sess.tcb.state <> Listen -> Some (Gate.take gate)
+    | _ -> None
   in
   leave sess sess.sync.input;
   span_end plat ~seq:hdr.seq Trace.Tcp_input;

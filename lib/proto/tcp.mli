@@ -164,8 +164,9 @@ val set_fin_handler : session -> (unit -> unit) -> unit
     received in order — i.e. end of the inbound stream.  May fire more
     than once if the FIN is retransmitted. *)
 
-val ticket_gate : session -> Pnp_engine.Gate.t
-(** The session's ordering gate (wait statistics, tickets issued). *)
+val ticket_gate : session -> Pnp_engine.Gate.t option
+(** The session's ordering gate (wait statistics, tickets issued) under
+    [ticketing]; [None] without it, which never creates one. *)
 
 val send : session -> Pnp_xkern.Msg.t -> unit
 (** Queue payload and transmit as the window allows.  Takes ownership of

@@ -776,9 +776,9 @@ let test_tcp_recv_ticketing_orders_app () =
         ignore (Tcp_source.next src ~stream:0)
       done;
       let sess = List.hd (Tcp.sessions stack.Stack.tcp) in
-      Alcotest.(check int) "one ticket per data segment" 25
-        (Gate.tickets_issued (Tcp.ticket_gate sess));
-      Alcotest.(check int) "gate fully served" 25 (Gate.serving (Tcp.ticket_gate sess)));
+      let gate = Option.get (Tcp.ticket_gate sess) in
+      Alcotest.(check int) "one ticket per data segment" 25 (Gate.tickets_issued gate);
+      Alcotest.(check int) "gate fully served" 25 (Gate.serving gate));
   Alcotest.(check bool) "stream in order through the gate" true !in_order;
   Alcotest.(check int) "all chunks delivered" 25 !chunks
 
