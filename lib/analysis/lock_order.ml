@@ -7,8 +7,7 @@ type edge = {
   acquire : Trace.record;
 }
 
-(* Seen pairs keyed by [pair first second] of their lock ids, with the
-   positions of their two grants. *)
+(* Seen pairs, keyed by [pair first second] of their lock ids. *)
 module Pairs = Hashtbl.Make (struct
   type t = int
 
@@ -16,7 +15,10 @@ module Pairs = Hashtbl.Make (struct
   let hash k = k lxor (k lsr 30)
 end)
 
-type seen = { s_first : int; s_second : int; s_holder : Trace.pos; s_acquire : Trace.pos }
+(* An edge as the step records it: the grants are row positions, made
+   records only for an edge that {!edges} or a finding reports. *)
+type seen = { held : string; taken : string; held_at : Trace.pos; taken_at : Trace.pos }
+
 (* [last.(first)] is the lock last seen granted while [first] was held
    (or -1): the pair a thread repeats most, answered without hashing. *)
 type t = { ctx : Replay.ctx; seen : seen Pairs.t; mutable last : int array }
@@ -38,55 +40,55 @@ let grant t row =
       if not (Pairs.mem t.seen key) then
         Pairs.replace t.seen key
           {
-            s_first = first;
-            s_second = id;
-            s_holder = Replay.held_grant ctx ~tid i;
-            s_acquire = Trace.Row.pos row;
+            held = Replay.lock_name ctx first;
+            taken = Replay.lock_name ctx id;
+            held_at = Replay.held_grant ctx ~tid i;
+            taken_at = Trace.Row.pos row;
           }
     end
   done
 
 let[@inline] step t row = match Trace.Row.kind row with Trace.Kind.Lock_grant -> grant t row | _ -> ()
 
-let edges_of t =
-  let ctx = t.ctx in
-  Pairs.fold
-    (fun _ s acc ->
-      {
-        first = Replay.lock_name ctx s.s_first;
-        second = Replay.lock_name ctx s.s_second;
-        holder = Replay.record ctx s.s_holder;
-        acquire = Replay.record ctx s.s_acquire;
-      }
-      :: acc)
-    t.seen []
-  |> List.sort (fun a b ->
-         match compare a.first b.first with 0 -> compare a.second b.second | c -> c)
+let seen_edges t =
+  Pairs.fold (fun _ e acc -> e :: acc) t.seen []
+  |> List.sort (fun a b -> match compare a.held b.held with 0 -> compare a.taken b.taken | c -> c)
 
-let edges tracer = edges_of (Replay.run tracer create step)
+let edges tracer =
+  let t = Replay.run tracer create step in
+  List.map
+    (fun e ->
+      {
+        first = e.held;
+        second = e.taken;
+        holder = Replay.record t.ctx e.held_at;
+        acquire = Replay.record t.ctx e.taken_at;
+      })
+    (seen_edges t)
+
 
 (* Elementary cycles, each as the list of edges walked; every distinct
    (unordered) lock pair involved in an inversion is reported once. *)
 let cycles es =
-  let adj : (string, edge list) Hashtbl.t = Hashtbl.create 16 in
+  let adj : (string, seen list) Hashtbl.t = Hashtbl.create 16 in
   (* Each lock's out-edges in the order of [es]. *)
   List.iter
     (fun e ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt adj e.first) in
-      Hashtbl.replace adj e.first (e :: cur))
+      let cur = Option.value ~default:[] (Hashtbl.find_opt adj e.held) in
+      Hashtbl.replace adj e.held (e :: cur))
     (List.rev es);
   let found = ref [] in
   let keys = ref [] in
   let report cycle =
     (* Dedupe by the set of locks on the cycle. *)
-    let key = List.sort_uniq compare (List.map (fun e -> e.first) cycle) in
+    let key = List.sort_uniq compare (List.map (fun e -> e.held) cycle) in
     if not (List.mem key !keys) then begin
       keys := key :: !keys;
       found := cycle :: !found
     end
   in
   let nodes =
-    List.sort_uniq compare (List.concat_map (fun e -> [ e.first; e.second ]) es)
+    List.sort_uniq compare (List.concat_map (fun e -> [ e.held; e.taken ]) es)
   in
   let visited = Hashtbl.create 16 in
   List.iter
@@ -99,16 +101,16 @@ let cycles es =
         if not (Hashtbl.mem visited node) || path = [] then
           List.iter
             (fun e ->
-              if List.mem e.second on_path then begin
+              if List.mem e.taken on_path then begin
                 (* Unwind the path back to where the cycle starts. *)
                 let rec take = function
                   | [] -> []
                   | e' :: rest ->
-                    if e'.first = e.second then [ e' ] else e' :: take rest
+                    if e'.held = e.taken then [ e' ] else e' :: take rest
                 in
                 report (List.rev (e :: take path))
               end
-              else dfs e.second (e :: path) (e.second :: on_path))
+              else dfs e.taken (e :: path) (e.taken :: on_path))
             (Option.value ~default:[] (Hashtbl.find_opt adj node))
       in
       dfs start [] [ start ];
@@ -117,16 +119,17 @@ let cycles es =
   List.rev !found
 
 let findings t =
-  cycles (edges_of t)
+  cycles (seen_edges t)
   |> List.map (fun cycle ->
          let path =
            match cycle with
            | [] -> ""
-           | first :: _ ->
-             String.concat " -> " (List.map (fun e -> e.first) cycle @ [ first.first ])
+           | first :: _ -> String.concat " -> " (List.map (fun e -> e.held) cycle @ [ first.held ])
          in
          let witnesses =
-           List.concat_map (fun e -> [ e.holder; e.acquire ]) cycle
+           List.concat_map
+             (fun e -> [ Replay.record t.ctx e.held_at; Replay.record t.ctx e.taken_at ])
+             cycle
            |> List.sort_uniq (fun (a : Trace.record) b ->
                   match compare a.Trace.ts b.Trace.ts with
                   | 0 -> compare a b

@@ -75,8 +75,10 @@ let[@inline] slot s =
   let n = String.length s in
   if n < 4 then n
   else
-    let byte i = Char.code (String.unsafe_get s i) in
-    (n + (7 * byte (n - 1)) + (3 * byte (n - 4)) + (5 * byte (n / 2))) land (cache_slots - 1)
+    let last = Char.code (String.unsafe_get s (n - 1))
+    and fourth = Char.code (String.unsafe_get s (n - 4))
+    and middle = Char.code (String.unsafe_get s (n / 2)) in
+    (n + (7 * last) + (3 * fourth) + (5 * middle)) land (cache_slots - 1)
 
 let intern tbl s =
   let k = slot s in
