@@ -102,11 +102,7 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
   let link =
     Link.connect plat ~bandwidth_mbps ~latency ~plan ~a:client ~b:server ()
   in
-  (* The golden stream each flow sends. *)
-  let bodies =
-    let cycle = golden_cycle bytes_per_flow in
-    Array.init senders (fun flow -> cut_golden cycle ~seed ~flow ~bytes:bytes_per_flow)
-  in
+  let cycle = golden_cycle bytes_per_flow in
   let flows =
     Array.init senders (fun id ->
         {
@@ -143,7 +139,8 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
             if !completed_total = senders then Sim.stop sim
           end));
   for j = 0 to senders - 1 do
-    let f = flows.(j) and body = bodies.(j) in
+    let f = flows.(j) in
+    let body = cut_golden cycle ~seed ~flow:j ~bytes:bytes_per_flow in
     ignore
       (Sim.spawn sim ~cpu:(j mod 8) ~name:(Printf.sprintf "%s.%d" scenario j)
          (fun () ->
@@ -213,9 +210,8 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
              expected_digest =
                (* over-delivery is reported by the oracle's length rule;
                   clamp so the digest here stays well-defined *)
-               (let body = bodies.(f.id) in
-                if f.received >= bytes_per_flow then Recovery.digest body
-                else Recovery.digest (String.sub body 0 f.received));
+               Recovery.digest
+                 (cut_golden cycle ~seed ~flow:f.id ~bytes:(min f.received bytes_per_flow));
            })
          flows)
   in
