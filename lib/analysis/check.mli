@@ -1,8 +1,11 @@
 (** Run every trace-driven checker over one trace.
 
     The checkers share one {!Replay} traversal: each contributes its
-    per-record step, so a trace is walked once however many checkers
-    run. *)
+    per-row step, so a trace is walked once however many checkers run.
+    The steps read each row in place and keep ints, so a clean trace is
+    checked without building a single {!Pnp_engine.Trace.record}; the
+    records in a finding's witnesses are rebuilt from the positions the
+    checker kept. *)
 
 type t = {
   findings : Finding.t list;

@@ -7,24 +7,19 @@ type edge = {
   acquire : Trace.record;
 }
 
-(* Seen pairs, keyed by [pair first second] of their lock ids. *)
-module Pairs = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k lxor (k lsr 30)
-end)
-
 (* An edge as the step records it: the grants are row positions, made
    records only for an edge that {!edges} or a finding reports. *)
 type seen = { held : string; taken : string; held_at : Trace.pos; taken_at : Trace.pos }
 
 (* [last.(first)] is the lock last seen granted while [first] was held
    (or -1): the pair a thread repeats most, answered without hashing. *)
-type t = { ctx : Replay.ctx; seen : seen Pairs.t; mutable last : int array }
+type t = {
+  ctx : Replay.ctx;
+  seen : seen Replay.Pairs.t; (* by [Replay.pair first second] of their lock ids *)
+  mutable last : int array;
+}
 
-let create ctx = { ctx; seen = Pairs.create 64; last = [||] }
-let pair first second = (first lsl 30) lor second
+let create ctx = { ctx; seen = Replay.Pairs.create 64; last = [||] }
 
 let grant t row =
   let ctx = t.ctx and tid = Trace.Row.tid row in
@@ -36,9 +31,9 @@ let grant t row =
       t.last <- Array.append t.last (Array.make (max 8 (first + 1)) (-1));
     if first <> id && t.last.(first) <> id then begin
       t.last.(first) <- id;
-      let key = pair first id in
-      if not (Pairs.mem t.seen key) then
-        Pairs.replace t.seen key
+      let key = Replay.pair first id in
+      if not (Replay.Pairs.mem t.seen key) then
+        Replay.Pairs.replace t.seen key
           {
             held = Replay.lock_name ctx first;
             taken = Replay.lock_name ctx id;
@@ -51,7 +46,7 @@ let grant t row =
 let[@inline] step t row = match Trace.Row.kind row with Trace.Kind.Lock_grant -> grant t row | _ -> ()
 
 let seen_edges t =
-  Pairs.fold (fun _ e acc -> e :: acc) t.seen []
+  Replay.Pairs.fold (fun _ e acc -> e :: acc) t.seen []
   |> List.sort (fun a b -> match compare a.held b.held with 0 -> compare a.taken b.taken | c -> c)
 
 let edges tracer =

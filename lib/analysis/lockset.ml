@@ -30,15 +30,8 @@ type cell = {
 (* Held sets: each distinct stack of held locks (oldest first) an access
    ran under, numbered from 0, the empty stack, by extending a stack's
    set with one lock at a time. *)
-module Ints = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k lxor (k lsr 30)
-end)
-
 type sets = {
-  child : int Ints.t; (* [set lsl 30 lor lock] -> set *)
+  child : int Replay.Pairs.t; (* [Replay.pair set lock] -> set *)
   mutable locks : int list array; (* set -> its locks, oldest first *)
   mutable count : int;
 }
@@ -69,7 +62,7 @@ let create ctx =
     ctx;
     cells = Replay.Slots.create ();
     cutoff = Replay.Slots.create ();
-    sets = { child = Ints.create 16; locks = [| [] |]; count = 1 };
+    sets = { child = Replay.Pairs.create 16; locks = [| [] |]; count = 1 };
     last_set = [||];
     acc = [];
     block = Array.make block_ints 0;
@@ -93,8 +86,8 @@ let locks_str = function
   | ls -> "{" ^ String.concat ", " ls ^ "}"
 
 let extend sets set lock =
-  let key = (set lsl 30) lor lock in
-  match Ints.find_opt sets.child key with
+  let key = Replay.pair set lock in
+  match Replay.Pairs.find_opt sets.child key with
   | Some s -> s
   | None ->
     let s = sets.count in
@@ -102,7 +95,7 @@ let extend sets set lock =
       sets.locks <- Array.append sets.locks (Array.make s []);
     sets.locks.(s) <- sets.locks.(set) @ [ lock ];
     sets.count <- s + 1;
-    Ints.replace sets.child key s;
+    Replay.Pairs.replace sets.child key s;
     s
 
 (* Whether the thread's held locks from the [i]th on are [ls]. *)

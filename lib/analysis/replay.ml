@@ -43,6 +43,15 @@ module Slots = struct
     !acc
 end
 
+module Pairs = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k lxor (k lsr 30)
+end)
+
+let pair a b = (a lsl 30) lor b
+
 module Names = Hashtbl.Make (String)
 
 (* One kind's names, numbered densely from 0 in first-seen order.

@@ -97,3 +97,9 @@ module Slots : sig
   val fold : 'a t -> (int -> 'a -> 'b -> 'b) -> 'b -> 'b
   (** Over the filled slots, in id order. *)
 end
+
+module Pairs : Hashtbl.S with type key = int
+(** A table keyed by a pair of ids packed by {!pair}. *)
+
+val pair : int -> int -> int
+(** [pair a b] packs two ids below [2{^30}] into one key. *)

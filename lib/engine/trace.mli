@@ -150,10 +150,10 @@ val count : t -> int
 
 (** {2 Structured consumption}
 
-    The replay interface for trace-driven analyses
-    ({!Pnp_analysis}): a recorded trace is re-delivered as the same
-    typed records, in emission order, without building an intermediate
-    list. *)
+    A recorded trace is re-delivered as the same typed records, in
+    emission order, without building an intermediate list.  The
+    trace-driven analyses ({!Pnp_analysis}) read it through the row view
+    below instead, which builds no record at all. *)
 
 val iter : t -> (record -> unit) -> unit
 (** [iter t f] applies [f] to every record in emission order. *)
@@ -230,7 +230,6 @@ module Row : sig
   val kind : t -> Kind.t
   val ts : t -> int
   val tid : t -> int
-  val cpu : t -> int
 
   val int0 : t -> int
   (** The constructor's first int field, in declaration order: [child],

@@ -607,8 +607,8 @@ let test_shared_pass_seeded_defects () =
   ignore (shared_pass_matches "inverted TCP-6 order" (inversion_trace ~invert:true))
 
 (* The replay reads rows in place and the checkers keep ints, so a
-   whole check allocates little per record: a record per row, as the
-   replay once built, was 17.7 words per record. *)
+   whole check allocates a few words per record; building a record per
+   row would cost more than that alone. *)
 let test_check_allocation () =
   let s = List.hd Pnp_harness.Check_scenarios.all in
   let _, tracer = Pnp_harness.Run.run_traced s.Pnp_harness.Check_scenarios.cfg in

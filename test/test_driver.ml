@@ -335,9 +335,9 @@ let steering_world_words conns =
   Obj.reachable_words (Obj.repr (stack, src, apps))
 
 (* Measured as the slope between two world sizes, so what every world
-   holds whatever its size cancels out.  It read 183 words (171 since)
-   before the TCP-1 lock stopped copying the session's name and sessions
-   stopped building a ticket gate without ticketing. *)
+   holds whatever its size cancels out.  The bound sits just above the
+   171 words measured when the test was added, so a connection that
+   starts keeping more shows here first. *)
 let test_words_per_connection () =
   let small = steering_world_words 256 and large = steering_world_words 512 in
   let per_conn = float_of_int (large - small) /. 256.0 in
