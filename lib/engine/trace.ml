@@ -396,9 +396,10 @@ module Row = struct
     mutable j : int; (* the index of its name, if it has one *)
     mutable h : int; (* its header word *)
     mutable k : int; (* its kind's number *)
+    mutable kind : Kind.t;
   }
 
-  let[@inline] kind r = Array.unsafe_get kind_of_index r.k
+  let[@inline] kind r = r.kind
   let[@inline] ts r = Array.unsafe_get r.w r.i
   let[@inline] tid r = tid_of r.h
   let[@inline] cpu r = cpu_of r.h
@@ -412,19 +413,25 @@ module Row = struct
     r.names <- c.c_names;
     r.ci <- ci
 
-  let[@inline] move r i j =
-    let h = Array.unsafe_get r.w (i + 1) in
+  (* To the row at word [i], name [j], with header [h]. *)
+  let[@inline] move r i j h =
+    let k = kind_of h in
     r.i <- i;
     r.j <- j;
     r.h <- h;
-    r.k <- kind_of h
+    r.k <- k;
+    r.kind <- Array.unsafe_get kind_of_index k
 
-  let cursor () = { w = [||]; names = [||]; ci = 0; i = 0; j = 0; h = 0; k = 0 }
+  let cursor () =
+    { w = [||]; names = [||]; ci = 0; i = 0; j = 0; h = 0; k = 0; kind = Kind.Thread_exit }
 
   let seek (t : tracer) r p =
     let ci = p lsr (row_bits + name_bits) in
     if ci <> r.ci || Array.length r.w = 0 then visit r t.chunks.(ci) ci;
-    move r ((p lsr name_bits) land ((1 lsl row_bits) - 1)) (p land ((1 lsl name_bits) - 1))
+    let i = (p lsr name_bits) land ((1 lsl row_bits) - 1) in
+    (* The accessors read up to [max_row] words unchecked. *)
+    if i + max_row > Array.length r.w then invalid_arg "Trace.Row.seek: not a position";
+    move r i (p land ((1 lsl name_bits) - 1)) (Array.unsafe_get r.w (i + 1))
 
   let record r =
     {
@@ -448,9 +455,10 @@ let iter_rows t mask f =
     let w = c.c_words and len = c.c_len and i = ref 0 and j = ref 0 in
     Row.visit r c ci;
     while !i < len do
-      let k = kind_of (Array.unsafe_get w (!i + 1)) in
+      let h = Array.unsafe_get w (!i + 1) in
+      let k = kind_of h in
       if mask land (1 lsl k) <> 0 then begin
-        Row.move r !i !j;
+        Row.move r !i !j h;
         f r
       end;
       let step = Array.unsafe_get row_steps k in
