@@ -57,7 +57,7 @@ module Names = Hashtbl.Make (String)
 (* One kind's names, numbered densely from 0 in first-seen order.
    Emitters pass a lock's or state's own name string every time, so a
    small cache answers most lookups by identity: a slot, picked from the
-   string's length and two of its bytes, holds the last string seen
+   string's length and three of its bytes, holds the last string seen
    there.  Only a miss hashes the whole string.  The slots start out
    holding a string of the table's own, which no trace row can hold. *)
 type names = {
