@@ -92,37 +92,15 @@ let phase_of_index = function
 
 module Kind = struct
   type t =
-    | Thread_spawn
-    | Thread_fork
-    | Thread_exit
-    | Thread_join
-    | Lock_request
-    | Lock_grant
-    | Lock_handoff
-    | Lock_release
-    | Gate_take
-    | Gate_pass
-    | Gate_advance
-    | Membus_charge
-    | Mpool_alloc
-    | Mnode_alloc
-    | Mnode_ref
-    | Mnode_unref
-    | Mnode_recycle
-    | Mnode_write
-    | Span_begin
-    | Span_end
-    | Access
-    | Fault_drop
-    | Fault_dup
-    | Fault_corrupt
-    | Fault_reorder
-    | Scr_append
-    | Scr_apply
-    | Scr_apply_end
-    | Scr_replay
-    | Rcu_read
-    | Rcu_publish
+    | Thread_spawn | Thread_fork | Thread_exit | Thread_join
+    | Lock_request | Lock_grant | Lock_handoff | Lock_release
+    | Gate_take | Gate_pass | Gate_advance
+    | Membus_charge | Mpool_alloc
+    | Mnode_alloc | Mnode_ref | Mnode_unref | Mnode_recycle | Mnode_write
+    | Span_begin | Span_end | Access
+    | Fault_drop | Fault_dup | Fault_corrupt | Fault_reorder
+    | Scr_append | Scr_apply | Scr_apply_end | Scr_replay
+    | Rcu_read | Rcu_publish
 end
 
 (* The stored kind numbers, in [encode]'s order: kind [k] is

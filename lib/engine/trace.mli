@@ -181,37 +181,15 @@ val iter_kinds : t -> kinds -> (record -> unit) -> unit
 (** An {!ev} constructor without its fields. *)
 module Kind : sig
   type t =
-    | Thread_spawn
-    | Thread_fork
-    | Thread_exit
-    | Thread_join
-    | Lock_request
-    | Lock_grant
-    | Lock_handoff
-    | Lock_release
-    | Gate_take
-    | Gate_pass
-    | Gate_advance
-    | Membus_charge
-    | Mpool_alloc
-    | Mnode_alloc
-    | Mnode_ref
-    | Mnode_unref
-    | Mnode_recycle
-    | Mnode_write
-    | Span_begin
-    | Span_end
-    | Access
-    | Fault_drop
-    | Fault_dup
-    | Fault_corrupt
-    | Fault_reorder
-    | Scr_append
-    | Scr_apply
-    | Scr_apply_end
-    | Scr_replay
-    | Rcu_read
-    | Rcu_publish
+    | Thread_spawn | Thread_fork | Thread_exit | Thread_join
+    | Lock_request | Lock_grant | Lock_handoff | Lock_release
+    | Gate_take | Gate_pass | Gate_advance
+    | Membus_charge | Mpool_alloc
+    | Mnode_alloc | Mnode_ref | Mnode_unref | Mnode_recycle | Mnode_write
+    | Span_begin | Span_end | Access
+    | Fault_drop | Fault_dup | Fault_corrupt | Fault_reorder
+    | Scr_append | Scr_apply | Scr_apply_end | Scr_replay
+    | Rcu_read | Rcu_publish
 end
 
 type tracer = t
