@@ -1,3 +1,5 @@
+open Pnp_engine
+
 type t = {
   findings : Finding.t list;
   states : Lockset.state list;
@@ -6,7 +8,10 @@ type t = {
   order : Order_check.lock_stat list;
 }
 
-(* Every checker's step in one traversal. *)
+(* Every checker in one traversal.  One match hands each row to the
+   checkers that read its kind: the routing each checker's own step
+   does when it runs alone, which [analysis.shared] holds to the same
+   results. *)
 let run tracer =
   let ctx = Replay.create tracer in
   let ls = Lockset.create ctx in
@@ -15,11 +20,26 @@ let run tracer =
   let lo = Lock_order.create ctx in
   let oc = Order_check.create ctx in
   Replay.replay ctx (fun row ->
-      Lockset.step ls row;
-      Hb.step hb row;
-      Lifetime.step lt row;
-      Lock_order.step lo row;
-      Order_check.step oc row);
+      match Trace.Row.kind row with
+      | Trace.Kind.Mnode_alloc | Trace.Kind.Mnode_ref | Trace.Kind.Mnode_unref
+      | Trace.Kind.Mnode_recycle | Trace.Kind.Mnode_write ->
+        Lifetime.step lt row
+      | Trace.Kind.Access ->
+        Lockset.access ls row;
+        Hb.access hb row
+      | Trace.Kind.Lock_request -> Order_check.request oc row
+      | Trace.Kind.Lock_grant ->
+        Hb.sync hb row;
+        Lock_order.grant lo row;
+        Order_check.grant oc row
+      | Trace.Kind.Lock_release ->
+        Lockset.release ls row;
+        Hb.sync hb row
+      | Trace.Kind.Thread_fork | Trace.Kind.Thread_exit | Trace.Kind.Thread_join
+      | Trace.Kind.Gate_pass | Trace.Kind.Gate_advance | Trace.Kind.Membus_charge
+      | Trace.Kind.Scr_append | Trace.Kind.Scr_apply | Trace.Kind.Scr_apply_end ->
+        Hb.sync hb row
+      | _ -> ());
   let states, lockset = Lockset.result ls in
   {
     findings =

@@ -57,14 +57,18 @@ module Vc = struct
     t.c.(tid) <- t.c.(tid) + 1
 
   (* a := a join b.  [a] grows to exactly [b]'s length, never doubles:
-     joins in both directions must not ratchet each other's size up. *)
+     joins in both directions must not ratchet each other's size up.
+     The max is taken without a branch (entries are small and
+     non-negative, so [v - w] keeps its sign): which side wins is data,
+     and a mispredicted branch per entry cost more than the loop. *)
   let join a b =
     let n = Array.length b.c in
     if n > Array.length a.c then resize a n;
     let ac = a.c and bc = b.c in
     for i = 0 to n - 1 do
-      let v = Array.unsafe_get bc i in
-      if v > Array.unsafe_get ac i then Array.unsafe_set ac i v
+      let v = Array.unsafe_get bc i and w = Array.unsafe_get ac i in
+      let d = v - w in
+      Array.unsafe_set ac i (w + (d land lnot (d asr 62)))
     done
 
   let copy t = { c = Array.copy t.c }
@@ -215,27 +219,36 @@ let report t c row prev ~write_write =
       :: t.races
   end
 
-(* The thread's read replaces its earlier one, if any, as the newest. *)
+(* The thread's read replaces its earlier one, if any, as the newest.
+   Already the newest, as when a thread reads a state again, it is
+   replaced in place. *)
 let add_read c tid clk pos =
-  let k = ref 0 in
-  for i = 0 to c.n - 1 do
-    if c.r_tid.(i) <> tid then begin
-      c.r_tid.(!k) <- c.r_tid.(i);
-      c.r_clk.(!k) <- c.r_clk.(i);
-      c.r_pos.(!k) <- c.r_pos.(i);
-      incr k
-    end
-  done;
-  if !k = Array.length c.r_tid then begin
-    let grow a = Array.append a (Array.make (max 4 !k) 0) in
-    c.r_tid <- grow c.r_tid;
-    c.r_clk <- grow c.r_clk;
-    c.r_pos <- grow c.r_pos
-  end;
-  c.r_tid.(!k) <- tid;
-  c.r_clk.(!k) <- clk;
-  c.r_pos.(!k) <- pos;
-  c.n <- !k + 1
+  if c.n > 0 && c.r_tid.(c.n - 1) = tid then begin
+    c.r_clk.(c.n - 1) <- clk;
+    c.r_pos.(c.n - 1) <- pos
+  end
+  else begin
+    let k = ref 0 in
+    for i = 0 to c.n - 1 do
+      if c.r_tid.(i) <> tid then begin
+        c.r_tid.(!k) <- c.r_tid.(i);
+        c.r_clk.(!k) <- c.r_clk.(i);
+        c.r_pos.(!k) <- c.r_pos.(i);
+        incr k
+      end
+    done;
+    let k = !k in
+    if k = Array.length c.r_tid then begin
+      let grow a = Array.append a (Array.make (max 4 k) 0) in
+      c.r_tid <- grow c.r_tid;
+      c.r_clk <- grow c.r_clk;
+      c.r_pos <- grow c.r_pos
+    end;
+    c.r_tid.(k) <- tid;
+    c.r_clk.(k) <- clk;
+    c.r_pos.(k) <- pos;
+    c.n <- k + 1
+  end
 
 let access t row =
   let tid = Trace.Row.tid row and write = Trace.Row.int0 row <> 0 in
@@ -303,7 +316,7 @@ let sync t row =
     release t tid t.bus
   | _ -> ()
 
-let[@inline] step t row =
+let step t row =
   match Trace.Row.kind row with
   | Trace.Kind.Access -> access t row
   | Trace.Kind.Thread_fork | Trace.Kind.Thread_exit | Trace.Kind.Thread_join

@@ -45,7 +45,15 @@ val check : ?bus_sync:bool -> Pnp_engine.Trace.t -> Finding.t list
 type t
 
 val create : ?bus_sync:bool -> Replay.ctx -> t
-val step : t -> Pnp_engine.Trace.Row.t -> unit
+
+val access : t -> Pnp_engine.Trace.Row.t -> unit
+(** An [Access] row. *)
+
+val sync : t -> Pnp_engine.Trace.Row.t -> unit
+(** A row of an ordering edge: [Thread_fork], [Thread_exit],
+    [Thread_join], [Lock_grant], [Lock_release], [Gate_pass],
+    [Gate_advance], [Membus_charge], [Scr_append], [Scr_apply] or
+    [Scr_apply_end]. *)
 
 val races_of : t -> race list
 (** {!run} over the records stepped so far. *)

@@ -70,7 +70,7 @@ let set t id s status refs pos =
     s.last <- pos
   | None -> Replay.Slots.set t.nodes id { status; refs; last = pos; reported = false }
 
-let lifecycle t row =
+let step t row =
   let pos = Trace.Row.pos row and id = Trace.Row.int0 row in
   match Trace.Row.kind row with
   | Trace.Kind.Mnode_alloc ->
@@ -111,12 +111,6 @@ let lifecycle t row =
       | Recycled -> report t s id pos "bytes written after arena recycle (write-after-recycle)"))
   | _ -> ()
 
-let[@inline] step t row =
-  match Trace.Row.kind row with
-  | Trace.Kind.Mnode_alloc | Trace.Kind.Mnode_ref | Trace.Kind.Mnode_unref
-  | Trace.Kind.Mnode_recycle | Trace.Kind.Mnode_write ->
-    lifecycle t row
-  | _ -> ()
 
 let findings ?(leaks = false) t =
   let leak =

@@ -26,7 +26,10 @@ val check : ?leaks:bool -> Pnp_engine.Trace.t -> Finding.t list
 type t
 
 val create : Replay.ctx -> t
+
 val step : t -> Pnp_engine.Trace.Row.t -> unit
+(** A node lifecycle row ([Mnode_alloc], [Mnode_ref], [Mnode_unref],
+    [Mnode_recycle] or [Mnode_write]); any other row is ignored. *)
 
 val findings : ?leaks:bool -> t -> Finding.t list
 (** What {!check} returns for the records stepped so far. *)

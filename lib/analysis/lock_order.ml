@@ -43,7 +43,7 @@ let grant t row =
     end
   done
 
-let[@inline] step t row = match Trace.Row.kind row with Trace.Kind.Lock_grant -> grant t row | _ -> ()
+let step t row = match Trace.Row.kind row with Trace.Kind.Lock_grant -> grant t row | _ -> ()
 
 let seen_edges t =
   Replay.Pairs.fold (fun _ e acc -> e :: acc) t.seen []

@@ -28,7 +28,9 @@ val check : Pnp_engine.Trace.t -> Finding.t list
 type t
 
 val create : Replay.ctx -> t
-val step : t -> Pnp_engine.Trace.Row.t -> unit
+
+val grant : t -> Pnp_engine.Trace.Row.t -> unit
+(** A [Lock_grant] row. *)
 
 val findings : t -> Finding.t list
 (** {!check} over the records stepped so far. *)

@@ -139,15 +139,17 @@ let record_access t pos sid set =
    unmatched release ran with an unknowable held-set and must not be
    classified; so [step] only records accesses, and [result] classifies
    them once every release has been seen. *)
+let access t row =
+  record_access t (Trace.Row.pos row) (Replay.id t.ctx) (held_set t (Trace.Row.tid row))
+
 let release t row =
   let tid = Trace.Row.tid row in
   if not (Replay.holds t.ctx ~tid (Replay.id t.ctx)) then
     Replay.Slots.set t.cutoff tid (Trace.Row.ts row)
 
-let[@inline] step t row =
+let step t row =
   match Trace.Row.kind row with
-  | Trace.Kind.Access ->
-    record_access t (Trace.Row.pos row) (Replay.id t.ctx) (held_set t (Trace.Row.tid row))
+  | Trace.Kind.Access -> access t row
   | Trace.Kind.Lock_release -> release t row
   | _ -> ()
 

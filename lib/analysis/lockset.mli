@@ -44,17 +44,21 @@ val run : Pnp_engine.Trace.t -> state list * Finding.t list
 
 (** {2 As one step of a shared replay}
 
-    {!run} is [create], then {!step} over {!Replay.replay}, then
-    {!result}; {!Check} drives the same step beside the other
+    {!run} is [create], then {!access} on every [Access] row and
+    {!release} on every [Lock_release] row of a {!Replay.replay}, then
+    {!result}; {!Check} drives the same calls beside the other
     checkers'. *)
 
 type t
 
 val create : Replay.ctx -> t
 
-val step : t -> Pnp_engine.Trace.Row.t -> unit
-(** Records each access with the locks held at it, and each release of a
-    lock the replay never saw granted (a pre-window hold). *)
+val access : t -> Pnp_engine.Trace.Row.t -> unit
+(** An [Access] row: records the access with the locks held at it. *)
+
+val release : t -> Pnp_engine.Trace.Row.t -> unit
+(** A [Lock_release] row: notes the release of a lock the replay never
+    saw granted (a pre-window hold). *)
 
 val result : t -> state list * Finding.t list
 (** Classifies the recorded accesses, now that every pre-window hold is

@@ -76,7 +76,7 @@ let account t tid a =
     end
   end
 
-let request c tid pos =
+let enqueue c tid pos =
   if c.n = Array.length c.req_tids then begin
     let grow a = Array.append a (Array.make (max 4 c.n) 0) in
     c.req_tids <- grow c.req_tids;
@@ -135,9 +135,11 @@ let grant t row =
   account t (Trace.Row.tid row) c;
   pop_grant t row c
 
-let[@inline] step t row =
+let request t row = enqueue (cell t) (Trace.Row.tid row) (Trace.Row.pos row)
+
+let step t row =
   match Trace.Row.kind row with
-  | Trace.Kind.Lock_request -> request (cell t) (Trace.Row.tid row) (Trace.Row.pos row)
+  | Trace.Kind.Lock_request -> request t row
   | Trace.Kind.Lock_grant -> grant t row
   | _ -> ()
 

@@ -43,7 +43,12 @@ val check : Pnp_engine.Trace.t -> Finding.t list
 type t
 
 val create : Replay.ctx -> t
-val step : t -> Pnp_engine.Trace.Row.t -> unit
+
+val request : t -> Pnp_engine.Trace.Row.t -> unit
+(** A [Lock_request] row. *)
+
+val grant : t -> Pnp_engine.Trace.Row.t -> unit
+(** A [Lock_grant] row. *)
 
 val stats_of : t -> lock_stat list
 (** {!stats} over the records stepped so far. *)

@@ -216,28 +216,52 @@ let scr_lock ctx log =
     Slots.set ctx.scr_locks log id;
     id
 
-let[@inline] name_id ctx row =
-  match Trace.Row.kind row with
-  | Trace.Kind.Lock_request | Trace.Kind.Lock_grant | Trace.Kind.Lock_release ->
-    intern ctx.locks (Trace.Row.name row)
-  | Trace.Kind.Gate_pass | Trace.Kind.Gate_advance -> intern ctx.gates (Trace.Row.name row)
-  | Trace.Kind.Scr_append | Trace.Kind.Scr_apply | Trace.Kind.Scr_apply_end ->
-    intern ctx.logs (Trace.Row.name row)
-  | Trace.Kind.Access -> intern ctx.states (Trace.Row.name row)
-  | _ -> -1
+(* One row: intern its name, hand it to [f], then apply it to the
+   context.  One match per row says both what a kind's name is and
+   what the kind does to the context. *)
+let[@inline] name ctx tbl row = ctx.id <- intern tbl (Trace.Row.name row)
 
-let[@inline] apply ctx row =
-  let tid = Trace.Row.tid row in
+let[@inline] visit ctx f row =
   match Trace.Row.kind row with
-  | Trace.Kind.Lock_grant -> acquire ctx tid ctx.id (Trace.Row.pos row)
-  | Trace.Kind.Lock_release -> drop ctx tid ctx.id
-  | Trace.Kind.Scr_apply -> acquire ctx tid (scr_lock ctx ctx.id) (Trace.Row.pos row)
-  | Trace.Kind.Scr_apply_end -> drop ctx tid (scr_lock ctx ctx.id)
-  | Trace.Kind.Span_begin when Trace.Row.int1 row = 0 (* Enqueue *) ->
-    let s = state ctx tid in
-    s.carrying <- true;
-    s.seq <- Trace.Row.int0 row
-  | _ -> ()
+  | Trace.Kind.Lock_grant ->
+    name ctx ctx.locks row;
+    f row;
+    acquire ctx (Trace.Row.tid row) ctx.id (Trace.Row.pos row)
+  | Trace.Kind.Lock_release ->
+    name ctx ctx.locks row;
+    f row;
+    drop ctx (Trace.Row.tid row) ctx.id
+  | Trace.Kind.Lock_request ->
+    name ctx ctx.locks row;
+    f row
+  | Trace.Kind.Access ->
+    name ctx ctx.states row;
+    f row
+  | Trace.Kind.Gate_pass | Trace.Kind.Gate_advance ->
+    name ctx ctx.gates row;
+    f row
+  | Trace.Kind.Scr_append ->
+    name ctx ctx.logs row;
+    f row
+  | Trace.Kind.Scr_apply ->
+    name ctx ctx.logs row;
+    f row;
+    acquire ctx (Trace.Row.tid row) (scr_lock ctx ctx.id) (Trace.Row.pos row)
+  | Trace.Kind.Scr_apply_end ->
+    name ctx ctx.logs row;
+    f row;
+    drop ctx (Trace.Row.tid row) (scr_lock ctx ctx.id)
+  | Trace.Kind.Span_begin ->
+    ctx.id <- -1;
+    f row;
+    if Trace.Row.int1 row = 0 (* Enqueue *) then begin
+      let s = state ctx (Trace.Row.tid row) in
+      s.carrying <- true;
+      s.seq <- Trace.Row.int0 row
+    end
+  | _ ->
+    ctx.id <- -1;
+    f row
 
 let create tracer =
   {
@@ -251,11 +275,7 @@ let create tracer =
     id = -1;
   }
 
-let[@inline] replay ctx f =
-  Trace.iter_rows ctx.tracer kept (fun row ->
-      ctx.id <- name_id ctx row;
-      f row;
-      apply ctx row)
+let[@inline] replay ctx f = Trace.iter_rows ctx.tracer kept (fun row -> visit ctx f row)
 
 let run tracer make step =
   let ctx = create tracer in
