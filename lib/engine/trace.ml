@@ -373,7 +373,6 @@ module Row = struct
     mutable i : int; (* the row's first word *)
     mutable j : int; (* the index of its name, if it has one *)
     mutable h : int; (* its header word *)
-    mutable k : int; (* its kind's number *)
     mutable kind : Kind.t;
   }
 
@@ -393,15 +392,13 @@ module Row = struct
 
   (* To the row at word [i], name [j], with header [h]. *)
   let[@inline] move r i j h =
-    let k = kind_of h in
     r.i <- i;
     r.j <- j;
     r.h <- h;
-    r.k <- k;
-    r.kind <- Array.unsafe_get kind_of_index k
+    r.kind <- Array.unsafe_get kind_of_index (kind_of h)
 
   let cursor () =
-    { w = [||]; names = [||]; ci = 0; i = 0; j = 0; h = 0; k = 0; kind = Kind.Thread_exit }
+    { w = [||]; names = [||]; ci = 0; i = 0; j = 0; h = 0; kind = Kind.Thread_exit }
 
   let seek (t : tracer) r p =
     let ci = p lsr (row_bits + name_bits) in
@@ -412,11 +409,12 @@ module Row = struct
     move r i (p land ((1 lsl name_bits) - 1)) (Array.unsafe_get r.w (i + 1))
 
   let record r =
+    let k = kind_of r.h in
     {
       ts = ts r;
       tid = tid r;
       cpu = cpu r;
-      ev = decode r.k (if is_named r.k then name r else "") (int0 r) (int1 r);
+      ev = decode k (if is_named k then name r else "") (int0 r) (int1 r);
     }
 end
 
