@@ -9,9 +9,8 @@ type t = {
 }
 
 (* Every checker in one traversal.  One match hands each row to the
-   checkers that read its kind: the routing each checker's own step
-   does when it runs alone, which [analysis.shared] holds to the same
-   results. *)
+   checkers that read its kind: the only routing of rows to checkers
+   but [Order_check.stats]'s, which covers two of these arms. *)
 let run tracer =
   let ctx = Replay.create tracer in
   let ls = Lockset.create ctx in
@@ -49,7 +48,7 @@ let run tracer =
           @ Order_check.findings oc));
     states;
     lockset;
-    races = List.map (fun (r : Hb.race) -> r.Hb.state) (Hb.races_of hb);
+    races = Hb.races hb;
     order = Order_check.stats_of oc;
   }
 

@@ -110,7 +110,6 @@ let hb ~tid ~clk (vc : Vc.t) = clk <= Vc.get vc tid
 
 type t = {
   ctx : Replay.ctx;
-  bus_sync : bool;
   clocks : Vc.t Replay.Slots.t; (* by tid *)
   exited : (int, Vc.t) Hashtbl.t;
   forked : (int, Vc.t) Hashtbl.t;
@@ -132,10 +131,9 @@ type t = {
   mutable violations : violation list;
 }
 
-let create ?(bus_sync = true) ctx =
+let create ctx =
   {
     ctx;
-    bus_sync;
     clocks = Replay.Slots.create ();
     exited = Hashtbl.create 16;
     forked = Hashtbl.create 16;
@@ -311,22 +309,12 @@ let sync t row =
   | Trace.Kind.Scr_apply_end -> release t tid (channel t.logs id)
   | Trace.Kind.Gate_advance -> release t tid (channel t.gates id)
   | Trace.Kind.Gate_pass -> acquire t tid (channel t.gates id)
-  | Trace.Kind.Membus_charge when t.bus_sync ->
+  | Trace.Kind.Membus_charge ->
     acquire t tid t.bus;
     release t tid t.bus
   | _ -> ()
 
-let step t row =
-  match Trace.Row.kind row with
-  | Trace.Kind.Access -> access t row
-  | Trace.Kind.Thread_fork | Trace.Kind.Thread_exit | Trace.Kind.Thread_join
-  | Trace.Kind.Lock_grant | Trace.Kind.Lock_release | Trace.Kind.Scr_append
-  | Trace.Kind.Scr_apply | Trace.Kind.Scr_apply_end | Trace.Kind.Gate_advance
-  | Trace.Kind.Gate_pass | Trace.Kind.Membus_charge ->
-    sync t row
-  | _ -> ()
-
-let races_of t = List.rev t.races
+let races t = List.rev_map (fun r -> r.state) t.races
 
 let findings t =
   List.map
@@ -339,7 +327,7 @@ let findings t =
             two accesses"
            (if r.write_write then "writes" else "read/write pair")
            r.first.Trace.tid r.second.Trace.tid))
-    (races_of t)
+    (List.rev t.races)
   @ List.map
       (fun v ->
         Finding.v ~checker:"hb-race" ~subject:v.v_log ~witnesses:[ v.v_rec ]
@@ -351,8 +339,3 @@ let findings t =
              v.v_rec.Trace.tid v.v_idx v.v_max))
       (List.rev t.violations)
   |> Finding.sort
-
-let run_full ?bus_sync tracer = Replay.run tracer (create ?bus_sync) step
-let run ?bus_sync tracer = races_of (run_full ?bus_sync tracer)
-let races ?bus_sync tracer = List.map (fun r -> r.state) (run ?bus_sync tracer)
-let check ?bus_sync tracer = findings (run_full ?bus_sync tracer)

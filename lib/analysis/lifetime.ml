@@ -20,10 +20,9 @@ open Pnp_engine
 
    Traces start mid-run, so ids can appear first as a ref/unref/write of
    a node allocated before the window: unknown ids are adopted at face
-   value, never reported.  Leak reporting (nodes still live when the
-   trace ends) is opt-in for the same reason — a measurement window
-   legitimately ends with traffic in flight; only drain-to-completion
-   fixtures can demand emptiness. *)
+   value, never reported.  Nodes still live when the trace ends are not
+   reported either: a measurement window legitimately ends with traffic
+   in flight. *)
 
 type status = Live | Freed | Recycled
 
@@ -111,33 +110,4 @@ let step t row =
       | Recycled -> report t s id pos "bytes written after arena recycle (write-after-recycle)"))
   | _ -> ()
 
-
-let findings ?(leaks = false) t =
-  let leak =
-    if not leaks then []
-    else
-      let leaked =
-        List.rev
-          (Replay.Slots.fold t.nodes
-             (fun id s acc -> match s.status with Live -> (id, s) :: acc | _ -> acc)
-             [])
-      in
-      match leaked with
-      | [] -> []
-      | (id0, s0) :: _ ->
-        let ids = List.map fst leaked in
-        let shown = List.filteri (fun i _ -> i < 8) ids in
-        [
-          Finding.v ~checker:"lifetime" ~subject:"leak"
-            ~witnesses:[ Replay.record t.ctx s0.last ]
-            (Printf.sprintf
-               "%d node(s) still live at end of trace: %s%s (first leaked id %d)"
-               (List.length ids)
-               (String.concat ", " (List.map string_of_int shown))
-               (if List.length ids > List.length shown then ", ..." else "")
-               id0);
-        ]
-  in
-  Finding.sort (List.rev (leak @ t.findings))
-
-let check ?leaks tracer = findings ?leaks (Replay.run tracer create step)
+let findings t = Finding.sort (List.rev t.findings)

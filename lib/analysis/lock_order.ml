@@ -1,14 +1,8 @@
 open Pnp_engine
 
-type edge = {
-  first : string;
-  second : string;
-  holder : Trace.record;
-  acquire : Trace.record;
-}
-
-(* An edge as the step records it: the grants are row positions, made
-   records only for an edge that {!edges} or a finding reports. *)
+(* A held-before edge: the lock already held, the lock granted while
+   holding it, and the rows of the two grants, made records only for an
+   edge a finding reports. *)
 type seen = { held : string; taken : string; held_at : Trace.pos; taken_at : Trace.pos }
 
 (* [last.(first)] is the lock last seen granted while [first] was held
@@ -43,24 +37,9 @@ let grant t row =
     end
   done
 
-let step t row = match Trace.Row.kind row with Trace.Kind.Lock_grant -> grant t row | _ -> ()
-
 let seen_edges t =
   Replay.Pairs.fold (fun _ e acc -> e :: acc) t.seen []
   |> List.sort (fun a b -> match compare a.held b.held with 0 -> compare a.taken b.taken | c -> c)
-
-let edges tracer =
-  let t = Replay.run tracer create step in
-  List.map
-    (fun e ->
-      {
-        first = e.held;
-        second = e.taken;
-        holder = Replay.record t.ctx e.held_at;
-        acquire = Replay.record t.ctx e.taken_at;
-      })
-    (seen_edges t)
-
 
 (* Elementary cycles, each as the list of edges walked; every distinct
    (unordered) lock pair involved in an inversion is reported once. *)
@@ -136,5 +115,3 @@ let findings t =
                conflicting orders, a potential deadlock"
               (List.length cycle)))
   |> Finding.sort
-
-let check tracer = findings (Replay.run tracer create step)

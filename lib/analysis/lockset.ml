@@ -37,7 +37,7 @@ type sets = {
 }
 
 (* Accesses are classified only once the whole trace has been replayed,
-   because whether one counts depends on later records (see [step]).
+   because whether one counts depends on later records (see [access]).
    Until then an access is three ints in [acc]: its row's position, its
    state's id and the held set it ran under; its tid, timestamp and
    kind are read back from the row.  [acc] is a list of blocks of [block_ints]
@@ -137,7 +137,7 @@ let record_access t pos sid set =
    hold is revealed by its release: a [Lock_release] for a lock the
    replay never saw granted.  Accesses by that thread up to its last
    unmatched release ran with an unknowable held-set and must not be
-   classified; so [step] only records accesses, and [result] classifies
+   classified; so [access] only records accesses, and [result] classifies
    them once every release has been seen. *)
 let access t row =
   record_access t (Trace.Row.pos row) (Replay.id t.ctx) (held_set t (Trace.Row.tid row))
@@ -146,12 +146,6 @@ let release t row =
   let tid = Trace.Row.tid row in
   if not (Replay.holds t.ctx ~tid (Replay.id t.ctx)) then
     Replay.Slots.set t.cutoff tid (Trace.Row.ts row)
-
-let step t row =
-  match Trace.Row.kind row with
-  | Trace.Kind.Access -> access t row
-  | Trace.Kind.Lock_release -> release t row
-  | _ -> ()
 
 let lock_names t ls = List.map (Replay.lock_name t.ctx) ls
 
@@ -255,7 +249,3 @@ let result t =
     |> List.sort (fun a b -> compare a.id b.id)
   in
   (states, Finding.sort t.findings)
-
-let run tracer = result (Replay.run tracer create step)
-
-let check tracer = snd (run tracer)

@@ -39,15 +39,11 @@ type state = {
   accesses : int;  (** annotated accesses seen *)
 }
 
-val run : Pnp_engine.Trace.t -> state list * Finding.t list
-(** Final per-identifier states (sorted by id) and the findings. *)
+(** {2 As one step of the shared replay}
 
-(** {2 As one step of a shared replay}
-
-    {!run} is [create], then {!access} on every [Access] row and
-    {!release} on every [Lock_release] row of a {!Replay.replay}, then
-    {!result}; {!Check} drives the same calls beside the other
-    checkers'. *)
+    {!Check.run} calls {!access} on every [Access] row and {!release}
+    on every [Lock_release] row, beside the other checkers' steps, then
+    {!result}. *)
 
 type t
 
@@ -62,7 +58,5 @@ val release : t -> Pnp_engine.Trace.Row.t -> unit
 
 val result : t -> state list * Finding.t list
 (** Classifies the recorded accesses, now that every pre-window hold is
-    known, and returns the states and findings.  Call it once, after the
-    last {!step}. *)
-
-val check : Pnp_engine.Trace.t -> Finding.t list
+    known, and returns the final per-identifier states (sorted by id)
+    and the findings.  Call it once, after the last row. *)

@@ -137,12 +137,6 @@ let grant t row =
 
 let request t row = enqueue (cell t) (Trace.Row.tid row) (Trace.Row.pos row)
 
-let step t row =
-  match Trace.Row.kind row with
-  | Trace.Kind.Lock_request -> request t row
-  | Trace.Kind.Lock_grant -> grant t row
-  | _ -> ()
-
 let stats_of t =
   Replay.Slots.fold t.cells
     (fun _ c rows ->
@@ -161,11 +155,19 @@ let stats_of t =
          match compare y.reordered x.reordered with 0 -> compare x.lock y.lock | c -> c)
 
 let findings t = Finding.sort t.findings
-let stats tracer = stats_of (Replay.run tracer create step)
+
+(* The order statistics alone, for callers that need no other checker:
+   the same two steps [Check.run] routes these kinds to. *)
+let stats tracer =
+  let t = create (Replay.create tracer) in
+  Replay.replay t.ctx (fun row ->
+      match Trace.Row.kind row with
+      | Trace.Kind.Lock_request -> request t row
+      | Trace.Kind.Lock_grant -> grant t row
+      | _ -> ());
+  stats_of t
 
 let reordered_total rows =
   List.fold_left
     (fun (r, g) (s : lock_stat) -> (r + s.reordered, g + s.grants))
     (0, 0) rows
-
-let check tracer = findings (Replay.run tracer create step)

@@ -27,18 +27,20 @@ type lock_stat = {
 
 val stats : Pnp_engine.Trace.t -> lock_stat list
 (** Per-lock reorder statistics, restricted to locks whose grantees
-    carried packets; sorted by reordered count descending. *)
+    carried packets; sorted by reordered count descending.  The one
+    whole-trace checker entry point beside {!Check.run}: it replays
+    the trace through {!request} and {!grant} alone, for callers that
+    need the statistics without the other checkers' cost, and returns
+    what {!Check.run} reports as [order]. *)
 
 val reordered_total : lock_stat list -> int * int
 (** [(reordered, grants)] summed over all locks. *)
 
-val check : Pnp_engine.Trace.t -> Finding.t list
-(** Grant-order violations on FIFO locks, witnessed by the overtaken
-    request and the overtaking grant. *)
+(** {2 As one step of the shared replay}
 
-(** {2 As one step of a shared replay}
-
-    One step serves both {!stats} and {!check}. *)
+    {!Check.run} calls {!request} on every [Lock_request] row and
+    {!grant} on every [Lock_grant] row, then reads {!stats_of} and
+    {!findings}. *)
 
 type t
 
@@ -54,4 +56,6 @@ val stats_of : t -> lock_stat list
 (** {!stats} over the records stepped so far. *)
 
 val findings : t -> Finding.t list
-(** {!check} over the records stepped so far. *)
+(** Grant-order violations on FIFO locks (checker ["fifo-order"]) in
+    the rows stepped so far, witnessed by the overtaken request and the
+    overtaking grant. *)

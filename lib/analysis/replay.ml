@@ -174,7 +174,6 @@ let holds ctx ~tid id =
   let s = find ctx tid in
   last_hold s id (s.n - 1) >= 0
 
-let held ctx ~tid = List.init (held_count ctx ~tid) (fun i -> lock_name ctx (held_id ctx ~tid i))
 let carrying ctx ~tid = (find ctx tid).carrying
 let seq ctx ~tid = (find ctx tid).seq
 
@@ -276,9 +275,3 @@ let create tracer =
   }
 
 let[@inline] replay ctx f = Trace.iter_rows ctx.tracer kept (fun row -> visit ctx f row)
-
-let run tracer make step =
-  let ctx = create tracer in
-  let t = make ctx in
-  replay ctx (step t);
-  t

@@ -62,9 +62,6 @@ val held_grant : ctx -> tid:int -> int -> Pnp_engine.Trace.pos
 val holds : ctx -> tid:int -> int -> bool
 (** Whether the thread holds the lock with this id. *)
 
-val held : ctx -> tid:int -> string list
-(** The held locks by name. *)
-
 val carrying : ctx -> tid:int -> bool
 (** Whether the thread has carried a packet: whether a
     [Span_begin Enqueue] of it was replayed. *)
@@ -78,11 +75,6 @@ val replay : ctx -> (Pnp_engine.Trace.Row.t -> unit) -> unit
 (** Replay every row a checker reads, in emission order, through the
     callback, updating the context after each.  Replay a context once.
     The row cursor is valid during the call only. *)
-
-val run : Pnp_engine.Trace.t -> (ctx -> 'a) -> ('a -> Pnp_engine.Trace.Row.t -> unit) -> 'a
-(** [run tracer make step] makes a checker's state with [make] over
-    a fresh context, replays the trace through [step] and returns the
-    state: how each checker runs its own per-row step alone. *)
 
 (** {2 Tables keyed by id} *)
 

@@ -443,8 +443,7 @@ let iter_rows t mask f =
     done
   done
 
-let iter_kinds t mask f = iter_rows t mask (fun r -> f (Row.record r))
-let iter t f = iter_kinds t all_kinds f
+let iter t f = iter_rows t all_kinds (fun r -> f (Row.record r))
 
 let events t =
   let acc = ref [] in
@@ -496,8 +495,8 @@ let lock_table t =
       Hashtbl.replace tbl name a;
       a
   in
-  iter_kinds t lock_kinds (fun r ->
-      match r.ev with
+  iter_rows t lock_kinds (fun r ->
+      match (Row.record r).ev with
       | Lock_request { lock; waiters } ->
         let a = get lock in
         if waiters > a.a_maxq then a.a_maxq <- waiters

@@ -165,11 +165,6 @@ val kinds : (ev -> bool) -> kinds
 (** The constructors [p] accepts, judged on one sample value of each:
     [p] must look at the constructor only, never at its fields. *)
 
-val iter_kinds : t -> kinds -> (record -> unit) -> unit
-(** [iter_kinds t ks f] is [iter t f] restricted to the records whose
-    constructor is in [ks].  A record outside [ks] is skipped on its
-    stored kind, before its [ev] is rebuilt. *)
-
 (** {2 Rows in place}
 
     The same records without a [record] or an [ev] built per record:
@@ -239,9 +234,10 @@ module Row : sig
 end
 
 val iter_rows : t -> kinds -> (Row.t -> unit) -> unit
-(** [iter_rows t ks f] calls [f] on the rows of the records
-    {!iter_kinds}[ t ks] delivers, in the same order, and allocates
-    nothing per row. *)
+(** [iter_rows t ks f] calls [f] on the rows of the records {!iter}
+    delivers whose constructor is in [ks], in the same order, and
+    allocates nothing per row: a row outside [ks] is skipped on its
+    stored kind. *)
 
 val record_at : t -> pos -> record
 (** The record stored at a position {!Row.pos} returned. *)

@@ -22,6 +22,11 @@ let rel lock = Trace.Lock_release { lock; hold_ns = 0 }
 let acc ?(write = true) state = Trace.Access { state; write }
 let enq seq = Trace.Span_begin { seq; phase = Trace.Enqueue }
 
+(* What the shared pass reports: the lockset findings, and one
+   checker's findings. *)
+let lockset t = (Check.run t).Check.lockset
+let findings_of checker t = List.filter (fun f -> f.Finding.checker = checker) (Check.all t)
+
 (* ------------------------------------------------------------------ *)
 (* Lockset (Eraser)                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -34,9 +39,9 @@ let test_lockset_clean_locked_counter () =
         (2, grant "l"); (2, acc "tcb#ctr"); (2, rel "l");
       ]
   in
-  let states, findings = Lockset.run t in
-  Alcotest.(check int) "no findings" 0 (List.length findings);
-  match states with
+  let c = Check.run t in
+  Alcotest.(check int) "no findings" 0 (List.length c.Check.lockset);
+  match c.Check.states with
   | [ s ] ->
     Alcotest.(check string) "id" "tcb#ctr" s.Lockset.id;
     (match s.Lockset.class_ with
@@ -56,7 +61,7 @@ let test_lockset_fires_on_unlocked_counter () =
         (2, acc "tcb#ctr");                       (* already reported *)
       ]
   in
-  let findings = Lockset.check t in
+  let findings = lockset t in
   (match findings with
    | [ f ] ->
      Alcotest.(check string) "checker" "lockset" f.Finding.checker;
@@ -75,7 +80,7 @@ let test_lockset_read_shared_not_reported () =
         (3, acc ~write:false "cfg#mtu");
       ]
   in
-  Alcotest.(check int) "no findings" 0 (List.length (Lockset.check t))
+  Alcotest.(check int) "no findings" 0 (List.length (lockset t))
 
 let test_lockset_partial_lock_overlap_fires () =
   (* Each thread holds *a* lock, but not a common one: the candidate set
@@ -87,7 +92,7 @@ let test_lockset_partial_lock_overlap_fires () =
         (2, grant "b"); (2, acc "x#f"); (2, rel "b");
       ]
   in
-  (match Lockset.check t with
+  (match lockset t with
    | [ f ] -> Alcotest.(check string) "subject" "x#f" f.Finding.subject
    | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)))
 
@@ -106,7 +111,7 @@ let test_lockset_fires_on_unlocked_map_cache () =
         (2, acc "tcp.demux#cache");
       ]
   in
-  match Lockset.check t with
+  match lockset t with
   | [ f ] ->
     Alcotest.(check string) "checker" "lockset" f.Finding.checker;
     Alcotest.(check string) "subject" "tcp.demux#cache" f.Finding.subject
@@ -141,7 +146,7 @@ let test_unlocked_map_lookup_is_clean () =
   done;
   Sim.run p.Platform.sim;
   Alcotest.(check int) "lookups served" (50 * (0 + 1 + 2 + 3)) !sum;
-  Alcotest.(check int) "no lockset findings" 0 (List.length (Lockset.check tracer))
+  Alcotest.(check int) "no lockset findings" 0 (List.length (lockset tracer))
 
 (* ------------------------------------------------------------------ *)
 (* Lock-order graph                                                    *)
@@ -176,7 +181,7 @@ let inversion_trace ~invert =
 
 let test_lock_order_cycle_detected () =
   let tracer = inversion_trace ~invert:true in
-  match Lock_order.check tracer with
+  match findings_of "lock-order" tracer with
   | [ f ] ->
     Alcotest.(check string) "checker" "lock-order" f.Finding.checker;
     let mentions sub =
@@ -191,13 +196,19 @@ let test_lock_order_cycle_detected () =
 
 let test_lock_order_consistent_is_clean () =
   let tracer = inversion_trace ~invert:false in
-  Alcotest.(check int) "no cycles" 0 (List.length (Lock_order.check tracer));
-  (* The held-before edge itself is recorded. *)
-  match Lock_order.edges tracer with
-  | [ e ] ->
-    Alcotest.(check string) "first" "tcp.1.reass" e.Lock_order.first;
-    Alcotest.(check string) "second" "tcp.1.rexmt" e.Lock_order.second
-  | es -> Alcotest.fail (Printf.sprintf "expected 1 edge, got %d" (List.length es))
+  Alcotest.(check int) "no cycles" 0 (List.length (findings_of "lock-order" tracer));
+  (* The held-before edge itself is recorded: one inverted acquisition
+     appended to the trace closes a cycle through it, witnessed by its
+     grants. *)
+  List.iteri
+    (fun i ev -> Trace.emit tracer ~ts:(10_000_000 + i) ~tid:9 ~cpu:0 ev (* lint:allow *))
+    [ grant "tcp.1.rexmt"; grant "tcp.1.reass"; rel "tcp.1.reass"; rel "tcp.1.rexmt" ];
+  match findings_of "lock-order" tracer with
+  | [ f ] ->
+    Alcotest.(check string) "cycle" "tcp.1.reass -> tcp.1.rexmt -> tcp.1.reass"
+      f.Finding.subject;
+    Alcotest.(check int) "both edges' grants" 4 (List.length f.Finding.witnesses)
+  | fs -> Alcotest.fail (Printf.sprintf "expected 1 cycle, got %d" (List.length fs))
 
 let test_lock_order_three_cycle () =
   let t =
@@ -208,7 +219,7 @@ let test_lock_order_three_cycle () =
         (3, grant "c"); (3, grant "a"); (3, rel "a"); (3, rel "c");
       ]
   in
-  match Lock_order.check t with
+  match findings_of "lock-order" t with
   | [ _ ] -> ()
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 three-lock cycle, got %d" (List.length fs))
 
@@ -218,7 +229,7 @@ let test_lock_order_three_cycle () =
 
 let test_fifo_order_violation_detected () =
   let evs = [ (1, req "m"); (2, req "m"); (2, grant "m"); (1, grant "m") ] in
-  (match Order_check.check (make_trace ~locks:[ ("m", "fifo") ] evs) with
+  (match findings_of "fifo-order" (make_trace ~locks:[ ("m", "fifo") ] evs) with
    | [ f ] ->
      Alcotest.(check string) "checker" "fifo-order" f.Finding.checker;
      Alcotest.(check string) "subject" "m" f.Finding.subject;
@@ -227,12 +238,12 @@ let test_fifo_order_violation_detected () =
   (* The same overtake on a lock that never promised FIFO is not a
      violation. *)
   Alcotest.(check int) "unfair lock may barge" 0
-    (List.length (Order_check.check (make_trace ~locks:[ ("m", "unfair") ] evs)))
+    (List.length (findings_of "fifo-order" (make_trace ~locks:[ ("m", "unfair") ] evs)))
 
 let test_fifo_order_in_order_clean () =
   let evs = [ (1, req "m"); (2, req "m"); (1, grant "m"); (2, grant "m") ] in
   Alcotest.(check int) "in-order grants" 0
-    (List.length (Order_check.check (make_trace ~locks:[ ("m", "fifo") ] evs)))
+    (List.length (findings_of "fifo-order" (make_trace ~locks:[ ("m", "fifo") ] evs)))
 
 (* A lock registers its discipline with its first traced record, not at
    creation: untraced use leaves it unregistered. *)
@@ -276,7 +287,7 @@ let test_fifo_created_before_trace_flagged () =
         Lock.with_lock lock ignore)
   in
   Sim.run sim;
-  match Order_check.check tracer with
+  match findings_of "fifo-order" tracer with
   | [ f ] ->
     Alcotest.(check string) "checker" "fifo-order" f.Finding.checker;
     Alcotest.(check string) "subject" "conn" f.Finding.subject
@@ -334,12 +345,16 @@ let test_replay_held_and_seq () =
   (* Inspect the context right before each record is applied. *)
   let at_b_grant = ref [] and after_rel_b = ref [] and seq = ref None in
   let ctx = Replay.create t in
+  let held () =
+    List.init (Replay.held_count ctx ~tid:1) (fun i ->
+        Replay.lock_name ctx (Replay.held_id ctx ~tid:1 i))
+  in
   Replay.replay ctx (fun row ->
       match (Trace.Row.record row).Trace.ev with
       | Trace.Lock_grant { lock = "b"; _ } ->
-        at_b_grant := Replay.held ctx ~tid:1;
+        at_b_grant := held ();
         if Replay.carrying ctx ~tid:1 then seq := Some (Replay.seq ctx ~tid:1)
-      | Trace.Lock_release { lock = "a"; _ } -> after_rel_b := Replay.held ctx ~tid:1
+      | Trace.Lock_release { lock = "a"; _ } -> after_rel_b := held ()
       | _ -> ());
   Alcotest.(check (list string)) "held before b's grant" [ "a" ] !at_b_grant;
   Alcotest.(check (option int)) "carried seq" (Some 4096) !seq;
@@ -360,15 +375,20 @@ let checked_scenario ?(side = Pnp_harness.Config.Recv) ~tcp_locking () =
 
 let test_clean_tcp6_run_has_no_findings () =
   let _result, tracer = checked_scenario ~tcp_locking:Pnp_proto.Tcp.Six () in
-  let findings = Check.all tracer in
-  List.iter (fun f -> Format.eprintf "unexpected: %a@." Finding.pp f) findings;
-  Alcotest.(check int) "clean tree is clean" 0 (List.length findings);
-  (* The run actually exercised the checkers: state was tracked and
-     held-before edges exist under fine-grained locking. *)
-  let states, _ = Lockset.run tracer in
-  Alcotest.(check bool) "lockset saw annotated state" true (List.length states > 0);
-  Alcotest.(check bool) "held-before edges exist" true
-    (List.length (Lock_order.edges tracer) > 0)
+  let c = Check.run tracer in
+  List.iter (fun f -> Format.eprintf "unexpected: %a@." Finding.pp f) c.Check.findings;
+  Alcotest.(check int) "clean tree is clean" 0 (List.length c.Check.findings);
+  (* The run actually exercised the checkers: state was tracked and,
+     under fine-grained locking, some lock was granted to a thread
+     holding another (a held-before edge). *)
+  Alcotest.(check bool) "lockset saw annotated state" true (List.length c.Check.states > 0);
+  let ctx = Replay.create tracer and nested = ref 0 in
+  Replay.replay ctx (fun row ->
+      match Trace.Row.kind row with
+      | Trace.Kind.Lock_grant ->
+        if Replay.held_count ctx ~tid:(Trace.Row.tid row) > 0 then incr nested
+      | _ -> ());
+  Alcotest.(check bool) "held-before edges exist" true (!nested > 0)
 
 let test_clean_tcp_send_run_has_no_findings () =
   let _result, tracer =
@@ -377,29 +397,15 @@ let test_clean_tcp_send_run_has_no_findings () =
   Alcotest.(check int) "clean tree is clean" 0 (List.length (Check.all tracer))
 
 (* ------------------------------------------------------------------ *)
-(* One shared pass vs each checker alone                               *)
+(* The order statistics alone vs the shared pass                       *)
 (* ------------------------------------------------------------------ *)
 
-(* [Check.run] drives every checker's step in one traversal; it must
-   report exactly what the standalone entry points report. *)
-let shared_pass_matches name t =
-  let texts fs = List.map Finding.to_string fs in
-  let alone =
-    Finding.dedupe
-      (Finding.sort
-         (Lockset.check t @ Hb.check t @ Lifetime.check t @ Lock_order.check t
-        @ Order_check.check t))
-  in
+(* [Order_check.stats] routes lock requests and grants itself, beside
+   [Check.run]'s one match: the two routings must agree. *)
+let order_stats_match name t =
   let c = Check.run t in
-  Alcotest.(check (list string)) (name ^ ": findings") (texts alone) (texts c.Check.findings);
-  Alcotest.(check (list string)) (name ^ ": Check.all") (texts alone) (texts (Check.all t));
-  let states, lockset = Lockset.run t in
-  Alcotest.(check bool) (name ^ ": lockset states") true (states = c.Check.states);
-  Alcotest.(check (list string)) (name ^ ": lockset findings") (texts lockset)
-    (texts c.Check.lockset);
-  Alcotest.(check (list string)) (name ^ ": hb races") (Hb.races t) c.Check.races;
   Alcotest.(check bool) (name ^ ": order stats") true (Order_check.stats t = c.Check.order);
-  c.Check.findings
+  c
 
 (* One seeded defect per checker family, alone and all in one trace. *)
 let seeded_defects =
@@ -591,20 +597,22 @@ let test_shared_pass_seeded_defects () =
   let locks = [ ("m", "fifo") ] in
   List.iter
     (fun (checker, evs) ->
-      let found = shared_pass_matches checker (make_trace ~locks evs) in
+      let found = (order_stats_match checker (make_trace ~locks evs)).Check.findings in
       Alcotest.(check bool) (checker ^ " fires") true
         (List.exists (fun f -> f.Finding.checker = checker) found))
     seeded_defects;
   let found =
-    shared_pass_matches "all defects"
-      (make_trace ~locks (List.concat_map snd seeded_defects))
+    (order_stats_match "all defects" (make_trace ~locks (List.concat_map snd seeded_defects)))
+      .Check.findings
   in
   List.iter
     (fun (checker, _) ->
       Alcotest.(check bool) (checker ^ " fires in the merged trace") true
         (List.exists (fun f -> f.Finding.checker = checker) found))
     seeded_defects;
-  ignore (shared_pass_matches "inverted TCP-6 order" (inversion_trace ~invert:true))
+  ignore (order_stats_match "inverted TCP-6 order" (inversion_trace ~invert:true));
+  let fixture = order_stats_match "the fixture" (make_trace ~locks replay_fixture) in
+  Alcotest.(check bool) "the fixture has order stats" true (fixture.Check.order <> [])
 
 (* The replay reads rows in place and the checkers keep ints, so a
    whole check allocates a few words per record; building a record per
@@ -622,13 +630,15 @@ let test_check_allocation () =
   if per_record > 4.5 then
     Alcotest.failf "Check.run allocated %.2f minor words per record (at most 4.5)" per_record
 
-(* One real traced cell per discipline: the steps see every record kind
-   the stack emits. *)
+(* One real traced cell per discipline: the routings see every record
+   kind the stack emits. *)
 let test_shared_pass_real_cells () =
   List.iter
     (fun disc ->
+      let label = Pnp_harness.Config.locking_label disc in
       let _result, tracer = checked_scenario ~tcp_locking:disc () in
-      ignore (shared_pass_matches (Pnp_harness.Config.locking_label disc) tracer))
+      let c = order_stats_match label tracer in
+      Alcotest.(check bool) (label ^ ": has order stats") true (c.Check.order <> []))
     Pnp_proto.Tcp.[ One; Two; Six; Scr; Rcu ]
 
 (* ------------------------------------------------------------------ *)

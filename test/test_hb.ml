@@ -27,6 +27,12 @@ let advance gate serving = Trace.Gate_advance { gate; serving }
 let pass gate ticket = Trace.Gate_pass { gate; ticket; wait_ns = 0 }
 let bus = Trace.Membus_charge { bytes = 64; dur_ns = 100 }
 
+(* What the shared pass reports: the racy states, and one checker's
+   findings. *)
+let races t = (Check.run t).Check.races
+let lockset t = (Check.run t).Check.lockset
+let findings_of checker t = List.filter (fun f -> f.Finding.checker = checker) (Check.all t)
+
 (* ------------------------------------------------------------------ *)
 (* Happens-before                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -42,11 +48,11 @@ let test_hb_disjoint_locksets_race () =
         (2, grant "b"); (2, acc "x#f"); (2, rel "b");
       ]
   in
-  Alcotest.(check (list string)) "hb flags" [ "x#f" ] (Hb.races t);
-  (match Lockset.check t with
+  Alcotest.(check (list string)) "hb flags" [ "x#f" ] (races t);
+  (match lockset t with
    | [ f ] -> Alcotest.(check string) "lockset agrees" "x#f" f.Finding.subject
    | fs -> Alcotest.fail (Printf.sprintf "expected 1 lockset finding, got %d" (List.length fs)));
-  match Hb.check t with
+  match findings_of "hb-race" t with
   | [ f ] ->
     Alcotest.(check string) "checker" "hb-race" f.Finding.checker;
     Alcotest.(check string) "subject" "x#f" f.Finding.subject;
@@ -63,8 +69,8 @@ let test_hb_lock_edge_orders () =
         (2, grant "l"); (2, acc "x#f"); (2, rel "l");
       ]
   in
-  Alcotest.(check (list string)) "hb clean" [] (Hb.races t);
-  Alcotest.(check int) "lockset clean" 0 (List.length (Lockset.check t))
+  Alcotest.(check (list string)) "hb clean" [] (races t);
+  Alcotest.(check int) "lockset clean" 0 (List.length (lockset t))
 
 let test_hb_gate_orders_lockset_false_positive () =
   (* The seeded false positive: thread 1 writes, advances a gate; thread
@@ -78,23 +84,23 @@ let test_hb_gate_orders_lockset_false_positive () =
         (2, pass "g" 1); (2, acc "x#f");
       ]
   in
-  Alcotest.(check (list string)) "hb clean through gate" [] (Hb.races t);
-  (match Lockset.check t with
+  Alcotest.(check (list string)) "hb clean through gate" [] (races t);
+  (match lockset t with
    | [ f ] ->
      Alcotest.(check string) "lockset still fires (the false positive)" "x#f"
        f.Finding.subject
    | fs -> Alcotest.fail (Printf.sprintf "expected 1 lockset finding, got %d" (List.length fs)));
   (* Same interleaving without the gate events IS a race. *)
   let bare = make_trace [ (1, acc "x#f"); (2, acc "x#f") ] in
-  Alcotest.(check (list string)) "without the edge it races" [ "x#f" ] (Hb.races bare)
+  Alcotest.(check (list string)) "without the edge it races" [ "x#f" ] (races bare)
 
 let test_hb_fork_edge () =
   (* Parent writes, then forks: the child's read is ordered.  A sibling
      forked before the write is not. *)
   let ordered = make_trace [ (1, acc "x#f"); (1, fork 2); (2, acc ~write:false "x#f") ] in
-  Alcotest.(check (list string)) "fork orders parent past" [] (Hb.races ordered);
+  Alcotest.(check (list string)) "fork orders parent past" [] (races ordered);
   let racy = make_trace [ (1, fork 2); (1, acc "x#f"); (2, acc "x#f") ] in
-  Alcotest.(check (list string)) "post-fork parent write races" [ "x#f" ] (Hb.races racy)
+  Alcotest.(check (list string)) "post-fork parent write races" [ "x#f" ] (races racy)
 
 let test_hb_join_edge () =
   (* Child writes and exits; parent joins, then writes: ordered.
@@ -103,35 +109,40 @@ let test_hb_join_edge () =
     make_trace
       [ (2, acc "x#f"); (2, Trace.Thread_exit); (1, join 2); (1, acc "x#f") ]
   in
-  Alcotest.(check (list string)) "join orders child past" [] (Hb.races ordered);
+  Alcotest.(check (list string)) "join orders child past" [] (races ordered);
   let racy = make_trace [ (2, acc "x#f"); (2, Trace.Thread_exit); (1, acc "x#f") ] in
-  Alcotest.(check (list string)) "exit alone is not an edge" [ "x#f" ] (Hb.races racy)
+  Alcotest.(check (list string)) "exit alone is not an edge" [ "x#f" ] (races racy)
 
-let test_hb_bus_edge_toggle () =
-  (* Membus replies serialise the two writes only when bus_sync is on. *)
+let test_hb_bus_edge () =
+  (* Membus replies serialise the two writes; without the charges the
+     same pair races. *)
   let t = make_trace [ (1, acc "x#f"); (1, bus); (2, bus); (2, acc "x#f") ] in
-  Alcotest.(check (list string)) "bus reply edge orders" [] (Hb.races t);
-  Alcotest.(check (list string)) "without bus_sync it races" [ "x#f" ]
-    (Hb.races ~bus_sync:false t)
+  Alcotest.(check (list string)) "bus reply edge orders" [] (races t);
+  let bare = make_trace [ (1, acc "x#f"); (2, acc "x#f") ] in
+  Alcotest.(check (list string)) "without the charges it races" [ "x#f" ] (races bare)
 
 let test_hb_write_write_flag () =
-  let t = make_trace [ (1, acc "x#f"); (2, acc ~write:false "x#f") ] in
-  (match Hb.run t with
-   | [ r ] ->
-     Alcotest.(check bool) "read-write pair" false r.Hb.write_write;
-     Alcotest.(check string) "state" "x#f" r.Hb.state
-   | rs -> Alcotest.fail (Printf.sprintf "expected 1 race, got %d" (List.length rs)));
-  let ww = make_trace [ (1, acc "x#f"); (2, acc "x#f") ] in
-  match Hb.run ww with
-  | [ r ] -> Alcotest.(check bool) "write-write pair" true r.Hb.write_write
-  | rs -> Alcotest.fail (Printf.sprintf "expected 1 race, got %d" (List.length rs))
+  let race t =
+    match findings_of "hb-race" t with
+    | [ f ] ->
+      Alcotest.(check string) "state" "x#f" f.Finding.subject;
+      f.Finding.message
+    | fs -> Alcotest.failf "expected 1 race, got %d" (List.length fs)
+  in
+  let starts_with p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p in
+  let rw = race (make_trace [ (1, acc "x#f"); (2, acc ~write:false "x#f") ]) in
+  Alcotest.(check bool) ("read-write pair: " ^ rw) true
+    (starts_with "unordered read/write pair by tid 1 and tid 2" rw);
+  let ww = race (make_trace [ (1, acc "x#f"); (2, acc "x#f") ]) in
+  Alcotest.(check bool) ("write-write pair: " ^ ww) true
+    (starts_with "unordered writes by tid 1 and tid 2" ww)
 
 let test_hb_reports_once_per_state () =
   let t =
     make_trace
       [ (1, acc "x#f"); (2, acc "x#f"); (1, acc "x#f"); (3, acc "x#f"); (2, acc "y#g"); (3, acc "y#g") ]
   in
-  Alcotest.(check (list string)) "one race per state" [ "x#f"; "y#g" ] (Hb.races t)
+  Alcotest.(check (list string)) "one race per state" [ "x#f"; "y#g" ] (races t)
 
 (* ------------------------------------------------------------------ *)
 (* Arena lifetime sanitizer                                            *)
@@ -146,7 +157,7 @@ let m_write node = Trace.Mnode_write { node }
 let msgs fs = List.map (fun f -> f.Finding.message) fs
 
 let expect_one_lifetime ~sub t =
-  match Lifetime.check t with
+  match findings_of "lifetime" t with
   | [ f ] ->
     Alcotest.(check string) "checker" "lifetime" f.Finding.checker;
     let contains s sub =
@@ -198,20 +209,11 @@ let test_lifetime_clean_lifecycle () =
         (2, m_alloc 2); (2, m_unref 2 0);
       ]
   in
-  Alcotest.(check int) "clean lifecycle" 0 (List.length (Lifetime.check t));
+  Alcotest.(check int) "clean lifecycle" 0 (List.length (findings_of "lifetime" t));
   (* Mid-lifecycle adoption: a trace that opens on an unref of a node we
      never saw allocated must not be reported. *)
   let adopted = make_trace [ (1, m_unref 42 1); (1, m_unref 42 0) ] in
-  Alcotest.(check int) "adopted silently" 0 (List.length (Lifetime.check adopted))
-
-let test_lifetime_leaks_opt_in () =
-  let t = make_trace [ (1, m_alloc 5); (1, m_write 5) ] in
-  Alcotest.(check int) "leaks off by default" 0 (List.length (Lifetime.check t));
-  match Lifetime.check ~leaks:true t with
-  | [ f ] ->
-    Alcotest.(check string) "subject" "leak" f.Finding.subject;
-    Alcotest.(check string) "checker" "lifetime" f.Finding.checker
-  | fs -> Alcotest.failf "expected 1 leak finding, got %d" (List.length fs)
+  Alcotest.(check int) "adopted silently" 0 (List.length (findings_of "lifetime" adopted))
 
 (* ------------------------------------------------------------------ *)
 (* Finding dedup + exit-code bits                                      *)
@@ -352,9 +354,9 @@ let test_gate_emits_advance_before_pass () =
 let test_pool_emits_lifecycle_and_sanitizer_passes () =
   (* Drive real Msg/Mpool traffic inside a simulated thread and demand
      (a) the lifecycle events appear, (b) bump_gen surfaces as
-     Mnode_write, and (c) the sanitizer finds nothing to complain
-     about — including with end-of-trace leak checking, since this
-     fixture drains to completion. *)
+     Mnode_write, (c) the sanitizer finds nothing to complain about,
+     and (d) no node is left live, since this fixture drains to
+     completion. *)
   let p = Platform.create arch in
   let sim = p.Platform.sim in
   let pool = Pnp_xkern.Mpool.create p in
@@ -382,9 +384,8 @@ let test_pool_emits_lifecycle_and_sanitizer_passes () =
   Alcotest.(check int) "dup took a reference" 1 !refs;
   Alcotest.(check int) "both holders dropped" 2 !unrefs;
   Alcotest.(check bool) "bump_gen traced as writes" true (!writes >= 2);
-  Alcotest.(check int) "sanitizer passes" 0 (List.length (Lifetime.check tracer));
-  Alcotest.(check int) "no leaks at drain" 0
-    (List.length (Lifetime.check ~leaks:true tracer))
+  Alcotest.(check int) "sanitizer passes" 0 (List.length (findings_of "lifetime" tracer));
+  Alcotest.(check int) "no leaks at drain" 0 (Pnp_xkern.Mpool.live_nodes pool)
 
 let suites =
   [
@@ -397,7 +398,7 @@ let suites =
           test_hb_gate_orders_lockset_false_positive;
         Alcotest.test_case "fork edge" `Quick test_hb_fork_edge;
         Alcotest.test_case "exit+join edge" `Quick test_hb_join_edge;
-        Alcotest.test_case "membus reply edge toggle" `Quick test_hb_bus_edge_toggle;
+        Alcotest.test_case "membus reply edge orders" `Quick test_hb_bus_edge;
         Alcotest.test_case "write-write flag" `Quick test_hb_write_write_flag;
         Alcotest.test_case "one report per state" `Quick test_hb_reports_once_per_state;
       ] );
@@ -408,7 +409,6 @@ let suites =
         Alcotest.test_case "write-after-recycle" `Quick test_lifetime_write_after_recycle;
         Alcotest.test_case "recycle under a live node" `Quick test_lifetime_recycle_live;
         Alcotest.test_case "clean lifecycle and adoption" `Quick test_lifetime_clean_lifecycle;
-        Alcotest.test_case "leaks are opt-in" `Quick test_lifetime_leaks_opt_in;
       ] );
     ( "analysis.finding",
       [

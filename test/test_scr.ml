@@ -97,6 +97,8 @@ let append idx = Trace.Scr_append { log = "scr:conn0"; idx }
 let apply idx = Trace.Scr_apply { log = "scr:conn0"; idx }
 let apply_end idx = Trace.Scr_apply_end { log = "scr:conn0"; idx }
 
+let hb_findings t = List.filter (fun f -> f.Finding.checker = "hb-race") (Check.all t)
+
 (* The healthy shape, mirroring what the SCR receive path emits: the
    owner appends, then applies its own entry (writing replicated state
    inside the apply section); a replica later applies the same entry.
@@ -116,14 +118,14 @@ let test_hb_scr_chain_orders_accesses () =
       ]
   in
   Alcotest.(check int) "no findings on the healthy chain" 0
-    (List.length (Hb.check t))
+    (List.length (hb_findings t))
 
 (* The seeded defect: a replica applies log entry 2 when only entry 0
    has ever been appended — reading ahead of the published tail.  The
    checker must flag exactly this. *)
 let test_hb_scr_read_ahead_flagged () =
   let t = make_trace [ (0, append 0); (1, apply 2); (1, apply_end 2) ] in
-  let findings = Hb.check t in
+  let findings = hb_findings t in
   Alcotest.(check int) "exactly one finding" 1 (List.length findings);
   let f = List.hd findings in
   Alcotest.(check string) "from the hb checker" "hb-race" f.Finding.checker;
@@ -143,7 +145,7 @@ let test_hb_scr_read_ahead_flagged () =
    it claims the appended index or beyond.  With no append at all in the
    window there is no tail to read ahead of. *)
 let test_hb_scr_window_opens_mid_replay () =
-  let findings evs = List.length (Hb.check (make_trace evs)) in
+  let findings evs = List.length (hb_findings (make_trace evs)) in
   Alcotest.(check int) "apply 5 before the first append 6: clean" 0
     (findings [ (1, apply 5); (1, apply_end 5); (0, append 6) ]);
   Alcotest.(check int) "apply 6 before its own append: read-ahead" 1

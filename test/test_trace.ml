@@ -265,9 +265,10 @@ let test_every_event_round_trips () =
   (* A kind filter keeps exactly the matching records, in order. *)
   let is_access = function Trace.Access _ -> true | _ -> false in
   let accesses = ref [] in
-  Trace.iter_kinds t (Trace.kinds is_access) (fun r -> accesses := r :: !accesses);
+  Trace.iter_rows t (Trace.kinds is_access) (fun row ->
+      accesses := Trace.Row.record row :: !accesses);
   Alcotest.(check bool)
-    "iter_kinds keeps the accesses" true
+    "iter_rows keeps the accesses" true
     (List.rev !accesses = List.filter (fun (r : Trace.record) -> is_access r.Trace.ev) expected)
 
 (* A record no reader reads is waste: every constructor is either read
