@@ -30,6 +30,25 @@ let positive_rate =
 let probability =
   checked Arg.float ~expected:"a probability in [0, 1)" (fun p -> p >= 0.0 && p < 1.0)
 
+(* Output paths are checked when the arguments are parsed, so a bad one
+   is a usage error before any cell runs, not a crash after them. *)
+let is_dir path = Sys.file_exists path && Sys.is_directory path
+
+let out_dir =
+  checked Arg.string ~expected:"a directory, or a new one in an existing directory"
+    (fun d -> if Sys.file_exists d then Sys.is_directory d else is_dir (Filename.dirname d))
+
+let out_file =
+  checked Arg.string ~expected:"a file in an existing directory" (fun f ->
+      is_dir (Filename.dirname f) && not (is_dir f))
+
+(* Write [contents] to [dir]/[file], making [dir] if it is new. *)
+let write_json ~dir ~file ~scenarios contents =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = Filename.concat dir file in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  Printf.printf "json:    %d scenario(s) -> %s\n" scenarios path
+
 let opts_term =
   let max_procs =
     let doc = "Sweep processor counts 1..$(docv)." in
@@ -133,7 +152,7 @@ let profile_term =
      to $(docv) in collapsed-stacks format (one `frame;frame;... count' line \
      per distinct stack, flamegraph-ready)."
   in
-  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "profile" ] ~docv:"FILE" ~doc)
 
 (* Run [f], under the sampling profiler when [--profile FILE] was given. *)
 let profiled profile f =
@@ -263,7 +282,7 @@ let gate_cmd =
   in
   let out_term =
     let doc = "Write the batch's host profile to $(docv) as JSON." in
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some out_file) None & info [ "out" ] ~docv:"FILE" ~doc)
   in
   let baseline_term =
     let doc =
@@ -552,7 +571,7 @@ let check_cmd =
       "Also write the findings, the per-scenario lockset-vs-HB comparison \
        and the exit-code bits as machine-readable $(docv)/CHECK.json."
     in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"DIR" ~doc)
+    Arg.(value & opt (some out_dir) None & info [ "json" ] ~docv:"DIR" ~doc)
   in
   let exec figs all_flag json_dir =
     let selected =
@@ -648,7 +667,6 @@ let check_cmd =
     (match json_dir with
      | None -> ()
      | Some dir ->
-       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
        let esc = Pnp_engine.Trace.json_escape in
        let b = Buffer.create 4096 in
        Buffer.add_string b "{\"check\":[";
@@ -680,11 +698,7 @@ let check_cmd =
            Buffer.add_string b "]}")
          (List.rev !json_rows);
        Buffer.add_string b (Printf.sprintf "],\"exit_code\":%d}\n" code);
-       let path = Filename.concat dir "CHECK.json" in
-       let oc = open_out path in
-       output_string oc (Buffer.contents b);
-       close_out oc;
-       Printf.printf "json:    %d scenario(s) -> %s\n" (List.length selected) path);
+       write_json ~dir ~file:"CHECK.json" ~scenarios:(List.length selected) (Buffer.contents b));
     if findings = [] then
       Printf.printf "check: %d scenario(s), no findings\n" (List.length selected)
     else begin
@@ -796,21 +810,16 @@ let compare_cmd =
   let seed_term = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base random seed.") in
   let json_term =
     let doc = "Also write the comparison as machine-readable $(docv)/COMPARE.json." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"DIR" ~doc)
+    Arg.(value & opt (some out_dir) None & info [ "json" ] ~docv:"DIR" ~doc)
   in
   let exec jobs senders bytes_per_flow seed json_dir =
     Pool.set_jobs jobs;
     let rows = Compare.run ~senders ~bytes_per_flow ~seed () in
     Compare.print rows;
-    (match json_dir with
-     | None -> ()
-     | Some dir ->
-       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-       let path = Filename.concat dir "COMPARE.json" in
-       let oc = open_out path in
-       output_string oc (Compare.to_json rows);
-       close_out oc;
-       Printf.printf "json:    %d scenario(s) -> %s\n" (List.length rows) path);
+    Option.iter
+      (fun dir ->
+        write_json ~dir ~file:"COMPARE.json" ~scenarios:(List.length rows) (Compare.to_json rows))
+      json_dir;
     if not (Compare.passed rows) then exit 1
   in
   Cmd.v

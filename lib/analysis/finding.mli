@@ -43,9 +43,5 @@ val dedupe : t list -> t list
     happens-before) = 1, arena lifetime = 2, everything else (lock
     order, grant order) = 4. *)
 
-type family = Race | Lifetime | Order
-
-val family : t -> family
-
 val exit_code : t list -> int
 (** OR of the family bits present in the list; 0 when empty. *)

@@ -391,7 +391,15 @@ let matrix_violations rows =
       else None)
     rows
 
-let state_matrix ~roots =
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The .ml files under [roots], sorted; [_build] and hidden directories
+   are skipped, and so is a root that is not a directory. *)
+let ml_files roots =
   let files = ref [] in
   let rec walk dir =
     match Sys.readdir dir with
@@ -408,16 +416,10 @@ let state_matrix ~roots =
     | exception Sys_error _ -> ()
   in
   List.iter (fun r -> if Sys.file_exists r && Sys.is_directory r then walk r) roots;
-  List.concat_map
-    (fun path ->
-      let ic = open_in_bin path in
-      let src =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      state_matrix_source ~file:path src)
-    (List.sort compare (List.rev !files))
+  List.sort compare !files
+
+let state_matrix ~roots =
+  List.concat_map (fun path -> state_matrix_source ~file:path (read_file path)) (ml_files roots)
 
 let matrix_to_string rows =
   let b = Buffer.create 1024 in
@@ -628,32 +630,9 @@ let check_source ~file src =
   @ matrix_violations (state_matrix_source ~file src)
   @ bump_gen_findings ~file src
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let check_file path = check_source ~file:path (read_file path)
 
 let check_tree ~roots =
-  let files = ref [] in
-  let rec walk dir =
-    match Sys.readdir dir with
-    | entries ->
-      Array.sort compare entries;
-      Array.iter
-        (fun entry ->
-          let path = Filename.concat dir entry in
-          if Sys.is_directory path then begin
-            if entry <> "_build" && entry.[0] <> '.' then walk path
-          end
-          else if Filename.check_suffix entry ".ml" then
-            files := path :: !files)
-        entries
-    | exception Sys_error _ -> ()
-  in
-  List.iter (fun r -> if Sys.file_exists r && Sys.is_directory r then walk r) roots;
-  List.concat_map check_file (List.sort compare (List.rev !files))
+  List.concat_map check_file (ml_files roots)
   |> List.sort (fun a b ->
          match compare a.file b.file with 0 -> compare a.line b.line | c -> c)

@@ -4,5 +4,4 @@
 
     Data phase only (pure sweeps; safe on worker domains). *)
 
-val series : Opts.t -> Pnp_harness.Report.series list
 val fig17_18_data : Opts.t -> Pnp_harness.Report.table list

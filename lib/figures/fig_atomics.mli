@@ -3,5 +3,4 @@
 
     Data phase only (pure sweep; safe on worker domains). *)
 
-val series : Opts.t -> Pnp_harness.Report.series list
 val fig15_data : Opts.t -> Pnp_harness.Report.table list

@@ -8,6 +8,7 @@ let variants =
     ("1KB ck-on", 1024, true);
   ]
 
+(* The four packet-size x checksum series of one baseline figure. *)
 let series opts ~protocol ~side =
   List.map
     (fun (label, payload, checksum) ->

@@ -6,13 +6,6 @@
     returns the throughput table plus the derived speedup table, and the
     registry's default presenter prints them on the main domain. *)
 
-val series :
-  Opts.t ->
-  protocol:Pnp_harness.Config.protocol ->
-  side:Pnp_harness.Config.side ->
-  Pnp_harness.Report.series list
-(** The four packet-size x checksum series of one baseline figure. *)
-
 val fig2_3_data : Opts.t -> Pnp_harness.Report.table list
 (** UDP send throughput (Fig 2) and speedup (Fig 3). *)
 

@@ -6,9 +6,6 @@
 
     Data phase only (pure sweeps; safe on worker domains). *)
 
-val series :
-  Opts.t -> side:Pnp_harness.Config.side -> Pnp_harness.Report.series list
-
 val fig13_data : Opts.t -> Pnp_harness.Report.table list
 (** Send side. *)
 

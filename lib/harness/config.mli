@@ -108,7 +108,6 @@ val v :
 (** [baseline] with overrides. *)
 
 val side_to_string : side -> string
-val protocol_to_string : protocol -> string
 
 val disc_label : Pnp_engine.Lock.discipline -> string
 (** ["mutex"], ["mcs"] or ["barging"], as every report prints a lock

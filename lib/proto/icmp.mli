@@ -8,9 +8,6 @@
 
 type t
 
-val protocol_number : int
-val header_bytes : int
-
 val create : Pnp_engine.Platform.t -> Pnp_xkern.Mpool.t -> ip:Ip.t -> name:string -> t
 (** Registers with IP; inbound echo requests are answered automatically. *)
 

@@ -18,6 +18,3 @@ val encode : Pnp_engine.Platform.t -> Pnp_xkern.Mpool.t -> Pnp_xkern.Msg.t -> Pn
 val decode : Pnp_engine.Platform.t -> Pnp_xkern.Mpool.t -> Pnp_xkern.Msg.t -> Pnp_xkern.Msg.t
 (** Unmarshal (the same involution). *)
 
-val conversion_ns_per_byte : float
-(** The compute cost per byte (about 3x the checksum's read cost, per the
-    "much more compute-bound" description). *)

@@ -128,6 +128,4 @@ module Listener = struct
           t.waiter <- Some resume);
       accept t
     end
-
-  let pending t = Queue.length t.accepted
 end

@@ -55,6 +55,4 @@ module Listener : sig
 
   val accept : t -> socket
   (** Block until a connection arrives. *)
-
-  val pending : t -> int
 end

@@ -1850,7 +1850,6 @@ let close sess =
 
 let state_name sess = state_to_string sess.tcb.state
 let stats sess = sess.st
-let config t = t.cfg
 let checksum_failures t = t.cksum_failures
 let syn_backlog_drops t = t.syn_backlog_drops
 
@@ -1871,7 +1870,6 @@ let lock_wait_ns sess =
   List.fold_left (fun acc l -> acc + Lock.total_wait_ns l) 0 (all_locks sess.sync)
 
 let snd_nxt sess = sess.tcb.snd_nxt
-let rcv_nxt sess = sess.tcb.rcv_nxt
 
 type scr_counters = {
   scr_appends : int;

@@ -180,7 +180,6 @@ val close : session -> unit
 
 val state_name : session -> string
 val stats : session -> stats
-val config : t -> config
 val sessions : t -> session list
 (** Every session ever registered (active opens and accepted children),
     newest first. *)
@@ -203,7 +202,6 @@ val lock_wait_ns : session -> Pnp_util.Units.ns
     paper's Pixie observation (85-90% of time at 8 CPUs). *)
 
 val snd_nxt : session -> int
-val rcv_nxt : session -> int
 
 type scr_counters = {
   scr_appends : int;       (** log entries appended (= segments logged) *)

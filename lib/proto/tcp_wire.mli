@@ -17,7 +17,6 @@
 
 type flags = { fin : bool; syn : bool; rst : bool; psh : bool; ack : bool }
 
-val no_flags : flags
 val flag_ack : flags
 val flag_syn : flags
 val flag_syn_ack : flags

@@ -18,8 +18,6 @@ type t = {
   obj_ref : Atomic_ctr.t;
   sessions : session Port_map.t;
   create_lock : Lock.t; (* serialises session creation *)
-  mutable datagrams_out : int;
-  mutable datagrams_in : int;
   mutable dropped : int;
   mutable cksum_failures : int;
 }
@@ -60,7 +58,6 @@ let rec input t ~src ~dst msg =
         Inet_cksum.verify t.plat msg ~extra:(pseudo_sum ~src ~dst ~len)
       else true
     in
-    t.datagrams_in <- t.datagrams_in + 1;
     if not cksum_ok then begin
       t.cksum_failures <- t.cksum_failures + 1;
       t.dropped <- t.dropped + 1;
@@ -91,8 +88,6 @@ and create plat ~ip ~checksum ~name =
       create_lock =
         Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair
           ~name:(name ^ ".create");
-      datagrams_out = 0;
-      datagrams_in = 0;
       dropped = 0;
       cksum_failures = 0;
     }
@@ -146,7 +141,6 @@ let send sess msg =
     (* All-zero checksum is transmitted as all-ones per the RFC. *)
     Msg.set_u16 msg 6 (if ck = 0 then 0xffff else ck)
   end;
-  t.datagrams_out <- t.datagrams_out + 1;
   Ip.output t.ip ~proto:protocol_number ~dst:sess.remote_addr msg
 
 let encap_free msg ~src ~dst ~sport ~dport ~checksum =
@@ -157,8 +151,6 @@ let encap_free msg ~src ~dst ~sport ~dport ~checksum =
     Msg.set_u16 msg 6 (if ck = 0 then 0xffff else ck)
   end
 
-let datagrams_out t = t.datagrams_out
-let datagrams_in t = t.datagrams_in
 let datagrams_dropped t = t.dropped
 let checksum_failures t = t.cksum_failures
 

@@ -26,8 +26,6 @@ val open_session :
 val send : session -> Pnp_xkern.Msg.t -> unit
 (** Prepend the UDP header and send to the session's remote endpoint. *)
 
-val datagrams_out : t -> int
-val datagrams_in : t -> int
 val datagrams_dropped : t -> int
 (** No bound port, short header, or failed checksum. *)
 

@@ -29,7 +29,6 @@ module Make (K : KEY) = struct
     mutable buckets : (K.t * 'v) list array;
     mutable one_behind : (K.t * 'v) option;
     mutable size : int;
-    mutable lookups : int;
     mutable cache_hits : int;
     mutable resizes : int;
   }
@@ -40,11 +39,7 @@ module Make (K : KEY) = struct
      implementation mutated the shared cache and counters from an
      intentionally lock-free read, a write/write race the lockset checker
      (rightly) flags. *)
-  type 'v tslot = {
-    mutable t_behind : (K.t * 'v) option;
-    mutable t_lookups : int;
-    mutable t_hits : int;
-  }
+  type 'v tslot = { mutable t_behind : (K.t * 'v) option; mutable t_hits : int }
 
   type 'v t = {
     plat : Platform.t;
@@ -55,7 +50,7 @@ module Make (K : KEY) = struct
     hslot : 'v tslot; (* host-context (outside any sim thread) slot *)
   }
 
-  let fresh_slot () = { t_behind = None; t_lookups = 0; t_hits = 0 }
+  let fresh_slot () = { t_behind = None; t_hits = 0 }
 
   let create plat ?(shards = 1) ?(buckets = 32) ~name () =
     if shards <= 0 then invalid_arg "Xmap.create: shards must be positive";
@@ -83,7 +78,6 @@ module Make (K : KEY) = struct
         buckets = Array.make buckets [];
         one_behind = None;
         size = 0;
-        lookups = 0;
         cache_hits = 0;
         resizes = 0;
       }
@@ -221,7 +215,6 @@ module Make (K : KEY) = struct
     let sh = shard_of t h in
     if t.plat.Platform.map_locking then
       locked t sh (fun () ->
-          sh.lookups <- sh.lookups + 1;
           Platform.charge_instrs t.plat cache_probe_instrs;
           access t sh ~write:false;
           match sh.one_behind with
@@ -237,7 +230,6 @@ module Make (K : KEY) = struct
             | None -> None))
     else begin
       let s = tslot t in
-      s.t_lookups <- s.t_lookups + 1;
       Platform.charge_instrs t.plat cache_probe_instrs;
       match s.t_behind with
       | Some (k', v) when K.equal k k' ->
@@ -286,11 +278,6 @@ module Make (K : KEY) = struct
   let sum t f = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
 
   let length t = sum t (fun sh -> sh.size)
-
-  let lookups t =
-    sum t (fun sh -> sh.lookups)
-    + Array.fold_left (fun acc s -> acc + s.t_lookups) 0 t.tslots
-    + t.hslot.t_lookups
 
   let cache_hits t =
     sum t (fun sh -> sh.cache_hits)

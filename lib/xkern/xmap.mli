@@ -55,7 +55,6 @@ module Make (K : KEY) : sig
 
   (** {2 Statistics} *)
 
-  val lookups : 'v t -> int
   val cache_hits : 'v t -> int
 
   val bucket_count : 'v t -> int
