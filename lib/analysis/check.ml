@@ -8,9 +8,9 @@ type t = {
   order : Order_check.lock_stat list;
 }
 
-(* Every checker in one traversal.  One match hands each row to the
-   checkers that read its kind: the only routing of rows to checkers
-   but [Order_check.stats]'s, which covers two of these arms. *)
+(* Every checker in one traversal.  This one match is the router: it
+   hands each row to the checkers that read its kind.  Only
+   [Order_check.stats] routes rows again, its two lock kinds alone. *)
 let run tracer =
   let ctx = Replay.create tracer in
   let ls = Lockset.create ctx in
