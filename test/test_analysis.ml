@@ -93,7 +93,10 @@ let test_lockset_partial_lock_overlap_fires () =
       ]
   in
   (match lockset t with
-   | [ f ] -> Alcotest.(check string) "subject" "x#f" f.Finding.subject
+   | [ f ] ->
+     Alcotest.(check string) "checker" "lockset" f.Finding.checker;
+     Alcotest.(check string) "subject" "x#f" f.Finding.subject;
+     Alcotest.(check int) "witness pair" 2 (List.length f.Finding.witnesses)
    | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)))
 
 let test_lockset_fires_on_unlocked_map_cache () =
@@ -114,7 +117,8 @@ let test_lockset_fires_on_unlocked_map_cache () =
   match lockset t with
   | [ f ] ->
     Alcotest.(check string) "checker" "lockset" f.Finding.checker;
-    Alcotest.(check string) "subject" "tcp.demux#cache" f.Finding.subject
+    Alcotest.(check string) "subject" "tcp.demux#cache" f.Finding.subject;
+    Alcotest.(check int) "witness pair" 2 (List.length f.Finding.witnesses)
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs))
 
 module Imap = Pnp_xkern.Xmap.Make (struct
@@ -220,7 +224,9 @@ let test_lock_order_three_cycle () =
       ]
   in
   match findings_of "lock-order" t with
-  | [ _ ] -> ()
+  | [ f ] ->
+    Alcotest.(check string) "cycle" "a -> b -> c -> a" f.Finding.subject;
+    Alcotest.(check int) "every edge's grants" 6 (List.length f.Finding.witnesses)
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 three-lock cycle, got %d" (List.length fs))
 
 (* ------------------------------------------------------------------ *)
@@ -290,7 +296,8 @@ let test_fifo_created_before_trace_flagged () =
   match findings_of "fifo-order" tracer with
   | [ f ] ->
     Alcotest.(check string) "checker" "fifo-order" f.Finding.checker;
-    Alcotest.(check string) "subject" "conn" f.Finding.subject
+    Alcotest.(check string) "subject" "conn" f.Finding.subject;
+    Alcotest.(check int) "witnesses" 2 (List.length f.Finding.witnesses)
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs))
 
 let test_reorder_window_stats () =

@@ -50,7 +50,9 @@ let test_hb_disjoint_locksets_race () =
   in
   Alcotest.(check (list string)) "hb flags" [ "x#f" ] (races t);
   (match lockset t with
-   | [ f ] -> Alcotest.(check string) "lockset agrees" "x#f" f.Finding.subject
+   | [ f ] ->
+     Alcotest.(check string) "lockset checker" "lockset" f.Finding.checker;
+     Alcotest.(check string) "lockset agrees" "x#f" f.Finding.subject
    | fs -> Alcotest.fail (Printf.sprintf "expected 1 lockset finding, got %d" (List.length fs)));
   match findings_of "hb-race" t with
   | [ f ] ->
@@ -156,10 +158,12 @@ let m_write node = Trace.Mnode_write { node }
 
 let msgs fs = List.map (fun f -> f.Finding.message) fs
 
-let expect_one_lifetime ~sub t =
+let expect_one_lifetime ~node ~sub t =
   match findings_of "lifetime" t with
   | [ f ] ->
     Alcotest.(check string) "checker" "lifetime" f.Finding.checker;
+    Alcotest.(check string) "subject" (Printf.sprintf "mnode %d" node) f.Finding.subject;
+    Alcotest.(check int) "witness pair" 2 (List.length f.Finding.witnesses);
     let contains s sub =
       let n = String.length s and m = String.length sub in
       let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -173,27 +177,27 @@ let expect_one_lifetime ~sub t =
 
 let test_lifetime_use_after_free () =
   (* Seeded defect: a reference taken after the count hit zero. *)
-  expect_one_lifetime ~sub:"use-after-free"
+  expect_one_lifetime ~node:7 ~sub:"use-after-free"
     (make_trace [ (1, m_alloc 7); (1, m_unref 7 0); (2, m_ref 7 1) ]);
   (* And the write flavour. *)
-  expect_one_lifetime ~sub:"use-after-free"
+  expect_one_lifetime ~node:7 ~sub:"use-after-free"
     (make_trace [ (1, m_alloc 7); (1, m_unref 7 0); (1, m_write 7) ])
 
 let test_lifetime_double_free () =
-  expect_one_lifetime ~sub:"double-free"
+  expect_one_lifetime ~node:3 ~sub:"double-free"
     (make_trace [ (1, m_alloc 3); (1, m_unref 3 0); (2, m_unref 3 (-1)) ]);
   (* Recycling the same buffer twice is the arena-layer double free. *)
-  expect_one_lifetime ~sub:"double-free"
+  expect_one_lifetime ~node:3 ~sub:"double-free"
     (make_trace
        [ (1, m_alloc 3); (1, m_unref 3 0); (1, m_recycle 3); (1, m_recycle 3) ])
 
 let test_lifetime_write_after_recycle () =
-  expect_one_lifetime ~sub:"write-after-recycle"
+  expect_one_lifetime ~node:9 ~sub:"write-after-recycle"
     (make_trace
        [ (1, m_alloc 9); (1, m_write 9); (1, m_unref 9 0); (1, m_recycle 9); (2, m_write 9) ])
 
 let test_lifetime_recycle_live () =
-  expect_one_lifetime ~sub:"live"
+  expect_one_lifetime ~node:4 ~sub:"live"
     (make_trace [ (1, m_alloc 4); (1, m_recycle 4) ])
 
 let test_lifetime_clean_lifecycle () =

@@ -129,6 +129,8 @@ let test_hb_scr_read_ahead_flagged () =
   Alcotest.(check int) "exactly one finding" 1 (List.length findings);
   let f = List.hd findings in
   Alcotest.(check string) "from the hb checker" "hb-race" f.Finding.checker;
+  Alcotest.(check string) "on the log" "scr:conn0" f.Finding.subject;
+  Alcotest.(check int) "witnessed by the apply" 1 (List.length f.Finding.witnesses);
   Alcotest.(check bool)
     (Printf.sprintf "message names the read-ahead (%s)" f.Finding.message)
     true
