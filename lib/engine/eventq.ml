@@ -38,9 +38,9 @@ let grow t dummy =
   t.seqs <- seqs;
   t.payloads <- payloads
 
-let add t ~time payload =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
+(* Insert at a given (time, seq) key: [add] takes the next seq; a
+   waiting thread that reserved one earlier ([reserve]) passes it back. *)
+let[@inline] insert t ~time ~seq payload =
   if t.len = Array.length t.times then grow t payload;
   let times = t.times and seqs = t.seqs and payloads = t.payloads in
   (* Sift up with a hole: shift parents down and write the new event
@@ -61,6 +61,25 @@ let add t ~time payload =
   times.(!i) <- time;
   seqs.(!i) <- seq;
   payloads.(!i) <- payload
+
+let add t ~time payload =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  insert t ~time ~seq payload
+
+let reserve t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let add_reserved t ~time ~seq payload =
+  if seq >= t.next_seq then invalid_arg "Eventq.add_reserved: seq was not reserved";
+  insert t ~time ~seq payload
+
+let[@inline] head_before t ~time ~seq =
+  t.len > 0
+  && (let ht = t.times.(0) in
+      ht < time || (ht = time && t.seqs.(0) < seq))
 
 exception Empty
 

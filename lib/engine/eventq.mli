@@ -17,6 +17,20 @@ val add : 'a t -> time:int -> 'a -> unit
 (** Insert an event at the given absolute time.  Allocation-free except
     when the heap's backing arrays grow. *)
 
+val reserve : 'a t -> int
+(** Take the sequence number the next {!add} would have used and return
+    it: an event inserted later with {!add_reserved} at that number sorts
+    exactly where an {!add} made now would have, before every event
+    added after the reservation at the same time. *)
+
+val add_reserved : 'a t -> time:int -> seq:int -> 'a -> unit
+(** Insert an event at the (time, seq) key whose seq came from {!reserve}.
+    @raise Invalid_argument if [seq] has not been handed out yet. *)
+
+val head_before : 'a t -> time:int -> seq:int -> bool
+(** Whether the earliest queued event sorts strictly before the key
+    ([false] when the queue is empty). *)
+
 exception Empty
 
 val pop_exn : 'a t -> 'a

@@ -22,7 +22,10 @@ type t = {
   mutable stopping : bool;
   mutable processed : int;
   tracer : Trace.t;
-  mutable limit : int; (* the active [run]'s [until] (max_int when none) *)
+  mutable horizon : int;
+      (* the latest wake-up a thread may wait for in place: the active
+         [run]'s [until] (max_int when none), or one before the wake-up
+         of the innermost in-place wait *)
   (* Deferred charging (SCR replay): while active, [delay] accumulates
      into [defer_acc] instead of advancing the clock, and [suspend] is an
      error — the section must be host-atomic. *)
@@ -39,7 +42,12 @@ let new_thread ~tid ~cpu ~name =
 
 let no_thread = new_thread ~tid:(-1) ~cpu:(-1) ~name:"(none)"
 
-type _ Effect.t += Suspend : t * ((int -> unit) -> unit) -> unit Effect.t
+type _ Effect.t +=
+  | Suspend : t * ((int -> unit) -> unit) -> unit Effect.t
+  | Park : t * int * int * (exn * Printexc.raw_backtrace) option -> unit Effect.t
+      (* an in-place wait that has to give up: resume at the reserved
+         (time, seq) key, then re-raise the exception, if any, outside
+         the thread *)
 
 let create ?(seed = 42) () =
   {
@@ -53,7 +61,7 @@ let create ?(seed = 42) () =
     stopping = false;
     processed = 0;
     tracer = Trace.create ();
-    limit = max_int;
+    horizon = max_int;
     defer_on = false;
     defer_acc = 0;
   }
@@ -132,6 +140,18 @@ let start_thread t th body =
                     at t time (fun () -> run_burst t th continue_unit k)
                   in
                   register resume)
+          | Park (owner, time, seq, exn) ->
+            if owner != t then None
+            else
+              Some
+                (fun (k : (a, _) continuation) ->
+                  (* The thread stays runnable: its resume is queued. *)
+                  th.suspend_gen <- th.suspend_gen + 1;
+                  Eventq.add_reserved t.events ~time ~seq (fun () ->
+                      run_burst t th continue_unit k);
+                  match exn with
+                  | None -> ()
+                  | Some (e, bt) -> Printexc.raise_with_backtrace e bt)
           | _ -> None);
     }
   in
@@ -166,10 +186,12 @@ let spawn t ?cpu ~name body =
      past happens-before everything the child does.  Emitted with the
      parent's tid so the happens-before checker can seed the child's
      clock from it; top-level spawns (setup code) have no parent edge. *)
-  (match t.current with
-  | Some parent -> trace_thread t parent (Trace.Thread_fork { child = th.tid })
-  | None -> ());
-  trace_thread t th (Trace.Thread_spawn { name });
+  if Trace.enabled t.tracer then begin
+    (match t.current with
+    | Some parent -> trace_thread t parent (Trace.Thread_fork { child = th.tid })
+    | None -> ());
+    trace_thread t th (Trace.Thread_spawn { name })
+  end;
   at t t.now (fun () -> start_thread t th body);
   th
 
@@ -199,40 +221,69 @@ let defer_end t =
 
 let defer_active t = t.defer_on
 
-(* The suspend/resume machinery exists to let *other* pending events run
-   while a thread waits.  When there provably are none — every queued
-   event is strictly later than the wake-up — a [delay] can simply
-   advance the clock in place: no effect, no continuation capture, no
-   heap round-trip.  The skipped resume event still counts toward
-   [processed], so event totals match the suspend path exactly; neither
-   path writes a trace record, so traces match too.  Inlined into
-   [delay] and [yield], the per-event hot path. *)
-let[@inline] delay_fast t d =
+(* A delaying thread need not suspend to let the events due before its
+   wake-up run: it reserves the (time, seq) key its resume event would
+   have had and runs every event ordered before that key itself, with
+   [current] cleared as the dispatch loop runs them, then advances the
+   clock and counts the resume it skipped.  The global event order, the
+   event count and the trace are those of the suspend path.  A thread
+   resumed inside the wait may wait in place only for a wake-up strictly
+   before this one ([horizon]), or it would run events past a key that
+   sits below it on the stack.  A [stop] or an event's exception parks
+   the thread at its reserved key ([Park]), as if it had suspended: the
+   exception escapes [run] with the thread's frames, and its locks,
+   intact. *)
+let wait t th wake =
+  let q = t.events in
+  let seq = Eventq.reserve q in
+  let outer = t.horizon in
+  t.horizon <- wake - 1;
+  t.current <- None;
+  match
+    while (not t.stopping) && Eventq.head_before q ~time:wake ~seq do
+      let time = Eventq.peek_time_exn q in
+      let action = Eventq.pop_exn q in
+      t.now <- time;
+      t.processed <- t.processed + 1;
+      action ()
+    done
+  with
+  | () ->
+    t.horizon <- outer;
+    if t.stopping then Effect.perform (Park (t, wake, seq, None))
+    else begin
+      t.current <- th.as_current;
+      t.now <- wake;
+      t.processed <- t.processed + 1
+    end
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.horizon <- outer;
+    Effect.perform (Park (t, wake, seq, Some (e, bt)))
+
+(* Consume [d] of the calling thread's time.  With no event due at or
+   before the wake-up the clock simply advances (the inline delay, the
+   per-event hot path); with some due the thread waits in place; it
+   suspends only outside a thread, past [horizon] or after [stop]. *)
+let[@inline] pass t d =
   let wake = t.now + d in
-  if
-    t.current != None && (not t.stopping)
-    && wake <= t.limit
-    && (Eventq.is_empty t.events || Eventq.peek_time_exn t.events > wake)
-  then begin
-    t.now <- wake;
-    t.processed <- t.processed + 1;
-    true
-  end
-  else false
+  match t.current with
+  | Some th when wake <= t.horizon && not t.stopping ->
+    if Eventq.head_before t.events ~time:wake ~seq:max_int then wait t th wake
+    else begin
+      t.now <- wake;
+      t.processed <- t.processed + 1
+    end
+  | _ -> suspend t (fun resume -> resume wake)
 
 let delay t d =
   if d < 0 then invalid_arg "Sim.delay: negative duration";
   if t.defer_on then t.defer_acc <- t.defer_acc + d
-  else if d = 0 then ()
-  else if not (delay_fast t d) then
-    let deadline = t.now + d in
-    suspend t (fun resume -> resume deadline)
+  else if d > 0 then pass t d
 
-let yield t =
-  (* Same fast path with d = 0: nothing else is pending at this instant,
-     so yielding to nobody is a plain no-op (minus the event count). *)
-  if t.defer_on then ()
-  else if not (delay_fast t 0) then suspend t (fun resume -> resume t.now)
+(* A yield is a zero-length wait: the events already queued at this
+   instant run first. *)
+let yield t = if not t.defer_on then pass t 0
 
 let stop t = t.stopping <- true
 
@@ -241,13 +292,14 @@ let stop t = t.stopping <- true
    up front. *)
 let run ?until t =
   t.stopping <- false;
-  t.limit <- (match until with Some l -> l | None -> max_int);
+  let limit = match until with Some l -> l | None -> max_int in
+  t.horizon <- limit;
   let continue_ = ref true in
   while !continue_ && not t.stopping do
     if Eventq.is_empty t.events then continue_ := false
     else begin
       let time = Eventq.peek_time_exn t.events in
-      if time > t.limit then continue_ := false
+      if time > limit then continue_ := false
       else begin
         let action = Eventq.pop_exn t.events in
         assert (time >= t.now);

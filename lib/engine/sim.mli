@@ -4,7 +4,9 @@
     each simulated thread is wired to a processor (exactly the paper's
     one-thread-per-CPU configuration), and protocol code runs as ordinary
     OCaml inside those threads, suspending on OCaml 5 effects whenever it
-    consumes simulated time or blocks on a synchronisation object.
+    blocks on a synchronisation object.  Consuming simulated time mostly
+    does not suspend: the delaying thread runs the events due before its
+    wake-up itself (see {!delay}).
 
     The event loop is single-threaded at the host level; all concurrency is
     simulated, which is what makes lock-grant order, packet misordering and
@@ -73,10 +75,19 @@ val in_thread : t -> bool
     not be charged simulated time. *)
 
 val delay : t -> Pnp_util.Units.ns -> unit
-(** Consume simulated time: the calling thread resumes [d] later.  When
-    no other event is queued at or before the wake-up, the clock advances
-    in place without suspending; the event order, {!events_processed} and
-    the trace records are the same either way. *)
+(** Consume simulated time: the calling thread resumes [d] later.  It
+    does not suspend to let the events due before its wake-up run: it
+    takes the (time, seq) place its resume event would have had, runs
+    every queued event ordered before that place itself (as the event
+    loop would, outside any thread), and then advances the clock in
+    place.  With nothing due, that is just the clock advance.  It
+    suspends only outside a thread, after {!stop}, when the wake-up lies
+    past [run]'s [until], or, when it was itself resumed inside another
+    thread's wait, when its wake-up is not strictly before that
+    thread's.  The event order, {!events_processed} and the trace
+    records are the same either way.  An exception raised by an event
+    run inside the wait escapes {!run} with the waiting thread still
+    suspended, its frames intact. *)
 
 val suspend : t -> ((Pnp_util.Units.ns -> unit) -> unit) -> unit
 (** [suspend t register] blocks the calling thread.  [register] receives a
@@ -85,7 +96,8 @@ val suspend : t -> ((Pnp_util.Units.ns -> unit) -> unit) -> unit
 
 val yield : t -> unit
 (** Reschedule the calling thread at the current time, letting other
-    pending events at this instant run first. *)
+    pending events at this instant run first: a {!delay} of zero that
+    counts as an event, with the same wait in place. *)
 
 (** {2 Deferred charging}
 

@@ -48,6 +48,24 @@ let test_eventq_pop_exn () =
   | _ -> Alcotest.fail "peek_time_exn on empty must raise"
   | exception Eventq.Empty -> ()
 
+(* A reserved seq sorts where an [add] made at the reservation would
+   have: after the events added before it, before those added after it
+   at the same time. *)
+let test_eventq_reserve () =
+  let q = Eventq.create () in
+  Eventq.add q ~time:5 "early";
+  let seq = Eventq.reserve q in
+  Eventq.add q ~time:5 "late";
+  Alcotest.(check bool) "earlier head before the key" true (Eventq.head_before q ~time:5 ~seq);
+  Alcotest.(check bool) "nothing before time 4" false (Eventq.head_before q ~time:4 ~seq:max_int);
+  Eventq.add_reserved q ~time:5 ~seq "reserved";
+  let popped = List.init 3 (fun _ -> Eventq.pop_exn q) in
+  Alcotest.(check (list string)) "reserved slot" [ "early"; "reserved"; "late" ] popped;
+  Alcotest.(check bool) "empty queue has no head" false (Eventq.head_before q ~time:max_int ~seq:max_int);
+  match Eventq.add_reserved q ~time:0 ~seq:(seq + 10) "x" with
+  | () -> Alcotest.fail "an unreserved seq must be refused"
+  | exception Invalid_argument _ -> ()
+
 let prop_eventq_sorted =
   QCheck.Test.make ~name:"eventq pops sorted" ~count:200
     QCheck.(list_of_size Gen.(0 -- 100) small_nat)
@@ -253,7 +271,7 @@ let test_sim_deterministic_given_seed () =
    contended locks (suspend/resume), timestamp ties ([at] callbacks and
    threads landing on the same instant), zero-length delays, yields and
    PRNG-driven jitter.  Shared with the trace test below. *)
-let traced_program sim =
+let traced_program ?(drive = fun sim -> Sim.run sim) sim =
   let log = ref [] in
   let note tag = log := (tag, Sim.now sim) :: !log in
   let lock = Lock.create sim arch Lock.Fifo ~name:"l" in
@@ -273,7 +291,7 @@ let traced_program sim =
              if r mod 3 = 0 then Sim.yield sim
            done))
   done;
-  Sim.run sim;
+  drive sim;
   List.rev !log
 
 let test_sim_traced_equivalence () =
@@ -287,24 +305,28 @@ let test_sim_traced_equivalence () =
   Alcotest.(check (list (pair string int))) "same dispatch order and times" log_t log_u;
   Alcotest.(check int) "same events processed" n_t n_u
 
-(* Tracing keeps the inline [delay], so its reference is the suspend path
-   forced by a dense grid of no-op callbacks, one per nanosecond of the
-   run: with a callback always pending before the wake-up, no positive
-   delay can complete in place.  Both runs must write the same trace
-   records, and the forced run retires exactly one more event per grid
-   callback. *)
+(* The reference that forces every positive delay to suspend: [run]
+   stepped one nanosecond at a time leaves no wake-up inside the run's
+   [until], so no thread waits in place.  [horizon] is the last instant
+   stepped; a final unbounded [run] drains whatever is left. *)
+let run_stepped ~horizon sim =
+  for ns = 0 to horizon do
+    Sim.run ~until:ns sim
+  done;
+  Sim.run sim
+
+(* Neither a wait in place nor a suspension writes a trace record, so
+   the traced program writes the same records both ways, and retires
+   the same events. *)
 let test_sim_inline_delay_trace () =
-  let run ~grid =
+  let run drive =
     let sim = Sim.create ~seed:17 () in
     Trace.enable (Sim.tracer sim);
-    for ns = 1 to grid do
-      Sim.at sim ns ignore
-    done;
-    let log = traced_program sim in
+    let log = traced_program ~drive sim in
     (log, Trace.events (Sim.tracer sim), Sim.events_processed sim, Sim.now sim)
   in
-  let log_i, trace_i, n_i, horizon = run ~grid:0 in
-  let log_s, trace_s, n_s, _ = run ~grid:horizon in
+  let log_i, trace_i, n_i, horizon = run (fun sim -> Sim.run sim) in
+  let log_s, trace_s, n_s, _ = run (run_stepped ~horizon) in
   Alcotest.(check bool) "the program waits for a lock" true
     (List.exists
        (fun (r : Trace.record) ->
@@ -312,7 +334,170 @@ let test_sim_inline_delay_trace () =
        trace_i);
   Alcotest.(check (list (pair string int))) "same dispatch order and times" log_i log_s;
   Alcotest.(check bool) "identical trace records" true (trace_i = trace_s);
-  Alcotest.(check int) "events differ by the grid" horizon (n_s - n_i)
+  Alcotest.(check int) "same events processed" n_i n_s
+
+(* Run [program] once with [drive] (a plain [run] by default) and once
+   stepped to 1 us (every positive delay suspends), and require the same
+   (tag, time) log and event count; returns the first run's log.
+   [program] schedules its work and returns the log it fills. *)
+let same_as_suspending ?(drive = fun sim -> Sim.run sim) program =
+  let run drive =
+    let sim = Sim.create () in
+    let log = program sim in
+    drive sim;
+    (List.rev !log, Sim.events_processed sim)
+  in
+  let log, n = run drive in
+  let log_s, n_s = run (run_stepped ~horizon:1_000) in
+  Alcotest.(check (list (pair string int))) "same order as suspending" log_s log;
+  Alcotest.(check int) "same events as suspending" n_s n;
+  log
+
+let noter sim log tag () = log := (tag, Sim.now sim) :: !log
+
+(* A callback at exactly the wake-up time runs before the waiter when it
+   was scheduled before the delay began, and after it when an event
+   inside the wait scheduled it. *)
+let test_sim_wait_ties () =
+  let log =
+    same_as_suspending (fun sim ->
+        let log = ref [] in
+        let note = noter sim log in
+        Sim.at sim 100 (note "before");
+        ignore
+          (Sim.spawn sim ~name:"w" (fun () ->
+               Sim.delay sim 100;
+               note "w" ()));
+        Sim.at sim 50 (fun () ->
+            note "mid" ();
+            Sim.at sim 100 (note "after"));
+        log)
+  in
+  Alcotest.(check (list (pair string int)))
+    "order at the wake-up"
+    [ ("mid", 50); ("before", 100); ("w", 100); ("after", 100) ]
+    log
+
+(* A thread resumed inside another's wait delays to before, at and
+   after the outer wake-up (100).  Only the first may wait in place; the
+   other two suspend, and the outer thread, whose key is older, wakes
+   first at 100. *)
+let test_sim_wait_nested () =
+  let case d =
+    same_as_suspending (fun sim ->
+        let log = ref [] in
+        let note = noter sim log in
+        ignore
+          (Sim.spawn sim ~name:"outer" (fun () ->
+               Sim.delay sim 100;
+               note "outer" ()));
+        ignore
+          (Sim.spawn sim ~name:"inner" (fun () ->
+               Sim.delay sim 10;
+               note "inner.start" ();
+               Sim.delay sim d;
+               note "inner" ()));
+        Sim.at sim 5 (note "cb5");
+        Sim.at sim 30 (note "cb30");
+        Sim.at sim 100 (note "cb100");
+        log)
+  in
+  Alcotest.(check (list (pair string int)))
+    "inner wakes before the outer"
+    [ ("cb5", 5); ("inner.start", 10); ("cb30", 30); ("inner", 60); ("cb100", 100);
+      ("outer", 100) ]
+    (case 50);
+  Alcotest.(check (list (pair string int)))
+    "inner wakes with the outer"
+    [ ("cb5", 5); ("inner.start", 10); ("cb30", 30); ("cb100", 100); ("outer", 100);
+      ("inner", 100) ]
+    (case 90);
+  Alcotest.(check (list (pair string int)))
+    "inner wakes after the outer"
+    [ ("cb5", 5); ("inner.start", 10); ("cb30", 30); ("cb100", 100); ("outer", 100);
+      ("inner", 130) ]
+    (case 120)
+
+(* [Sim.stop] from an event run inside a wait ends [run] there; the next
+   [run] resumes the waiter at its reserved place in the order. *)
+let test_sim_wait_stop () =
+  let program sim =
+    let log = ref [] in
+    let note = noter sim log in
+    Sim.at sim 100 (note "before");
+    ignore
+      (Sim.spawn sim ~name:"w" (fun () ->
+           Sim.delay sim 100;
+           note "w" ()));
+    Sim.at sim 50 (fun () ->
+        note "stop" ();
+        Sim.at sim 100 (note "after");
+        Sim.stop sim);
+    log
+  in
+  let sim = Sim.create () in
+  let log = program sim in
+  Sim.run sim;
+  Alcotest.(check (list (pair string int))) "stopped inside the wait" [ ("stop", 50) ] (List.rev !log);
+  Alcotest.(check int) "clock at the stop" 50 (Sim.now sim);
+  Alcotest.(check (list string)) "the waiter is not blocked" []
+    (List.map Sim.thread_name (Sim.blocked_threads sim));
+  Sim.run sim;
+  Alcotest.(check (list (pair string int)))
+    "resumed in its reserved order"
+    [ ("stop", 50); ("before", 100); ("w", 100); ("after", 100) ]
+    (List.rev !log);
+  ignore (same_as_suspending ~drive:(fun sim -> Sim.run sim; Sim.run sim) program)
+
+(* A wake-up past [run ~until] suspends: the run stops at its limit with
+   the thread still waiting, and the next run wakes it. *)
+let test_sim_wait_until () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note = noter sim log in
+  ignore
+    (Sim.spawn sim ~name:"w" (fun () ->
+         Sim.delay sim 100;
+         note "w" ()));
+  Sim.at sim 50 (note "cb50");
+  Sim.at sim 80 (note "cb80");
+  Sim.run ~until:60 sim;
+  Alcotest.(check (list (pair string int))) "up to the limit" [ ("cb50", 50) ] (List.rev !log);
+  Alcotest.(check int) "clock at the limit" 60 (Sim.now sim);
+  Sim.run sim;
+  Alcotest.(check (list (pair string int)))
+    "the rest after"
+    [ ("cb50", 50); ("cb80", 80); ("w", 100) ]
+    (List.rev !log)
+
+(* An exception raised by an event run inside a wait escapes [run] with
+   the waiter still parked: its frames are not unwound, so the lock it
+   holds across the wait stays held until the next [run] resumes it. *)
+let test_sim_wait_exception () =
+  let sim = Sim.create () in
+  let lock = Lock.create sim arch Lock.Fifo ~name:"l" in
+  let woke = ref [] and probe_got = ref (-1) in
+  ignore
+    (Sim.spawn sim ~name:"holder" (fun () ->
+         Lock.with_lock lock (fun () ->
+             let start = Sim.now sim in
+             Sim.delay sim 1_000_000;
+             woke := (Sim.now sim - start) :: !woke)));
+  Sim.at sim 10_000 (fun () -> failwith "boom");
+  (match Sim.run sim with
+   | () -> Alcotest.fail "the event's exception must escape run"
+   | exception Failure msg -> Alcotest.(check string) "the event's exception" "boom" msg);
+  Alcotest.(check int) "clock at the raise" 10_000 (Sim.now sim);
+  ignore
+    (Sim.spawn sim ~name:"probe" (fun () ->
+         Lock.with_lock lock (fun () -> probe_got := Sim.now sim)));
+  Sim.run ~until:100_000 sim;
+  Alcotest.(check int) "the lock is still held" (-1) !probe_got;
+  Alcotest.(check (list string)) "the probe waits for it" [ "probe" ]
+    (List.map Sim.thread_name (Sim.blocked_threads sim));
+  Sim.run sim;
+  Alcotest.(check (list int)) "the holder resumes once, after its delay" [ 1_000_000 ] !woke;
+  Alcotest.(check bool) "then the probe gets the lock" true (!probe_got >= 1_000_000)
 
 (* ------------------------------------------------------------------ *)
 (* Lock                                                                *)
@@ -1023,6 +1208,44 @@ let prop_random_lock_programs =
            locks
       && List.length (Sim.blocked_threads sim) = 0)
 
+(* Random thread programs (delays, yields, lock sections and callbacks
+   scheduled from inside threads) dispatch in the same order whether a
+   delay waits in place or, stepped one nanosecond at a time, always
+   suspends. *)
+let prop_wait_matches_suspending =
+  QCheck.Test.make ~name:"random programs: waiting in place matches suspending" ~count:50
+    QCheck.(
+      list_of_size Gen.(1 -- 6)
+        (list_of_size Gen.(1 -- 10) (pair (int_bound 3) (int_bound 40))))
+    (fun programs ->
+      let run drive =
+        let sim = Sim.create ~seed:5 () in
+        let lock = Lock.create sim arch Lock.Unfair ~name:"l" in
+        let log = ref [] in
+        let note tag = log := (tag, Sim.now sim) :: !log in
+        List.iteri
+          (fun ti prog ->
+            Sim.at sim (3 * ti) (fun () -> note (Printf.sprintf "cb%d" ti));
+            ignore
+              (Sim.spawn sim ~name:(Printf.sprintf "t%d" ti) (fun () ->
+                   List.iteri
+                     (fun k (op, d) ->
+                       let tag = Printf.sprintf "t%d.%d" ti k in
+                       (match op with
+                        | 0 -> Sim.delay sim d
+                        | 1 -> Sim.yield sim
+                        | 2 -> Lock.with_lock lock (fun () -> Sim.delay sim d)
+                        | _ -> Sim.after sim d (fun () -> note (tag ^ "cb")));
+                       note tag)
+                     prog)))
+          programs;
+        drive sim;
+        (List.rev !log, Sim.events_processed sim, Sim.now sim)
+      in
+      let log, n, horizon = run (fun sim -> Sim.run sim) in
+      let log_s, n_s, _ = run (run_stepped ~horizon) in
+      log = log_s && n = n_s)
+
 (* Every permutation of gate usage serves tickets strictly in order. *)
 let prop_gate_serves_in_order =
   QCheck.Test.make ~name:"gate always serves tickets in order" ~count:60
@@ -1062,6 +1285,7 @@ let suites =
         Alcotest.test_case "FIFO at equal times" `Quick test_eventq_fifo_ties;
         Alcotest.test_case "pop empty" `Quick test_eventq_pop_empty;
         Alcotest.test_case "pop_exn / peek_time_exn" `Quick test_eventq_pop_exn;
+        Alcotest.test_case "reserved seq" `Quick test_eventq_reserve;
         Qrand.to_alcotest prop_eventq_sorted;
         Qrand.to_alcotest prop_eventq_interleaved_oracle;
       ] );
@@ -1082,6 +1306,11 @@ let suites =
           test_sim_traced_equivalence;
         Alcotest.test_case "inline delay writes the suspend path's trace" `Quick
           test_sim_inline_delay_trace;
+        Alcotest.test_case "wait: ties at the wake-up" `Quick test_sim_wait_ties;
+        Alcotest.test_case "wait: nested wake-ups" `Quick test_sim_wait_nested;
+        Alcotest.test_case "wait: stop inside a wait" `Quick test_sim_wait_stop;
+        Alcotest.test_case "wait: meets run until" `Quick test_sim_wait_until;
+        Alcotest.test_case "wait: an event raises" `Quick test_sim_wait_exception;
       ] );
     ( "engine.lock",
       [
@@ -1129,6 +1358,7 @@ let suites =
     ( "engine.random",
       [
         Qrand.to_alcotest prop_random_lock_programs;
+        Qrand.to_alcotest prop_wait_matches_suspending;
         Qrand.to_alcotest prop_gate_serves_in_order;
       ] );
     ( "engine.membus",
