@@ -175,6 +175,21 @@ let count_token line tok =
 
 let has_token line tok = count_token line tok > 0
 
+(* The identifier tokens of a line (dotted paths kept whole), each with
+   the index just past it. *)
+let tokens line =
+  let n = String.length line in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if is_ident_char line.[i] then begin
+      let j = ref i in
+      while !j < n && is_ident_char line.[!j] do incr j done;
+      go !j ((String.sub line i (!j - i), !j) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  go 0 []
+
 (* ------------------------------------------------------------------ *)
 (* Rules *)
 
@@ -190,6 +205,10 @@ let wallclock_tokens =
   [ "Unix.gettimeofday"; "Unix.time"; "Sys.time"; "Random.self_init" ]
 
 let allow_marker = "lint:allow"
+
+(* The tracer tests a trace site may sit under: [Trace.enabled] itself,
+   or a module's [tracing] wrapper of it. *)
+let trace_guards = [ "Trace.enabled"; "tracing" ]
 
 let path_parts file = String.split_on_char '/' file
 
@@ -317,6 +336,30 @@ let access_on_line ~raw ~scrubbed =
         match quote (s + 1) with
         | None -> None
         | Some e -> Some (w, String.sub raw (s + 1) (e - s - 1))))
+
+(* A line applies a record-carrying [Trace] constructor
+   ([Trace.Span_begin { ... }]). *)
+let builds_trace_record line =
+  List.exists
+    (fun (tok, stop) ->
+      String.length tok > 6
+      && starts_with tok "Trace."
+      && tok.[6] >= 'A' && tok.[6] <= 'Z'
+      && starts_with (String.trim (String.sub line stop (String.length line - stop))) "{")
+    (tokens line)
+
+(* A line calls a tracing function: [Sim.trace] or a wrapper named after
+   it ([trace], [trace_node], [sync_trace]). *)
+let has_trace_call line =
+  List.exists
+    (fun (tok, _) ->
+      let last =
+        match String.rindex_opt tok '.' with
+        | Some k -> String.sub tok (k + 1) (String.length tok - k - 1)
+        | None -> tok
+      in
+      last = "trace" || starts_with last "trace_" || ends_with last "_trace")
+    (tokens line)
 
 let has_allow_marker raw = contains_sub raw allow_marker
 
@@ -604,19 +647,31 @@ let check_source ~file src =
             + count_token line "Lock.Counting.release"
             + count_token line "Counting.release"
         end;
-        (* Every Trace.emit must sit under a Trace.enabled guard so the
-           disabled path stays free. *)
-        if has_token line "Trace.emit" && Filename.basename file <> "trace.ml"
-        then begin
-          let guarded = ref false in
-          for j = max 0 (i - 6) to i do
-            if has_token lines.(j) "Trace.enabled" then guarded := true
-          done;
-          if not !guarded then
+        (* Every Trace.emit, and every Trace record built for a trace
+           call, must sit under a tracer test so the disabled path stays
+           free. *)
+        if Filename.basename file <> "trace.ml" then begin
+          let guarded () =
+            let g = ref false in
+            for j = max 0 (i - 6) to i do
+              if List.exists (has_token lines.(j)) trace_guards then g := true
+            done;
+            !g
+          in
+          if has_token line "Trace.emit" && not (guarded ()) then
             report lineno "trace-guard"
               "Trace.emit without a Trace.enabled test in the preceding \
                lines; unguarded emission costs sim time even when tracing \
                is off"
+          else if
+            builds_trace_record line
+            && (has_trace_call line || (i > 0 && has_trace_call lines.(i - 1)))
+            && not (guarded ())
+          then
+            report lineno "trace-guard"
+              "Trace record built for a trace call without a Trace.enabled \
+               (or tracing) test in the preceding lines; the record is \
+               allocated even when tracing is off"
         end
       end)
     lines;

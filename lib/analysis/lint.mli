@@ -16,9 +16,12 @@
       leaks a lock on some path; prefer [Lock.with_lock].  Extra
       releases are fine (early-exit branches share one acquire).
 
-    - {b trace-guard}: every [Trace.emit] call site must test
-      [Trace.enabled] within the few preceding lines, so tracing stays
-      zero-cost when disabled.  [trace.ml] itself is exempt.
+    - {b trace-guard}: every [Trace.emit] call site, and every site
+      that builds a [Trace] record for [Sim.trace] or a wrapper named
+      after it ([trace], [trace_*], [*_trace]), must test
+      [Trace.enabled] (or a [tracing] wrapper of it) within the few
+      preceding lines, so tracing stays zero-cost when disabled.
+      [trace.ml] itself is exempt.
 
     The scanner understands OCaml lexical structure well enough not to
     be fooled: nested [(* *)] comments, string literals (including

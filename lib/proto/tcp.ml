@@ -305,9 +305,10 @@ type t = {
   mutable shutdown : bool;
   mutable cksum_failures : int; (* segments discarded by checksum verification *)
   mutable syn_backlog_drops : int; (* SYNs shed by a full listener backlog *)
-  state_names : (string, (string * string) list) Hashtbl.t;
-      (* session [state_ns] -> (field, its traced state name), filled by
-         traced accesses only: untraced sessions carry nothing for it *)
+  mutable state_names : string array;
+      (* the traced state name of field [f] of the session registered
+         [ord]th at [ord * n_fields + f] ("" until first traced); only
+         traced accesses grow it *)
 }
 
 and session = {
@@ -326,13 +327,19 @@ and session = {
 
 (* Packet-lifecycle trace spans, keyed by the segment's sequence number
    so a misordered segment's journey is visible end to end in the
-   exported trace. *)
+   exported trace.  Like every trace site here, they test the tracer
+   first, so an untraced run builds no record. *)
 let span_begin plat ~seq phase =
-  Sim.trace plat.Platform.sim (Trace.Span_begin { seq; phase })
+  let sim = plat.Platform.sim in
+  if Trace.enabled (Sim.tracer sim) then Sim.trace sim (Trace.Span_begin { seq; phase })
 
-let span_end plat ~seq phase = Sim.trace plat.Platform.sim (Trace.Span_end { seq; phase })
+let span_end plat ~seq phase =
+  let sim = plat.Platform.sim in
+  if Trace.enabled (Sim.tracer sim) then Sim.trace sim (Trace.Span_end { seq; phase })
 
-(* SCR/RCU synchronisation events for the analysis layer. *)
+(* SCR/RCU synchronisation events for the analysis layer; callers build
+   the record only when [tracing]. *)
+let tracing sess = Trace.enabled (Sim.tracer sess.proto.plat.Platform.sim)
 let sync_trace sess ev = Sim.trace sess.proto.plat.Platform.sim ev
 
 (* Shared-state access annotations for the Eraser-style lockset checker
@@ -340,17 +347,39 @@ let sync_trace sess ev = Sim.trace sess.proto.plat.Platform.sim ev
    per-connection state it touches ("<conn>#snd", "#rcv", "#reass",
    "#sb"); the checker intersects the locks held across all accesses of
    the same name and reports when the intersection goes empty.  Guarded
-   on the tracer so the disabled path builds no string; a traced session
-   builds each name once, so its records share it. *)
+   on the tracer so the disabled path builds no string; a registered
+   traced session builds each name once, found by its ordinal, so its
+   records share it.  The field literals stay strings: the state-access
+   matrix lint reads them from the call sites. *)
+let n_fields = 4
+
+let field_index = function
+  | "snd" -> 0
+  | "rcv" -> 1
+  | "reass" -> 2
+  | "sb" -> 3
+  | f -> invalid_arg ("Tcp.access: unknown state field " ^ f)
+
 let state_name sess field =
-  let names = sess.proto.state_names in
-  let fields = Option.value ~default:[] (Hashtbl.find_opt names sess.state_ns) in
-  match List.assoc_opt field fields with
-  | Some name -> name
-  | None ->
-    let name = sess.state_ns ^ "#" ^ field in
-    Hashtbl.replace names sess.state_ns ((field, name) :: fields);
-    name
+  let f = field_index field in
+  if sess.ord < 0 then sess.state_ns ^ "#" ^ field
+  else begin
+    let t = sess.proto in
+    let k = (sess.ord * n_fields) + f in
+    let len = Array.length t.state_names in
+    if k >= len then begin
+      let grown = Array.make (max (k + 1) (max (16 * n_fields) (2 * len))) "" in
+      Array.blit t.state_names 0 grown 0 len;
+      t.state_names <- grown
+    end;
+    let name = t.state_names.(k) in
+    if String.length name > 0 then name
+    else begin
+      let name = sess.state_ns ^ "#" ^ field in
+      t.state_names.(k) <- name;
+      name
+    end
+  end
 
 let access sess ~write field =
   let sim = sess.proto.plat.Platform.sim in
@@ -456,12 +485,12 @@ let all_locks (s : sync) =
    the span between [Scr_apply] and [Scr_apply_end] as a hold of the
    synthetic log lock either way. *)
 let scr_section_begin sess log =
-  sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx = -1 });
+  if tracing sess then sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx = -1 });
   Sim.defer_begin sess.proto.plat.Platform.sim
 
 let scr_section_end sess log =
   let cost = Sim.defer_end sess.proto.plat.Platform.sim in
-  sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx = -1 });
+  if tracing sess then sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx = -1 });
   cost
 
 (* RCU: publish a fresh immutable snapshot of the reader-visible fields.
@@ -478,7 +507,7 @@ let rcu_publish sess r =
       r_rcv_nxt = tcb.rcv_nxt;
     };
   Costs.charge sess.proto.plat Costs.rcu_publish;
-  sync_trace sess (Trace.Rcu_publish { state = sess.state_ns })
+  if tracing sess then sync_trace sess (Trace.Rcu_publish { state = sess.state_ns })
 
 (* Enter the section guarded by [locks] (the session's [input] or
    [output] list); under SCR, open a deferred-charge section instead. *)
@@ -1227,7 +1256,7 @@ let scr_append_entry sess log hdr msg =
   log.sl_appends <- log.sl_appends + 1;
   let depth = log.sl_tail - log.sl_trunc in
   if depth > log.sl_max_depth then log.sl_max_depth <- depth;
-  sync_trace sess (Trace.Scr_append { log = log.sl_name; idx });
+  if tracing sess then sync_trace sess (Trace.Scr_append { log = log.sl_name; idx });
   (* Bounded log: retire the history the ring is about to overwrite.
      Entries apply in the same host event burst as their append, so
      sl_applied trails sl_tail by at most one and truncation can never
@@ -1246,7 +1275,7 @@ let scr_apply_entry sess log idx =
   let e = scr_entry_at log idx in
   if not e.e_applied then begin
     e.e_applied <- true;
-    sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx });
+    if tracing sess then sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx });
     let sim = sess.proto.plat.Platform.sim in
     let now = Sim.now sim in
     Sim.defer_begin sim;
@@ -1255,7 +1284,7 @@ let scr_apply_entry sess log idx =
     e.e_deliveries <- deliveries;
     e.e_fin <- fin_due sess ~fin:e.e_hdr.Tcp_wire.flags.Tcp_wire.fin;
     e.e_cost <- Sim.defer_end sim;
-    sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx });
+    if tracing sess then sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx });
     log.sl_applied <- idx + 1
   end
 
@@ -1297,7 +1326,7 @@ let scr_segment_arrives sess log (hdr : Tcp_wire.header) msg =
   if gap > 0 then begin
     log.sl_replayed <- log.sl_replayed + gap;
     Costs.charge t.plat (Costs.scr_replay_per_entry * gap);
-    sync_trace sess (Trace.Scr_replay { log = log.sl_name; upto = idx })
+    if tracing sess then sync_trace sess (Trace.Scr_replay { log = log.sl_name; upto = idx })
   end;
   Hashtbl.replace log.sl_marks tid (idx + 1);
   (* Our own entry: pay its measured processing cost on this thread's
@@ -1367,7 +1396,7 @@ let rcu_try_read sess r (hdr : Tcp_wire.header) msg =
   if no_op then begin
     r.ru_reads <- r.ru_reads + 1;
     Costs.charge t.plat Costs.rcu_read;
-    sync_trace sess (Trace.Rcu_read { state = sess.state_ns });
+    if tracing sess then sync_trace sess (Trace.Rcu_read { state = sess.state_ns });
     Msg.destroy msg;
     if len > 0 then rcu_emit_dup_ack sess snap
   end;
@@ -1726,7 +1755,7 @@ let create plat pool ~wheel ~ip cfg ~name =
       shutdown = false;
       cksum_failures = 0;
       syn_backlog_drops = 0;
-      state_names = Hashtbl.create 16;
+      state_names = [||];
     }
   in
   Ip.register ip ~proto:Tcp_wire.protocol_number (fun ~src ~dst msg ->

@@ -748,7 +748,31 @@ let test_lint_trace_guard () =
   Alcotest.(check (list string)) "trace.ml itself exempt" []
     (rules
        (lint ~file:"lib/engine/trace.ml"
-          "let f t =\n  Trace.emit t ~ts:0 ~tid:0 ~cpu:0 ev\n"))
+          "let f t =\n  Trace.emit t ~ts:0 ~tid:0 ~cpu:0 ev\n"));
+  (* A record built for [Sim.trace] or a wrapper of it allocates even
+     when the tracer is off, unless a tracer test guards it. *)
+  Alcotest.(check (list string)) "unguarded record for Sim.trace" [ "trace-guard" ]
+    (rules
+       (lint ~file:"lib/proto/foo.ml"
+          "let span_begin plat ~seq phase =\n\
+          \  Sim.trace plat.Platform.sim (Trace.Span_begin { seq; phase })\n"));
+  Alcotest.(check (list string)) "unguarded record for a wrapper, call on the line above"
+    [ "trace-guard" ]
+    (rules
+       (lint ~file:"lib/proto/foo.ml"
+          "let f sess log =\n  sync_trace sess\n    (Trace.Scr_apply { log; idx = -1 })\n"));
+  Alcotest.(check (list string)) "guards the tree uses" []
+    (rules
+       (lint ~file:"lib/proto/foo.ml"
+          "let f sim t sess log seq =\n\
+          \  if Trace.enabled (Sim.tracer sim) then\n\
+          \    Sim.trace sim (Trace.Span_end { seq; phase = Trace.Ip });\n\
+          \  if tracing t then trace_node t (Trace.Mnode_ref { node = 0; refs = 1 });\n\
+          \  if tracing then Sim.trace sim (Trace.Span_begin { seq; phase = Trace.Enqueue })\n"));
+  Alcotest.(check (list string)) "matching on a record is not building one" []
+    (rules
+       (lint ~file:"lib/analysis/foo.ml"
+          "let f r =\n  match r with\n  | Trace.Lock_grant { wait_ns; _ } -> wait_ns\n  | _ -> 0\n"))
 
 let test_lint_allow_marker () =
   Alcotest.(check (list string)) "lint:allow suppresses" []
