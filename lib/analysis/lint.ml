@@ -204,6 +204,8 @@ let print_tokens =
 let wallclock_tokens =
   [ "Unix.gettimeofday"; "Unix.time"; "Sys.time"; "Random.self_init" ]
 
+let env_tokens = [ "Sys.getenv"; "Sys.getenv_opt" ]
+
 let allow_marker = "lint:allow"
 
 (* The tracer tests a trace site may sit under: [Trace.enabled] itself,
@@ -598,6 +600,7 @@ let check_source ~file src =
     scan 0
   in
   let fig = is_fig_file file in
+  let in_lib = List.mem "lib" (path_parts file) && not (in_tests file) in
   let binding = ref "" in
   let acquires = ref 0 and releases = ref 0 in
   Array.iteri
@@ -635,6 +638,11 @@ let check_source ~file src =
           report lineno "no-global-mutable"
             "top-level mutable state in a figure module; keep figure data \
              functional";
+        if in_lib && List.exists (has_token line) env_tokens then
+          report lineno "no-env"
+            "environment read in library code; a variable that selects host \
+             policy runs an unreviewed second program (pass a parameter, or \
+             add lint:allow with the reason)";
         (* Lock pairing (production code only: tests exercise the
            unpaired paths on purpose). *)
         if not (in_tests file) then begin

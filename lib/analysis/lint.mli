@@ -16,6 +16,11 @@
       leaks a lock on some path; prefer [Lock.with_lock].  Extra
       releases are fine (early-exit branches share one acquire).
 
+    - {b no-env} (lib/): no [Sys.getenv] / [Sys.getenv_opt].  Host
+      policy chosen by an environment variable is a second program
+      that no golden output selects; a reviewed exception carries
+      [lint:allow].
+
     - {b trace-guard}: every [Trace.emit] call site, and every site
       that builds a [Trace] record for [Sim.trace] or a wrapper named
       after it ([trace], [trace_*], [*_trace]), must test

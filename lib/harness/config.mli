@@ -71,10 +71,6 @@ type t = {
   seed : int;
 }
 
-val baseline : t
-(** 1 CPU, TCP send side, 4 KB, checksum on, packet-level placement,
-    everything else per Section 3. *)
-
 val v :
   ?arch:Pnp_engine.Arch.t ->
   ?procs:int ->
@@ -105,7 +101,8 @@ val v :
   ?seed:int ->
   unit ->
   t
-(** [baseline] with overrides. *)
+(** The Section 3 baseline (1 CPU, TCP send side, 4 KB, checksum on,
+    packet-level placement) with overrides. *)
 
 val side_to_string : side -> string
 

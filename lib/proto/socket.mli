@@ -18,12 +18,9 @@ val connect :
   t
 (** Active open; blocks until established. *)
 
-val send : t -> Pnp_xkern.Msg.t -> unit
-(** Queue bytes on the connection (blocks while the send buffer is full);
-    takes ownership of the message. *)
-
 val send_string : t -> string -> unit
-(** {!send} of a fresh message holding [s].  Parks for mnode headroom
+(** Queue a fresh message holding [s] on the connection (blocks while
+    the send buffer is full).  Parks for mnode headroom
     {e before} allocating ({!Pnp_xkern.Mpool.await_headroom}), so a
     storm of senders degrades into queuing instead of exhausting a
     bounded pool. *)

@@ -3,8 +3,7 @@ open Pnp_engine
 type mnode = {
   id : int;
   data : Bytes.t;
-  size_class : int;
-  from_arena : bool; (* buffer drawn from the pool's arena free lists *)
+  size_class : int; (* < 2: the buffer comes from, and returns to, the arena *)
   refs : Atomic_ctr.t;
   (* One-slot checksum-sum memo (see Inet_cksum.sum_slices): the 16-bit
      one's-complement sum of data[sum_off, sum_off+sum_len) as of write
@@ -50,11 +49,11 @@ type t = {
   mutable cache_hits : int;
   mutable global_allocations : int;
   mutable live : int;
-  (* Host-side buffer arena (PNP_NO_ARENA=1 disables): the Bytes behind
-     cached-class nodes are drawn from per-class free lists and recycled
-     when a node's refcount reaches zero outside the simulated per-thread
-     caches.  Purely host allocation policy — the simulated malloc/cache
-     charges above are untouched — so figures are identical either way.
+  (* Host-side buffer arena: the Bytes behind cached-class nodes are
+     drawn from per-class free lists and recycled when a node's refcount
+     reaches zero outside the simulated per-thread caches.  Purely host
+     allocation policy — the simulated malloc/cache charges above are
+     untouched, so no figure depends on it.
      A buffer can only re-enter the free lists at refcount zero, which is
      what keeps recycling invisible to retransmission-queue sharing
      ([Msg.dup]/[Msg.unshare]): a node still referenced anywhere keeps
@@ -139,23 +138,12 @@ let thread_cache t =
   if tid >= Array.length t.caches then grow_caches t tid;
   Array.unsafe_get t.caches tid
 
-(* Arena toggle (host allocation policy only; see the [t] field docs).
-   PNP_NO_ARENA=1 gives the reference fresh-Bytes-per-node behaviour for
-   A/B determinism diffs. *)
-let arena_default =
-  ref
-    (match Sys.getenv_opt "PNP_NO_ARENA" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
-
-let set_arena on = arena_default := on
-let arena_enabled () = !arena_default
-
 (* Bound on recycled buffers kept per class: enough to absorb steady-state
    churn without pinning an allocation spike's memory forever. *)
 let arena_retain = 1024
 
-let arena_take t cls cap =
+let arena_take t cls =
+  let cap = class_capacities.(cls) in
   t.arena_out <- t.arena_out + cap;
   if t.arena_out > t.arena_hwm then t.arena_hwm <- t.arena_out;
   match t.arena_free.(cls) with
@@ -168,10 +156,10 @@ let arena_take t cls cap =
 (* A dead node's buffer returns to the free lists; only ever called at
    refcount zero for nodes not parked in a simulated per-thread cache. *)
 let arena_recycle t node =
-  if node.from_arena then begin
+  let cls = node.size_class in
+  if cls < 2 then begin
     if tracing t then trace_node t (Trace.Mnode_recycle { node = node.id });
     t.arena_out <- t.arena_out - Bytes.length node.data;
-    let cls = node.size_class in
     if t.arena_free_n.(cls) < arena_retain then begin
       t.arena_free.(cls) <- node.data :: t.arena_free.(cls);
       t.arena_free_n.(cls) <- t.arena_free_n.(cls) + 1
@@ -179,14 +167,11 @@ let arena_recycle t node =
   end
 
 let fresh_node t n cls =
-  let cap = if cls = 2 then n else class_capacities.(cls) in
-  let from_arena = cls < 2 && !arena_default in
   let node =
     {
       id = t.next_id;
-      data = (if from_arena then arena_take t cls cap else Bytes.create cap);
+      data = (if cls = 2 then Bytes.create n else arena_take t cls);
       size_class = cls;
-      from_arena;
       refs = Platform.refcnt t.plat ~name:"mnode" ~init:1;
       gen = 0;
       sum_gen = -1;
@@ -321,43 +306,30 @@ let data node = node.data
 let capacity node = Bytes.length node.data
 let refs node = Atomic_ctr.get node.refs
 
-(* Checksum-sum memo.  PNP_NO_COALESCE=1 (or [set_sum_cache false])
-   turns lookups into unconditional misses for A/B determinism diffs;
-   cached and recomputed sums are equal by construction, which the
-   fault-plan digest tests pin down. *)
-let sum_cache_default =
-  ref
-    (match Sys.getenv_opt "PNP_NO_COALESCE" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
-
-let set_sum_cache on = sum_cache_default := on
-let sum_cache_enabled () = !sum_cache_default
-
+(* Checksum-sum memo.  A hit returns exactly the sum a scan of the
+   bytes would; the codec tests check memoised sums against
+   [Inet_cksum.sum_bytes] of the message's bytes. *)
 let bump_gen t node =
   node.gen <- node.gen + 1;
   if tracing t then trace_node t (Trace.Mnode_write { node = node.id })
 
 let cached_sum node ~off ~len =
-  if
-    !sum_cache_default && node.sum_gen = node.gen && node.sum_off = off
-    && node.sum_len = len
-  then node.sum_val
+  if node.sum_gen = node.gen && node.sum_off = off && node.sum_len = len then node.sum_val
   else -1
 
 let cache_sum node ~off ~len v =
-  if !sum_cache_default then begin
-    node.sum_gen <- node.gen;
-    node.sum_off <- off;
-    node.sum_len <- len;
-    node.sum_val <- v
-  end
+  node.sum_gen <- node.gen;
+  node.sum_off <- off;
+  node.sum_len <- len;
+  node.sum_val <- v
 
 (* Reset at quiescence: at a point where no simulated thread is running
    (between the warmup and measure phases, teardown) the caller lets the
    arena drop surplus recycled buffers back to the GC, so one phase's
-   allocation burst does not pin host memory for the rest of the run. *)
-let quiesce ?(retain = 64) t =
+   allocation burst does not pin host memory for the rest of the run.
+   Keeps up to 64 buffers per class. *)
+let quiesce t =
+  let retain = 64 in
   for cls = 0 to Array.length t.arena_free - 1 do
     if t.arena_free_n.(cls) > retain then begin
       let rec take n = function

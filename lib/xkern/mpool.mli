@@ -84,11 +84,12 @@ val refs : mnode -> int
     {!Msg} bumps on every mutation of the node's bytes.  Payloads shared
     via [Msg.dup] (driver templates, the TCP retransmission queue) are
     summed once, pattern fills at fill time, and then checksummed in
-    O(1) — the host-side analogue of checksum offload.  Purely a host-cost cache: a hit returns exactly
-    the sum a fresh scan would, which the fault-plan digest tests pin.
-    [PNP_NO_COALESCE=1] (or {!set_sum_cache}[ false]) turns lookups
-    into misses and {!cache_sum} into a no-op, and changes nothing
-    else, for A/B determinism diffs. *)
+    O(1) — the host-side analogue of checksum offload.
+
+    Purely a host-cost cache, and the only path: a hit returns exactly
+    the sum a fresh scan would.  Goldens pin absolute outputs; memoised
+    sums are checked against the scan ([Inet_cksum.sum_bytes] of
+    [Msg.to_string]) in the codec tests. *)
 
 val bump_gen : t -> mnode -> unit
 (** Record that the node's bytes changed (invalidates the cached sum).
@@ -99,13 +100,10 @@ val bump_gen : t -> mnode -> unit
 
 val cached_sum : mnode -> off:int -> len:int -> int
 (** The cached sum for exactly this range at the current generation, or
-    [-1] (sums are 16-bit, so negative is free) on miss/disabled. *)
+    [-1] (sums are 16-bit, so negative is free) on a miss. *)
 
 val cache_sum : mnode -> off:int -> len:int -> int -> unit
 (** Store the sum for this range at the current generation. *)
-
-val set_sum_cache : bool -> unit
-val sum_cache_enabled : unit -> bool
 
 (** {2 Buffer arena}
 
@@ -113,10 +111,10 @@ val sum_cache_enabled : unit -> bool
     pool draws buffers from per-class free lists and recycles them when a
     node's reference count reaches zero outside the simulated per-thread
     caches, instead of handing every global allocation a fresh
-    [Bytes.create].  The simulated malloc/cache charges are untouched, so
-    figures are identical with the arena on or off
-    ([PNP_NO_ARENA=1] or {!set_arena}[ false] disables it for A/B
-    determinism diffs).
+    [Bytes.create].  Every cached-class node draws from the arena and
+    returns there; larger nodes are allocated exactly.  The simulated
+    malloc/cache charges are untouched, so no output depends on the
+    arena, and the goldens pin those outputs absolutely.
 
     Safety with retransmission-queue sharing: a buffer re-enters the free
     lists only at reference count zero, so a node still held anywhere —
@@ -124,12 +122,9 @@ val sum_cache_enabled : unit -> bool
     keeps its buffer; [Msg.unshare]'s copy-out escape hatch composes
     unchanged (the aliasing regression test pins this). *)
 
-val set_arena : bool -> unit
-val arena_enabled : unit -> bool
-
-val quiesce : ?retain:int -> t -> unit
-(** Reset-at-quiescence: drop recycled buffers beyond [retain] (default
-    64) per class back to the GC.  Call only when no simulated thread is
+val quiesce : t -> unit
+(** Reset-at-quiescence: drop recycled buffers beyond 64 per class back
+    to the GC.  Call only when no simulated thread is
     running (between run phases, teardown); live nodes are unaffected. *)
 
 val arena_hwm : t -> int

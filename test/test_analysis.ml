@@ -779,6 +779,27 @@ let test_lint_allow_marker () =
     (rules
        (lint "let fig_data opts =\n  Printf.printf \"x\" (* lint:allow: demo *)\n"))
 
+let test_lint_no_env () =
+  (match lint ~file:"lib/xkern/fake.ml" "let on =\n  Sys.getenv_opt \"FAKE\" = None\n" with
+   | [ f ] ->
+     Alcotest.(check string) "rule" "no-env" f.Lint.rule;
+     Alcotest.(check int) "line" 2 f.Lint.line
+   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)));
+  Alcotest.(check (list string)) "Sys.getenv too" [ "no-env" ]
+    (rules (lint ~file:"lib/harness/fake.ml" "let home () = Sys.getenv \"HOME\"\n"));
+  Alcotest.(check (list string)) "allow marker honoured" []
+    (rules
+       (lint ~file:"lib/harness/fake.ml"
+          "let home () = Sys.getenv \"HOME\" (* lint:allow no-env: demo *)\n"));
+  Alcotest.(check (list string)) "outside lib/ exempt" []
+    (rules
+       (lint ~file:"test/qrand.ml" "let s = Sys.getenv_opt \"QCHECK_SEED\"\n"
+       @ lint ~file:"bin/fake.ml" "let s = Sys.getenv_opt \"X\"\n"));
+  Alcotest.(check (list string)) "a name in a string or comment is not a read" []
+    (rules
+       (lint ~file:"lib/xkern/fake.ml"
+          "(* Sys.getenv is not read here *)\nlet s = \"Sys.getenv_opt\"\n"))
+
 let test_lint_msg_bump_gen () =
   (* Seeded violation: a binding mutates node bytes (Mpool.data +
      Bytes.set) without calling bump_gen — the checksum memo would go
@@ -1048,6 +1069,7 @@ let suites =
         Alcotest.test_case "lock pairing" `Quick test_lint_lock_pairing;
         Alcotest.test_case "trace guard" `Quick test_lint_trace_guard;
         Alcotest.test_case "allow marker" `Quick test_lint_allow_marker;
+        Alcotest.test_case "no environment reads in lib" `Quick test_lint_no_env;
         Alcotest.test_case "msg mutators must bump_gen" `Quick test_lint_msg_bump_gen;
         Alcotest.test_case "state-access matrix violations" `Quick test_lint_state_matrix;
         Alcotest.test_case "state-access matrix rows" `Quick test_lint_state_matrix_rows;

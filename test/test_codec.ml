@@ -3,7 +3,8 @@
    [Msg.head_view]; these tests pin the bytes against the per-field
    [Msg.set_*] sequences the codecs used before (kept here as the
    reference), the decoders against messages split at every kind of part
-   boundary, and the checksum memo against header-node reuse. *)
+   boundary, and the checksum memo against header-node reuse and against
+   a scan of the bytes after every step of random message programs. *)
 
 open Pnp_engine
 open Pnp_xkern
@@ -352,10 +353,10 @@ let test_reencode_invalidates_sum () =
 (* Fill-time pattern sums                                              *)
 (* ------------------------------------------------------------------ *)
 
-let with_sum_cache on f =
-  let was = Mpool.sum_cache_enabled () in
-  Mpool.set_sum_cache on;
-  Fun.protect ~finally:(fun () -> Mpool.set_sum_cache was) f
+(* The reference: a scan of the message's bytes, flattened. *)
+let scan_sum m =
+  let flat = Bytes.of_string (Msg.to_string m) in
+  Inet_cksum.sum_bytes flat 0 (Bytes.length flat)
 
 (* Fill [len] pattern bytes at stream offset [phase] into a node, at node
    index [skip], and return the memoised sum next to a scan of the bytes
@@ -375,33 +376,32 @@ let test_fill_sums_every_phase () =
   let p = plat () in
   let pool = Mpool.create p in
   let lens = List.init 65 Fun.id @ [ 4095; 4096; 4352; 4608 ] in
-  with_sum_cache true (fun () ->
-      in_sim p (fun () ->
-          for phase = 0 to 250 do
-            List.iter
-              (fun len ->
-                if len > 0 then
-                  List.iter
-                    (fun skip ->
-                      let memo, scan = filled_sums pool ~skip ~len ~phase in
-                      if memo <> scan then
-                        Alcotest.failf "phase %d len %d skip %d: memo %#x, bytes %#x" phase
-                          len skip memo scan)
-                    [ 0; 1 ]
-                else begin
-                  let m = Msg.create pool 0 in
-                  Msg.fill_pattern m ~off:0 ~len:0 ~stream_off:phase;
-                  Alcotest.(check int) "empty fill sums to 0" 0 (Inet_cksum.sum_slices m)
-                end)
-              lens
-          done;
-          (* Beyond one blit chunk (7781 bytes, an odd count), the second
-             chunk starts at an odd index of the range. *)
-          List.iter
-            (fun phase ->
-              let memo, scan = filled_sums pool ~skip:0 ~len:16_001 ~phase in
-              Alcotest.(check int) "multi-chunk fill" scan memo)
-            [ 0; 1; 250 ]))
+  in_sim p (fun () ->
+      for phase = 0 to 250 do
+        List.iter
+          (fun len ->
+            if len > 0 then
+              List.iter
+                (fun skip ->
+                  let memo, scan = filled_sums pool ~skip ~len ~phase in
+                  if memo <> scan then
+                    Alcotest.failf "phase %d len %d skip %d: memo %#x, bytes %#x" phase
+                      len skip memo scan)
+                [ 0; 1 ]
+            else begin
+              let m = Msg.create pool 0 in
+              Msg.fill_pattern m ~off:0 ~len:0 ~stream_off:phase;
+              Alcotest.(check int) "empty fill sums to 0" 0 (Inet_cksum.sum_slices m)
+            end)
+          lens
+      done;
+      (* Beyond one blit chunk (7781 bytes, an odd count), the second
+         chunk starts at an odd index of the range. *)
+      List.iter
+        (fun phase ->
+          let memo, scan = filled_sums pool ~skip:0 ~len:16_001 ~phase in
+          Alcotest.(check int) "multi-chunk fill" scan memo)
+        [ 0; 1; 250 ])
 
 let prop_fill_sums_random =
   QCheck.Test.make ~name:"fill-time sum equals the filled bytes' sum" ~count:300
@@ -409,12 +409,11 @@ let prop_fill_sums_random =
     (fun (len, stream_off, skip) ->
       let p = plat () in
       let pool = Mpool.create p in
-      with_sum_cache true (fun () ->
-          in_sim p (fun () ->
-              len = 0
-              ||
-              let memo, scan = filled_sums pool ~skip ~len ~phase:stream_off in
-              memo = scan)))
+      in_sim p (fun () ->
+          len = 0
+          ||
+          let memo, scan = filled_sums pool ~skip ~len ~phase:stream_off in
+          memo = scan))
 
 (* A multi-part payload whose first part has odd length: the second
    part's memoised sum enters [sum_slices] swapped, and the total must be
@@ -422,22 +421,136 @@ let prop_fill_sums_random =
 let test_fill_sums_multi_part () =
   let p = plat () in
   let pool = Mpool.create p in
-  with_sum_cache true (fun () ->
-      in_sim p (fun () ->
-          List.iter
-            (fun stream_off ->
-              let m = Msg.create pool 4096 in
-              Msg.push m 13;
-              Msg.fill_pattern m ~off:0 ~len:(Msg.length m) ~stream_off;
-              Alcotest.(check int) "two parts" 2 (Msg.parts m);
-              let memo_on = Inet_cksum.sum_slices m in
-              let flat = Bytes.of_string (Msg.to_string m) in
-              let scan = Inet_cksum.sum_bytes flat 0 (Bytes.length flat) in
-              let memo_off = with_sum_cache false (fun () -> Inet_cksum.sum_slices m) in
-              Alcotest.(check int) "memo on = memo off" memo_off memo_on;
-              Alcotest.(check int) "memo on = flat scan" scan memo_on;
-              Msg.destroy m)
-            [ 0; 1; 2; 125; 250 ]))
+  in_sim p (fun () ->
+      List.iter
+        (fun stream_off ->
+          let m = Msg.create pool 4096 in
+          Msg.push m 13;
+          Msg.fill_pattern m ~off:0 ~len:(Msg.length m) ~stream_off;
+          Alcotest.(check int) "two parts" 2 (Msg.parts m);
+          Alcotest.(check int) "memoised = flat scan" (scan_sum m)
+            (Inet_cksum.sum_slices m);
+          Msg.destroy m)
+        [ 0; 1; 2; 125; 250 ])
+
+(* ------------------------------------------------------------------ *)
+(* Memoised sums against the scan, over random message programs        *)
+(* ------------------------------------------------------------------ *)
+
+(* One step of a program, applied to one of two messages that start as a
+   message and its [Msg.dup].  Offsets and lengths are taken modulo the
+   target's current length, and a step that needs bytes the target lacks
+   does nothing. *)
+type op =
+  | Fill of int * int * int (* off, len, stream offset *)
+  | Header of int * int (* push_header of 1..64 bytes, their first byte *)
+  | Set_u16 of int * int
+  | Set_u8 of int * int
+  | Pop of int
+  | Truncate of int
+  | Append of int * int (* a fresh pattern-filled message: length, stream offset *)
+  | Append_dup (* a [Msg.dup] of the other message *)
+  | Unshare of int
+
+let show_op = function
+  | Fill (o, l, s) -> Printf.sprintf "fill %d %d %d" o l s
+  | Header (n, b) -> Printf.sprintf "header %d %d" n b
+  | Set_u16 (o, v) -> Printf.sprintf "set_u16 %d %d" o v
+  | Set_u8 (o, v) -> Printf.sprintf "set_u8 %d %d" o v
+  | Pop n -> Printf.sprintf "pop %d" n
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Append (n, s) -> Printf.sprintf "append %d %d" n s
+  | Append_dup -> "append_dup"
+  | Unshare o -> Printf.sprintf "unshare %d" o
+
+let gen_op =
+  let open QCheck.Gen in
+  let pos = int_bound 10_000 in
+  oneof
+    [
+      map3 (fun o l s -> Fill (o, l, s)) pos pos pos;
+      map2 (fun n b -> Header (1 + n, b)) (int_bound 63) (int_bound 255);
+      map2 (fun o v -> Set_u16 (o, v)) pos (int_bound 0xffff);
+      map2 (fun o v -> Set_u8 (o, v)) pos (int_bound 255);
+      map (fun n -> Pop n) pos;
+      map (fun n -> Truncate n) pos;
+      map2 (fun n s -> Append (n, s)) (int_bound 5000) pos;
+      return Append_dup;
+      map (fun o -> Unshare o) pos;
+    ]
+
+let apply pool ~target ~other op =
+  let len = Msg.length target in
+  match op with
+  | Fill (o, l, s) when len > 0 ->
+    let off = o mod len in
+    Msg.fill_pattern target ~off ~len:(l mod (len - off + 1)) ~stream_off:s
+  | Header (n, b) ->
+    let buf = Msg.push_header target n in
+    for i = 0 to n - 1 do
+      Bytes.set buf i (Char.chr ((b + (i * 37)) land 0xff))
+    done
+  | Set_u16 (o, v) when len >= 2 -> Msg.set_u16 target (o mod (len - 1)) v
+  | Set_u8 (o, v) when len > 0 -> Msg.set_u8 target (o mod len) v
+  | Pop n -> Msg.pop target (n mod (len + 1))
+  | Truncate n -> Msg.truncate target (n mod (len + 1))
+  | Append (n, s) ->
+    let m = Msg.create pool n in
+    Msg.fill_pattern m ~off:0 ~len:n ~stream_off:s;
+    Msg.append target m
+  | Append_dup when len + Msg.length other <= 30_000 -> Msg.append target (Msg.dup other)
+  | Unshare o when len > 0 -> Msg.unshare target ~off:(o mod len)
+  | Fill _ | Set_u16 _ | Set_u8 _ | Append_dup | Unshare _ -> ()
+
+(* After every step, [Inet_cksum.sum_slices] of each message (served by
+   the per-node memo wherever it holds) equals the scan of its bytes.
+   Writes through one message reach the other's shared nodes, so a
+   mutator that forgets its generation bump shows as a stale sum on
+   either side. *)
+let prop_memo_matches_scan =
+  QCheck.Test.make ~name:"random programs: memoised sums equal the scan" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(triple int int (list (pair bool show_op)))
+        ~shrink:Shrink.(triple nil nil list)
+        Gen.(triple (int_bound 5000) (int_bound 10_000) (list_size (1 -- 30) (pair bool gen_op))))
+    (fun (len, stream_off, program) ->
+      let p = plat () in
+      let pool = Mpool.create p in
+      let failure =
+        in_sim p (fun () ->
+            let a = Msg.create pool len in
+            Msg.fill_pattern a ~off:0 ~len ~stream_off;
+            let b = Msg.dup a in
+            let check step =
+              List.find_map
+                (fun (name, m) ->
+                  let memo = Inet_cksum.sum_slices m and scan = scan_sum m in
+                  if memo = scan then None
+                  else
+                    Some
+                      (Printf.sprintf "step %d, message %s (%d parts): memo %#x, scan %#x" step
+                         name (Msg.parts m) memo scan))
+                [ ("a", a); ("b", b) ]
+            in
+            let rec run step = function
+              | [] -> check step
+              | (on_a, op) :: rest -> (
+                match check step with
+                | Some _ as f -> f
+                | None ->
+                  let target, other = if on_a then (a, b) else (b, a) in
+                  apply pool ~target ~other op;
+                  run (step + 1) rest)
+            in
+            let failure = run 0 program in
+            Msg.destroy a;
+            Msg.destroy b;
+            if failure = None && Mpool.live_nodes pool <> 0 then
+              Some (Printf.sprintf "%d nodes live after both destroyed" (Mpool.live_nodes pool))
+            else failure)
+      in
+      match failure with None -> true | Some f -> QCheck.Test.fail_report f)
 
 let suites =
   [
@@ -457,5 +570,6 @@ let suites =
         Qrand.to_alcotest prop_fill_sums_random;
         Alcotest.test_case "fill-time sums across an odd first part" `Quick
           test_fill_sums_multi_part;
+        Qrand.to_alcotest prop_memo_matches_scan;
       ] );
   ]

@@ -328,47 +328,6 @@ let test_chaos_cell_deterministic () =
   in
   Alcotest.(check string) "same cell twice" (line ()) (line ())
 
-(* The TCP coalescing fast paths (checksum-sum memo, header-only ACK
-   emit) are host-cost-only: with the memo toggled off, every cell —
-   stream digest, retransmit count, fault accounting, findings — must
-   come out byte-identical under fault plans that force retransmission,
-   reordering and corruption rejection.  Same for the other host fast
-   path (buffer arena), checked together with the memo as the
-   worst-case A/B leg. *)
-let test_chaos_coalescing_toggle_identical () =
-  let cell plan disc =
-    Chaos.to_line (Chaos.run_cell ~bytes:60_000 ~datagrams:300 ~plan ~disc ())
-  in
-  let plans = [ "chaos"; "blackout"; "corrupt"; "reorder" ] in
-  let with_toggles ~coalesce ~arena f =
-    let c0 = Mpool.sum_cache_enabled () and a0 = Mpool.arena_enabled () in
-    Mpool.set_sum_cache coalesce;
-    Mpool.set_arena arena;
-    Fun.protect
-      ~finally:(fun () ->
-        Mpool.set_sum_cache c0;
-        Mpool.set_arena a0)
-      f
-  in
-  List.iter
-    (fun name ->
-      let plan = Option.get (Faults.find name) in
-      List.iter
-        (fun disc ->
-          let fast = with_toggles ~coalesce:true ~arena:true (fun () -> cell plan disc) in
-          let no_coalesce =
-            with_toggles ~coalesce:false ~arena:true (fun () -> cell plan disc)
-          in
-          let all_off = with_toggles ~coalesce:false ~arena:false (fun () -> cell plan disc) in
-          Alcotest.(check string)
-            (Printf.sprintf "%s/%s: coalescing off" name (Config.disc_label disc))
-            fast no_coalesce;
-          Alcotest.(check string)
-            (Printf.sprintf "%s/%s: arena+coalescing off" name (Config.disc_label disc))
-            fast all_off)
-        [ Lock.Unfair; Lock.Fifo ])
-    plans
-
 (* The cksum_under_lock ablation's TCP world, built the way
    [Chaos.tcp_world] builds its own: a golden stream over the faulted
    link, judged by the recovery oracle. *)
@@ -656,8 +615,6 @@ let suites =
         Alcotest.test_case "builtin plans recover" `Quick test_chaos_builtins_recover;
         Alcotest.test_case "cells are deterministic" `Quick test_chaos_cell_deterministic;
         Alcotest.test_case "negative seed recovers" `Quick test_chaos_negative_seed;
-        Alcotest.test_case "coalescing/arena toggles change nothing" `Quick
-          test_chaos_coalescing_toggle_identical;
         Qrand.to_alcotest prop_random_plans_recover;
         Alcotest.test_case "every discipline rejects corruption" `Quick
           test_every_discipline_rejects_corruption;

@@ -159,11 +159,6 @@ let test_mpool_cache_growths_flat_on_fast_path () =
 (* Buffer arena                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let with_arena on f =
-  let was = Mpool.arena_enabled () in
-  Mpool.set_arena on;
-  Fun.protect ~finally:(fun () -> Mpool.set_arena was) f
-
 (* A buffer re-enters the arena free lists only at refcount zero: dup a
    message (the retransmission-queue situation), destroy the original,
    then churn same-class allocations hard enough to recycle every loose
@@ -171,94 +166,75 @@ let with_arena on f =
    decref hits the arena recycler directly instead of parking nodes in
    the simulated tid caches. *)
 let test_arena_shared_buffer_not_recycled () =
-  with_arena true (fun () ->
-      let p = plat ~message_caching:false () in
-      let pool = Mpool.create p in
-      in_sim p (fun () ->
-          let original = Msg.create pool 600 in
-          Msg.fill_pattern original ~off:0 ~len:600 ~stream_off:7;
-          let survivor = Msg.dup original in
-          Msg.destroy original;
-          for i = 0 to 199 do
-            let m = Msg.create pool 600 in
-            Msg.fill_pattern m ~off:0 ~len:600 ~stream_off:(i * 600);
-            Msg.destroy m
-          done;
-          Alcotest.(check bool) "survivor bytes intact" true
-            (Msg.check_pattern survivor ~off:0 ~len:600 ~stream_off:7);
-          Msg.destroy survivor))
+  let p = plat ~message_caching:false () in
+  let pool = Mpool.create p in
+  in_sim p (fun () ->
+      let original = Msg.create pool 600 in
+      Msg.fill_pattern original ~off:0 ~len:600 ~stream_off:7;
+      let survivor = Msg.dup original in
+      Msg.destroy original;
+      for i = 0 to 199 do
+        let m = Msg.create pool 600 in
+        Msg.fill_pattern m ~off:0 ~len:600 ~stream_off:(i * 600);
+        Msg.destroy m
+      done;
+      Alcotest.(check bool) "survivor bytes intact" true
+        (Msg.check_pattern survivor ~off:0 ~len:600 ~stream_off:7);
+      Msg.destroy survivor)
 
 (* Recycling reuses the backing bytes: with the per-thread caches off, a
    destroy followed by a same-class alloc must hand back the same
    [Bytes.t] rather than a fresh host allocation. *)
 let test_arena_recycles_buffers () =
-  with_arena true (fun () ->
-      let p = plat ~message_caching:false () in
-      let pool = Mpool.create p in
-      in_sim p (fun () ->
-          let n1 = Mpool.alloc pool 64 in
-          let b1 = Mpool.data n1 in
-          Mpool.decref pool n1;
-          let n2 = Mpool.alloc pool 64 in
-          Alcotest.(check bool) "backing bytes reused" true (b1 == Mpool.data n2);
-          Mpool.decref pool n2))
+  let p = plat ~message_caching:false () in
+  let pool = Mpool.create p in
+  in_sim p (fun () ->
+      let n1 = Mpool.alloc pool 64 in
+      let b1 = Mpool.data n1 in
+      Mpool.decref pool n1;
+      let n2 = Mpool.alloc pool 64 in
+      Alcotest.(check bool) "backing bytes reused" true (b1 == Mpool.data n2);
+      Mpool.decref pool n2)
 
 (* Accounting and reset-at-quiescence: the outstanding-bytes gauge
    returns to zero when everything is destroyed, the high-water mark
    keeps the peak, and [quiesce] only trims the free lists — a fresh
    alloc afterwards still works (and starts a new outstanding count). *)
 let test_arena_accounting_and_quiesce () =
-  with_arena true (fun () ->
-      let p = plat ~message_caching:false () in
-      let pool = Mpool.create p in
-      in_sim p (fun () ->
-          let msgs = List.init 8 (fun _ -> Msg.create pool 600) in
-          let peak = Mpool.arena_out pool in
-          Alcotest.(check bool) "bytes outstanding" true (peak > 0);
-          Alcotest.(check bool) "hwm >= outstanding" true (Mpool.arena_hwm pool >= peak);
-          List.iter Msg.destroy msgs;
-          Alcotest.(check int) "all returned" 0 (Mpool.arena_out pool);
-          Alcotest.(check bool) "hwm survives the drain" true (Mpool.arena_hwm pool >= peak);
-          Mpool.quiesce ~retain:0 pool;
-          let again = Msg.create pool 600 in
-          Alcotest.(check bool) "alloc after quiesce" true (Mpool.arena_out pool > 0);
-          Msg.destroy again;
-          Alcotest.(check int) "and returns again" 0 (Mpool.arena_out pool)))
-
-(* With the arena toggled off, nodes get fresh GC-managed buffers and
-   the gauges stay flat — the A/B leg the determinism CI runs. *)
-let test_arena_off_is_inert () =
-  with_arena false (fun () ->
-      let p = plat ~message_caching:false () in
-      let pool = Mpool.create p in
-      in_sim p (fun () ->
-          let n1 = Mpool.alloc pool 64 in
-          let b1 = Mpool.data n1 in
-          Mpool.decref pool n1;
-          let n2 = Mpool.alloc pool 64 in
-          Alcotest.(check bool) "no reuse when off" true (b1 != Mpool.data n2);
-          Mpool.decref pool n2;
-          Alcotest.(check int) "gauges flat" 0 (Mpool.arena_hwm pool)))
+  let p = plat ~message_caching:false () in
+  let pool = Mpool.create p in
+  in_sim p (fun () ->
+      let msgs = List.init 8 (fun _ -> Msg.create pool 600) in
+      let peak = Mpool.arena_out pool in
+      Alcotest.(check bool) "bytes outstanding" true (peak > 0);
+      Alcotest.(check bool) "hwm >= outstanding" true (Mpool.arena_hwm pool >= peak);
+      List.iter Msg.destroy msgs;
+      Alcotest.(check int) "all returned" 0 (Mpool.arena_out pool);
+      Alcotest.(check bool) "hwm survives the drain" true (Mpool.arena_hwm pool >= peak);
+      Mpool.quiesce pool;
+      let again = Msg.create pool 600 in
+      Alcotest.(check bool) "alloc after quiesce" true (Mpool.arena_out pool > 0);
+      Msg.destroy again;
+      Alcotest.(check int) "and returns again" 0 (Mpool.arena_out pool))
 
 (* [Msg.unshare] under the arena: unsharing a dup'd message copies out
    into arena-drawn buffers; mutating the copy must leave the original
    — still holding the old buffer — untouched. *)
 let test_arena_unshare_composes () =
-  with_arena true (fun () ->
-      let p = plat ~message_caching:false () in
-      let pool = Mpool.create p in
-      in_sim p (fun () ->
-          let original = Msg.create pool 128 in
-          Msg.fill_pattern original ~off:0 ~len:128 ~stream_off:0;
-          let copy = Msg.dup original in
-          Msg.unshare copy ~off:5;
-          Msg.set_u8 copy 5 0xEE;
-          Alcotest.(check bool) "original untouched" true
-            (Msg.check_pattern original ~off:0 ~len:128 ~stream_off:0);
-          Alcotest.(check int) "copy mutated" 0xEE (Msg.get_u8 copy 5);
-          Msg.destroy original;
-          Msg.destroy copy;
-          Alcotest.(check int) "everything returned" 0 (Mpool.arena_out pool)))
+  let p = plat ~message_caching:false () in
+  let pool = Mpool.create p in
+  in_sim p (fun () ->
+      let original = Msg.create pool 128 in
+      Msg.fill_pattern original ~off:0 ~len:128 ~stream_off:0;
+      let copy = Msg.dup original in
+      Msg.unshare copy ~off:5;
+      Msg.set_u8 copy 5 0xEE;
+      Alcotest.(check bool) "original untouched" true
+        (Msg.check_pattern original ~off:0 ~len:128 ~stream_off:0);
+      Alcotest.(check int) "copy mutated" 0xEE (Msg.get_u8 copy 5);
+      Msg.destroy original;
+      Msg.destroy copy;
+      Alcotest.(check int) "everything returned" 0 (Mpool.arena_out pool))
 
 (* ------------------------------------------------------------------ *)
 (* Msg                                                                 *)
@@ -842,7 +818,6 @@ let suites =
         Alcotest.test_case "arena recycles at refs zero" `Quick test_arena_recycles_buffers;
         Alcotest.test_case "arena accounting and quiesce" `Quick
           test_arena_accounting_and_quiesce;
-        Alcotest.test_case "arena off is inert" `Quick test_arena_off_is_inert;
         Alcotest.test_case "arena composes with unshare" `Quick test_arena_unshare_composes;
         Alcotest.test_case "cache table flat on fast path" `Quick
           test_mpool_cache_growths_flat_on_fast_path;
