@@ -56,29 +56,37 @@ let opts_term =
   in
   let seeds =
     let doc = "Independent seeded runs averaged per data point." in
-    Arg.(value & opt positive_int 3 & info [ "s"; "seeds" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some ~none:"3" positive_int) None & info [ "s"; "seeds" ] ~docv:"N" ~doc)
   in
   let measure_ms =
     let doc = "Steady-state measurement window in simulated milliseconds." in
-    Arg.(value & opt positive_ms 500.0 & info [ "m"; "measure-ms" ] ~docv:"MS" ~doc)
+    Arg.(
+      value & opt (some ~none:"500" positive_ms) None & info [ "m"; "measure-ms" ] ~docv:"MS" ~doc)
   in
   let warmup_ms =
     let doc = "Warmup before measurement, simulated milliseconds." in
-    Arg.(value & opt non_negative_time 200.0 & info [ "w"; "warmup-ms" ] ~docv:"MS" ~doc)
+    Arg.(
+      value
+      & opt (some ~none:"200" non_negative_time) None
+      & info [ "w"; "warmup-ms" ] ~docv:"MS" ~doc)
   in
   let quick =
-    let doc = "Short smoke-test sweep (2 seeds, 250 ms)." in
+    let doc =
+      "Short smoke-test sweep (2 seeds, 250 ms); an explicit $(b,--seeds), $(b,--measure-ms) \
+       or $(b,--warmup-ms) still wins."
+    in
     Arg.(value & flag & info [ "q"; "quick" ] ~doc)
   in
+  (* The preset fills in only the flags that were not given. *)
   let build max_procs seeds measure_ms warmup_ms quick =
-    if quick then { Pnp_figures.Opts.quick with Pnp_figures.Opts.max_procs }
-    else
-      {
-        Pnp_figures.Opts.max_procs;
-        seeds;
-        warmup = Pnp_util.Units.ms warmup_ms;
-        measure = Pnp_util.Units.ms measure_ms;
-      }
+    let base = if quick then Pnp_figures.Opts.quick else Pnp_figures.Opts.default in
+    let ms flag preset = Option.fold ~none:preset ~some:Pnp_util.Units.ms flag in
+    {
+      Pnp_figures.Opts.max_procs;
+      seeds = Option.value seeds ~default:base.Pnp_figures.Opts.seeds;
+      warmup = ms warmup_ms base.Pnp_figures.Opts.warmup;
+      measure = ms measure_ms base.Pnp_figures.Opts.measure;
+    }
   in
   Term.(const build $ max_procs $ seeds $ measure_ms $ warmup_ms $ quick)
 

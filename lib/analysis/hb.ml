@@ -236,12 +236,9 @@ let add_read c tid clk pos =
       end
     done;
     let k = !k in
-    if k = Array.length c.r_tid then begin
-      let grow a = Array.append a (Array.make (max 4 k) 0) in
-      c.r_tid <- grow c.r_tid;
-      c.r_clk <- grow c.r_clk;
-      c.r_pos <- grow c.r_pos
-    end;
+    c.r_tid <- Replay.grow c.r_tid k 0;
+    c.r_clk <- Replay.grow c.r_clk k 0;
+    c.r_pos <- Replay.grow c.r_pos k 0;
     c.r_tid.(k) <- tid;
     c.r_clk.(k) <- clk;
     c.r_pos.(k) <- pos;

@@ -21,8 +21,7 @@ let grant t row =
   (* The oldest grant of a lock held twice comes first and wins. *)
   for i = 0 to Replay.held_count ctx ~tid - 1 do
     let first = Replay.held_id ctx ~tid i in
-    if first >= Array.length t.last then
-      t.last <- Array.append t.last (Array.make (max 8 (first + 1)) (-1));
+    t.last <- Replay.grow t.last first (-1);
     if first <> id && t.last.(first) <> id then begin
       t.last.(first) <- id;
       let key = Replay.pair first id in

@@ -91,8 +91,7 @@ let extend sets set lock =
   | Some s -> s
   | None ->
     let s = sets.count in
-    if s = Array.length sets.locks then
-      sets.locks <- Array.append sets.locks (Array.make s []);
+    sets.locks <- Replay.grow sets.locks s [];
     sets.locks.(s) <- sets.locks.(set) @ [ lock ];
     sets.count <- s + 1;
     Replay.Pairs.replace sets.child key s;
@@ -108,8 +107,7 @@ let rec same_stack ctx tid n i = function
 let held_set t tid =
   let ctx = t.ctx in
   let n = Replay.held_count ctx ~tid in
-  if tid >= Array.length t.last_set then
-    t.last_set <- Array.append t.last_set (Array.make (max 8 (tid + 1)) 0);
+  t.last_set <- Replay.grow t.last_set tid 0;
   let last = t.last_set.(tid) in
   if same_stack ctx tid n 0 t.sets.locks.(last) then last
   else begin

@@ -77,11 +77,8 @@ let account t tid a =
   end
 
 let enqueue c tid pos =
-  if c.n = Array.length c.req_tids then begin
-    let grow a = Array.append a (Array.make (max 4 c.n) 0) in
-    c.req_tids <- grow c.req_tids;
-    c.req_pos <- grow c.req_pos
-  end;
+  c.req_tids <- Replay.grow c.req_tids c.n 0;
+  c.req_pos <- Replay.grow c.req_pos c.n 0;
   c.req_tids.(c.n) <- tid;
   c.req_pos.(c.n) <- pos;
   c.n <- c.n + 1

@@ -22,6 +22,17 @@ let read_by_checkers : Trace.ev -> bool = function
 
 let kept = Trace.kinds read_by_checkers
 
+(* [a], or a copy of it at least twice as long that has an index [i],
+   its new slots filled with [x]. *)
+let grow a i x =
+  let len = Array.length a in
+  if i < len then a
+  else begin
+    let b = Array.make (max 8 (max (i + 1) (2 * len))) x in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
 module Slots = struct
   type 'a t = { mutable a : 'a option array }
 
@@ -29,12 +40,7 @@ module Slots = struct
   let get t id = if id < Array.length t.a then t.a.(id) else None
 
   let set t id v =
-    let len = Array.length t.a in
-    if id >= len then begin
-      let a = Array.make (max (id + 1) (2 * len)) None in
-      Array.blit t.a 0 a 0 len;
-      t.a <- a
-    end;
+    t.a <- grow t.a id None;
     t.a.(id) <- Some v
 
   let fold t f acc =
@@ -52,66 +58,6 @@ end)
 
 let pair a b = (a lsl 30) lor b
 
-module Names = Hashtbl.Make (String)
-
-(* One kind's names, numbered densely from 0 in first-seen order.
-   Emitters pass a lock's or state's own name string every time, so a
-   small cache answers most lookups by identity: a slot, picked from the
-   string's length and three of its bytes, holds the last string seen
-   there.  Only a miss hashes the whole string.  The slots start out
-   holding a string of the table's own, which no trace row can hold. *)
-type names = {
-  ids : int Names.t;
-  mutable strs : string array;
-  seen : string array;
-  seen_id : int array;
-}
-
-let cache_slots = 128
-
-let names () =
-  {
-    ids = Names.create 16;
-    strs = [||];
-    seen = Array.make cache_slots (String.make 1 ' ');
-    seen_id = Array.make cache_slots 0;
-  }
-
-(* Names that differ share a prefix more often than an end, so the
-   slot reads the last byte, the one four before it and the middle
-   one. *)
-let[@inline] slot s =
-  let n = String.length s in
-  if n < 4 then n
-  else
-    let last = Char.code (String.unsafe_get s (n - 1))
-    and fourth = Char.code (String.unsafe_get s (n - 4))
-    and middle = Char.code (String.unsafe_get s (n / 2)) in
-    (n + (7 * last) + (3 * fourth) + (5 * middle)) land (cache_slots - 1)
-
-let intern tbl s =
-  let k = slot s in
-  if Array.unsafe_get tbl.seen k == s then Array.unsafe_get tbl.seen_id k
-  else begin
-    let id =
-      match Names.find_opt tbl.ids s with
-      | Some id -> id
-      | None ->
-        let id = Names.length tbl.ids in
-        Names.add tbl.ids s id;
-        if id = Array.length tbl.strs then begin
-          let a = Array.make (max 8 (2 * id)) "" in
-          Array.blit tbl.strs 0 a 0 id;
-          tbl.strs <- a
-        end;
-        tbl.strs.(id) <- s;
-        id
-    in
-    tbl.seen.(k) <- s;
-    tbl.seen_id.(k) <- id;
-    id
-  end
-
 (* Per thread: the locks it holds, oldest first, as their ids and the
    positions of the rows that granted them, and the seq of the packet
    it is currently carrying up the stack. *)
@@ -128,11 +74,9 @@ type thread_state = {
 type ctx = {
   tracer : Trace.t;
   mutable threads : thread_state array;
-  locks : names;
-  gates : names;
-  logs : names;
-  states : names;
-  scr_locks : int Slots.t; (* log id -> lock id of its SCR apply lock *)
+  mutable scr_base : int;
+      (* the tracer's name count when the replay began: the SCR apply
+         lock of the log with id [l] has lock id [scr_base + l] *)
   mutable id : int; (* the current row's name id *)
 }
 
@@ -147,12 +91,7 @@ let state ctx tid =
   let s = find ctx tid in
   if s != idle then s
   else begin
-    let len = Array.length ctx.threads in
-    if tid >= len then begin
-      let a = Array.make (max (tid + 1) (2 * len)) idle in
-      Array.blit ctx.threads 0 a 0 len;
-      ctx.threads <- a
-    end;
+    ctx.threads <- grow ctx.threads tid idle;
     let s = new_state () in
     ctx.threads.(tid) <- s;
     s
@@ -161,7 +100,11 @@ let state ctx tid =
 let tracer ctx = ctx.tracer
 let id ctx = ctx.id
 let record ctx pos = Trace.record_at ctx.tracer pos
-let lock_name ctx id = ctx.locks.strs.(id)
+
+let lock_name ctx id =
+  if id < ctx.scr_base then Trace.name ctx.tracer id
+  else "scr:" ^ Trace.name ctx.tracer (id - ctx.scr_base)
+
 let held_count ctx ~tid = (find ctx tid).n
 let held_id ctx ~tid i = (find ctx tid).ids.(i)
 let held_grant ctx ~tid i = (find ctx tid).grants.(i)
@@ -177,14 +120,10 @@ let holds ctx ~tid id =
 let carrying ctx ~tid = (find ctx tid).carrying
 let seq ctx ~tid = (find ctx tid).seq
 
-let grow a n = Array.append a (Array.make (max 4 n) 0)
-
 let acquire ctx tid id pos =
   let s = state ctx tid in
-  if s.n = Array.length s.ids then begin
-    s.ids <- grow s.ids s.n;
-    s.grants <- grow s.grants s.n
-  end;
+  s.ids <- grow s.ids s.n 0;
+  s.grants <- grow s.grants s.n 0;
   s.ids.(s.n) <- id;
   s.grants.(s.n) <- pos;
   s.n <- s.n + 1
@@ -207,47 +146,31 @@ let drop ctx tid id =
    per-log lock: accesses inside them are consistently protected.  The
    channel ordering itself is Hb's job; this only keeps Eraser-style
    classification from calling the serialized sections unprotected. *)
-let scr_lock ctx log =
-  match Slots.get ctx.scr_locks log with
-  | Some id -> id
-  | None ->
-    let id = intern ctx.locks ("scr:" ^ ctx.logs.strs.(log)) in
-    Slots.set ctx.scr_locks log id;
-    id
+let scr_lock ctx log = ctx.scr_base + log
 
-(* One row: intern its name, hand it to [f], then apply it to the
-   context.  One match per row says both what a kind's name is and
+(* One row: read its name's id, hand it to [f], then apply it to the
+   context.  One match per row says both whether a kind has a name and
    what the kind does to the context. *)
-let[@inline] name ctx tbl row = ctx.id <- intern tbl (Trace.Row.name row)
-
 let[@inline] visit ctx f row =
   match Trace.Row.kind row with
   | Trace.Kind.Lock_grant ->
-    name ctx ctx.locks row;
+    ctx.id <- Trace.Row.id row;
     f row;
     acquire ctx (Trace.Row.tid row) ctx.id (Trace.Row.pos row)
   | Trace.Kind.Lock_release ->
-    name ctx ctx.locks row;
+    ctx.id <- Trace.Row.id row;
     f row;
     drop ctx (Trace.Row.tid row) ctx.id
-  | Trace.Kind.Lock_request ->
-    name ctx ctx.locks row;
-    f row
-  | Trace.Kind.Access ->
-    name ctx ctx.states row;
-    f row
-  | Trace.Kind.Gate_pass | Trace.Kind.Gate_advance ->
-    name ctx ctx.gates row;
-    f row
-  | Trace.Kind.Scr_append ->
-    name ctx ctx.logs row;
+  | Trace.Kind.Lock_request | Trace.Kind.Access | Trace.Kind.Gate_pass
+  | Trace.Kind.Gate_advance | Trace.Kind.Scr_append ->
+    ctx.id <- Trace.Row.id row;
     f row
   | Trace.Kind.Scr_apply ->
-    name ctx ctx.logs row;
+    ctx.id <- Trace.Row.id row;
     f row;
     acquire ctx (Trace.Row.tid row) (scr_lock ctx ctx.id) (Trace.Row.pos row)
   | Trace.Kind.Scr_apply_end ->
-    name ctx ctx.logs row;
+    ctx.id <- Trace.Row.id row;
     f row;
     drop ctx (Trace.Row.tid row) (scr_lock ctx ctx.id)
   | Trace.Kind.Span_begin ->
@@ -262,16 +185,8 @@ let[@inline] visit ctx f row =
     ctx.id <- -1;
     f row
 
-let create tracer =
-  {
-    tracer;
-    threads = [||];
-    locks = names ();
-    gates = names ();
-    logs = names ();
-    states = names ();
-    scr_locks = Slots.create ();
-    id = -1;
-  }
+let create tracer = { tracer; threads = [||]; scr_base = 0; id = -1 }
 
-let[@inline] replay ctx f = Trace.iter_rows ctx.tracer kept (fun row -> visit ctx f row)
+let[@inline] replay ctx f =
+  ctx.scr_base <- Trace.name_count ctx.tracer;
+  Trace.iter_rows ctx.tracer kept (fun row -> visit ctx f row)

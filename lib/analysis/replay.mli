@@ -20,9 +20,9 @@
     set the lock-order checker wants), and on a [Lock_release] it still
     is.
 
-    Names are interned once per replay, one numbering per kind (locks,
-    gates, SCR logs, states), densely from 0 in first-seen order, so the
-    checkers can key their tables by int. *)
+    A named row's name comes as the id its tracer gave it when it was
+    emitted ({!Pnp_engine.Trace.name}), so the checkers can key their
+    tables by int. *)
 
 type ctx
 
@@ -36,9 +36,9 @@ val read_by_checkers : Pnp_engine.Trace.ev -> bool
     the constructor alone. *)
 
 val id : ctx -> int
-(** The current row's name, interned: the id of its lock, gate, SCR log
-    or state in that kind's numbering, or [-1] for a row without a
-    name. *)
+(** The current row's name id, as stored in the row: the id of its
+    lock, gate, SCR log or state in the tracer's one numbering
+    ({!Pnp_engine.Trace.Row.id}), or [-1] for a row without a name. *)
 
 val record : ctx -> Pnp_engine.Trace.pos -> Pnp_engine.Trace.record
 (** The record at a position of the replayed trace: how a checker
@@ -46,7 +46,8 @@ val record : ctx -> Pnp_engine.Trace.pos -> Pnp_engine.Trace.record
 
 val lock_name : ctx -> int -> string
 (** The lock with this id.  Lock ids include one synthetic lock per SCR
-    log, ["scr:" ^ log], held across each apply section. *)
+    log, ["scr:" ^ log], held across each apply section; its id is above
+    every name the tracer had numbered when the replay began. *)
 
 (** {2 Held locks}
 
@@ -77,6 +78,11 @@ val replay : ctx -> (Pnp_engine.Trace.Row.t -> unit) -> unit
     The row cursor is valid during the call only. *)
 
 (** {2 Tables keyed by id} *)
+
+val grow : 'a array -> int -> 'a -> 'a array
+(** [grow a i x] is [a] if [i] is an index of [a], else a copy of [a],
+    at least twice as long and long enough to have index [i], whose new
+    slots hold [x]. *)
 
 module Slots : sig
   type 'a t

@@ -36,43 +36,30 @@ type ev =
 type record = { ts : int; tid : int; cpu : int; ev : ev }
 
 (* Arena-backed packed record store.  Records land in fixed-size chunks
-   as unboxed rows of ints: the timestamp, a header word, then the
+   as unboxed rows of ints: the timestamp, a header word, the
    constructor's int fields (none to two; booleans and phases as small
-   ints).  The header packs the tid (high 26 bits), the cpu
-   (31 bits, both sign-extended) and a 6-bit event kind, the
-   constructor's index.  A named constructor (lock, gate, log, state,
-   spawn name, fault cause) also appends its string to the chunk's name
-   column, in record order.  So a record is two to four words of row
-   plus at most one word of name, and no block of its own: emitted [ev]s
-   die young instead of being promoted with the chunk.  [iter_rows]
-   reads rows in place through a cursor and skips a row by its kind;
-   [iter] rebuilds each [ev] from its row.  [clear] keeps the chunks for
-   the next trace to refill, so repeated trace/clear cycles reuse the
-   same memory.
-   Chunks are allocated lazily on the first emit: a disabled tracer (the
-   default — one exists per sim) costs a few words, not a chunk. *)
+   ints) and, for a named constructor (lock, gate, log, state, spawn
+   name, fault cause), its name's id in the tracer's name table.  The
+   header packs the tid (high 26 bits), the cpu (31 bits, both
+   sign-extended) and a 6-bit event kind, the constructor's index.  So a
+   record is two to five words of row and no block of its own: emitted
+   [ev]s die young instead of being promoted with the chunk.
+   [iter_rows] reads rows in place through a cursor and skips a row by
+   its kind; [iter] rebuilds each [ev] from its row.  [clear] keeps the
+   chunks for the next trace to refill, so repeated trace/clear cycles
+   reuse the same memory.
+   Chunks and the name table are allocated lazily on the first emit: a
+   disabled tracer (the default — one exists per sim) costs a few words,
+   not a chunk. *)
 type chunk = {
-  c_words : int array; (* rows: ts, [pack ~tid ~cpu kind], the kind's ints *)
-  c_names : string array;
+  c_words : int array; (* rows: ts, [pack ~tid ~cpu kind], the kind's ints, its name id *)
   mutable c_len : int; (* words used *)
-  mutable c_nnames : int;
 }
 
-(* A chunk holds [names_per_chunk] named records whatever their rows
-   (the widest is four words), so it fills at 4096 state accesses. *)
 let words_per_chunk = 16384
-let names_per_chunk = 4096
-let max_row = 4
-
-let empty_chunk () = { c_words = [||]; c_names = [||]; c_len = 0; c_nnames = 0 }
-
-let fresh_chunk () =
-  {
-    c_words = Array.make words_per_chunk 0;
-    c_names = Array.make names_per_chunk "";
-    c_len = 0;
-    c_nnames = 0;
-  }
+let max_row = 5
+let empty_chunk () = { c_words = [||]; c_len = 0 }
+let fresh_chunk () = { c_words = Array.make words_per_chunk 0; c_len = 0 }
 
 (* tid sign-extended from the high 26 bits, cpu from the next 31, kind
    in the low 6. *)
@@ -153,6 +140,71 @@ let decode k name a b =
   | Kind.Rcu_read -> Rcu_read { state = name }
   | Kind.Rcu_publish -> Rcu_publish { state = name }
 
+module Names = Hashtbl.Make (String)
+
+(* Every name the tracer has recorded, numbered densely from 0 in
+   first-emission order.  Emitters pass a lock's or state's own name
+   string every time, so a small cache answers most lookups by
+   identity: a slot, picked from the string's length and three of its
+   bytes, holds the last string seen there.  Only a miss hashes the
+   whole string.  The slots start out holding a string of the table's
+   own, which no emitter can pass. *)
+type names = {
+  ids : int Names.t;
+  mutable strs : string array; (* id -> name *)
+  seen : string array;
+  seen_id : int array;
+}
+
+let cache_slots = 128
+
+let new_names () =
+  {
+    ids = Names.create 16;
+    strs = [||];
+    seen = Array.make cache_slots (String.make 1 ' ');
+    seen_id = Array.make cache_slots 0;
+  }
+
+(* Names that differ share a prefix more often than an end, so the
+   slot reads the last byte, the one four before it and the middle
+   one. *)
+let[@inline] slot s =
+  let n = String.length s in
+  if n < 4 then n
+  else
+    let last = Char.code (String.unsafe_get s (n - 1))
+    and fourth = Char.code (String.unsafe_get s (n - 4))
+    and middle = Char.code (String.unsafe_get s (n / 2)) in
+    (n + (7 * last) + (3 * fourth) + (5 * middle)) land (cache_slots - 1)
+
+let intern tbl s =
+  let k = slot s in
+  if Array.unsafe_get tbl.seen k == s then Array.unsafe_get tbl.seen_id k
+  else begin
+    let id =
+      match Names.find_opt tbl.ids s with
+      | Some id -> id
+      | None ->
+        let id = Names.length tbl.ids in
+        Names.add tbl.ids s id;
+        if id = Array.length tbl.strs then begin
+          let a = Array.make (max 8 (2 * id)) "" in
+          Array.blit tbl.strs 0 a 0 id;
+          tbl.strs <- a
+        end;
+        tbl.strs.(id) <- s;
+        id
+    in
+    tbl.seen.(k) <- s;
+    tbl.seen_id.(k) <- id;
+    id
+  end
+
+(* The table of a tracer that has recorded nothing, and of a cursor on
+   no tracer: it names nothing, and no name is ever interned into it. *)
+let no_names = { ids = Names.create 1; strs = [||]; seen = [||]; seen_id = [||] }
+
 type t = {
   mutable on : bool;
   mutable chunks : chunk array;
@@ -162,7 +214,8 @@ type t = {
   mutable used : int;
   mutable cur : chunk; (* [chunks.(used - 1)], or an empty chunk before the first row *)
   mutable n : int;
-  names : (int, string * int) Hashtbl.t; (* tid -> (name, cpu); always kept *)
+  mutable names : names; (* [no_names] until the first record; kept by [clear] *)
+  threads : (int, string * int) Hashtbl.t; (* tid -> (name, cpu); always kept *)
   locks : (string, string) Hashtbl.t; (* lock name -> discipline; kept by [clear] *)
 }
 
@@ -173,7 +226,8 @@ let create () =
     used = 0;
     cur = empty_chunk ();
     n = 0;
-    names = Hashtbl.create 16;
+    names = no_names;
+    threads = Hashtbl.create 16;
     locks = Hashtbl.create 16;
   }
 
@@ -183,12 +237,14 @@ let disable t = t.on <- false
 
 (* Registered at every spawn regardless of [on], so threads created before
    tracing starts still get names in the exported view. *)
-let register_thread t ~tid ~cpu name = Hashtbl.replace t.names tid (name, cpu)
+let register_thread t ~tid ~cpu name = Hashtbl.replace t.threads tid (name, cpu)
 
 (* Registered by each lock on its first traced record, so a lock created
    before tracing starts still has its discipline for the order checker. *)
 let register_lock t ~name ~discipline = Hashtbl.replace t.locks name discipline
 let lock_discipline t name = Hashtbl.find_opt t.locks name
+let name t id = t.names.strs.(id)
+let name_count t = Names.length t.names.ids
 
 let clear t =
   (* Keep the chunks: the next trace run refills them in place. *)
@@ -196,8 +252,7 @@ let clear t =
   t.cur <- empty_chunk ();
   t.n <- 0
 
-let[@inline] has_room c =
-  c.c_len + max_row <= Array.length c.c_words && c.c_nnames < Array.length c.c_names
+let[@inline] has_room c = c.c_len + max_row <= Array.length c.c_words
 
 (* [t.cur] is full: start the next chunk, reusing one [clear] left. *)
 let next_chunk t =
@@ -208,17 +263,17 @@ let next_chunk t =
     t.chunks <- a
   end;
   if Array.length t.chunks.(n).c_words = 0 then t.chunks.(n) <- fresh_chunk ();
+  if t.names == no_names then t.names <- new_names ();
   let c = t.chunks.(n) in
   t.used <- n + 1;
   c.c_len <- 0;
-  c.c_nnames <- 0;
   t.cur <- c;
   c
 
 (* The row after its ts and header word: [encode] writes the
-   constructor's int fields and name and returns its kind; [decode] is
-   its inverse.  The writes are unchecked: [encode] only runs on a chunk
-   with [has_room]. *)
+   constructor's int fields and name id and returns its kind; [decode]
+   is its inverse.  The writes are unchecked: [encode] only runs on a
+   chunk with [has_room]. *)
 let[@inline] row0 c k =
   c.c_len <- c.c_len + 2;
   k
@@ -236,40 +291,26 @@ let[@inline] row2 c k a b =
   c.c_len <- i + 4;
   k
 
-let[@inline] name c s =
-  let j = c.c_nnames in
-  Array.unsafe_set c.c_names j s;
-  c.c_nnames <- j + 1
+(* The row [k] just written, with the id of [s] after its ints. *)
+let[@inline] named tbl c s k =
+  let i = c.c_len in
+  Array.unsafe_set c.c_words i (intern tbl s);
+  c.c_len <- i + 1;
+  k
 
-let[@inline] encode c ev =
+let[@inline] encode tbl c ev =
   match ev with
-  | Thread_spawn { name = s } ->
-    name c s;
-    row0 c 0
+  | Thread_spawn { name } -> named tbl c name (row0 c 0)
   | Thread_fork { child } -> row1 c 1 child
   | Thread_exit -> row0 c 2
   | Thread_join { child } -> row1 c 3 child
-  | Lock_request { lock; waiters } ->
-    name c lock;
-    row1 c 4 waiters
-  | Lock_grant { lock; waiters; wait_ns } ->
-    name c lock;
-    row2 c 5 waiters wait_ns
-  | Lock_handoff { lock; to_tid; handoff_ns } ->
-    name c lock;
-    row2 c 6 to_tid handoff_ns
-  | Lock_release { lock; hold_ns } ->
-    name c lock;
-    row1 c 7 hold_ns
-  | Gate_take { gate; ticket } ->
-    name c gate;
-    row1 c 8 ticket
-  | Gate_pass { gate; ticket; wait_ns } ->
-    name c gate;
-    row2 c 9 ticket wait_ns
-  | Gate_advance { gate; serving } ->
-    name c gate;
-    row1 c 10 serving
+  | Lock_request { lock; waiters } -> named tbl c lock (row1 c 4 waiters)
+  | Lock_grant { lock; waiters; wait_ns } -> named tbl c lock (row2 c 5 waiters wait_ns)
+  | Lock_handoff { lock; to_tid; handoff_ns } -> named tbl c lock (row2 c 6 to_tid handoff_ns)
+  | Lock_release { lock; hold_ns } -> named tbl c lock (row1 c 7 hold_ns)
+  | Gate_take { gate; ticket } -> named tbl c gate (row1 c 8 ticket)
+  | Gate_pass { gate; ticket; wait_ns } -> named tbl c gate (row2 c 9 ticket wait_ns)
+  | Gate_advance { gate; serving } -> named tbl c gate (row1 c 10 serving)
   | Membus_charge { bytes; dur_ns } -> row2 c 11 bytes dur_ns
   | Mpool_alloc { hit } -> row1 c 12 (Bool.to_int hit)
   | Mnode_alloc { node } -> row1 c 13 node
@@ -279,59 +320,40 @@ let[@inline] encode c ev =
   | Mnode_write { node } -> row1 c 17 node
   | Span_begin { seq; phase } -> row2 c 18 seq (phase_index phase)
   | Span_end { seq; phase } -> row2 c 19 seq (phase_index phase)
-  | Access { state; write } ->
-    name c state;
-    row1 c 20 (Bool.to_int write)
-  | Fault_drop { cause } ->
-    name c cause;
-    row0 c 21
+  | Access { state; write } -> named tbl c state (row1 c 20 (Bool.to_int write))
+  | Fault_drop { cause } -> named tbl c cause (row0 c 21)
   | Fault_dup { copies } -> row1 c 22 copies
   | Fault_corrupt { off; bit } -> row2 c 23 off bit
   | Fault_reorder { delay_ns } -> row1 c 24 delay_ns
-  | Scr_append { log; idx } ->
-    name c log;
-    row1 c 25 idx
-  | Scr_apply { log; idx } ->
-    name c log;
-    row1 c 26 idx
-  | Scr_apply_end { log; idx } ->
-    name c log;
-    row1 c 27 idx
-  | Scr_replay { log; upto } ->
-    name c log;
-    row1 c 28 upto
-  | Rcu_read { state } ->
-    name c state;
-    row0 c 29
-  | Rcu_publish { state } ->
-    name c state;
-    row0 c 30
+  | Scr_append { log; idx } -> named tbl c log (row1 c 25 idx)
+  | Scr_apply { log; idx } -> named tbl c log (row1 c 26 idx)
+  | Scr_apply_end { log; idx } -> named tbl c log (row1 c 27 idx)
+  | Scr_replay { log; upto } -> named tbl c log (row1 c 28 upto)
+  | Rcu_read { state } -> named tbl c state (row0 c 29)
+  | Rcu_publish { state } -> named tbl c state (row0 c 30)
 
-(* Per kind, what [encode] writes: its row's length in words, and
-   whether it takes a name.  Read off one sample of each kind; a sample
-   that does not encode to its own kind would be a bug in [encode] or
-   [decode]. *)
+(* Per kind, its row's length in words and whether it takes a name
+   (whose id is then the last word of its row): read off one sample of
+   each kind, which must encode to its own kind, or [encode] and
+   [decode] disagree. *)
 let row_words, named_kinds =
-  let rows = Array.make n_kinds 0 and named = ref 0 in
-  for k = 0 to n_kinds - 1 do
-    let c = { c_words = Array.make max_row 0; c_names = [| "" |]; c_len = 0; c_nnames = 0 } in
-    if encode c (decode k "" 0 0) <> k then invalid_arg "Trace: encode and decode disagree";
-    rows.(k) <- c.c_len;
-    if c.c_nnames > 0 then named := !named lor (1 lsl k)
-  done;
+  let named = ref 0 in
+  let rows =
+    Array.init n_kinds (fun k ->
+        let tbl = new_names () and c = { c_words = Array.make max_row 0; c_len = 0 } in
+        if encode tbl c (decode k "" 0 0) <> k then invalid_arg "Trace: encode and decode disagree";
+        if Names.length tbl.ids > 0 then named := !named lor (1 lsl k);
+        c.c_len)
+  in
   (rows, !named)
 
 let is_named k = named_kinds land (1 lsl k) <> 0
-
-(* Per kind, how far its row moves a reader: twice its length in words,
-   plus one if it takes a name. *)
-let row_steps = Array.init n_kinds (fun k -> (2 * row_words.(k)) + Bool.to_int (is_named k))
 
 let emit t ~ts ~tid ~cpu ev =
   if t.on then begin
     let c = if has_room t.cur then t.cur else next_chunk t in
     let i = c.c_len in
-    let k = encode c ev in
+    let k = encode t.names c ev in
     Array.unsafe_set c.c_words i ts;
     Array.unsafe_set c.c_words (i + 1) (pack ~tid ~cpu k);
     t.n <- t.n + 1
@@ -351,11 +373,9 @@ let kinds p =
   done;
   !m
 
-(* A position packs a row's chunk, its first word and its name's index
-   in the chunk's name column. *)
+(* A position packs a row's chunk and its first word. *)
 let row_bits = 14
-let name_bits = 12
-let () = assert (words_per_chunk <= 1 lsl row_bits && names_per_chunk <= 1 lsl name_bits)
+let () = assert (words_per_chunk <= 1 lsl row_bits)
 
 type pos = int
 
@@ -368,10 +388,9 @@ module Row = struct
      two int fields can be read whatever its length. *)
   type t = {
     mutable w : int array; (* the chunk's [c_words] *)
-    mutable names : string array; (* its [c_names] *)
+    mutable names : names; (* its tracer's *)
     mutable ci : int; (* its index in [t.chunks] *)
     mutable i : int; (* the row's first word *)
-    mutable j : int; (* the index of its name, if it has one *)
     mutable h : int; (* its header word *)
     mutable kind : Kind.t;
   }
@@ -382,31 +401,30 @@ module Row = struct
   let[@inline] cpu r = cpu_of r.h
   let[@inline] int0 r = Array.unsafe_get r.w (r.i + 2)
   let[@inline] int1 r = Array.unsafe_get r.w (r.i + 3)
-  let name r = r.names.(r.j)
-  let[@inline] pos r = (r.ci lsl (row_bits + name_bits)) lor (r.i lsl name_bits) lor r.j
+  let[@inline] id r = Array.unsafe_get r.w (r.i + Array.unsafe_get row_words (kind_of r.h) - 1)
+  let name r = r.names.strs.(id r)
+  let[@inline] pos r = (r.ci lsl row_bits) lor r.i
 
-  let[@inline] visit r c ci =
+  let[@inline] visit (t : tracer) r c ci =
     r.w <- c.c_words;
-    r.names <- c.c_names;
+    r.names <- t.names;
     r.ci <- ci
 
-  (* To the row at word [i], name [j], with header [h]. *)
-  let[@inline] move r i j h =
+  (* To the row at word [i], with header [h]. *)
+  let[@inline] move r i h =
     r.i <- i;
-    r.j <- j;
     r.h <- h;
     r.kind <- Array.unsafe_get kind_of_index (kind_of h)
 
-  let cursor () =
-    { w = [||]; names = [||]; ci = 0; i = 0; j = 0; h = 0; kind = Kind.Thread_exit }
+  let cursor () = { w = [||]; names = no_names; ci = 0; i = 0; h = 0; kind = Kind.Thread_exit }
 
   let seek (t : tracer) r p =
-    let ci = p lsr (row_bits + name_bits) in
-    if ci <> r.ci || Array.length r.w = 0 then visit r t.chunks.(ci) ci;
-    let i = (p lsr name_bits) land ((1 lsl row_bits) - 1) in
+    let ci = p lsr row_bits in
+    if ci <> r.ci || Array.length r.w = 0 then visit t r t.chunks.(ci) ci;
+    let i = p land ((1 lsl row_bits) - 1) in
     (* The accessors read up to [max_row] words unchecked. *)
     if i + max_row > Array.length r.w then invalid_arg "Trace.Row.seek: not a position";
-    move r i (p land ((1 lsl name_bits) - 1)) (Array.unsafe_get r.w (i + 1))
+    move r i (Array.unsafe_get r.w (i + 1))
 
   let record r =
     let k = kind_of r.h in
@@ -428,18 +446,16 @@ let iter_rows t mask f =
   for ci = 0 to t.used - 1 do
     (* The rows as they stand when the chunk's visit begins. *)
     let c = t.chunks.(ci) in
-    let w = c.c_words and len = c.c_len and i = ref 0 and j = ref 0 in
-    Row.visit r c ci;
+    let w = c.c_words and len = c.c_len and i = ref 0 in
+    Row.visit t r c ci;
     while !i < len do
       let h = Array.unsafe_get w (!i + 1) in
       let k = kind_of h in
       if mask land (1 lsl k) <> 0 then begin
-        Row.move r !i !j h;
+        Row.move r !i h;
         f r
       end;
-      let step = Array.unsafe_get row_steps k in
-      j := !j + (step land 1);
-      i := !i + (step lsr 1)
+      i := !i + Array.unsafe_get row_words k
     done
   done
 
@@ -486,45 +502,47 @@ let lock_kinds =
     | _ -> false)
 
 let lock_table t =
-  let tbl : (string, acc) Hashtbl.t = Hashtbl.create 16 in
-  let get name =
-    match Hashtbl.find_opt tbl name with
-    | Some a -> a
-    | None ->
-      let a = { a_acq = 0; a_cont = 0; a_wait = 0; a_hold = 0; a_handoff = 0; a_maxq = 0 } in
-      Hashtbl.replace tbl name a;
-      a
-  in
+  let accs = Array.make (name_count t) None in
   iter_rows t lock_kinds (fun r ->
-      match (Row.record r).ev with
-      | Lock_request { lock; waiters } ->
-        let a = get lock in
+      let id = Row.id r in
+      let a =
+        match accs.(id) with
+        | Some a -> a
+        | None ->
+          let a = { a_acq = 0; a_cont = 0; a_wait = 0; a_hold = 0; a_handoff = 0; a_maxq = 0 } in
+          accs.(id) <- Some a;
+          a
+      in
+      match Row.kind r with
+      | Kind.Lock_request ->
+        let waiters = Row.int0 r in
         if waiters > a.a_maxq then a.a_maxq <- waiters
-      | Lock_grant { lock; wait_ns; _ } ->
-        let a = get lock in
+      | Kind.Lock_grant ->
+        let wait_ns = Row.int1 r in
         a.a_acq <- a.a_acq + 1;
         if wait_ns > 0 then a.a_cont <- a.a_cont + 1;
         a.a_wait <- a.a_wait + wait_ns
-      | Lock_handoff { lock; handoff_ns; _ } ->
-        let a = get lock in
-        a.a_handoff <- a.a_handoff + handoff_ns
-      | Lock_release { lock; hold_ns } ->
-        let a = get lock in
-        a.a_hold <- a.a_hold + hold_ns
+      | Kind.Lock_handoff -> a.a_handoff <- a.a_handoff + Row.int1 r
+      | Kind.Lock_release -> a.a_hold <- a.a_hold + Row.int0 r
       | _ -> ());
-  Hashtbl.fold
-    (fun lock a rows ->
-      {
-        lock;
-        acquisitions = a.a_acq;
-        contended = a.a_cont;
-        wait_ns = a.a_wait;
-        hold_ns = a.a_hold;
-        handoff_ns = a.a_handoff;
-        max_queue = a.a_maxq;
-      }
-      :: rows)
-    tbl []
+  let rows = ref [] in
+  Array.iteri
+    (fun id -> function
+      | None -> ()
+      | Some a ->
+        rows :=
+          {
+            lock = name t id;
+            acquisitions = a.a_acq;
+            contended = a.a_cont;
+            wait_ns = a.a_wait;
+            hold_ns = a.a_hold;
+            handoff_ns = a.a_handoff;
+            max_queue = a.a_maxq;
+          }
+          :: !rows)
+    accs;
+  !rows
   |> List.sort (fun x y ->
          match compare y.wait_ns x.wait_ns with 0 -> compare x.lock y.lock | c -> c)
 
@@ -561,7 +579,7 @@ let to_chrome_string t =
   in
   Buffer.add_string buf "{\"traceEvents\":[\n";
   (* Thread-name metadata rows (one per simulated thread). *)
-  Hashtbl.fold (fun tid (name, cpu) acc -> (tid, name, cpu) :: acc) t.names []
+  Hashtbl.fold (fun tid (name, cpu) acc -> (tid, name, cpu) :: acc) t.threads []
   |> List.sort compare
   |> List.iter (fun (tid, name, cpu) ->
          add

@@ -143,6 +143,16 @@ val lock_discipline : t -> string -> string option
 (** The discipline registered for a lock name, if any: [None] for a lock
     that has never appeared in a trace. *)
 
+val name : t -> int -> string
+(** The name with this id.  A tracer numbers the names of the records it
+    is given (locks, gates, SCR logs, states, spawned threads, fault
+    causes) densely from 0, in the order they are first emitted, with
+    one numbering for all of them; {!clear} keeps the numbering. *)
+
+val name_count : t -> int
+(** How many names the tracer has numbered: their ids run from 0 to
+    [name_count t - 1]. *)
+
 val events : t -> record list
 (** All recorded events in emission (= time) order. *)
 
@@ -170,8 +180,11 @@ val kinds : (ev -> bool) -> kinds
     The same records without a [record] or an [ev] built per record:
     {!iter_rows} moves one cursor over the stored rows, and its
     accessors read the current row's fields where they are stored.  A
-    consumer that keeps a record for later keeps its {!pos} and
-    rebuilds it with {!record_at} only if it needs it. *)
+    row is a few ints: the timestamp, a word packing tid, cpu and
+    {!Kind.t}, the constructor's int fields and, for a named
+    constructor, its name's id (see {!name}).  A consumer that keeps a
+    record for later keeps its {!pos} and rebuilds it with {!record_at}
+    only if it needs it. *)
 
 (** An {!ev} constructor without its fields. *)
 module Kind : sig
@@ -190,10 +203,9 @@ end
 type tracer = t
 
 type pos = int
-(** Where a record is stored: its chunk, its row and, for a named
-    constructor, its entry in the chunk's name column.  Positions grow
-    in emission order.  A plain int, so consumers can keep positions in
-    int arrays; it is valid until the next {!clear}. *)
+(** Where a record is stored: its chunk and its row's first word.
+    Positions grow in emission order.  A plain int, so consumers can
+    keep positions in int arrays; it is valid until the next {!clear}. *)
 
 module Row : sig
   type t
@@ -216,9 +228,14 @@ module Row : sig
       the phase's index in declaration order, or [bit].  Unspecified for
       a constructor without one. *)
 
+  val id : t -> int
+  (** The id of a named constructor's lock, gate, log, state, thread or
+      fault-cause name, as stored in the row; unspecified for the
+      others. *)
+
   val name : t -> string
-  (** The lock, gate, log, state, thread or fault-cause name of a named
-      constructor; unspecified for the others. *)
+  (** That name: [name tracer (id r)].  Unspecified for a constructor
+      without one. *)
 
   val pos : t -> pos
 

@@ -253,7 +253,9 @@ let test_finding_exit_code () =
 (* Trace store chunk boundaries                                       *)
 (* ------------------------------------------------------------------ *)
 
-let chunk = 4096 (* state accesses per Trace chunk (its name column) *)
+(* State accesses per Trace chunk: four-word rows in 16,384 words, each
+   written while five words are left. *)
+let chunk = 4095
 
 let boundary_trace n =
   let t = Trace.create () in

@@ -288,6 +288,100 @@ let test_every_event_has_a_reader () =
         Alcotest.failf "every_ev.(%d) has no reader" i)
     every_ev
 
+(* More distinct names than the tracer's identity cache has slots,
+   named records interleaved with unnamed ones over several chunks, and
+   half the emissions passing a fresh copy of the name: every name must
+   come back through each reader, with ids dense in first-emission
+   order, and again after [clear] and a second trace. *)
+let test_names_round_trip () =
+  let n_names = 300 and n_records = 24_000 in
+  let names = Array.init n_names (Printf.sprintf "tcp.conn:%d") in
+  let ev n =
+    let s = names.(n / 2 * 7 mod n_names) in
+    let s = if n land 4 = 0 then s else String.sub s 0 (String.length s) in
+    match n mod 4 with
+    | 0 -> Trace.Lock_grant { lock = s; waiters = n; wait_ns = -n }
+    | 1 -> Trace.Mnode_ref { node = n; refs = 2 }
+    | 2 -> Trace.Access { state = s; write = n land 2 = 0 }
+    | _ -> Trace.Span_begin { seq = n; phase = Trace.Ip }
+  in
+  let t = Trace.create () in
+  Trace.enable t;
+  (* At two to five words a row, the rows fill at least four chunks. *)
+  let trace evs =
+    Trace.clear t;
+    (* Enabled just above. *)
+    List.iteri (fun ts ev -> Trace.emit t ~ts ~tid:1 ~cpu:0 ev (* lint:allow *)) evs;
+    let expected = List.mapi (fun ts ev -> { Trace.ts; tid = 1; cpu = 0; ev }) evs in
+    if Trace.events t <> expected then Alcotest.fail "a record did not round-trip through iter";
+    let named = Trace.kinds (function Trace.Lock_grant _ | Trace.Access _ -> true | _ -> false) in
+    let rows = ref [] in
+    Trace.iter_rows t named (fun row ->
+        let r = Trace.Row.record row in
+        (match r.Trace.ev with
+         | Trace.Lock_grant { lock = s; _ } | Trace.Access { state = s; _ } ->
+           if Trace.Row.name row <> s then Alcotest.failf "row %d: Row.name is wrong" r.Trace.ts
+         | _ -> ());
+        rows := (Trace.Row.pos row, Trace.Row.id row, r) :: !rows);
+    List.iter
+      (fun (pos, _, r) ->
+        if Trace.record_at t pos <> r then Alcotest.failf "record_at of row %d" r.Trace.ts)
+      !rows;
+    List.rev_map (fun (_, id, (r : Trace.record)) -> (id, r)) !rows
+  in
+  let name_of (r : Trace.record) =
+    match r.Trace.ev with
+    | Trace.Lock_grant { lock = s; _ } | Trace.Access { state = s; _ } -> s
+    | _ -> assert false
+  in
+  (* Every id names its string, and a name's id never changes. *)
+  let ids = Hashtbl.create 64 in
+  let check_ids rows =
+    List.iter
+      (fun (id, r) ->
+        let s = name_of r in
+        if Trace.name t id <> s then Alcotest.failf "id %d is %S, not %S" id (Trace.name t id) s;
+        match Hashtbl.find_opt ids s with
+        | Some id' -> if id <> id' then Alcotest.failf "%S has ids %d and %d" s id' id
+        | None ->
+          if id <> Hashtbl.length ids then
+            Alcotest.failf "%S first emitted as id %d, not %d" s id (Hashtbl.length ids);
+          Hashtbl.replace ids s id)
+      rows
+  in
+  check_ids (trace (List.init n_records ev));
+  Alcotest.(check int) "every name numbered" n_names (Trace.name_count t);
+  (* The second trace: the names in another order, and new ones. *)
+  let fresh = Array.init 50 (Printf.sprintf "ip.demux:%d") in
+  check_ids
+    (trace
+       (List.init n_records (fun n ->
+            if n mod 10 = 9 then Trace.Access { state = fresh.(n / 10 mod 50); write = true }
+            else ev (n_records - n))));
+  Alcotest.(check int) "the new names numbered after the old" (n_names + 50) (Trace.name_count t)
+
+(* A name the tracer has seen costs an emit no allocation: the identity
+   cache answers, and the id goes into the row. *)
+let test_interned_emit_allocates_nothing () =
+  let t = Trace.create () in
+  Trace.enable t;
+  let ev = Trace.Lock_grant { lock = "tcp.conn:0"; waiters = 1; wait_ns = 2 } in
+  let emits () =
+    for ts = 1 to 10_000 do
+      (* Enabled just above. *)
+      Trace.emit t ~ts ~tid:0 ~cpu:0 ev (* lint:allow *)
+    done
+  in
+  (* The first pass interns the name and allocates the chunks. *)
+  emits ();
+  Trace.clear t;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.)) "minor words of 10^4 emits" (words ignore) (words emits)
+
 let fig10_cfg ~seed =
   Config.v ~protocol:Config.Tcp ~side:Config.Recv ~payload:4096 ~checksum:true
     ~lock_disc:Lock.Unfair ~procs:8 ~warmup:(Pnp_util.Units.ms 30.0)
@@ -441,6 +535,9 @@ let suites =
         Alcotest.test_case "records keep tid and cpu" `Quick test_records_keep_tid_and_cpu;
         Alcotest.test_case "every event round-trips" `Quick test_every_event_round_trips;
         Alcotest.test_case "every event has a reader" `Quick test_every_event_has_a_reader;
+        Alcotest.test_case "names round-trip" `Quick test_names_round_trip;
+        Alcotest.test_case "interned emit allocates nothing" `Quick
+          test_interned_emit_allocates_nothing;
         Alcotest.test_case "chrome export sanity" `Quick test_chrome_export_sanity;
       ] );
     ( "harness.trace",
