@@ -48,9 +48,8 @@ type record = { ts : int; tid : int; cpu : int; ev : ev }
    its kind; [iter] rebuilds each [ev] from its row.  [clear] keeps the
    chunks for the next trace to refill, so repeated trace/clear cycles
    reuse the same memory.
-   Chunks and the name table are allocated lazily on the first emit: a
-   disabled tracer (the default — one exists per sim) costs a few words,
-   not a chunk. *)
+   Chunks are allocated lazily on the first emit: a disabled tracer (the
+   default — one exists per sim) costs its name table, not a chunk. *)
 type chunk = {
   c_words : int array; (* rows: ts, [pack ~tid ~cpu kind], the kind's ints, its name id *)
   mutable c_len : int; (* words used *)
@@ -154,6 +153,7 @@ type names = {
   mutable strs : string array; (* id -> name *)
   seen : string array;
   seen_id : int array;
+  mutable misses : int; (* lookups the cache did not answer *)
 }
 
 let cache_slots = 128
@@ -164,6 +164,7 @@ let new_names () =
     strs = [||];
     seen = Array.make cache_slots (String.make 1 ' ');
     seen_id = Array.make cache_slots 0;
+    misses = 0;
   }
 
 (* Names that differ share a prefix more often than an end, so the
@@ -182,6 +183,7 @@ let intern tbl s =
   let k = slot s in
   if Array.unsafe_get tbl.seen k == s then Array.unsafe_get tbl.seen_id k
   else begin
+    tbl.misses <- tbl.misses + 1;
     let id =
       match Names.find_opt tbl.ids s with
       | Some id -> id
@@ -201,10 +203,6 @@ let intern tbl s =
     id
   end
 
-(* The table of a tracer that has recorded nothing, and of a cursor on
-   no tracer: it names nothing, and no name is ever interned into it. *)
-let no_names = { ids = Names.create 1; strs = [||]; seen = [||]; seen_id = [||] }
-
 type t = {
   mutable on : bool;
   mutable chunks : chunk array;
@@ -214,7 +212,7 @@ type t = {
   mutable used : int;
   mutable cur : chunk; (* [chunks.(used - 1)], or an empty chunk before the first row *)
   mutable n : int;
-  mutable names : names; (* [no_names] until the first record; kept by [clear] *)
+  names : names; (* kept by [clear] *)
   threads : (int, string * int) Hashtbl.t; (* tid -> (name, cpu); always kept *)
   locks : (string, string) Hashtbl.t; (* lock name -> discipline; kept by [clear] *)
 }
@@ -226,7 +224,7 @@ let create () =
     used = 0;
     cur = empty_chunk ();
     n = 0;
-    names = no_names;
+    names = new_names ();
     threads = Hashtbl.create 16;
     locks = Hashtbl.create 16;
   }
@@ -243,8 +241,13 @@ let register_thread t ~tid ~cpu name = Hashtbl.replace t.threads tid (name, cpu)
    before tracing starts still has its discipline for the order checker. *)
 let register_lock t ~name ~discipline = Hashtbl.replace t.locks name discipline
 let lock_discipline t name = Hashtbl.find_opt t.locks name
-let name t id = t.names.strs.(id)
 let name_count t = Names.length t.names.ids
+
+let name t id =
+  if id < 0 || id >= name_count t then invalid_arg "Trace.name: not a name id";
+  t.names.strs.(id)
+
+let name_misses t = t.names.misses
 
 let clear t =
   (* Keep the chunks: the next trace run refills them in place. *)
@@ -263,7 +266,6 @@ let next_chunk t =
     t.chunks <- a
   end;
   if Array.length t.chunks.(n).c_words = 0 then t.chunks.(n) <- fresh_chunk ();
-  if t.names == no_names then t.names <- new_names ();
   let c = t.chunks.(n) in
   t.used <- n + 1;
   c.c_len <- 0;
@@ -416,7 +418,8 @@ module Row = struct
     r.h <- h;
     r.kind <- Array.unsafe_get kind_of_index (kind_of h)
 
-  let cursor () = { w = [||]; names = no_names; ci = 0; i = 0; h = 0; kind = Kind.Thread_exit }
+  let on names = { w = [||]; names; ci = 0; i = 0; h = 0; kind = Kind.Thread_exit }
+  let cursor () = on (new_names ())
 
   let seek (t : tracer) r p =
     let ci = p lsr row_bits in
@@ -437,12 +440,12 @@ module Row = struct
 end
 
 let record_at t p =
-  let r = Row.cursor () in
+  let r = Row.on t.names in
   Row.seek t r p;
   Row.record r
 
 let iter_rows t mask f =
-  let r = Row.cursor () in
+  let r = Row.on t.names in
   for ci = 0 to t.used - 1 do
     (* The rows as they stand when the chunk's visit begins. *)
     let c = t.chunks.(ci) in

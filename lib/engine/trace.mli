@@ -147,11 +147,19 @@ val name : t -> int -> string
 (** The name with this id.  A tracer numbers the names of the records it
     is given (locks, gates, SCR logs, states, spawned threads, fault
     causes) densely from 0, in the order they are first emitted, with
-    one numbering for all of them; {!clear} keeps the numbering. *)
+    one numbering for all of them; {!clear} keeps the numbering.
+    Raises [Invalid_argument] for an id outside [0 .. name_count t - 1]. *)
 
 val name_count : t -> int
 (** How many names the tracer has numbered: their ids run from 0 to
     [name_count t - 1]. *)
+
+val name_misses : t -> int
+(** How many of the tracer's named records, since it was created, found
+    their name by hashing the whole string.  The others were answered by
+    string identity: an emitter that passes the same string for a name
+    every time misses on its first record and after another name took
+    its cache slot, one that builds the string anew on every record. *)
 
 val events : t -> record list
 (** All recorded events in emission (= time) order. *)
