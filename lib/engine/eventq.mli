@@ -4,10 +4,10 @@
     number breaks ties), which keeps every run of the simulator bit-for-bit
     deterministic.
 
-    The implementation is a structure-of-arrays 4-ary min-heap: timestamps
-    and sequence numbers live in unboxed [int array]s, so the one-event-per
-    simulated-action hot loop ({!add}/{!pop_exn}) allocates nothing per
-    event. *)
+    The implementation is a structure-of-arrays 4-ary min-heap over
+    integer keys, with each payload in a slot that does not move: the
+    one-event-per-simulated-action hot loop ({!add}/{!pop_exn})
+    allocates nothing per event and a sift moves no pointer. *)
 
 type 'a t
 
@@ -34,8 +34,9 @@ val head_before : 'a t -> time:int -> seq:int -> bool
 exception Empty
 
 val pop_exn : 'a t -> 'a
-(** Remove the earliest event and return its payload.  Allocation-free —
-    the simulator's event loop calls this once per event; pair with
+(** Remove the earliest event and return its payload, which the queue no
+    longer references.  Allocation-free — the simulator's event loop
+    calls this once per event; pair with
     {!peek_time_exn} when the timestamp is needed.  @raise Empty when
     the queue is empty. *)
 

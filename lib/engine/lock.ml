@@ -11,7 +11,7 @@ type t = {
   name : string;
   acquire_ns : int;
   mutable announced : bool; (* discipline registered with the tracer *)
-  mutable owner : Sim.thread; (* [Sim.no_thread] while free *)
+  mutable owner : int; (* the owner's tid; -1 while free *)
   mutable last_cpu : int;
   mutable waiters : waiter array;
       (* slots [0, nwaiters) in arrival order; [||] while nobody waits *)
@@ -41,7 +41,7 @@ let create sim arch disc ~name =
     name;
     acquire_ns;
     announced = false;
-    owner = Sim.no_thread;
+    owner = -1;
     last_cpu = -1;
     waiters = [||];
     nwaiters = 0;
@@ -71,7 +71,7 @@ let trace t ev =
   Sim.trace t.sim ev
 
 let become_owner t th ~grant_time =
-  t.owner <- th;
+  t.owner <- Sim.tid th;
   t.last_cpu <- Sim.cpu th;
   t.acquisitions <- t.acquisitions + 1;
   t.hold_start <- grant_time
@@ -104,7 +104,7 @@ let acquire t =
   Sim.delay t.sim t.acquire_ns;
   if Trace.enabled (Sim.tracer t.sim) then
     trace t (Trace.Lock_request { lock = t.name; waiters = t.nwaiters });
-  if t.owner == Sim.no_thread then begin
+  if t.owner < 0 then begin
     let mig = migration_ns t th in
     become_owner t th ~grant_time:(Sim.now t.sim + mig);
     if Trace.enabled (Sim.tracer t.sim) then
@@ -148,10 +148,12 @@ let take_waiter t =
 
 (* A non-owner release is always a caller bug; name everyone involved so
    the report is actionable without a debugger. *)
-let non_owner_release ~what ~lock ~owner th =
+let non_owner_release sim ~what ~lock ~owner th =
   let owner_desc =
-    if owner == Sim.no_thread then "not held"
-    else Printf.sprintf "owned by tid %d (%s)" (Sim.tid owner) (Sim.thread_name owner)
+    if owner < 0 then "not held"
+    else
+      Printf.sprintf "owned by tid %d (%s)" owner
+        (Sim.thread_name (Sim.thread_of_tid sim owner))
   in
   invalid_arg
     (Printf.sprintf "%s %S: caller tid %d (%s) is not the owner; lock is %s" what lock
@@ -161,13 +163,14 @@ let release t =
   if Sim.defer_active t.sim then ()
   else begin
   let th = Sim.self t.sim in
-  if t.owner != th then non_owner_release ~what:"Lock.release" ~lock:t.name ~owner:t.owner th;
+  if t.owner <> Sim.tid th then
+    non_owner_release t.sim ~what:"Lock.release" ~lock:t.name ~owner:t.owner th;
   let now = Sim.now t.sim in
   t.total_hold_ns <- t.total_hold_ns + (now - t.hold_start);
   if Trace.enabled (Sim.tracer t.sim) then
     trace t (Trace.Lock_release { lock = t.name; hold_ns = now - t.hold_start });
   if t.nwaiters = 0 then begin
-    t.owner <- Sim.no_thread;
+    t.owner <- -1;
     t.last_cpu <- Sim.cpu th
   end
   else
@@ -208,27 +211,27 @@ let total_wait_ns t = t.total_wait_ns
 let total_hold_ns t = t.total_hold_ns
 
 module Counting = struct
-  type nonrec t = { lock : t; mutable owner : Sim.thread; mutable depth : int }
+  type nonrec t = { lock : t; mutable owner : int; mutable depth : int }
 
-  let create sim arch disc ~name =
-    { lock = create sim arch disc ~name; owner = Sim.no_thread; depth = 0 }
+  let create sim arch disc ~name = { lock = create sim arch disc ~name; owner = -1; depth = 0 }
 
   let acquire t =
-    let th = Sim.self t.lock.sim in
-    if t.owner == th then t.depth <- t.depth + 1
+    let tid = Sim.tid (Sim.self t.lock.sim) in
+    if t.owner = tid then t.depth <- t.depth + 1
     else begin
       acquire t.lock;
-      t.owner <- th;
+      t.owner <- tid;
       t.depth <- 1
     end
 
   let release t =
     let th = Sim.self t.lock.sim in
-    if t.owner != th then
-      non_owner_release ~what:"Lock.Counting.release" ~lock:t.lock.name ~owner:t.owner th;
+    if t.owner <> Sim.tid th then
+      non_owner_release t.lock.sim ~what:"Lock.Counting.release" ~lock:t.lock.name
+        ~owner:t.owner th;
     t.depth <- t.depth - 1;
     if t.depth = 0 then begin
-      t.owner <- Sim.no_thread;
+      t.owner <- -1;
       release t.lock
     end
 

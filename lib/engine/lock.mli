@@ -37,8 +37,8 @@ val release : t -> unit
 (** Release; if waiters exist, grant per the discipline.  Must be called by
     the owner.
     @raise Invalid_argument when the caller does not own the lock; the
-    message names the lock, the caller's tid and the owner's tid (or
-    "not held"). *)
+    message names the lock, the caller's tid and thread name and the
+    owner's (or says "not held"). *)
 
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock t f] = acquire; run [f]; release — releasing on exceptions. *)

@@ -8,7 +8,6 @@ type thread = {
   mutable runnable : bool; (* has a scheduled resumption (or is running) *)
   mutable waited_ns : int;
   mutable suspend_gen : int; (* suspension generation; catches stale resumes *)
-  as_current : thread option; (* [Some] of this thread, allocated once *)
 }
 
 type t = {
@@ -17,7 +16,7 @@ type t = {
   rng : Prng.t;
   mutable next_tid : int;
   mutable next_cpu : int;
-  mutable current : thread option;
+  mutable current : int; (* the running thread's tid; -1 outside a thread *)
   mutable threads : thread array; (* tid-indexed; first [next_tid] slots live *)
   mutable stopping : bool;
   mutable processed : int;
@@ -34,13 +33,7 @@ type t = {
 }
 
 let new_thread ~tid ~cpu ~name =
-  let rec th =
-    { tid; cpu; name; finished = false; runnable = true; waited_ns = 0; suspend_gen = 0;
-      as_current = Some th }
-  in
-  th
-
-let no_thread = new_thread ~tid:(-1) ~cpu:(-1) ~name:"(none)"
+  { tid; cpu; name; finished = false; runnable = true; waited_ns = 0; suspend_gen = 0 }
 
 type _ Effect.t +=
   | Suspend : t * ((int -> unit) -> unit) -> unit Effect.t
@@ -56,7 +49,7 @@ let create ?(seed = 42) () =
     rng = Prng.create seed;
     next_tid = 0;
     next_cpu = 0;
-    current = None;
+    current = -1;
     threads = [||];
     stopping = false;
     processed = 0;
@@ -74,7 +67,7 @@ let trace_thread t th ev =
   if Trace.enabled t.tracer then
     Trace.emit t.tracer ~ts:t.now ~tid:th.tid ~cpu:th.cpu ev
 
-let trace t ev = match t.current with Some th -> trace_thread t th ev | None -> ()
+let trace t ev = if t.current >= 0 then trace_thread t t.threads.(t.current) ev
 
 let at t time f =
   if time >= t.now then Eventq.add t.events ~time f
@@ -85,20 +78,23 @@ let at t time f =
 let after t d = at t (t.now + d)
 
 let self t =
-  match t.current with
-  | Some th -> th
-  | None -> failwith "Sim.self: not inside a simulated thread"
+  if t.current < 0 then failwith "Sim.self: not inside a simulated thread";
+  t.threads.(t.current)
 
-(* One burst of a thread's execution: [t.current] is set while [k] runs
-   and cleared when the thread suspends, finishes, or escapes with an
-   exception.  Hand-rolled rather than [Fun.protect] so the per-burst
-   cost is two field writes, not a finaliser closure or a fresh [Some]. *)
+let thread_of_tid t tid =
+  if tid < 0 || tid >= t.next_tid then invalid_arg "Sim.thread_of_tid: no such thread";
+  t.threads.(tid)
+
+(* One burst of a thread's execution: [t.current] holds its tid while [k]
+   runs and is cleared when the thread suspends, finishes, or escapes
+   with an exception.  Hand-rolled rather than [Fun.protect] so the
+   per-burst cost is two integer stores, not a finaliser closure. *)
 let run_burst t th k x =
-  t.current <- th.as_current;
+  t.current <- th.tid;
   match k x with
-  | () -> t.current <- None
+  | () -> t.current <- -1
   | exception e ->
-    t.current <- None;
+    t.current <- -1;
     raise e
 
 let continue_unit k = Effect.Deep.continue k ()
@@ -187,15 +183,13 @@ let spawn t ?cpu ~name body =
      parent's tid so the happens-before checker can seed the child's
      clock from it; top-level spawns (setup code) have no parent edge. *)
   if Trace.enabled t.tracer then begin
-    (match t.current with
-    | Some parent -> trace_thread t parent (Trace.Thread_fork { child = th.tid })
-    | None -> ());
+    trace t (Trace.Thread_fork { child = th.tid });
     trace_thread t th (Trace.Thread_spawn { name })
   end;
   at t t.now (fun () -> start_thread t th body);
   th
 
-let in_thread t = Option.is_some t.current
+let in_thread t = t.current >= 0
 
 let suspend t register =
   if t.defer_on then
@@ -221,6 +215,20 @@ let defer_end t =
 
 let defer_active t = t.defer_on
 
+(* The dispatch loop of [run] and of an in-place [wait]: run, one at a
+   time in global (time, seq) order, every queued event that sorts
+   before the key, until [stop]. *)
+let[@inline] run_before t ~time ~seq =
+  let q = t.events in
+  while (not t.stopping) && Eventq.head_before q ~time ~seq do
+    let now = Eventq.peek_time_exn q in
+    let action = Eventq.pop_exn q in
+    assert (now >= t.now);
+    t.now <- now;
+    t.processed <- t.processed + 1;
+    action ()
+  done
+
 (* A delaying thread need not suspend to let the events due before its
    wake-up run: it reserves the (time, seq) key its resume event would
    have had and runs every event ordered before that key itself, with
@@ -233,26 +241,17 @@ let defer_active t = t.defer_on
    the thread at its reserved key ([Park]), as if it had suspended: the
    exception escapes [run] with the thread's frames, and its locks,
    intact. *)
-let wait t th wake =
-  let q = t.events in
-  let seq = Eventq.reserve q in
+let wait t tid wake =
+  let seq = Eventq.reserve t.events in
   let outer = t.horizon in
   t.horizon <- wake - 1;
-  t.current <- None;
-  match
-    while (not t.stopping) && Eventq.head_before q ~time:wake ~seq do
-      let time = Eventq.peek_time_exn q in
-      let action = Eventq.pop_exn q in
-      t.now <- time;
-      t.processed <- t.processed + 1;
-      action ()
-    done
-  with
+  t.current <- -1;
+  match run_before t ~time:wake ~seq with
   | () ->
     t.horizon <- outer;
     if t.stopping then Effect.perform (Park (t, wake, seq, None))
     else begin
-      t.current <- th.as_current;
+      t.current <- tid;
       t.now <- wake;
       t.processed <- t.processed + 1
     end
@@ -267,14 +266,15 @@ let wait t th wake =
    suspends only outside a thread, past [horizon] or after [stop]. *)
 let[@inline] pass t d =
   let wake = t.now + d in
-  match t.current with
-  | Some th when wake <= t.horizon && not t.stopping ->
-    if Eventq.head_before t.events ~time:wake ~seq:max_int then wait t th wake
+  let tid = t.current in
+  if tid >= 0 && wake <= t.horizon && not t.stopping then begin
+    if Eventq.head_before t.events ~time:wake ~seq:max_int then wait t tid wake
     else begin
       t.now <- wake;
       t.processed <- t.processed + 1
     end
-  | _ -> suspend t (fun resume -> resume wake)
+  end
+  else suspend t (fun resume -> resume wake)
 
 let delay t d =
   if d < 0 then invalid_arg "Sim.delay: negative duration";
@@ -287,28 +287,13 @@ let yield t = if not t.defer_on then pass t 0
 
 let stop t = t.stopping <- true
 
-(* One event at a time in global (time, seq) order: peek_time_exn/pop_exn
-   return immediates rather than options/tuples, and emptiness is checked
-   up front. *)
+(* Every event at or before [limit]: the key ([limit], max_int) sorts
+   after all of them, since no seq reaches max_int. *)
 let run ?until t =
   t.stopping <- false;
   let limit = match until with Some l -> l | None -> max_int in
   t.horizon <- limit;
-  let continue_ = ref true in
-  while !continue_ && not t.stopping do
-    if Eventq.is_empty t.events then continue_ := false
-    else begin
-      let time = Eventq.peek_time_exn t.events in
-      if time > limit then continue_ := false
-      else begin
-        let action = Eventq.pop_exn t.events in
-        assert (time >= t.now);
-        t.now <- time;
-        t.processed <- t.processed + 1;
-        action ()
-      end
-    end
-  done;
+  run_before t ~time:limit ~seq:max_int;
   match until with
   | Some limit when not t.stopping -> t.now <- max t.now limit
   | _ -> ()

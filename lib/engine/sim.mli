@@ -18,9 +18,6 @@ type t
 type thread
 (** A simulated thread. *)
 
-val no_thread : thread
-(** A sentinel that is never a spawned thread (tid -1), for owner slots. *)
-
 val create : ?seed:int -> unit -> t
 (** Fresh world at time 0.  [seed] initialises the world's PRNG (used by
     unfair lock grants and workload jitter). *)
@@ -126,6 +123,11 @@ val defer_active : t -> bool
 (** {2 Thread accessors} *)
 
 val tid : thread -> int
+
+val thread_of_tid : t -> int -> thread
+(** The thread with the given {!tid}.  @raise Invalid_argument when no
+    thread of the world has it. *)
+
 val cpu : thread -> int
 val thread_name : thread -> string
 val is_finished : thread -> bool

@@ -74,30 +74,30 @@ let sum_bytes b off len =
 
 (* Summing a multi-slice message must respect byte positions: a slice of
    odd length shifts the parity of every following byte.  We track the
-   global offset and add odd-positioned slices byte-swapped, the standard
-   technique for scattered data.
+   parity of the global offset and add odd-positioned slices
+   byte-swapped, the standard technique for scattered data.
 
    Each slice first consults the node's one-slot sum memo (Mpool): a
    payload node shared via [Msg.dup] — driver templates, the rexmt
    queue — is scanned once and then checksummed in O(1).  Misses (e.g.
-   every freshly written header) compute and refill the slot. *)
-let sum_slices msg =
-  let total = ref 0 in
-  let pos = ref 0 in
-  Msg.iter_parts msg (fun node off len ->
-      let s =
-        let c = Mpool.cached_sum node ~off ~len in
-        if c >= 0 then c
-        else begin
-          let s = sum_bytes (Mpool.data node) off len in
-          Mpool.cache_sum node ~off ~len s;
-          s
-        end
-      in
-      let s = if !pos land 1 = 0 then s else ((s land 0xff) lsl 8) lor (s lsr 8) in
-      total := add !total s;
-      pos := !pos + len);
-  !total
+   every freshly written header) compute and refill the slot.  The fold's
+   accumulator packs the sum above the parity bit, so [sum_part] is
+   closed and a checksum allocates nothing. *)
+let sum_part acc node off len =
+  let s =
+    let c = Mpool.cached_sum node ~off ~len in
+    if c >= 0 then c
+    else begin
+      let s = sum_bytes (Mpool.data node) off len in
+      Mpool.cache_sum node ~off ~len s;
+      s
+    end
+  in
+  let parity = acc land 1 in
+  let s = if parity = 0 then s else swap16 s in
+  (add (acc lsr 1) s lsl 1) lor ((parity + len) land 1)
+
+let sum_slices msg = Msg.fold_parts msg sum_part 0 lsr 1
 
 let finish s = lnot (fold s) land 0xffff
 

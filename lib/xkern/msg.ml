@@ -247,8 +247,13 @@ let set_u32 t off v =
 let iter_slices t f =
   List.iter (fun p -> if p.len > 0 then f (Mpool.data p.node) p.off p.len) t.parts
 
-let iter_parts t f =
-  List.iter (fun p -> if p.len > 0 then f p.node p.off p.len) t.parts
+(* Top level, so a fold whose step is a closed function allocates
+   nothing. *)
+let rec fold_part_list f acc = function
+  | [] -> acc
+  | p :: rest -> fold_part_list f (if p.len > 0 then f acc p.node p.off p.len else acc) rest
+
+let fold_parts t f acc = fold_part_list f acc t.parts
 
 let blit_to_bytes t buf ~pos =
   (* lint:allow msg-bump-gen: writes into the caller's buffer; a caller
@@ -275,7 +280,7 @@ let iter_range t ~off ~len f =
   if off < 0 || len < 0 || off + len > t.total then
     invalid_arg "Msg.iter_range: out of bounds";
   let skip = ref off and remaining = ref len and visited = ref 0 in
-  iter_parts t (fun node boff blen ->
+  fold_parts t (fun () node boff blen ->
       if !remaining > 0 then begin
         if !skip >= blen then skip := !skip - blen
         else begin
@@ -287,6 +292,7 @@ let iter_range t ~off ~len f =
           remaining := !remaining - count
         end
       end)
+    ()
 
 (* Header reads.  A header normally sits inside one part (its own pushed
    node on send, the front of the frame's node on receive), so the view

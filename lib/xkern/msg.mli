@@ -112,11 +112,13 @@ val check_pattern : t -> off:int -> len:int -> stream_off:int -> bool
 
 val iter_slices : t -> (Bytes.t -> int -> int -> unit) -> unit
 (** Apply the function to each underlying (buffer, offset, length) slice in
-    order; used by the checksum. *)
+    order. *)
 
-val iter_parts : t -> (Mpool.mnode -> int -> int -> unit) -> unit
-(** Like {!iter_slices} but exposing the node, so callers can consult
-    the per-node checksum-sum memo ({!Mpool.cached_sum}).  Treat the
+val fold_parts : t -> ('a -> Mpool.mnode -> int -> int -> 'a) -> 'a -> 'a
+(** [fold_parts t f acc] folds [f] over the non-empty (node, offset,
+    length) parts in order, exposing the node so callers can consult the
+    per-node checksum-sum memo ({!Mpool.cached_sum}).  Allocation-free
+    when [f] is a closed function and ['a] an immediate.  Treat the
     node's bytes as read-only: writes that bypass the [Msg] mutators do
     not bump the write generation and would poison the memo. *)
 

@@ -311,9 +311,7 @@ let test_stack_input_across_parts () =
 (* ------------------------------------------------------------------ *)
 
 let front_node msg =
-  let node = ref None in
-  Msg.iter_parts msg (fun n _ _ -> if !node = None then node := Some n);
-  Option.get !node
+  Option.get (Msg.fold_parts msg (fun acc n _ _ -> if acc = None then Some n else acc) None)
 
 (* A header node freed with a cached sum comes back from the thread's
    LIFO cache for the next header: its write bump must retire the old
@@ -552,6 +550,36 @@ let prop_memo_matches_scan =
       in
       match failure with None -> true | Some f -> QCheck.Test.fail_report f)
 
+(* [sum_slices] folds its parts with a closed step and an immediate
+   accumulator: a checksum of a two-part message (a header pushed on an
+   odd-length payload, so the second part is summed byte-swapped)
+   allocates nothing, whether the node memo misses or hits. *)
+let test_sum_slices_no_alloc () =
+  let p = plat () in
+  let pool = Mpool.create p in
+  in_sim p (fun () ->
+      let m = Msg.create pool 1001 in
+      Msg.fill_pattern m ~off:0 ~len:1001 ~stream_off:0;
+      ignore (Msg.push_header m 20);
+      Alcotest.(check int) "two parts" 2 (Msg.parts m);
+      let words f =
+        let before = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. before
+      in
+      let sum = ref 0 in
+      let first () = sum := Inet_cksum.sum_slices m in
+      let again () =
+        for _ = 1 to 1000 do
+          sum := Inet_cksum.sum_slices m
+        done
+      in
+      Alcotest.(check (float 0.)) "minor words of a sum that fills the memo" (words ignore)
+        (words first);
+      Alcotest.(check (float 0.)) "minor words of 1000 memoised sums" (words ignore) (words again);
+      Alcotest.(check int) "equals the scan" (scan_sum m) !sum;
+      Msg.destroy m)
+
 let suites =
   [
     ( "proto.codec",
@@ -571,5 +599,7 @@ let suites =
         Alcotest.test_case "fill-time sums across an odd first part" `Quick
           test_fill_sums_multi_part;
         Qrand.to_alcotest prop_memo_matches_scan;
+        Alcotest.test_case "a two-part checksum allocates nothing" `Quick
+          test_sum_slices_no_alloc;
       ] );
   ]

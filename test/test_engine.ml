@@ -131,6 +131,143 @@ let prop_eventq_interleaved_oracle =
         !pending;
       !ok && Eventq.is_empty q)
 
+(* Random programs of every mutator against a sorted-list model of
+   (time, seq, payload).  Adds outnumber pops, so a program of a few
+   hundred ops crosses the 16 -> 32 -> 64 growth edges, and the pops in
+   between hand freed slots back to later adds.  A reservation is taken
+   with [reserve] and filled later with [add_reserved] (the oldest
+   outstanding one), so a filled key can sort before events added since
+   the reservation. *)
+type eventq_op = Add of int | Reserve | Fill of int | Pop
+
+let gen_eventq_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun t -> Add t) (int_bound 50));
+        (1, return Reserve);
+        (1, map (fun t -> Fill t) (int_bound 50));
+        (3, return Pop);
+      ])
+
+let show_eventq_op = function
+  | Add t -> Printf.sprintf "Add %d" t
+  | Reserve -> "Reserve"
+  | Fill t -> Printf.sprintf "Fill %d" t
+  | Pop -> "Pop"
+
+let prop_eventq_model =
+  QCheck.Test.make ~name:"eventq random programs vs sorted-list model" ~count:200
+    QCheck.(
+      make ~print:(Print.list show_eventq_op) ~shrink:Shrink.list
+        Gen.(list_size (100 -- 500) gen_eventq_op))
+    (fun ops ->
+      let q = Eventq.create () in
+      (* [seq] mirrors the queue's counter: [add] and [reserve] each take
+         the next one. *)
+      let model = ref [] and reserved = Queue.create () and next = ref 0 and seq = ref 0 in
+      let take r =
+        let v = !r in
+        incr r;
+        v
+      in
+      let insert key = model := List.merge compare [ key ] !model in
+      let step op =
+        match op with
+        | Add time ->
+          let id = take next in
+          Eventq.add q ~time id;
+          insert (time, take seq, id)
+        | Reserve ->
+          let s = Eventq.reserve q in
+          if s <> take seq then QCheck.Test.fail_report "reserve handed out an unexpected seq";
+          Queue.push s reserved
+        | Fill time ->
+          if not (Queue.is_empty reserved) then begin
+            let s = Queue.pop reserved and id = take next in
+            Eventq.add_reserved q ~time ~seq:s id;
+            insert (time, s, id)
+          end
+        | Pop -> (
+          match !model with
+          | [] -> (
+            match Eventq.pop_exn q with
+            | _ -> QCheck.Test.fail_report "popped from an empty queue"
+            | exception Eventq.Empty -> ())
+          | (time, s, id) :: rest ->
+            if not (Eventq.head_before q ~time ~seq:(s + 1)) then
+              QCheck.Test.fail_report "head is not before the model's head key";
+            if Eventq.head_before q ~time ~seq:s then
+              QCheck.Test.fail_report "head is before the model's head key";
+            if Eventq.peek_time_exn q <> time then QCheck.Test.fail_report "peek time differs";
+            if Eventq.pop_exn q <> id then QCheck.Test.fail_reportf "pop at time %d: wrong payload" time;
+            model := rest)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          if Eventq.size q <> List.length !model then QCheck.Test.fail_report "size differs")
+        ops;
+      List.iter (fun _ -> step Pop) !model;
+      Eventq.is_empty q)
+
+(* The heap arrays hold integers and each payload sits in a slot that
+   does not move, so once the arrays have grown, add and pop allocate
+   nothing: a steady 5-deep queue and a 100-deep one. *)
+let test_eventq_no_alloc () =
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let payload = ref 0 in
+  List.iter
+    (fun depth ->
+      let q = Eventq.create () in
+      for i = 1 to 100 do
+        Eventq.add q ~time:i payload
+      done;
+      for _ = depth + 1 to 100 do
+        ignore (Eventq.pop_exn q)
+      done;
+      let cycle () =
+        for _ = 1 to 10_000 do
+          let time = Eventq.peek_time_exn q in
+          let p = Eventq.pop_exn q in
+          Eventq.add q ~time:(time + 7) p;
+          let seq = Eventq.reserve q in
+          Eventq.add_reserved q ~time:(time + 3) ~seq p;
+          ignore (Eventq.pop_exn q)
+        done
+      in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "minor words of 10^4 cycles at depth %d" depth)
+        (words ignore) (words cycle))
+    [ 5; 100 ]
+
+(* A popped payload (in the simulator, a closure holding a continuation
+   and its fiber stack) must not stay reachable from the queue's freed
+   slot, whether the queue still holds other events or has drained. *)
+let test_eventq_pop_releases_payload () =
+  let q = Eventq.create () in
+  let weak = Weak.create 2 in
+  let[@inline never] add_tracked k time =
+    let payload = Bytes.make 64 (Char.chr k) in
+    Weak.set weak k (Some payload);
+    Eventq.add q ~time payload
+  in
+  let[@inline never] pop () = ignore (Sys.opaque_identity (Eventq.pop_exn q)) in
+  add_tracked 0 1;
+  add_tracked 1 2;
+  pop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "popped with an event left: collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "queued payload still held" true (Weak.check weak 1);
+  pop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "popped to empty: collected" false (Weak.check weak 1);
+  Alcotest.(check bool) "drained" true (Eventq.is_empty q)
+
 (* ------------------------------------------------------------------ *)
 (* Sim                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -771,6 +908,45 @@ let test_lock_release_by_non_owner_fails () =
     Alcotest.(check bool) "names owner tid" true
       (contains msg (Printf.sprintf "tid %d (owner)" (Sim.tid owner)))
 
+(* A release of a counting lock by a thread that does not hold it, while
+   another thread does, names the owner by tid and thread name ("release
+   by non-owner fails" pins the same message for [Lock]). *)
+let test_counting_non_owner_release_names_owner () =
+  let contains msg sub =
+    let n = String.length msg and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+    go 0
+  in
+  let sim = Sim.create () in
+  let cl = Lock.Counting.create sim arch Lock.Unfair ~name:"map" in
+  (* Earlier threads, so the owner's tid is not 0. *)
+  let _ = Sim.spawn sim ~name:"idle-a" ignore and _ = Sim.spawn sim ~name:"idle-b" ignore in
+  let holder =
+    Sim.spawn sim ~name:"holder" (fun () ->
+        Lock.Counting.with_lock cl (fun () ->
+            Lock.Counting.with_lock cl (fun () ->
+                Sim.delay sim 1_000_000;
+                Alcotest.(check int) "depth after the failed release" 2
+                  (Lock.Counting.depth cl))))
+  in
+  let msg = ref None in
+  let intruder =
+    Sim.spawn sim ~name:"intruder" (fun () ->
+        Sim.delay sim 100_000;
+        match Lock.Counting.release cl with
+        | () -> Alcotest.fail "non-owner release should fail"
+        | exception Invalid_argument m -> msg := Some m)
+  in
+  Sim.run sim;
+  let msg = Option.get !msg in
+  List.iter
+    (fun sub -> Alcotest.(check bool) sub true (contains msg sub))
+    [
+      "Lock.Counting.release \"map\"";
+      Printf.sprintf "caller tid %d (intruder)" (Sim.tid intruder);
+      Printf.sprintf "owned by tid %d (holder)" (Sim.tid holder);
+    ]
+
 let test_lock_with_lock_releases_on_exception () =
   let sim = Sim.create () in
   let lock = Lock.create sim arch Lock.Unfair ~name:"l" in
@@ -1288,6 +1464,10 @@ let suites =
         Alcotest.test_case "reserved seq" `Quick test_eventq_reserve;
         Qrand.to_alcotest prop_eventq_sorted;
         Qrand.to_alcotest prop_eventq_interleaved_oracle;
+        Qrand.to_alcotest prop_eventq_model;
+        Alcotest.test_case "add/pop allocate nothing after growth" `Quick test_eventq_no_alloc;
+        Alcotest.test_case "a popped payload is not retained" `Quick
+          test_eventq_pop_releases_payload;
       ] );
     ( "engine.sim",
       [
@@ -1341,6 +1521,8 @@ let suites =
           test_lock_barging_grant_order;
         Alcotest.test_case "counting release balance" `Quick
           test_counting_release_balance;
+        Alcotest.test_case "counting release by a non-owner names the owner" `Quick
+          test_counting_non_owner_release_names_owner;
       ] );
     ( "engine.gate",
       [
