@@ -33,14 +33,15 @@ type obs = {
 let fnv_offset = 0x4bf29ce484222325
 let fnv_prime = 0x100000001b3
 
-let digest_add acc s =
+let digest_add acc b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Recovery.digest_add";
   let h = ref acc in
-  for i = 0 to String.length s - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * fnv_prime
   done;
   !h
 
-let digest s = digest_add fnv_offset s
+let digest s = digest_add fnv_offset (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let checker = "recovery"
 

@@ -21,6 +21,7 @@ type t = {
   mutable stopping : bool;
   mutable processed : int;
   tracer : Trace.t;
+  handler : (unit, unit) Effect.Deep.handler; (* the one for all its threads *)
   mutable horizon : int;
       (* the latest wake-up a thread may wait for in place: the active
          [run]'s [until] (max_int when none), or one before the wake-up
@@ -41,23 +42,6 @@ type _ Effect.t +=
       (* an in-place wait that has to give up: resume at the reserved
          (time, seq) key, then re-raise the exception, if any, outside
          the thread *)
-
-let create ?(seed = 42) () =
-  {
-    now = 0;
-    events = Eventq.create ();
-    rng = Prng.create seed;
-    next_tid = 0;
-    next_cpu = 0;
-    current = -1;
-    threads = [||];
-    stopping = false;
-    processed = 0;
-    tracer = Trace.create ();
-    horizon = max_int;
-    defer_on = false;
-    defer_acc = 0;
-  }
 
 let now t = t.now
 let prng t = t.rng
@@ -85,73 +69,87 @@ let thread_of_tid t tid =
   if tid < 0 || tid >= t.next_tid then invalid_arg "Sim.thread_of_tid: no such thread";
   t.threads.(tid)
 
-(* One burst of a thread's execution: [t.current] holds its tid while [k]
-   runs and is cleared when the thread suspends, finishes, or escapes
-   with an exception.  Hand-rolled rather than [Fun.protect] so the
-   per-burst cost is two integer stores, not a finaliser closure. *)
-let run_burst t th k x =
-  t.current <- th.tid;
-  match k x with
+(* One burst of a thread's execution: [t.current] holds its tid while
+   [f x y] runs (the thread's body starting under the world's handler,
+   or its continuation resuming) and is cleared when the thread
+   suspends, finishes, or escapes with an exception.  Hand-rolled rather
+   than [Fun.protect] so the per-burst cost is two integer stores, not a
+   finaliser closure. *)
+let run_burst t tid f x y =
+  t.current <- tid;
+  match f x y with
   | () -> t.current <- -1
   | exception e ->
     t.current <- -1;
     raise e
 
-let continue_unit k = Effect.Deep.continue k ()
+let resume_burst t th k = run_burst t th.tid Effect.Deep.continue k ()
 
-(* Run [f] as the body of [th]: effects performed inside are handled here.
-   Each resumption of the thread's continuation happens from an event-loop
-   callback, so [t.current] is set for the duration of each burst of
-   execution and cleared when the thread suspends or finishes. *)
-let start_thread t th body =
-  let open Effect.Deep in
-  let handler =
+(* The world's one effect handler, shared by all its threads: every
+   burst runs with [t.current] set, so the handler reads the performing
+   thread from it instead of closing over one. *)
+let finish t =
+  let th = t.threads.(t.current) in
+  th.finished <- true;
+  trace_thread t th Trace.Thread_exit
+
+let effc (type a) t (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option =
+  match eff with
+  | Suspend (owner, register) when owner == t ->
+    let th = t.threads.(t.current) in
+    Some
+      (fun k ->
+        (* A fresh generation per suspension: a resume carrying an old
+           generation (or arriving while the thread is already runnable)
+           is a double resume. *)
+        th.suspend_gen <- th.suspend_gen + 1;
+        let gen = th.suspend_gen in
+        th.runnable <- false;
+        let resume time =
+          if th.runnable || gen <> th.suspend_gen then
+            failwith (Printf.sprintf "Sim: thread %S resumed twice" th.name);
+          th.runnable <- true;
+          at t time (fun () -> resume_burst t th k)
+        in
+        register resume)
+  | Park (owner, time, seq, exn) when owner == t ->
+    let th = t.threads.(t.current) in
+    Some
+      (fun k ->
+        (* The thread stays runnable: its resume is queued. *)
+        th.suspend_gen <- th.suspend_gen + 1;
+        Eventq.add_reserved t.events ~time ~seq (fun () -> resume_burst t th k);
+        match exn with
+        | None -> ()
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt)
+  | _ -> None
+
+let create ?(seed = 42) () =
+  let rec t =
     {
-      retc =
-        (fun () ->
-          th.finished <- true;
-          trace_thread t th Trace.Thread_exit);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend (owner, register) ->
-            if owner != t then None
-            else
-              Some
-                (fun (k : (a, _) continuation) ->
-                  (* A fresh generation per suspension: a resume carrying
-                     an old generation (or arriving while the thread is
-                     already runnable) is a double resume.  An int field
-                     on the thread replaces the bool ref the old code
-                     allocated per suspension. *)
-                  th.suspend_gen <- th.suspend_gen + 1;
-                  let gen = th.suspend_gen in
-                  th.runnable <- false;
-                  let resume time =
-                    if th.runnable || gen <> th.suspend_gen then
-                      failwith
-                        (Printf.sprintf "Sim: thread %S resumed twice" th.name);
-                    th.runnable <- true;
-                    at t time (fun () -> run_burst t th continue_unit k)
-                  in
-                  register resume)
-          | Park (owner, time, seq, exn) ->
-            if owner != t then None
-            else
-              Some
-                (fun (k : (a, _) continuation) ->
-                  (* The thread stays runnable: its resume is queued. *)
-                  th.suspend_gen <- th.suspend_gen + 1;
-                  Eventq.add_reserved t.events ~time ~seq (fun () ->
-                      run_burst t th continue_unit k);
-                  match exn with
-                  | None -> ()
-                  | Some (e, bt) -> Printexc.raise_with_backtrace e bt)
-          | _ -> None);
+      now = 0;
+      events = Eventq.create ();
+      rng = Prng.create seed;
+      next_tid = 0;
+      next_cpu = 0;
+      current = -1;
+      threads = [||];
+      stopping = false;
+      processed = 0;
+      tracer = Trace.create ();
+      handler = { retc = (fun () -> finish t); exnc = raise; effc = (fun eff -> effc t eff) };
+      horizon = max_int;
+      defer_on = false;
+      defer_acc = 0;
     }
   in
-  run_burst t th (fun () -> match_with body () handler) ()
+  (* The Chrome export names threads from this table, so a thread
+     spawned before tracing starts is named too. *)
+  Trace.set_threads t.tracer (fun f ->
+      for i = 0 to t.next_tid - 1 do
+        f i t.threads.(i).name t.threads.(i).cpu
+      done);
+  t
 
 (* Append [th] to the tid-indexed table, doubling the backing array as
    needed (the table replaces the old newest-first list, so diagnostics
@@ -177,7 +175,6 @@ let spawn t ?cpu ~name body =
   in
   let th = new_thread ~tid:t.next_tid ~cpu ~name in
   register_thread t th;
-  Trace.register_thread t.tracer ~tid:th.tid ~cpu:th.cpu name;
   (* The fork edge: when the spawner is itself a simulated thread, its
      past happens-before everything the child does.  Emitted with the
      parent's tid so the happens-before checker can seed the child's
@@ -186,7 +183,8 @@ let spawn t ?cpu ~name body =
     trace t (Trace.Thread_fork { child = th.tid });
     trace_thread t th (Trace.Thread_spawn { name })
   end;
-  at t t.now (fun () -> start_thread t th body);
+  at t t.now (fun () ->
+      run_burst t th.tid (fun body h -> Effect.Deep.match_with body () h) body t.handler);
   th
 
 let in_thread t = t.current >= 0
@@ -240,7 +238,8 @@ let[@inline] run_before t ~time ~seq =
    sits below it on the stack.  A [stop] or an event's exception parks
    the thread at its reserved key ([Park]), as if it had suspended: the
    exception escapes [run] with the thread's frames, and its locks,
-   intact. *)
+   intact.  [current] is the thread's again before it parks: the handler
+   reads the parking thread from it. *)
 let wait t tid wake =
   let seq = Eventq.reserve t.events in
   let outer = t.horizon in
@@ -249,15 +248,16 @@ let wait t tid wake =
   match run_before t ~time:wake ~seq with
   | () ->
     t.horizon <- outer;
+    t.current <- tid;
     if t.stopping then Effect.perform (Park (t, wake, seq, None))
     else begin
-      t.current <- tid;
       t.now <- wake;
       t.processed <- t.processed + 1
     end
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     t.horizon <- outer;
+    t.current <- tid;
     Effect.perform (Park (t, wake, seq, Some (e, bt)))
 
 (* Consume [d] of the calling thread's time.  With no event due at or

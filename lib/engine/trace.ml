@@ -213,7 +213,7 @@ type t = {
   mutable cur : chunk; (* [chunks.(used - 1)], or an empty chunk before the first row *)
   mutable n : int;
   names : names; (* kept by [clear] *)
-  threads : (int, string * int) Hashtbl.t; (* tid -> (name, cpu); always kept *)
+  mutable threads : (int -> string -> int -> unit) -> unit; (* see [set_threads] *)
   locks : (string, string) Hashtbl.t; (* lock name -> discipline; kept by [clear] *)
 }
 
@@ -225,7 +225,7 @@ let create () =
     cur = empty_chunk ();
     n = 0;
     names = new_names ();
-    threads = Hashtbl.create 16;
+    threads = ignore;
     locks = Hashtbl.create 16;
   }
 
@@ -233,9 +233,7 @@ let enabled t = t.on
 let enable t = t.on <- true
 let disable t = t.on <- false
 
-(* Registered at every spawn regardless of [on], so threads created before
-   tracing starts still get names in the exported view. *)
-let register_thread t ~tid ~cpu name = Hashtbl.replace t.threads tid (name, cpu)
+let set_threads t each = t.threads <- each
 
 (* Registered by each lock on its first traced record, so a lock created
    before tracing starts still has its discipline for the order checker. *)
@@ -582,12 +580,10 @@ let to_chrome_string t =
   in
   Buffer.add_string buf "{\"traceEvents\":[\n";
   (* Thread-name metadata rows (one per simulated thread). *)
-  Hashtbl.fold (fun tid (name, cpu) acc -> (tid, name, cpu) :: acc) t.threads []
-  |> List.sort compare
-  |> List.iter (fun (tid, name, cpu) ->
-         add
-           "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s (cpu %d)\"}}"
-           tid (json_escape name) cpu);
+  t.threads (fun tid name cpu ->
+      add
+        "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s (cpu %d)\"}}"
+        tid (json_escape name) cpu);
   let complete ~name ~cat r ~start_ns ~dur_ns ~args =
     add "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":\"%s\",\"cat\":\"%s\"%s}"
       r.tid (us start_ns) (us dur_ns) (json_escape name) cat

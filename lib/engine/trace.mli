@@ -127,10 +127,11 @@ val emit : t -> ts:int -> tid:int -> cpu:int -> ev -> unit
     bits and [cpu] in 31, both signed: any simulated thread or CPU
     number, or [-1]. *)
 
-val register_thread : t -> tid:int -> cpu:int -> string -> unit
-(** Remember a thread's name for the exported view.  Unlike {!emit} this
-    works even while disabled, so threads spawned before tracing starts
-    still appear named in Chrome. *)
+val set_threads : t -> ((int -> string -> int -> unit) -> unit) -> unit
+(** [set_threads t each] names the threads of the Chrome export: [each f]
+    calls [f tid name cpu] for every thread, in tid order.  {!Sim} passes
+    its own thread table, so threads spawned before tracing starts are
+    named too. *)
 
 val register_lock : t -> name:string -> discipline:string -> unit
 (** Remember a lock's grant discipline (["fifo"], ["unfair"], ["barging"])

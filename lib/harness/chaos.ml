@@ -52,7 +52,9 @@ let tcp_world ~plan ~disc ~tcp_locking ~seed ~bytes ~horizon =
           match Socket.recv_string sock with
           | Some s ->
             received_bytes := !received_bytes + String.length s;
-            received_digest := Recovery.digest_add !received_digest s;
+            received_digest :=
+              Recovery.digest_add !received_digest (Bytes.unsafe_of_string s) 0
+                (String.length s);
             drain ()
           | None ->
             got_eof := true;

@@ -124,11 +124,12 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
       let _, rport = Tcp.remote_endpoint sess in
       let f = flows.(rport - base_port) in
       Tcp.set_receiver sess (fun msg ->
-          let s = Msg.to_string msg in
+          let n = Msg.length msg in
+          let add h node off len = Recovery.digest_add h (Mpool.data node) off len in
+          f.digest <- Msg.fold_parts msg add f.digest;
           Msg.destroy msg;
-          f.received <- f.received + String.length s;
-          f.digest <- Recovery.digest_add f.digest s;
-          received_total := !received_total + String.length s);
+          f.received <- f.received + n;
+          received_total := !received_total + n);
       Tcp.set_fin_handler sess (fun () ->
           if (not f.completed) && f.received = bytes_per_flow then begin
             f.completed <- true;

@@ -120,22 +120,23 @@ let create ?(capacity = max_int) plat =
     arena_hwm = 0;
   }
 
-(* Extend the tid-indexed table to cover [tid], creating a cache per new
-   slot.  The only non-O(1) step in the cache path, and it runs once per
-   table doubling — the fast path below is a bounds check and two array
-   loads, never a hash lookup. *)
+let no_cache = { nodes = [||]; depths = [||] } (* a tid that has not used the pool *)
+
+(* Extend the tid-indexed table to cover [tid].  The only non-O(1) step
+   in the cache path, and it runs once per table doubling — the fast
+   path below is a bounds check and two array loads, never a hash
+   lookup.  A thread's cache is made when it first uses the pool. *)
 let grow_caches t tid =
   t.cache_table_growths <- t.cache_table_growths + 1;
-  let cap = max 16 (max (tid + 1) (2 * Array.length t.caches)) in
-  let fresh () = { nodes = Array.make 2 []; depths = Array.make 2 0 } in
-  let table = Array.init cap (fun i ->
-      if i < Array.length t.caches then t.caches.(i) else fresh ())
-  in
+  let table = Array.make (max 16 (max (tid + 1) (2 * Array.length t.caches))) no_cache in
+  Array.blit t.caches 0 table 0 (Array.length t.caches);
   t.caches <- table
 
 let thread_cache t =
   let tid = Sim.tid (Sim.self t.plat.Platform.sim) in
   if tid >= Array.length t.caches then grow_caches t tid;
+  if Array.unsafe_get t.caches tid == no_cache then
+    t.caches.(tid) <- { nodes = Array.make 2 []; depths = Array.make 2 0 };
   Array.unsafe_get t.caches tid
 
 (* Bound on recycled buffers kept per class: enough to absorb steady-state
@@ -351,3 +352,4 @@ let cache_hits t = t.cache_hits
 let global_allocations t = t.global_allocations
 let live_nodes t = t.live
 let cache_table_growths t = t.cache_table_growths
+let thread_caches t = Array.fold_left (fun n c -> if c == no_cache then n else n + 1) 0 t.caches

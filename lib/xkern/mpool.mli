@@ -151,3 +151,6 @@ val cache_table_growths : t -> int
     free must not move this counter: the hot path is array indexing
     only.  Regression tests assert it stays flat across alloc/free
     bursts once every thread has touched the pool. *)
+
+val thread_caches : t -> int
+(** Threads with a cache: a thread's cache is made when it first uses the pool. *)

@@ -18,28 +18,9 @@ type t = {
   mutable pending : int;
   mutable fired : int;
   mutable ticking : bool;
-  mutable next_tick : int;
+  mutable next_tick : int; (* while [ticking], the armed tick *)
+  on_tick : unit -> unit; (* the wheel's one tick event *)
 }
-
-let create plat ?(slot_ns = Pnp_util.Units.ms 10.0) ?(slots = 128) ?(cpu = 0) ~name () =
-  if slots <= 0 then invalid_arg "Timewheel.create: slots must be positive";
-  let chain_locks =
-    Array.init slots (fun i ->
-        Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair
-          ~name:(Printf.sprintf "%s.chain%d" name i))
-  in
-  {
-    plat;
-    name;
-    slot_ns;
-    cpu;
-    chains = Array.make slots [];
-    chain_locks;
-    pending = 0;
-    fired = 0;
-    ticking = false;
-    next_tick = 0;
-  }
 
 let nslots t = Array.length t.chains
 
@@ -72,22 +53,48 @@ let rec service t tick =
 and arm t =
   if t.pending > 0 && not t.ticking then begin
     t.ticking <- true;
-    let tick = max t.next_tick ((Sim.now t.plat.Platform.sim / t.slot_ns) + 1) in
-    t.next_tick <- tick;
-    Sim.at t.plat.Platform.sim (tick * t.slot_ns) (fun () ->
-        t.ticking <- false;
-        t.next_tick <- tick + 1;
-        (* Only spin up a worker when the slot has work due; empty ticks
-           just re-arm. *)
-        let slot = tick mod nslots t in
-        let has_due = List.exists (fun e -> e.fire_tick <= tick) t.chains.(slot) in
-        if has_due then
-          ignore
-            (Sim.spawn t.plat.Platform.sim ~cpu:t.cpu
-               ~name:(Printf.sprintf "%s.tick%d" t.name tick)
-               (fun () -> service t tick))
-        else arm t)
+    t.next_tick <- max t.next_tick ((Sim.now t.plat.Platform.sim / t.slot_ns) + 1);
+    Sim.at t.plat.Platform.sim (t.next_tick * t.slot_ns) t.on_tick
   end
+
+let rec has_due tick = function [] -> false | e :: es -> e.fire_tick <= tick || has_due tick es
+
+(* The armed tick: spin up a worker only when its slot has work due;
+   an empty tick just re-arms, allocating nothing. *)
+let tick t =
+  let tick = t.next_tick in
+  t.ticking <- false;
+  t.next_tick <- tick + 1;
+  if has_due tick t.chains.(tick mod nslots t) then
+    ignore
+      (Sim.spawn t.plat.Platform.sim ~cpu:t.cpu
+         ~name:(t.name ^ ".tick" ^ string_of_int tick)
+         (fun () -> service t tick))
+  else arm t
+
+let create plat ?(slot_ns = Pnp_util.Units.ms 10.0) ?(slots = 128) ?(cpu = 0) ~name () =
+  if slots <= 0 then invalid_arg "Timewheel.create: slots must be positive";
+  let chain_locks =
+    Array.init slots (fun i ->
+        Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair
+          ~name:(Printf.sprintf "%s.chain%d" name i))
+  in
+  let rec t =
+    {
+      plat;
+      name;
+      slot_ns;
+      cpu;
+      chains = Array.make slots [];
+      chain_locks;
+      pending = 0;
+      fired = 0;
+      ticking = false;
+      next_tick = 0;
+      on_tick = (fun () -> tick t);
+    }
+  in
+  t
 
 let schedule t ~after action =
   if after < 0 then invalid_arg "Timewheel.schedule: negative delay";

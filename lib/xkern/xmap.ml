@@ -47,6 +47,7 @@ module Make (K : KEY) = struct
     shift : int; (* log2 shard count; bucket index uses the high bits *)
     shards : 'v shard array;
     mutable tslots : 'v tslot array; (* tid-indexed; unlocked path only *)
+    unused : 'v tslot; (* the slot of a tid that has not looked up; never written *)
     hslot : 'v tslot; (* host-context (outside any sim thread) slot *)
   }
 
@@ -88,6 +89,7 @@ module Make (K : KEY) = struct
       shift = log2 nshards;
       shards = Array.init nshards shard;
       tslots = [||];
+      unused = fresh_slot ();
       hslot = fresh_slot ();
     }
 
@@ -110,12 +112,11 @@ module Make (K : KEY) = struct
       Sim.trace sim (Trace.Access { state = sh.cache_state; write })
     end
 
+  (* A thread's slot is made on its first unlocked lookup: threads that
+     never look up cost none. *)
   let grow_tslots t tid =
-    let cap = max 16 (max (tid + 1) (2 * Array.length t.tslots)) in
-    let table =
-      Array.init cap (fun i ->
-          if i < Array.length t.tslots then t.tslots.(i) else fresh_slot ())
-    in
+    let table = Array.make (max 16 (max (tid + 1) (2 * Array.length t.tslots))) t.unused in
+    Array.blit t.tslots 0 table 0 (Array.length t.tslots);
     t.tslots <- table
 
   let tslot t =
@@ -123,6 +124,7 @@ module Make (K : KEY) = struct
     if Sim.in_thread sim then begin
       let tid = Sim.tid (Sim.self sim) in
       if tid >= Array.length t.tslots then grow_tslots t tid;
+      if Array.unsafe_get t.tslots tid == t.unused then t.tslots.(tid) <- fresh_slot ();
       Array.unsafe_get t.tslots tid
     end
     else t.hslot

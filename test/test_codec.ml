@@ -550,6 +550,37 @@ let prop_memo_matches_scan =
       in
       match failure with None -> true | Some f -> QCheck.Test.fail_report f)
 
+(* The incast receiver digests a delivered message slice by slice, with
+   no [Msg.to_string] copy: after a random program, the FNV digest
+   folded over the message's parts equals the digest of its bytes. *)
+let prop_slice_digest_matches_string =
+  QCheck.Test.make ~name:"random programs: slice digest equals string digest" ~count:200
+    QCheck.(
+      make
+        ~print:Print.(pair int (list show_op))
+        ~shrink:Shrink.(pair nil list)
+        Gen.(pair (int_bound 5000) (list_size (1 -- 20) gen_op)))
+    (fun (len, program) ->
+      let p = plat () in
+      let pool = Mpool.create p in
+      in_sim p (fun () ->
+          let a = Msg.create pool len in
+          Msg.fill_pattern a ~off:0 ~len ~stream_off:len;
+          let b = Msg.dup a in
+          List.iter (apply pool ~target:a ~other:b) program;
+          let h0 = Pnp_analysis.Recovery.digest "" in
+          let sliced =
+            Msg.fold_parts a
+              (fun h node off len -> Pnp_analysis.Recovery.digest_add h (Mpool.data node) off len)
+              h0
+          in
+          let whole = Pnp_analysis.Recovery.digest (Msg.to_string a) in
+          let parts = Msg.parts a in
+          Msg.destroy a;
+          Msg.destroy b;
+          sliced = whole
+          || QCheck.Test.fail_reportf "%d parts: slices %#x, string %#x" parts sliced whole))
+
 (* [sum_slices] folds its parts with a closed step and an immediate
    accumulator: a checksum of a two-part message (a header pushed on an
    odd-length payload, so the second part is summed byte-swapped)
@@ -599,6 +630,7 @@ let suites =
         Alcotest.test_case "fill-time sums across an odd first part" `Quick
           test_fill_sums_multi_part;
         Qrand.to_alcotest prop_memo_matches_scan;
+        Qrand.to_alcotest prop_slice_digest_matches_string;
         Alcotest.test_case "a two-part checksum allocates nothing" `Quick
           test_sum_slices_no_alloc;
       ] );

@@ -636,6 +636,33 @@ let test_sim_wait_exception () =
   Alcotest.(check (list int)) "the holder resumes once, after its delay" [ 1_000_000 ] !woke;
   Alcotest.(check bool) "then the probe gets the lock" true (!probe_got >= 1_000_000)
 
+(* A spawned thread costs its record, its fiber and its start event:
+   the world's one effect handler serves every thread, and no second
+   thread table is kept.  Words counted are every word allocated, the
+   minor heap's and those allocated straight into the major heap (the
+   tables' doublings).  The first batch sizes the tables. *)
+let test_sim_spawn_words () =
+  let sim = Sim.create () in
+  let batch () =
+    for _ = 1 to 1_000 do
+      ignore (Sim.spawn sim ~name:"idle" ignore)
+    done;
+    Sim.run sim
+  in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  batch ();
+  let before = allocated () in
+  batch ();
+  let per_thread = (allocated () -. before) /. 1_000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per idle thread (at most 20)" per_thread)
+    true (per_thread <= 20.);
+  Alcotest.(check int) "every thread finished" 0
+    (List.length (Sim.blocked_threads sim))
+
 (* ------------------------------------------------------------------ *)
 (* Lock                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1491,6 +1518,7 @@ let suites =
         Alcotest.test_case "wait: stop inside a wait" `Quick test_sim_wait_stop;
         Alcotest.test_case "wait: meets run until" `Quick test_sim_wait_until;
         Alcotest.test_case "wait: an event raises" `Quick test_sim_wait_exception;
+        Alcotest.test_case "a spawned thread costs a few words" `Quick test_sim_spawn_words;
       ] );
     ( "engine.lock",
       [

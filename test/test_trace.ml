@@ -475,6 +475,32 @@ let test_chrome_export_sanity () =
       close_in ic;
       Alcotest.(check string) "file matches string" s contents)
 
+(* The export names threads from the world's own table: threads spawned
+   before the tracer is enabled, and those spawned after, each get one
+   metadata row with their name and CPU, in tid order, ahead of the
+   events. *)
+let test_chrome_names_early_threads () =
+  let sim = Sim.create () in
+  let spawn name cpu = ignore (Sim.spawn sim ~cpu ~name (fun () -> Sim.delay sim 1_000)) in
+  spawn "early-a" 3;
+  spawn "early \"b\"" 0;
+  Sim.run ~until:500 sim;
+  Trace.enable (Sim.tracer sim);
+  spawn "late" 1;
+  Sim.run sim;
+  let meta =
+    String.split_on_char '\n' (Trace.to_chrome_string (Sim.tracer sim))
+    |> List.filter (String.starts_with ~prefix:"{\"ph\":\"M\"")
+  in
+  let row tid name cpu =
+    Printf.sprintf
+      "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s (cpu %d)\"}},"
+      tid name cpu
+  in
+  Alcotest.(check (list string)) "one row per thread, in tid order"
+    [ row 0 "early-a" 3; row 1 "early \\\"b\\\"" 0; row 2 "late" 1 ]
+    meta
+
 let test_packet_spans_balanced () =
   (* In a traced TCP run every span end must close a begun span of the
      same (seq, phase); at most the in-flight tail may stay open. *)
@@ -540,6 +566,8 @@ let suites =
         Alcotest.test_case "interned emit allocates nothing" `Quick
           test_interned_emit_allocates_nothing;
         Alcotest.test_case "chrome export sanity" `Quick test_chrome_export_sanity;
+        Alcotest.test_case "chrome names threads spawned before enable" `Quick
+          test_chrome_names_early_threads;
       ] );
     ( "harness.trace",
       [

@@ -155,6 +155,23 @@ let test_mpool_cache_growths_flat_on_fast_path () =
     growths
     (Mpool.cache_table_growths pool)
 
+(* A thread's cache is made the first time it uses the pool: a thousand
+   threads that never allocate leave none, although the allocating
+   thread's tid grows the table past all of theirs. *)
+let test_mpool_cache_on_first_use () =
+  let p = plat () in
+  let pool = Mpool.create p in
+  for _ = 1 to 1_000 do
+    ignore (Sim.spawn p.Platform.sim ~name:"idle" ignore)
+  done;
+  ignore
+    (Sim.spawn p.Platform.sim ~name:"alloc" (fun () ->
+         Mpool.decref pool (Mpool.alloc pool 256);
+         Mpool.decref pool (Mpool.alloc pool 256)));
+  Sim.run p.Platform.sim;
+  Alcotest.(check int) "one cache, the allocating thread's" 1 (Mpool.thread_caches pool);
+  Alcotest.(check int) "its second allocation hits it" 1 (Mpool.cache_hits pool)
+
 (* ------------------------------------------------------------------ *)
 (* Buffer arena                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -774,6 +791,28 @@ let test_wheel_rearm_in_callback () =
   Alcotest.(check int) "fired counter" 5 (Timewheel.fired w);
   Alcotest.(check int) "none pending" 0 (Timewheel.pending w)
 
+(* A wheel arms each tick with its one tick event, and a tick whose slot
+   has nothing due re-arms without allocating: seventy empty ticks cost
+   what ten do.  The one timer still fires, at its tick. *)
+let test_wheel_empty_ticks_allocate_nothing () =
+  let p = plat () in
+  let sim = p.Platform.sim in
+  let w = Timewheel.create p ~name:"w" () in
+  let fired_at = ref (-1) in
+  ignore (Timewheel.schedule w ~after:(Pnp_util.Units.sec 1.0) (fun () -> fired_at := Sim.now sim));
+  let words until =
+    let before = Gc.minor_words () in
+    Sim.run ~until sim;
+    Gc.minor_words () -. before
+  in
+  ignore (words (Pnp_util.Units.ms 100.0));
+  let ten = words (Pnp_util.Units.ms 200.0) in
+  Alcotest.(check (float 0.)) "70 empty ticks allocate what 10 do" ten
+    (words (Pnp_util.Units.ms 900.0));
+  Sim.run sim;
+  Alcotest.(check int) "the timer fired" 1 (Timewheel.fired w);
+  Alcotest.(check int) "at its tick" 100 (!fired_at / Pnp_util.Units.ms 10.0)
+
 let test_wheel_mass_cancel () =
   (* Teardown shape: a connection dying with many timers outstanding
      cancels them all; the wheel must survive and stay usable. *)
@@ -821,6 +860,8 @@ let suites =
         Alcotest.test_case "arena composes with unshare" `Quick test_arena_unshare_composes;
         Alcotest.test_case "cache table flat on fast path" `Quick
           test_mpool_cache_growths_flat_on_fast_path;
+        Alcotest.test_case "a thread's cache is made on first use" `Quick
+          test_mpool_cache_on_first_use;
       ] );
     ( "xkern.msg",
       [
@@ -867,5 +908,7 @@ let suites =
         Alcotest.test_case "cancel after fire" `Quick test_wheel_cancel_after_fire;
         Alcotest.test_case "re-arm inside callback" `Quick test_wheel_rearm_in_callback;
         Alcotest.test_case "mass cancel at teardown" `Quick test_wheel_mass_cancel;
+        Alcotest.test_case "empty ticks allocate nothing" `Quick
+          test_wheel_empty_ticks_allocate_nothing;
       ] );
   ]
