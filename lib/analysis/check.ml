@@ -34,9 +34,9 @@ let run tracer =
       | Trace.Kind.Lock_release ->
         Lockset.release ls row;
         Hb.sync hb row
-      | Trace.Kind.Thread_fork | Trace.Kind.Thread_exit | Trace.Kind.Thread_join
-      | Trace.Kind.Gate_pass | Trace.Kind.Gate_advance | Trace.Kind.Membus_charge
-      | Trace.Kind.Scr_append | Trace.Kind.Scr_apply | Trace.Kind.Scr_apply_end ->
+      | Trace.Kind.Thread_fork | Trace.Kind.Gate_pass | Trace.Kind.Gate_advance
+      | Trace.Kind.Membus_charge | Trace.Kind.Scr_append | Trace.Kind.Scr_apply
+      | Trace.Kind.Scr_apply_end ->
         Hb.sync hb row
       | _ -> ());
   let states, lockset = Lockset.result ls in

@@ -15,7 +15,6 @@ let ev_label (ev : Trace.ev) =
   | Trace.Thread_spawn { name } -> "spawn " ^ name
   | Thread_fork { child } -> Printf.sprintf "fork tid %d" child
   | Thread_exit -> "exit"
-  | Thread_join { child } -> Printf.sprintf "join tid %d" child
   | Lock_request { lock; waiters } -> Printf.sprintf "request %s (waiters %d)" lock waiters
   | Lock_grant { lock; wait_ns; _ } -> Printf.sprintf "grant %s (waited %d ns)" lock wait_ns
   | Lock_handoff { lock; to_tid; _ } -> Printf.sprintf "handoff %s -> tid %d" lock to_tid

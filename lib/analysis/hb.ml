@@ -7,9 +7,9 @@ open Pnp_engine
 
      lock L      release at [Lock_release], acquire at [Lock_grant]
      gate G      release at [Gate_advance], acquire at [Gate_pass]
-     fork        parent's clock seeds the child at [Thread_fork]
-     join        child's final clock ([Thread_exit]) joins the joiner
-                 at [Thread_join]
+     fork        parent's clock seeds the child at [Thread_fork]; no
+                 simulated thread waits for another to finish, so fork
+                 is the only thread edge
      membus      [Membus_charge] is both an acquire and a release on a
                  single bus channel: a charge models a coherence
                  round-trip whose reply orders it after every earlier
@@ -23,7 +23,7 @@ open Pnp_engine
 
    Two accesses to the same state race when neither happens-before the
    other.  Unlike the Eraser-style lockset checker this sees ordering
-   that involves no common lock (fork/join, gate hand-offs), so the two
+   that involves no common lock (fork, gate hand-offs), so the two
    disagree in both directions: lockset-only findings are false-positive
    candidates, HB-only findings are real races the lockset abstraction
    missed.
@@ -111,7 +111,6 @@ let hb ~tid ~clk (vc : Vc.t) = clk <= Vc.get vc tid
 type t = {
   ctx : Replay.ctx;
   clocks : Vc.t Replay.Slots.t; (* by tid *)
-  exited : (int, Vc.t) Hashtbl.t;
   forked : (int, Vc.t) Hashtbl.t;
   (* One channel table per kind, keyed by the object's interned id. *)
   locks : Vc.t Replay.Slots.t;
@@ -135,7 +134,6 @@ let create ctx =
   {
     ctx;
     clocks = Replay.Slots.create ();
-    exited = Hashtbl.create 16;
     forked = Hashtbl.create 16;
     locks = Replay.Slots.create ();
     gates = Replay.Slots.create ();
@@ -272,11 +270,6 @@ let sync t row =
     let vc = clock t tid in
     Hashtbl.replace t.forked (Trace.Row.int0 row) (Vc.copy vc);
     Vc.tick vc tid
-  | Trace.Kind.Thread_exit -> Hashtbl.replace t.exited tid (Vc.copy (clock t tid))
-  | Trace.Kind.Thread_join -> (
-    match Hashtbl.find_opt t.exited (Trace.Row.int0 row) with
-    | Some final -> Vc.join (clock t tid) final
-    | None -> ())
   | Trace.Kind.Lock_grant -> acquire t tid (channel t.locks id)
   | Trace.Kind.Lock_release -> release t tid (channel t.locks id)
   | Trace.Kind.Scr_append ->

@@ -1,7 +1,8 @@
 (** FastTrack-style happens-before race detection over trace replay.
 
     Builds per-thread vector clocks from the ordering edges the engine
-    traces — thread fork/join ([Thread_fork]/[Thread_exit]/[Thread_join]),
+    traces — thread fork ([Thread_fork]; no simulated thread waits for
+    another to finish, so there is no join edge),
     lock release→acquire ([Lock_release]/[Lock_grant]), gate signal→wait
     ([Gate_advance]/[Gate_pass]), membus replies ([Membus_charge]) and
     SCR log append→apply→apply chains
@@ -28,10 +29,9 @@ val access : t -> Pnp_engine.Trace.Row.t -> unit
 (** An [Access] row. *)
 
 val sync : t -> Pnp_engine.Trace.Row.t -> unit
-(** A row of an ordering edge: [Thread_fork], [Thread_exit],
-    [Thread_join], [Lock_grant], [Lock_release], [Gate_pass],
-    [Gate_advance], [Membus_charge], [Scr_append], [Scr_apply] or
-    [Scr_apply_end]. *)
+(** A row of an ordering edge: [Thread_fork], [Lock_grant],
+    [Lock_release], [Gate_pass], [Gate_advance], [Membus_charge],
+    [Scr_append], [Scr_apply] or [Scr_apply_end]. *)
 
 val races : t -> string list
 (** The racy state ids ([owner#field]) of the rows stepped so far, at

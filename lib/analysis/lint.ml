@@ -216,22 +216,19 @@ let path_parts file = String.split_on_char '/' file
 
 let is_fig_file file =
   let base = Filename.basename file in
-  String.length base > 4
-  && String.sub base 0 4 = "fig_"
-  && Filename.check_suffix base ".ml"
+  String.starts_with ~prefix:"fig_" base && Filename.check_suffix base ".ml"
 
 let in_tests file = List.mem "test" (path_parts file)
 
-(* Name of the top-level binding a fig line belongs to: lines starting
-   with "let " in column 0 open a new one. *)
+(* Lines starting with "let " in column 0 open a top-level binding. *)
+let opens_binding line = String.starts_with ~prefix:"let " line
+
+(* Name of the top-level binding a line belongs to. *)
 let toplevel_binding line current =
-  if String.length line > 4 && String.sub line 0 4 = "let " then begin
-    let rest = String.sub line 4 (String.length line - 4) in
-    let rest =
-      if String.length rest > 4 && String.sub rest 0 4 = "rec " then
-        String.sub rest 4 (String.length rest - 4)
-      else rest
-    in
+  if opens_binding line then begin
+    let drop k s = String.sub s k (String.length s - k) in
+    let rest = drop 4 line in
+    let rest = if String.starts_with ~prefix:"rec " rest then drop 4 rest else rest in
     let j = ref 0 in
     while
       !j < String.length rest
@@ -245,36 +242,20 @@ let toplevel_binding line current =
   end
   else current
 
-let ends_with s suffix =
-  let ls = String.length s and lx = String.length suffix in
-  ls >= lx && String.sub s (ls - lx) lx = suffix
-
-let starts_with s prefix =
-  let ls = String.length s and lx = String.length prefix in
-  ls >= lx && String.sub s 0 lx = prefix
-
 let contains_sub s sub =
   let ls = String.length s and lx = String.length sub in
   let rec scan j = j + lx <= ls && (String.sub s j lx = sub || scan (j + 1)) in
   scan 0
 
-(* All maximal identifier runs on a (scrubbed) line, dotted paths
-   included — the raw material for the token-set rules below. *)
-let line_tokens line =
-  let n = String.length line in
-  let toks = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    if is_ident_char line.[!i] then begin
-      let s = !i in
-      while !i < n && is_ident_char line.[!i] do
-        incr i
-      done;
-      toks := String.sub line s (!i - s) :: !toks
-    end
-    else incr i
-  done;
-  List.rev !toks
+let has_allow_marker raw = contains_sub raw allow_marker
+
+(* A file's lines twice: as written, for the allow marker and the
+   literals that scrubbing blanks, and scrubbed, for the rules. *)
+type lines = { raw : string array; code : string array }
+
+let split src =
+  let lines s = Array.of_list (String.split_on_char '\n' s) in
+  { raw = lines src; code = lines (scrub src) }
 
 (* ------------------------------------------------------------------ *)
 (* State-access matrix (lib/proto)
@@ -298,7 +279,7 @@ type matrix_row = {
 }
 
 (* A token that brings a lock context into scope: direct acquires
-   ([Lock.acquire], [Counting.acquire], the drivers' [*_acquire]
+   ([Lock.acquire], the drivers' [*_acquire]
    helpers), scoped holds ([Lock.with_lock], [with_*] helpers such as
    tcp's [with_opt_lock]).  The [with_] prefix is a naming convention
    this rule enforces backwards: lock-context helpers must be named so
@@ -310,11 +291,10 @@ type matrix_row = {
    thread can observe the state mid-section, which is exactly the
    guarantee a lock provides to this rule. *)
 let is_lock_token tok =
-  ends_with tok ".acquire" || ends_with tok "_acquire" || tok = "with_lock"
-  || ends_with tok ".with_lock"
-  || starts_with tok "with_"
-  || ends_with tok "defer_begin"
-  || ends_with tok "_section_begin"
+  let ends suffix = String.ends_with ~suffix tok in
+  ends ".acquire" || ends "_acquire" || tok = "with_lock" || ends ".with_lock"
+  || String.starts_with ~prefix:"with_" tok
+  || ends "defer_begin" || ends "_section_begin"
 
 (* The annotation's write flag and state-class literal.  The flag
    survives scrubbing ([~write:true] is code); the class string does
@@ -345,9 +325,10 @@ let builds_trace_record line =
   List.exists
     (fun (tok, stop) ->
       String.length tok > 6
-      && starts_with tok "Trace."
+      && String.starts_with ~prefix:"Trace." tok
       && tok.[6] >= 'A' && tok.[6] <= 'Z'
-      && starts_with (String.trim (String.sub line stop (String.length line - stop))) "{")
+      && String.starts_with ~prefix:"{"
+           (String.trim (String.sub line stop (String.length line - stop))))
     (tokens line)
 
 (* A line calls a tracing function: [Sim.trace] or a wrapper named after
@@ -360,17 +341,13 @@ let has_trace_call line =
         | Some k -> String.sub tok (k + 1) (String.length tok - k - 1)
         | None -> tok
       in
-      last = "trace" || starts_with last "trace_" || ends_with last "_trace")
+      last = "trace" || String.starts_with ~prefix:"trace_" last
+      || String.ends_with ~suffix:"_trace" last)
     (tokens line)
 
-let has_allow_marker raw = contains_sub raw allow_marker
-
-let state_matrix_source ~file src =
+let matrix_rows ~file { raw; code } =
   if not (List.mem "proto" (path_parts file)) || in_tests file then []
   else begin
-    let scrubbed = scrub src in
-    let raw_lines = Array.of_list (String.split_on_char '\n' src) in
-    let lines = Array.of_list (String.split_on_char '\n' scrubbed) in
     let rows = ref [] in
     let binding = ref "" and bstart = ref 0 in
     let reads = ref [] and writes = ref [] in
@@ -391,7 +368,7 @@ let state_matrix_source ~file src =
     in
     Array.iteri
       (fun i line ->
-        if String.length line > 4 && String.sub line 0 4 = "let " then begin
+        if opens_binding line then begin
           flush ();
           binding := toplevel_binding line "";
           bstart := i + 1;
@@ -401,19 +378,21 @@ let state_matrix_source ~file src =
           allowed := false
         end;
         if !binding <> "" then begin
-          if has_allow_marker raw_lines.(i) then allowed := true;
+          if has_allow_marker raw.(i) then allowed := true;
           List.iter
-            (fun tok -> if is_lock_token tok then locks := tok :: !locks)
-            (line_tokens line);
-          match access_on_line ~raw:raw_lines.(i) ~scrubbed:line with
+            (fun (tok, _) -> if is_lock_token tok then locks := tok :: !locks)
+            (tokens line);
+          match access_on_line ~raw:raw.(i) ~scrubbed:line with
           | Some (true, cls) -> writes := cls :: !writes
           | Some (false, cls) -> reads := cls :: !reads
           | None -> ()
         end)
-      lines;
+      code;
     flush ();
     List.rev !rows
   end
+
+let state_matrix_source ~file src = matrix_rows ~file (split src)
 
 let matrix_violations rows =
   List.filter_map
@@ -436,11 +415,7 @@ let matrix_violations rows =
       else None)
     rows
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* The .ml files under [roots], sorted; [_build] and hidden directories
    are skipped, and so is a root that is not a directory. *)
@@ -521,24 +496,18 @@ let matrix_json rows =
    is not node memory).  A write through the read view [Msg.head_view]
    is not a bump. *)
 
-let is_bytes_mutation tok =
-  starts_with tok "Bytes.set"
-  || starts_with tok "Bytes.blit"
-  || tok = "Bytes.fill"
-  || starts_with tok "Bytes.unsafe_set"
-  || starts_with tok "Bytes.unsafe_blit"
-  || starts_with tok "Bytes.unsafe_fill"
+let is_bytes_mutation (tok, _) =
+  let starts prefix = String.starts_with ~prefix tok in
+  starts "Bytes.set" || starts "Bytes.blit" || tok = "Bytes.fill" || starts "Bytes.unsafe_set"
+  || starts "Bytes.unsafe_blit" || starts "Bytes.unsafe_fill"
 
-let bump_gen_findings ~file src =
-  let scrubbed = scrub src in
-  let raw_lines = Array.of_list (String.split_on_char '\n' src) in
-  let lines = Array.of_list (String.split_on_char '\n' scrubbed) in
+let bump_gen_findings ~file { raw; code } =
   let handles_node_bytes =
     Array.exists
       (fun l ->
         has_token l "Mpool.data" || has_token l "Msg.head_view"
         || has_token l "Msg.push_header")
-      lines
+      code
   in
   if in_tests file || not handles_node_bytes then []
   else begin
@@ -564,52 +533,42 @@ let bump_gen_findings ~file src =
     in
     Array.iteri
       (fun i line ->
-        if String.length line > 4 && String.sub line 0 4 = "let " then begin
+        if opens_binding line then begin
           flush ();
           binding := toplevel_binding line !binding;
           first_mut := 0;
           bumped := false;
           allowed := false
         end;
-        if has_allow_marker raw_lines.(i) then allowed := true;
+        if has_allow_marker raw.(i) then allowed := true;
+        let toks = tokens line in
         if
           List.exists
-            (fun tok -> ends_with tok "bump_gen" || tok = "Msg.push_header")
-            (line_tokens line)
+            (fun (tok, _) -> String.ends_with ~suffix:"bump_gen" tok || tok = "Msg.push_header")
+            toks
         then bumped := true;
-        if !first_mut = 0 && List.exists is_bytes_mutation (line_tokens line) then
-          first_mut := i + 1)
-      lines;
+        if !first_mut = 0 && List.exists is_bytes_mutation toks then first_mut := i + 1)
+      code;
     flush ();
     List.rev !findings
   end
 
 let check_source ~file src =
-  let scrubbed = scrub src in
-  let raw_lines = Array.of_list (String.split_on_char '\n' src) in
-  let lines = Array.of_list (String.split_on_char '\n' scrubbed) in
+  let l = split src in
+  let lines = l.code in
   let findings = ref [] in
   let report line rule message = findings := { file; line; rule; message } :: !findings in
-  let allowed i =
-    (* The marker lives in a comment, so look at the raw line. *)
-    let raw = raw_lines.(i) in
-    let nl = String.length raw and nm = String.length allow_marker in
-    let rec scan j =
-      j + nm <= nl && (String.sub raw j nm = allow_marker || scan (j + 1))
-    in
-    scan 0
-  in
   let fig = is_fig_file file in
   let in_lib = List.mem "lib" (path_parts file) && not (in_tests file) in
   let binding = ref "" in
   let acquires = ref 0 and releases = ref 0 in
   Array.iteri
     (fun i line ->
-      if not (allowed i) then begin
+      if not (has_allow_marker l.raw.(i)) then begin
         let lineno = i + 1 in
         binding := toplevel_binding line !binding;
         (* Figure data phases must stay pure and deterministic. *)
-        if fig && not (ends_with !binding "_present") then begin
+        if fig && not (String.ends_with ~suffix:"_present" !binding) then begin
           List.iter
             (fun tok ->
               if has_token line tok then
@@ -629,12 +588,7 @@ let check_source ~file src =
                      tok !binding))
             wallclock_tokens
         end;
-        if
-          fig
-          && String.length line > 4
-          && String.sub line 0 4 = "let "
-          && (has_token line "ref" && has_token line "=")
-        then
+        if fig && opens_binding line && has_token line "ref" && has_token line "=" then
           report lineno "no-global-mutable"
             "top-level mutable state in a figure module; keep figure data \
              functional";
@@ -646,14 +600,8 @@ let check_source ~file src =
         (* Lock pairing (production code only: tests exercise the
            unpaired paths on purpose). *)
         if not (in_tests file) then begin
-          acquires :=
-            !acquires + count_token line "Lock.acquire"
-            + count_token line "Lock.Counting.acquire"
-            + count_token line "Counting.acquire";
-          releases :=
-            !releases + count_token line "Lock.release"
-            + count_token line "Lock.Counting.release"
-            + count_token line "Counting.release"
+          acquires := !acquires + count_token line "Lock.acquire";
+          releases := !releases + count_token line "Lock.release"
         end;
         (* Every Trace.emit, and every Trace record built for a trace
            call, must sit under a tracer test so the disabled path stays
@@ -689,9 +637,7 @@ let check_source ~file src =
          "%d Lock.acquire call site(s) but only %d Lock.release; some path \
           leaks a lock — prefer Lock.with_lock"
          !acquires !releases);
-  List.rev !findings
-  @ matrix_violations (state_matrix_source ~file src)
-  @ bump_gen_findings ~file src
+  List.rev !findings @ matrix_violations (matrix_rows ~file l) @ bump_gen_findings ~file l
 
 let check_file path = check_source ~file:path (read_file path)
 

@@ -4,7 +4,7 @@ open Pnp_engine
    [Trace.ev] constructor does not compile here until someone decides
    whether the checkers read it. *)
 let read_by_checkers : Trace.ev -> bool = function
-  | Trace.Thread_fork _ | Trace.Thread_exit | Trace.Thread_join _ -> true (* Hb *)
+  | Trace.Thread_fork _ -> true (* Hb *)
   | Trace.Lock_request _ -> true (* Order_check *)
   | Trace.Lock_grant _ | Trace.Lock_release _ -> true
   | Trace.Gate_pass _ | Trace.Gate_advance _ -> true (* Hb *)
@@ -15,9 +15,10 @@ let read_by_checkers : Trace.ev -> bool = function
   | Trace.Span_begin _ -> true (* the carried seq *)
   | Trace.Access _ -> true (* Lockset, Hb *)
   | Trace.Scr_append _ | Trace.Scr_apply _ | Trace.Scr_apply_end _ -> true
-  | Trace.Thread_spawn _ | Trace.Lock_handoff _ | Trace.Gate_take _ | Trace.Mpool_alloc _
-  | Trace.Span_end _ | Trace.Fault_drop _ | Trace.Fault_dup _ | Trace.Fault_corrupt _
-  | Trace.Fault_reorder _ | Trace.Scr_replay _ | Trace.Rcu_read _ | Trace.Rcu_publish _ ->
+  | Trace.Thread_spawn _ | Trace.Thread_exit | Trace.Lock_handoff _ | Trace.Gate_take _
+  | Trace.Mpool_alloc _ | Trace.Span_end _ | Trace.Fault_drop _ | Trace.Fault_dup _
+  | Trace.Fault_corrupt _ | Trace.Fault_reorder _ | Trace.Scr_replay _ | Trace.Rcu_read _
+  | Trace.Rcu_publish _ ->
     false
 
 let kept = Trace.kinds read_by_checkers
@@ -128,8 +129,7 @@ let acquire ctx tid id pos =
   s.grants.(s.n) <- pos;
   s.n <- s.n + 1
 
-(* Remove the most recent hold of the lock: a Counting lock's
-   underlying lock appears once, but be robust to repeated ids. *)
+(* Remove the most recent hold of the lock. *)
 let drop ctx tid id =
   let s = state ctx tid in
   let i = last_hold s id (s.n - 1) in

@@ -52,8 +52,6 @@ let create sim arch disc ~name =
     total_hold_ns = 0;
   }
 
-let discipline t = t.disc
-
 let migration_ns t th =
   match t.arch.Arch.sync with
   | Arch.Sync_bus -> 0
@@ -148,15 +146,15 @@ let take_waiter t =
 
 (* A non-owner release is always a caller bug; name everyone involved so
    the report is actionable without a debugger. *)
-let non_owner_release sim ~what ~lock ~owner th =
+let non_owner_release t th =
   let owner_desc =
-    if owner < 0 then "not held"
+    if t.owner < 0 then "not held"
     else
-      Printf.sprintf "owned by tid %d (%s)" owner
-        (Sim.thread_name (Sim.thread_of_tid sim owner))
+      Printf.sprintf "owned by tid %d (%s)" t.owner
+        (Sim.thread_name (Sim.thread_of_tid t.sim t.owner))
   in
   invalid_arg
-    (Printf.sprintf "%s %S: caller tid %d (%s) is not the owner; lock is %s" what lock
+    (Printf.sprintf "Lock.release %S: caller tid %d (%s) is not the owner; lock is %s" t.name
        (Sim.tid th) (Sim.thread_name th) owner_desc)
 
 let release t =
@@ -164,7 +162,7 @@ let release t =
   else begin
   let th = Sim.self t.sim in
   if t.owner <> Sim.tid th then
-    non_owner_release t.sim ~what:"Lock.release" ~lock:t.name ~owner:t.owner th;
+    non_owner_release t th;
   let now = Sim.now t.sim in
   t.total_hold_ns <- t.total_hold_ns + (now - t.hold_start);
   if Trace.enabled (Sim.tracer t.sim) then
@@ -189,55 +187,20 @@ let release t =
     w.resume grant_time
   end
 
-(* [Fun.protect] without its finaliser closure: [release x] also when [f]
-   raises, then [f]'s own exception is re-raised with its backtrace. *)
-let[@inline] protect release x f =
+(* [Fun.protect] without its finaliser closure: release also when [f]
+   raises, then re-raise [f]'s own exception with its backtrace. *)
+let with_lock t f =
+  acquire t;
   match f () with
   | v ->
-    release x;
+    release t;
     v
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    release x;
+    release t;
     Printexc.raise_with_backtrace e bt
-
-let with_lock t f =
-  acquire t;
-  protect release t f
 
 let acquisitions t = t.acquisitions
 let contended_acquisitions t = t.contended
 let total_wait_ns t = t.total_wait_ns
 let total_hold_ns t = t.total_hold_ns
-
-module Counting = struct
-  type nonrec t = { lock : t; mutable owner : int; mutable depth : int }
-
-  let create sim arch disc ~name = { lock = create sim arch disc ~name; owner = -1; depth = 0 }
-
-  let acquire t =
-    let tid = Sim.tid (Sim.self t.lock.sim) in
-    if t.owner = tid then t.depth <- t.depth + 1
-    else begin
-      acquire t.lock;
-      t.owner <- tid;
-      t.depth <- 1
-    end
-
-  let release t =
-    let th = Sim.self t.lock.sim in
-    if t.owner <> Sim.tid th then
-      non_owner_release t.lock.sim ~what:"Lock.Counting.release" ~lock:t.lock.name
-        ~owner:t.owner th;
-    t.depth <- t.depth - 1;
-    if t.depth = 0 then begin
-      t.owner <- -1;
-      release t.lock
-    end
-
-  let with_lock t f =
-    acquire t;
-    protect release t f
-
-  let depth t = t.depth
-end

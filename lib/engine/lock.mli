@@ -11,7 +11,16 @@
 
     On [Coherency]-synchronised architectures (the Challenge), moving a
     lock between CPUs additionally pays the cache-line migration penalty
-    [arch.coherency_ns]; the Power Series' synchronisation bus does not. *)
+    [arch.coherency_ns]; the Power Series' synchronisation bus does not.
+
+    Inside a deferred-charge section ({!Sim.defer_begin}, the SCR replay)
+    [acquire] only charges its cost and [release] does nothing: a
+    replica's lock operations are local, so they never touch the owner.
+
+    The paper's map manager takes counting locks so that its map
+    iterator may call back into the same map (Section 2.1).  No protocol here
+    iterates or re-enters a map, so the counting semantics cannot be
+    observed, and map shards take these plain locks. *)
 
 type discipline =
   | Unfair  (** IRIX mutex: grant to a random waiter *)
@@ -25,8 +34,6 @@ val discipline_name : discipline -> string
 type t
 
 val create : Sim.t -> Arch.t -> discipline -> name:string -> t
-
-val discipline : t -> discipline
 
 val acquire : t -> unit
 (** Block until the lock is held by the calling thread, charging the
@@ -49,19 +56,3 @@ val acquisitions : t -> int
 val contended_acquisitions : t -> int
 val total_wait_ns : t -> Pnp_util.Units.ns
 val total_hold_ns : t -> Pnp_util.Units.ns
-
-(** {2 Recursive (counting) locks}
-
-    The x-kernel map manager can call itself through [mapForEach]; the
-    paper handles this with counting locks: a re-acquire by the owner just
-    increments a count (Section 2.1). *)
-
-module Counting : sig
-  type t
-
-  val create : Sim.t -> Arch.t -> discipline -> name:string -> t
-  val acquire : t -> unit
-  val release : t -> unit
-  val with_lock : t -> (unit -> 'a) -> 'a
-  val depth : t -> int
-end

@@ -4,7 +4,6 @@ type ev =
   | Thread_spawn of { name : string }
   | Thread_fork of { child : int }
   | Thread_exit
-  | Thread_join of { child : int }
   | Lock_request of { lock : string; waiters : int }
   | Lock_grant of { lock : string; waiters : int; wait_ns : int }
   | Lock_handoff of { lock : string; to_tid : int; handoff_ns : int }
@@ -78,7 +77,7 @@ let phase_of_index = function
 
 module Kind = struct
   type t =
-    | Thread_spawn | Thread_fork | Thread_exit | Thread_join
+    | Thread_spawn | Thread_fork | Thread_exit
     | Lock_request | Lock_grant | Lock_handoff | Lock_release
     | Gate_take | Gate_pass | Gate_advance
     | Membus_charge | Mpool_alloc
@@ -94,11 +93,11 @@ end
 let kind_of_index =
   Kind.
     [|
-      Thread_spawn; Thread_fork; Thread_exit; Thread_join; Lock_request; Lock_grant;
-      Lock_handoff; Lock_release; Gate_take; Gate_pass; Gate_advance; Membus_charge;
-      Mpool_alloc; Mnode_alloc; Mnode_ref; Mnode_unref; Mnode_recycle; Mnode_write;
-      Span_begin; Span_end; Access; Fault_drop; Fault_dup; Fault_corrupt; Fault_reorder;
-      Scr_append; Scr_apply; Scr_apply_end; Scr_replay; Rcu_read; Rcu_publish;
+      Thread_spawn; Thread_fork; Thread_exit; Lock_request; Lock_grant; Lock_handoff;
+      Lock_release; Gate_take; Gate_pass; Gate_advance; Membus_charge; Mpool_alloc;
+      Mnode_alloc; Mnode_ref; Mnode_unref; Mnode_recycle; Mnode_write; Span_begin;
+      Span_end; Access; Fault_drop; Fault_dup; Fault_corrupt; Fault_reorder; Scr_append;
+      Scr_apply; Scr_apply_end; Scr_replay; Rcu_read; Rcu_publish;
     |]
 
 let n_kinds = Array.length kind_of_index
@@ -110,7 +109,6 @@ let decode k name a b =
   | Kind.Thread_spawn -> Thread_spawn { name }
   | Kind.Thread_fork -> Thread_fork { child = a }
   | Kind.Thread_exit -> Thread_exit
-  | Kind.Thread_join -> Thread_join { child = a }
   | Kind.Lock_request -> Lock_request { lock = name; waiters = a }
   | Kind.Lock_grant -> Lock_grant { lock = name; waiters = a; wait_ns = b }
   | Kind.Lock_handoff -> Lock_handoff { lock = name; to_tid = a; handoff_ns = b }
@@ -303,34 +301,33 @@ let[@inline] encode tbl c ev =
   | Thread_spawn { name } -> named tbl c name (row0 c 0)
   | Thread_fork { child } -> row1 c 1 child
   | Thread_exit -> row0 c 2
-  | Thread_join { child } -> row1 c 3 child
-  | Lock_request { lock; waiters } -> named tbl c lock (row1 c 4 waiters)
-  | Lock_grant { lock; waiters; wait_ns } -> named tbl c lock (row2 c 5 waiters wait_ns)
-  | Lock_handoff { lock; to_tid; handoff_ns } -> named tbl c lock (row2 c 6 to_tid handoff_ns)
-  | Lock_release { lock; hold_ns } -> named tbl c lock (row1 c 7 hold_ns)
-  | Gate_take { gate; ticket } -> named tbl c gate (row1 c 8 ticket)
-  | Gate_pass { gate; ticket; wait_ns } -> named tbl c gate (row2 c 9 ticket wait_ns)
-  | Gate_advance { gate; serving } -> named tbl c gate (row1 c 10 serving)
-  | Membus_charge { bytes; dur_ns } -> row2 c 11 bytes dur_ns
-  | Mpool_alloc { hit } -> row1 c 12 (Bool.to_int hit)
-  | Mnode_alloc { node } -> row1 c 13 node
-  | Mnode_ref { node; refs } -> row2 c 14 node refs
-  | Mnode_unref { node; refs } -> row2 c 15 node refs
-  | Mnode_recycle { node } -> row1 c 16 node
-  | Mnode_write { node } -> row1 c 17 node
-  | Span_begin { seq; phase } -> row2 c 18 seq (phase_index phase)
-  | Span_end { seq; phase } -> row2 c 19 seq (phase_index phase)
-  | Access { state; write } -> named tbl c state (row1 c 20 (Bool.to_int write))
-  | Fault_drop { cause } -> named tbl c cause (row0 c 21)
-  | Fault_dup { copies } -> row1 c 22 copies
-  | Fault_corrupt { off; bit } -> row2 c 23 off bit
-  | Fault_reorder { delay_ns } -> row1 c 24 delay_ns
-  | Scr_append { log; idx } -> named tbl c log (row1 c 25 idx)
-  | Scr_apply { log; idx } -> named tbl c log (row1 c 26 idx)
-  | Scr_apply_end { log; idx } -> named tbl c log (row1 c 27 idx)
-  | Scr_replay { log; upto } -> named tbl c log (row1 c 28 upto)
-  | Rcu_read { state } -> named tbl c state (row0 c 29)
-  | Rcu_publish { state } -> named tbl c state (row0 c 30)
+  | Lock_request { lock; waiters } -> named tbl c lock (row1 c 3 waiters)
+  | Lock_grant { lock; waiters; wait_ns } -> named tbl c lock (row2 c 4 waiters wait_ns)
+  | Lock_handoff { lock; to_tid; handoff_ns } -> named tbl c lock (row2 c 5 to_tid handoff_ns)
+  | Lock_release { lock; hold_ns } -> named tbl c lock (row1 c 6 hold_ns)
+  | Gate_take { gate; ticket } -> named tbl c gate (row1 c 7 ticket)
+  | Gate_pass { gate; ticket; wait_ns } -> named tbl c gate (row2 c 8 ticket wait_ns)
+  | Gate_advance { gate; serving } -> named tbl c gate (row1 c 9 serving)
+  | Membus_charge { bytes; dur_ns } -> row2 c 10 bytes dur_ns
+  | Mpool_alloc { hit } -> row1 c 11 (Bool.to_int hit)
+  | Mnode_alloc { node } -> row1 c 12 node
+  | Mnode_ref { node; refs } -> row2 c 13 node refs
+  | Mnode_unref { node; refs } -> row2 c 14 node refs
+  | Mnode_recycle { node } -> row1 c 15 node
+  | Mnode_write { node } -> row1 c 16 node
+  | Span_begin { seq; phase } -> row2 c 17 seq (phase_index phase)
+  | Span_end { seq; phase } -> row2 c 18 seq (phase_index phase)
+  | Access { state; write } -> named tbl c state (row1 c 19 (Bool.to_int write))
+  | Fault_drop { cause } -> named tbl c cause (row0 c 20)
+  | Fault_dup { copies } -> row1 c 21 copies
+  | Fault_corrupt { off; bit } -> row2 c 22 off bit
+  | Fault_reorder { delay_ns } -> row1 c 23 delay_ns
+  | Scr_append { log; idx } -> named tbl c log (row1 c 24 idx)
+  | Scr_apply { log; idx } -> named tbl c log (row1 c 25 idx)
+  | Scr_apply_end { log; idx } -> named tbl c log (row1 c 26 idx)
+  | Scr_replay { log; upto } -> named tbl c log (row1 c 27 upto)
+  | Rcu_read { state } -> named tbl c state (row0 c 28)
+  | Rcu_publish { state } -> named tbl c state (row0 c 29)
 
 (* Per kind, its row's length in words and whether it takes a name
    (whose id is then the last word of its row): read off one sample of
@@ -605,8 +602,6 @@ let to_chrome_string t =
       | Thread_fork { child } ->
         instant ~name:"fork" ~cat:"thread" r ~args:(Printf.sprintf "\"child\":%d" child)
       | Thread_exit -> instant ~name:"exit" ~cat:"thread" r ~args:""
-      | Thread_join { child } ->
-        instant ~name:"join" ~cat:"thread" r ~args:(Printf.sprintf "\"child\":%d" child)
       | Lock_request { lock; waiters } ->
         instant ~name:("request " ^ lock) ~cat:"lock" r
           ~args:(Printf.sprintf "\"waiters\":%d" waiters)

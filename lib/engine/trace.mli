@@ -33,13 +33,9 @@ type ev =
           inside a simulated thread: the happens-before edge from the
           parent's past to everything the child does *)
   | Thread_exit
-      (** the thread's body returned; its last event.  Together with
-          {!Thread_join} this closes the fork/join ordering for the
-          happens-before checker. *)
-  | Thread_join of { child : int }
-      (** the recording thread observed [child]'s completion (after its
-          {!Thread_exit}); everything the child did happens-before the
-          joiner's subsequent events *)
+      (** the thread's body returned; its last event.  Only the Chrome
+          export reads it: no simulated thread waits for another's
+          completion, so fork is the checkers' only thread edge. *)
   | Lock_request of { lock : string; waiters : int }
       (** [waiters] = queue depth seen at request time *)
   | Lock_grant of { lock : string; waiters : int; wait_ns : int }
@@ -198,7 +194,7 @@ val kinds : (ev -> bool) -> kinds
 (** An {!ev} constructor without its fields. *)
 module Kind : sig
   type t =
-    | Thread_spawn | Thread_fork | Thread_exit | Thread_join
+    | Thread_spawn | Thread_fork | Thread_exit
     | Lock_request | Lock_grant | Lock_handoff | Lock_release
     | Gate_take | Gate_pass | Gate_advance
     | Membus_charge | Mpool_alloc

@@ -21,9 +21,6 @@ let burst =
   plan ~name:"burst"
     [ Gilbert_elliott { p_gb = 0.02; p_bg = 0.25; loss_good = 0.0; loss_bad = 0.5 } ]
 
-let ms f = int_of_float (f *. 1e6)
-let us f = int_of_float (f *. 1e3)
-
 (* Stage order within a plan is cosmetic — [instantiate] normalises
    consuming stages to the front.  Corruption itself is copy-on-write
    (Msg.unshare), so a flip damages exactly the one frame it hits even
@@ -34,27 +31,28 @@ let builtin =
     ("loss", bernoulli 0.02);
     ("burst", burst);
     ("dup", plan ~name:"dup" [ Duplicate { p = 0.03 } ]);
-    ("reorder", plan ~name:"reorder" [ Reorder { p = 0.1; hold_ns = us 400.0 } ]);
+    ("reorder", plan ~name:"reorder" [ Reorder { p = 0.1; hold_ns = Units.us 400.0 } ]);
     ("corrupt", plan ~name:"corrupt" [ Corrupt { p = 0.02 } ]);
-    ("jitter", plan ~name:"jitter" [ Jitter { p = 0.05; spike_ns = ms 1.0 } ]);
+    ("jitter", plan ~name:"jitter" [ Jitter { p = 0.05; spike_ns = Units.ms 1.0 } ]);
     ( "blackout",
       plan ~name:"blackout"
-        [ Blackout { start_ns = ms 30.0; duration_ns = ms 40.0; period_ns = 0 } ] );
+        [ Blackout { start_ns = Units.ms 30.0; duration_ns = Units.ms 40.0; period_ns = 0 } ] );
     ( "wan",
       plan ~name:"wan"
         [
-          Wan_rtt { base_ns = ms 5.0; spread_ns = ms 20.0 };
-          Jitter { p = 0.05; spike_ns = ms 2.0 };
+          Wan_rtt { base_ns = Units.ms 5.0; spread_ns = Units.ms 20.0 };
+          Jitter { p = 0.05; spike_ns = Units.ms 2.0 };
         ] );
     ( "chaos",
       plan ~name:"chaos"
         [
           Gilbert_elliott { p_gb = 0.01; p_bg = 0.3; loss_good = 0.002; loss_bad = 0.4 };
-          Blackout { start_ns = ms 40.0; duration_ns = ms 15.0; period_ns = ms 400.0 };
+          Blackout
+            { start_ns = Units.ms 40.0; duration_ns = Units.ms 15.0; period_ns = Units.ms 400.0 };
           Corrupt { p = 0.005 };
           Duplicate { p = 0.01 };
-          Reorder { p = 0.05; hold_ns = us 300.0 };
-          Jitter { p = 0.02; spike_ns = us 500.0 };
+          Reorder { p = 0.05; hold_ns = Units.us 300.0 };
+          Jitter { p = 0.02; spike_ns = Units.us 500.0 };
         ] );
   ]
 

@@ -101,6 +101,13 @@ let sum_slices msg = Msg.fold_parts msg sum_part 0 lsr 1
 
 let finish s = lnot (fold s) land 0xffff
 
+let pseudo_sum ~proto ~src ~dst ~len =
+  let s = add (src lsr 16) (src land 0xffff) in
+  let s = add s (dst lsr 16) in
+  let s = add s (dst land 0xffff) in
+  let s = add s proto in
+  add s len
+
 let charge plat msg =
   if Sim.in_thread plat.Platform.sim then
     Membus.consume plat.Platform.bus ~bytes:(Msg.length msg)

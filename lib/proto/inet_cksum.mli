@@ -25,12 +25,16 @@ val add : int -> int -> int
 val finish : int -> int
 (** Fold and complement a partial sum into the final checksum field value. *)
 
+val pseudo_sum : proto:int -> src:int -> dst:int -> len:int -> int
+(** The pseudo-header partial sum of a [len]-byte TCP or UDP segment
+    from [src] to [dst]: the addresses' 16-bit halves, the protocol
+    number [proto] and [len]. *)
+
 val charge : Pnp_engine.Platform.t -> Pnp_xkern.Msg.t -> unit
 (** The simulated cost of one checksum pass over [msg] — streaming its
     bytes through the memory bus — without doing the host-side
-    arithmetic.  Fast paths that obtain the sum another way (the pure-ACK
-    arithmetic checksum in [Tcp_wire]) call this where the reference path
-    ran {!compute}, so the simulation sees identical charges. *)
+    arithmetic.  {!compute} and {!verify} charge exactly this;
+    [Tcp_wire.verify_checksum] calls it before its uncharged check. *)
 
 val compute : Pnp_engine.Platform.t -> Pnp_xkern.Msg.t -> extra:int -> int
 (** [compute plat msg ~extra] returns [finish (add (sum_slices msg) extra)]

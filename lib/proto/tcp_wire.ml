@@ -77,13 +77,7 @@ let decode msg =
 
 let strip msg = Msg.pop msg header_bytes
 
-let pseudo_sum ~src ~dst ~len =
-  let open Inet_cksum in
-  let s = add (src lsr 16) (src land 0xffff) in
-  let s = add s (dst lsr 16) in
-  let s = add s (dst land 0xffff) in
-  let s = add s protocol_number in
-  add s len
+let pseudo_sum ~src ~dst ~len = Inet_cksum.pseudo_sum ~proto:protocol_number ~src ~dst ~len
 
 let store_checksum plat ~src ~dst msg =
   let len = Msg.length msg in
@@ -100,7 +94,7 @@ let store_checksum_free ~src ~dst msg =
 
 let checksum_valid ~src ~dst msg =
   let len = Msg.length msg in
-  Inet_cksum.(finish (add (sum_slices msg) (pseudo_sum ~src ~dst ~len))) = 0
+  Inet_cksum.finish (Inet_cksum.add (Inet_cksum.sum_slices msg) (pseudo_sum ~src ~dst ~len)) = 0
 
 let verify_checksum plat ~src ~dst msg =
   Inet_cksum.charge plat msg;

@@ -50,9 +50,6 @@ val decode : Pnp_xkern.Msg.t -> header option
 val strip : Pnp_xkern.Msg.t -> unit
 (** Remove the header bytes from the front. *)
 
-val pseudo_sum : src:int -> dst:int -> len:int -> int
-(** Pseudo-header partial sum for checksumming a segment of [len] bytes. *)
-
 val store_checksum : Pnp_engine.Platform.t -> src:int -> dst:int -> Pnp_xkern.Msg.t -> unit
 (** Compute the real checksum of the encoded segment (pseudo-header
     included) and store it, charging the bus for the bytes. *)

@@ -15,7 +15,6 @@ type t = {
   plat : Platform.t;
   ip : Ip.t;
   checksum : bool;
-  obj_ref : Atomic_ctr.t;
   sessions : session Port_map.t;
   create_lock : Lock.t; (* serialises session creation *)
   mutable dropped : int;
@@ -31,13 +30,7 @@ and session = {
   recv : Msg.t -> unit;
 }
 
-(* Pseudo-header sum: src + dst + proto + udp length. *)
-let pseudo_sum ~src ~dst ~len =
-  let s = Inet_cksum.add (src lsr 16) (src land 0xffff) in
-  let s = Inet_cksum.add s (dst lsr 16) in
-  let s = Inet_cksum.add s (dst land 0xffff) in
-  let s = Inet_cksum.add s protocol_number in
-  Inet_cksum.add s len
+let pseudo_sum ~src ~dst ~len = Inet_cksum.pseudo_sum ~proto:protocol_number ~src ~dst ~len
 
 let rec input t ~src ~dst msg =
   Costs.charge t.plat Costs.udp_input;
@@ -81,7 +74,6 @@ and create plat ~ip ~checksum ~name =
       plat;
       ip;
       checksum;
-      obj_ref = Platform.refcnt plat ~name:(name ^ ".ref") ~init:1;
       sessions =
         Port_map.create plat ~shards:plat.Platform.map_shards
           ~name:(name ^ ".demux") ();
@@ -153,7 +145,3 @@ let encap_free msg ~src ~dst ~sport ~dport ~checksum =
 
 let datagrams_dropped t = t.dropped
 let checksum_failures t = t.cksum_failures
-
-(* obj_ref participates in the atomic-ops experiment through creation; the
-   per-packet pair is on the session counter. *)
-let _ = fun t -> t.obj_ref

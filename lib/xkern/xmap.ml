@@ -25,7 +25,7 @@ module Make (K : KEY) = struct
   type 'v shard = {
     sname : string; (* lock name; also namespaces Trace.Access state *)
     mutable cache_state : string; (* [sname ^ "#cache"] once traced, else "" *)
-    lock : Lock.Counting.t;
+    lock : Lock.t;
     mutable buckets : (K.t * 'v) list array;
     mutable one_behind : (K.t * 'v) option;
     mutable size : int;
@@ -73,9 +73,7 @@ module Make (K : KEY) = struct
         cache_state = "";
         (* Map-manager locks stay raw mutexes, even in the paper's MCS
            experiments (Section 4.1). *)
-        lock =
-          Lock.Counting.create plat.Platform.sim plat.Platform.arch Lock.Unfair
-            ~name:sname;
+        lock = Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair ~name:sname;
         buckets = Array.make buckets [];
         one_behind = None;
         size = 0;
@@ -98,7 +96,7 @@ module Make (K : KEY) = struct
   let bindex t sh h = (h lsr t.shift) land (Array.length sh.buckets - 1)
 
   let locked t sh f =
-    if Sim.in_thread t.plat.Platform.sim then Lock.Counting.with_lock sh.lock f
+    if Sim.in_thread t.plat.Platform.sim then Lock.with_lock sh.lock f
     else f ()
 
   (* Shared-state access annotation for the lockset checker; guarded on
@@ -262,20 +260,6 @@ module Make (K : KEY) = struct
           if not t.plat.Platform.map_locking then scrub_tslots t k
         end;
         removed)
-
-  let iter t f =
-    Array.iter
-      (fun sh ->
-        locked t sh (fun () ->
-            Array.iter
-              (fun chain ->
-                List.iter
-                  (fun (k, v) ->
-                    Platform.charge_instrs t.plat link_instrs;
-                    f k v)
-                  chain)
-              sh.buckets))
-      t.shards
 
   let sum t f = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
 

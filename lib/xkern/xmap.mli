@@ -3,14 +3,16 @@
     Maps translate external identifiers (port numbers, protocol numbers)
     to internal ones (sessions, protocols) and are primarily used for
     demultiplexing.  Implementation follows the paper: chained-bucket hash
-    tables with a 1-behind cache, protected by a counting lock so that
-    [iter] (the x-kernel's [mapForEach]) may recurse into the same map
-    (Section 2.1).
+    tables with a 1-behind cache, each guarded by a lock.  The x-kernel
+    takes a counting lock there so that its map iterator may call back
+    into the same map (Section 2.1); no protocol here iterates or
+    re-enters a map, so there is no iterator and the lock is a plain
+    {!Pnp_engine.Lock.t} (a raw mutex, as in the paper).
 
     Beyond the paper's fixed 32-bucket table, the map is sharded and
     growable so the demux layer scales into the 10^5..10^6-connection
     range: keys are spread over a power-of-two number of shards (low hash
-    bits), each with its own counting lock, bucket array and 1-behind
+    bits), each with its own lock, bucket array and 1-behind
     cache, and a shard doubles its buckets whenever its mean chain length
     would exceed a small constant.  A single-shard map (the default) is
     behaviourally identical to the classic layout, including its lock
@@ -45,11 +47,6 @@ module Make (K : KEY) : sig
   (** Demultiplex through the 1-behind cache, then the chain. *)
 
   val remove : 'v t -> K.t -> bool
-
-  val iter : 'v t -> (K.t -> 'v -> unit) -> unit
-  (** [mapForEach]: the callback runs under the visited shard's counting
-      lock and may call back into this map.  Bindings added by the
-      callback may or may not be visited (as with [Hashtbl]). *)
 
   val length : 'v t -> int
 

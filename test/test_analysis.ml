@@ -450,6 +450,7 @@ let unread =
   Trace.
     [
       Thread_spawn { name = "m" };
+      Thread_exit;
       Lock_handoff { lock = "m"; to_tid = 2; handoff_ns = 5 };
       Gate_take { gate = "gate"; ticket = 1 };
       Mpool_alloc { hit = false };
@@ -464,14 +465,13 @@ let unread =
     ]
 
 (* Every checker family fires, and every context the replay keeps is
-   exercised: carried seqs, gates, fork/join, the bus, a pre-window
-   hold. *)
+   exercised: carried seqs, gates, fork, the bus, a pre-window hold. *)
 let replay_fixture =
   List.concat_map snd seeded_defects
   @ [
       (5, Trace.Lock_release { lock = "pre"; hold_ns = 1 }); (5, acc "sb#cc");
       (6, Trace.Thread_fork { child = 7 }); (7, acc "sb#cc"); (7, Trace.Thread_exit);
-      (6, Trace.Thread_join { child = 7 }); (6, acc "sb#cc");
+      (6, acc "sb#cc");
       (1, Trace.Gate_advance { gate = "gate"; serving = 1 });
       (2, Trace.Gate_pass { gate = "gate"; ticket = 1; wait_ns = 0 });
       (1, Trace.Membus_charge { bytes = 64; dur_ns = 10 });

@@ -163,7 +163,8 @@ let test_tcp_source_checksums () =
           let len = Bytes.length b - off in
           let sum =
             Inet_cksum.add (Inet_cksum.sum_bytes b off len)
-              (Tcp_wire.pseudo_sum ~src:src_addr ~dst:dst_addr ~len)
+              (Inet_cksum.pseudo_sum ~proto:Tcp_wire.protocol_number ~src:src_addr
+                 ~dst:dst_addr ~len)
           in
           Alcotest.(check int) "segment verifies" 0 (Inet_cksum.finish sum);
           incr frames;

@@ -935,45 +935,6 @@ let test_lock_release_by_non_owner_fails () =
     Alcotest.(check bool) "names owner tid" true
       (contains msg (Printf.sprintf "tid %d (owner)" (Sim.tid owner)))
 
-(* A release of a counting lock by a thread that does not hold it, while
-   another thread does, names the owner by tid and thread name ("release
-   by non-owner fails" pins the same message for [Lock]). *)
-let test_counting_non_owner_release_names_owner () =
-  let contains msg sub =
-    let n = String.length msg and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
-    go 0
-  in
-  let sim = Sim.create () in
-  let cl = Lock.Counting.create sim arch Lock.Unfair ~name:"map" in
-  (* Earlier threads, so the owner's tid is not 0. *)
-  let _ = Sim.spawn sim ~name:"idle-a" ignore and _ = Sim.spawn sim ~name:"idle-b" ignore in
-  let holder =
-    Sim.spawn sim ~name:"holder" (fun () ->
-        Lock.Counting.with_lock cl (fun () ->
-            Lock.Counting.with_lock cl (fun () ->
-                Sim.delay sim 1_000_000;
-                Alcotest.(check int) "depth after the failed release" 2
-                  (Lock.Counting.depth cl))))
-  in
-  let msg = ref None in
-  let intruder =
-    Sim.spawn sim ~name:"intruder" (fun () ->
-        Sim.delay sim 100_000;
-        match Lock.Counting.release cl with
-        | () -> Alcotest.fail "non-owner release should fail"
-        | exception Invalid_argument m -> msg := Some m)
-  in
-  Sim.run sim;
-  let msg = Option.get !msg in
-  List.iter
-    (fun sub -> Alcotest.(check bool) sub true (contains msg sub))
-    [
-      "Lock.Counting.release \"map\"";
-      Printf.sprintf "caller tid %d (intruder)" (Sim.tid intruder);
-      Printf.sprintf "owned by tid %d (holder)" (Sim.tid holder);
-    ]
-
 let test_lock_with_lock_releases_on_exception () =
   let sim = Sim.create () in
   let lock = Lock.create sim arch Lock.Unfair ~name:"l" in
@@ -992,12 +953,11 @@ let test_lock_with_lock_releases_on_exception () =
   Sim.run sim;
   Alcotest.(check bool) "lock released after exception" true !second_ran
 
-(* The body's own exception comes back, not [Fun.Finally_raised], and a
-   counting lock unwinds to depth 0 and is free for the next thread. *)
+(* The body's own exception comes back, not [Fun.Finally_raised], and the
+   lock is free for the next thread. *)
 let test_with_lock_reraises_body_exception () =
   let sim = Sim.create () in
   let lock = Lock.create sim arch Lock.Fifo ~name:"l" in
-  let cl = Lock.Counting.create sim arch Lock.Unfair ~name:"map" in
   let caught = ref [] in
   let note = function
     | Failure m -> caught := m :: !caught
@@ -1005,22 +965,17 @@ let test_with_lock_reraises_body_exception () =
   in
   let _ =
     Sim.spawn sim ~name:"thrower" (fun () ->
-        (try Lock.with_lock lock (fun () -> failwith "plain") with e -> note e);
-        (try
-           Lock.Counting.with_lock cl (fun () ->
-               Lock.Counting.with_lock cl (fun () -> failwith "nested"))
-         with e -> note e);
-        Alcotest.(check int) "depth back to 0" 0 (Lock.Counting.depth cl))
+        try Lock.with_lock lock (fun () -> failwith "plain") with e -> note e)
   in
   let after = ref false in
   let _ =
     Sim.spawn sim ~name:"after" (fun () ->
         Sim.delay sim 100_000;
-        Lock.with_lock lock (fun () -> Lock.Counting.with_lock cl (fun () -> after := true)))
+        Lock.with_lock lock (fun () -> after := true))
   in
   Sim.run sim;
-  Alcotest.(check (list string)) "body exceptions" [ "plain"; "nested" ] (List.rev !caught);
-  Alcotest.(check bool) "both locks free again" true !after;
+  Alcotest.(check (list string)) "body exception" [ "plain" ] !caught;
+  Alcotest.(check bool) "lock free again" true !after;
   Alcotest.(check int) "lock taken twice" 2 (Lock.acquisitions lock)
 
 let test_lock_wait_accounting () =
@@ -1091,49 +1046,6 @@ let test_lock_power_series_no_penalty () =
   let no_pen = { arch with Arch.sync = Arch.Sync_bus } in
   Alcotest.(check bool) "sync-bus arch avoids migration cost" true (elapsed no_pen < elapsed arch)
 
-let test_counting_lock_recursion () =
-  let sim = Sim.create () in
-  let cl = Lock.Counting.create sim arch Lock.Unfair ~name:"map" in
-  let ok = ref false in
-  let _ =
-    Sim.spawn sim ~name:"recurser" (fun () ->
-        Lock.Counting.acquire cl;
-        Lock.Counting.acquire cl;
-        Alcotest.(check int) "depth 2" 2 (Lock.Counting.depth cl);
-        Lock.Counting.release cl;
-        Alcotest.(check int) "depth 1" 1 (Lock.Counting.depth cl);
-        Lock.Counting.release cl;
-        ok := true)
-  in
-  Sim.run sim;
-  Alcotest.(check bool) "completed" true !ok
-
-let test_counting_lock_excludes_others () =
-  let sim = Sim.create () in
-  let cl = Lock.Counting.create sim arch Lock.Unfair ~name:"map" in
-  let order = ref [] in
-  let _ =
-    Sim.spawn sim ~name:"first" (fun () ->
-        Lock.Counting.acquire cl;
-        Lock.Counting.acquire cl;
-        Sim.delay sim 10_000;
-        order := "first-release" :: !order;
-        Lock.Counting.release cl;
-        Lock.Counting.release cl)
-  in
-  let _ =
-    Sim.spawn sim ~name:"second" (fun () ->
-        Sim.delay sim 100;
-        Lock.Counting.acquire cl;
-        order := "second-acquired" :: !order;
-        Lock.Counting.release cl)
-  in
-  Sim.run sim;
-  Alcotest.(check (list string))
-    "second waits for full release"
-    [ "first-release"; "second-acquired" ]
-    (List.rev !order)
-
 let test_lock_barging_grant_order () =
   (* With every waiter queued by release time, the barging spinlock is
      LIFO: the newest arrival wins each test-and-set race.  No randomness
@@ -1145,37 +1057,6 @@ let test_lock_barging_grant_order () =
         [ 6; 5; 4; 3; 2; 1 ]
         (grant_sequence Lock.Barging ~seed))
     [ 1; 2; 3 ]
-
-let test_counting_release_balance () =
-  let sim = Sim.create () in
-  let cl = Lock.Counting.create sim arch Lock.Unfair ~name:"map" in
-  let contains msg sub =
-    let n = String.length msg and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
-    go 0
-  in
-  let done_ = ref false in
-  let _ =
-    Sim.spawn sim ~name:"recurser" (fun () ->
-        Lock.Counting.with_lock cl (fun () ->
-            Lock.Counting.with_lock cl (fun () ->
-                Alcotest.(check int) "nested depth" 2 (Lock.Counting.depth cl));
-            Alcotest.(check int) "after inner" 1 (Lock.Counting.depth cl));
-        Alcotest.(check int) "after outer" 0 (Lock.Counting.depth cl);
-        (* A fresh acquire after full release starts a new depth-1 hold;
-           the extra release beyond balance must raise, naming the lock. *)
-        Lock.Counting.acquire cl;
-        Alcotest.(check int) "re-acquired" 1 (Lock.Counting.depth cl);
-        Lock.Counting.release cl;
-        (match Lock.Counting.release cl with
-         | () -> Alcotest.fail "unbalanced release must raise"
-         | exception Invalid_argument msg ->
-           Alcotest.(check bool) "names the lock" true (contains msg "\"map\"");
-           Alcotest.(check bool) "says not held" true (contains msg "not held"));
-        done_ := true)
-  in
-  Sim.run sim;
-  Alcotest.(check bool) "completed" true !done_
 
 (* ------------------------------------------------------------------ *)
 (* Gate                                                                *)
@@ -1542,15 +1423,8 @@ let suites =
           test_lock_coherency_penalty_cross_cpu;
         Alcotest.test_case "sync-bus arch has no penalty" `Quick
           test_lock_power_series_no_penalty;
-        Alcotest.test_case "counting lock recursion" `Quick test_counting_lock_recursion;
-        Alcotest.test_case "counting lock excludes others" `Quick
-          test_counting_lock_excludes_others;
         Alcotest.test_case "barging grants newest first" `Quick
           test_lock_barging_grant_order;
-        Alcotest.test_case "counting release balance" `Quick
-          test_counting_release_balance;
-        Alcotest.test_case "counting release by a non-owner names the owner" `Quick
-          test_counting_non_owner_release_names_owner;
       ] );
     ( "engine.gate",
       [

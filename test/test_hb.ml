@@ -22,7 +22,6 @@ let grant lock = Trace.Lock_grant { lock; waiters = 0; wait_ns = 0 }
 let rel lock = Trace.Lock_release { lock; hold_ns = 0 }
 let acc ?(write = true) state = Trace.Access { state; write }
 let fork child = Trace.Thread_fork { child }
-let join child = Trace.Thread_join { child }
 let advance gate serving = Trace.Gate_advance { gate; serving }
 let pass gate ticket = Trace.Gate_pass { gate; ticket; wait_ns = 0 }
 let bus = Trace.Membus_charge { bytes = 64; dur_ns = 100 }
@@ -103,17 +102,6 @@ let test_hb_fork_edge () =
   Alcotest.(check (list string)) "fork orders parent past" [] (races ordered);
   let racy = make_trace [ (1, fork 2); (1, acc "x#f"); (2, acc "x#f") ] in
   Alcotest.(check (list string)) "post-fork parent write races" [ "x#f" ] (races racy)
-
-let test_hb_join_edge () =
-  (* Child writes and exits; parent joins, then writes: ordered.
-     Without the join the same pair races. *)
-  let ordered =
-    make_trace
-      [ (2, acc "x#f"); (2, Trace.Thread_exit); (1, join 2); (1, acc "x#f") ]
-  in
-  Alcotest.(check (list string)) "join orders child past" [] (races ordered);
-  let racy = make_trace [ (2, acc "x#f"); (2, Trace.Thread_exit); (1, acc "x#f") ] in
-  Alcotest.(check (list string)) "exit alone is not an edge" [ "x#f" ] (races racy)
 
 let test_hb_bus_edge () =
   (* Membus replies serialise the two writes; without the charges the
@@ -403,7 +391,6 @@ let suites =
         Alcotest.test_case "gate edge clears lockset false positive" `Quick
           test_hb_gate_orders_lockset_false_positive;
         Alcotest.test_case "fork edge" `Quick test_hb_fork_edge;
-        Alcotest.test_case "exit+join edge" `Quick test_hb_join_edge;
         Alcotest.test_case "membus reply edge orders" `Quick test_hb_bus_edge;
         Alcotest.test_case "write-write flag" `Quick test_hb_write_write_flag;
         Alcotest.test_case "one report per state" `Quick test_hb_reports_once_per_state;

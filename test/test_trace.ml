@@ -193,7 +193,6 @@ let every_ev =
       Thread_spawn { name = "worker 3" };
       Thread_fork { child = 12 };
       Thread_exit;
-      Thread_join { child = 13 };
       Lock_request { lock = "tcp.conn:1"; waiters = 4 };
       Lock_grant { lock = "tcp.conn:2"; waiters = 5; wait_ns = 1 lsl 40 };
       Lock_handoff { lock = "ip.demux"; to_tid = -1; handoff_ns = 77 };

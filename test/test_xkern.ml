@@ -578,31 +578,47 @@ let test_xmap_many_keys_with_collisions () =
           (Imap.lookup m i)
       done)
 
-let test_xmap_iter_visits_all () =
+(* A deferred-charge section (SCR replay) charges a lock's cost but takes
+   no ownership, so a lookup inside one must leave alone a shard lock
+   that another thread holds: the holder's release and a later taker's
+   acquire both still work. *)
+let test_xmap_deferred_lookup_keeps_holder_lock () =
   let p = plat () in
-  let m = Imap.create p ~name:"test" () in
-  in_sim p (fun () ->
-      List.iter (fun i -> Imap.insert m i i) [ 1; 2; 3; 4; 5 ];
-      let sum = ref 0 in
-      Imap.iter m (fun _ v -> sum := !sum + v);
-      Alcotest.(check int) "sum of values" 15 !sum)
-
-let test_xmap_iter_can_recurse () =
-  let p = plat () in
-  let m = Imap.create p ~name:"test" () in
-  in_sim p (fun () ->
-      Imap.insert m 1 10;
-      Imap.insert m 2 20;
-      (* mapForEach calling lookup on the same (counting-)locked map *)
-      let acc = ref 0 in
-      Imap.iter m (fun k _ -> acc := !acc + Option.value ~default:0 (Imap.lookup m k));
-      Alcotest.(check int) "recursive lookups fine" 30 !acc)
+  let sim = p.Platform.sim in
+  let m = Imap.create p ~name:"m" () in
+  let held = ref (0, 0) and replayed_at = ref (-1) and taken = ref None in
+  let _ =
+    Sim.spawn sim ~name:"holder" (fun () ->
+        let t0 = Sim.now sim in
+        ignore (Imap.lookup m 1);
+        held := (t0 + p.Platform.arch.Arch.mutex_ns, Sim.now sim))
+  in
+  let _ =
+    Sim.spawn sim ~name:"replayer" (fun () ->
+        Sim.delay sim 800;
+        replayed_at := Sim.now sim;
+        Sim.defer_begin sim;
+        ignore (Imap.lookup m 1);
+        ignore (Sim.defer_end sim))
+  in
+  let _ =
+    Sim.spawn sim ~name:"taker" (fun () ->
+        Sim.delay sim 100_000;
+        Imap.insert m 1 "one";
+        taken := Imap.lookup m 1)
+  in
+  Sim.run sim;
+  let granted, released = !held in
+  Alcotest.(check bool) "the replayed lookup falls inside the holder's hold" true
+    (granted < !replayed_at && !replayed_at < released);
+  Alcotest.(check (option string)) "a later thread takes the shard lock" (Some "one") !taken
 
 (* The sharded map against a Hashtbl oracle: a random mix of
    insert/remove/lookup over a colliding key space, spread over several
    shards with tiny initial bucket arrays so resizes fire constantly.
-   Lookups (through the 1-behind cache), length and iter coverage must
-   all agree with the oracle at every step. *)
+   Lookups (through the 1-behind cache) must agree with the oracle at
+   every step, and at the end every key in the key space and the length
+   must too. *)
 let prop_xmap_matches_hashtbl =
   QCheck.Test.make ~name:"xmap agrees with a Hashtbl oracle" ~count:60
     QCheck.(
@@ -632,12 +648,11 @@ let prop_xmap_matches_hashtbl =
               if Imap.lookup m k <> Some v then
                 QCheck.Test.fail_report "binding lost (resize or remove ate it)")
             oracle;
-          let seen : (int, int) Hashtbl.t = Hashtbl.create 16 in
-          Imap.iter m (fun k v ->
-              if Hashtbl.mem seen k then QCheck.Test.fail_report "iter visited a key twice";
-              Hashtbl.replace seen k v);
-          Hashtbl.length seen = Hashtbl.length oracle
-          && Imap.length m = Hashtbl.length oracle))
+          for k = 0 to 100 do
+            if (not (Hashtbl.mem oracle k)) && Imap.lookup m k <> None then
+              QCheck.Test.fail_report "a removed or never-bound key is found"
+          done;
+          Imap.length m = Hashtbl.length oracle))
 
 (* Chain-growth regression: at 10^5 keys the per-shard bucket doubling
    must keep the mean chain length at the [grow_load] bound instead of
@@ -891,8 +906,8 @@ let suites =
         Alcotest.test_case "cache invalidated on remove" `Quick
           test_xmap_cache_invalidated_on_remove;
         Alcotest.test_case "collisions handled" `Quick test_xmap_many_keys_with_collisions;
-        Alcotest.test_case "iter visits all" `Quick test_xmap_iter_visits_all;
-        Alcotest.test_case "iter can recurse (counting lock)" `Quick test_xmap_iter_can_recurse;
+        Alcotest.test_case "a deferred section's lookup leaves the holder's shard lock intact"
+          `Quick test_xmap_deferred_lookup_keeps_holder_lock;
         Alcotest.test_case "unlocked lookup cheaper" `Quick test_xmap_unlocked_lookup_cheaper;
         Qrand.to_alcotest prop_xmap_matches_hashtbl;
         Alcotest.test_case "chain length bounded at 100k keys" `Slow
