@@ -850,9 +850,7 @@ let trace_cmd =
     let plat = Platform.create ~seed:4 Arch.challenge_100 in
     let stack = Stack.create plat ~local_addr:0x0a000001 () in
     let sniffer = Sniffer.attach stack in
-    let _peer =
-      Tcp_peer.attach stack ~peer_addr:0x0a000002 ~ack_window:(1 lsl 20) ~checksum:true ()
-    in
+    let _peer = Tcp_peer.attach stack ~peer_addr:0x0a000002 ~checksum:true () in
     ignore
       (Sim.spawn plat.Platform.sim ~cpu:0 ~name:"app" (fun () ->
            let sess =

@@ -18,9 +18,7 @@ let () =
   (* FDDI / IP / UDP / TCP, and the simulated TCP receiver below FDDI that
      consumes segments and acknowledges every other one. *)
   let stack = Stack.create plat ~local_addr:0x0a000001 () in
-  let peer =
-    Tcp_peer.attach stack ~peer_addr:0x0a000002 ~ack_window:(1 lsl 20) ~checksum:true ()
-  in
+  let peer = Tcp_peer.attach stack ~peer_addr:0x0a000002 ~checksum:true () in
 
   (* One thread wired per processor, all sending on a single connection —
      the paper's packet-level parallelism. *)

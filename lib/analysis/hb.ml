@@ -313,8 +313,8 @@ let findings t =
         ~witnesses:[ r.first; r.second ]
         (Printf.sprintf
            "unordered %s by tid %d and tid %d: no happens-before path \
-            (fork/join, gate, lock release→acquire or bus reply) connects the \
-            two accesses"
+            (fork, gate, lock release→acquire, SCR log append→apply or bus) \
+            connects the two accesses"
            (if r.write_write then "writes" else "read/write pair")
            r.first.Trace.tid r.second.Trace.tid))
     (List.rev t.races)

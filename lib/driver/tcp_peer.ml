@@ -189,12 +189,12 @@ let handle t frame =
        end
      end)
 
-let attach stack ~peer_addr ~ack_window ~checksum ?(loss_rate = 0.0) () =
+let attach stack ~peer_addr ~checksum ?(loss_rate = 0.0) () =
   let t =
     {
       stack;
       peer_addr;
-      ack_window;
+      ack_window = 1 lsl 20;
       checksum;
       loss_rate;
       loss_rng = Prng.split (Sim.prng stack.Stack.plat.Platform.sim);

@@ -10,11 +10,11 @@
 
 type t
 
-val attach :
-  Stack.t -> peer_addr:int -> ack_window:int -> checksum:bool -> ?loss_rate:float -> unit -> t
-(** Install below the stack's FDDI layer.  [ack_window] is the window the
-    simulated receiver advertises; [checksum] controls whether its acks
-    carry valid checksums (matching the stack's configuration).
+val attach : Stack.t -> peer_addr:int -> checksum:bool -> ?loss_rate:float -> unit -> t
+(** Install below the stack's FDDI layer.  The simulated receiver
+    advertises a 1 MB window until {!set_window} changes it; [checksum]
+    controls whether its acks carry valid checksums (matching the stack's
+    configuration).
     [loss_rate] silently drops that fraction of data segments, for
     retransmission tests (default 0: the paper's error-free network). *)
 

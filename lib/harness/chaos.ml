@@ -70,15 +70,7 @@ let tcp_world ~plan ~disc ~tcp_locking ~seed ~bytes ~horizon =
             ~remote_addr:addr_b ~remote_port:80
         in
         established := true;
-        let n = String.length payload in
-        let rec send_from off =
-          if off < n then begin
-            let len = min 1000 (n - off) in
-            Socket.send_string sock (String.sub payload off len);
-            send_from (off + len)
-          end
-        in
-        send_from 0;
+        Overload.send_chunked sock payload;
         sent_all := true;
         Socket.close sock)
   in

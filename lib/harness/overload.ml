@@ -54,6 +54,17 @@ let golden_cycle bytes = String.init (bytes + 94) (fun i -> Char.unsafe_chr (32 
 let cut_golden cycle ~seed ~flow ~bytes = String.sub cycle (golden_offset ~seed ~flow) bytes
 let golden ~seed ~flow ~bytes = cut_golden (golden_cycle bytes) ~seed ~flow ~bytes
 
+let send_chunked sock body =
+  let n = String.length body in
+  let rec send_from off =
+    if off < n then begin
+      let len = min 1000 (n - off) in
+      Socket.send_string sock (String.sub body off len);
+      send_from (off + len)
+    end
+  in
+  send_from 0
+
 let caught_checksums (a : Stack.t) (b : Stack.t) =
   Ip.header_failures a.Stack.ip + Ip.header_failures b.Stack.ip
   + Tcp.checksum_failures a.Stack.tcp
@@ -154,15 +165,7 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
            in
            f.established <- true;
            incr accepted_total;
-           let n = String.length body in
-           let rec send_from off =
-             if off < n then begin
-               let len = min 1000 (n - off) in
-               Socket.send_string sock (String.sub body off len);
-               send_from (off + len)
-             end
-           in
-           send_from 0;
+           send_chunked sock body;
            Socket.close sock))
   done;
   (* Progress for the watchdog: anything the run can legitimately be
@@ -266,17 +269,17 @@ let world ~scenario ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns ~syn_backlo
 let default_horizon = Units.sec 600.0
 
 let incast ?(plan = Faults.none) ?(senders = 32) ?(bytes_per_flow = 2048) ?(seed = 1)
-    ?(syn_backlog = 16) ?(sb_policy = Sockbuf.Block) ?pool_capacity
-    ?(lock_disc = Lock.Unfair) ?(tcp_locking = Tcp.One) ?(horizon = default_horizon) () =
+    ?(sb_policy = Sockbuf.Block) ?pool_capacity ?(lock_disc = Lock.Unfair)
+    ?(tcp_locking = Tcp.One) ?(horizon = default_horizon) () =
   world ~scenario:"incast" ~plan ~seed ~senders ~bytes_per_flow ~stagger_ns:0
-    ~syn_backlog ~sb_policy ~pool_capacity ~demux_shards:8 ~lock_disc ~tcp_locking
+    ~syn_backlog:16 ~sb_policy ~pool_capacity ~demux_shards:8 ~lock_disc ~tcp_locking
     ~bandwidth_mbps:100.0 ~latency:(Units.us 200.0) ~horizon ()
 
-let shared_bottleneck ?(plan = Faults.none) ?(senders = 8) ?(bytes_per_flow = 40_000)
-    ?(seed = 1) ?(syn_backlog = 128) ?(sb_policy = Sockbuf.Block) ?pool_capacity
-    ?(lock_disc = Lock.Unfair) ?(tcp_locking = Tcp.One) () =
-  world ~scenario:"bottleneck" ~plan ~seed ~senders ~bytes_per_flow
-    ~stagger_ns:(Units.ms 2.0) ~syn_backlog ~sb_policy ~pool_capacity ~demux_shards:1
+let shared_bottleneck ?(plan = Faults.none) ?(senders = 8) ?(seed = 1)
+    ?(sb_policy = Sockbuf.Block) ?pool_capacity ?(lock_disc = Lock.Unfair)
+    ?(tcp_locking = Tcp.One) () =
+  world ~scenario:"bottleneck" ~plan ~seed ~senders ~bytes_per_flow:40_000
+    ~stagger_ns:(Units.ms 2.0) ~syn_backlog:128 ~sb_policy ~pool_capacity ~demux_shards:1
     ~lock_disc ~tcp_locking ~bandwidth_mbps:40.0 ~latency:(Units.us 200.0)
     ~horizon:default_horizon ()
 

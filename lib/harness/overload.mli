@@ -59,6 +59,10 @@ val golden : seed:int -> flow:int -> bytes:int -> string
     (32..126), a pure function of its arguments, and different for
     different flows and seeds. *)
 
+val send_chunked : Pnp_proto.Socket.t -> string -> unit
+(** Write a stream to a connected socket as 1000-byte
+    {!Pnp_proto.Socket.send_string} chunks (the last one shorter). *)
+
 val caught_checksums : Pnp_driver.Stack.t -> Pnp_driver.Stack.t -> int
 (** Frames the two stacks rejected on a bad IP header, TCP or UDP
     checksum: the corruption a faulted link injected and the stacks
@@ -73,7 +77,6 @@ val incast :
   ?senders:int ->
   ?bytes_per_flow:int ->
   ?seed:int ->
-  ?syn_backlog:int ->
   ?sb_policy:Pnp_proto.Sockbuf.policy ->
   ?pool_capacity:int ->
   ?lock_disc:Pnp_engine.Lock.discipline ->
@@ -82,8 +85,8 @@ val incast :
   unit ->
   outcome
 (** Synchronized fan-in: all [senders] (default 32, tested to 10^3)
-    connect at the same instant — with the default [syn_backlog] of 16
-    the burst overruns the listener and is recovered by SYN
+    connect at the same instant — the listener's SYN backlog is 16, so
+    a burst of more senders overruns it and is recovered by SYN
     retransmission — then each pushes [bytes_per_flow] (default 2048)
     over the shared 100 Mbit/s link.  The server's demux map has 8
     shards; [pool_capacity] (default unbounded) turns on mnode admission
@@ -96,18 +99,16 @@ val incast :
 val shared_bottleneck :
   ?plan:Pnp_faults.Faults.plan ->
   ?senders:int ->
-  ?bytes_per_flow:int ->
   ?seed:int ->
-  ?syn_backlog:int ->
   ?sb_policy:Pnp_proto.Sockbuf.policy ->
   ?pool_capacity:int ->
   ?lock_disc:Pnp_engine.Lock.discipline ->
   ?tcp_locking:Pnp_proto.Tcp.locking ->
   unit ->
   outcome
-(** Steady fairness workload: [senders] (default 8) long flows (default
-    40 kB each) join 2 ms apart and share a 40 Mbit/s link, so the
-    interesting number is [fairness] — how evenly TCP divides the
+(** Steady fairness workload: [senders] (default 8) long flows of
+    40 kB each join 2 ms apart (under a SYN backlog of 128) and share a
+    40 Mbit/s link, so the interesting number is [fairness] — how evenly TCP divides the
     bottleneck — and the completion-latency spread, not raw goodput. *)
 
 val completion_ms : float -> outcome -> float

@@ -110,17 +110,13 @@ let sum n f =
 
 let tcp_config (cfg : Config.t) =
   {
+    Tcp.default_config with
     Tcp.locking = cfg.Config.tcp_locking;
     checksum = cfg.Config.checksum;
     cksum_under_lock = cfg.Config.cksum_under_lock;
     assume_in_order = cfg.Config.assume_in_order;
     ticketing = cfg.Config.ticketing;
-    nodelay = false;
     mss = cfg.Config.payload;
-    rcv_wnd = 1 lsl 20;
-    snd_buf = 1 lsl 20;
-    syn_backlog = Tcp.default_config.Tcp.syn_backlog;
-    sb_policy = Pnp_proto.Sockbuf.Block;
     scr_log_bound = cfg.Config.scr_log_bound;
   }
 
@@ -363,7 +359,7 @@ let setup (cfg : Config.t) plat =
       fun () -> app_counters apps
     | Config.Tcp, Config.Send, _ ->
       let peer =
-        Tcp_peer.attach stack ~peer_addr:receiver_addr ~ack_window:(1 lsl 20) ~checksum
+        Tcp_peer.attach stack ~peer_addr:receiver_addr ~checksum
           ~loss_rate:cfg.Config.loss_rate ()
       in
       let sessions = Array.make conns None in

@@ -9,10 +9,8 @@ type config = {
   cksum_under_lock : bool;
   assume_in_order : bool;
   ticketing : bool;
-  nodelay : bool;
   mss : int;
   rcv_wnd : int;
-  snd_buf : int;
   syn_backlog : int; (* max half-open children per listener; 0 = unbounded *)
   sb_policy : Sockbuf.policy; (* send-buffer overflow: block or shed *)
   scr_log_bound : int; (* SCR: packet-history log depth before truncation *)
@@ -25,14 +23,15 @@ let default_config =
     cksum_under_lock = false;
     assume_in_order = false;
     ticketing = false;
-    nodelay = false;
     mss = 4096;
     rcv_wnd = 1 lsl 20;
-    snd_buf = 1 lsl 20;
     syn_backlog = 128;
     sb_policy = Sockbuf.Block;
     scr_log_bound = 4096;
   }
+
+(* The send socket buffer limit, in bytes. *)
+let snd_buf = 1 lsl 20
 
 type stats = {
   mutable segs_in : int;
@@ -548,7 +547,7 @@ let fresh_tcb t =
     snd_wnd = 0;
     snd_cwnd = t.cfg.mss;
     snd_ssthresh = 1 lsl 30;
-    sb = Sockbuf.create ~policy:t.cfg.sb_policy t.pool ~max:t.cfg.snd_buf;
+    sb = Sockbuf.create ~policy:t.cfg.sb_policy t.pool ~max:snd_buf;
     fin_queued = false;
     fin_sent = false;
     rcv_nxt = 0;
@@ -736,8 +735,7 @@ let build_one sess =
      is unacknowledged, unless it is all we will ever have (FIN queued) or
      the window itself is what made it small. *)
   let nagle_holds =
-    (not t.cfg.nodelay) && len > 0 && len < t.cfg.mss && in_flight > 0
-    && unsent <= len && not tcb.fin_queued
+    len > 0 && len < t.cfg.mss && in_flight > 0 && unsent <= len && not tcb.fin_queued
   in
   if len > 0 && not nagle_holds then begin
     Costs.charge t.plat Costs.tcp_output_locked;

@@ -4,7 +4,9 @@
     prediction, a reassembly queue for out-of-order segments, the send
     socket buffer doubling as the retransmission queue, slow start and
     congestion avoidance, Jacobson RTT estimation, and BSD-style fast
-    (200 ms) and slow (500 ms) timers driven by the timing wheel.
+    (200 ms) and slow (500 ms) timers driven by the timing wheel.  Nagle's
+    algorithm is always on (there is no TCP_NODELAY), and the send socket
+    buffer is fixed at 1 MB.
 
     Five per-connection parallelization disciplines are provided — the
     paper's lock ladder (Section 5.1) plus two that step off it:
@@ -59,12 +61,8 @@ type config = {
           the placement Section 5.1's restructuring removed *)
   assume_in_order : bool;
   ticketing : bool;
-  nodelay : bool;
-      (** disable Nagle's algorithm (small segments sent immediately even
-          with data in flight) *)
   mss : int;            (** maximum segment payload *)
   rcv_wnd : int;        (** advertised receive window (32-bit, Section 2.2) *)
-  snd_buf : int;        (** send socket buffer limit *)
   syn_backlog : int;
       (** maximum half-open (SYN_RCVD) children per listener; a SYN that
           arrives with the backlog full is shed as an accounted drop
@@ -85,8 +83,8 @@ type config = {
 }
 
 val default_config : config
-(** TCP-1, checksum on, 4096-byte MSS, 1 MB windows, no ticketing,
-    SYN backlog 128, blocking send buffer. *)
+(** TCP-1, checksum on, 4096-byte MSS, 1 MB receive window, no
+    ticketing, SYN backlog 128, blocking send buffer. *)
 
 type t
 type session

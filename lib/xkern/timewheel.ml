@@ -1,5 +1,10 @@
 open Pnp_engine
 
+(* BSD's slow-timeout scale (Section 2.1): 10 ms ticks over 128 slots, so
+   one lap of the wheel is 1.28 s.  Expirations are serviced on CPU 0. *)
+let slot_ns = Pnp_util.Units.ms 10.0
+let slots = 128
+
 type entry = {
   fire_tick : int;
   action : unit -> unit;
@@ -11,8 +16,6 @@ type handle = entry
 type t = {
   plat : Platform.t;
   name : string;
-  slot_ns : int;
-  cpu : int;
   chains : entry list array;
   chain_locks : Lock.t array;
   mutable pending : int;
@@ -22,8 +25,6 @@ type t = {
   on_tick : unit -> unit; (* the wheel's one tick event *)
 }
 
-let nslots t = Array.length t.chains
-
 let with_chain_lock t i f =
   if Sim.in_thread t.plat.Platform.sim then Lock.with_lock t.chain_locks.(i) f
   else f ()
@@ -31,7 +32,7 @@ let with_chain_lock t i f =
 (* Service all due entries of the slot for [tick], then arm the next tick
    if anything is still pending. *)
 let rec service t tick =
-  let slot = tick mod nslots t in
+  let slot = tick mod slots in
   let due = ref [] in
   with_chain_lock t slot (fun () ->
       let stay, fire = List.partition (fun e -> e.fire_tick > tick) t.chains.(slot) in
@@ -53,8 +54,8 @@ let rec service t tick =
 and arm t =
   if t.pending > 0 && not t.ticking then begin
     t.ticking <- true;
-    t.next_tick <- max t.next_tick ((Sim.now t.plat.Platform.sim / t.slot_ns) + 1);
-    Sim.at t.plat.Platform.sim (t.next_tick * t.slot_ns) t.on_tick
+    t.next_tick <- max t.next_tick ((Sim.now t.plat.Platform.sim / slot_ns) + 1);
+    Sim.at t.plat.Platform.sim (t.next_tick * slot_ns) t.on_tick
   end
 
 let rec has_due tick = function [] -> false | e :: es -> e.fire_tick <= tick || has_due tick es
@@ -65,15 +66,14 @@ let tick t =
   let tick = t.next_tick in
   t.ticking <- false;
   t.next_tick <- tick + 1;
-  if has_due tick t.chains.(tick mod nslots t) then
+  if has_due tick t.chains.(tick mod slots) then
     ignore
-      (Sim.spawn t.plat.Platform.sim ~cpu:t.cpu
+      (Sim.spawn t.plat.Platform.sim ~cpu:0
          ~name:(t.name ^ ".tick" ^ string_of_int tick)
          (fun () -> service t tick))
   else arm t
 
-let create plat ?(slot_ns = Pnp_util.Units.ms 10.0) ?(slots = 128) ?(cpu = 0) ~name () =
-  if slots <= 0 then invalid_arg "Timewheel.create: slots must be positive";
+let create plat ~name () =
   let chain_locks =
     Array.init slots (fun i ->
         Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair
@@ -83,8 +83,6 @@ let create plat ?(slot_ns = Pnp_util.Units.ms 10.0) ?(slots = 128) ?(cpu = 0) ~n
     {
       plat;
       name;
-      slot_ns;
-      cpu;
       chains = Array.make slots [];
       chain_locks;
       pending = 0;
@@ -99,16 +97,16 @@ let create plat ?(slot_ns = Pnp_util.Units.ms 10.0) ?(slots = 128) ?(cpu = 0) ~n
 let schedule t ~after action =
   if after < 0 then invalid_arg "Timewheel.schedule: negative delay";
   let now = Sim.now t.plat.Platform.sim in
-  let fire_tick = max ((now + after + t.slot_ns - 1) / t.slot_ns) ((now / t.slot_ns) + 1) in
+  let fire_tick = max ((now + after + slot_ns - 1) / slot_ns) ((now / slot_ns) + 1) in
   let e = { fire_tick; action; state = `Pending } in
-  let slot = fire_tick mod nslots t in
+  let slot = fire_tick mod slots in
   with_chain_lock t slot (fun () -> t.chains.(slot) <- e :: t.chains.(slot));
   t.pending <- t.pending + 1;
   arm t;
   e
 
 let cancel t e =
-  let slot = e.fire_tick mod nslots t in
+  let slot = e.fire_tick mod slots in
   with_chain_lock t slot (fun () ->
       match e.state with
       | `Pending ->

@@ -13,16 +13,10 @@ type t
 type handle
 (** A scheduled event, usable with {!cancel}. *)
 
-val create :
-  Pnp_engine.Platform.t ->
-  ?slot_ns:Pnp_util.Units.ns ->
-  ?slots:int ->
-  ?cpu:int ->
-  name:string ->
-  unit ->
-  t
-(** Default granularity is 10 ms with 128 slots (BSD's slow-timeout scale);
-    [cpu] is the processor charged with servicing expirations. *)
+val create : Pnp_engine.Platform.t -> name:string -> unit -> t
+(** A wheel of 128 slots at 10 ms granularity (BSD's slow-timeout scale),
+    so one lap is 1.28 s; processor 0 is charged with servicing
+    expirations. *)
 
 val schedule : t -> after:Pnp_util.Units.ns -> (unit -> unit) -> handle
 (** Schedule a callback at least [after] from now (rounded up to the next

@@ -16,6 +16,11 @@ let cache_probe_instrs = 45
 let hash_instrs = 70
 let link_instrs = 25 (* per chain element examined *)
 
+(* Each shard starts with the paper's 32 buckets: a power of two, so the
+   bucket index is a mask, not a division, on the per-packet demux
+   path. *)
+let initial_buckets = 32
+
 (* A shard doubles its bucket array when its population exceeds this many
    bindings per bucket, keeping mean chain length bounded as the map
    grows into the 10^5..10^6 range. *)
@@ -53,16 +58,10 @@ module Make (K : KEY) = struct
 
   let fresh_slot () = { t_behind = None; t_hits = 0 }
 
-  let create plat ?(shards = 1) ?(buckets = 32) ~name () =
+  let create plat ?(shards = 1) ~name () =
     if shards <= 0 then invalid_arg "Xmap.create: shards must be positive";
-    if buckets <= 0 then invalid_arg "Xmap.create: buckets must be positive";
     let rec pow2 n = if n >= shards then n else pow2 (2 * n) in
     let nshards = pow2 1 in
-    (* Bucket arrays are kept at power-of-two sizes (rounding the request
-       up) so the bucket index is a mask, not a division, on the
-       per-packet demux path. *)
-    let rec bpow2 n = if n >= buckets then n else bpow2 (2 * n) in
-    let buckets = bpow2 1 in
     let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
     let shard i =
       (* A single-shard map keeps the bare name so existing lock tables
@@ -74,7 +73,7 @@ module Make (K : KEY) = struct
         (* Map-manager locks stay raw mutexes, even in the paper's MCS
            experiments (Section 4.1). *)
         lock = Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair ~name:sname;
-        buckets = Array.make buckets [];
+        buckets = Array.make initial_buckets [];
         one_behind = None;
         size = 0;
         cache_hits = 0;

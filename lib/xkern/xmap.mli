@@ -34,11 +34,11 @@ end
 module Make (K : KEY) : sig
   type 'v t
 
-  val create :
-    Pnp_engine.Platform.t -> ?shards:int -> ?buckets:int -> name:string -> unit -> 'v t
-  (** [shards] (default 1) and [buckets] (default 32, the initial bucket
-      count per shard) are each rounded up to a power of two, so both the
-      shard and the bucket index are mask extractions of the key hash. *)
+  val create : Pnp_engine.Platform.t -> ?shards:int -> name:string -> unit -> 'v t
+  (** [shards] (default 1) is rounded up to a power of two.  Each shard
+      starts with the paper's 32 buckets and doubles them as it grows, so
+      both the shard and the bucket index are mask extractions of the key
+      hash. *)
 
   val insert : 'v t -> K.t -> 'v -> unit
   (** Bind (replacing any existing binding). *)

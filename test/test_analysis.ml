@@ -555,15 +555,15 @@ let render_fixture_check () =
 let fixture_check_expected = {|[error] fifo-order: m: FIFO lock granted out of arrival order: tid 2 overtook the pending request of tid 1
     witness: t=290 ns tid=1 cpu=2  request m (waiters 0)
     witness: t=310 ns tid=2 cpu=1  grant m (waited 0 ns)
-[error] hb-race: cfg#mtu: unordered read/write pair by tid 1 and tid 2: no happens-before path (fork/join, gate, lock release→acquire or bus reply) connects the two accesses
+[error] hb-race: cfg#mtu: unordered read/write pair by tid 1 and tid 2: no happens-before path (fork, gate, lock release→acquire, SCR log append→apply or bus) connects the two accesses
     witness: t=40 ns tid=1 cpu=1  write cfg#mtu
     witness: t=50 ns tid=2 cpu=2  read cfg#mtu
-[error] hb-race: sb#cc: unordered writes by tid 5 and tid 7: no happens-before path (fork/join, gate, lock release→acquire or bus reply) connects the two accesses
+[error] hb-race: sb#cc: unordered writes by tid 5 and tid 7: no happens-before path (fork, gate, lock release→acquire, SCR log append→apply or bus) connects the two accesses
     witness: t=340 ns tid=5 cpu=1  write sb#cc
     witness: t=360 ns tid=7 cpu=0  write sb#cc
 [error] hb-race: scr:conn0: SCR replay read ahead of the appended tail: tid 4 applied log entry 2 but only entries up to 0 had been appended — the append that publishes an entry must happen before the apply that consumes it
     witness: t=80 ns tid=4 cpu=2  scr apply scr:conn0[2]
-[error] hb-race: tcb#ctr: unordered writes by tid 1 and tid 2: no happens-before path (fork/join, gate, lock release→acquire or bus reply) connects the two accesses
+[error] hb-race: tcb#ctr: unordered writes by tid 1 and tid 2: no happens-before path (fork, gate, lock release→acquire, SCR log append→apply or bus) connects the two accesses
     witness: t=10 ns tid=1 cpu=1  write tcb#ctr
     witness: t=20 ns tid=2 cpu=2  write tcb#ctr
 [error] lifetime: mnode 3: bytes written after arena recycle (write-after-recycle): node was recycled

@@ -54,9 +54,7 @@ let test_sniffer_with_driver () =
   let p = plat () in
   let stack = Stack.create p ~local_addr:0x0a000001 () in
   let sniffer = Sniffer.attach stack in
-  let _peer =
-    Tcp_peer.attach stack ~peer_addr:0x0a000002 ~ack_window:(1 lsl 20) ~checksum:true ()
-  in
+  let _peer = Tcp_peer.attach stack ~peer_addr:0x0a000002 ~checksum:true () in
   let _ =
     Sim.spawn p.Platform.sim ~cpu:0 ~name:"app" (fun () ->
         let sess =

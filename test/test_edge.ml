@@ -30,9 +30,7 @@ let test_send_across_seq_wrap () =
       ~tcp_config:{ Tcp.default_config with Tcp.mss = 1024; checksum = true }
       ~local_addr:0x0a000001 ()
   in
-  let peer =
-    Tcp_peer.attach stack ~peer_addr:0x0a000002 ~ack_window:(1 lsl 20) ~checksum:true ()
-  in
+  let peer = Tcp_peer.attach stack ~peer_addr:0x0a000002 ~checksum:true () in
   in_sim p (fun () ->
       (* 3 segments before the wrap boundary, then 13 after. *)
       let iss = Tcp_seq.mask (-(3 * 1024) - 1) in
@@ -214,17 +212,15 @@ let test_fully_duplicate_segment_reacked () =
 (* Nagle's algorithm                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let nagle_env ~nodelay =
+let nagle_env () =
   let p = plat () in
-  let cfg = { Tcp.default_config with Tcp.mss = 1024; nodelay } in
+  let cfg = { Tcp.default_config with Tcp.mss = 1024 } in
   let stack = Stack.create p ~tcp_config:cfg ~local_addr:0x0a000001 () in
-  let peer =
-    Tcp_peer.attach stack ~peer_addr:0x0a000002 ~ack_window:(1 lsl 20) ~checksum:true ()
-  in
+  let peer = Tcp_peer.attach stack ~peer_addr:0x0a000002 ~checksum:true () in
   (p, stack, peer)
 
 let test_nagle_coalesces_small_writes () =
-  let p, stack, peer = nagle_env ~nodelay:false in
+  let p, stack, peer = nagle_env () in
   in_sim p (fun () ->
       let sess =
         Tcp.connect stack.Stack.tcp ~local_port:5000 ~remote_addr:0x0a000002
@@ -245,31 +241,8 @@ let test_nagle_coalesces_small_writes () =
         true
         (Tcp_peer.data_segments peer <= 5))
 
-let test_nodelay_sends_immediately () =
-  let p, stack, peer = nagle_env ~nodelay:true in
-  in_sim p (fun () ->
-      let sess =
-        Tcp.connect stack.Stack.tcp ~local_port:5000 ~remote_addr:0x0a000002
-          ~remote_port:80
-      in
-      for i = 0 to 9 do
-        let m = Msg.create stack.Stack.pool 100 in
-        Msg.fill_pattern m ~off:0 ~len:100 ~stream_off:(i * 100);
-        Tcp.send sess m
-      done;
-      Sim.delay p.Platform.sim (Pnp_util.Units.sec 2.0);
-      Alcotest.(check int) "all bytes arrive" 1000 (Tcp_peer.unique_bytes peer ~port:5000);
-      (* 10 writes, plus possibly one odd-tail retransmission: the driver
-         acks every other segment, so the last one is recovered by the
-         retransmit timer. *)
-      let segs = Tcp_peer.data_segments peer in
-      Alcotest.(check bool)
-        (Printf.sprintf "one segment per write (%d)" segs)
-        true
-        (segs >= 10 && segs <= 11))
-
 let test_nagle_never_holds_full_segments () =
-  let p, stack, peer = nagle_env ~nodelay:false in
+  let p, stack, peer = nagle_env () in
   in_sim p (fun () ->
       let sess =
         Tcp.connect stack.Stack.tcp ~local_port:5000 ~remote_addr:0x0a000002
@@ -289,21 +262,22 @@ let test_nagle_never_holds_full_segments () =
 
 let test_timewheel_stress () =
   let p = plat () in
-  let w = Timewheel.create p ~slot_ns:(Pnp_util.Units.ms 1.0) ~slots:16 ~name:"stress" () in
+  let w = Timewheel.create p ~name:"stress" () in
   let rng = Pnp_util.Prng.create 77 in
   let fired = ref [] in
   let cancelled = ref 0 in
   in_sim p (fun () ->
+      (* Delays up to 4 s span three 1.28 s laps of the wheel. *)
       let handles =
         List.init 400 (fun i ->
-            let after = Pnp_util.Units.ms (0.5 +. Pnp_util.Prng.float rng 200.0) in
+            let after = Pnp_util.Units.ms (0.5 +. Pnp_util.Prng.float rng 4000.0) in
             (Timewheel.schedule w ~after (fun () -> fired := i :: !fired), i))
       in
       List.iter
         (fun (h, i) ->
           if i mod 2 = 0 && Timewheel.cancel w h then incr cancelled)
         handles;
-      Sim.delay p.Platform.sim (Pnp_util.Units.ms 300.0));
+      Sim.delay p.Platform.sim (Pnp_util.Units.ms 4100.0));
   Alcotest.(check int) "half cancelled" 200 !cancelled;
   Alcotest.(check int) "other half fired" 200 (List.length !fired);
   List.iter (fun i -> Alcotest.(check bool) "only odd ids fired" true (i mod 2 = 1)) !fired;
@@ -319,12 +293,14 @@ end
 
 module Imap = Xmap.Make (Int_key)
 
+(* 301 keys in one shard: most runs pass the 64 bindings at which the
+   map's 32 buckets double. *)
 let prop_xmap_matches_hashtbl =
   QCheck.Test.make ~name:"map manager agrees with a reference Hashtbl" ~count:80
-    QCheck.(list_of_size Gen.(0 -- 120) (pair (int_bound 2) (int_bound 30)))
+    QCheck.(list_of_size Gen.(0 -- 1200) (pair (int_bound 2) (int_bound 300)))
     (fun ops ->
       let p = plat () in
-      let m = Imap.create p ~buckets:8 ~name:"stress" () in
+      let m = Imap.create p ~name:"stress" () in
       let h = Hashtbl.create 16 in
       let ok = ref true in
       let runner () =
@@ -399,8 +375,6 @@ let suites =
           test_fully_duplicate_segment_reacked;
         Alcotest.test_case "Nagle coalesces small writes" `Quick
           test_nagle_coalesces_small_writes;
-        Alcotest.test_case "TCP_NODELAY sends immediately" `Quick
-          test_nodelay_sends_immediately;
         Alcotest.test_case "Nagle never holds full segments" `Quick
           test_nagle_never_holds_full_segments;
       ] );

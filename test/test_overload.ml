@@ -263,10 +263,10 @@ let test_incast_negative_seed () =
   Alcotest.(check int) "all completed" 4 o.Overload.completed
 
 let test_incast_syn_flood () =
-  (* 24 simultaneous SYNs against a 4-entry backlog: the listener must
-     shed (accounted), and SYN retransmission must still land every
-     connection. *)
-  let o = Overload.incast ~senders:24 ~syn_backlog:4 () in
+  (* 24 simultaneous SYNs against the 16-entry incast backlog: the
+     listener must shed (accounted), and SYN retransmission must still
+     land every connection. *)
+  let o = Overload.incast ~senders:24 () in
   check_passed "syn flood" o;
   Alcotest.(check bool) "backlog actually shed" true
     (o.Overload.drops.Recovery.syn_backlog > 0);
@@ -314,8 +314,12 @@ let test_bottleneck_fairness () =
   Alcotest.(check bool) "bottleneck shared fairly" true (o.Overload.fairness > 0.99)
 
 let test_scenarios_deterministic () =
-  let a = Overload.incast ~senders:16 ~syn_backlog:4 () in
-  let b = Overload.incast ~senders:16 ~syn_backlog:4 () in
+  (* 24 senders overrun the 16-entry backlog, so both worlds take the
+     SYN drop-and-retransmit path. *)
+  let a = Overload.incast ~senders:24 () in
+  let b = Overload.incast ~senders:24 () in
+  Alcotest.(check bool) "the worlds shed SYNs" true
+    (a.Overload.drops.Recovery.syn_backlog > 0);
   Alcotest.(check string) "same seed, same world" (Overload.to_line a)
     (Overload.to_line b)
 

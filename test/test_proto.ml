@@ -415,10 +415,7 @@ let send_side_env ?(locking = Tcp.One) ?(checksum = true) ?loss_rate () =
   let stack =
     Stack.create p ~tcp_config:(tcp_cfg ~locking ~checksum ()) ~local_addr:0x0a000001 ()
   in
-  let peer =
-    Tcp_peer.attach stack ~peer_addr:0x0a000002 ~ack_window:(1 lsl 20) ~checksum
-      ?loss_rate ()
-  in
+  let peer = Tcp_peer.attach stack ~peer_addr:0x0a000002 ~checksum ?loss_rate () in
   (p, stack, peer)
 
 let test_tcp_connect_establishes locking () =
@@ -535,9 +532,8 @@ let test_tcp_small_window_segments () =
   let stack =
     Stack.create p ~tcp_config:(tcp_cfg ~mss:4096 ()) ~local_addr:0x0a000001 ()
   in
-  let peer =
-    Tcp_peer.attach stack ~peer_addr:0x0a000002 ~ack_window:2048 ~checksum:true ()
-  in
+  let peer = Tcp_peer.attach stack ~peer_addr:0x0a000002 ~checksum:true () in
+  Tcp_peer.set_window peer 2048;
   in_sim p (fun () ->
       let sess =
         Tcp.connect stack.Stack.tcp ~local_port:5000 ~remote_addr:0x0a000002

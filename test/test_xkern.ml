@@ -565,13 +565,15 @@ let test_xmap_cache_invalidated_on_remove () =
 
 let test_xmap_many_keys_with_collisions () =
   let p = plat () in
-  let m = Imap.create p ~buckets:4 ~name:"test" () in
+  let m = Imap.create p ~name:"test" () in
   in_sim p (fun () ->
-      for i = 0 to 99 do
+      (* 200 keys in one shard cross the resizes at 64 and 128 bindings. *)
+      for i = 0 to 199 do
         Imap.insert m i (string_of_int i)
       done;
-      Alcotest.(check int) "all present" 100 (Imap.length m);
-      for i = 0 to 99 do
+      Alcotest.(check int) "all present" 200 (Imap.length m);
+      Alcotest.(check int) "buckets doubled twice" 2 (Imap.resizes m);
+      for i = 0 to 199 do
         Alcotest.(check (option string))
           (Printf.sprintf "key %d" i)
           (Some (string_of_int i))
@@ -615,17 +617,17 @@ let test_xmap_deferred_lookup_keeps_holder_lock () =
 
 (* The sharded map against a Hashtbl oracle: a random mix of
    insert/remove/lookup over a colliding key space, spread over several
-   shards with tiny initial bucket arrays so resizes fire constantly.
-   Lookups (through the 1-behind cache) must agree with the oracle at
-   every step, and at the end every key in the key space and the length
-   must too. *)
+   shards, with enough distinct keys that a shard usually passes the 64
+   bindings at which its 32 buckets double.  Lookups (through the
+   1-behind cache) must agree with the oracle at every step, and at the
+   end every key in the key space and the length must too. *)
 let prop_xmap_matches_hashtbl =
   QCheck.Test.make ~name:"xmap agrees with a Hashtbl oracle" ~count:60
     QCheck.(
-      list_of_size Gen.(0 -- 400) (pair (int_bound 2) (int_bound 100)))
+      list_of_size Gen.(0 -- 3000) (pair (int_bound 2) (int_bound 1000)))
     (fun ops ->
       let p = plat () in
-      let m = Imap.create p ~shards:4 ~buckets:2 ~name:"oracle" () in
+      let m = Imap.create p ~shards:4 ~name:"oracle" () in
       let oracle : (int, int) Hashtbl.t = Hashtbl.create 16 in
       in_sim p (fun () ->
           List.iter
@@ -648,7 +650,7 @@ let prop_xmap_matches_hashtbl =
               if Imap.lookup m k <> Some v then
                 QCheck.Test.fail_report "binding lost (resize or remove ate it)")
             oracle;
-          for k = 0 to 100 do
+          for k = 0 to 1000 do
             if (not (Hashtbl.mem oracle k)) && Imap.lookup m k <> None then
               QCheck.Test.fail_report "a removed or never-bound key is found"
           done;
@@ -659,7 +661,7 @@ let prop_xmap_matches_hashtbl =
    the seed behaviour (fixed 32 buckets, mean chains in the thousands). *)
 let test_xmap_chain_length_bounded_at_100k () =
   let p = plat () in
-  let m = Imap.create p ~shards:8 ~buckets:4 ~name:"big" () in
+  let m = Imap.create p ~shards:8 ~name:"big" () in
   in_sim p (fun () ->
       let n = 100_000 in
       for i = 1 to n do
@@ -727,21 +729,22 @@ let test_wheel_cancel () =
   Alcotest.(check int) "not pending" 0 (Timewheel.pending w)
 
 let test_wheel_wraps_around () =
-  (* An event further away than slots*slot_ns must survive wheel laps. *)
+  (* An event further away than one lap (128 slots of 10 ms, 1.28 s)
+     must survive wheel laps. *)
   let p = plat () in
-  let w = Timewheel.create p ~slot_ns:(Pnp_util.Units.ms 1.0) ~slots:8 ~name:"w" () in
+  let w = Timewheel.create p ~name:"w" () in
   let fired_at = ref 0 in
   let _ =
     Sim.spawn p.Platform.sim ~name:"sched" (fun () ->
         ignore
-          (Timewheel.schedule w ~after:(Pnp_util.Units.ms 20.0) (fun () ->
+          (Timewheel.schedule w ~after:(Pnp_util.Units.ms 3200.0) (fun () ->
                fired_at := Sim.now p.Platform.sim)))
   in
   Sim.run p.Platform.sim;
   Alcotest.(check bool)
     (Printf.sprintf "fired after full laps (at %d)" !fired_at)
     true
-    (!fired_at >= Pnp_util.Units.ms 20.0);
+    (!fired_at >= Pnp_util.Units.ms 3200.0);
   Alcotest.(check int) "fired once" 1 (Timewheel.fired w)
 
 let test_wheel_timer_can_take_locks () =
@@ -832,15 +835,16 @@ let test_wheel_mass_cancel () =
   (* Teardown shape: a connection dying with many timers outstanding
      cancels them all; the wheel must survive and stay usable. *)
   let p = plat () in
-  let w = Timewheel.create p ~slot_ns:(Pnp_util.Units.ms 1.0) ~slots:8 ~name:"w" () in
+  let w = Timewheel.create p ~name:"w" () in
   let fired = ref 0 in
   let late = ref false in
   let _ =
     Sim.spawn p.Platform.sim ~name:"sched" (fun () ->
+        (* Delays from 5 ms to 2.945 s: over two 1.28 s laps. *)
         let handles =
           List.init 50 (fun i ->
               Timewheel.schedule w
-                ~after:(Pnp_util.Units.ms (5.0 +. float_of_int i))
+                ~after:(Pnp_util.Units.ms (5.0 +. (60.0 *. float_of_int i)))
                 (fun () -> incr fired))
         in
         Alcotest.(check int) "all pending" 50 (Timewheel.pending w);
