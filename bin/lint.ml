@@ -1,37 +1,22 @@
 (* Source-invariant lint runner: walks the given source roots (default
-   lib, bin and test) and exits non-zero if any invariant is violated.
-   Wired into [dune build @lint] and CI.
+   lib, bin and test) and exits 1 if any invariant is violated.  Wired
+   into [dune build @lint] and CI.  It takes no options: an argument
+   starting with "--", or a root that is not a directory, exits 2, so a
+   mistyped root cannot lint nothing and pass. *)
 
-   --matrix prints the lib/proto state-access matrix (which shared-state
-   classes each binding touches, under which locks); --matrix-json FILE
-   writes it as JSON.  Both run the full lint as well, so the matrix
-   view never hides a violation. *)
+let usage msg =
+  prerr_endline ("lint: " ^ msg ^ "\nusage: lint.exe [ROOT_DIR...]");
+  exit 2
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec parse roots show_matrix matrix_json = function
-    | [] -> (List.rev roots, show_matrix, matrix_json)
-    | "--matrix" :: rest -> parse roots true matrix_json rest
-    | "--matrix-json" :: file :: rest -> parse roots show_matrix (Some file) rest
-    | "--matrix-json" :: [] ->
-      prerr_endline "lint: --matrix-json needs a file argument";
-      exit 2
-    | root :: rest -> parse (root :: roots) show_matrix matrix_json rest
-  in
-  let roots, show_matrix, matrix_json = parse [] false None args in
+  let roots = List.tl (Array.to_list Sys.argv) in
+  List.iter
+    (fun r -> if String.starts_with ~prefix:"--" r then usage ("unknown option " ^ r))
+    roots;
   let roots = if roots = [] then [ "lib"; "bin"; "test" ] else roots in
-  if show_matrix || matrix_json <> None then begin
-    let rows = Pnp_analysis.Lint.state_matrix ~roots in
-    if show_matrix then print_string (Pnp_analysis.Lint.matrix_to_string rows);
-    match matrix_json with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Pnp_analysis.Lint.matrix_json rows);
-      close_out oc;
-      Format.printf "state-access matrix: %d binding(s) -> %s@." (List.length rows) file
-  end;
-  let findings = Pnp_analysis.Lint.check_tree ~roots in
+  let findings =
+    try Pnp_analysis.Lint.check_tree ~roots with Invalid_argument msg -> usage msg
+  in
   List.iter
     (fun f -> Format.printf "%a@." Pnp_analysis.Lint.pp_finding f)
     findings;

@@ -258,66 +258,7 @@ let split src =
   { raw = lines src; code = lines (scrub src) }
 
 (* ------------------------------------------------------------------ *)
-(* State-access matrix (lib/proto)
-
-   Each `access sess ~write:<b> "<class>"` annotation names a shared
-   protocol state class (snd/rcv/sb/reass); the matrix records, per
-   top-level binding, which classes it reads and writes and which
-   lock-context tokens appear in the same binding.  A binding that
-   writes shared state with no lock token and no [lint:allow] fails the
-   lint: either it is a real hole or the protection is held by a caller,
-   and the latter must be said out loud in an allow comment. *)
-
-type matrix_row = {
-  m_file : string;
-  m_binding : string;
-  m_line : int; (* first line of the binding, 1-based *)
-  m_reads : string list;
-  m_writes : string list;
-  m_locks : string list;
-  m_allowed : bool;
-}
-
-(* A token that brings a lock context into scope: direct acquires
-   ([Lock.acquire], the drivers' [*_acquire]
-   helpers), scoped holds ([Lock.with_lock], [with_*] helpers such as
-   tcp's [with_opt_lock]).  The [with_] prefix is a naming convention
-   this rule enforces backwards: lock-context helpers must be named so
-   the lexical pass can see them.
-
-   Deferred-charge sections count too: [Sim.defer_begin] (and the SCR
-   wrappers [scr_section_begin]/[scr_apply_entry] built on it) opens a
-   host-atomic section in which writes are replica-local — no other
-   thread can observe the state mid-section, which is exactly the
-   guarantee a lock provides to this rule. *)
-let is_lock_token tok =
-  let ends suffix = String.ends_with ~suffix tok in
-  ends ".acquire" || ends "_acquire" || tok = "with_lock" || ends ".with_lock"
-  || String.starts_with ~prefix:"with_" tok
-  || ends "defer_begin" || ends "_section_begin"
-
-(* The annotation's write flag and state-class literal.  The flag
-   survives scrubbing ([~write:true] is code); the class string does
-   not, so it is pulled from the raw line. *)
-let access_on_line ~raw ~scrubbed =
-  if not (has_token scrubbed "access") then None
-  else
-    let write =
-      if contains_sub scrubbed "~write:true" then Some true
-      else if contains_sub scrubbed "~write:false" then Some false
-      else None
-    in
-    match write with
-    | None -> None
-    | Some w -> (
-      let n = String.length raw in
-      let rec quote i = if i >= n then None else if raw.[i] = '"' then Some i else quote (i + 1) in
-      match quote 0 with
-      | None -> None
-      | Some s -> (
-        match quote (s + 1) with
-        | None -> None
-        | Some e -> Some (w, String.sub raw (s + 1) (e - s - 1))))
+(* Trace-guard helpers *)
 
 (* A line applies a record-carrying [Trace] constructor
    ([Trace.Span_begin { ... }]). *)
@@ -345,143 +286,32 @@ let has_trace_call line =
       || String.ends_with ~suffix:"_trace" last)
     (tokens line)
 
-let matrix_rows ~file { raw; code } =
-  if not (List.mem "proto" (path_parts file)) || in_tests file then []
-  else begin
-    let rows = ref [] in
-    let binding = ref "" and bstart = ref 0 in
-    let reads = ref [] and writes = ref [] in
-    let locks = ref [] and allowed = ref false in
-    let flush () =
-      if !binding <> "" && (!reads <> [] || !writes <> []) then
-        rows :=
-          {
-            m_file = file;
-            m_binding = !binding;
-            m_line = !bstart;
-            m_reads = List.sort_uniq compare !reads;
-            m_writes = List.sort_uniq compare !writes;
-            m_locks = List.sort_uniq compare !locks;
-            m_allowed = !allowed;
-          }
-          :: !rows
-    in
-    Array.iteri
-      (fun i line ->
-        if opens_binding line then begin
-          flush ();
-          binding := toplevel_binding line "";
-          bstart := i + 1;
-          reads := [];
-          writes := [];
-          locks := [];
-          allowed := false
-        end;
-        if !binding <> "" then begin
-          if has_allow_marker raw.(i) then allowed := true;
-          List.iter
-            (fun (tok, _) -> if is_lock_token tok then locks := tok :: !locks)
-            (tokens line);
-          match access_on_line ~raw:raw.(i) ~scrubbed:line with
-          | Some (true, cls) -> writes := cls :: !writes
-          | Some (false, cls) -> reads := cls :: !reads
-          | None -> ()
-        end)
-      code;
-    flush ();
-    List.rev !rows
-  end
-
-let state_matrix_source ~file src = matrix_rows ~file (split src)
-
-let matrix_violations rows =
-  List.filter_map
-    (fun r ->
-      if r.m_writes <> [] && r.m_locks = [] && not r.m_allowed then
-        Some
-          {
-            file = r.m_file;
-            line = r.m_line;
-            rule = "state-matrix";
-            message =
-              Printf.sprintf
-                "%S writes shared state class(es) %s with no lock token in \
-                 the binding and no %s; hold a lock, use a with_* helper, or \
-                 document the caller's protection in an allow comment"
-                r.m_binding
-                (String.concat ", " r.m_writes)
-                allow_marker;
-          }
-      else None)
-    rows
-
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* The .ml files under [roots], sorted; [_build] and hidden directories
-   are skipped, and so is a root that is not a directory. *)
+   are skipped.  A root that is not a directory is an error: skipping it
+   would lint nothing and pass. *)
 let ml_files roots =
   let files = ref [] in
   let rec walk dir =
-    match Sys.readdir dir with
-    | entries ->
-      Array.sort compare entries;
-      Array.iter
-        (fun entry ->
-          let path = Filename.concat dir entry in
-          if Sys.is_directory path then begin
-            if entry <> "_build" && entry.[0] <> '.' then walk path
-          end
-          else if Filename.check_suffix entry ".ml" then files := path :: !files)
-        entries
-    | exception Sys_error _ -> ()
+    let entries = Sys.readdir dir in
+    Array.sort compare entries;
+    Array.iter
+      (fun entry ->
+        let path = Filename.concat dir entry in
+        if Sys.is_directory path then begin
+          if entry <> "_build" && entry.[0] <> '.' then walk path
+        end
+        else if Filename.check_suffix entry ".ml" then files := path :: !files)
+      entries
   in
-  List.iter (fun r -> if Sys.file_exists r && Sys.is_directory r then walk r) roots;
+  List.iter
+    (fun r ->
+      if not (Sys.file_exists r && Sys.is_directory r) then
+        invalid_arg ("Lint.check_tree: " ^ r ^ " is not a directory");
+      walk r)
+    roots;
   List.sort compare !files
-
-let state_matrix ~roots =
-  List.concat_map (fun path -> state_matrix_source ~file:path (read_file path)) (ml_files roots)
-
-let matrix_to_string rows =
-  let b = Buffer.create 1024 in
-  let cls_str = function [] -> "-" | l -> String.concat "," l in
-  let w0 = ref 24 and w1 = ref 12 and w2 = ref 12 in
-  List.iter
-    (fun r ->
-      w0 := max !w0 (String.length r.m_binding);
-      w1 := max !w1 (String.length (cls_str r.m_reads));
-      w2 := max !w2 (String.length (cls_str r.m_writes)))
-    rows;
-  Buffer.add_string b
-    (Printf.sprintf "%-*s  %-*s  %-*s  %s\n" !w0 "binding" !w1 "reads" !w2 "writes"
-       "locks");
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "%-*s  %-*s  %-*s  %s%s\n" !w0 r.m_binding !w1
-           (cls_str r.m_reads) !w2 (cls_str r.m_writes)
-           (cls_str r.m_locks)
-           (if r.m_allowed && r.m_locks = [] && r.m_writes <> [] then
-              "  (caller-locked: " ^ allow_marker ^ ")"
-            else "")))
-    rows;
-  Buffer.contents b
-
-let matrix_json rows =
-  let b = Buffer.create 1024 in
-  let str v = "\"" ^ Pnp_engine.Trace.json_escape v ^ "\"" in
-  let strs l = "[" ^ String.concat "," (List.map str l) ^ "]" in
-  Buffer.add_string b "{\"state_access_matrix\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"file\":%s,\"line\":%d,\"binding\":%s,\"reads\":%s,\"writes\":%s,\"locks\":%s,\"allowed\":%b}"
-           (str r.m_file) r.m_line (str r.m_binding) (strs r.m_reads) (strs r.m_writes)
-           (strs r.m_locks) r.m_allowed))
-    rows;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Msg-mutator generation rule
@@ -637,7 +467,7 @@ let check_source ~file src =
          "%d Lock.acquire call site(s) but only %d Lock.release; some path \
           leaks a lock — prefer Lock.with_lock"
          !acquires !releases);
-  List.rev !findings @ matrix_violations (matrix_rows ~file l) @ bump_gen_findings ~file l
+  List.rev !findings @ bump_gen_findings ~file l
 
 let check_file path = check_source ~file:path (read_file path)
 

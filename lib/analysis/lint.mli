@@ -51,46 +51,13 @@ val scrub : string -> string
 val check_source : file:string -> string -> finding list
 (** Lint one file's contents.  [file] is the (relative) path used both
     for reporting and for deciding which rules apply.  Includes the
-    {{!state_matrix}state-access matrix} violations (rule
-    [state-matrix], proto files) and the Msg-mutator generation rule
-    (rule [msg-bump-gen], files handling raw node bytes): a top-level
-    binding that mutates [Bytes.t] in a file mentioning [Mpool.data] or
-    [Msg.head_view] must also call [bump_gen]. *)
-
-(** {2 State-access matrix}
-
-    Inferred per top-level binding in [lib/proto]: which shared-state
-    classes ([snd]/[rcv]/[sb]/[reass], from the [access sess
-    ~write:b "class"] annotations) the binding reads and writes, and
-    which lock-context tokens ([Lock.acquire], [*_acquire], [with_*]
-    helpers) appear in it.  A binding writing shared state with no lock
-    token and no [lint:allow] is a [state-matrix] violation. *)
-
-type matrix_row = {
-  m_file : string;
-  m_binding : string;
-  m_line : int;           (** first line of the binding, 1-based *)
-  m_reads : string list;  (** state classes read *)
-  m_writes : string list; (** state classes written *)
-  m_locks : string list;  (** lock-context tokens seen in the binding *)
-  m_allowed : bool;       (** a [lint:allow] marker covers the binding *)
-}
-
-val state_matrix_source : file:string -> string -> matrix_row list
-(** Rows for one file's contents (empty outside [lib/proto]). *)
-
-val state_matrix : roots:string list -> matrix_row list
-(** Rows for every [.ml] file under the roots, sorted by file. *)
-
-val matrix_violations : matrix_row list -> finding list
-
-val matrix_to_string : matrix_row list -> string
-(** The matrix as an aligned text table. *)
-
-val matrix_json : matrix_row list -> string
-(** The matrix as a one-object JSON document. *)
+    Msg-mutator generation rule (rule [msg-bump-gen], files handling raw
+    node bytes): a top-level binding that mutates [Bytes.t] in a file
+    mentioning [Mpool.data] or [Msg.head_view] must also call
+    [bump_gen]. *)
 
 val check_tree : roots:string list -> finding list
 (** Recursively lint every [.ml] file under the given root
     directories, skipping [_build] and dot-directories.  Findings are
-    sorted by (file, line). *)
+    sorted by (file, line).
+    @raise Invalid_argument if a root is not a directory. *)

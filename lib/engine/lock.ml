@@ -200,6 +200,8 @@ let with_lock t f =
     release t;
     Printexc.raise_with_backtrace e bt
 
+let name t = t.name
+let owner t = t.owner
 let acquisitions t = t.acquisitions
 let contended_acquisitions t = t.contended
 let total_wait_ns t = t.total_wait_ns

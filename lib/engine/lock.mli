@@ -50,6 +50,13 @@ val release : t -> unit
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock t f] = acquire; run [f]; release — releasing on exceptions. *)
 
+val name : t -> string
+(** The name given to {!create}. *)
+
+val owner : t -> int
+(** The owning thread's tid; -1 while free.  Inside a deferred-charge
+    section [acquire] takes no ownership, so this does not change. *)
+
 (** {2 Statistics} *)
 
 val acquisitions : t -> int

@@ -151,6 +151,16 @@ type rcu = {
   mutable ru_reads : int; (* segments answered without the writer lock *)
 }
 
+(* The classes of per-connection state an [access] annotation names. *)
+type field = Snd | Rcv | Reass | Sb
+
+(* What must be held to touch each [field]: one lock for every class, a
+   lock per class, or (SCR) an open deferred-charge section. *)
+type guards =
+  | Held of Lock.t
+  | Split of { snd : Lock.t; rcv : Lock.t; reass : Lock.t; sb : Lock.t }
+  | Deferred
+
 (* A session's synchronisation discipline, decided once by [make_sync]:
    protocol code enters and leaves sections through it and never asks
    which discipline it runs under.
@@ -158,6 +168,7 @@ type rcu = {
      acquisition order (released in reverse);
    - [reass]/[rexmt]/[hdr_prep]/[hdr_rem]: TCP-6's scoped sections,
      [None] where the coarser section lock already covers them;
+   - [guards]: the guard table, checked at every traced [access];
    - [log]: SCR — no locks at all; sections are deferred-charge spans;
    - [rcu]: leaving a section publishes the reader snapshot. *)
 type sync = {
@@ -167,6 +178,7 @@ type sync = {
   rexmt : Lock.t option;
   hdr_prep : Lock.t option;
   hdr_rem : Lock.t option;
+  guards : guards;
   log : scr_log option;
   rcu : rcu option;
 }
@@ -348,20 +360,15 @@ let sync_trace sess ev = Sim.trace sess.proto.plat.Platform.sim ev
    the same name and reports when the intersection goes empty.  Guarded
    on the tracer so the disabled path builds no string; a registered
    traced session builds each name once, found by its ordinal, so its
-   records share it.  The field literals stay strings: the state-access
-   matrix lint reads them from the call sites. *)
+   records share it. *)
 let n_fields = 4
 
-let field_index = function
-  | "snd" -> 0
-  | "rcv" -> 1
-  | "reass" -> 2
-  | "sb" -> 3
-  | f -> invalid_arg ("Tcp.access: unknown state field " ^ f)
+let field_slot = function Snd -> 0 | Rcv -> 1 | Reass -> 2 | Sb -> 3
+let field_names = [| "snd"; "rcv"; "reass"; "sb" |]
 
 let state_name sess field =
-  let f = field_index field in
-  if sess.ord < 0 then sess.state_ns ^ "#" ^ field
+  let f = field_slot field in
+  if sess.ord < 0 then sess.state_ns ^ "#" ^ field_names.(f)
   else begin
     let t = sess.proto in
     let k = (sess.ord * n_fields) + f in
@@ -374,16 +381,49 @@ let state_name sess field =
     let name = t.state_names.(k) in
     if String.length name > 0 then name
     else begin
-      let name = sess.state_ns ^ "#" ^ field in
+      let name = sess.state_ns ^ "#" ^ field_names.(f) in
       t.state_names.(k) <- name;
       name
     end
   end
 
+let locking_name = function
+  | One -> "TCP-1"
+  | Two -> "TCP-2"
+  | Six -> "TCP-6"
+  | Scr -> "SCR"
+  | Rcu -> "RCU"
+
+(* A site touched [field] without its declared [guard]: a caller bug,
+   reported like [Lock.release]'s non-owner error. *)
+let unguarded sess sim field guard =
+  let th = Sim.self sim in
+  invalid_arg
+    (Printf.sprintf "Tcp.access %S: %s guards %s by %s, which caller tid %d (%s) does not hold"
+       (state_name sess field)
+       (locking_name sess.proto.cfg.locking)
+       field_names.(field_slot field) guard (Sim.tid th) (Sim.thread_name th))
+
+let check_lock sess sim field l =
+  if Lock.owner l <> Sim.tid (Sim.self sim) then
+    unguarded sess sim field (Printf.sprintf "lock %S" (Lock.name l))
+
+(* The running thread must hold [field]'s guard from [sess.sync.guards]. *)
+let check_guard sess sim field =
+  match sess.sync.guards with
+  | Held l -> check_lock sess sim field l
+  | Split g ->
+    check_lock sess sim field
+      (match field with Snd -> g.snd | Rcv -> g.rcv | Reass -> g.reass | Sb -> g.sb)
+  | Deferred ->
+    if not (Sim.defer_active sim) then unguarded sess sim field "an open deferred section"
+
 let access sess ~write field =
   let sim = sess.proto.plat.Platform.sim in
-  if Trace.enabled (Sim.tracer sim) then
+  if Trace.enabled (Sim.tracer sim) then begin
+    if Sim.in_thread sim then check_guard sess sim field;
     Sim.trace sim (Trace.Access { state = state_name sess field; write })
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Synchronisation disciplines                                         *)
@@ -397,6 +437,7 @@ let no_sync =
     rexmt = None;
     hdr_prep = None;
     hdr_rem = None;
+    guards = Deferred;
     log = None;
     rcu = None;
   }
@@ -404,17 +445,30 @@ let no_sync =
 (* Header prediction manipulates send-side state on the receive path
    (the Net/2 structure), so Two and Six take both window locks for
    input — exactly the redundancy Section 5.1 observes makes
-   fine-grained locking lose. *)
+   fine-grained locking lose.
+
+   Each discipline's [guards] name the lock every state class is touched
+   under.  TCP-6's [.reass] guards no class by itself: [segment_arrives]
+   drops it, with [.rexmt], before [process_segment], so [reass_drain]
+   writes #reass under [.swnd] and [.rwnd] alone, and [reass_insert]'s
+   [.reass] hold nests inside [.rwnd] — Section 5.1's redundant
+   locking. *)
 let make_sync plat ~name ~scr_bound locking =
   let mk suffix = Platform.state_lock plat ~name:(name ^ suffix) in
   match locking with
   | One ->
-    let l = [ Platform.state_lock plat ~name ] in
-    { no_sync with input = l; output = l }
+    let conn = Platform.state_lock plat ~name in
+    let l = [ conn ] in
+    { no_sync with input = l; output = l; guards = Held conn }
   | Two ->
     let snd = mk ".snd" in
     let rcv = mk ".rcv" in
-    { no_sync with input = [ snd; rcv ]; output = [ snd ] }
+    {
+      no_sync with
+      input = [ snd; rcv ];
+      output = [ snd ];
+      guards = Split { snd; rcv; reass = rcv; sb = snd };
+    }
   | Six ->
     let reass = mk ".reass" in
     let rexmt = mk ".rexmt" in
@@ -430,10 +484,12 @@ let make_sync plat ~name ~scr_bound locking =
       rexmt = Some rexmt;
       hdr_prep = Some hdr_prep;
       hdr_rem = Some hdr_rem;
+      guards = Split { snd = snd_wnd; rcv = rcv_wnd; reass = rcv_wnd; sb = rexmt };
     }
   | Scr ->
     {
       no_sync with
+      guards = Deferred;
       log =
         Some
           {
@@ -452,11 +508,13 @@ let make_sync plat ~name ~scr_bound locking =
           };
     }
   | Rcu ->
-    let l = [ mk ".wr" ] in
+    let wr = mk ".wr" in
+    let l = [ wr ] in
     {
       no_sync with
       input = l;
       output = l;
+      guards = Held wr;
       rcu =
         Some
           {
@@ -725,7 +783,7 @@ let set_delack sess =
 let build_one sess =
   let t = sess.proto in
   let tcb = sess.tcb in
-  access sess ~write:false "snd";
+  access sess ~write:false Snd;
   let in_flight = Tcp_seq.diff tcb.snd_nxt tcb.snd_una in
   let wnd = min tcb.snd_wnd tcb.snd_cwnd in
   let off = in_flight in
@@ -739,10 +797,10 @@ let build_one sess =
   in
   if len > 0 && not nagle_holds then begin
     Costs.charge t.plat Costs.tcp_output_locked;
-    access sess ~write:true "snd";
+    access sess ~write:true Snd;
     let payload =
       with_opt_lock sess.sync.rexmt (fun () ->
-          access sess ~write:false "sb";
+          access sess ~write:false Sb;
           Sockbuf.peek tcb.sb ~off ~len)
     in
     let seq = tcb.snd_nxt in
@@ -768,7 +826,7 @@ let build_one sess =
   end
   else if tcb.fin_queued && (not tcb.fin_sent) && unsent <= 0 then begin
     Costs.charge t.plat Costs.tcp_conn_setup;
-    access sess ~write:true "snd";
+    access sess ~write:true Snd;
     let seq = tcb.snd_nxt in
     tcb.snd_nxt <- Tcp_seq.add tcb.snd_nxt 1;
     tcb.snd_max <- Tcp_seq.max tcb.snd_max tcb.snd_nxt;
@@ -823,7 +881,7 @@ let process_ack sess ~ack ~now acc =
   let acked = Tcp_seq.diff ack tcb.snd_una in
   if acked <= 0 then acc
   else begin
-    access sess ~write:true "snd";
+    access sess ~write:true Snd;
     if tcb.t_rtttime <> 0 && Tcp_seq.gt ack tcb.t_rtseq then update_rtt tcb ~now;
     (* Congestion window growth (Tahoe). *)
     let incr_ =
@@ -838,7 +896,7 @@ let process_ack sess ~ack ~now acc =
     let data_acked = min acked (Sockbuf.cc tcb.sb) in
     with_opt_lock sess.sync.rexmt (fun () ->
         if data_acked > 0 then begin
-          access sess ~write:true "sb";
+          access sess ~write:true Sb;
           Sockbuf.drop tcb.sb data_acked
         end);
     tcb.snd_una <- ack;
@@ -866,7 +924,7 @@ let retransmit sess acc =
   let tcb = sess.tcb in
   sess.st.rexmits <- sess.st.rexmits + 1;
   Costs.charge t.plat Costs.tcp_output_locked;
-  access sess ~write:true "snd";
+  access sess ~write:true Snd;
   match tcb.state with
   | Syn_sent ->
     (* The caller rewound snd_nxt to snd_una (= iss); the re-emitted SYN
@@ -882,7 +940,7 @@ let retransmit sess acc =
     if len > 0 then begin
       let payload =
         with_opt_lock sess.sync.rexmt (fun () ->
-            access sess ~write:false "sb";
+            access sess ~write:false Sb;
             Sockbuf.peek tcb.sb ~off:0 ~len)
       in
       emit sess ~flags:Tcp_wire.flag_ack ~seq:tcb.snd_una ~payload:(Some payload) acc
@@ -899,7 +957,7 @@ let reass_insert sess seq msg =
   sess.st.reass_inserts <- sess.st.reass_inserts + 1;
   Costs.charge sess.proto.plat Costs.tcp_reass_insert;
   with_opt_lock sess.sync.reass (fun () ->
-      access sess ~write:true "reass";
+      access sess ~write:true Reass;
       let rec ins = function
         | [] -> [ (seq, msg) ]
         | (s, m) :: rest as all ->
@@ -916,10 +974,7 @@ let reass_insert sess seq msg =
 (* Drain now-contiguous segments from the reassembly queue. *)
 let reass_drain sess deliveries =
   let tcb = sess.tcb in
-  (* lint:allow state-matrix: caller-locked — reached only from slow_path,
-     under segment_arrives' input locks (and, for discipline six, the
-     reass lock it acquires up front). *)
-  if tcb.reass <> [] then access sess ~write:true "reass";
+  if tcb.reass <> [] then access sess ~write:true Reass;
   let rec go acc =
     match tcb.reass with
     | (s, m) :: rest when s = tcb.rcv_nxt ->
@@ -962,8 +1017,6 @@ let fin_transition sess =
 let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
   let t = sess.proto in
   let tcb = sess.tcb in
-  (* lint:allow state-matrix: caller-locked — reached only from
-     established_input, under the caller's input section. *)
   Costs.charge t.plat Costs.tcp_input_slow_locked;
   sess.st.pred_misses <- sess.st.pred_misses + 1;
   let acc = ref acc and deliveries = ref deliveries in
@@ -986,7 +1039,7 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
   end;
   (* Window update. *)
   if hdr.flags.Tcp_wire.ack then begin
-    access sess ~write:true "snd";
+    access sess ~write:true Snd;
     tcb.snd_wnd <- hdr.win;
     if hdr.win > 0 then begin
       tcb.t_persist <- 0;
@@ -1013,7 +1066,7 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
   let len = Msg.length msg in
   if len > 0 then begin
     if !seq = tcb.rcv_nxt then begin
-      access sess ~write:true "rcv";
+      access sess ~write:true Rcv;
       tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt len;
       deliveries := deliver_in_order sess msg !deliveries;
       deliveries := reass_drain sess !deliveries;
@@ -1031,7 +1084,7 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
   if hdr.flags.Tcp_wire.fin then begin
     let fin_seq = Tcp_seq.add !seq len in
     if fin_seq = tcb.rcv_nxt then begin
-      access sess ~write:true "rcv";
+      access sess ~write:true Rcv;
       tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt 1;
       ack_now := true;
       if len = 0 then Msg.destroy msg;
@@ -1061,8 +1114,6 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
 let established_input sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
   let t = sess.proto in
   let tcb = sess.tcb in
-  (* lint:allow state-matrix: caller-locked — reached only from
-     process_segment, under the caller's input section. *)
   let len = Msg.length msg in
   (* The Figure 10 "assumed in-order" upper bound: pretend every data
      segment landed exactly on rcv_nxt. *)
@@ -1105,7 +1156,7 @@ let established_input sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
     (* Fast path 2: pure in-order data. *)
     Costs.charge t.plat Costs.tcp_input_pred_locked;
     sess.st.pred_hits <- sess.st.pred_hits + 1;
-    access sess ~write:true "rcv";
+    access sess ~write:true Rcv;
     tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt len;
     let deliveries = deliver_in_order sess msg deliveries in
     (* Net/2 acks every other segment: the first leaves a delayed ack
@@ -1648,10 +1699,10 @@ let persist_timeout sess =
     if unsent > 0 && tcb.snd_wnd = 0 && tcb.state = Established then begin
       sess.st.persist_probes <- sess.st.persist_probes + 1;
       Costs.charge t.plat Costs.tcp_output_locked;
-      access sess ~write:true "snd";
+      access sess ~write:true Snd;
       let payload =
         with_opt_lock sess.sync.rexmt (fun () ->
-            access sess ~write:false "sb";
+            access sess ~write:false Sb;
             Sockbuf.peek tcb.sb ~off:in_flight ~len:1)
       in
       let seq = tcb.snd_nxt in
@@ -1827,7 +1878,7 @@ let send sess msg =
   let rec enqueue () =
     match
       with_opt_lock sess.sync.rexmt (fun () ->
-          access sess ~write:true "sb";
+          access sess ~write:true Sb;
           Sockbuf.offer tcb.sb msg)
     with
     | `Queued -> true

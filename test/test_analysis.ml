@@ -858,121 +858,6 @@ let test_lint_msg_bump_gen () =
           \  (* lint:allow msg-bump-gen: writes the caller's view *)\n\
           \  Bytes.set (Mpool.data node) 0 'x'\n"))
 
-let test_lint_state_matrix () =
-  (* Seeded violation: a proto-layer binding writes annotated shared
-     state with no lock acquisition in scope. *)
-  (match
-     lint ~file:"lib/proto/fake.ml"
-       "let f sess =\n  access sess ~write:true \"snd\"\n"
-   with
-   | [ f ] ->
-     Alcotest.(check string) "rule" "state-matrix" f.Lint.rule;
-     Alcotest.(check int) "anchored at the binding" 1 f.Lint.line
-   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)));
-  (* A lock acquisition in the same binding satisfies the rule; reads
-     never require one. *)
-  Alcotest.(check (list string)) "locked write fine" []
-    (rules
-       (lint ~file:"lib/proto/fake.ml"
-          "let f sess l =\n\
-          \  Lock.acquire l;\n\
-          \  access sess ~write:true \"snd\";\n\
-          \  Lock.release l\n"));
-  Alcotest.(check (list string)) "unlocked read fine" []
-    (rules
-       (lint ~file:"lib/proto/fake.ml"
-          "let f sess =\n  access sess ~write:false \"snd\"\n"));
-  (* lint:allow documents caller-locked helpers. *)
-  Alcotest.(check (list string)) "caller-locked allow" []
-    (rules
-       (lint ~file:"lib/proto/fake.ml"
-          "let f sess =\n\
-          \  (* lint:allow state-matrix: caller holds the input locks *)\n\
-          \  access sess ~write:true \"snd\"\n"));
-  (* Layers outside lib/proto are out of scope for the matrix. *)
-  Alcotest.(check (list string)) "non-proto exempt" []
-    (rules
-       (lint ~file:"lib/driver/fake.ml"
-          "let f sess =\n  access sess ~write:true \"snd\"\n"))
-
-let test_lint_state_matrix_rows () =
-  (* The inferred matrix itself: reads/writes/locks per binding. *)
-  let src =
-    "let reader sess l =\n\
-    \  Lock.acquire l;\n\
-    \  access sess ~write:false \"rcv\";\n\
-    \  Lock.release l\n\
-     \n\
-     let writer sess =\n\
-    \  with_opt_lock reass (fun () ->\n\
-    \    access sess ~write:true \"reass\";\n\
-    \    access sess ~write:false \"rcv\")\n"
-  in
-  let rows = Lint.state_matrix_source ~file:"lib/proto/fake.ml" src in
-  (match rows with
-   | [ r1; r2 ] ->
-     Alcotest.(check string) "first binding" "reader" r1.Lint.m_binding;
-     Alcotest.(check (list string)) "reader reads" [ "rcv" ] r1.Lint.m_reads;
-     Alcotest.(check (list string)) "reader writes" [] r1.Lint.m_writes;
-     Alcotest.(check bool) "reader locks seen" true (r1.Lint.m_locks <> []);
-     Alcotest.(check string) "second binding" "writer" r2.Lint.m_binding;
-     Alcotest.(check (list string)) "writer writes" [ "reass" ] r2.Lint.m_writes;
-     Alcotest.(check (list string)) "writer reads" [ "rcv" ] r2.Lint.m_reads;
-     Alcotest.(check bool) "with_* counts as a lock" true (r2.Lint.m_locks <> [])
-   | rs -> Alcotest.fail (Printf.sprintf "expected 2 rows, got %d" (List.length rs)));
-  Alcotest.(check int) "no violations in the fixture" 0
-    (List.length (Lint.matrix_violations rows));
-  (* The real proto layer yields a non-empty, violation-free matrix. *)
-  let root =
-    let rec up d =
-      if Sys.file_exists (Filename.concat d "dune-project") then Some d
-      else
-        let parent = Filename.dirname d in
-        if parent = d then None else up parent
-    in
-    up (Sys.getcwd ())
-  in
-  match root with
-  | None -> ()
-  | Some root ->
-    let rows = Lint.state_matrix ~roots:[ Filename.concat root "lib" ] in
-    Alcotest.(check bool) "proto matrix non-empty" true (List.length rows > 0);
-    Alcotest.(check int) "proto matrix violation-free" 0
-      (List.length (Lint.matrix_violations rows));
-    (* The JSON export is structurally plausible and names every row. *)
-    let json = Lint.matrix_json rows in
-    Alcotest.(check bool) "json mentions the matrix key" true
-      (String.length json > 2
-      && String.sub json 0 2 = "{\""
-      && List.for_all
-           (fun r ->
-             let sub = "\"" ^ r.Lint.m_binding ^ "\"" in
-             let n = String.length json and m = String.length sub in
-             let rec go i = i + m <= n && (String.sub json i m = sub || go (i + 1)) in
-             go 0)
-           rows)
-
-(* Strings go out JSON-escaped: a control byte becomes [\u00XX] and a
-   non-ASCII byte passes through, where OCaml's [%S] would write
-   decimal escapes that no JSON parser accepts. *)
-let test_lint_matrix_json_escapes () =
-  let row =
-    {
-      Lint.m_file = "lib/caf\195\169.ml\001";
-      m_binding = "say \"hi\"";
-      m_line = 3;
-      m_reads = [ "a\\b" ];
-      m_writes = [];
-      m_locks = [ "tab\t" ];
-      m_allowed = false;
-    }
-  in
-  Alcotest.(check string) "escaped row"
-    "{\"state_access_matrix\":[{\"file\":\"lib/caf\195\169.ml\\u0001\",\"line\":3,\
-     \"binding\":\"say \\\"hi\\\"\",\"reads\":[\"a\\\\b\"],\"writes\":[],\
-     \"locks\":[\"tab\\t\"],\"allowed\":false}]}\n"
-    (Lint.matrix_json [ row ])
-
 let test_lint_clean_tree () =
   (* The repo must lint clean — this is `dune build @lint` as a unit
      test, pinned to wherever the runner starts. *)
@@ -1071,10 +956,6 @@ let suites =
         Alcotest.test_case "allow marker" `Quick test_lint_allow_marker;
         Alcotest.test_case "no environment reads in lib" `Quick test_lint_no_env;
         Alcotest.test_case "msg mutators must bump_gen" `Quick test_lint_msg_bump_gen;
-        Alcotest.test_case "state-access matrix violations" `Quick test_lint_state_matrix;
-        Alcotest.test_case "state-access matrix rows" `Quick test_lint_state_matrix_rows;
-        Alcotest.test_case "state-access matrix JSON escapes strings" `Quick
-          test_lint_matrix_json_escapes;
         Alcotest.test_case "tree lints clean" `Quick test_lint_clean_tree;
       ] );
   ]

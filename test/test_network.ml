@@ -311,6 +311,73 @@ let test_unanswered_ping_times_out_silently () =
   Alcotest.(check int) "no reply" 0 !got;
   Alcotest.(check int) "request counted" 1 (Icmp.requests_sent a.Stack.icmp)
 
+(* Every state access checks its discipline's declared guard while
+   tracing is on.  This world reaches each state class and the sites
+   the measured scenarios never do: both ends close, so each end builds
+   a FIN and takes the peer's FIN in order, and [b] advertises a zero
+   window, so [a]'s bytes cross only as persist-timer window probes.
+   The reordering link puts [b]'s data through [a]'s reassembly queue.
+   A guard violation raises out of [Sim.run]. *)
+let test_guarded_accesses locking () =
+  let plat = Platform.create ~seed:21 Arch.challenge_100 in
+  let tracer = Sim.tracer plat.Platform.sim in
+  Trace.enable tracer;
+  let cfg = { Tcp.default_config with Tcp.locking; mss = 1024 } in
+  let a = Stack.create plat ~tcp_config:cfg ~local_addr:addr_a () in
+  let b = Stack.create plat ~tcp_config:{ cfg with Tcp.rcv_wnd = 0 } ~local_addr:addr_b () in
+  let plan = Pnp_faults.Faults.plan [ Reorder { p = 0.3; hold_ns = Units.us 400.0 } ] in
+  let _link = Link.connect plat ~plan ~a ~b () in
+  let data = String.init (16 * 1024) (fun i -> Char.chr (i land 0xff)) in
+  let drain sock =
+    let got = Buffer.create 1024 in
+    let rec go () =
+      match Socket.recv_string sock with
+      | Some s ->
+        Buffer.add_string got s;
+        go ()
+      | None -> Buffer.contents got
+    in
+    go ()
+  in
+  let at_a = ref "" and at_b = ref "" and probes = ref 0 and b_closed = ref false in
+  let _ =
+    Sim.spawn plat.Platform.sim ~cpu:0 ~name:"server" (fun () ->
+        let lst = Socket.Listener.listen plat b.Stack.pool b.Stack.tcp ~port:80 in
+        let sock = Socket.Listener.accept lst in
+        at_b := Option.value ~default:"" (Socket.recv_exactly sock 3);
+        Socket.send_string sock data;
+        Socket.close sock;
+        Alcotest.(check string) "nothing after a's probes" "" (drain sock);
+        b_closed := true)
+  in
+  let _ =
+    Sim.spawn plat.Platform.sim ~cpu:1 ~name:"client" (fun () ->
+        Sim.delay plat.Platform.sim (Units.ms 1.0);
+        let sock =
+          Socket.connect plat a.Stack.pool a.Stack.tcp ~local_port:5000 ~remote_addr:addr_b
+            ~remote_port:80
+        in
+        Socket.send_string sock "abc";
+        at_a := drain sock;
+        Socket.close sock;
+        probes := (Tcp.stats (Socket.session sock)).Tcp.persist_probes)
+  in
+  run_to plat;
+  Alcotest.(check bool) "window probes sent" true (!probes >= 3);
+  Alcotest.(check bool) "b's stream in order" true (!at_a = data);
+  Alcotest.(check string) "a's stream, probed through a zero window" "abc" !at_b;
+  Alcotest.(check bool) "b saw a's FIN" true !b_closed;
+  let classes = Hashtbl.create 4 in
+  Trace.iter tracer (fun r ->
+      match r.Trace.ev with
+      | Trace.Access { state; _ } ->
+        let k = String.rindex state '#' in
+        Hashtbl.replace classes (String.sub state k (String.length state - k)) ()
+      | _ -> ());
+  List.iter
+    (fun c -> Alcotest.(check bool) (c ^ " accessed") true (Hashtbl.mem classes c))
+    [ "#snd"; "#rcv"; "#reass"; "#sb" ]
+
 let suites =
   [
     ( "network.two-hosts",
@@ -326,6 +393,18 @@ let suites =
         Alcotest.test_case "bandwidth serialisation" `Quick test_bandwidth_serialisation;
         Alcotest.test_case "socket recv_exactly" `Quick test_socket_recv_exactly;
       ] );
+    ( "network.guards",
+      List.map
+        (fun (name, locking) ->
+          Alcotest.test_case (name ^ " accesses hold their guards") `Quick
+            (test_guarded_accesses locking))
+        [
+          ("TCP-1", Tcp.One);
+          ("TCP-2", Tcp.Two);
+          ("TCP-6", Tcp.Six);
+          ("SCR", Tcp.Scr);
+          ("RCU", Tcp.Rcu);
+        ] );
     ( "network.icmp",
       [
         Alcotest.test_case "ping across the link" `Quick test_ping_across_link;

@@ -435,6 +435,16 @@ let test_trace_wait_agrees_with_lock_wait_pct () =
        result.Run.lock_wait_pct rel_err)
     true (rel_err < 0.01)
 
+(* Strings go out JSON-escaped: a control byte becomes [\u00XX] and a
+   non-ASCII byte passes through, where OCaml's [%S] would write
+   decimal escapes that no JSON parser accepts. *)
+let test_json_escape () =
+  let check name want s = Alcotest.(check string) name want (Trace.json_escape s) in
+  check "control byte, non-ASCII kept" "lib/caf\195\169.ml\\u0001" "lib/caf\195\169.ml\001";
+  check "quote" "say \\\"hi\\\"" "say \"hi\"";
+  check "backslash" "a\\\\b" "a\\b";
+  check "tab" "tab\\t" "tab\t"
+
 let test_chrome_export_sanity () =
   let tracer = traced_lock_run Lock.Unfair ~seed:4 in
   let s = Trace.to_chrome_string tracer in
@@ -564,6 +574,7 @@ let suites =
         Alcotest.test_case "names round-trip" `Quick test_names_round_trip;
         Alcotest.test_case "interned emit allocates nothing" `Quick
           test_interned_emit_allocates_nothing;
+        Alcotest.test_case "json_escape escapes" `Quick test_json_escape;
         Alcotest.test_case "chrome export sanity" `Quick test_chrome_export_sanity;
         Alcotest.test_case "chrome names threads spawned before enable" `Quick
           test_chrome_names_early_threads;
