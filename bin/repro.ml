@@ -730,20 +730,14 @@ let chaos_cmd =
   let open Pnp_harness in
   let plan_term =
     let doc =
-      "Run one built-in fault plan over TCP-1 under both lock disciplines, \
-       mutex and mcs (see $(b,--list-plans)); default: the full matrix \
-       (see $(b,--matrix))."
+      "Run only this built-in fault plan's rows of the matrix (see \
+       $(b,--list-plans)); default: every plan.  The matrix runs each plan x \
+       {mutex+tcp1, mcs+tcp1, mcs+scr}."
     in
     Arg.(
       value
       & opt (some (enum Pnp_faults.Faults.builtin)) None
       & info [ "plan" ] ~docv:"NAME" ~doc)
-  in
-  let matrix_term =
-    let doc =
-      "Run every built-in plan x {mutex+tcp1, mcs+tcp1, mcs+scr} (the default)."
-    in
-    Arg.(value & flag & info [ "matrix" ] ~doc)
   in
   let list_plans_term =
     let doc = "List the built-in fault plans and exit." in
@@ -758,19 +752,12 @@ let chaos_cmd =
     Arg.(value & opt non_negative_int 600 & info [ "datagrams" ] ~doc:"Paced UDP datagrams per cell.")
   in
   let seed_term = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base random seed.") in
-  let exec jobs plan matrix list_plans bytes datagrams seed =
+  let exec jobs plan list_plans bytes datagrams seed =
     if list_plans then
       List.iter (fun (name, _) -> print_endline name) Pnp_faults.Faults.builtin
     else begin
       Pool.set_jobs jobs;
-      let outcomes =
-        match plan with
-        | Some p when not matrix ->
-          List.map
-            (fun disc -> Chaos.run_cell ~bytes ~datagrams ~seed ~plan:p ~disc ())
-            [ Pnp_engine.Lock.Unfair; Pnp_engine.Lock.Fifo ]
-        | _ -> Chaos.matrix ~bytes ~datagrams ~seed ()
-      in
+      let outcomes = Chaos.matrix ~bytes ~datagrams ~seed ?plan () in
       let failed = ref 0 in
       List.iter
         (fun o ->
@@ -792,7 +779,7 @@ let chaos_cmd =
          "Inject deterministic link faults (loss, bursts, duplication, reordering, \
           corruption, jitter, blackouts) and verify end-to-end recovery.")
     Term.(
-      const exec $ jobs_term $ plan_term $ matrix_term $ list_plans_term $ bytes_term
+      const exec $ jobs_term $ plan_term $ list_plans_term $ bytes_term
       $ datagrams_term $ seed_term)
 
 (* Cross-scenario overload comparison: incast (clean / burst-loss /

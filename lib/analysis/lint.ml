@@ -249,13 +249,7 @@ let contains_sub s sub =
 
 let has_allow_marker raw = contains_sub raw allow_marker
 
-(* A file's lines twice: as written, for the allow marker and the
-   literals that scrubbing blanks, and scrubbed, for the rules. *)
-type lines = { raw : string array; code : string array }
-
-let split src =
-  let lines s = Array.of_list (String.split_on_char '\n' s) in
-  { raw = lines src; code = lines (scrub src) }
+let split s = Array.of_list (String.split_on_char '\n' s)
 
 (* ------------------------------------------------------------------ *)
 (* Trace-guard helpers *)
@@ -313,79 +307,10 @@ let ml_files roots =
     roots;
   List.sort compare !files
 
-(* ------------------------------------------------------------------ *)
-(* Msg-mutator generation rule
-
-   The checksum-sum memo is keyed by the node's write generation
-   ([Mpool.bump_gen]); a byte mutation that forgets the bump serves a
-   stale checksum silently.  Scope: non-test files that handle raw node
-   bytes (they mention [Mpool.data], [Msg.head_view] or
-   [Msg.push_header]); in those, any top-level binding that mutates a
-   [Bytes.t] must also call [bump_gen] or [Msg.push_header], which bumps
-   the node it returns (or carry [lint:allow] explaining why the buffer
-   is not node memory).  A write through the read view [Msg.head_view]
-   is not a bump. *)
-
-let is_bytes_mutation (tok, _) =
-  let starts prefix = String.starts_with ~prefix tok in
-  starts "Bytes.set" || starts "Bytes.blit" || tok = "Bytes.fill" || starts "Bytes.unsafe_set"
-  || starts "Bytes.unsafe_blit" || starts "Bytes.unsafe_fill"
-
-let bump_gen_findings ~file { raw; code } =
-  let handles_node_bytes =
-    Array.exists
-      (fun l ->
-        has_token l "Mpool.data" || has_token l "Msg.head_view"
-        || has_token l "Msg.push_header")
-      code
-  in
-  if in_tests file || not handles_node_bytes then []
-  else begin
-    let findings = ref [] in
-    let binding = ref "" in
-    let first_mut = ref 0 and bumped = ref false and allowed = ref false in
-    let flush () =
-      if !binding <> "" && !first_mut > 0 && (not !bumped) && not !allowed then
-        findings :=
-          {
-            file;
-            line = !first_mut;
-            rule = "msg-bump-gen";
-            message =
-              Printf.sprintf
-                "%S mutates buffer bytes without calling bump_gen; a missed \
-                 write-generation bump serves a stale cached checksum (write \
-                 through Msg.push_header, add Mpool.bump_gen, or %s if \
-                 the buffer is not node memory)"
-                !binding allow_marker;
-          }
-          :: !findings
-    in
-    Array.iteri
-      (fun i line ->
-        if opens_binding line then begin
-          flush ();
-          binding := toplevel_binding line !binding;
-          first_mut := 0;
-          bumped := false;
-          allowed := false
-        end;
-        if has_allow_marker raw.(i) then allowed := true;
-        let toks = tokens line in
-        if
-          List.exists
-            (fun (tok, _) -> String.ends_with ~suffix:"bump_gen" tok || tok = "Msg.push_header")
-            toks
-        then bumped := true;
-        if !first_mut = 0 && List.exists is_bytes_mutation toks then first_mut := i + 1)
-      code;
-    flush ();
-    List.rev !findings
-  end
-
 let check_source ~file src =
-  let l = split src in
-  let lines = l.code in
+  (* The lines twice: as written, for the allow marker (it sits in a
+     comment), and scrubbed, for the rules. *)
+  let raw = split src and lines = split (scrub src) in
   let findings = ref [] in
   let report line rule message = findings := { file; line; rule; message } :: !findings in
   let fig = is_fig_file file in
@@ -394,7 +319,7 @@ let check_source ~file src =
   let acquires = ref 0 and releases = ref 0 in
   Array.iteri
     (fun i line ->
-      if not (has_allow_marker l.raw.(i)) then begin
+      if not (has_allow_marker raw.(i)) then begin
         let lineno = i + 1 in
         binding := toplevel_binding line !binding;
         (* Figure data phases must stay pure and deterministic. *)
@@ -467,7 +392,7 @@ let check_source ~file src =
          "%d Lock.acquire call site(s) but only %d Lock.release; some path \
           leaks a lock — prefer Lock.with_lock"
          !acquires !releases);
-  List.rev !findings @ bump_gen_findings ~file l
+  List.rev !findings
 
 let check_file path = check_source ~file:path (read_file path)
 

@@ -50,11 +50,7 @@ val scrub : string -> string
 
 val check_source : file:string -> string -> finding list
 (** Lint one file's contents.  [file] is the (relative) path used both
-    for reporting and for deciding which rules apply.  Includes the
-    Msg-mutator generation rule (rule [msg-bump-gen], files handling raw
-    node bytes): a top-level binding that mutates [Bytes.t] in a file
-    mentioning [Mpool.data] or [Msg.head_view] must also call
-    [bump_gen]. *)
+    for reporting and for deciding which rules apply. *)
 
 val check_tree : roots:string list -> finding list
 (** Recursively lint every [.ml] file under the given root

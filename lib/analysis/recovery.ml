@@ -34,14 +34,15 @@ let fnv_offset = 0x4bf29ce484222325
 let fnv_prime = 0x100000001b3
 
 let digest_add acc b off len =
-  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Recovery.digest_add";
+  if off < 0 || len < 0 || off > Pnp_util.Buf.length b - len then
+    invalid_arg "Recovery.digest_add";
   let h = ref acc in
   for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * fnv_prime
+    h := (!h lxor Char.code (Pnp_util.Buf.unsafe_get b i)) * fnv_prime
   done;
   !h
 
-let digest s = digest_add fnv_offset (Bytes.unsafe_of_string s) 0 (String.length s)
+let digest s = digest_add fnv_offset (Pnp_util.Buf.of_string s) 0 (String.length s)
 
 let checker = "recovery"
 

@@ -69,7 +69,7 @@ val digest : string -> int
 (** Order-sensitive 64-bit FNV-1a digest of a byte stream, for comparing
     sent and received streams without retaining either. *)
 
-val digest_add : int -> Bytes.t -> int -> int -> int
+val digest_add : int -> [> `R ] Pnp_util.Buf.t -> int -> int -> int
 (** [digest_add h b off len] extends a running {!digest} [h] with the
     [len] bytes of [b] from [off]: feeding a stream's slices in delivery
     order gives the digest of the whole stream. *)

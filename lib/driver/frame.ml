@@ -1,3 +1,4 @@
+open Pnp_util
 open Pnp_xkern
 open Pnp_proto
 
@@ -17,7 +18,7 @@ let ip_off = fddi_len
 let tcp_off = fddi_len + Ip.header_bytes (* 41 *)
 let headers_len = tcp_off + Tcp_wire.header_bytes
 
-let get_u32 b j = Int32.to_int (Bytes.get_int32_be b j) land 0xffff_ffff
+let get_u32 b j = Int32.to_int (Buf.get_int32_be b j) land 0xffff_ffff
 
 (* One view per layer: a frame the stack transmits has each header in its
    own pushed node, so every view is a node buffer, not a copy. *)
@@ -28,19 +29,19 @@ let parse_tcp msg =
     let f = Msg.head_pos msg ~off:0 ~len:fddi_len in
     let ip = Msg.head_view msg ~off:ip_off ~len:Ip.header_bytes in
     let i = Msg.head_pos msg ~off:ip_off ~len:Ip.header_bytes in
-    if Bytes.get_uint16_be fddi (f + 19) <> Ip.ethertype then None
-    else if Bytes.get_uint8 ip (i + 9) <> Tcp_wire.protocol_number then None
+    if Buf.get_uint16_be fddi (f + 19) <> Ip.ethertype then None
+    else if Buf.get_uint8 ip (i + 9) <> Tcp_wire.protocol_number then None
     else
       let b = Msg.head_view msg ~off:tcp_off ~len:Tcp_wire.header_bytes in
       let j = Msg.head_pos msg ~off:tcp_off ~len:Tcp_wire.header_bytes in
       Some
         {
           dst = get_u32 ip (i + 16);
-          sport = Bytes.get_uint16_be b j;
-          dport = Bytes.get_uint16_be b (j + 2);
+          sport = Buf.get_uint16_be b j;
+          dport = Buf.get_uint16_be b (j + 2);
           seq = get_u32 b (j + 4);
           ack = get_u32 b (j + 8);
-          flags = Tcp_wire.flags_of_int (Bytes.get_uint16_be b (j + 12));
+          flags = Tcp_wire.flags_of_int (Buf.get_uint16_be b (j + 12));
           win = get_u32 b (j + 14);
           payload_len = Msg.length msg - headers_len;
         }

@@ -63,8 +63,9 @@ type ev =
       (** the dead node's arena buffer returned to the free lists; any
           later touch of the node is a write-after-recycle *)
   | Mnode_write of { node : int }
-      (** the node's bytes were mutated ({!Mpool.bump_gen}); the arena
-          lifetime sanitizer flags writes to dead or recycled nodes *)
+      (** the node's bytes were handed out writable ([Mpool.write]); the
+          arena lifetime sanitizer flags writes to dead or recycled
+          nodes *)
   | Span_begin of { seq : int; phase : pkt_phase }
   | Span_end of { seq : int; phase : pkt_phase }
   | Access of { state : string; write : bool }

@@ -53,7 +53,7 @@ let tcp_world ~plan ~disc ~tcp_locking ~seed ~bytes ~horizon =
           | Some s ->
             received_bytes := !received_bytes + String.length s;
             received_digest :=
-              Recovery.digest_add !received_digest (Bytes.unsafe_of_string s) 0
+              Recovery.digest_add !received_digest (Buf.of_string s) 0
                 (String.length s);
             drain ()
           | None ->
@@ -204,16 +204,17 @@ let to_line o =
    log-replay discipline under MCS, so faults (loss, dup, reorder,
    corruption) hit the replay path and the oracle still demands a
    byte-identical drained stream. *)
-let matrix ?bytes ?datagrams ?seed () =
+let matrix ?bytes ?datagrams ?seed ?plan () =
+  let plans = match plan with Some p -> [ p ] | None -> List.map snd Faults.builtin in
   let cells =
     List.concat_map
-      (fun (_, plan) ->
+      (fun plan ->
         [
           (plan, Lock.Unfair, Tcp.One);
           (plan, Lock.Fifo, Tcp.One);
           (plan, Lock.Fifo, Tcp.Scr);
         ])
-      Faults.builtin
+      plans
   in
   Pool.map
     (fun (plan, disc, tcp_locking) ->

@@ -51,10 +51,12 @@ val to_line : outcome -> string
     that depends on locale) — what [repro chaos] prints per cell. *)
 
 val matrix :
-  ?bytes:int -> ?datagrams:int -> ?seed:int -> unit -> outcome list
-(** Every built-in plan x {Unfair (mutex), Fifo (MCS), Fifo+SCR
-    (log-replay state-compute replication)}, fanned out over the {!Pool}
-    workers; the list is in plan-table order and independent of the
-    worker count.  The SCR leg is the recovery-oracle check over the
-    replication discipline: faults must drain to a byte-identical
-    stream through the replay path too. *)
+  ?bytes:int -> ?datagrams:int -> ?seed:int -> ?plan:Pnp_faults.Faults.plan ->
+  unit -> outcome list
+(** Every built-in plan (or only [plan]: its rows of the matrix) x
+    {Unfair (mutex), Fifo (MCS), Fifo+SCR (log-replay state-compute
+    replication)}, fanned out over the {!Pool} workers; the list is in
+    plan-table order and independent of the worker count.  The SCR leg
+    is the recovery-oracle check over the replication discipline: faults
+    must drain to a byte-identical stream through the replay path
+    too. *)

@@ -1,4 +1,5 @@
 open Pnp_engine
+open Pnp_util
 open Pnp_xkern
 
 let header_bytes = 21
@@ -47,17 +48,17 @@ let dsap_snap = 0xaa
 
 let encap msg ~src_mac ~dst_mac ~ethertype =
   let b = Msg.push_header msg header_bytes in
-  Bytes.set_uint8 b 0 fc_llc;
-  Bytes.set_uint16_be b 1 (dst_mac lsr 32);
-  Bytes.set_int32_be b 3 (Int32.of_int dst_mac);
-  Bytes.set_uint16_be b 7 (src_mac lsr 32);
-  Bytes.set_int32_be b 9 (Int32.of_int src_mac);
-  Bytes.set_uint8 b 13 dsap_snap;
-  Bytes.set_uint8 b 14 dsap_snap;
-  Bytes.set_uint8 b 15 0x03;
-  Bytes.set_uint8 b 16 0;
-  Bytes.set_uint16_be b 17 0;
-  Bytes.set_uint16_be b 19 ethertype
+  Buf.set_uint8 b 0 fc_llc;
+  Buf.set_uint16_be b 1 (dst_mac lsr 32);
+  Buf.set_int32_be b 3 (Int32.of_int dst_mac);
+  Buf.set_uint16_be b 7 (src_mac lsr 32);
+  Buf.set_int32_be b 9 (Int32.of_int src_mac);
+  Buf.set_uint8 b 13 dsap_snap;
+  Buf.set_uint8 b 14 dsap_snap;
+  Buf.set_uint8 b 15 0x03;
+  Buf.set_uint8 b 16 0;
+  Buf.set_uint16_be b 17 0;
+  Buf.set_uint16_be b 19 ethertype
 
 let output t ~ethertype ~dst_mac msg =
   if Msg.length msg > mtu then
@@ -79,7 +80,7 @@ let input t msg =
   else begin
     let b = Msg.head_view msg ~off:0 ~len:header_bytes in
     let j = Msg.head_pos msg ~off:0 ~len:header_bytes in
-    let ethertype = Bytes.get_uint16_be b (j + 19) in
+    let ethertype = Buf.get_uint16_be b (j + 19) in
     Msg.pop msg header_bytes;
     match Type_map.lookup t.upper ethertype with
     | Some handler ->

@@ -1,4 +1,5 @@
 open Pnp_engine
+open Pnp_util
 open Pnp_xkern
 
 let fold s =
@@ -40,7 +41,7 @@ let swap16 s = ((s land 0xff) lsl 8) lor (s lsr 8)
    [swap16] of the folded head corrects the whole prefix.  The <8-byte
    tail (whose first byte is always at even parity, since the head
    consumes multiples of 8) uses the byte-wise scheme. *)
-let sum_bytes b off len =
+let sum b off len =
   if len <= 0 then 0
   else begin
     let stop = off + len in
@@ -50,7 +51,7 @@ let sum_bytes b off len =
     if !i <= last8 then begin
       let acc = ref 0 in
       while !i <= last8 do
-        let w = Bytes.get_int64_ne b !i in
+        let w = Buf.get_int64_ne b !i in
         acc :=
           !acc
           + Int64.to_int (Int64.shift_right_logical w 32)
@@ -64,13 +65,15 @@ let sum_bytes b off len =
     while !i < stop1 do
       s :=
         !s
-        + (Char.code (Bytes.unsafe_get b !i) lsl 8)
-        + Char.code (Bytes.unsafe_get b (!i + 1));
+        + (Char.code (Buf.unsafe_get b !i) lsl 8)
+        + Char.code (Buf.unsafe_get b (!i + 1));
       i := !i + 2
     done;
-    if !i = stop1 then s := !s + (Char.code (Bytes.unsafe_get b !i) lsl 8);
+    if !i = stop1 then s := !s + (Char.code (Buf.unsafe_get b !i) lsl 8);
     fold !s
   end
+
+let sum_bytes b off len = sum (Buf.of_bytes b) off len
 
 (* Summing a multi-slice message must respect byte positions: a slice of
    odd length shifts the parity of every following byte.  We track the
@@ -88,7 +91,7 @@ let sum_part acc node off len =
     let c = Mpool.cached_sum node ~off ~len in
     if c >= 0 then c
     else begin
-      let s = sum_bytes (Mpool.data node) off len in
+      let s = sum (Mpool.data node) off len in
       Mpool.cache_sum node ~off ~len s;
       s
     end

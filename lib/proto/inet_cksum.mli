@@ -9,11 +9,14 @@ val sum_slices : Pnp_xkern.Msg.t -> int
 (** Raw 16-bit one's-complement sum of the message bytes (host-side only;
     charges nothing).  Odd trailing bytes are padded with zero per the RFC. *)
 
-val sum_bytes : Bytes.t -> int -> int -> int
+val sum : [> `R ] Pnp_util.Buf.t -> int -> int -> int
 (** One's-complement sum of a byte range (big-endian 16-bit words, odd
     trailing byte zero-padded).  Sums 8 bytes per iteration via 64-bit
     loads with the RFC 1071 lane fold; agrees with
     {!sum_bytes_bytewise} for every offset and length. *)
+
+val sum_bytes : Bytes.t -> int -> int -> int
+(** {!sum} over the caller's bytes. *)
 
 val sum_bytes_bytewise : Bytes.t -> int -> int -> int
 (** The straightforward two-bytes-at-a-time reference implementation —

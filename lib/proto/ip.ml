@@ -1,4 +1,5 @@
 open Pnp_engine
+open Pnp_util
 open Pnp_xkern
 
 let header_bytes = 20
@@ -84,22 +85,22 @@ let max_payload = Fddi.mtu - header_bytes
 let push_header ~src ~proto ~dst ~id ~frag_off ~more_frags msg =
   let total = Msg.length msg + header_bytes in
   let b = Msg.push_header msg header_bytes in
-  Bytes.set_uint8 b 0 0x45;
-  Bytes.set_uint8 b 1 0;
-  Bytes.set_uint16_be b 2 total;
-  Bytes.set_uint16_be b 4 id;
-  Bytes.set_uint16_be b 6 (((if more_frags then 1 else 0) lsl 13) lor (frag_off lsr 3));
-  Bytes.set_uint8 b 8 64;
-  Bytes.set_uint8 b 9 proto;
-  Bytes.set_uint16_be b 10 0;
-  Bytes.set_int32_be b 12 (Int32.of_int src);
-  Bytes.set_int32_be b 16 (Int32.of_int dst);
+  Buf.set_uint8 b 0 0x45;
+  Buf.set_uint8 b 1 0;
+  Buf.set_uint16_be b 2 total;
+  Buf.set_uint16_be b 4 id;
+  Buf.set_uint16_be b 6 (((if more_frags then 1 else 0) lsl 13) lor (frag_off lsr 3));
+  Buf.set_uint8 b 8 64;
+  Buf.set_uint8 b 9 proto;
+  Buf.set_uint16_be b 10 0;
+  Buf.set_int32_be b 12 (Int32.of_int src);
+  Buf.set_int32_be b 16 (Int32.of_int dst);
   (* Header checksum over the 20 header bytes; cheap, always computed. *)
   let sum = ref 0 in
   for i = 0 to 9 do
-    sum := Inet_cksum.add !sum (Bytes.get_uint16_be b (2 * i))
+    sum := Inet_cksum.add !sum (Buf.get_uint16_be b (2 * i))
   done;
-  Bytes.set_uint16_be b 10 (Inet_cksum.finish !sum)
+  Buf.set_uint16_be b 10 (Inet_cksum.finish !sum)
 
 let encap msg ~src ~dst ~proto ~id =
   push_header ~src ~proto ~dst ~id ~frag_off:0 ~more_frags:false msg
@@ -135,11 +136,11 @@ let output t ~proto ~dst msg =
 
 (* Version and header checksum, over a header view at [b.(j)]. *)
 let header_ok b j =
-  Bytes.get_uint8 b j = 0x45
+  Buf.get_uint8 b j = 0x45
   &&
   let sum = ref 0 in
   for i = 0 to 9 do
-    sum := Inet_cksum.add !sum (Bytes.get_uint16_be b (j + (2 * i)))
+    sum := Inet_cksum.add !sum (Buf.get_uint16_be b (j + (2 * i)))
   done;
   !sum = 0xffff
 
@@ -188,14 +189,14 @@ let input t msg =
     let j = Msg.head_pos msg ~off:0 ~len:header_bytes in
     if not (header_ok b j) then header_failure t msg
     else begin
-      let proto = Bytes.get_uint8 b (j + 9) in
-      let id = Bytes.get_uint16_be b (j + 4) in
-      let flags_off = Bytes.get_uint16_be b (j + 6) in
+      let proto = Buf.get_uint8 b (j + 9) in
+      let id = Buf.get_uint16_be b (j + 4) in
+      let flags_off = Buf.get_uint16_be b (j + 6) in
       let more_frags = flags_off land 0x2000 <> 0 in
       let frag_off = (flags_off land 0x1fff) lsl 3 in
-      let src = Int32.to_int (Bytes.get_int32_be b (j + 12)) land 0xffff_ffff in
-      let dst = Int32.to_int (Bytes.get_int32_be b (j + 16)) land 0xffff_ffff in
-      let total = Bytes.get_uint16_be b (j + 2) in
+      let src = Int32.to_int (Buf.get_int32_be b (j + 12)) land 0xffff_ffff in
+      let dst = Int32.to_int (Buf.get_int32_be b (j + 16)) land 0xffff_ffff in
+      let total = Buf.get_uint16_be b (j + 2) in
       if dst <> t.local_addr then begin
         (* Not ours, and this host does not forward. *)
         t.dropped <- t.dropped + 1;

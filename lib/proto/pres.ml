@@ -1,4 +1,5 @@
 open Pnp_engine
+open Pnp_util
 open Pnp_xkern
 
 (* The Challenge checksums at 32 MB/s = ~31 ns/byte; presentation
@@ -15,7 +16,7 @@ let convert plat pool msg =
   let words = len / 4 in
   for w = 0 to words - 1 do
     let base = 4 * w in
-    Bytes.set_int32_le buf base (Bytes.get_int32_be buf base)
+    Buf.set_int32_le buf base (Buf.get_int32_be buf base)
   done;
   Msg.destroy msg;
   Platform.charge plat (int_of_float (float_of_int len *. conversion_ns_per_byte));

@@ -780,10 +780,9 @@ let set_delack sess =
    send-side wire order: sequence numbers are assigned at least a locked
    section apart, which exceeds the post-lock flight time to the driver
    (Section 4.1 measures <1% send-side misordering). *)
-let build_one sess =
+let build_segment sess =
   let t = sess.proto in
   let tcb = sess.tcb in
-  access sess ~write:false Snd;
   let in_flight = Tcp_seq.diff tcb.snd_nxt tcb.snd_una in
   let wnd = min tcb.snd_wnd tcb.snd_cwnd in
   let off = in_flight in
@@ -835,6 +834,16 @@ let build_one sess =
     emit sess ~flags:Tcp_wire.flag_fin_ack ~seq ~payload:None []
   end
   else []
+
+(* While the SYN is unacknowledged, [snd_nxt - snd_una] counts it as
+   sent, so a segment would carry buffer byte 1 under byte 0's sequence
+   number.  Nothing is sent until the handshake completes; the ACK that
+   completes it pumps the buffer from [input_tail]. *)
+let build_one sess =
+  access sess ~write:false Snd;
+  match sess.tcb.state with
+  | Syn_sent | Syn_received -> []
+  | _ -> build_segment sess
 
 (* Drain permitted data: one segment per lock hold (see build_one). *)
 let rec pump sess =
@@ -1560,6 +1569,20 @@ let handshake_syn t listener_key accept (hdr : Tcp_wire.header) ~src =
   let acc = emit sess ~flags:Tcp_wire.flag_syn_ack ~seq:tcb.iss ~payload:None [] in
   transmit sess acc
 
+(* Strip a delivered segment's header, checking its checksum first when
+   the placement puts the check under the locks ([charged]: Six, which
+   pays for the pass under its header-remove lock). *)
+let strip_verified t (hdr : Tcp_wire.header) msg ~src ~dst ~charged =
+  let ok =
+    (not t.ck_locked) || hdr.cksum = 0
+    ||
+    if charged then Tcp_wire.verify_checksum t.plat ~src ~dst msg
+    else Tcp_wire.checksum_valid ~src ~dst msg
+  in
+  if ok then Tcp_wire.strip msg else t.cksum_failures <- t.cksum_failures + 1;
+  ok
+
+(* Each exit below closes the demux span exactly once. *)
 let input t ~src ~dst msg =
   Costs.charge t.plat Costs.tcp_demux;
   match Tcp_wire.decode msg with
@@ -1567,13 +1590,6 @@ let input t ~src ~dst msg =
   | Some hdr ->
     (* The segment entered TCP from IP: open its demux span. *)
     span_begin t.plat ~seq:hdr.seq Trace.Ip;
-    let ip_span_done = ref false in
-    let end_ip_span () =
-      if not !ip_span_done then begin
-        ip_span_done := true;
-        span_end t.plat ~seq:hdr.seq Trace.Ip
-      end
-    in
     (* Checksum outside any connection-state lock, unless the placement
        puts it under the locks (see below). *)
     let cksum_ok =
@@ -1582,40 +1598,35 @@ let input t ~src ~dst msg =
     in
     if not cksum_ok then begin
       t.cksum_failures <- t.cksum_failures + 1;
-      end_ip_span ();
+      span_end t.plat ~seq:hdr.seq Trace.Ip;
       Msg.destroy msg
     end
     else begin
       match lookup_session t ~lport:hdr.dport ~raddr:src ~rport:hdr.sport with
       | None ->
-        end_ip_span ();
+        span_end t.plat ~seq:hdr.seq Trace.Ip;
         Msg.destroy msg
       | Some sess ->
         ignore (Atomic_ctr.incr sess.sess_ref);
-        let strip_verified check =
-          let ok = (not t.ck_locked) || hdr.cksum = 0 || check ~src ~dst msg in
-          if ok then Tcp_wire.strip msg else t.cksum_failures <- t.cksum_failures + 1;
-          ok
-        in
         let proceed =
           match sess.sync.hdr_rem with
           | Some l ->
             (* Six verifies under its header-remove lock. *)
-            Lock.with_lock l (fun () -> strip_verified (Tcp_wire.verify_checksum t.plat))
+            Lock.with_lock l (fun () -> strip_verified t hdr msg ~src ~dst ~charged:true)
           | None ->
             (* The cksum_under_lock ablation charges verification under
                the state locks in [segment_arrives]; the bytes are
                checked here, uncharged. *)
-            strip_verified Tcp_wire.checksum_valid
+            strip_verified t hdr msg ~src ~dst ~charged:false
         in
         (if not proceed then begin
-           end_ip_span ();
+           span_end t.plat ~seq:hdr.seq Trace.Ip;
            Msg.destroy msg
          end
          else
            match (sess.tcb.state, hdr.flags.Tcp_wire.syn) with
            | Listen, true -> (
-             end_ip_span ();
+             span_end t.plat ~seq:hdr.seq Trace.Ip;
              (* find the accept callback for this port *)
              match Conn_map.lookup t.accepting sess.key with
              | Some accept ->
@@ -1634,7 +1645,7 @@ let input t ~src ~dst msg =
                end
              | None -> Msg.destroy msg)
            | _ ->
-             end_ip_span ();
+             span_end t.plat ~seq:hdr.seq Trace.Ip;
              segment_arrives sess hdr msg);
         ignore (Atomic_ctr.decr sess.sess_ref)
     end

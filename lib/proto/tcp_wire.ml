@@ -1,3 +1,4 @@
+open Pnp_util
 open Pnp_xkern
 
 type flags = { fin : bool; syn : bool; rst : bool; psh : bool; ack : bool }
@@ -46,18 +47,18 @@ let flags_of_int i = flags_table.(i land 31)
    i.e. [Tcp_seq.mask]. *)
 let encode msg h =
   let b = Msg.push_header msg header_bytes in
-  Bytes.set_uint16_be b 0 h.sport;
-  Bytes.set_uint16_be b 2 h.dport;
-  Bytes.set_int32_be b 4 (Int32.of_int h.seq);
-  Bytes.set_int32_be b 8 (Int32.of_int h.ack);
+  Buf.set_uint16_be b 0 h.sport;
+  Buf.set_uint16_be b 2 h.dport;
+  Buf.set_int32_be b 4 (Int32.of_int h.seq);
+  Buf.set_int32_be b 8 (Int32.of_int h.ack);
   (* data offset in 32-bit words (6) in the high nibble, flags low. *)
-  Bytes.set_uint16_be b 12 ((6 lsl 12) lor flags_to_int h.flags);
-  Bytes.set_int32_be b 14 (Int32.of_int h.win);
-  Bytes.set_uint16_be b 18 h.cksum;
-  Bytes.set_uint16_be b 20 0;
-  Bytes.set_uint16_be b 22 0
+  Buf.set_uint16_be b 12 ((6 lsl 12) lor flags_to_int h.flags);
+  Buf.set_int32_be b 14 (Int32.of_int h.win);
+  Buf.set_uint16_be b 18 h.cksum;
+  Buf.set_uint16_be b 20 0;
+  Buf.set_uint16_be b 22 0
 
-let get_u32 b j = Int32.to_int (Bytes.get_int32_be b j) land 0xffff_ffff
+let get_u32 b j = Int32.to_int (Buf.get_int32_be b j) land 0xffff_ffff
 
 let decode msg =
   if Msg.length msg < header_bytes then None
@@ -66,13 +67,13 @@ let decode msg =
     let j = Msg.head_pos msg ~off:0 ~len:header_bytes in
     Some
       {
-        sport = Bytes.get_uint16_be b j;
-        dport = Bytes.get_uint16_be b (j + 2);
+        sport = Buf.get_uint16_be b j;
+        dport = Buf.get_uint16_be b (j + 2);
         seq = get_u32 b (j + 4);
         ack = get_u32 b (j + 8);
-        flags = flags_of_int (Bytes.get_uint16_be b (j + 12));
+        flags = flags_of_int (Buf.get_uint16_be b (j + 12));
         win = get_u32 b (j + 14);
-        cksum = Bytes.get_uint16_be b (j + 18);
+        cksum = Buf.get_uint16_be b (j + 18);
       }
 
 let strip msg = Msg.pop msg header_bytes

@@ -1,4 +1,5 @@
 open Pnp_engine
+open Pnp_util
 open Pnp_xkern
 
 let header_bytes = 8
@@ -41,8 +42,8 @@ let rec input t ~src ~dst msg =
   else begin
     let b = Msg.head_view msg ~off:0 ~len:header_bytes in
     let j = Msg.head_pos msg ~off:0 ~len:header_bytes in
-    let dport = Bytes.get_uint16_be b (j + 2) in
-    let wire_cksum = Bytes.get_uint16_be b (j + 6) in
+    let dport = Buf.get_uint16_be b (j + 2) in
+    let wire_cksum = Buf.get_uint16_be b (j + 6) in
     let len = Msg.length msg in
     let cksum_ok =
       if t.checksum && wire_cksum <> 0 then
@@ -115,10 +116,10 @@ let open_session t ~local_port ~remote_addr ~remote_port ~recv =
 let push_header msg ~sport ~dport =
   let len = Msg.length msg + header_bytes in
   let b = Msg.push_header msg header_bytes in
-  Bytes.set_uint16_be b 0 sport;
-  Bytes.set_uint16_be b 2 dport;
-  Bytes.set_uint16_be b 4 len;
-  Bytes.set_uint16_be b 6 0;
+  Buf.set_uint16_be b 0 sport;
+  Buf.set_uint16_be b 2 dport;
+  Buf.set_uint16_be b 4 len;
+  Buf.set_uint16_be b 6 0;
   len
 
 let send sess msg =

@@ -1,14 +1,15 @@
 open Pnp_engine
+module Buf = Pnp_util.Buf
 
 type mnode = {
   id : int;
-  data : Bytes.t;
+  data : [ `R | `W ] Buf.t; (* handed out writable only by [write] *)
   size_class : int; (* < 2: the buffer comes from, and returns to, the arena *)
   refs : Atomic_ctr.t;
   (* One-slot checksum-sum memo (see Inet_cksum.sum_slices): the 16-bit
      one's-complement sum of data[sum_off, sum_off+sum_len) as of write
-     generation [sum_gen].  Msg bumps [gen] on every mutation of the
-     node's bytes, so a segment duplicated from a template (refs > 1 on
+     generation [sum_gen].  [write] bumps [gen] before it hands out the
+     writable buffer, so a segment duplicated from a template (refs > 1 on
      the rexmt queue, drivers' payload sharing) is summed once and then
      served in O(1) — the host-side "coalescing" of repeated data
      touches that real stacks get from hardware checksum offload. *)
@@ -58,7 +59,7 @@ type t = {
      what keeps recycling invisible to retransmission-queue sharing
      ([Msg.dup]/[Msg.unshare]): a node still referenced anywhere keeps
      its buffer. *)
-  arena_free : Bytes.t list array; (* per cached class *)
+  arena_free : [ `R | `W ] Buf.t list array; (* per cached class *)
   arena_free_n : int array;
   mutable arena_out : int; (* bytes inside arena-drawn nodes now live *)
   mutable arena_hwm : int; (* peak of [arena_out] *)
@@ -152,7 +153,7 @@ let arena_take t cls =
     t.arena_free.(cls) <- rest;
     t.arena_free_n.(cls) <- t.arena_free_n.(cls) - 1;
     b
-  | [] -> Bytes.create cap
+  | [] -> Buf.create cap
 
 (* A dead node's buffer returns to the free lists; only ever called at
    refcount zero for nodes not parked in a simulated per-thread cache. *)
@@ -160,7 +161,7 @@ let arena_recycle t node =
   let cls = node.size_class in
   if cls < 2 then begin
     if tracing t then trace_node t (Trace.Mnode_recycle { node = node.id });
-    t.arena_out <- t.arena_out - Bytes.length node.data;
+    t.arena_out <- t.arena_out - Buf.length node.data;
     if t.arena_free_n.(cls) < arena_retain then begin
       t.arena_free.(cls) <- node.data :: t.arena_free.(cls);
       t.arena_free_n.(cls) <- t.arena_free_n.(cls) + 1
@@ -171,7 +172,7 @@ let fresh_node t n cls =
   let node =
     {
       id = t.next_id;
-      data = (if cls = 2 then Bytes.create n else arena_take t cls);
+      data = (if cls = 2 then Buf.create n else arena_take t cls);
       size_class = cls;
       refs = Platform.refcnt t.plat ~name:"mnode" ~init:1;
       gen = 0;
@@ -303,16 +304,18 @@ let rec await_headroom t =
     await_headroom t
   end
 
-let data node = node.data
-let capacity node = Bytes.length node.data
+let data node = (node.data :> [ `R ] Buf.t)
+let capacity node = Buf.length node.data
 let refs node = Atomic_ctr.get node.refs
 
 (* Checksum-sum memo.  A hit returns exactly the sum a scan of the
    bytes would; the codec tests check memoised sums against
-   [Inet_cksum.sum_bytes] of the message's bytes. *)
-let bump_gen t node =
+   [Inet_cksum.sum_bytes] of the message's bytes.  Handing out the
+   writable buffer is the write: it moves the generation first. *)
+let write t node =
   node.gen <- node.gen + 1;
-  if tracing t then trace_node t (Trace.Mnode_write { node = node.id })
+  if tracing t then trace_node t (Trace.Mnode_write { node = node.id });
+  node.data
 
 let cached_sum node ~off ~len =
   if node.sum_gen = node.gen && node.sum_off = off && node.sum_len = len then node.sum_val

@@ -73,30 +73,36 @@ val decref : t -> mnode -> unit
 (** Drop a reference; at zero the node returns to the caller's LIFO cache
     (if caching is on and the cache has room) or to the global allocator. *)
 
-val data : mnode -> Bytes.t
+val data : mnode -> [ `R ] Pnp_util.Buf.t
+(** The node's bytes, read-only. *)
+
+val write : t -> mnode -> [ `R | `W ] Pnp_util.Buf.t
+(** The node's bytes, writable: the only way to get them.  One call is
+    one write: it moves the node's write generation (retiring its cached
+    sum, below) and, under an enabled tracer, emits an [Mnode_write]
+    event, which lets the arena lifetime sanitizer catch writes to dead
+    or recycled nodes.
+
+    Not covered by the type: a holder that keeps the buffer and stores
+    into it after a sum of the node was cached leaves that sum stale.
+    No code keeps one; each later write calls [write] again. *)
+
 val capacity : mnode -> int
 val refs : mnode -> int
 
 (** {2 Checksum-sum memo}
 
     A one-slot per-node cache of the 16-bit one's-complement sum over a
-    byte range of the node, validated by a write-generation counter that
-    {!Msg} bumps on every mutation of the node's bytes.  Payloads shared
-    via [Msg.dup] (driver templates, the TCP retransmission queue) are
-    summed once, pattern fills at fill time, and then checksummed in
-    O(1) — the host-side analogue of checksum offload.
+    byte range of the node, validated by the write generation that
+    {!write} moves.  Payloads shared via [Msg.dup] (driver templates,
+    the TCP retransmission queue) are summed once, pattern fills at fill
+    time, and then checksummed in O(1) — the host-side analogue of
+    checksum offload.
 
     Purely a host-cost cache, and the only path: a hit returns exactly
     the sum a fresh scan would.  Goldens pin absolute outputs; memoised
     sums are checked against the scan ([Inet_cksum.sum_bytes] of
     [Msg.to_string]) in the codec tests. *)
-
-val bump_gen : t -> mnode -> unit
-(** Record that the node's bytes changed (invalidates the cached sum).
-    Takes the pool so the write is visible to tracing: under an enabled
-    tracer every bump emits an [Mnode_write] event, which is what lets
-    the arena lifetime sanitizer catch writes to dead or recycled
-    nodes. *)
 
 val cached_sum : mnode -> off:int -> len:int -> int
 (** The cached sum for exactly this range at the current generation, or

@@ -1,3 +1,5 @@
+module Buf = Pnp_util.Buf
+
 type part = { mutable node : Mpool.mnode; mutable off : int; mutable len : int }
 
 type t = { pool : Mpool.t; mutable parts : part list; mutable total : int }
@@ -14,9 +16,7 @@ let length t = t.total
 let of_string pool s =
   let t = create pool (String.length s) in
   (match t.parts with
-   | [ p ] ->
-     Mpool.bump_gen pool p.node;
-     Bytes.blit_string s 0 (Mpool.data p.node) p.off (String.length s)
+   | [ p ] -> Buf.blit_string s 0 (Mpool.write pool p.node) p.off (String.length s)
    | _ -> assert (String.length s = 0));
   t
 
@@ -30,23 +30,20 @@ let push t n =
 
 (* The one header write: a fresh node starts at offset 0, so the caller
    fills [0, n) of the returned buffer, and the whole header costs one
-   generation bump (one [Mnode_write] when traced) instead of one per
+   [Mpool.write] (one [Mnode_write] when traced) instead of one per
    field. *)
 let push_header t n =
   push t n;
   match t.parts with
-  | p :: _ when n > 0 ->
-    Mpool.bump_gen t.pool p.node;
-    Mpool.data p.node
-  | _ -> Bytes.empty
+  | p :: _ when n > 0 -> Mpool.write t.pool p.node
+  | _ -> Buf.empty
 
 (* Single-part messages dominate the hot paths (a header node pushed on a
-   payload node is consumed part by part), so [pop]/[truncate] and the
-   byte accessors below special-case one-part messages: adjust the part
-   in place, no list walk, no tuple from [locate]. *)
+   payload node is consumed part by part), so [truncate] special-cases
+   one-part messages: adjust the part in place, no list rebuilt. *)
 
-(* Top level rather than local to [pop_slow], so a pop allocates no
-   closure: every received frame pops its link header this way. *)
+(* Top level, so a pop allocates no closure: every received frame pops
+   its link header this way. *)
 let rec strip pool n parts =
   if n = 0 then parts
   else
@@ -63,18 +60,10 @@ let rec strip pool n parts =
         parts
       end
 
-let pop_slow t n =
-  t.parts <- strip t.pool n t.parts;
-  t.total <- t.total - n
-
 let pop t n =
   if n < 0 || n > t.total then invalid_arg "Msg.pop: bad length";
-  match t.parts with
-  | [ p ] when n < p.len ->
-    p.off <- p.off + n;
-    p.len <- p.len - n;
-    t.total <- t.total - n
-  | _ -> pop_slow t n
+  t.parts <- strip t.pool n t.parts;
+  t.total <- t.total - n
 
 let truncate_slow t n =
   let rec keep n parts =
@@ -135,8 +124,7 @@ let unshare t ~off =
   let p = find t.parts off in
   if Mpool.refs p.node > 1 then begin
     let fresh = Mpool.alloc t.pool p.len in
-    Mpool.bump_gen t.pool fresh;
-    Bytes.blit (Mpool.data p.node) p.off (Mpool.data fresh) 0 p.len;
+    Buf.blit (Mpool.data p.node) p.off (Mpool.write t.pool fresh) 0 p.len;
     (* The copy is byte-identical, so the source's cached checksum sum —
        when it covers exactly the copied view — carries over. *)
     let s = Mpool.cached_sum p.node ~off:p.off ~len:p.len in
@@ -146,103 +134,97 @@ let unshare t ~off =
     p.off <- 0
   end
 
-(* Locate message offset [off]: the part containing it and the index
-   within that part's view. *)
-let rec locate parts off =
+(* Byte access: one top-level walk per width, so an access allocates
+   nothing.  Each walks to the part holding message byte [i]; a range
+   that straddles two parts splits into two narrower accesses (walked
+   again from the same part).  A store goes through [Mpool.write], one
+   per node it touches. *)
+let rec get8 parts i =
   match parts with
-  | [] -> invalid_arg "Msg: offset out of bounds"
-  | p :: rest -> if off < p.len then (p, off) else locate rest (off - p.len)
+  | [] -> assert false
+  | p :: rest ->
+    if i < p.len then Buf.get_uint8 (Mpool.data p.node) (p.off + i)
+    else get8 rest (i - p.len)
+
+let rec set8 pool parts i v =
+  match parts with
+  | [] -> assert false
+  | p :: rest ->
+    if i < p.len then Buf.set_uint8 (Mpool.write pool p.node) (p.off + i) (v land 0xff)
+    else set8 pool rest (i - p.len) v
+
+let rec get16 parts i =
+  match parts with
+  | [] -> assert false
+  | p :: rest ->
+    if i >= p.len then get16 rest (i - p.len)
+    else if i + 2 <= p.len then Buf.get_uint16_be (Mpool.data p.node) (p.off + i)
+    else (get8 parts i lsl 8) lor get8 parts (i + 1)
+
+let rec set16 pool parts i v =
+  match parts with
+  | [] -> assert false
+  | p :: rest ->
+    if i >= p.len then set16 pool rest (i - p.len) v
+    else if i + 2 <= p.len then
+      Buf.set_uint16_be (Mpool.write pool p.node) (p.off + i) (v land 0xffff)
+    else begin
+      set8 pool parts i (v lsr 8);
+      set8 pool parts (i + 1) v
+    end
+
+let rec get32 parts i =
+  match parts with
+  | [] -> assert false
+  | p :: rest ->
+    if i >= p.len then get32 rest (i - p.len)
+    else if i + 4 <= p.len then begin
+      let b = Mpool.data p.node and j = p.off + i in
+      (Buf.get_uint16_be b j lsl 16) lor Buf.get_uint16_be b (j + 2)
+    end
+    else (get16 parts i lsl 16) lor get16 parts (i + 2)
+
+let rec set32 pool parts i v =
+  match parts with
+  | [] -> assert false
+  | p :: rest ->
+    if i >= p.len then set32 pool rest (i - p.len) v
+    else if i + 4 <= p.len then begin
+      let b = Mpool.write pool p.node and j = p.off + i in
+      Buf.set_uint16_be b j ((v lsr 16) land 0xffff);
+      Buf.set_uint16_be b (j + 2) (v land 0xffff)
+    end
+    else begin
+      set16 pool parts i (v lsr 16);
+      set16 pool parts (i + 2) v
+    end
+
+let check_range t off n name =
+  if off < 0 || off + n > t.total then invalid_arg ("Msg." ^ name ^ ": out of bounds")
 
 let get_u8 t off =
-  if off < 0 || off >= t.total then invalid_arg "Msg.get_u8: out of bounds";
-  match t.parts with
-  | [ p ] -> Char.code (Bytes.get (Mpool.data p.node) (p.off + off))
-  | parts ->
-    let p, i = locate parts off in
-    Char.code (Bytes.get (Mpool.data p.node) (p.off + i))
+  check_range t off 1 "get_u8";
+  get8 t.parts off
 
 let set_u8 t off v =
-  if off < 0 || off >= t.total then invalid_arg "Msg.set_u8: out of bounds";
-  match t.parts with
-  | [ p ] ->
-    Mpool.bump_gen t.pool p.node;
-    Bytes.set (Mpool.data p.node) (p.off + off) (Char.chr (v land 0xff))
-  | parts ->
-    let p, i = locate parts off in
-    Mpool.bump_gen t.pool p.node;
-    Bytes.set (Mpool.data p.node) (p.off + i) (Char.chr (v land 0xff))
-
-(* Multi-byte accessors take a single-part fast path (no [locate], no
-   tuple) when the message is one part — the overwhelmingly common case,
-   since headers live in a single pushed node.  Multi-part messages
-   locate the containing part once and fall back to the byte path only
-   when the range straddles a part boundary.  The original code walked
-   the part list once per byte: four list walks for a u32. *)
+  check_range t off 1 "set_u8";
+  set8 t.pool t.parts off v
 
 let get_u16 t off =
-  if off < 0 || off + 2 > t.total then invalid_arg "Msg.get_u16: out of bounds";
-  match t.parts with
-  | [ p ] -> Bytes.get_uint16_be (Mpool.data p.node) (p.off + off)
-  | parts ->
-    let p, i = locate parts off in
-    if i + 2 <= p.len then Bytes.get_uint16_be (Mpool.data p.node) (p.off + i)
-    else (get_u8 t off lsl 8) lor get_u8 t (off + 1)
+  check_range t off 2 "get_u16";
+  get16 t.parts off
 
 let set_u16 t off v =
-  if off < 0 || off + 2 > t.total then invalid_arg "Msg.set_u16: out of bounds";
-  match t.parts with
-  | [ p ] ->
-    Mpool.bump_gen t.pool p.node;
-    Bytes.set_uint16_be (Mpool.data p.node) (p.off + off) (v land 0xffff)
-  | parts ->
-    let p, i = locate parts off in
-    if i + 2 <= p.len then begin
-      Mpool.bump_gen t.pool p.node;
-      Bytes.set_uint16_be (Mpool.data p.node) (p.off + i) (v land 0xffff)
-    end
-    else begin
-      set_u8 t off (v lsr 8);
-      set_u8 t (off + 1) v
-    end
+  check_range t off 2 "set_u16";
+  set16 t.pool t.parts off v
 
 let get_u32 t off =
-  if off < 0 || off + 4 > t.total then invalid_arg "Msg.get_u32: out of bounds";
-  match t.parts with
-  | [ p ] ->
-    let b = Mpool.data p.node in
-    let j = p.off + off in
-    (Bytes.get_uint16_be b j lsl 16) lor Bytes.get_uint16_be b (j + 2)
-  | parts ->
-    let p, i = locate parts off in
-    if i + 4 <= p.len then begin
-      let b = Mpool.data p.node in
-      let j = p.off + i in
-      (Bytes.get_uint16_be b j lsl 16) lor Bytes.get_uint16_be b (j + 2)
-    end
-    else (get_u16 t off lsl 16) lor get_u16 t (off + 2)
+  check_range t off 4 "get_u32";
+  get32 t.parts off
 
 let set_u32 t off v =
-  if off < 0 || off + 4 > t.total then invalid_arg "Msg.set_u32: out of bounds";
-  match t.parts with
-  | [ p ] ->
-    Mpool.bump_gen t.pool p.node;
-    let b = Mpool.data p.node in
-    let j = p.off + off in
-    Bytes.set_uint16_be b j ((v lsr 16) land 0xffff);
-    Bytes.set_uint16_be b (j + 2) (v land 0xffff)
-  | parts ->
-    let p, i = locate parts off in
-    if i + 4 <= p.len then begin
-      Mpool.bump_gen t.pool p.node;
-      let b = Mpool.data p.node in
-      let j = p.off + i in
-      Bytes.set_uint16_be b j ((v lsr 16) land 0xffff);
-      Bytes.set_uint16_be b (j + 2) (v land 0xffff)
-    end
-    else begin
-      set_u16 t off (v lsr 16);
-      set_u16 t (off + 2) v
-    end
+  check_range t off 4 "set_u32";
+  set32 t.pool t.parts off v
 
 let iter_slices t f =
   List.iter (fun p -> if p.len > 0 then f (Mpool.data p.node) p.off p.len) t.parts
@@ -256,26 +238,24 @@ let rec fold_part_list f acc = function
 let fold_parts t f acc = fold_part_list f acc t.parts
 
 let blit_to_bytes t buf ~pos =
-  (* lint:allow msg-bump-gen: writes into the caller's buffer; a caller
-     that hands in node memory bumps it (Msg.push_header) *)
-  if pos < 0 || Bytes.length buf - pos < t.total then
+  if pos < 0 || Buf.length buf - pos < t.total then
     invalid_arg "Msg.blit_to_bytes: buffer too small";
   let pos = ref pos in
   iter_slices t (fun b off len ->
-      Bytes.blit b off buf !pos len;
+      Buf.blit b off buf !pos len;
       pos := !pos + len)
 
 let to_string t =
   let buf = Bytes.create t.total in
-  blit_to_bytes t buf ~pos:0;
-  Bytes.to_string buf
+  blit_to_bytes t (Buf.of_bytes buf) ~pos:0;
+  Bytes.unsafe_to_string buf
 
 let pattern_byte stream_off i = (stream_off + i) mod 251
 
-(* Apply [f node buf pos count done_so_far] to the byte ranges covering
+(* Apply [f node pos count done_so_far] to the byte ranges covering
    message offsets [off, off+len); [done_so_far] is the count of range
    bytes already visited.  Shared fast path for fill/check; the node is
-   passed so writers can bump its generation. *)
+   passed, not its bytes, so a writer takes them with [Mpool.write]. *)
 let iter_range t ~off ~len f =
   if off < 0 || len < 0 || off + len > t.total then
     invalid_arg "Msg.iter_range: out of bounds";
@@ -287,7 +267,7 @@ let iter_range t ~off ~len f =
           let start = boff + !skip in
           let count = min (blen - !skip) !remaining in
           skip := 0;
-          f node (Mpool.data node) start count !visited;
+          f node start count !visited;
           visited := !visited + count;
           remaining := !remaining - count
         end
@@ -307,15 +287,14 @@ let check_view t ~off ~len =
     invalid_arg "Msg.head_view: out of bounds"
 
 let copy_range t ~off ~len =
-  (* lint:allow msg-bump-gen: fills a private host buffer, never node bytes *)
-  let buf = Bytes.create len in
-  iter_range t ~off ~len (fun _node b start count visited ->
-      Bytes.blit b start buf visited count);
-  buf
+  let buf = Buf.create len in
+  iter_range t ~off ~len (fun node start count visited ->
+      Buf.blit (Mpool.data node) start buf visited count);
+  (buf :> [ `R ] Buf.t)
 
 let rec view_buf t parts i ~off ~len =
   match parts with
-  | [] -> Bytes.empty
+  | [] -> (Buf.empty :> [ `R ] Buf.t)
   | p :: rest ->
     if i >= p.len then view_buf t rest (i - p.len) ~off ~len
     else if i + len <= p.len then Mpool.data p.node
@@ -345,7 +324,7 @@ let pattern_period = 251
 let pattern_block_len = 8192 (* > max mnode class (4608) + one period *)
 
 let pattern_block =
-  Bytes.init pattern_block_len (fun k -> Char.chr (pattern_byte 0 k))
+  Buf.of_string (String.init pattern_block_len (fun k -> Char.chr (pattern_byte 0 k)))
 
 (* Largest multiple of the period that still fits a window of the block:
    chunking by it keeps the phase unchanged across chunks. *)
@@ -363,7 +342,7 @@ let pattern_chunk =
 let pattern_prefix =
   let a = Array.make (pattern_block_len + 1) 0 in
   for k = 0 to pattern_block_len - 1 do
-    let b = Char.code (Bytes.get pattern_block k) in
+    let b = Buf.get_uint8 pattern_block k in
     a.(k + 1) <- (a.(k) + if k land 1 = 0 then b lsl 8 else b)
   done;
   a
@@ -381,13 +360,13 @@ let pattern_sum phase n =
    A chunk starting at an odd index of the range is swapped into the
    range's alignment before it is added. *)
 let fill_pattern t ~off ~len ~stream_off =
-  iter_range t ~off ~len (fun node b start count visited ->
-      Mpool.bump_gen t.pool node;
+  iter_range t ~off ~len (fun node start count visited ->
+      let b = Mpool.write t.pool node in
       let phase = ref ((stream_off + visited) mod pattern_period) in
       let pos = ref start and left = ref count and sum = ref 0 in
       while !left > 0 do
         let n = min !left pattern_chunk in
-        Bytes.blit pattern_block !phase b !pos n;
+        Buf.blit pattern_block !phase b !pos n;
         let s = pattern_sum !phase n in
         sum := !sum + (if (!pos - start) land 1 = 0 then s else swap16 s);
         phase := (!phase + n) mod pattern_period;
@@ -398,8 +377,9 @@ let fill_pattern t ~off ~len ~stream_off =
 
 let check_pattern t ~off ~len ~stream_off =
   let ok = ref true in
-  iter_range t ~off ~len (fun _node b start count visited ->
+  iter_range t ~off ~len (fun node start count visited ->
       if !ok then begin
+        let b = Mpool.data node in
         let phase = ref ((stream_off + visited) mod pattern_period) in
         let pos = ref start and left = ref count in
         while !ok && !left > 0 do
@@ -407,15 +387,15 @@ let check_pattern t ~off ~len ~stream_off =
           let i = ref 0 in
           while !ok && !i + 8 <= n do
             if
-              Bytes.get_int64_ne b (!pos + !i)
-              <> Bytes.get_int64_ne pattern_block (!phase + !i)
+              Buf.get_int64_ne b (!pos + !i)
+              <> Buf.get_int64_ne pattern_block (!phase + !i)
             then ok := false
             else i := !i + 8
           done;
           while !ok && !i < n do
             if
-              Bytes.unsafe_get b (!pos + !i)
-              <> Bytes.unsafe_get pattern_block (!phase + !i)
+              Buf.unsafe_get b (!pos + !i)
+              <> Buf.unsafe_get pattern_block (!phase + !i)
             then ok := false
             else incr i
           done;

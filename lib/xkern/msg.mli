@@ -27,26 +27,26 @@ val push : t -> int -> unit
 
     A protocol codec touches its header through one buffer view instead
     of one accessor call per field.  The writer pushes the header with
-    {!push_header} (one write-generation bump for the whole header) and
-    stores every field with [Bytes.set_*] at [0..n-1]; the reader takes
+    {!push_header} (one {!Mpool.write} for the whole header) and stores
+    every field with [Buf.set_*] at [0..n-1]; the reader takes
     {!head_view} and {!head_pos} once and loads every field with
-    [Bytes.get_*]. *)
+    [Buf.get_*].  The types say which is which: node memory is handed
+    out writable only by {!Mpool.write}, so a store through a read view
+    does not compile. *)
 
-val push_header : t -> int -> Bytes.t
-(** [push_header t n] is {!push}[ t n] followed by one
-    {!Mpool.bump_gen} on the fresh node, and returns the node's buffer:
-    the header occupies bytes [0, n) of it and is the caller's to fill.
-    Every byte must be written before anything sums the message — a
-    store made after a checksum sum has to go through the byte
-    accessors below, which bump again.  [n = 0] pushes nothing and
-    returns an empty buffer. *)
+val push_header : t -> int -> [ `R | `W ] Pnp_util.Buf.t
+(** [push_header t n] is {!push}[ t n] followed by one {!Mpool.write}
+    of the fresh node, whose buffer it returns: the header occupies
+    bytes [0, n) of it and is the caller's to fill.  Every byte must be
+    written before anything sums the message — a store made after a
+    checksum sum has to go through the byte accessors below, which
+    write again.  [n = 0] pushes nothing and returns an empty buffer. *)
 
-val head_view : t -> off:int -> len:int -> Bytes.t
+val head_view : t -> off:int -> len:int -> [ `R ] Pnp_util.Buf.t
 (** [head_view t ~off ~len] is a buffer holding message bytes
     [off, off+len) contiguously, from index {!head_pos}[ t ~off ~len]:
     the node buffer itself when one part covers the range (no copy, no
-    allocation), otherwise a fresh copy.  Read-only: writing through it
-    bypasses the write generation.
+    allocation), otherwise a fresh copy.
     @raise Invalid_argument if the range is outside the message. *)
 
 val head_pos : t -> off:int -> len:int -> int
@@ -82,10 +82,9 @@ val destroy : t -> unit
 (** {2 Byte access}
 
     Offsets are message-relative.  Multi-byte accessors are big-endian
-    (network order) and may span node boundaries; when the whole range
-    lies inside one node (the common case for headers) they locate the
-    node once and use direct 16-bit loads/stores instead of one
-    part-list walk per byte. *)
+    (network order) and may span node boundaries.  Each access walks the
+    part list once to the node holding its first byte and allocates
+    nothing; a store is one {!Mpool.write} of each node it touches. *)
 
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
@@ -94,7 +93,7 @@ val set_u16 : t -> int -> int -> unit
 val get_u32 : t -> int -> int
 val set_u32 : t -> int -> int -> unit
 
-val blit_to_bytes : t -> Bytes.t -> pos:int -> unit
+val blit_to_bytes : t -> [ `R | `W ] Pnp_util.Buf.t -> pos:int -> unit
 (** [blit_to_bytes t buf ~pos] copies the whole message into [buf]
     from index [pos]. *)
 
@@ -110,7 +109,7 @@ val fill_pattern : t -> off:int -> len:int -> stream_off:int -> unit
 val check_pattern : t -> off:int -> len:int -> stream_off:int -> bool
 (** Verify the pattern written by {!fill_pattern}. *)
 
-val iter_slices : t -> (Bytes.t -> int -> int -> unit) -> unit
+val iter_slices : t -> ([ `R ] Pnp_util.Buf.t -> int -> int -> unit) -> unit
 (** Apply the function to each underlying (buffer, offset, length) slice in
     order. *)
 
@@ -118,9 +117,7 @@ val fold_parts : t -> ('a -> Mpool.mnode -> int -> int -> 'a) -> 'a -> 'a
 (** [fold_parts t f acc] folds [f] over the non-empty (node, offset,
     length) parts in order, exposing the node so callers can consult the
     per-node checksum-sum memo ({!Mpool.cached_sum}).  Allocation-free
-    when [f] is a closed function and ['a] an immediate.  Treat the
-    node's bytes as read-only: writes that bypass the [Msg] mutators do
-    not bump the write generation and would poison the memo. *)
+    when [f] is a closed function and ['a] an immediate. *)
 
 val parts : t -> int
 (** Number of underlying node views (observability). *)

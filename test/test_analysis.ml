@@ -800,64 +800,6 @@ let test_lint_no_env () =
        (lint ~file:"lib/xkern/fake.ml"
           "(* Sys.getenv is not read here *)\nlet s = \"Sys.getenv_opt\"\n"))
 
-let test_lint_msg_bump_gen () =
-  (* Seeded violation: a binding mutates node bytes (Mpool.data +
-     Bytes.set) without calling bump_gen — the checksum memo would go
-     stale. *)
-  (match
-     lint ~file:"lib/xkern/fake.ml"
-       "let poke node =\n  Bytes.set (Mpool.data node) 0 'x'\n"
-   with
-   | [ f ] ->
-     Alcotest.(check string) "rule" "msg-bump-gen" f.Lint.rule;
-     Alcotest.(check int) "line of the mutation" 2 f.Lint.line
-   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)));
-  (* Calling bump_gen anywhere in the binding satisfies the rule. *)
-  Alcotest.(check (list string)) "bump_gen present" []
-    (rules
-       (lint ~file:"lib/xkern/fake.ml"
-          "let poke pool node =\n\
-          \  Mpool.bump_gen pool node;\n\
-          \  Bytes.set (Mpool.data node) 0 'x'\n"));
-  (* Seeded violation: a store through the read view [Msg.head_view] is
-     a node write with no bump. *)
-  (match
-     lint ~file:"lib/proto/fake.ml"
-       "let poke msg =\n\
-       \  let b = Msg.head_view msg ~off:0 ~len:2 in\n\
-       \  Bytes.set_uint16_be b (Msg.head_pos msg ~off:0 ~len:2) 7\n"
-   with
-   | [ f ] ->
-     Alcotest.(check string) "head_view write: rule" "msg-bump-gen" f.Lint.rule;
-     Alcotest.(check int) "head_view write: line" 3 f.Lint.line
-   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)));
-  (* [Msg.push_header] bumps the node whose buffer it returns. *)
-  Alcotest.(check (list string)) "push_header is the bump" []
-    (rules
-       (lint ~file:"lib/proto/fake.ml"
-          "let encap msg =\n\
-          \  let b = Msg.push_header msg 2 in\n\
-          \  Bytes.set_uint16_be b 0 7\n"));
-  (* ... but only inside its own binding: a helper filling the pushed
-     buffer elsewhere is flagged. *)
-  Alcotest.(check (list string)) "push_header bumps its own binding only" [ "msg-bump-gen" ]
-    (rules
-       (lint ~file:"lib/proto/fake.ml"
-          "let fill b =\n\
-          \  Bytes.set_uint16_be b 0 7\n\
-           let encap msg =\n\
-          \  fill (Msg.push_header msg 2)\n"));
-  (* Mutating a plain buffer (no node bytes in scope) is out of scope. *)
-  Alcotest.(check (list string)) "non-node mutation exempt" []
-    (rules (lint ~file:"lib/xkern/fake.ml" "let poke buf =\n  Bytes.set buf 0 'x'\n"));
-  (* An explicit allow documents intentional exceptions. *)
-  Alcotest.(check (list string)) "allow marker honoured" []
-    (rules
-       (lint ~file:"lib/xkern/fake.ml"
-          "let poke node =\n\
-          \  (* lint:allow msg-bump-gen: writes the caller's view *)\n\
-          \  Bytes.set (Mpool.data node) 0 'x'\n"))
-
 let test_lint_clean_tree () =
   (* The repo must lint clean — this is `dune build @lint` as a unit
      test, pinned to wherever the runner starts. *)
@@ -955,7 +897,6 @@ let suites =
         Alcotest.test_case "trace guard" `Quick test_lint_trace_guard;
         Alcotest.test_case "allow marker" `Quick test_lint_allow_marker;
         Alcotest.test_case "no environment reads in lib" `Quick test_lint_no_env;
-        Alcotest.test_case "msg mutators must bump_gen" `Quick test_lint_msg_bump_gen;
         Alcotest.test_case "tree lints clean" `Quick test_lint_clean_tree;
       ] );
   ]

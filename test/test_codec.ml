@@ -7,6 +7,7 @@
    a scan of the bytes after every step of random message programs. *)
 
 open Pnp_engine
+open Pnp_util
 open Pnp_xkern
 open Pnp_proto
 open Pnp_driver
@@ -336,7 +337,7 @@ let test_reencode_invalidates_sum () =
         Alcotest.(check bool) "same node reused" true (Mpool.data n1 == Mpool.data n2);
         Alcotest.(check int) "stale sum retired" (-1)
           (Mpool.cached_sum n2 ~off:0 ~len:Tcp_wire.header_bytes);
-        let fresh = Inet_cksum.sum_bytes (Mpool.data n2) 0 Tcp_wire.header_bytes in
+        let fresh = Inet_cksum.sum (Mpool.data n2) 0 Tcp_wire.header_bytes in
         Alcotest.(check int) "sum of the new bytes" fresh (Inet_cksum.sum_slices b);
         (* A checksum stored after the sum bumps again. *)
         Tcp_wire.store_checksum_free ~src:1 ~dst:2 b;
@@ -364,7 +365,7 @@ let filled_sums pool ~skip ~len ~phase =
   Msg.fill_pattern m ~off:skip ~len ~stream_off:phase;
   let node = front_node m in
   let memo = Mpool.cached_sum node ~off:skip ~len in
-  let scan = Inet_cksum.sum_bytes (Mpool.data node) skip len in
+  let scan = Inet_cksum.sum (Mpool.data node) skip len in
   Msg.destroy m;
   (memo, scan)
 
@@ -486,7 +487,7 @@ let apply pool ~target ~other op =
   | Header (n, b) ->
     let buf = Msg.push_header target n in
     for i = 0 to n - 1 do
-      Bytes.set buf i (Char.chr ((b + (i * 37)) land 0xff))
+      Buf.set_uint8 buf i ((b + (i * 37)) land 0xff)
     done
   | Set_u16 (o, v) when len >= 2 -> Msg.set_u16 target (o mod (len - 1)) v
   | Set_u8 (o, v) when len > 0 -> Msg.set_u8 target (o mod len) v

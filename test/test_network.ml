@@ -118,6 +118,31 @@ let test_tcp_echo_roundtrip () =
   Alcotest.(check (option string)) "echo came back" (Some "ping over a real network")
     !echoed
 
+(* The server writes straight after accept, while its SYN-ACK is still
+   unacknowledged: the data must wait for the handshake's final ACK and
+   then start at stream byte 0. *)
+let test_tcp_server_sends_before_final_ack () =
+  let plat, a, b, _ = two_hosts () in
+  let payload = String.init 16_384 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let received = ref None in
+  let _ =
+    Sim.spawn plat.Platform.sim ~cpu:0 ~name:"server" (fun () ->
+        let lst = Socket.Listener.listen plat b.Stack.pool b.Stack.tcp ~port:80 in
+        let sock = Socket.Listener.accept lst in
+        Socket.send_string sock payload)
+  in
+  let _ =
+    Sim.spawn plat.Platform.sim ~cpu:1 ~name:"client" (fun () ->
+        Sim.delay plat.Platform.sim (Units.ms 1.0);
+        let sock =
+          Socket.connect plat a.Stack.pool a.Stack.tcp ~local_port:5000
+            ~remote_addr:addr_b ~remote_port:80
+        in
+        received := Socket.recv_exactly sock (String.length payload))
+  in
+  run_to plat;
+  Alcotest.(check bool) "the exact stream" true (!received = Some payload)
+
 let test_tcp_recovers_from_link_loss () =
   let plat, a, b, link = two_hosts ~plan:(Pnp_faults.Faults.bernoulli 0.08) () in
   let received = Buffer.create 4096 in
@@ -386,6 +411,8 @@ let suites =
         Alcotest.test_case "TCP handshake + transfer" `Quick
           test_tcp_handshake_and_transfer_across_link;
         Alcotest.test_case "TCP echo roundtrip" `Quick test_tcp_echo_roundtrip;
+        Alcotest.test_case "TCP server sends before the final ACK" `Quick
+          test_tcp_server_sends_before_final_ack;
         Alcotest.test_case "TCP recovers from link loss" `Quick
           test_tcp_recovers_from_link_loss;
         Alcotest.test_case "latency reflected in connect time" `Quick

@@ -1,4 +1,5 @@
 open Pnp_engine
+open Pnp_util
 open Pnp_xkern
 
 let plat ?(message_caching = true) ?(map_locking = true) () =
@@ -393,6 +394,32 @@ let test_msg_accessors_straddle_parts () =
       Alcotest.(check int) "u16 inside the header part" 0xfeed (Msg.get_u16 m 0);
       Msg.destroy m)
 
+(* Each byte accessor is one walk of the part list, so none allocates,
+   not even on a header-plus-payload message (the shape every TCP and
+   UDP checksum store writes to), in either part. *)
+let test_msg_accessors_no_alloc () =
+  let p, pool = msg_env () in
+  in_sim p (fun () ->
+      let m = Msg.create pool 1000 in
+      ignore (Msg.push_header m 24);
+      Alcotest.(check int) "two parts" 2 (Msg.parts m);
+      (* 1000 calls, alternating between the header and the payload. *)
+      let words f =
+        let before = Gc.minor_words () in
+        for i = 1 to 1000 do f (if i land 1 = 0 then 18 else 500) done;
+        Gc.minor_words () -. before
+      in
+      let base = words ignore and sink = ref 0 in
+      let check name f = Alcotest.(check (float 0.)) name base (words f) in
+      check "get_u8" (fun off -> sink := !sink + Msg.get_u8 m off);
+      check "set_u8" (fun off -> Msg.set_u8 m off off);
+      check "get_u16" (fun off -> sink := !sink + Msg.get_u16 m off);
+      check "set_u16" (fun off -> Msg.set_u16 m off off);
+      check "get_u32" (fun off -> sink := !sink + Msg.get_u32 m off);
+      check "set_u32" (fun off -> Msg.set_u32 m off off);
+      Alcotest.(check int) "last store read back" 500 (Msg.get_u32 m 500);
+      Msg.destroy m)
+
 let test_msg_header_views () =
   let p, pool = msg_env () in
   in_sim p (fun () ->
@@ -403,26 +430,26 @@ let test_msg_header_views () =
       let b = Msg.head_view m ~off:1 ~len:4 in
       let j = Msg.head_pos m ~off:1 ~len:4 in
       Alcotest.(check int) "index within the node" 3 j;
-      Alcotest.(check string) "viewed bytes" "3456" (Bytes.sub_string b j 4);
+      Alcotest.(check string) "viewed bytes" "3456" (Buf.sub_string b j 4);
       Alcotest.(check bool) "no copy" true (b == Msg.head_view m ~off:0 ~len:8);
       (* A pushed header: bytes [0, n) of a fresh buffer, one bump. *)
       let hb = Msg.push_header m 3 in
-      Bytes.blit_string "abc" 0 hb 0 3;
+      Buf.blit_string "abc" 0 hb 0 3;
       Alcotest.(check string) "header in front" "abc23456789" (Msg.to_string m);
       Alcotest.(check int) "header part" 2 (Msg.parts m);
       Alcotest.(check bool) "header view is the pushed buffer" true
-        (hb == Msg.head_view m ~off:0 ~len:3);
+        ((hb :> [ `R ] Buf.t) == Msg.head_view m ~off:0 ~len:3);
       Alcotest.(check int) "header at 0" 0 (Msg.head_pos m ~off:0 ~len:3);
       (* Later part: found by walking, still no copy. *)
       Alcotest.(check int) "second part index" 4 (Msg.head_pos m ~off:5 ~len:2);
       (* Straddling the boundary: a copy, read from 0. *)
       let c = Msg.head_view m ~off:1 ~len:4 in
       Alcotest.(check int) "copy index" 0 (Msg.head_pos m ~off:1 ~len:4);
-      Alcotest.(check string) "copied bytes" "bc23" (Bytes.sub_string c 0 4);
-      Alcotest.(check bool) "copy is private" false (c == hb);
+      Alcotest.(check string) "copied bytes" "bc23" (Buf.sub_string c 0 4);
+      Alcotest.(check bool) "copy is private" false (c == (hb :> [ `R ] Buf.t));
       Alcotest.check_raises "range past the end" (Invalid_argument "Msg.head_view: out of bounds")
         (fun () -> ignore (Msg.head_view m ~off:8 ~len:4));
-      Alcotest.(check int) "empty push" 0 (Bytes.length (Msg.push_header m 0));
+      Alcotest.(check int) "empty push" 0 (Buf.length (Msg.push_header m 0));
       Alcotest.(check int) "empty push adds no part" 2 (Msg.parts m);
       Msg.destroy m)
 
@@ -466,7 +493,7 @@ let test_msg_iter_slices_covers_all () =
       Msg.set_u8 m 1 (Char.code 'y');
       Msg.set_u8 m 2 (Char.code 'z');
       let buf = Buffer.create 13 in
-      Msg.iter_slices m (fun b off len -> Buffer.add_subbytes buf b off len);
+      Msg.iter_slices m (fun b off len -> Buffer.add_string buf (Buf.sub_string b off len));
       Alcotest.(check string) "slices in order" "xyz0123456789" (Buffer.contents buf);
       Alcotest.(check int) "two parts" 2 (Msg.parts m);
       Msg.destroy m)
@@ -894,6 +921,7 @@ let suites =
         Alcotest.test_case "dup then pop independent" `Quick test_msg_dup_then_pop_independent;
         Alcotest.test_case "multibyte accessors" `Quick test_msg_multibyte_accessors;
         Alcotest.test_case "accessors span parts" `Quick test_msg_accessors_span_parts;
+        Alcotest.test_case "accessors allocate nothing" `Quick test_msg_accessors_no_alloc;
         Alcotest.test_case "accessors straddle parts" `Quick
           test_msg_accessors_straddle_parts;
         Alcotest.test_case "header views" `Quick test_msg_header_views;
