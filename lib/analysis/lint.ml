@@ -372,8 +372,8 @@ let check_source ~file src =
           if has_token line "Trace.emit" && not (guarded ()) then
             report lineno "trace-guard"
               "Trace.emit without a Trace.enabled test in the preceding \
-               lines; unguarded emission costs sim time even when tracing \
-               is off"
+               lines; its record argument is built even when tracing is \
+               off"
           else if
             builds_trace_record line
             && (has_trace_call line || (i > 0 && has_trace_call lines.(i - 1)))

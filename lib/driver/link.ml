@@ -12,7 +12,6 @@ type direction = {
   queue : Msg.t Queue.t;
   mutable rx_wakeup : (int -> unit) option; (* receive thread parked here *)
   mutable busy_until : int; (* transmitter serialisation horizon *)
-  mutable frames : int; (* frames OFFERED to this direction *)
   mutable pressure_drops : int; (* frames shed at rx for dest pool pressure *)
   faults : Faults.t;
 }
@@ -106,7 +105,6 @@ let deliver t dir frame =
    extra delay).  Runs in the sender's thread; only the arrival crosses
    into the receive thread. *)
 let transmit t dir frame =
-  dir.frames <- dir.frames + 1;
   let sim = t.plat.Platform.sim in
   let now = Sim.now sim in
   let deliveries =
@@ -130,7 +128,6 @@ let connect plat ?(latency = Units.us 50.0) ?(bandwidth_mbps = 100.0)
       queue = Queue.create ();
       rx_wakeup = None;
       busy_until = 0;
-      frames = 0;
       pressure_drops = 0;
       faults = Faults.instantiate plan ~prng:rng ~skip_bytes:Fddi.header_bytes;
     }
@@ -142,8 +139,8 @@ let connect plat ?(latency = Units.us 50.0) ?(bandwidth_mbps = 100.0)
   start_rx t t.ba ~name:"link.rx.a" ~cpu:101;
   t
 
-let frames_ab t = t.ab.frames
-let frames_ba t = t.ba.frames
+let frames_ab t = Faults.offered t.ab.faults
+let frames_ba t = Faults.offered t.ba.faults
 
 let fault_stats t =
   let f g = g t.ab.faults + g t.ba.faults in

@@ -17,9 +17,6 @@ type stream = {
   mutable fin_seen : bool; (* a FIN arrived on this stream *)
 }
 
-let stream_started s = s.started
-let stream_fin_seen s = s.fin_seen
-
 type t = {
   stack : Stack.t;
   peer_addr : int;
@@ -59,27 +56,27 @@ let stream_for t (v : Frame.tcp_view) =
     Hashtbl.replace t.streams v.Frame.sport s;
     s
 
-(* Push a segment from the simulated peer up through the sender's stack,
-   borrowing the calling thread. *)
-let inject t stream ~flags ~payload_len:_ =
+(* Push a dataless segment from the simulated peer up through the
+   sender's stack, borrowing the calling thread: the ACK, the SYN-ACK and
+   the FIN. *)
+let reply t stream ~seq ~flags =
   let frame =
     Frame.build_tcp t.stack.Stack.pool ~src:t.peer_addr ~dst:t.stack.Stack.local_addr
-      ~sport:stream.peer_port ~dport:stream.sender_port ~seq:stream.peer_seq
-      ~ack:stream.rcv_nxt ~flags ~win:t.ack_window ~payload:None ~checksum:t.checksum
+      ~sport:stream.peer_port ~dport:stream.sender_port ~seq ~ack:stream.rcv_nxt ~flags
+      ~win:t.ack_window ~payload:None ~checksum:t.checksum
   in
   Fddi.input t.stack.Stack.fddi frame
 
 let send_ack t stream =
   t.acks_sent <- t.acks_sent + 1;
   stream.since_ack <- 0;
-  inject t stream ~flags:Tcp_wire.flag_ack ~payload_len:0
+  reply t stream ~seq:stream.peer_seq ~flags:Tcp_wire.flag_ack
 
 (* Absorb contiguous out-of-order segments after rcv_nxt advanced. *)
 let drain_ooo stream =
   let rec go () =
     match List.find_opt (fun (s, _) -> s = stream.rcv_nxt) stream.ooo with
-    | Some ((s, l) as entry) ->
-      ignore s;
+    | Some ((_, l) as entry) ->
       stream.ooo <- List.filter (fun e -> e != entry) stream.ooo;
       stream.rcv_nxt <- Tcp_seq.add stream.rcv_nxt l;
       go ()
@@ -99,17 +96,9 @@ let handle t frame =
        stream.rcv_nxt <- Tcp_seq.add v.Frame.seq 1;
        stream.highest_seq <- v.Frame.seq;
        stream.started <- true;
-       let syn_seq = stream.peer_iss in
        stream.peer_seq <- Tcp_seq.add stream.peer_iss 1;
        Msg.destroy frame;
-       let syn_ack =
-         Frame.build_tcp t.stack.Stack.pool ~src:t.peer_addr
-           ~dst:t.stack.Stack.local_addr ~sport:stream.peer_port
-           ~dport:stream.sender_port ~seq:syn_seq ~ack:stream.rcv_nxt
-           ~flags:Tcp_wire.flag_syn_ack ~win:t.ack_window ~payload:None
-           ~checksum:t.checksum
-       in
-       Fddi.input t.stack.Stack.fddi syn_ack
+       reply t stream ~seq:stream.peer_iss ~flags:Tcp_wire.flag_syn_ack
      end
      else begin
        let len = v.Frame.payload_len in
@@ -162,22 +151,14 @@ let handle t frame =
        else begin
          (if v.Frame.flags.Tcp_wire.fin then begin
             stream.fin_seen <- true;
-            if Tcp_seq.add v.Frame.seq len = stream.rcv_nxt || v.Frame.seq = stream.rcv_nxt
-            then begin
+            if v.Frame.seq = stream.rcv_nxt then begin
               stream.rcv_nxt <- Tcp_seq.add v.Frame.seq 1;
               Msg.destroy frame;
               send_ack t stream;
               (* Close our half too so the sender can reach TIME_WAIT. *)
               let fin_seq = stream.peer_seq in
               stream.peer_seq <- Tcp_seq.add stream.peer_seq 1;
-              let fin =
-                Frame.build_tcp t.stack.Stack.pool ~src:t.peer_addr
-                  ~dst:t.stack.Stack.local_addr ~sport:stream.peer_port
-                  ~dport:stream.sender_port ~seq:fin_seq ~ack:stream.rcv_nxt
-                  ~flags:Tcp_wire.flag_fin_ack ~win:t.ack_window ~payload:None
-                  ~checksum:t.checksum
-              in
-              Fddi.input t.stack.Stack.fddi fin
+              reply t stream ~seq:fin_seq ~flags:Tcp_wire.flag_fin_ack
             end
             else Msg.destroy frame
           end
@@ -222,12 +203,12 @@ let unique_bytes t ~port =
 
 let stream_established t ~port =
   match Hashtbl.find_opt t.streams port with
-  | Some s -> stream_started s
+  | Some s -> s.started
   | None -> false
 
 let stream_closed t ~port =
   match Hashtbl.find_opt t.streams port with
-  | Some s -> stream_fin_seen s
+  | Some s -> s.fin_seen
   | None -> false
 
 (* Change the advertised window.  Reopening a closed window announces the

@@ -44,9 +44,7 @@ let await t n =
           if t.waiting.(i) != no_waiter then
             failwith (Printf.sprintf "Gate.await %S: duplicate ticket %d" t.name n);
           t.waiting.(i) <- resume);
-      let waited = Sim.now t.sim - enq in
-      Sim.note_wait (Sim.self t.sim) waited;
-      waited
+      Sim.now t.sim - enq
     end
     else 0
   in

@@ -87,7 +87,11 @@ let enqueue t w =
   t.nwaiters <- n + 1
 
 let acquire t =
-  if Sim.defer_active t.sim then
+  if not (Sim.in_thread t.sim) then
+    (* Set-up code and event callbacks: no thread to own the lock, nothing
+       runs beside them and no simulated time passes. *)
+    ()
+  else if Sim.defer_active t.sim then
     (* Deferred-charge section (SCR replay): the section re-executes code
        that took this lock, but a replica's lock operations are local —
        there is no cross-thread lock to contend on.  Charge the lock
@@ -116,7 +120,6 @@ let acquire t =
     (* Resumed by [release]; ownership and stats were set there. *)
     let waited = Sim.now t.sim - enq_time in
     t.total_wait_ns <- t.total_wait_ns + waited;
-    Sim.note_wait th waited;
     if Trace.enabled (Sim.tracer t.sim) then
       trace t (Trace.Lock_grant { lock = t.name; waiters = t.nwaiters; wait_ns = waited })
   end
@@ -158,8 +161,7 @@ let non_owner_release t th =
        (Sim.tid th) (Sim.thread_name th) owner_desc)
 
 let release t =
-  if Sim.defer_active t.sim then ()
-  else begin
+  if Sim.in_thread t.sim && not (Sim.defer_active t.sim) then begin
   let th = Sim.self t.sim in
   if t.owner <> Sim.tid th then
     non_owner_release t th;

@@ -13,9 +13,15 @@
     lock between CPUs additionally pays the cache-line migration penalty
     [arch.coherency_ns]; the Power Series' synchronisation bus does not.
 
-    Inside a deferred-charge section ({!Sim.defer_begin}, the SCR replay)
-    [acquire] only charges its cost and [release] does nothing: a
-    replica's lock operations are local, so they never touch the owner.
+    Outside a simulated thread (set-up code, event callbacks) [acquire]
+    and [release] do nothing: there is no thread to own the lock, nothing
+    runs beside the caller and no simulated time passes, so callers never
+    test {!Sim.in_thread} themselves.  Such a caller skips the lock even
+    while a thread holds it.  Inside a deferred-charge section
+    ({!Sim.defer_begin}, the SCR replay) [acquire] only charges its cost
+    and [release] does nothing: a replica's lock operations are local, so
+    they never touch the owner.  The thread test comes first, so an
+    out-of-thread caller is charged nothing even inside a section.
 
     The paper's map manager takes counting locks so that its map
     iterator may call back into the same map (Section 2.1).  No protocol here
@@ -54,8 +60,9 @@ val name : t -> string
 (** The name given to {!create}. *)
 
 val owner : t -> int
-(** The owning thread's tid; -1 while free.  Inside a deferred-charge
-    section [acquire] takes no ownership, so this does not change. *)
+(** The owning thread's tid; -1 while free.  Outside a thread or inside a
+    deferred-charge section [acquire] takes no ownership, so this does not
+    change. *)
 
 (** {2 Statistics} *)
 

@@ -16,7 +16,7 @@ let duration_ns ?rate_mb_s t ~bytes ~users =
   int_of_float ((float_of_int bytes /. rate_mb_s *. 1000.0) +. 0.5)
 
 let consume ?rate_mb_s t ~bytes =
-  if bytes > 0 then begin
+  if bytes > 0 && Sim.in_thread t.sim then begin
     t.users <- t.users + 1;
     let d = duration_ns ?rate_mb_s t ~bytes ~users:t.users in
     t.bytes <- t.bytes + bytes;

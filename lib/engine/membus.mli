@@ -16,7 +16,9 @@ val consume : ?rate_mb_s:float -> t -> bytes:int -> unit
     the transfer duration.  The effective rate is
     [min per_cpu (bus / concurrent_users)], evaluated when the transfer
     starts (a fluid approximation; transfers here are short and uniform,
-    so re-evaluating mid-flight would change nothing measurable). *)
+    so re-evaluating mid-flight would change nothing measurable).  Outside
+    a simulated thread (set-up, event callbacks) it does nothing: no time
+    passes there and no bytes are counted. *)
 
 val duration_ns : ?rate_mb_s:float -> t -> bytes:int -> users:int -> Pnp_util.Units.ns
 (** The transfer time [consume] would charge with the given number of

@@ -40,7 +40,8 @@ val refcnt : t -> name:string -> init:int -> Atomic_ctr.t
 
 val charge : t -> Pnp_util.Units.ns -> unit
 (** Consume simulated time if called from inside a simulated thread; a
-    no-op during setup (outside any thread). *)
+    no-op outside any thread (set-up, event callbacks), like {!Lock} and
+    {!Membus.consume}, so callers need not test {!Sim.in_thread}. *)
 
 val charge_instrs : t -> int -> unit
 (** [charge] expressed in instructions on the platform's architecture. *)

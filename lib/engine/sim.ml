@@ -6,7 +6,6 @@ type thread = {
   name : string;
   mutable finished : bool;
   mutable runnable : bool; (* has a scheduled resumption (or is running) *)
-  mutable waited_ns : int;
   mutable suspend_gen : int; (* suspension generation; catches stale resumes *)
 }
 
@@ -34,7 +33,7 @@ type t = {
 }
 
 let new_thread ~tid ~cpu ~name =
-  { tid; cpu; name; finished = false; runnable = true; waited_ns = 0; suspend_gen = 0 }
+  { tid; cpu; name; finished = false; runnable = true; suspend_gen = 0 }
 
 type _ Effect.t +=
   | Suspend : t * ((int -> unit) -> unit) -> unit Effect.t
@@ -324,6 +323,4 @@ let tid th = th.tid
 let cpu th = th.cpu
 let thread_name th = th.name
 let is_finished th = th.finished
-let note_wait th d = th.waited_ns <- th.waited_ns + d
-let wait_ns th = th.waited_ns
 let events_processed t = t.processed

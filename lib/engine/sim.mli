@@ -67,9 +67,14 @@ val self : t -> thread
 (** The currently running thread.  @raise Failure outside a thread. *)
 
 val in_thread : t -> bool
-(** Whether the caller is executing inside a simulated thread.  Setup code
-    (building packet templates, initialising state) runs outside and must
-    not be charged simulated time. *)
+(** Whether the caller is executing inside a simulated thread.  Set-up
+    code (building packet templates, initialising state) and event
+    callbacks run outside: nothing runs beside them and no simulated time
+    passes.  {!Platform.charge}, {!Atomic_ctr}, {!Lock} and {!Membus.consume}
+    apply that rule themselves, so their callers need not test this; only
+    code that needs a thread's identity (its tid) or a suspension does.
+    [delay], [yield] and [suspend] stay strict: a wait outside a thread is
+    a harness bug. *)
 
 val delay : t -> Pnp_util.Units.ns -> unit
 (** Consume simulated time: the calling thread resumes [d] later.  It
@@ -131,13 +136,6 @@ val thread_of_tid : t -> int -> thread
 val cpu : thread -> int
 val thread_name : thread -> string
 val is_finished : thread -> bool
-
-val note_wait : thread -> Pnp_util.Units.ns -> unit
-(** Attribute [d] of blocked time to the thread (locks call this; the
-    harness reads it back for the Section 3 lock-wait profile). *)
-
-val wait_ns : thread -> Pnp_util.Units.ns
-(** Total blocked time recorded with {!note_wait}. *)
 
 val events_processed : t -> int
 (** Number of events executed so far (observability / debugging). *)

@@ -5,9 +5,7 @@ let charge plat n = Platform.charge_instrs plat n
 
 let fill_payload plat msg ~off ~len ~stream_off =
   Msg.fill_pattern msg ~off ~len ~stream_off;
-  if Sim.in_thread plat.Platform.sim then
-    Membus.consume ~rate_mb_s:plat.Platform.arch.Arch.copy_mb_per_s plat.Platform.bus
-      ~bytes:len
+  Membus.consume ~rate_mb_s:plat.Platform.arch.Arch.copy_mb_per_s plat.Platform.bus ~bytes:len
 
 (* All counts are instructions at the architecture's CPI.  On the 100 MHz
    Challenge one instruction is 10 ns, so 1000 instructions = 10 us. *)

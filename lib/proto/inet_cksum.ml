@@ -111,9 +111,7 @@ let pseudo_sum ~proto ~src ~dst ~len =
   let s = add s proto in
   add s len
 
-let charge plat msg =
-  if Sim.in_thread plat.Platform.sim then
-    Membus.consume plat.Platform.bus ~bytes:(Msg.length msg)
+let charge plat msg = Membus.consume plat.Platform.bus ~bytes:(Msg.length msg)
 
 let compute plat msg ~extra =
   charge plat msg;

@@ -154,9 +154,6 @@ let deliver t ~proto ~src ~dst msg =
     t.dropped <- t.dropped + 1;
     Msg.destroy msg
 
-let locked t f =
-  if Sim.in_thread t.plat.Platform.sim then Lock.with_lock t.frag_lock f else f ()
-
 let drop_chain t key chain =
   List.iter (fun (_, _, m) -> Msg.destroy m) chain.pieces;
   chain.pieces <- [];
@@ -213,7 +210,7 @@ let input t msg =
         Costs.charge t.plat Costs.ip_reass_per_fragment;
         let key = { Frag_key.src; dst; proto; id } in
         let completed = ref None in
-        locked t (fun () ->
+        Lock.with_lock t.frag_lock (fun () ->
             let chain =
               match Frag_map.lookup t.frags key with
               | Some c -> c
@@ -222,7 +219,7 @@ let input t msg =
                 c.timeout <-
                   Some
                     (Timewheel.schedule t.wheel ~after:reass_timeout (fun () ->
-                         locked t (fun () ->
+                         Lock.with_lock t.frag_lock (fun () ->
                              t.dropped <- t.dropped + 1;
                              drop_chain t key c)));
                 Frag_map.insert t.frags key c;
@@ -252,9 +249,8 @@ let input t msg =
               pos := !pos + Msg.length m;
               Msg.destroy m)
             parts;
-          if Sim.in_thread t.plat.Platform.sim then
-            Membus.consume ~rate_mb_s:t.plat.Platform.arch.Arch.copy_mb_per_s
-              t.plat.Platform.bus ~bytes:total;
+          Membus.consume ~rate_mb_s:t.plat.Platform.arch.Arch.copy_mb_per_s
+            t.plat.Platform.bus ~bytes:total;
           t.reassemblies <- t.reassemblies + 1;
           deliver t ~proto ~src ~dst whole
       end

@@ -1518,9 +1518,6 @@ let lookup_session t ~lport ~raddr ~rport =
   | Some s -> Some s
   | None -> Conn_map.lookup t.conns { Conn_key.lport; raddr = 0; rport = 0 }
 
-let locked_create t f =
-  if Sim.in_thread t.plat.Platform.sim then Lock.with_lock t.create_lock f else f ()
-
 (* The initial send sequence number, derived from the host address too,
    so two stacks in one world do not pick identical ones. *)
 let next_iss t =
@@ -1534,7 +1531,7 @@ let open_send_space tcb iss =
   tcb.snd_max <- tcb.snd_nxt
 
 let register_session t sess =
-  locked_create t (fun () ->
+  Lock.with_lock t.create_lock (fun () ->
       Conn_map.insert t.conns sess.key sess;
       let ord = t.registered in
       if ord = Array.length t.registry then begin
@@ -1847,7 +1844,7 @@ let listen t ~local_port ~accept =
   let key = { Conn_key.lport = local_port; raddr = 0; rport = 0 } in
   let sess = fresh_session t key in
   sess.tcb.state <- Listen;
-  locked_create t (fun () ->
+  Lock.with_lock t.create_lock (fun () ->
       Conn_map.insert t.conns key sess;
       Conn_map.insert t.accepting key accept);
   start_timers t
@@ -1857,7 +1854,7 @@ let listen t ~local_port ~accept =
    children are untouched).  Returns [false] if nothing was listening. *)
 let close_listener t ~local_port =
   let key = { Conn_key.lport = local_port; raddr = 0; rport = 0 } in
-  locked_create t (fun () ->
+  Lock.with_lock t.create_lock (fun () ->
       let had_accept = Conn_map.remove t.accepting key in
       let had_demux =
         match Conn_map.lookup t.conns key with

@@ -88,11 +88,8 @@ and create plat ~ip ~checksum ~name =
   Ip.register ip ~proto:protocol_number (fun ~src ~dst msg -> input t ~src ~dst msg);
   t
 
-let locked t f =
-  if Sim.in_thread t.plat.Platform.sim then Lock.with_lock t.create_lock f else f ()
-
 let open_session t ~local_port ~remote_addr ~remote_port ~recv =
-  locked t (fun () ->
+  Lock.with_lock t.create_lock (fun () ->
       match Port_map.lookup t.sessions local_port with
       | Some _ ->
         invalid_arg (Printf.sprintf "Udp.open_session: port %d already bound" local_port)

@@ -188,13 +188,11 @@ let fresh_node t n cls =
 
 let global_alloc t n cls =
   t.global_allocations <- t.global_allocations + 1;
-  if Sim.in_thread t.plat.Platform.sim then begin
-    Lock.acquire t.malloc_lock;
-    Platform.charge_instrs t.plat malloc_instrs;
-    Lock.release t.malloc_lock;
-    (* Freshly allocated memory is cold for this CPU. *)
-    Platform.charge t.plat (Arch.touch_ns t.plat.Platform.arch 128)
-  end;
+  Lock.acquire t.malloc_lock;
+  Platform.charge_instrs t.plat malloc_instrs;
+  Lock.release t.malloc_lock;
+  (* Freshly allocated memory is cold for this CPU. *)
+  Platform.charge t.plat (Arch.touch_ns t.plat.Platform.arch 128);
   fresh_node t n cls
 
 (* Pressure edges.  Both are out of line: the hot paths only pay a
@@ -252,11 +250,9 @@ let incref t node =
   if tracing t then trace_node t (Trace.Mnode_ref { node = node.id; refs = r })
 
 let global_free t =
-  if Sim.in_thread t.plat.Platform.sim then begin
-    Lock.acquire t.malloc_lock;
-    Platform.charge_instrs t.plat free_instrs;
-    Lock.release t.malloc_lock
-  end
+  Lock.acquire t.malloc_lock;
+  Platform.charge_instrs t.plat free_instrs;
+  Lock.release t.malloc_lock
 
 let decref t node =
   let r = Atomic_ctr.decr node.refs in

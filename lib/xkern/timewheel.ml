@@ -25,16 +25,12 @@ type t = {
   on_tick : unit -> unit; (* the wheel's one tick event *)
 }
 
-let with_chain_lock t i f =
-  if Sim.in_thread t.plat.Platform.sim then Lock.with_lock t.chain_locks.(i) f
-  else f ()
-
 (* Service all due entries of the slot for [tick], then arm the next tick
    if anything is still pending. *)
 let rec service t tick =
   let slot = tick mod slots in
   let due = ref [] in
-  with_chain_lock t slot (fun () ->
+  Lock.with_lock t.chain_locks.(slot) (fun () ->
       let stay, fire = List.partition (fun e -> e.fire_tick > tick) t.chains.(slot) in
       t.chains.(slot) <- stay;
       due := fire);
@@ -100,14 +96,14 @@ let schedule t ~after action =
   let fire_tick = max ((now + after + slot_ns - 1) / slot_ns) ((now / slot_ns) + 1) in
   let e = { fire_tick; action; state = `Pending } in
   let slot = fire_tick mod slots in
-  with_chain_lock t slot (fun () -> t.chains.(slot) <- e :: t.chains.(slot));
+  Lock.with_lock t.chain_locks.(slot) (fun () -> t.chains.(slot) <- e :: t.chains.(slot));
   t.pending <- t.pending + 1;
   arm t;
   e
 
 let cancel t e =
   let slot = e.fire_tick mod slots in
-  with_chain_lock t slot (fun () ->
+  Lock.with_lock t.chain_locks.(slot) (fun () ->
       match e.state with
       | `Pending ->
         e.state <- `Cancelled;

@@ -94,10 +94,6 @@ module Make (K : KEY) = struct
   let shard_of t h = t.shards.(h land t.mask)
   let bindex t sh h = (h lsr t.shift) land (Array.length sh.buckets - 1)
 
-  let locked t sh f =
-    if Sim.in_thread t.plat.Platform.sim then Lock.with_lock sh.lock f
-    else f ()
-
   (* Shared-state access annotation for the lockset checker; guarded on
      the tracer so the disabled path costs one field read.  The state
      name is built on the shard's first traced access and shared by the
@@ -174,7 +170,7 @@ module Make (K : KEY) = struct
   let insert t k v =
     let h = hashv k in
     let sh = shard_of t h in
-    locked t sh (fun () ->
+    Lock.with_lock sh.lock (fun () ->
         Platform.charge_instrs t.plat hash_instrs;
         let i = bindex t sh h in
         let replaced, chain = remove_binding k sh.buckets.(i) in
@@ -213,7 +209,7 @@ module Make (K : KEY) = struct
     let h = hashv k in
     let sh = shard_of t h in
     if t.plat.Platform.map_locking then
-      locked t sh (fun () ->
+      Lock.with_lock sh.lock (fun () ->
           Platform.charge_instrs t.plat cache_probe_instrs;
           access t sh ~write:false;
           match sh.one_behind with
@@ -245,7 +241,7 @@ module Make (K : KEY) = struct
   let remove t k =
     let h = hashv k in
     let sh = shard_of t h in
-    locked t sh (fun () ->
+    Lock.with_lock sh.lock (fun () ->
         Platform.charge_instrs t.plat hash_instrs;
         let i = bindex t sh h in
         let removed, chain = remove_binding k sh.buckets.(i) in
