@@ -1,6 +1,7 @@
 open Pnp_util
 open Pnp_engine
 open Pnp_analysis
+open Pnp_lint
 
 let arch = Arch.challenge_100
 
@@ -656,24 +657,21 @@ let lint ?(file = "lib/figures/fig_test.ml") src = Lint.check_source ~file src
 
 let rules fs = List.map (fun f -> f.Lint.rule) fs
 
-let test_lint_scrub () =
-  let scrubbed =
-    Lint.scrub
-      "let x = 1 (* outer (* nested *) \"string with *) inside\" end *) + 2\n\
-       let s = \"Printf.printf \\\" quoted\" in s\n"
-  in
-  let contains sub =
-    let n = String.length scrubbed and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub scrubbed i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "code survives" true (contains "let x = 1");
-  Alcotest.(check bool) "code after nested comment survives" true (contains "+ 2");
-  Alcotest.(check bool) "comment text blanked" false (contains "outer");
-  Alcotest.(check bool) "string text blanked" false (contains "Printf");
-  Alcotest.(check int) "line structure preserved" 2
-    (List.length
-       (List.filter (fun c -> c = '\n') (List.init (String.length scrubbed) (String.get scrubbed))))
+(* Comments, strings and char literals hold no code: a nested comment
+   holding "*)", a quoted string and a '"' char literal hide nothing
+   from the rules and make nothing up. *)
+let test_lint_lexical () =
+  Alcotest.(check (list string)) "no code in comments, strings or chars" []
+    (rules
+       (lint
+          "let fig_data opts =\n\
+          \  (* outer (* nested *) \"string with *) inside\" Printf.printf *)\n\
+          \  let s = {| Printf.printf \"x\" |} in\n\
+          \  let q = '\"' in\n\
+          \  ignore (q, s, \"Printf.printf \\\" quoted\");\n\
+          \  opts\n"));
+  Alcotest.(check (list string)) "code after a '\"' char is read" [ "no-print" ]
+    (rules (lint "let fig_data opts =\n  let q = '\"' in\n  Printf.printf \"%c\" q\n"))
 
 let test_lint_no_print_in_data_phase () =
   (match lint "let fig_data opts =\n  Printf.printf \"x\";\n  []\n" with
@@ -712,7 +710,10 @@ let test_lint_no_global_mutable () =
    | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)));
   (* Local refs inside a binding are fine. *)
   Alcotest.(check (list string)) "local ref allowed" []
-    (rules (lint "let fig_data opts =\n  let n = ref 0 in\n  !n\n"))
+    (rules (lint "let fig_data opts =\n  let n = ref 0 in\n  !n\n"));
+  (* A function that returns a fresh ref is not state. *)
+  Alcotest.(check (list string)) "ref-making function allowed" []
+    (rules (lint "let make x = ref x\n"))
 
 let test_lint_lock_pairing () =
   (match lint ~file:"lib/proto/foo.ml" "let f l =\n  Lock.acquire l;\n  work ()\n" with
@@ -769,6 +770,39 @@ let test_lint_trace_guard () =
           \    Sim.trace sim (Trace.Span_end { seq; phase = Trace.Ip });\n\
           \  if tracing t then trace_node t (Trace.Mnode_ref { node = 0; refs = 1 });\n\
           \  if tracing then Sim.trace sim (Trace.Span_begin { seq; phase = Trace.Enqueue })\n"));
+  (* The guard is the enclosing [if], however far above it sits... *)
+  Alcotest.(check (list string)) "guard eight lines above" []
+    (rules
+       (lint ~file:"lib/xkern/foo.ml"
+          "let f tr =\n\
+          \  if Trace.enabled tr then begin\n\
+          \    a ();\n\
+          \    b ();\n\
+          \    c ();\n\
+          \    d ();\n\
+          \    e ();\n\
+          \    g ();\n\
+          \    h ();\n\
+          \    Trace.emit tr ~ts:0 ~tid:0 ~cpu:0 ev\n\
+          \  end\n"));
+  (* ...and a test on the line above guards nothing after its [if]. *)
+  Alcotest.(check (list string)) "an if that ended guards nothing" [ "trace-guard" ]
+    (rules
+       (lint ~file:"lib/xkern/foo.ml"
+          "let f tr =\n\
+          \  if Trace.enabled tr then ignore 0;\n\
+          \  Trace.emit tr ~ts:0 ~tid:0 ~cpu:0 ev\n"));
+  Alcotest.(check (list string)) "a negated test guards nothing" [ "trace-guard" ]
+    (rules
+       (lint ~file:"lib/xkern/foo.ml"
+          "let f tr =\n  if not (Trace.enabled tr) then Trace.emit tr ~ts:0 ~tid:0 ~cpu:0 ev\n"));
+  Alcotest.(check (list string)) "record two lines below its trace call" [ "trace-guard" ]
+    (rules
+       (lint ~file:"lib/proto/foo.ml"
+          "let f sim seq phase =\n\
+          \  Sim.trace sim\n\
+          \n\
+          \    (Trace.Span_begin { seq; phase })\n"));
   Alcotest.(check (list string)) "matching on a record is not building one" []
     (rules
        (lint ~file:"lib/analysis/foo.ml"
@@ -800,6 +834,13 @@ let test_lint_no_env () =
        (lint ~file:"lib/xkern/fake.ml"
           "(* Sys.getenv is not read here *)\nlet s = \"Sys.getenv_opt\"\n"))
 
+let test_lint_parse_error () =
+  match lint ~file:"lib/xkern/bad.ml" "let f x = x\nlet g = )\nlet h = Sys.getenv \"X\"\n" with
+  | [ f ] ->
+    Alcotest.(check string) "rule" "parse" f.Lint.rule;
+    Alcotest.(check int) "line" 2 f.Lint.line
+  | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs))
+
 let test_lint_clean_tree () =
   (* The repo must lint clean — this is `dune build @lint` as a unit
      test, pinned to wherever the runner starts. *)
@@ -820,7 +861,7 @@ let test_lint_clean_tree () =
         (fun d ->
           let p = Filename.concat root d in
           if Sys.file_exists p then Some p else None)
-        [ "lib"; "bin" ]
+        Lint.roots
     in
     let findings = Lint.check_tree ~roots in
     List.iter (fun f -> Format.eprintf "lint: %a@." Lint.pp_finding f) findings;
@@ -888,7 +929,7 @@ let suites =
       ] );
     ( "analysis.lint",
       [
-        Alcotest.test_case "scrubber" `Quick test_lint_scrub;
+        Alcotest.test_case "comments, strings and chars" `Quick test_lint_lexical;
         Alcotest.test_case "no print in data phase" `Quick test_lint_no_print_in_data_phase;
         Alcotest.test_case "no wallclock in data phase" `Quick
           test_lint_no_wallclock_in_data_phase;
@@ -897,6 +938,7 @@ let suites =
         Alcotest.test_case "trace guard" `Quick test_lint_trace_guard;
         Alcotest.test_case "allow marker" `Quick test_lint_allow_marker;
         Alcotest.test_case "no environment reads in lib" `Quick test_lint_no_env;
+        Alcotest.test_case "a file that does not parse" `Quick test_lint_parse_error;
         Alcotest.test_case "tree lints clean" `Quick test_lint_clean_tree;
       ] );
   ]
